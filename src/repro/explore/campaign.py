@@ -31,20 +31,11 @@ import json
 import multiprocessing
 import sys
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.metrics import DetectorScore, score_against_labels
 from repro.explore.runner import MATRIX_CLOCK, Explorer
-from repro.net.clock_transport import (
-    CLOCK_TRANSPORT_MODES,
-    CLOCK_WIRE_FORMATS,
-    validate_clock_transport,
-    validate_clock_wire,
-    validate_clock_wire_resync,
-)
-from repro.net.flow_control import FLOW_CONTROL_MODES
-from repro.net.ud_transport import TRANSPORT_MODES, validate_transport
-from repro.verbs.completion_queue import validate_cq_moderation_timer
+from repro.runtime.knobs import KNOBS, Knob
 
 
 @dataclass(frozen=True)
@@ -147,28 +138,7 @@ class CampaignConfig:
             raise ValueError(f"budget must be at least 1, got {self.budget}")
         if self.workers < 0:
             raise ValueError(f"workers must be non-negative, got {self.workers}")
-        if self.clock_transport is not None:
-            validate_clock_transport(self.clock_transport)
-        if self.clock_wire is not None:
-            validate_clock_wire(self.clock_wire)
-        if self.detector_epochs is not None and self.detector_epochs not in (
-            "on",
-            "off",
-        ):
-            raise ValueError(
-                f"detector_epochs must be 'on' or 'off', got {self.detector_epochs!r}"
-            )
-        if self.flow_control is not None and self.flow_control not in (
-            FLOW_CONTROL_MODES
-        ):
-            raise ValueError(
-                f"flow_control must be one of {FLOW_CONTROL_MODES}, "
-                f"got {self.flow_control!r}"
-            )
-        parse_cq_moderation_timer(self.cq_moderation_timer)
-        parse_clock_wire_resync(self.clock_wire_resync)
-        if self.transport is not None:
-            validate_transport(self.transport)
+        self.knob_settings()  # raises on an illegal override
         for name in ("drop_probability", "duplicate_probability"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -178,48 +148,13 @@ class CampaignConfig:
                 "drop_probability + duplicate_probability must not exceed 1"
             )
 
-
-def parse_cq_moderation_timer(text: Optional[str]):
-    """Parse the CLI's ``"COUNT,USEC"`` form into a validated pair.
-
-    ``None`` means "leave the pattern's own configuration alone" and
-    ``"off"`` forces the timer off — both map through unchanged for
-    :meth:`~repro.runtime.runtime.DSMRuntime.set_cq_moderation_timer`'s
-    ``None`` convention to handle.  The campaign config keeps the string
-    (picklable, hashable) and parses at configure time.
-    """
-    if text is None:
-        return None
-    if text == "off":
-        return "off"
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(
-            f"cq_moderation_timer must be 'COUNT,USEC' or 'off', got {text!r}"
-        )
-    try:
-        pair = (int(parts[0]), float(parts[1]))
-    except ValueError:
-        raise ValueError(
-            f"cq_moderation_timer must be 'COUNT,USEC' or 'off', got {text!r}"
-        ) from None
-    return validate_cq_moderation_timer(pair)
-
-
-def parse_clock_wire_resync(text: Optional[str]):
-    """Parse the CLI's resync cadence: a decimal count or ``"adaptive"``."""
-    if text is None:
-        return None
-    if text == "adaptive":
-        return text
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(
-            f"clock_wire_resync must be a decimal count or 'adaptive', "
-            f"got {text!r}"
-        ) from None
-    return validate_clock_wire_resync(value)
+    def knob_settings(self) -> List[Tuple[str, Any]]:
+        """``(name, validated runtime value)`` of every knob this campaign overrides."""
+        return [
+            (knob.name, knob.from_text(getattr(self, knob.name)))
+            for knob in KNOBS
+            if getattr(self, knob.name) is not None
+        ]
 
 
 def _resolve_corpus(corpus: str):
@@ -239,54 +174,20 @@ def _resolve_pattern(corpus: str, name: str):
     raise ValueError(f"corpus {corpus!r} has no pattern named {name!r}")
 
 
-def _knob_configure(
-    treat_rmw_pairs_as_ordered: Optional[bool],
-    clock_transport: Optional[str] = None,
-    clock_wire: Optional[str] = None,
-    cq_moderation: Optional[bool] = None,
-    detector_epochs: Optional[str] = None,
-    flow_control: Optional[str] = None,
-    cq_moderation_timer: Optional[str] = None,
-    clock_wire_resync: Optional[str] = None,
-    transport: Optional[str] = None,
-):
-    if (
-        treat_rmw_pairs_as_ordered is None
-        and clock_transport is None
-        and clock_wire is None
-        and cq_moderation is None
-        and detector_epochs is None
-        and flow_control is None
-        and cq_moderation_timer is None
-        and clock_wire_resync is None
-        and transport is None
-    ):
+def _knob_configure(config: CampaignConfig):
+    """The hook applying *config*'s overrides to each built runtime, if any."""
+    rmw_pairs_ordered = config.treat_rmw_pairs_as_ordered
+    settings = config.knob_settings()
+    if rmw_pairs_ordered is None and not settings:
         return None
 
     def configure(runtime) -> None:
-        if treat_rmw_pairs_as_ordered is not None:
+        if rmw_pairs_ordered is not None:
             runtime.detector.config.treat_rmw_pairs_as_ordered = bool(
-                treat_rmw_pairs_as_ordered
+                rmw_pairs_ordered
             )
-        if clock_transport is not None:
-            runtime.set_clock_transport(clock_transport)
-        if clock_wire is not None:
-            runtime.set_clock_wire(clock_wire)
-        if cq_moderation is not None:
-            runtime.set_cq_moderation(cq_moderation)
-        if detector_epochs is not None:
-            runtime.set_detector_epochs(detector_epochs)
-        if flow_control is not None:
-            runtime.set_flow_control(flow_control)
-        if cq_moderation_timer is not None:
-            parsed = parse_cq_moderation_timer(cq_moderation_timer)
-            runtime.set_cq_moderation_timer(None if parsed == "off" else parsed)
-        if clock_wire_resync is not None:
-            runtime.set_clock_wire_resync(
-                parse_clock_wire_resync(clock_wire_resync)
-            )
-        if transport is not None:
-            runtime.set_transport(transport)
+        for name, value in settings:
+            runtime.set_knob(name, value)
 
     return configure
 
@@ -298,17 +199,7 @@ def _explore_pattern_task(task: Dict[str, object]) -> Dict[str, object]:
     explorer = Explorer(
         pattern.build,
         seed=config.seed,
-        configure=_knob_configure(
-            config.treat_rmw_pairs_as_ordered,
-            config.clock_transport,
-            config.clock_wire,
-            config.cq_moderation,
-            config.detector_epochs,
-            config.flow_control,
-            config.cq_moderation_timer,
-            config.clock_wire_resync,
-            config.transport,
-        ),
+        configure=_knob_configure(config),
         critical_path=config.critical_path,
     )
     if config.strategy == "systematic":
@@ -606,17 +497,7 @@ def minimize_campaign_artifacts(
 
     from repro.explore.minimize import minimize_racing_schedule, save_artifact
 
-    configure = _knob_configure(
-        config.treat_rmw_pairs_as_ordered,
-        config.clock_transport,
-        config.clock_wire,
-        config.cq_moderation,
-        config.detector_epochs,
-        config.flow_control,
-        config.cq_moderation_timer,
-        config.clock_wire_resync,
-        config.transport,
-    )
+    configure = _knob_configure(config)
     if patterns is None:
         selected = [p for p in _resolve_corpus(corpus) if p.racy]
     else:
@@ -667,8 +548,8 @@ def minimize_campaign_artifacts(
     return written
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point (``python -m repro.explore.campaign``)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The campaign command line (one flag per registry knob)."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--corpus", default="default", help="default | rmw")
     parser.add_argument(
@@ -683,66 +564,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--reorder-probability", type=float, default=0.35)
     parser.add_argument("--reorder-aggressiveness", type=float, default=2.0)
     parser.add_argument("--quantum", type=float, default=1.0)
-    parser.add_argument(
-        "--clock-transport",
-        default=None,
-        choices=CLOCK_TRANSPORT_MODES,
-        help="clock transport for every explored runtime (default: the "
-        "pattern's own configuration)",
-    )
-    parser.add_argument(
-        "--clock-wire",
-        default=None,
-        choices=CLOCK_WIRE_FORMATS,
-        help="clock wire format for every explored runtime (default: the "
-        "pattern's own configuration)",
-    )
-    parser.add_argument(
-        "--cq-moderation",
-        default=None,
-        choices=("on", "off"),
-        help="force completion coalescing on or off for every explored "
-        "runtime (default: the pattern's own configuration)",
-    )
-    parser.add_argument(
-        "--detector-epochs",
-        default=None,
-        choices=("on", "off"),
-        help="force the detector's epoch fast path on or off for every "
-        "explored runtime (default: the pattern's own configuration)",
-    )
-    parser.add_argument(
-        "--flow-control",
-        default=None,
-        choices=FLOW_CONTROL_MODES,
-        help="two-sided admission protocol for every explored runtime "
-        "(default: the pattern's own configuration)",
-    )
-    parser.add_argument(
-        "--cq-moderation-timer",
-        default=None,
-        metavar="COUNT,USEC|off",
-        help="(cq_count, cq_usec) CQ-moderation timer for every explored "
-        "runtime, e.g. 4,2.0, or 'off' to force the timer off (default: "
-        "the pattern's own configuration)",
-    )
-    parser.add_argument(
-        "--clock-wire-resync",
-        default=None,
-        metavar="COUNT|adaptive",
-        help="sparse-wire full-clock resync cadence for every explored "
-        "runtime: a message count, or 'adaptive' for the per-channel "
-        "self-tuning cadence (default: the pattern's own configuration)",
-    )
-    parser.add_argument(
-        "--transport",
-        default=None,
-        choices=TRANSPORT_MODES,
-        help="data-message service level for every explored runtime: rc "
-        "(reliable connected) or ud (droppable/reorderable datagrams with "
-        "receiver-driven clock resync) (default: the pattern's own "
-        "configuration)",
-    )
+    for knob in KNOBS:
+        parser.add_argument(knob.flag, default=None, **knob.cli)
     parser.add_argument(
         "--drop-rate",
         type=float,
@@ -779,8 +602,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="exit 1 unless matrix-clock flagged every labelled racy symbol "
         "in 100%% of explored schedules",
     )
-    args = parser.parse_args(argv)
+    return parser
 
+
+def _flag_value(knob: Knob, text: Optional[str]):
+    """What ``CampaignConfig`` (and so the report) holds for a knob's flag:
+    the text of a knob with a parser (``"4,2.0"``), the value otherwise
+    (``--cq-moderation on`` is ``True``)."""
+    if text is None or knob.parse is not None:
+        return text
+    return knob.validate(text)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """CLI entry point (``python -m repro.explore.campaign``)."""
+    args = build_parser().parse_args(argv)
     config = CampaignConfig(
         strategy=args.strategy,
         budget=args.budget,
@@ -791,16 +627,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         reorder_probability=args.reorder_probability,
         reorder_aggressiveness=args.reorder_aggressiveness,
         quantum=args.quantum,
-        clock_transport=args.clock_transport,
-        clock_wire=args.clock_wire,
-        cq_moderation=(
-            None if args.cq_moderation is None else args.cq_moderation == "on"
-        ),
-        detector_epochs=args.detector_epochs,
-        flow_control=args.flow_control,
-        cq_moderation_timer=args.cq_moderation_timer,
-        clock_wire_resync=args.clock_wire_resync,
-        transport=args.transport,
+        **{knob.name: _flag_value(knob, getattr(args, knob.name)) for knob in KNOBS},
         drop_probability=args.drop_rate,
         duplicate_probability=args.duplicate_rate,
         critical_path=args.critical_path,

@@ -462,10 +462,10 @@ class ClockTransport:
     """One rank's clock-movement policy, consulted by NIC and verbs layers.
 
     The mode is read from the owning NIC's config on every decision — that
-    is what lets :meth:`~repro.runtime.runtime.DSMRuntime.set_clock_transport`
-    switch an already-built runtime (the campaign runner's configure hook).
-    Always switch through that method (or ``RuntimeConfig.clock_transport``
-    at construction): it also keeps the detector's per-check control
+    is what lets ``DSMRuntime.set_knob("clock_transport", mode)`` switch an
+    already-built runtime (the campaign runner's configure hook).  Always
+    switch through that method (or ``RuntimeConfig.clock_transport`` at
+    construction): it also keeps the detector's per-check control
     accounting in step, which a bare ``NICConfig.clock_transport``
     assignment would not.
     """

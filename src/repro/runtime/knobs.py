@@ -1,0 +1,319 @@
+"""The consistency-knob registry: every verdict-neutral knob, declared once.
+
+The paper's claim is that verdicts depend only on the logical clocks, never
+on how they travel; these knobs change traffic, bytes or timing and must
+never change a verdict.  Everything else is a loop over :data:`KNOBS`:
+``DSMRuntime`` resolves each knob at construction (:meth:`Knob.resolve`),
+changes it through ``set_knob`` and reports it on ``RunResult.knobs`` and in
+the trace's ``run_info``; :mod:`repro.explore.campaign` derives its override
+validation, command-line flags and configure hook; ``tools/ci_matrix.py``
+sweeps :attr:`Knob.matrix_values`.
+
+Adding a knob is one entry here plus one typed field on ``RuntimeConfig``
+and on ``CampaignConfig`` ("Adding a knob" in ``docs/architecture.md``).
+Registry order is the order of the provenance keys and fixes the CI matrix.
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Tuple
+
+from repro.net.clock_transport import (
+    CLOCK_TRANSPORT_MODES,
+    CLOCK_WIRE_FORMATS,
+    validate_clock_transport,
+    validate_clock_wire,
+    validate_clock_wire_resync,
+)
+from repro.net.flow_control import FLOW_CONTROL_MODES, validate_flow_control
+from repro.net.nic import NICConfig
+from repro.net.ud_transport import TRANSPORT_MODES, validate_transport
+from repro.verbs.completion_queue import validate_cq_moderation_timer
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.runtime import DSMRuntime, RuntimeConfig
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One consistency knob.
+
+    Attributes
+    ----------
+    name:
+        The field on ``RuntimeConfig`` and ``CampaignConfig``; :attr:`flag`
+        is derived from it.
+    validate:
+        Returns the canonical value, or raises ``ValueError``.
+    cli:
+        ``argparse`` keywords of the campaign flag (help, and choices,
+        metavar or type).
+    matrix_values:
+        The command-line spellings CI's consistency matrix sweeps; the
+        full-cartesian islands pin the knob to the first.
+    parse:
+        Converts command-line spellings that are not themselves legal values
+        (``"4,2.0"``, ``"off"``, ``"64"``); ``None`` if ``validate`` will do.
+    nic_mirror:
+        ``NICConfig`` has a field of this name that the NICs read: ``None``
+        on ``RuntimeConfig`` follows it, two different explicit values (a
+        mirror that differs from ``NICConfig``'s default was set explicitly)
+        are an error, and the resolved value is written to both.
+    inherit:
+        Where a non-mirrored knob left ``None`` gets its value.
+    apply:
+        Pushes a value into whatever else in the runtime keeps a copy.
+    extra_flags:
+        Additional command-line tokens a matrix value requires.
+    """
+
+    name: str
+    validate: Callable[[Any], Any]
+    cli: Mapping[str, Any]
+    matrix_values: Tuple[str, ...]
+    parse: Optional[Callable[[str], Any]] = None
+    nic_mirror: bool = False
+    inherit: Optional[Callable[["RuntimeConfig"], Any]] = None
+    apply: Optional[Callable[["DSMRuntime", Any], None]] = None
+    extra_flags: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
+
+    @property
+    def flag(self) -> str:
+        """The campaign command-line flag (``--clock-wire``)."""
+        return "--" + self.name.replace("_", "-")
+
+    def from_text(self, text: Any) -> Any:
+        """The validated value of a command-line spelling (or a plain value)."""
+        return (self.parse or self.validate)(text)
+
+    def resolve(self, config: "RuntimeConfig") -> Any:
+        """The validated value a runtime built from *config* runs with."""
+        value = getattr(config, self.name)
+        if self.nic_mirror:
+            mirrored = getattr(config.nic, self.name)
+            if value is None:
+                return self.validate(mirrored)
+            value = self.validate(value)
+            # Naming two different values explicitly is a configuration
+            # error, not a precedence puzzle.
+            if mirrored != getattr(NICConfig, self.name) and mirrored != value:
+                raise ValueError(
+                    f"conflicting {self.name.replace('_', ' ')}s: RuntimeConfig "
+                    f"says {value!r} but NICConfig says {mirrored!r}"
+                )
+            return value
+        if value is None and self.inherit is not None:
+            value = self.inherit(config)
+        return self.validate(value)
+
+
+# -- validators and parsers without a home module ------------------------------------
+
+
+#: The command-line spellings of the two on/off knobs.
+ON_OFF = ("on", "off")
+
+
+def validate_cq_moderation(value: Any) -> bool:
+    """``True``/``False`` or their ``"on"``/``"off"`` spellings, as a bool."""
+    if isinstance(value, bool):
+        return value
+    if value in ON_OFF:
+        return value == "on"
+    raise ValueError(
+        f"cq_moderation must be True, False, 'on' or 'off', got {value!r}"
+    )
+
+
+def validate_detector_epochs(mode: Any) -> str:
+    """Return *mode* if it is ``"on"`` or ``"off"``, raise ``ValueError`` otherwise."""
+    if mode not in ON_OFF:
+        raise ValueError(f"detector_epochs must be 'on' or 'off', got {mode!r}")
+    return mode
+
+
+def parse_cq_moderation_timer(text: str) -> Optional[Tuple[int, float]]:
+    """``"COUNT,USEC"`` as a validated pair; ``"off"`` as ``None`` (no timer)."""
+    if text == "off":
+        return None
+    message = f"cq_moderation_timer must be 'COUNT,USEC' or 'off', got {text!r}"
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(message)
+    try:
+        pair = (int(parts[0]), float(parts[1]))
+    except ValueError:
+        raise ValueError(message) from None
+    return validate_cq_moderation_timer(pair)
+
+
+def parse_clock_wire_resync(text: str):
+    """A decimal message count, or ``"adaptive"``."""
+    if text == "adaptive":
+        return text
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(
+            f"clock_wire_resync must be a decimal count or 'adaptive', "
+            f"got {text!r}"
+        ) from None
+    return validate_clock_wire_resync(value)
+
+
+# -- hooks -----------------------------------------------------------------------------
+
+
+def _apply_clock_transport(runtime: "DSMRuntime", mode: str) -> None:
+    # Piggybacking zeroes the detector's per-check control-message
+    # accounting (the clocks ride on messages the application sends anyway,
+    # Algorithm 5's dedicated pair disappears); switching back restores the
+    # figure it replaced, so a custom one is preserved, not reset.
+    detector_config = runtime.config.detector
+    if mode == "piggyback":
+        if detector_config.control_messages_per_check != 0:
+            runtime._control_messages_before_piggyback = (
+                detector_config.control_messages_per_check
+            )
+        detector_config.control_messages_per_check = 0
+    elif detector_config.control_messages_per_check == 0:
+        detector_config.control_messages_per_check = (
+            runtime._control_messages_before_piggyback
+        )
+
+
+def _inherit_detector_epochs(config: "RuntimeConfig") -> str:
+    # The CI slow-path leg sets the environment variable; otherwise keep
+    # whatever the DetectorConfig already says.
+    from_env = os.environ.get("REPRO_DETECTOR_EPOCHS")
+    if from_env is not None:
+        return from_env
+    return "on" if config.detector.epochs else "off"
+
+
+def _apply_detector_epochs(runtime: "DSMRuntime", mode: str) -> None:
+    # The detector shares this config object; no rebuild needed.
+    runtime.config.detector.epochs = mode == "on"
+
+
+def _apply_cq_moderation(runtime: "DSMRuntime", enabled: bool) -> None:
+    for context in runtime.verbs_contexts:
+        context.cq_moderation = enabled
+
+
+def _apply_cq_moderation_timer(runtime: "DSMRuntime", value) -> None:
+    for context in runtime.verbs_contexts:
+        context.set_cq_moderation_timer(value)
+
+
+def _apply_flow_control(runtime: "DSMRuntime", mode: str) -> None:
+    for context in runtime.verbs_contexts:
+        context.set_flow_control(mode)
+
+
+# -- the registry ----------------------------------------------------------------------
+
+_PATTERN_DEFAULT = "(default: the pattern's own configuration)"
+
+KNOBS: Tuple[Knob, ...] = (
+    Knob(
+        name="clock_transport",
+        validate=validate_clock_transport,
+        cli={
+            "choices": CLOCK_TRANSPORT_MODES,
+            "help": f"clock transport for every explored runtime {_PATTERN_DEFAULT}",
+        },
+        matrix_values=("roundtrip", "piggyback"),
+        nic_mirror=True,
+        apply=_apply_clock_transport,
+    ),
+    Knob(
+        name="clock_wire",
+        validate=validate_clock_wire,
+        cli={
+            "choices": CLOCK_WIRE_FORMATS,
+            "help": f"clock wire format for every explored runtime {_PATTERN_DEFAULT}",
+        },
+        matrix_values=("full", "delta", "truncated"),
+        nic_mirror=True,
+    ),
+    Knob(
+        name="cq_moderation",
+        validate=validate_cq_moderation,
+        cli={
+            "choices": ON_OFF,
+            "help": "force completion coalescing on or off for every explored "
+            f"runtime {_PATTERN_DEFAULT}",
+        },
+        matrix_values=("off", "on"),
+        apply=_apply_cq_moderation,
+    ),
+    Knob(
+        name="detector_epochs",
+        validate=validate_detector_epochs,
+        cli={
+            "choices": ON_OFF,
+            "help": "force the detector's epoch fast path on or off for every "
+            f"explored runtime {_PATTERN_DEFAULT}",
+        },
+        matrix_values=("on", "off"),
+        inherit=_inherit_detector_epochs,
+        apply=_apply_detector_epochs,
+    ),
+    Knob(
+        name="flow_control",
+        validate=validate_flow_control,
+        cli={
+            "choices": FLOW_CONTROL_MODES,
+            "help": "two-sided admission protocol for every explored runtime "
+            f"{_PATTERN_DEFAULT}",
+        },
+        matrix_values=("rnr", "credit"),
+        apply=_apply_flow_control,
+    ),
+    Knob(
+        name="cq_moderation_timer",
+        validate=validate_cq_moderation_timer,
+        cli={
+            "metavar": "COUNT,USEC|off",
+            "help": "(cq_count, cq_usec) CQ-moderation timer for every explored "
+            "runtime, e.g. 4,2.0, or 'off' to force the timer off "
+            f"{_PATTERN_DEFAULT}",
+        },
+        matrix_values=("off", "4,2.0"),
+        parse=parse_cq_moderation_timer,
+        apply=_apply_cq_moderation_timer,
+    ),
+    Knob(
+        name="clock_wire_resync",
+        validate=validate_clock_wire_resync,
+        cli={
+            "metavar": "COUNT|adaptive",
+            "help": "sparse-wire full-clock resync cadence for every explored "
+            "runtime: a message count, or 'adaptive' for the per-channel "
+            f"self-tuning cadence {_PATTERN_DEFAULT}",
+        },
+        matrix_values=("64", "adaptive"),
+        parse=parse_clock_wire_resync,
+        nic_mirror=True,
+    ),
+    Knob(
+        name="transport",
+        validate=validate_transport,
+        cli={
+            "choices": TRANSPORT_MODES,
+            "help": "data-message service level for every explored runtime: rc "
+            "(reliable connected) or ud (droppable/reorderable datagrams with "
+            f"receiver-driven clock resync) {_PATTERN_DEFAULT}",
+        },
+        matrix_values=("rc", "ud"),
+        nic_mirror=True,
+        # UD rows carry nonzero drop/duplicate rates so the matrix exercises
+        # loss recovery, not just the datagram happy path.
+        extra_flags={"ud": ("--drop-rate", "0.25", "--duplicate-rate", "0.1")},
+    ),
+)
+
+KNOBS_BY_NAME: Mapping[str, Knob] = {knob.name: knob for knob in KNOBS}

@@ -10,7 +10,6 @@ and overhead statistics, and the final contents of shared memory.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Union
 
@@ -22,27 +21,20 @@ from repro.memory.directory import PlacementPolicy, SymbolDirectory
 from repro.memory.locks import MemoryLockTable
 from repro.memory.private import PrivateMemory
 from repro.memory.public import PublicMemory
-from repro.net.clock_transport import (
-    ClockTransportStats,
-    validate_clock_transport,
-    validate_clock_wire,
-    validate_clock_wire_resync,
-)
+from repro.net.clock_transport import ClockTransportStats
 from repro.net.fabric import Fabric, FabricStats
-from repro.net.flow_control import validate_flow_control
 from repro.net.latency import ConstantLatency, LatencyModel, LogGPLatency, UniformLatency
 from repro.net.nic import NIC, NICConfig
 from repro.net.topology import Topology
-from repro.net.ud_transport import validate_transport
 from repro.runtime.api import ProcessAPI
 from repro.runtime.collectives import Barrier
+from repro.runtime.knobs import KNOBS, KNOBS_BY_NAME, Knob
 from repro.runtime.program import ProcessProgram, ProgramFunction, replicate_program
 from repro.sim.engine import Simulator
 from repro.trace.events import TraceSummary
 from repro.trace.recorder import TraceRecorder
 from repro.util.logging import SimLogger
 from repro.util.validation import require_positive
-from repro.verbs.completion_queue import validate_cq_moderation_timer
 from repro.verbs.context import VerbsContext
 
 
@@ -103,7 +95,9 @@ class RuntimeConfig:
         frames stay cheap, halving when they bloat; see
         :mod:`repro.net.clock_transport`).  Every format decodes to the
         exact clock regardless of cadence, so verdicts never depend on
-        this knob.  ``None`` keeps ``nic.clock_wire_resync``.
+        this knob.  ``None`` (the default) follows
+        ``nic.clock_wire_resync``; naming *conflicting* cadences here and on
+        the NIC config is an error.
     transport:
         The service level clock-carrying data messages ride on (see
         :mod:`repro.net.ud_transport`): ``"rc"`` (reliable connected —
@@ -128,9 +122,10 @@ class RuntimeConfig:
         default) follows the ``REPRO_DETECTOR_EPOCHS`` environment
         variable if set, else ``detector.epochs`` (on).
     cq_moderation:
-        Completion coalescing: when true, each queue pair drain delivers
-        its burst of work completions as ONE CQE event (as real NICs do
-        with CQ moderation), and the batched retirement clock the event
+        Completion coalescing (``True``/``False``, also spelled ``"on"``/
+        ``"off"``): when on, each queue pair drain delivers its burst of
+        work completions as ONE CQE event (as real NICs do with CQ
+        moderation), and the batched retirement clock the event
         carries is charged once per burst instead of once per completion.
         Consumer semantics (wait/wait_all/poll, backpressure, event
         channels) are unchanged, so verdicts cannot depend on it; only the
@@ -208,14 +203,15 @@ class RuntimeConfig:
     latency_scale: float = 1.0
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     nic: NICConfig = field(default_factory=NICConfig)
+    # The consistency knobs, in repro.runtime.knobs.KNOBS order.
     clock_transport: Optional[str] = None
     clock_wire: Optional[str] = None
+    cq_moderation: bool = False
+    detector_epochs: Optional[str] = None
+    flow_control: str = "rnr"
+    cq_moderation_timer: Optional[Any] = None
     clock_wire_resync: Optional[Union[int, str]] = None
     transport: Optional[str] = None
-    detector_epochs: Optional[str] = None
-    cq_moderation: bool = False
-    cq_moderation_timer: Optional[Any] = None
-    flow_control: str = "rnr"
     signal_policy: SignalPolicy = SignalPolicy.COLLECT
     trace_values: bool = True
     trace_spans: bool = False
@@ -247,26 +243,14 @@ class RunResult:
     clock_storage_entries: int
     final_shared_values: Dict[str, List[Any]]
     per_rank_private: Dict[int, Dict[str, Any]]
-    #: Which clock transport the run used (``"roundtrip"`` / ``"piggyback"``).
-    clock_transport: str = "roundtrip"
+    #: The consistency knobs the run used, keyed and ordered as
+    #: :data:`repro.runtime.knobs.KNOBS` (``clock_transport``, ``clock_wire``,
+    #: ...), each with its resolved value.
+    knobs: Dict[str, Any] = field(default_factory=dict)
     #: Whole-machine clock-transport accounting (round trips charged,
     #: piggybacked clocks, wire frames, completion events, retirement joins
     #: performed/elided).
     clock_transport_stats: Dict[str, int] = field(default_factory=dict)
-    #: Which clock wire format sized the riders (``full``/``delta``/``truncated``).
-    clock_wire: str = "full"
-    #: Whether completion coalescing (one CQE per drain burst) was active.
-    cq_moderation: bool = False
-    #: The ``(cq_count, cq_usec)`` moderation timer, if one was active.
-    cq_moderation_timer: Optional[Any] = None
-    #: Which two-sided admission protocol the run used (``"rnr"``/``"credit"``).
-    flow_control: str = "rnr"
-    #: The clock-wire resync cadence (message count or ``"adaptive"``).
-    clock_wire_resync: Union[int, str] = 64
-    #: Which service level data messages rode on (``"rc"``/``"ud"``).
-    transport: str = "rc"
-    #: Whether the detector's epoch fast path was active (``"on"``/``"off"``).
-    detector_epochs: str = "on"
     #: Canonical metric snapshot of the run (``sim.obs.metrics``): every
     #: counter/gauge/histogram keyed ``name{label=value,...}``, sorted.
     metrics: Dict[str, Any] = field(default_factory=dict)
@@ -298,7 +282,14 @@ class DSMRuntime:
 
     def __init__(self, config: Optional[RuntimeConfig] = None, **overrides: Any) -> None:
         base = config or RuntimeConfig()
-        self.config = base.with_overrides(**overrides) if overrides else base
+        if overrides:
+            base = base.with_overrides(**overrides)
+        # The runtime owns its configuration: resolved knobs are written to
+        # this copy (whose ``nic`` and ``detector`` the NICs and the detector
+        # read), never through to the caller's objects.
+        self.config = replace(
+            base, nic=replace(base.nic), detector=replace(base.detector)
+        )
         require_positive(self.config.world_size, "world_size")
 
         self.logger = SimLogger(echo=self.config.echo_log)
@@ -354,9 +345,6 @@ class DSMRuntime:
                 rnr_backoff=self.config.verbs_rnr_backoff,
                 rnr_retry_limit=self.config.verbs_rnr_retry_limit,
                 backpressure=self.config.verbs_backpressure,
-                cq_moderation=self.config.cq_moderation,
-                cq_moderation_timer=self.config.cq_moderation_timer,
-                flow_control=self.config.flow_control,
             )
             for rank in range(self.config.world_size)
         ]
@@ -376,237 +364,44 @@ class DSMRuntime:
         self._apis: Dict[int, ProcessAPI] = {}
         self._initial_values: Dict[GlobalAddress, Any] = {}
         self._ran = False
-        self._control_messages_before_piggyback: Optional[int] = None
-        # Resolve the two places the transport can be named.  ``None`` on
-        # the runtime knob means "follow the NIC config"; naming two
-        # *different* modes explicitly is a configuration error, not a
-        # precedence puzzle.
-        if self.config.clock_transport is None:
-            mode = validate_clock_transport(self.config.nic.clock_transport)
-        else:
-            mode = validate_clock_transport(self.config.clock_transport)
-            if (
-                self.config.nic.clock_transport != "roundtrip"
-                and self.config.nic.clock_transport != mode
-            ):
-                raise ValueError(
-                    f"conflicting clock transports: RuntimeConfig says {mode!r} "
-                    f"but NICConfig says {self.config.nic.clock_transport!r}"
-                )
-        # Route through set_clock_transport so the detector's per-check
-        # control accounting matches the mode however it was requested —
-        # except for plain roundtrip, where there is nothing to adjust and
-        # a user-supplied DetectorConfig must be left exactly as given.
-        if mode != "roundtrip":
-            self.set_clock_transport(mode)
-        else:
-            self.config.clock_transport = mode
-        # Resolve the clock wire format the same way: ``None`` follows the
-        # NIC config; naming two different formats explicitly is an error.
-        if self.config.clock_wire is None:
-            wire = validate_clock_wire(self.config.nic.clock_wire)
-        else:
-            wire = validate_clock_wire(self.config.clock_wire)
-            if (
-                self.config.nic.clock_wire != "full"
-                and self.config.nic.clock_wire != wire
-            ):
-                raise ValueError(
-                    f"conflicting clock wire formats: RuntimeConfig says {wire!r} "
-                    f"but NICConfig says {self.config.nic.clock_wire!r}"
-                )
-        self.set_clock_wire(wire)
-        # Resolve the transport service level the same way: ``None``
-        # follows the NIC config; naming two different modes is an error.
-        if self.config.transport is None:
-            service = validate_transport(self.config.nic.transport)
-        else:
-            service = validate_transport(self.config.transport)
-            if (
-                self.config.nic.transport != "rc"
-                and self.config.nic.transport != service
-            ):
-                raise ValueError(
-                    f"conflicting transports: RuntimeConfig says {service!r} "
-                    f"but NICConfig says {self.config.nic.transport!r}"
-                )
-        self.set_transport(service)
-        if self.config.clock_wire_resync is not None:
-            self.set_clock_wire_resync(self.config.clock_wire_resync)
-        else:
-            self.config.clock_wire_resync = validate_clock_wire_resync(
-                self.config.nic.clock_wire_resync
-            )
-        # Validate the control-plane knobs even when they arrived through
-        # the config rather than a set_* call.
-        validate_flow_control(self.config.flow_control)
-        self.config.cq_moderation_timer = validate_cq_moderation_timer(
-            self.config.cq_moderation_timer
+        # What switching clock_transport back from piggyback restores.
+        self._control_messages_before_piggyback = (
+            self.config.detector.control_messages_per_check
         )
-        # Resolve the detector epoch fast path: an explicit runtime knob
-        # wins, else the REPRO_DETECTOR_EPOCHS environment variable (the CI
-        # matrix leg), else whatever the DetectorConfig already says.
-        if self.config.detector_epochs is None:
-            env_epochs = os.environ.get("REPRO_DETECTOR_EPOCHS")
-            if env_epochs is not None:
-                self.set_detector_epochs(env_epochs)
-            else:
-                self.config.detector_epochs = (
-                    "on" if self.config.detector.epochs else "off"
-                )
-        else:
-            self.set_detector_epochs(self.config.detector_epochs)
+        # Everything above reads the knobs lazily, through ``self.config`` or
+        # a hook, so one loop resolves, validates and installs them all.
+        for knob in KNOBS:
+            self._store_knob(knob, knob.resolve(self.config))
 
-    # -- clock transport ----------------------------------------------------------------
+    # -- knobs --------------------------------------------------------------------------
 
-    def set_clock_transport(self, mode: str) -> None:
-        """Select how clocks travel with verbs traffic (before :meth:`run`).
+    def set_knob(self, name: str, value: Any) -> None:
+        """Change one consistency knob on a built runtime (before :meth:`run`).
 
-        ``"roundtrip"`` or ``"piggyback"`` — see
-        :mod:`repro.net.clock_transport`.  Piggybacking zeroes the
-        detector's per-check control-message accounting (the clocks ride on
-        messages the application sends anyway, Algorithm 5's dedicated pair
-        disappears); switching back restores the previous figure (a custom
-        ``control_messages_per_check`` is preserved, not reset).  The
-        campaign runner's configure hook uses this to sweep the knob on an
-        already-built runtime.
+        *name* is an entry of :data:`repro.runtime.knobs.KNOBS`; the value is
+        validated, written to ``self.config`` (and its NIC mirror) and pushed
+        to whatever else keeps a copy.  None of the knobs can change a
+        verdict — only traffic, bytes and timing.  The campaign runner's
+        configure hook uses this to sweep the knobs on already-built runtimes.
         """
-        validate_clock_transport(mode)
+        knob = KNOBS_BY_NAME.get(name)
+        if knob is None:
+            raise ValueError(f"unknown knob {name!r} (have {list(KNOBS_BY_NAME)})")
+        value = knob.validate(value)
         if self._ran:
-            raise RuntimeError("set_clock_transport() must be called before run()")
-        detector_config = self.config.detector
-        if mode == "piggyback":
-            if detector_config.control_messages_per_check != 0:
-                self._control_messages_before_piggyback = (
-                    detector_config.control_messages_per_check
-                )
-            detector_config.control_messages_per_check = 0
-        elif detector_config.control_messages_per_check == 0:
-            # Only undo what a previous switch to piggyback zeroed.
-            restored = self._control_messages_before_piggyback
-            detector_config.control_messages_per_check = (
-                restored if restored is not None else 2
-            )
-        self.config.clock_transport = mode
-        self.config.nic.clock_transport = mode
+            raise RuntimeError(f"set_knob({name!r}) must be called before run()")
+        self._store_knob(knob, value)
 
-    def set_clock_wire(self, wire_format: str) -> None:
-        """Select the clock wire encoding (before :meth:`run`).
+    def _store_knob(self, knob: Knob, value: Any) -> None:
+        setattr(self.config, knob.name, value)
+        if knob.nic_mirror:
+            setattr(self.config.nic, knob.name, value)
+        if knob.apply is not None:
+            knob.apply(self, value)
 
-        ``"full"``, ``"delta"`` or ``"truncated"`` — see
-        :mod:`repro.net.clock_transport`.  Purely a byte-accounting policy:
-        every format decodes to the exact clock, so switching it can never
-        change a verdict.  The campaign runner's configure hook uses this
-        to sweep the knob on an already-built runtime.
-        """
-        validate_clock_wire(wire_format)
-        if self._ran:
-            raise RuntimeError("set_clock_wire() must be called before run()")
-        self.config.clock_wire = wire_format
-        self.config.nic.clock_wire = wire_format
-
-    def set_detector_epochs(self, mode: str) -> None:
-        """Enable/disable the detector's epoch fast path (before :meth:`run`).
-
-        ``"on"`` or ``"off"`` — see ``RuntimeConfig.detector_epochs``.  The
-        fast path is an exact shortcut (verdicts and clock contents cannot
-        depend on it), so the knob exists for the differential harness and
-        the CI slow-path matrix leg, not for semantics.  The campaign
-        runner's configure hook uses this to sweep the knob on an
-        already-built runtime.
-        """
-        if mode not in ("on", "off"):
-            raise ValueError(
-                f"detector_epochs must be 'on' or 'off', got {mode!r}"
-            )
-        if self._ran:
-            raise RuntimeError("set_detector_epochs() must be called before run()")
-        self.config.detector_epochs = mode
-        # The detector shares this config object; no rebuild needed.
-        self.config.detector.epochs = mode == "on"
-
-    def set_cq_moderation(self, enabled: bool) -> None:
-        """Enable/disable completion coalescing (before :meth:`run`).
-
-        One CQE per queue-pair drain burst instead of one per completion —
-        see :class:`RuntimeConfig`.  The campaign runner's configure hook
-        uses this to sweep the knob on an already-built runtime.
-        """
-        if self._ran:
-            raise RuntimeError("set_cq_moderation() must be called before run()")
-        self.config.cq_moderation = bool(enabled)
-        for context in self.verbs_contexts:
-            context.cq_moderation = bool(enabled)
-
-    def set_cq_moderation_timer(self, value: Optional[Any]) -> None:
-        """Install ``(cq_count, cq_usec)`` CQ moderation (before :meth:`run`).
-
-        ``None`` removes the timer — see ``RuntimeConfig.cq_moderation_timer``
-        and :class:`~repro.verbs.completion_queue.CqModerationTimer`.  Pure
-        delivery-timing policy: every completion still reaches the CQ and
-        every retirement merges the same clock, so verdicts cannot depend on
-        it.  The campaign runner's configure hook uses this to sweep the
-        knob on an already-built runtime.
-        """
-        value = validate_cq_moderation_timer(value)
-        if self._ran:
-            raise RuntimeError(
-                "set_cq_moderation_timer() must be called before run()"
-            )
-        self.config.cq_moderation_timer = value
-        for context in self.verbs_contexts:
-            context.set_cq_moderation_timer(value)
-
-    def set_flow_control(self, mode: str) -> None:
-        """Select the two-sided admission protocol (before :meth:`run`).
-
-        ``"rnr"`` or ``"credit"`` — see ``RuntimeConfig.flow_control`` and
-        :mod:`repro.net.flow_control`.  Both protocols admit sends in the
-        same FIFO order, so verdicts are byte-identical; only the message
-        and retry accounting differ.  The campaign runner's configure hook
-        uses this to sweep the knob on an already-built runtime.
-        """
-        mode = validate_flow_control(mode)
-        if self._ran:
-            raise RuntimeError("set_flow_control() must be called before run()")
-        self.config.flow_control = mode
-        for context in self.verbs_contexts:
-            context.set_flow_control(mode)
-
-    def set_transport(self, mode: str) -> None:
-        """Select the data-message service level (before :meth:`run`).
-
-        ``"rc"`` or ``"ud"`` — see ``RuntimeConfig.transport`` and
-        :mod:`repro.net.ud_transport`.  The detector always stamps the
-        in-process carried clock, and a gapped or stale UD frame triggers a
-        charged receiver resync before the verdict, so switching the
-        service level can never change a verdict — only traffic, latency
-        and resync accounting.  The campaign runner's configure hook uses
-        this to sweep the knob on an already-built runtime.
-        """
-        mode = validate_transport(mode)
-        if self._ran:
-            raise RuntimeError("set_transport() must be called before run()")
-        self.config.transport = mode
-        self.config.nic.transport = mode
-
-    def set_clock_wire_resync(self, value: Union[int, str]) -> None:
-        """Set the sparse-wire resync cadence (before :meth:`run`).
-
-        A positive message count, or ``"adaptive"`` for the per-channel
-        self-tuning cadence — see ``RuntimeConfig.clock_wire_resync``.
-        Purely a byte-accounting policy (every frame decodes to the exact
-        clock), so switching it can never change a verdict.  The campaign
-        runner's configure hook uses this to sweep the knob on an
-        already-built runtime.
-        """
-        value = validate_clock_wire_resync(value)
-        if self._ran:
-            raise RuntimeError(
-                "set_clock_wire_resync() must be called before run()"
-            )
-        self.config.clock_wire_resync = value
-        self.config.nic.clock_wire_resync = value
+    def knobs(self) -> Dict[str, Any]:
+        """The consistency knobs this runtime runs with, in registry order."""
+        return {knob.name: getattr(self.config, knob.name) for knob in KNOBS}
 
     def clock_transport_stats(self) -> ClockTransportStats:
         """Whole-machine clock-transport accounting (summed over ranks)."""
@@ -735,16 +530,7 @@ class DSMRuntime:
             raise RuntimeError("no programs registered; call set_program/set_spmd_program first")
         self._ran = True
         self.recorder.set_run_info(
-            world_size=self.config.world_size,
-            seed=self.config.seed,
-            clock_transport=self.config.clock_transport,
-            clock_wire=self.config.clock_wire,
-            cq_moderation=self.config.cq_moderation,
-            detector_epochs=self.config.detector_epochs,
-            flow_control=self.config.flow_control,
-            cq_moderation_timer=self.config.cq_moderation_timer,
-            clock_wire_resync=self.config.clock_wire_resync,
-            transport=self.config.transport,
+            world_size=self.config.world_size, seed=self.config.seed, **self.knobs()
         )
         ranks_without_program = [
             rank for rank in range(self.config.world_size) if rank not in self._programs
@@ -789,15 +575,8 @@ class DSMRuntime:
             clock_storage_entries=clock_entries,
             final_shared_values=final_shared,
             per_rank_private=per_rank_private,
-            clock_transport=self.config.clock_transport,
+            knobs=self.knobs(),
             clock_transport_stats=self.clock_transport_stats().as_dict(),
-            clock_wire=self.config.clock_wire,
-            cq_moderation=self.config.cq_moderation,
-            cq_moderation_timer=self.config.cq_moderation_timer,
-            flow_control=self.config.flow_control,
-            clock_wire_resync=self.config.clock_wire_resync,
-            transport=self.config.transport,
-            detector_epochs=self.config.detector_epochs,
             metrics=self.sim.obs.metrics.snapshot(),
             detection_profile=self.sim.obs.profiler.snapshot(),
         )

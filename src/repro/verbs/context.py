@@ -64,16 +64,11 @@ class VerbsContext:
         rnr_backoff: float = 1.0,
         rnr_retry_limit: Optional[int] = None,
         backpressure: str = "raise",
-        cq_moderation: bool = False,
-        cq_moderation_timer=None,
-        flow_control: str = "rnr",
     ) -> None:
         if backpressure not in ("raise", "block"):
             raise ValueError(
                 f"backpressure must be 'raise' or 'block', got {backpressure!r}"
             )
-        validate_flow_control(flow_control)
-        cq_moderation_timer = validate_cq_moderation_timer(cq_moderation_timer)
         self.sim = sim
         self.nic = nic
         self.rank = nic.rank
@@ -94,20 +89,17 @@ class VerbsContext:
         #: only — receive completions are the peer's business), and the
         #: batched retirement clock is charged once per burst instead of
         #: once per completion.
-        self.cq_moderation = cq_moderation
+        self.cq_moderation = False
         #: Admission control for two-sided sends: ``"rnr"`` (the RC retry
         #: protocol, the default) or ``"credit"`` (claim a posted receive
         #: buffer before transmitting; stall locally instead of retrying).
-        self.flow_control = flow_control
+        self.flow_control = "rnr"
         #: ``(cq_count, cq_usec)`` send-CQ moderation; ``None`` disables the
-        #: timer (the moderator is created only when the knob is on, so the
-        #: default path carries zero extra footprint).
-        self.cq_moderation_timer = cq_moderation_timer
-        self._cq_moderator: Optional[CqModerationTimer] = (
-            CqModerationTimer(self, *cq_moderation_timer)
-            if cq_moderation_timer is not None
-            else None
-        )
+        #: timer (:meth:`set_cq_moderation_timer` creates the moderator only
+        #: when the knob is on, so the default path carries zero extra
+        #: footprint).
+        self.cq_moderation_timer = None
+        self._cq_moderator: Optional[CqModerationTimer] = None
         self._obs = Observability.of(sim)
         #: Trace track for this rank's process-side verbs activity.
         self.track = f"rank-P{self.rank}"

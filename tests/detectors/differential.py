@@ -24,11 +24,9 @@ Byte-for-byte means exactly that: digests are compared as
 a numpy scalar leaking into a payload fails just as loudly as a wrong
 verdict.
 
-The one hazard the harness is built around: ``RuntimeConfig.replace()`` is
-shallow, so runtimes derived from one config object *share* the
-``DetectorConfig`` instance that ``set_detector_epochs`` mutates.  Every
-helper therefore builds a fresh runtime per mode (``build(seed)``) and
-flips the knob on that runtime alone.
+Every helper builds a fresh runtime per mode (``build(seed)``) and flips the
+knob on that runtime alone; each runtime owns its copy of the configuration,
+so runtimes derived from one config object never see each other's mode.
 """
 
 from __future__ import annotations
@@ -144,7 +142,7 @@ def run_in_mode(
 ) -> RunResult:
     """Build a fresh runtime, pin the epoch mode, run it."""
     runtime = build(seed)
-    runtime.set_detector_epochs(mode)
+    runtime.set_knob("detector_epochs", mode)
     return runtime.run()
 
 
@@ -172,7 +170,7 @@ def explore_in_mode(
         build,
         seed=seed,
         offline_detectors=offline_detectors,
-        configure=lambda runtime: runtime.set_detector_epochs(mode),
+        configure=lambda runtime: runtime.set_knob("detector_epochs", mode),
     )
     return explorer.explore_fuzzed(budget)
 

@@ -238,9 +238,9 @@ class TestKnobMatrixDifferential:
 
         def build(seed):
             runtime = pattern.build(seed)
-            runtime.set_clock_transport(transport)
-            runtime.set_clock_wire(wire)
-            runtime.set_cq_moderation(moderation)
+            runtime.set_knob("clock_transport", transport)
+            runtime.set_knob("clock_wire", wire)
+            runtime.set_knob("cq_moderation", moderation)
             return runtime
 
         run_differential(build, seed=0)

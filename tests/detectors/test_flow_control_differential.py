@@ -92,7 +92,7 @@ def strict_digest(result):
 
 def run_in_flow_mode(build, seed, mode):
     runtime = build(seed)
-    runtime.set_flow_control(mode)
+    runtime.set_knob("flow_control", mode)
     result = runtime.run()
     retries = sum(nic.rnr_retries for nic in runtime.nics)
     return result, retries
@@ -215,7 +215,7 @@ class TestFuzzedScheduleDifferential:
                 ScheduleFuzzer(
                     seed=fuzz_seed, reorder_probability=0.5, quantum=2.0
                 ),
-                configure=lambda runtime: runtime.set_flow_control(mode),
+                configure=lambda runtime: runtime.set_knob("flow_control", mode),
             )
         rnr, credit = outcomes["rnr"], outcomes["credit"]
         assert credit.fingerprint == rnr.fingerprint, (
@@ -235,7 +235,7 @@ class TestFuzzedScheduleDifferential:
                 racy_saturating_factory,
                 0,
                 ScheduleFuzzer(seed=7, reorder_probability=1.0, quantum=1.0),
-                configure=lambda runtime: runtime.set_flow_control(mode),
+                configure=lambda runtime: runtime.set_knob("flow_control", mode),
             )
             kinds[mode] = {
                 d.kind for d in outcome.decisions.entries if d is not None

@@ -38,7 +38,12 @@ from repro.explore.runner import MATRIX_CLOCK, Explorer
 from repro.workloads.racy_patterns import pattern_corpus, rmw_pattern_corpus
 
 from tests.detectors.differential import race_digest
-from tests.net.test_ud_transport import ForcedFates, controlled, sparse_wire_factory
+from tests.net.test_ud_transport import (
+    ForcedFates,
+    controlled,
+    corpus_params,
+    sparse_wire_factory,
+)
 
 CORPUS = pattern_corpus() + rmw_pattern_corpus()
 
@@ -46,8 +51,8 @@ CORPUS = pattern_corpus() + rmw_pattern_corpus()
 def sparse_wire(runtime):
     """Pin both transports to the same sparse clock wire, so UD datagrams
     carry delta frames (the format drops can actually corrupt)."""
-    runtime.set_clock_transport("piggyback")
-    runtime.set_clock_wire("delta")
+    runtime.set_knob("clock_transport", "piggyback")
+    runtime.set_knob("clock_wire", "delta")
 
 
 def verdict_digest(result):
@@ -66,13 +71,17 @@ def verdict_digest(result):
 
 
 class TestCorpusDifferential:
-    @pytest.mark.parametrize("pattern", CORPUS, ids=lambda p: p.name)
+    @pytest.mark.parametrize(
+        "pattern",
+        corpus_params(CORPUS, escapes_clamp="rmw-work-stealing"),
+        ids=lambda p: p.name,
+    )
     def test_transports_agree_on_verdict_and_label(self, pattern):
         rc = pattern.build(0)
         sparse_wire(rc)
         ud = pattern.build(0)
         sparse_wire(ud)
-        ud.set_transport("ud")
+        ud.set_knob("transport", "ud")
         rc_result, ud_result = rc.run(), ud.run()
         identical = verdict_digest(ud_result) == verdict_digest(rc_result)
         if not identical:
@@ -102,7 +111,7 @@ class TestFuzzedScheduleDifferential:
     def _explore(self, pattern, budget=5):
         def configure(runtime):
             sparse_wire(runtime)
-            runtime.set_transport("ud")
+            runtime.set_knob("transport", "ud")
 
         explorer = Explorer(
             pattern.build, seed=0, offline_detectors=[], configure=configure

@@ -155,9 +155,9 @@ def test_minimize_dir_writes_replayable_artifacts_per_racy_pattern(tmp_path):
         # Replaying the artifact recipe must need the same knobs baked in.
         def factory(seed, _build=pattern.build):
             runtime = _build(seed)
-            runtime.set_clock_transport("piggyback")
-            runtime.set_clock_wire("delta")
-            runtime.set_transport("ud")
+            runtime.set_knob("clock_transport", "piggyback")
+            runtime.set_knob("clock_wire", "delta")
+            runtime.set_knob("transport", "ud")
             return runtime
 
         outcome = replay_artifact(path, factory)

@@ -138,17 +138,35 @@ class TestWireFormatIsByteInvisible:
             > baseline.clock_transport_stats["wire_frames_full"]
         )
 
-    def test_conflicting_wire_format_configs_are_rejected(self):
+    @pytest.mark.parametrize(
+        "knob,runtime_value,nic_value,message",
+        [
+            ("clock_wire", "delta", "truncated", "conflicting clock wire"),
+            ("clock_wire_resync", 32, 16, "conflicting clock wire resync"),
+            ("clock_wire_resync", 64, "adaptive", "conflicting clock wire resync"),
+            ("clock_transport", "roundtrip", "piggyback", "conflicting clock transport"),
+        ],
+    )
+    def test_conflicting_wire_format_configs_are_rejected(
+        self, knob, runtime_value, nic_value, message
+    ):
         from repro.net.nic import NICConfig
 
-        with pytest.raises(ValueError, match="conflicting clock wire"):
+        with pytest.raises(ValueError, match=message):
             DSMRuntime(
                 RuntimeConfig(
                     world_size=2,
-                    clock_wire="delta",
-                    nic=NICConfig(clock_wire="truncated"),
+                    nic=NICConfig(**{knob: nic_value}),
+                    **{knob: runtime_value},
                 )
             )
+        # Naming the same value twice is not a conflict.
+        agreed = DSMRuntime(
+            RuntimeConfig(
+                world_size=2, nic=NICConfig(**{knob: nic_value}), **{knob: nic_value}
+            )
+        )
+        assert agreed.knobs()[knob] == nic_value
 
 
 class TestCqModerationIsVerdictInvisible:
@@ -181,7 +199,7 @@ class TestCqModerationIsVerdictInvisible:
     def test_every_completion_still_retires_under_moderation(self):
         runtime = _racy_burst_runtime(cq_moderation=True)
         result = runtime.run()
-        assert result.cq_moderation is True
+        assert result.knobs["cq_moderation"] is True
         for context in runtime.verbs_contexts:
             assert context.outstanding_count == 0
         # One CQE per drain burst on the posting rank's send CQ.

@@ -216,10 +216,10 @@ class TestRuntimeIntegration:
         state = runtime.nics[0].clock_transport.wire_resync_state()
         assert state[1]["resync_period"] < ADAPTIVE_RESYNC_START
         assert state[1]["period_lowers"] >= 1
-        assert result.clock_wire_resync == "adaptive"
+        assert result.knobs["clock_wire_resync"] == "adaptive"
 
     def test_provenance_records_the_cadence(self):
         _, result = self._run("adaptive", world_size=2)
-        assert result.clock_wire_resync == "adaptive"
+        assert result.knobs["clock_wire_resync"] == "adaptive"
         _, fixed = self._run(32, world_size=2)
-        assert fixed.clock_wire_resync == 32
+        assert fixed.knobs["clock_wire_resync"] == 32

@@ -1,0 +1,222 @@
+"""The consistency-knob registry is the one declaration every consumer follows.
+
+* **Coherence** — registry names, in order, are exactly the knob fields of
+  ``RuntimeConfig`` and ``CampaignConfig``, the campaign parser's knob flags,
+  the CI matrix's row keys, ``RunResult.knobs`` and the trace ``run_info``
+  knob keys.  Adding a knob anywhere but the registry (plus the two typed
+  dataclass fields) fails here.
+* **One validator per knob, three entry points** — the config field,
+  ``DSMRuntime.set_knob`` and ``CampaignConfig`` all reject the same
+  illegal values.
+* **Config ownership** — a runtime resolves knobs on its own copy of the
+  configuration, never through to the caller's objects.
+"""
+
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from repro.explore.campaign import CampaignConfig, build_parser
+from repro.net.nic import NICConfig
+from repro.runtime.knobs import KNOBS
+from repro.runtime.runtime import DSMRuntime, RuntimeConfig
+
+NAMES = [knob.name for knob in KNOBS]
+
+#: Every config field that is NOT a consistency knob.  A new field lands
+#: either here or in the registry — never silently in between.
+RUNTIME_OTHER_FIELDS = {
+    "world_size", "public_memory_cells", "seed", "topology", "latency",
+    "latency_scale", "detector", "nic", "signal_policy", "trace_values",
+    "trace_spans", "obs_wall_clock", "echo_log", "verbs_cq_capacity",
+    "verbs_max_send_wr", "verbs_max_recv_wr", "verbs_rnr_backoff",
+    "verbs_rnr_retry_limit", "verbs_backpressure",
+}
+CAMPAIGN_OTHER_FIELDS = {
+    "strategy", "budget", "seed", "workers", "reorder_probability",
+    "reorder_aggressiveness", "quantum", "tie_shuffle_probability",
+    "drop_probability", "duplicate_probability", "branch_factor",
+    "max_branch_points", "treat_rmw_pairs_as_ordered", "critical_path",
+}
+CAMPAIGN_OTHER_FLAGS = {
+    "--help", "--corpus", "--patterns", "--strategy", "--budget", "--seed",
+    "--workers", "--branch-factor", "--max-branch-points",
+    "--reorder-probability", "--reorder-aggressiveness", "--quantum",
+    "--drop-rate", "--duplicate-rate", "--critical-path", "--json",
+    "--markdown", "--minimize-dir", "--expect-consistent",
+}
+
+#: One illegal value per knob: as a typed value (config field, ``set_knob``)
+#: and as a command-line spelling (``CampaignConfig``).
+INVALID = {
+    "clock_transport": ("carrier-pigeon", "carrier-pigeon"),
+    "clock_wire": ("zip", "zip"),
+    "cq_moderation": ("maybe", "maybe"),
+    "detector_epochs": ("auto", "auto"),
+    "flow_control": ("nak", "nak"),
+    "cq_moderation_timer": (42, "42"),
+    "clock_wire_resync": (0, "0"),
+    "transport": ("uc", "uc"),
+}
+
+
+def tiny_runtime(**overrides):
+    runtime = DSMRuntime(RuntimeConfig(world_size=2, **overrides))
+    runtime.declare_scalar("x", owner=1, initial=0)
+
+    def program(api):
+        yield from api.put("x", api.rank)
+
+    runtime.set_spmd_program(program)
+    return runtime
+
+
+def knob_fields(config_class, other_fields):
+    return [
+        field.name
+        for field in dataclasses.fields(config_class)
+        if field.name not in other_fields
+    ]
+
+
+class TestCoherence:
+    def test_invalid_table_covers_every_knob(self):
+        assert list(INVALID) == NAMES
+
+    def test_config_dataclasses_declare_exactly_the_registry(self):
+        assert knob_fields(RuntimeConfig, RUNTIME_OTHER_FIELDS) == NAMES
+        assert knob_fields(CampaignConfig, CAMPAIGN_OTHER_FIELDS) == NAMES
+
+    def test_campaign_parser_flags(self):
+        flags = [
+            action.option_strings[-1]
+            for action in build_parser()._actions
+            if action.option_strings[-1] not in CAMPAIGN_OTHER_FLAGS
+        ]
+        assert flags == [knob.flag for knob in KNOBS]
+
+    def test_ci_matrix_rows(self):
+        path = Path(__file__).resolve().parents[2] / "tools" / "ci_matrix.py"
+        spec = importlib.util.spec_from_file_location("ci_matrix_for_knobs", path)
+        ci_matrix = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ci_matrix)
+        assert ci_matrix.KNOBS is KNOBS
+        for row in ci_matrix.matrix_rows():
+            assert list(row) == NAMES
+
+    def test_provenance_keys(self):
+        runtime = tiny_runtime()
+        result = runtime.run()
+        assert list(result.knobs) == NAMES
+        assert list(runtime.recorder.run_info()) == ["world_size", "seed"] + NAMES
+
+    def test_nic_mirrors(self):
+        nic_fields = {field.name for field in dataclasses.fields(NICConfig)}
+        for knob in KNOBS:
+            assert knob.nic_mirror == (knob.name in nic_fields)
+
+    def test_matrix_values_are_legal_spellings(self, monkeypatch):
+        monkeypatch.delenv("REPRO_DETECTOR_EPOCHS", raising=False)
+        defaults = tiny_runtime().knobs()
+        for knob in KNOBS:
+            values = [knob.from_text(text) for text in knob.matrix_values]
+            assert values[0] == defaults[knob.name], "islands pin knobs to the default"
+            assert set(knob.extra_flags) <= set(knob.matrix_values)
+
+
+@pytest.mark.parametrize("name", NAMES)
+class TestValidation:
+    def test_config_field_rejects_illegal_value(self, name):
+        with pytest.raises(ValueError, match=name):
+            DSMRuntime(RuntimeConfig(world_size=2, **{name: INVALID[name][0]}))
+
+    def test_set_knob_rejects_illegal_value(self, name):
+        runtime = tiny_runtime()
+        before = runtime.knobs()
+        with pytest.raises(ValueError, match=name):
+            runtime.set_knob(name, INVALID[name][0])
+        assert runtime.knobs() == before
+
+    def test_campaign_config_rejects_illegal_spelling(self, name):
+        with pytest.raises(ValueError, match=name):
+            CampaignConfig(**{name: INVALID[name][1]})
+
+    def test_set_knob_after_run_is_rejected(self, name):
+        runtime = tiny_runtime()
+        value = runtime.run().knobs[name]
+        with pytest.raises(RuntimeError, match="before run"):
+            runtime.set_knob(name, value)
+
+
+def test_set_knob_rejects_unknown_name():
+    with pytest.raises(ValueError, match="unknown knob"):
+        tiny_runtime().set_knob("warp_drive", "on")
+
+
+class TestCqModerationSpellings:
+    """``"off"`` is a truthy string: it must never turn moderation ON."""
+
+    @pytest.mark.parametrize(
+        "spelling,enabled", [("off", False), ("on", True), (False, False), (True, True)]
+    )
+    def test_all_entry_points_agree(self, spelling, enabled):
+        built = tiny_runtime(cq_moderation=spelling)
+        assert built.config.cq_moderation is enabled
+        assert all(c.cq_moderation is enabled for c in built.verbs_contexts)
+
+        switched = tiny_runtime(cq_moderation=not enabled)
+        switched.set_knob("cq_moderation", spelling)
+        assert switched.knobs()["cq_moderation"] is enabled
+        assert all(c.cq_moderation is enabled for c in switched.verbs_contexts)
+
+        (setting,) = CampaignConfig(cq_moderation=spelling).knob_settings()
+        assert setting == ("cq_moderation", enabled)
+
+
+class TestConfigOwnership:
+    def test_runtimes_built_from_one_config_do_not_leak_into_each_other(self):
+        cfg = RuntimeConfig(world_size=2)
+        pristine = dataclasses.asdict(cfg)
+        DSMRuntime(cfg, clock_transport="piggyback", clock_wire="delta", transport="ud")
+        assert dataclasses.asdict(cfg) == pristine
+
+        b = DSMRuntime(cfg)
+        assert b.knobs()["clock_transport"] == "roundtrip"
+        assert b.knobs()["clock_wire"] == "full"
+        assert b.knobs()["transport"] == "rc"
+        assert b.config.detector.control_messages_per_check == 2
+        # ...and a third runtime may name a different wire format.
+        assert DSMRuntime(cfg, clock_wire="truncated").knobs()["clock_wire"] == "truncated"
+        assert dataclasses.asdict(cfg) == pristine
+
+    def test_set_knob_stays_inside_the_runtime(self):
+        cfg = RuntimeConfig(world_size=2)
+        pristine = dataclasses.asdict(cfg)
+        runtime = DSMRuntime(cfg)
+        for name, value in [
+            ("clock_transport", "piggyback"),
+            ("clock_wire_resync", "adaptive"),
+            ("detector_epochs", "off"),
+        ]:
+            runtime.set_knob(name, value)
+        assert dataclasses.asdict(cfg) == pristine
+        # The NICs and the detector read the runtime's own copy.
+        assert runtime.nics[0].config is runtime.config.nic
+        assert runtime.detector.config is runtime.config.detector
+        assert runtime.config.nic.clock_transport == "piggyback"
+        assert runtime.config.detector.epochs is False
+
+    def test_custom_control_message_figure_survives_a_piggyback_round_trip(self):
+        from repro.core.detector import DetectorConfig
+
+        runtime = DSMRuntime(
+            RuntimeConfig(
+                world_size=2, detector=DetectorConfig(control_messages_per_check=5)
+            )
+        )
+        runtime.set_knob("clock_transport", "piggyback")
+        assert runtime.config.detector.control_messages_per_check == 0
+        runtime.set_knob("clock_transport", "roundtrip")
+        assert runtime.config.detector.control_messages_per_check == 5

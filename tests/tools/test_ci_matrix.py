@@ -8,6 +8,7 @@ and adding a knob value to the registry is the only move needed to extend
 the matrix.
 """
 
+import dataclasses
 import importlib.util
 import shutil
 import sys
@@ -43,8 +44,8 @@ class TestCoverage:
         rows = ci_matrix.matrix_rows()
         by_name = {knob.name: knob for knob in ci_matrix.KNOBS}
         for a_name, b_name in ci_matrix.HIGH_RISK_PAIRS:
-            for va in by_name[a_name].values:
-                for vb in by_name[b_name].values:
+            for va in by_name[a_name].matrix_values:
+                for vb in by_name[b_name].matrix_values:
                     assert any(
                         row[a_name] == va and row[b_name] == vb for row in rows
                     ), f"island missing: {a_name}={va}, {b_name}={vb}"
@@ -52,7 +53,7 @@ class TestCoverage:
     def test_rows_are_far_fewer_than_the_cartesian_product(self):
         cartesian = 1
         for knob in ci_matrix.KNOBS:
-            cartesian *= len(knob.values)
+            cartesian *= len(knob.matrix_values)
         assert len(ci_matrix.matrix_rows()) < cartesian / 4
 
     def test_generation_is_deterministic(self):
@@ -122,8 +123,8 @@ class TestDrift:
         copy = tmp_path / "ci.yml"
         shutil.copy(WORKFLOW, copy)
         knobs = list(ci_matrix.KNOBS)
-        knobs[1] = ci_matrix.Knob(
-            knobs[1].name, knobs[1].flag, knobs[1].values + ("bogus",)
+        knobs[1] = dataclasses.replace(
+            knobs[1], matrix_values=knobs[1].matrix_values + ("bogus",)
         )
         monkeypatch.setattr(ci_matrix, "KNOBS", tuple(knobs))
         assert ci_matrix.main(["--check", "--workflow", str(copy)]) == 1

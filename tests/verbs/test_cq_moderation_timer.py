@@ -125,7 +125,7 @@ class TestSemanticsUnchanged:
 
     def test_timer_takes_precedence_over_burst_moderation(self):
         runtime = burst_runtime((4, 50.0), count=8)
-        runtime.set_cq_moderation(True)
+        runtime.set_knob("cq_moderation", True)
         runtime.run()
         moderator = runtime.verbs_contexts[0].cq_moderator
         assert moderator is not None
@@ -143,13 +143,3 @@ class TestSemanticsUnchanged:
             if event.get("name") == "timer_wait"
         ]
         assert waits, "flushed batches must render timer_wait spans"
-
-    def test_set_after_run_rejected(self):
-        runtime = burst_runtime((4, 2.0), count=2)
-        runtime.run()
-        with pytest.raises(RuntimeError, match="before run"):
-            runtime.set_cq_moderation_timer(None)
-        with pytest.raises(RuntimeError, match="before run"):
-            runtime.set_flow_control("credit")
-        with pytest.raises(RuntimeError, match="before run"):
-            runtime.set_clock_wire_resync("adaptive")

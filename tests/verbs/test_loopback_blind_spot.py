@@ -65,7 +65,7 @@ def explore(waited, detector_epochs="on"):
     return Explorer(
         make_factory(waited),
         seed=0,
-        configure=lambda runtime: runtime.set_detector_epochs(detector_epochs),
+        configure=lambda runtime: runtime.set_knob("detector_epochs", detector_epochs),
     ).explore_fuzzed(BUDGET, quantum=2.0, tie_shuffle_probability=0.6)
 
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Declarative generator for CI's ``--expect-consistent`` knob matrix.
 
-Every consistency-relevant runtime knob is declared ONCE in the
-:data:`KNOBS` registry below.  From it this script derives the campaign
+Every consistency-relevant runtime knob is declared ONCE, in
+:data:`repro.runtime.knobs.KNOBS` (flag, matrix values and the extra flags a
+value requires).  From that registry this script derives the campaign
 invocations CI runs:
 
 * a deterministic greedy **pairwise covering array** — every value of every
@@ -16,9 +17,9 @@ invocations CI runs:
 The generated block lives between the ``ci-matrix:begin`` / ``ci-matrix:end``
 markers inside ``.github/workflows/ci.yml``.  CI regenerates it and fails on
 drift, so the workflow can never quietly fall out of sync with the registry:
-adding a knob value here is the ONLY move needed to extend the matrix.
+adding a knob value there is the ONLY move needed to extend the matrix.
 
-Usage::
+Usage (with ``repro`` importable: ``pip install -e .`` or ``PYTHONPATH=src``)::
 
     python tools/ci_matrix.py            # print the generated command block
     python tools/ci_matrix.py --stats    # row counts + coverage proof
@@ -32,8 +33,9 @@ import argparse
 import difflib
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.runtime.knobs import KNOBS, Knob
 
 BEGIN_MARKER = "# --- ci-matrix:begin"
 END_MARKER = "# --- ci-matrix:end"
@@ -45,45 +47,6 @@ DEFAULT_WORKFLOW = os.path.join(".github", "workflows", "ci.yml")
 PATTERNS = ("fig5a-concurrent-puts", "write-after-read-unsync")
 
 
-@dataclass(frozen=True)
-class Knob:
-    """One consistency-relevant runtime knob: CLI flag + its legal values.
-
-    ``extra_flags`` maps a value to additional CLI tokens that value
-    requires — e.g. ``transport=ud`` rows carry nonzero drop/duplicate
-    rates so the matrix actually exercises loss recovery, not just the
-    datagram happy path.
-    """
-
-    name: str
-    flag: str
-    values: Tuple[str, ...]
-    extra_flags: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-
-    @property
-    def default(self) -> str:
-        return self.values[0]
-
-
-#: The single source of truth for the consistency matrix.  First value is
-#: the island default.  Order is meaningful: it fixes the deterministic
-#: greedy construction, so reordering entries changes the generated block.
-KNOBS: Tuple[Knob, ...] = (
-    Knob("clock_transport", "--clock-transport", ("roundtrip", "piggyback")),
-    Knob("clock_wire", "--clock-wire", ("full", "delta", "truncated")),
-    Knob("cq_moderation", "--cq-moderation", ("off", "on")),
-    Knob("detector_epochs", "--detector-epochs", ("on", "off")),
-    Knob("flow_control", "--flow-control", ("rnr", "credit")),
-    Knob("cq_moderation_timer", "--cq-moderation-timer", ("off", "4,2.0")),
-    Knob("clock_wire_resync", "--clock-wire-resync", ("64", "adaptive")),
-    Knob(
-        "transport",
-        "--transport",
-        ("rc", "ud"),
-        extra_flags={"ud": ("--drop-rate", "0.25", "--duplicate-rate", "0.1")},
-    ),
-)
-
 #: Knob pairs whose interaction is risky enough to deserve the FULL
 #: cartesian product (other knobs at defaults), not just pairwise contact:
 #:
@@ -92,8 +55,9 @@ KNOBS: Tuple[Knob, ...] = (
 #:   under every format too;
 #: * ``transport x clock_wire`` — receiver-driven UD resync must rebuild
 #:   receiver clock state for every wire format it can be dropped under;
-#: * ``cq_moderation x cq_moderation_timer`` — the timer only coalesces
-#:   when moderation is on, and must be a no-op when it is off.
+#: * ``cq_moderation x cq_moderation_timer`` — completions route to the
+#:   timer whenever one is installed, moderation on or off, and the timer
+#:   takes precedence over per-burst coalescing when both are set.
 HIGH_RISK_PAIRS: Tuple[Tuple[str, str], ...] = (
     ("clock_transport", "clock_wire"),
     ("transport", "clock_wire"),
@@ -111,8 +75,8 @@ def all_pairs(knobs: Sequence[Knob]) -> set:
     for i, a in enumerate(knobs):
         for j in range(i + 1, len(knobs)):
             b = knobs[j]
-            for vi in a.values:
-                for vj in b.values:
+            for vi in a.matrix_values:
+                for vj in b.matrix_values:
                     pairs.add(_pair(i, vi, j, vj))
     return pairs
 
@@ -131,8 +95,8 @@ def covering_rows(knobs: Optional[Sequence[Knob]] = None) -> List[Dict[str, str]
     while uncovered:
         row: Dict[int, str] = {}
         for i, knob in enumerate(knobs):
-            best_value, best_gain = knob.default, -1
-            for value in knob.values:
+            best_value, best_gain = knob.matrix_values[0], -1
+            for value in knob.matrix_values:
                 gain = sum(
                     1
                     for j, other in row.items()
@@ -168,9 +132,9 @@ def island_rows(knobs: Optional[Sequence[Knob]] = None) -> List[Dict[str, str]]:
     rows: List[Dict[str, str]] = []
     for a_name, b_name in HIGH_RISK_PAIRS:
         a, b = by_name[a_name], by_name[b_name]
-        for va in a.values:
-            for vb in b.values:
-                row = {knob.name: knob.default for knob in knobs}
+        for va in a.matrix_values:
+            for vb in b.matrix_values:
+                row = {knob.name: knob.matrix_values[0] for knob in knobs}
                 row[a.name] = va
                 row[b.name] = vb
                 rows.append(row)
@@ -277,7 +241,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         rows = matrix_rows()
         cartesian = 1
         for knob in KNOBS:
-            cartesian *= len(knob.values)
+            cartesian *= len(knob.matrix_values)
         print(f"knobs:            {len(KNOBS)}")
         print(f"full cartesian:   {cartesian} rows")
         print(f"pairwise rows:    {len(covering_rows())}")
