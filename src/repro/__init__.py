@@ -30,7 +30,6 @@ Quick start::
 from repro.core import (
     DetectorConfig,
     DualClockRaceDetector,
-    LamportClock,
     MatrixClock,
     RaceRecord,
     RaceReport,
@@ -60,7 +59,6 @@ __version__ = "1.0.0"
 __all__ = [
     "DetectorConfig",
     "DualClockRaceDetector",
-    "LamportClock",
     "MatrixClock",
     "RaceRecord",
     "RaceReport",

@@ -2,7 +2,7 @@
 
 This package implements Section IV of the paper:
 
-* :mod:`repro.core.clocks` — Lamport scalar clocks, vector clocks and the
+* :mod:`repro.core.clocks` — vector clocks and the
   matrix clocks the paper's processes maintain (``V_Pi`` with the local
   component ``V_Pi[i, i]``);
 * :mod:`repro.core.comparator` — the clock-comparison and merge primitives
@@ -16,7 +16,7 @@ This package implements Section IV of the paper:
   and updating them with Algorithm 5.
 """
 
-from repro.core.clocks import LamportClock, VectorClock, MatrixClock
+from repro.core.clocks import VectorClock, MatrixClock
 from repro.core.comparator import (
     ClockOrdering,
     compare_clocks,
@@ -34,7 +34,6 @@ from repro.core.detector import (
 )
 
 __all__ = [
-    "LamportClock",
     "VectorClock",
     "MatrixClock",
     "ClockOrdering",

@@ -1,9 +1,9 @@
-"""Logical clocks: Lamport scalars, vector clocks and matrix clocks.
+"""Logical clocks: vector clocks and matrix clocks.
 
 The race-detection algorithm of the paper rests entirely on logical time:
 
 * Lamport clocks [12] give a total order compatible with causality but cannot
-  *characterize* it;
+  *characterize* it (which is why no scalar clock is implemented here);
 * vector clocks (Fayet/Mattern [15]) characterize causality exactly
   (Lemma 1 / Mattern's Theorem 10): ``e < e'  iff  V(e) < V(e')`` and
   ``e ∥ e'  iff  V(e) ∥ V(e')``;
@@ -16,6 +16,11 @@ max, Algorithm 4) and comparisons are then single vectorized operations, which
 matters because the detector performs one merge and up to two comparisons per
 remote memory access.
 
+Validation boundary (docs/architecture.md): public constructors and methods
+validate every rank and foreign :data:`ClockLike`; arrays this module produced
+itself are wrapped by the private :meth:`VectorClock._adopt` unchecked, so
+every clock value handed out costs exactly one array copy.
+
 Charron-Bost's lower bound (Section IV-C of the paper) says vector clocks for
 ``n`` processes need at least ``n`` entries; :attr:`VectorClock.size` is that
 ``n`` and the overhead benchmarks report storage directly in clock entries.
@@ -27,7 +32,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.util.validation import require_positive, require_rank, require_type
+from repro.util.validation import require_positive, require_rank
 
 ClockLike = Union["VectorClock", Sequence[int], np.ndarray]
 
@@ -57,44 +62,6 @@ class Epoch(NamedTuple):
     scalar: int
 
 
-class LamportClock:
-    """A scalar Lamport clock.
-
-    Provided for completeness and for the baseline detectors' documentation:
-    the paper notes scalar clocks track logical time but only vector clocks
-    allow the *partial causal ordering* needed to detect races.
-    """
-
-    def __init__(self, initial: int = 0) -> None:
-        require_type(initial, int, "initial")
-        if initial < 0:
-            raise ValueError(f"Lamport clock cannot start negative, got {initial}")
-        self._value = initial
-
-    @property
-    def value(self) -> int:
-        """Current clock value."""
-        return self._value
-
-    def tick(self) -> int:
-        """Advance for a local event; return the new value."""
-        self._value += 1
-        return self._value
-
-    def observe(self, other: int) -> int:
-        """Merge a received timestamp (``max`` rule) and tick; return new value."""
-        require_type(other, int, "other")
-        self._value = max(self._value, other) + 1
-        return self._value
-
-    def copy(self) -> "LamportClock":
-        """Return an independent copy."""
-        return LamportClock(self._value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LamportClock({self._value})"
-
-
 class VectorClock:
     """A fixed-size vector clock over ``n`` processes.
 
@@ -115,14 +82,33 @@ class VectorClock:
             require_positive(size, "size")
             self._entries = np.zeros(size, dtype=np.int64)
             return
-        entries = np.asarray(size_or_entries, dtype=np.int64)
+        entries = np.array(size_or_entries)  # the one copy
         if entries.ndim != 1 or entries.size == 0:
             raise ValueError(
                 f"vector clock entries must be a non-empty 1-D sequence, got shape {entries.shape}"
             )
-        if np.any(entries < 0):
+        if entries.dtype.kind not in "iu":
+            # An int64 cast would silently truncate 1.7 to 1 and parse "3".
+            raise TypeError(
+                f"vector clock entries must be integers, got dtype {entries.dtype}"
+            )
+        entries = entries.astype(np.int64, copy=False)
+        if (entries < 0).any():
             raise ValueError("vector clock entries must be non-negative")
-        self._entries = entries.copy()
+        self._entries = entries
+
+    @classmethod
+    def _adopt(cls, entries: np.ndarray) -> "VectorClock":
+        """Trusted constructor: wrap *entries* without validating or copying.
+
+        Only for a fresh non-negative 1-D ``int64`` array that ``core``
+        produced itself and that nothing else references (the module
+        docstring's validation boundary); everything else goes through
+        ``VectorClock(...)``.
+        """
+        clock = cls.__new__(cls)
+        clock._entries = entries
+        return clock
 
     # -- construction helpers --------------------------------------------------
 
@@ -155,7 +141,7 @@ class VectorClock:
 
     def frozen(self) -> Tuple[int, ...]:
         """An immutable, hashable snapshot of the entries."""
-        return tuple(int(x) for x in self._entries)
+        return tuple(self._entries.tolist())
 
     def total(self) -> int:
         """Sum of all entries — the number of causally known events."""
@@ -178,19 +164,18 @@ class VectorClock:
     def merged(self, other: ClockLike) -> "VectorClock":
         """Return a new clock equal to the component-wise max (Algorithm 4)."""
         other_entries = self._coerce(other)
-        return VectorClock(np.maximum(self._entries, other_entries))
+        return VectorClock._adopt(np.maximum(self._entries, other_entries))
 
     def copy(self) -> "VectorClock":
         """Return an independent copy."""
-        return VectorClock(self._entries)
+        return VectorClock._adopt(self._entries.copy())
 
     # -- comparisons ---------------------------------------------------------------
 
     def _coerce(self, other: ClockLike) -> np.ndarray:
-        if isinstance(other, VectorClock):
-            entries = other._entries
-        else:
-            entries = np.asarray(other, dtype=np.int64)
+        if not isinstance(other, VectorClock):
+            other = VectorClock(other)
+        entries = other._entries
         if entries.shape != self._entries.shape:
             raise ValueError(
                 f"clock size mismatch: {self._entries.size} vs {entries.size}"
@@ -199,27 +184,31 @@ class VectorClock:
 
     def dominates(self, other: ClockLike) -> bool:
         """True when ``self >= other`` component-wise (reflexive)."""
-        return bool(np.all(self._entries >= self._coerce(other)))
+        return bool((self._entries >= self._coerce(other)).all())
 
     def happens_before(self, other: ClockLike) -> bool:
         """Mattern's strict order: ``self <= other`` everywhere and ``!=`` somewhere."""
         other_entries = self._coerce(other)
         return bool(
-            np.all(self._entries <= other_entries)
-            and np.any(self._entries < other_entries)
+            (self._entries <= other_entries).all()
+            and (self._entries < other_entries).any()
         )
 
     def strictly_less(self, other: ClockLike) -> bool:
         """The paper's literal Algorithm 3: strictly less in *every* component."""
-        return bool(np.all(self._entries < self._coerce(other)))
+        return bool((self._entries < self._coerce(other)).all())
 
     def concurrent_with(self, other: ClockLike) -> bool:
-        """True when neither clock happens-before the other and they differ."""
-        other_clock = other if isinstance(other, VectorClock) else VectorClock(other)
+        """True when neither clock happens-before the other and they differ.
+
+        One ``<=`` and one ``>=`` pass decide it: ``self <= other`` everywhere
+        covers "before" and "equal", ``self >= other`` everywhere "after" and
+        "equal"; failing both is exactly Mattern's incomparability.
+        """
+        other_entries = self._coerce(other)
         return (
-            not self.happens_before(other_clock)
-            and not other_clock.happens_before(self)
-            and self != other_clock
+            not (self._entries <= other_entries).all()
+            and not (self._entries >= other_entries).all()
         )
 
     # -- dunder ---------------------------------------------------------------------
@@ -229,7 +218,7 @@ class VectorClock:
             return NotImplemented
         try:
             return bool(np.array_equal(self._entries, self._coerce(other)))
-        except ValueError:
+        except (TypeError, ValueError):
             return False
 
     def __hash__(self) -> int:
@@ -242,10 +231,13 @@ class VectorClock:
         return self.component(rank)
 
     def __repr__(self) -> str:
-        return f"VectorClock({list(int(x) for x in self._entries)})"
+        return f"VectorClock({self._entries.tolist()})"
 
     def __str__(self) -> str:
-        return "".join(str(int(x)) for x in self._entries) if self.size <= 10 else repr(self)
+        """The paper's digit string (``110``) while it is unambiguous, else ``repr``."""
+        if self.size <= 10 and self._entries.max() < 10:
+            return "".join(map(str, self._entries.tolist()))
+        return repr(self)
 
 
 class MatrixClock:
@@ -288,11 +280,11 @@ class MatrixClock:
         """Return row *rank* (default: the principal row) as a vector clock."""
         rank = self._rank if rank is None else rank
         require_rank(rank, self.size, "rank")
-        return VectorClock(self._matrix[rank])
+        return VectorClock._adopt(self._matrix[rank].copy())
 
     def principal(self) -> VectorClock:
         """The owning process's own vector clock (row ``i``)."""
-        return self.row(self._rank)
+        return VectorClock._adopt(self._matrix[self._rank].copy())
 
     def tick(self) -> VectorClock:
         """``update_local_clock``: increment ``V_Pi[i, i]`` before an event.
@@ -310,18 +302,19 @@ class MatrixClock:
         the received vector, recording what that process knew — this is the
         matrix-clock refinement of [17] mentioned in the paper.
         """
-        other_entries = (
-            other.entries if isinstance(other, VectorClock) else np.asarray(other, dtype=np.int64)
-        )
+        if not isinstance(other, VectorClock):
+            other = VectorClock(other)
+        other_entries = other._entries  # read only: no copy needed
         if other_entries.shape != (self.size,):
             raise ValueError(
                 f"clock size mismatch: expected {self.size}, got {other_entries.size}"
             )
+        if source_rank is not None:
+            require_rank(source_rank, self.size, "source_rank")
         np.maximum(
             self._matrix[self._rank], other_entries, out=self._matrix[self._rank]
         )
         if source_rank is not None:
-            require_rank(source_rank, self.size, "source_rank")
             np.maximum(
                 self._matrix[source_rank], other_entries, out=self._matrix[source_rank]
             )
@@ -334,7 +327,7 @@ class MatrixClock:
         needed by the detection algorithm itself but is exposed for the
         analysis package and future-work experiments.
         """
-        return VectorClock(self._matrix.min(axis=0))
+        return VectorClock._adopt(self._matrix.min(axis=0))
 
     def storage_entries(self) -> int:
         """Number of integer entries held (``n²``), for overhead accounting."""

@@ -54,23 +54,23 @@ ablations (benchmark E9): ``comparison = STRICT`` uses the literal Algorithm 3
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.clocks import Epoch, MatrixClock, VectorClock
-from repro.core.comparator import (
-    ClockOrdering,
-    compare_clocks,
-    compare_clocks_strict,
-    epoch_precedes,
-    ordering,
-)
+from repro.core.comparator import compare_clocks, compare_clocks_strict
 from repro.core.races import RaceRecord, RaceReport, SignalPolicy
 from repro.memory.address import GlobalAddress
 from repro.memory.consistency import AccessKind
 from repro.memory.public import MemoryCell
 from repro.obs.profiler import DetectionProfiler
 from repro.util.validation import require_positive, require_rank
+
+
+def _entry(clock: VectorClock, rank: int) -> int:
+    """``clock.component(rank)`` for a rank this module already validated."""
+    return clock._entries.item(rank)
 
 
 class WriteCheckMode(enum.Enum):
@@ -193,8 +193,8 @@ class DetectorConfig:
         strict comparison equality is *not* an ordering, exactly as the
         paper's Algorithm 3 would compute.
         """
-        if self.comparison is ComparisonMode.MATTERN and first == second:
-            return False
+        if self.comparison is ComparisonMode.MATTERN:
+            return first.concurrent_with(second)
         return not self.compare(first, second) and not self.compare(second, first)
 
     def reference_unknown(self, reference: VectorClock, event: VectorClock) -> bool:
@@ -212,8 +212,9 @@ class DetectorConfig:
         dominated by the datum clock), which is why
         :meth:`clocks_unordered` is stated symmetrically in the paper.
         """
-        if self.comparison is ComparisonMode.MATTERN and reference == event:
-            return False
+        if self.comparison is ComparisonMode.MATTERN:
+            # Equal or strictly before: one ``reference <= event`` pass.
+            return not event.dominates(reference)
         return not self.compare(reference, event)
 
 
@@ -300,7 +301,7 @@ class DualClockRaceDetector:
         self._process_clocks: Dict[int, MatrixClock] = {
             rank: MatrixClock(rank, world_size) for rank in range(world_size)
         }
-        self._last_info: Dict[GlobalAddress, _LastAccessInfo] = {}
+        self._last_info: Dict[GlobalAddress, _LastAccessInfo] = defaultdict(_LastAccessInfo)
         # Per-datum clock covering only the *plain* (non-RMW) accesses; built
         # lazily and only consulted when ``treat_rmw_pairs_as_ordered`` is on.
         self._plain_clocks: Dict[GlobalAddress, VectorClock] = {}
@@ -434,7 +435,7 @@ class DualClockRaceDetector:
             cell.write_clock = VectorClock.zeros(self._world_size)
 
     def _info(self, address: GlobalAddress) -> _LastAccessInfo:
-        return self._last_info.setdefault(address, _LastAccessInfo())
+        return self._last_info[address]
 
     def _plain_clock(self, address: GlobalAddress) -> VectorClock:
         """Clock covering only the non-RMW accesses to *address* (lazy)."""
@@ -452,8 +453,12 @@ class DualClockRaceDetector:
 
     @staticmethod
     def _covers(clock: VectorClock, epoch: Optional[Epoch]) -> bool:
-        """O(1) probe: does *clock* dominate the clock *epoch* annotates?"""
-        return epoch is not None and epoch_precedes(epoch, clock)
+        """O(1) probe: does *clock* dominate the clock *epoch* annotates?
+
+        The unchecked twin of :func:`repro.core.comparator.epoch_precedes`,
+        for epochs this detector built from ranks it validated.
+        """
+        return epoch is not None and _entry(clock, epoch.rank) >= epoch.scalar
 
     @staticmethod
     def _merge_annotation(
@@ -475,7 +480,7 @@ class DualClockRaceDetector:
         if covered:
             return event_epoch
         if event_epoch is not None and (
-            cell_clock.component(event_epoch.rank) >= event_epoch.scalar
+            _entry(cell_clock, event_epoch.rank) >= event_epoch.scalar
         ):
             return current_epoch
         return None
@@ -505,10 +510,6 @@ class DualClockRaceDetector:
             return 1
         return 0
 
-    def _charge_overhead(self, result: AccessCheckResult) -> None:
-        self._control_messages += result.extra_control_messages
-        self._clock_bytes_on_wire += result.extra_clock_bytes
-
     def _overhead_for_check(
         self, wire_clock_bytes: Optional[int] = None
     ) -> Tuple[int, int]:
@@ -532,7 +533,63 @@ class DualClockRaceDetector:
         )
         return messages, messages * per_clock
 
+    def _finish_check(
+        self,
+        check_type: str,
+        live: bool,
+        profile_started: Optional[int],
+        joins: int,
+        race: Optional[RaceRecord],
+        event_clock: VectorClock,
+        cell: MemoryCell,
+        info: _LastAccessInfo,
+        wire_clock_bytes: Optional[int],
+    ) -> AccessCheckResult:
+        """Shared epilogue of the instrumented operations: profile the check,
+        book its overhead, freeze the clocks into the result."""
+        self._checks_performed += 1
+        self._profiler.record(
+            check_type,
+            live,
+            started=profile_started,
+            compares=self._last_check_compares,
+            joins=joins,
+            epoch_hits=self._last_check_epoch_hits,
+        )
+        messages, clock_bytes = self._overhead_for_check(wire_clock_bytes)
+        self._control_messages += messages
+        self._clock_bytes_on_wire += clock_bytes
+        return AccessCheckResult(
+            race=race,
+            event_clock=event_clock.frozen(),
+            datum_access_clock=cell.access_clock.frozen(),
+            datum_write_clock=cell.write_clock.frozen(),
+            extra_control_messages=messages,
+            extra_clock_bytes=clock_bytes,
+            datum_epoch=info.access_epoch,
+        )
+
     # -- the instrumented operations ------------------------------------------------
+
+    def _validate_access(
+        self,
+        origin: int,
+        address: GlobalAddress,
+        carried_clock: Optional[VectorClock],
+    ) -> None:
+        """The one validation of an instrumented access, on entry.
+
+        Everything the hot path indexes afterwards — ``_process_clocks`` by
+        the origin and by the datum's owner, clock entries by either, epoch
+        ranks derived from them — is covered here, so the lookups below are
+        unchecked (:func:`_entry`, ``MatrixClock.principal``).
+        """
+        require_rank(origin, self._world_size, "origin")
+        require_rank(address.rank, self._world_size, "address.rank")
+        if carried_clock is not None and carried_clock.size != self._world_size:
+            raise ValueError(
+                f"carried clock has {carried_clock.size} entries, world size is {self._world_size}"
+            )
 
     def on_write(
         self,
@@ -573,18 +630,18 @@ class DualClockRaceDetector:
         default) resolves to "owner event iff no carried clock", the
         pre-existing behaviour.
         """
-        require_rank(origin, self._world_size, "origin")
+        self._validate_access(origin, address, carried_clock)
         if not self.config.enabled:
             return self._uninstrumented(origin, cell)
         profile_started = self._profiler.start()
         joins = 0
         self._ensure_cell_clocks(cell)
         if carried_clock is None:
-            event_clock = self.process_clock(origin).tick()
+            event_clock = self._process_clocks[origin].tick()
         else:
             event_clock = carried_clock.copy()
         live = carried_clock is None
-        origin_component = event_clock.component(origin)
+        origin_component = _entry(event_clock, origin)
         if owner_event is None:
             owner_event = live
         reference = (
@@ -624,8 +681,7 @@ class DualClockRaceDetector:
         )
         if carried_clock is None and self.config.origin_learns_on_put_check:
             # The writer fetched the datum clock for the check; it now knows it.
-            self.process_clock(origin).observe_vector(reference)
-            event_clock = self.current_clock(origin)
+            event_clock = self._process_clocks[origin].observe_vector(reference)
             joins += 1
         event_epoch: Optional[Epoch] = None
         access_covered = write_covered = False
@@ -692,11 +748,11 @@ class DualClockRaceDetector:
             # Posted one-sided puts (carried clock, owner_event True) keep the
             # owner event: the tick is what a later unwaited same-origin
             # access cannot know about, making the async race detectable.
-            owner_clock = self.process_clock(address.rank)
+            owner_clock = self._process_clocks[address.rank]
             owner_clock.observe_vector(event_clock)
             owner_view = owner_clock.tick()
             owner_epoch = (
-                Epoch(address.rank, owner_view.component(address.rank))
+                Epoch(address.rank, _entry(owner_view, address.rank))
                 if epochs
                 else None
             )
@@ -720,7 +776,7 @@ class DualClockRaceDetector:
                     else None
                 )
         if carried_clock is None and self.config.origin_learns_datum_after_write:
-            self.process_clock(origin).observe_vector(cell.access_clock)
+            self._process_clocks[origin].observe_vector(cell.access_clock)
             joins += 1
         joins += self._note_plain_access(address, event_clock, event_epoch)
         info.last_writer = origin
@@ -734,27 +790,10 @@ class DualClockRaceDetector:
         info.last_plain_kind = AccessKind.WRITE
         info.last_plain_live = live
         info.last_plain_component = origin_component
-        self._checks_performed += 1
-        self._profiler.record(
-            "write",
-            live,
-            started=profile_started,
-            compares=self._last_check_compares,
-            joins=joins,
-            epoch_hits=self._last_check_epoch_hits,
+        return self._finish_check(
+            "write", live, profile_started, joins, race, event_clock, cell, info,
+            wire_clock_bytes,
         )
-        messages, clock_bytes = self._overhead_for_check(wire_clock_bytes)
-        result = AccessCheckResult(
-            race=race,
-            event_clock=event_clock.frozen(),
-            datum_access_clock=cell.access_clock.frozen(),
-            datum_write_clock=cell.write_clock.frozen(),
-            extra_control_messages=messages,
-            extra_clock_bytes=clock_bytes,
-            datum_epoch=info.access_epoch,
-        )
-        self._charge_overhead(result)
-        return result
 
     def on_read(
         self,
@@ -784,18 +823,18 @@ class DualClockRaceDetector:
         detectable.  A blocking get keeps the paper's calibration — servicing
         it ticks nobody (Figure 5b).
         """
-        require_rank(origin, self._world_size, "origin")
+        self._validate_access(origin, address, carried_clock)
         if not self.config.enabled:
             return self._uninstrumented(origin, cell)
         profile_started = self._profiler.start()
         joins = 0
         self._ensure_cell_clocks(cell)
         if carried_clock is None:
-            event_clock = self.process_clock(origin).tick()
+            event_clock = self._process_clocks[origin].tick()
         else:
             event_clock = carried_clock.copy()
         live = carried_clock is None
-        origin_component = event_clock.component(origin)
+        origin_component = _entry(event_clock, origin)
         info = self._info(address)
         epochs = self._epochs_active()
         pre_access_epoch = info.access_epoch if epochs else None
@@ -817,8 +856,9 @@ class DualClockRaceDetector:
         )
         if carried_clock is None and self.config.origin_learns_on_get:
             # The data (and its causal history) flows back to the reader.
-            self.process_clock(origin).observe_vector(cell.access_clock)
-            event_clock = self.current_clock(origin)
+            event_clock = self._process_clocks[origin].observe_vector(
+                cell.access_clock
+            )
             joins += 1
         event_epoch: Optional[Epoch] = None
         access_covered = False
@@ -850,11 +890,11 @@ class DualClockRaceDetector:
             # access clock only: later writes (checked against V(x)) see it,
             # later reads (checked against W(x)) do not — concurrent reads
             # stay silent, Figure 4.
-            owner_clock = self.process_clock(address.rank)
+            owner_clock = self._process_clocks[address.rank]
             owner_clock.observe_vector(event_clock)
             owner_view = owner_clock.tick()
             owner_epoch = (
-                Epoch(address.rank, owner_view.component(address.rank))
+                Epoch(address.rank, _entry(owner_view, address.rank))
                 if epochs
                 else None
             )
@@ -875,27 +915,10 @@ class DualClockRaceDetector:
         info.last_plain_kind = AccessKind.READ
         info.last_plain_live = live
         info.last_plain_component = origin_component
-        self._checks_performed += 1
-        self._profiler.record(
-            "read",
-            live,
-            started=profile_started,
-            compares=self._last_check_compares,
-            joins=joins,
-            epoch_hits=self._last_check_epoch_hits,
+        return self._finish_check(
+            "read", live, profile_started, joins, race, event_clock, cell, info,
+            wire_clock_bytes,
         )
-        messages, clock_bytes = self._overhead_for_check(wire_clock_bytes)
-        result = AccessCheckResult(
-            race=race,
-            event_clock=event_clock.frozen(),
-            datum_access_clock=cell.access_clock.frozen(),
-            datum_write_clock=cell.write_clock.frozen() if cell.write_clock else None,
-            extra_control_messages=messages,
-            extra_clock_bytes=clock_bytes,
-            datum_epoch=info.access_epoch,
-        )
-        self._charge_overhead(result)
-        return result
 
     def on_rmw(
         self,
@@ -926,18 +949,18 @@ class DualClockRaceDetector:
         service, and the effect at the owner's memory still counts as an
         owner event (an RMW writes, exactly as a posted put does).
         """
-        require_rank(origin, self._world_size, "origin")
+        self._validate_access(origin, address, carried_clock)
         if not self.config.enabled:
             return self._uninstrumented(origin, cell)
         profile_started = self._profiler.start()
         joins = 0
         self._ensure_cell_clocks(cell)
         if carried_clock is None:
-            event_clock = self.process_clock(origin).tick()
+            event_clock = self._process_clocks[origin].tick()
         else:
             event_clock = carried_clock.copy()
         live = carried_clock is None
-        origin_component = event_clock.component(origin)
+        origin_component = _entry(event_clock, origin)
         info = self._info(address)
         epochs = self._epochs_active()
         pre_access_epoch = info.access_epoch if epochs else None
@@ -976,8 +999,9 @@ class DualClockRaceDetector:
         if carried_clock is None and self.config.origin_learns_on_get:
             # The old value flows back in the ATOMIC_REPLY, and with it the
             # datum's causal history (same rule as a get).
-            self.process_clock(origin).observe_vector(cell.access_clock)
-            event_clock = self.current_clock(origin)
+            event_clock = self._process_clocks[origin].observe_vector(
+                cell.access_clock
+            )
             joins += 1
         event_epoch: Optional[Epoch] = None
         access_covered = write_covered = False
@@ -1017,7 +1041,7 @@ class DualClockRaceDetector:
             info.access_epoch = new_access_epoch
             info.write_epoch = new_write_epoch
         if self.config.write_effect_ticks_owner and address.rank != origin:
-            owner_clock = self.process_clock(address.rank)
+            owner_clock = self._process_clocks[address.rank]
             owner_clock.observe_vector(event_clock)
             owner_view = owner_clock.tick()
             cell.access_clock.merge_in_place(owner_view)
@@ -1025,7 +1049,7 @@ class DualClockRaceDetector:
             joins += 3
             if epochs:
                 owner_epoch = Epoch(
-                    address.rank, owner_view.component(address.rank)
+                    address.rank, _entry(owner_view, address.rank)
                 )
                 info.access_epoch = (
                     owner_epoch
@@ -1039,8 +1063,9 @@ class DualClockRaceDetector:
                 )
             if carried_clock is None and self.config.origin_learns_on_get:
                 # The reply leaves the owner after the reception event.
-                self.process_clock(origin).observe_vector(cell.access_clock)
-                event_clock = self.current_clock(origin)
+                event_clock = self._process_clocks[origin].observe_vector(
+                    cell.access_clock
+                )
                 joins += 1
         info.last_writer = origin
         info.last_writer_live = live
@@ -1049,27 +1074,10 @@ class DualClockRaceDetector:
         info.last_access_kind = AccessKind.RMW
         info.last_accessor_live = live
         info.last_accessor_component = origin_component
-        self._checks_performed += 1
-        self._profiler.record(
-            "rmw",
-            live,
-            started=profile_started,
-            compares=self._last_check_compares,
-            joins=joins,
-            epoch_hits=self._last_check_epoch_hits,
+        return self._finish_check(
+            "rmw", live, profile_started, joins, race, event_clock, cell, info,
+            wire_clock_bytes,
         )
-        messages, clock_bytes = self._overhead_for_check(wire_clock_bytes)
-        result = AccessCheckResult(
-            race=race,
-            event_clock=event_clock.frozen(),
-            datum_access_clock=cell.access_clock.frozen(),
-            datum_write_clock=cell.write_clock.frozen(),
-            extra_control_messages=messages,
-            extra_clock_bytes=clock_bytes,
-            datum_epoch=info.access_epoch,
-        )
-        self._charge_overhead(result)
-        return result
 
     @staticmethod
     def _same_origin_ordered(
@@ -1097,7 +1105,7 @@ class DualClockRaceDetector:
         if previous_live and current_live:
             return True
         if previous_live and not current_live:
-            return event_clock.component(origin) > previous_component
+            return _entry(event_clock, origin) > previous_component
         if not previous_live and not current_live:
             return True
         return False
@@ -1173,7 +1181,7 @@ class DualClockRaceDetector:
         if reference_epoch is not None:
             # The FastTrack fast path: one O(1) component probe.
             self._last_check_epoch_hits = 1
-            racy = not epoch_precedes(reference_epoch, event_clock)
+            racy = not self._covers(event_clock, reference_epoch)
         elif current_live:
             # Two directional O(n) comparisons (neither clock precedes the other).
             self._last_check_compares = 2

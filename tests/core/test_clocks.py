@@ -1,35 +1,9 @@
-"""Unit tests for Lamport, vector and matrix clocks."""
+"""Unit tests for vector and matrix clocks."""
 
 import numpy as np
 import pytest
 
-from repro.core.clocks import LamportClock, MatrixClock, VectorClock
-
-
-class TestLamportClock:
-    def test_starts_at_given_value(self):
-        assert LamportClock().value == 0
-        assert LamportClock(5).value == 5
-
-    def test_tick_increments(self):
-        clock = LamportClock()
-        assert clock.tick() == 1
-        assert clock.tick() == 2
-
-    def test_observe_takes_max_plus_one(self):
-        clock = LamportClock(3)
-        assert clock.observe(10) == 11
-        assert clock.observe(2) == 12
-
-    def test_copy_is_independent(self):
-        clock = LamportClock(1)
-        copy = clock.copy()
-        clock.tick()
-        assert copy.value == 1
-
-    def test_negative_initial_rejected(self):
-        with pytest.raises(ValueError):
-            LamportClock(-1)
+from repro.core.clocks import MatrixClock, VectorClock
 
 
 class TestVectorClockConstruction:
@@ -60,6 +34,33 @@ class TestVectorClockConstruction:
         with pytest.raises(ValueError):
             VectorClock(0)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [[1.7, 2.2], [1.0, 2.0], ["3", "4"], [True, False], [1, None], np.array([0.5])],
+    )
+    def test_rejects_non_integer_entries(self, entries):
+        # An int64 cast would silently turn these into [1, 2] / [3, 4] / [1, 0].
+        with pytest.raises(TypeError):
+            VectorClock(entries)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.int64, ">i8"])
+    def test_accepts_any_integer_dtype_as_int64(self, dtype):
+        clock = VectorClock(np.array([1, 2, 3], dtype=dtype))
+        assert clock.entries.dtype == np.int64
+        assert clock.frozen() == (1, 2, 3)
+
+    def test_rejects_values_beyond_int64(self):
+        with pytest.raises((TypeError, ValueError)):
+            VectorClock(np.array([2**63], dtype=np.uint64))
+
+    def test_array_argument_is_copied(self):
+        source = np.array([1, 2, 3], dtype=np.int64)
+        clock = VectorClock(source)
+        source[0] = 99
+        clock.tick(1)
+        assert clock.frozen() == (1, 3, 3)
+        assert source.tolist() == [99, 2, 3]
+
 
 class TestVectorClockOperations:
     def test_tick_increments_one_component(self):
@@ -81,6 +82,15 @@ class TestVectorClockOperations:
         a = VectorClock.from_entries([1, 0])
         a.merge_in_place([0, 7])
         assert a.entries.tolist() == [1, 7]
+
+    @pytest.mark.parametrize("other", [[0.5, 7.9], ["1", "2"]])
+    def test_merge_rejects_non_integer_entries(self, other):
+        clock = VectorClock.from_entries([1, 0])
+        with pytest.raises(TypeError):
+            clock.merge_in_place(other)
+        with pytest.raises(TypeError):
+            clock.merged(other)
+        assert clock.frozen() == (1, 0)
 
     def test_merge_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -131,8 +141,23 @@ class TestVectorClockOrdering:
         assert VectorClock.from_entries([1, 2]) == [1, 2]
         assert VectorClock.from_entries([1, 2]) != [2, 1]
 
+    def test_equality_against_non_integer_lists_is_false(self):
+        assert VectorClock.from_entries([1, 2]) != [1.5, 2.5]
+        assert VectorClock.from_entries([1, 2]) != ["1", "2"]
+
     def test_str_compact_for_small_clocks(self):
         assert str(VectorClock.from_entries([1, 1, 0])) == "110"
+
+    def test_str_is_unambiguous_once_an_entry_has_two_digits(self):
+        # "110" used to be the string of both clocks.
+        two_digit = VectorClock.from_entries([1, 10])
+        assert str(two_digit) == repr(two_digit) == "VectorClock([1, 10])"
+        assert str(two_digit) != str(VectorClock.from_entries([1, 1, 0]))
+        assert str(VectorClock.from_entries([9, 9])) == "99"
+
+    def test_str_falls_back_to_repr_beyond_ten_processes(self):
+        clock = VectorClock.zeros(11)
+        assert str(clock) == repr(clock)
 
 
 class TestMatrixClock:
@@ -157,6 +182,35 @@ class TestMatrixClock:
         clock = MatrixClock(rank=0, size=3)
         clock.observe_vector([0, 4, 0], source_rank=1)
         assert clock.row(1).entries.tolist() == [0, 4, 0]
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [([-5, 0, 0], ValueError), ([1.9, 0, 0], TypeError), (["1", "0", "0"], TypeError)],
+    )
+    def test_observe_vector_validates_foreign_sequences(self, bad, error):
+        clock = MatrixClock(rank=0, size=3)
+        clock.tick()
+        with pytest.raises(error):
+            clock.observe_vector(bad)
+        with pytest.raises(error):
+            clock.observe_vector(bad, source_rank=1)
+        assert clock.matrix.tolist() == [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+
+    def test_observe_vector_does_not_keep_or_touch_its_argument(self):
+        clock = MatrixClock(rank=0, size=3)
+        received = VectorClock.from_entries([0, 4, 2])
+        view = clock.observe_vector(received, source_rank=1)
+        assert received.frozen() == (0, 4, 2)
+        received.tick(2)
+        view.tick(0)
+        assert clock.principal().frozen() == (0, 4, 2)
+        assert clock.row(1).frozen() == (0, 4, 2)
+
+    def test_observe_vector_rejects_bad_source_before_merging(self):
+        clock = MatrixClock(rank=0, size=3)
+        with pytest.raises(ValueError):
+            clock.observe_vector([0, 4, 2], source_rank=3)
+        assert clock.matrix.tolist() == [[0, 0, 0]] * 3
 
     def test_observe_rejects_wrong_size(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from repro.core.detector import (
     DualClockRaceDetector,
     WriteCheckMode,
 )
+from repro.core.clocks import VectorClock
 from repro.core.races import RaceReport, SignalPolicy
 from repro.memory.address import GlobalAddress
 from repro.memory.consistency import AccessKind
@@ -263,3 +264,50 @@ class TestOverheadAccounting:
         detector = make_detector()
         with pytest.raises(ValueError):
             detector.on_write(5, addr(), MemoryCell())
+
+
+class TestEntryValidation:
+    """``on_write``/``on_read``/``on_rmw`` validate once, on entry; the hot
+    path behind them indexes clocks unchecked, so nothing bad may get past."""
+
+    OPERATIONS = ("on_write", "on_read", "on_rmw")
+
+    @pytest.mark.parametrize("operation", OPERATIONS)
+    @pytest.mark.parametrize("origin, error", [(3, ValueError), (-1, ValueError), (True, TypeError), (1.0, TypeError)])
+    def test_origin_validated(self, operation, origin, error):
+        detector = make_detector()
+        cell = MemoryCell()
+        with pytest.raises(error):
+            getattr(detector, operation)(origin, addr(), cell)
+        assert cell.access_clock is None and detector.checks_performed == 0
+
+    @pytest.mark.parametrize("operation", OPERATIONS)
+    def test_owner_rank_validated_before_any_clock_moves(self, operation):
+        detector = make_detector()
+        cell = MemoryCell()
+        with pytest.raises(ValueError):
+            getattr(detector, operation)(0, addr(rank=3), cell)
+        # A live blocking get never touched the owner's clock, so the parent
+        # let this one through; a rejected access must leave no trace.
+        assert cell.access_clock is None
+        assert detector.current_clock(0).total() == 0
+
+    @pytest.mark.parametrize("operation", OPERATIONS)
+    def test_carried_clock_must_span_the_world(self, operation):
+        detector = make_detector()
+        cell = MemoryCell()
+        with pytest.raises(ValueError):
+            getattr(detector, operation)(
+                0, addr(), cell, carried_clock=VectorClock.from_entries([1, 0])
+            )
+        assert cell.access_clock is None
+
+    def test_public_lookups_keep_full_validation(self):
+        detector = make_detector()
+        for call in (detector.process_clock, detector.current_clock, detector.local_event):
+            with pytest.raises(ValueError):
+                call(3)
+            with pytest.raises(TypeError):
+                call(True)
+        with pytest.raises(ValueError):
+            detector.current_clock(0).component(3)

@@ -6,12 +6,15 @@ operation are checked over randomly generated clocks rather than hand-picked
 examples.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.clocks import MatrixClock, VectorClock
 from repro.core.comparator import ClockOrdering, compare_clocks, concurrent, max_clock, ordering
+from repro.core.detector import ComparisonMode, DetectorConfig, DualClockRaceDetector
 
 # Clocks over 1..6 processes with entries in 0..20.
 clock_entries = st.integers(min_value=1, max_value=6).flatmap(
@@ -151,3 +154,214 @@ class TestSimulatedCausality:
             snapshots.append((send_snapshot, clocks[dst].copy()))
         for send_clock, receive_clock in snapshots:
             assert send_clock.happens_before(receive_clock)
+
+
+# -- the trusted clock kernel ------------------------------------------------------
+#
+# ``core`` wraps arrays it produced itself without re-validating or re-copying
+# them (``VectorClock._adopt``).  The one hazard of that path is aliasing: a
+# returned clock that shares memory with the matrix row (or the operand) it
+# was built from.  Every ``VectorClock``-returning method is therefore checked
+# against a pure-Python model, mutated, and checked again from both sides.
+
+#: A matrix-clock history: ticks (``None``) and observed vectors with an
+#: optional source rank, over a world of 1..5 processes.
+matrix_histories = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(0, n - 1),
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.tuples(
+                    st.lists(st.integers(0, 20), min_size=n, max_size=n),
+                    st.one_of(st.none(), st.integers(0, n - 1)),
+                ),
+            ),
+            max_size=12,
+        ),
+    )
+)
+
+
+def _replay_history(size, rank, history):
+    """Drive a ``MatrixClock`` and a list-of-lists model through *history*."""
+    clock = MatrixClock(rank, size)
+    model = [[0] * size for _ in range(size)]
+    for step in history:
+        if step is None:
+            clock.tick()
+            model[rank][rank] += 1
+            continue
+        entries, source = step
+        clock.observe_vector(entries, source_rank=source)
+        model[rank] = [max(a, b) for a, b in zip(model[rank], entries)]
+        if source is not None:
+            model[source] = [max(a, b) for a, b in zip(model[source], entries)]
+    return clock, model
+
+
+def _scribble(clock):
+    """Mutate *clock* through every in-place operation it has."""
+    for rank in range(clock.size):
+        clock.tick(rank)
+    clock.merge_in_place([1000] * clock.size)
+
+
+def _assert_built_like_public(result, expected_entries):
+    """*result* is what ``VectorClock(expected_entries)`` would have built."""
+    reference = VectorClock(expected_entries)
+    assert result == reference
+    assert result.frozen() == tuple(expected_entries)
+    assert result.entries.dtype == reference.entries.dtype == np.int64
+    assert result.entries.shape == reference.entries.shape
+    assert hash(result) == hash(reference)
+
+
+class TestTrustedPathAliasing:
+    @given(paired_entries())
+    def test_copy_and_merged_are_independent_of_their_operands(self, pair):
+        for produce, expected in (
+            (lambda a, b: a.copy(), list(pair[0])),
+            (lambda a, b: a.merged(b), [max(x, y) for x, y in zip(*pair)]),
+            (lambda a, b: a.merged(list(pair[1])), [max(x, y) for x, y in zip(*pair)]),
+        ):
+            a, b = VectorClock(pair[0]), VectorClock(pair[1])
+            result = produce(a, b)
+            _assert_built_like_public(result, expected)
+            _scribble(result)
+            assert a.frozen() == tuple(pair[0]) and b.frozen() == tuple(pair[1])
+            kept = result.frozen()
+            _scribble(a)
+            _scribble(b)
+            assert result.frozen() == kept
+
+    @given(matrix_histories, st.data())
+    def test_matrix_clock_views_never_alias_the_matrix(self, world, data):
+        size, rank, history = world
+        other = data.draw(st.integers(0, size - 1))
+        received = data.draw(st.lists(st.integers(0, 20), min_size=size, max_size=size))
+        lower = lambda model: [min(column) for column in zip(*model)]
+        producers = {
+            "row": (lambda c: c.row(other), lambda m: m[other]),
+            "row-default": (lambda c: c.row(), lambda m: m[rank]),
+            "principal": (lambda c: c.principal(), lambda m: m[rank]),
+            "known_lower_bound": (lambda c: c.known_lower_bound(), lower),
+        }
+        for name, (produce, expect) in producers.items():
+            clock, model = _replay_history(size, rank, history)
+            result = produce(clock)
+            _assert_built_like_public(result, expect(model))
+            _scribble(result)
+            assert clock.matrix.tolist() == model, name
+            kept = result.frozen()
+            clock.tick()
+            clock.observe_vector([2000] * size, source_rank=other)
+            assert result.frozen() == kept, name
+
+        # The two mutators return the principal row *after* their update.
+        _, model = _replay_history(size, rank, history + [None])
+        clock, _ = _replay_history(size, rank, history)
+        ticked = clock.tick()
+        _assert_built_like_public(ticked, model[rank])
+        _scribble(ticked)
+        assert clock.matrix.tolist() == model
+
+        _, model = _replay_history(size, rank, history + [(received, other)])
+        clock, _ = _replay_history(size, rank, history)
+        argument = VectorClock(received)
+        observed = clock.observe_vector(argument, source_rank=other)
+        _assert_built_like_public(observed, model[rank])
+        _scribble(observed)
+        assert clock.matrix.tolist() == model
+        assert argument.frozen() == tuple(received)
+        _scribble(argument)
+        assert clock.matrix.tolist() == model
+
+    @given(matrix_histories)
+    def test_detector_current_clock_is_a_private_copy(self, world):
+        size, rank, history = world
+        detector = DualClockRaceDetector(size)
+        process_clock = detector.process_clock(rank)
+        for step in history:
+            if step is None:
+                detector.local_event(rank)
+            else:
+                process_clock.observe_vector(step[0], source_rank=step[1])
+        _, model = _replay_history(size, rank, history)
+        current = detector.current_clock(rank)
+        _assert_built_like_public(current, model[rank])
+        _scribble(current)
+        assert process_clock.matrix.tolist() == model
+        kept = current.frozen()
+        detector.local_event(rank)
+        assert current.frozen() == kept
+        assert detector.current_clock(rank).frozen() == tuple(
+            value + (index == rank) for index, value in enumerate(model[rank])
+        )
+
+    @given(clock_entries)
+    def test_frozen_elements_are_exact_python_ints(self, entries):
+        for clock in (VectorClock(entries), VectorClock(np.array(entries, dtype=np.int32))):
+            frozen = clock.frozen()
+            assert all(type(value) is int for value in frozen)
+            assert json.loads(json.dumps(frozen)) == list(entries)
+            assert json.loads(json.dumps(clock.merged(clock).frozen())) == list(entries)
+
+
+def related_pairs(max_size=6):
+    """Clock pairs covering equal, dominated either way, and concurrent."""
+
+    def shape(pair_and_relation):
+        (first, second), relation = pair_and_relation
+        if relation == "equal":
+            second = list(first)
+        elif relation == "before":
+            second = [max(a, b) for a, b in zip(first, second)]
+        elif relation == "after":
+            first = [max(a, b) for a, b in zip(first, second)]
+        return first, second
+
+    return st.tuples(
+        paired_entries(max_size),
+        st.sampled_from(["equal", "before", "after", "free"]),
+    ).map(shape)
+
+
+class TestFusedRaceTests:
+    """The one-pass Mattern predicates against the three-call formulation."""
+
+    @given(related_pairs())
+    def test_clocks_unordered_matches_the_three_call_formulation(self, pair):
+        a, b = VectorClock(pair[0]), VectorClock(pair[1])
+        reference = not (a == b) and not compare_clocks(a, b) and not compare_clocks(b, a)
+        config = DetectorConfig()
+        assert config.clocks_unordered(a, b) is reference
+        assert config.clocks_unordered(b, a) is reference
+        assert a.concurrent_with(b) is reference
+        assert concurrent(a, b) is reference
+        assert (ordering(a, b) is ClockOrdering.CONCURRENT) is reference
+        strict = DetectorConfig(comparison=ComparisonMode.STRICT)
+        assert strict.clocks_unordered(a, b) is (
+            not a.strictly_less(b) and not b.strictly_less(a)
+        )
+
+    @given(related_pairs())
+    def test_reference_unknown_matches_the_two_call_formulation(self, pair):
+        datum, event = VectorClock(pair[0]), VectorClock(pair[1])
+        reference = not (datum == event) and not compare_clocks(datum, event)
+        assert DetectorConfig().reference_unknown(datum, event) is reference
+        strict = DetectorConfig(comparison=ComparisonMode.STRICT)
+        assert strict.reference_unknown(datum, event) is (not datum.strictly_less(event))
+
+    @given(clock_entries)
+    def test_size_mismatch_still_raises(self, entries):
+        clock, longer = VectorClock(entries), VectorClock(list(entries) + [0])
+        config = DetectorConfig()
+        for first, second in ((clock, longer), (longer, clock)):
+            with pytest.raises(ValueError):
+                config.clocks_unordered(first, second)
+            with pytest.raises(ValueError):
+                config.reference_unknown(first, second)
+            with pytest.raises(ValueError):
+                first.concurrent_with(second)
