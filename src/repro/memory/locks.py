@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.memory.address import GlobalAddress
@@ -77,6 +78,24 @@ class MemoryLockTable:
         """Rank whose public memory this table protects."""
         return self._rank
 
+    # The table's instruments, each bound on first use: a label-sorting
+    # registry lookup per acquire is avoided, and a table nobody locks (or
+    # contends) still adds no zero-valued instrument to a snapshot.
+
+    @cached_property
+    def _requests(self):
+        return self._obs.metrics.counter("memory.lock_requests", rank=self._rank)
+
+    @cached_property
+    def _contended(self):
+        return self._obs.metrics.counter("memory.lock_contended", rank=self._rank)
+
+    @cached_property
+    def _wait_time(self):
+        return self._obs.metrics.histogram(
+            "memory.lock_wait_time", layout="sim_time", rank=self._rank
+        )
+
     # -- acquisition ----------------------------------------------------------
 
     def acquire(self, address: GlobalAddress, requester: int, purpose: str = "") -> LockRequest:
@@ -101,12 +120,12 @@ class MemoryLockTable:
             queued_at=self._sim.now,
         )
         self._history.append(request)
-        self._obs.metrics.counter("memory.lock_requests", rank=self._rank).inc()
+        self._requests.inc()
         if address not in self._holders:
             self._grant(request)
         else:
             self._contended_acquisitions += 1
-            self._obs.metrics.counter("memory.lock_contended", rank=self._rank).inc()
+            self._contended.inc()
             self._queues.setdefault(address, []).append(request)
         return request
 
@@ -115,10 +134,7 @@ class MemoryLockTable:
         request.state = LockState.GRANTED
         request.granted_at = self._sim.now
         request.event.succeed(request)
-        wait = request.granted_at - request.queued_at
-        self._obs.metrics.histogram(
-            "memory.lock_wait_time", layout="sim_time", rank=self._rank
-        ).observe(wait)
+        self._wait_time.observe(request.granted_at - request.queued_at)
         # The request→grant interval as a span on the owner's NIC track —
         # zero-length for uncontended grants, the Figure 3 serialization
         # otherwise.

@@ -14,10 +14,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.latency import LatencyModel
-from repro.net.message import Message
+from repro.net.message import Message, MessageKind
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
 from repro.util.validation import require_non_negative
+
+
+#: Delivery-event names, one constant per kind instead of a format per message.
+_DELIVER = {kind: f"deliver:{kind.value}" for kind in MessageKind}
 
 
 @dataclass
@@ -51,6 +55,8 @@ class Channel:
         self.source = source
         self.destination = destination
         self._latency_model = latency_model
+        # Checked here once; the latency models trust the hop count they get.
+        require_non_negative(hops, "hops")
         self._hops = max(1, hops) if source != destination else 0
         self._bandwidth = bandwidth_bytes_per_time
         if bandwidth_bytes_per_time is not None:
@@ -66,16 +72,20 @@ class Channel:
         """Hop count used to scale latency."""
         return self._hops
 
-    def transmit(self, message: Message) -> Tuple[Event, Message]:
+    def transmit(self, message: Message, _owned: bool = False) -> Tuple[Event, Message]:
         """Send *message*; returns ``(delivery_event, stamped_message)``.
 
         The event fires at the computed delivery time with the stamped message
-        (send/deliver times filled in) as its value.
+        (send/deliver times filled in) as its value.  The stamped message is a
+        copy, so one *message* may be transmitted any number of times;
+        ``_owned`` is the fabric's promise that it built *message* for this
+        one transmission, which is then stamped in place.
         """
-        now = self._sim.now
+        sim, stats = self._sim, self.stats
+        now = sim.now
         flight = self._latency_model.latency(message, hops=self._hops)
         require_non_negative(flight, "latency")
-        controller = self._sim.controller
+        controller = sim.controller
         if controller is not None:
             # The schedule controller owns delivery timing: it sees the
             # model's draw and may stretch it (a logged, replayable decision).
@@ -97,25 +107,13 @@ class Channel:
         if deliver_at < self._last_delivery:
             # Preserve FIFO order on the pair.
             deliver_at = self._last_delivery
-            self.stats.reordering_clamps += 1
+            stats.reordering_clamps += 1
         self._last_delivery = deliver_at
-        stamped = Message(
-            message_id=message.message_id,
-            kind=message.kind,
-            source=message.source,
-            destination=message.destination,
-            payload=message.payload,
-            payload_bytes=message.payload_bytes,
-            send_time=now,
-            deliver_time=deliver_at,
-            operation_tag=message.operation_tag,
-            carried_clock=message.carried_clock,
-        )
-        self.stats.messages += 1
-        self.stats.bytes += stamped.total_bytes
-        self.stats.total_latency += deliver_at - now
-        event = self._sim.timeout(deliver_at - now, value=stamped, name=f"deliver:{stamped.kind.value}")
-        return event, stamped
+        stamped = message.stamped(now, deliver_at, in_place=_owned)
+        stats.messages += 1
+        stats.bytes += stamped.total_bytes
+        stats.total_latency += deliver_at - now
+        return sim.timeout(deliver_at - now, stamped, _DELIVER[stamped.kind]), stamped
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

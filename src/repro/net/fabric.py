@@ -10,6 +10,7 @@ application code.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Dict, Optional, Tuple
 
 from repro.net.channel import Channel
@@ -21,11 +22,22 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.observability import Observability
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
-from repro.util.ids import IdAllocator
 from repro.util.validation import require_rank
 
 #: The traffic categories FabricStats splits counts by.
 _CATEGORIES = ("data", "lock", "detection", "other")
+
+#: Each kind's category, read once off the ``MessageKind`` predicates.
+_CATEGORY_OF = {
+    kind: "data" if kind.is_data
+    else "lock" if kind.is_lock
+    else "detection" if kind.is_detection
+    else "other"
+    for kind in MessageKind
+}
+
+#: Loopback delivery-event names, one constant per kind.
+_LOCAL = {kind: f"local:{kind.value}" for kind in MessageKind}
 
 
 class FabricStats:
@@ -39,7 +51,7 @@ class FabricStats:
     (tests, ad-hoc accounting) it owns a private one.
     """
 
-    __slots__ = ("_messages", "_bytes", "_by_kind")
+    __slots__ = ("_messages", "_bytes", "_by_kind", "_rows")
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         registry = registry if registry is not None else MetricsRegistry()
@@ -54,6 +66,11 @@ class FabricStats:
         self._by_kind = {
             kind: registry.counter("fabric.messages_by_kind", kind=kind.value)
             for kind in MessageKind
+        }
+        #: kind -> the three counters one message of that kind increments.
+        self._rows = {
+            kind: (self._messages[category], self._bytes[category], self._by_kind[kind])
+            for kind, category in _CATEGORY_OF.items()
         }
 
     # -- the historical attribute surface ------------------------------------------
@@ -102,17 +119,10 @@ class FabricStats:
 
     def record(self, message: Message) -> None:
         """Account one message into the appropriate category."""
-        if message.kind.is_data:
-            category = "data"
-        elif message.kind.is_lock:
-            category = "lock"
-        elif message.kind.is_detection:
-            category = "detection"
-        else:
-            category = "other"
-        self._messages[category].inc()
-        self._bytes[category].inc(message.total_bytes)
-        self._by_kind[message.kind].inc()
+        messages, byte_count, by_kind = self._rows[message.kind]
+        messages.value += 1
+        byte_count.value += message.total_bytes
+        by_kind.value += 1
 
     def message_count_for_kind(self, kind: MessageKind) -> int:
         """Messages sent with exactly *kind* (finer than the categories)."""
@@ -170,7 +180,7 @@ class Fabric:
         self._bandwidth = bandwidth_bytes_per_time
         self._channels: Dict[Tuple[int, int], Channel] = {}
         self._ud_channels: Dict[Tuple[int, int], UdChannel] = {}
-        self._ids = IdAllocator("msg")
+        self._next_id = itertools.count().__next__  # message ids, 0-based
         self.stats = FabricStats(registry=Observability.of(sim).metrics)
 
     # -- wiring ----------------------------------------------------------------
@@ -192,19 +202,10 @@ class Fabric:
 
     def channel(self, source: int, destination: int) -> Channel:
         """Return (creating lazily) the ordered channel for the pair."""
-        require_rank(source, self.world_size, "source")
-        require_rank(destination, self.world_size, "destination")
-        key = (source, destination)
-        if key not in self._channels:
-            self._channels[key] = Channel(
-                self._sim,
-                source,
-                destination,
-                self._latency_model,
-                hops=self._topology.hops(source, destination),
-                bandwidth_bytes_per_time=self._bandwidth,
-            )
-        return self._channels[key]
+        channel = self._channels.get((source, destination))
+        if channel is None or type(source) is not int or type(destination) is not int:
+            channel = self._open(self._channels, Channel, source, destination)
+        return channel
 
     def ud_channel(self, source: int, destination: int) -> UdChannel:
         """Return (creating lazily) the unreliable channel for the pair.
@@ -214,11 +215,24 @@ class Fabric:
         FIFO clamp state separate means switching a message class to UD
         never perturbs the ordering promise the remaining RC traffic keeps.
         """
+        channel = self._ud_channels.get((source, destination))
+        if channel is None or type(source) is not int or type(destination) is not int:
+            channel = self._open(self._ud_channels, UdChannel, source, destination)
+        return channel
+
+    def _open(self, channels: dict, factory: type, source: int, destination: int):
+        """Validate the pair, then return (building on a miss) its channel.
+
+        The lookups above skip this for a cached pair — it was range-checked
+        when its channel was built — unless an argument is not an exact
+        ``int``: keys that merely hash alike (``True``, ``1.0``, NumPy ints)
+        must not alias a valid pair, so they come here for their ``TypeError``.
+        """
         require_rank(source, self.world_size, "source")
         require_rank(destination, self.world_size, "destination")
         key = (source, destination)
-        if key not in self._ud_channels:
-            self._ud_channels[key] = UdChannel(
+        if key not in channels:
+            channels[key] = factory(
                 self._sim,
                 source,
                 destination,
@@ -226,7 +240,7 @@ class Fabric:
                 hops=self._topology.hops(source, destination),
                 bandwidth_bytes_per_time=self._bandwidth,
             )
-        return self._ud_channels[key]
+        return channels[key]
 
     # -- sending -----------------------------------------------------------------
 
@@ -251,8 +265,8 @@ class Fabric:
         in ``"piggyback"`` mode; *clock_wire_bytes* is its exact share of
         *payload_bytes* under the active ``clock_wire`` format.
         """
-        message = Message(
-            message_id=self._ids.next_int(),
+        message = Message._build(
+            message_id=self._next_id(),
             kind=kind,
             source=source,
             destination=destination,
@@ -263,12 +277,12 @@ class Fabric:
             clock_wire_bytes=clock_wire_bytes,
         )
         if source == destination:
-            event = self._sim.timeout(0.0, value=message, name=f"local:{kind.value}")
-            stamped = message
+            event = self._sim.timeout(0.0, value=message, name=_LOCAL[kind])
         else:
-            event, stamped = self.channel(source, destination).transmit(message)
-        self.stats.record(stamped)
-        return event, stamped
+            # Built here and shared with nobody: stamped in place, not copied.
+            event, message = self.channel(source, destination).transmit(message, _owned=True)
+        self.stats.record(message)
+        return event, message
 
     def send_datagram(
         self,
@@ -300,8 +314,8 @@ class Fabric:
 
         Self-datagrams never drop: loopback does not cross the fabric.
         """
-        message = Message(
-            message_id=self._ids.next_int(),
+        message = Message._build(
+            message_id=self._next_id(),
             kind=kind,
             source=source,
             destination=destination,
@@ -314,7 +328,7 @@ class Fabric:
             ud_frame=ud_frame,
         )
         if source == destination:
-            event = self._sim.timeout(0.0, value=message, name=f"local:{kind.value}")
+            event = self._sim.timeout(0.0, value=message, name=_LOCAL[kind])
             self.stats.record(message)
             return event, message, "deliver", None
         controller = self._sim.controller

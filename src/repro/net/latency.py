@@ -30,7 +30,11 @@ class LatencyModel(abc.ABC):
 
     @abc.abstractmethod
     def latency(self, message: Message, hops: int = 1) -> float:
-        """Return the flight time for *message* across *hops* links."""
+        """Return the flight time for *message* across *hops* links.
+
+        *hops* is trusted: :class:`~repro.net.channel.Channel` validates it
+        once, at construction, and asks with that same value per message.
+        """
 
     def describe(self) -> str:
         """One-line description used in benchmark output."""
@@ -47,7 +51,6 @@ class ConstantLatency(LatencyModel):
         self.per_byte = per_byte
 
     def latency(self, message: Message, hops: int = 1) -> float:
-        require_non_negative(hops, "hops")
         return self.base * max(1, hops) + self.per_byte * message.total_bytes
 
     def describe(self) -> str:
@@ -78,7 +81,6 @@ class UniformLatency(LatencyModel):
         self._stream_name = stream_name
 
     def latency(self, message: Message, hops: int = 1) -> float:
-        require_non_negative(hops, "hops")
         total = 0.0
         for _ in range(max(1, hops)):
             total += self._streams.uniform(self._stream_name, self.low, self.high)
@@ -121,7 +123,6 @@ class LogGPLatency(LatencyModel):
         self._stream_name = stream_name
 
     def latency(self, message: Message, hops: int = 1) -> float:
-        require_non_negative(hops, "hops")
         base = (
             self.L * max(1, hops)
             + self.o_send

@@ -136,12 +136,45 @@ class Message:
     @property
     def total_bytes(self) -> int:
         """Header plus payload size."""
-        return HEADER_BYTES + max(0, self.payload_bytes)
+        payload_bytes = self.payload_bytes
+        return HEADER_BYTES + (payload_bytes if payload_bytes > 0 else 0)
 
     @property
     def latency(self) -> float:
         """Flight time of the message."""
         return self.deliver_time - self.send_time
+
+    @classmethod
+    def _build(cls, **fields: Any) -> "Message":
+        """A message from keyword *fields*, for the fabric's per-send use.
+
+        Same object as ``Message(**fields)`` (omitted fields read their class
+        default) without the frozen ``__init__``'s thirteen guarded
+        assignments; the names are trusted, so only ``net`` calls this.
+        """
+        message = object.__new__(cls)
+        message.__dict__.update(fields)
+        return message
+
+    def stamped(
+        self, send_time: float, deliver_time: float, in_place: bool = False
+    ) -> "Message":
+        """This message with its flight times filled in, every other field as is.
+
+        The one stamping site of every channel (RC transmit, UD transmit, UD
+        drop): the fields travel as a whole, so a new one cannot be left
+        behind.  A copy by default — a ``Message`` stays immutable to whoever
+        holds it; ``in_place`` is for the fabric, stamping the message it has
+        just built and handed to nobody but the latency model and controller.
+        """
+        message = self
+        if not in_place:
+            message = object.__new__(type(self))
+            message.__dict__.update(self.__dict__)
+        fields = message.__dict__
+        fields["send_time"] = send_time
+        fields["deliver_time"] = deliver_time
+        return message
 
     def __str__(self) -> str:
         return (

@@ -265,6 +265,8 @@ class NIC:
             raise ValueError(f"NIC rank {rank} given lock table owned by rank {locks.rank}")
         self._sim = sim
         self.rank = rank
+        #: Span-trace track name of this NIC's DMA engine.
+        self.engine_track = f"nic-P{rank}"
         self.fabric = fabric
         self.memory = memory
         self.locks = locks
@@ -298,11 +300,6 @@ class NIC:
     local_writes = _nic_counter("local_writes")
     remote_ops_serviced = _nic_counter("remote_ops_serviced")
     rnr_retries = _nic_counter("rnr_retries")
-
-    @property
-    def engine_track(self) -> str:
-        """Span-trace track name of this NIC's DMA engine."""
-        return f"nic-P{self.rank}"
 
     # -- wiring ------------------------------------------------------------------
 
@@ -390,16 +387,6 @@ class NIC:
             event.callbacks.append(lambda _ev: target_nic.locks.release(request))
         else:
             target_nic.locks.release(request)
-
-    def _detection_round_trip(self, target_rank: int, tag: str) -> Generator:
-        """Charge Algorithm 5's clock traffic via the clock-transport layer.
-
-        Returns ``(messages, update_clock_bytes)``; the second element feeds
-        the detector's per-check byte accounting so a compressed wire format
-        is reflected there too (``None`` when no round trip was charged).
-        """
-        outcome = yield from self.clock_transport.round_trip(target_rank, tag)
-        return outcome
 
     def _wire_clock(self, clock_snapshot: Optional[VectorClock]) -> Optional[VectorClock]:
         """The clock a data message leaving this rank would carry.
@@ -626,7 +613,7 @@ class NIC:
         control_messages = 0
 
         lock_request = yield from self._acquire_lock(target_nic, target, "put", tag)
-        round_trips, update_clock_bytes = yield from self._detection_round_trip(
+        round_trips, update_clock_bytes = yield from self.clock_transport.round_trip(
             target.rank, tag
         )
         control_messages += round_trips
@@ -700,7 +687,7 @@ class NIC:
         control_messages = 0
 
         lock_request = yield from self._acquire_lock(target_nic, target, "get", tag)
-        round_trips, update_clock_bytes = yield from self._detection_round_trip(
+        round_trips, update_clock_bytes = yield from self.clock_transport.round_trip(
             target.rank, tag
         )
         control_messages += round_trips
@@ -857,7 +844,7 @@ class NIC:
         control_messages = 0
 
         lock_request = yield from self._acquire_lock(target_nic, target, operation, tag)
-        round_trips, update_clock_bytes = yield from self._detection_round_trip(
+        round_trips, update_clock_bytes = yield from self.clock_transport.round_trip(
             target.rank, tag
         )
         control_messages += round_trips
@@ -1084,7 +1071,7 @@ class NIC:
                 recv_wr=recv_wr,
             )
 
-        round_trips, update_clock_bytes = yield from self._detection_round_trip(
+        round_trips, update_clock_bytes = yield from self.clock_transport.round_trip(
             destination, tag
         )
         control_messages += round_trips

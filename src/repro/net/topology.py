@@ -24,17 +24,21 @@ class Topology:
     """A physical interconnect over ``world_size`` ranks."""
 
     def __init__(self, graph: nx.Graph, name: str = "custom") -> None:
-        if graph.number_of_nodes() == 0:
+        world_size = graph.number_of_nodes()
+        if world_size == 0:
             raise ValueError("topology graph must have at least one node")
-        expected = set(range(graph.number_of_nodes()))
+        expected = set(range(world_size))
         if set(graph.nodes) != expected:
             raise ValueError(
                 "topology nodes must be consecutive ranks 0..n-1, "
                 f"got {sorted(graph.nodes)}"
             )
-        if graph.number_of_nodes() > 1 and not nx.is_connected(graph):
+        if world_size > 1 and not nx.is_connected(graph):
             raise ValueError("topology must be connected")
         self._graph = graph
+        #: The graph is never mutated after this point (``graph`` hands out
+        #: copies), so the rank count is fixed here instead of asked per send.
+        self._world_size = world_size
         self._name = name
         self._hops: Dict[Tuple[int, int], int] = {}
 
@@ -98,7 +102,7 @@ class Topology:
     @property
     def world_size(self) -> int:
         """Number of ranks."""
-        return self._graph.number_of_nodes()
+        return self._world_size
 
     @property
     def graph(self) -> nx.Graph:

@@ -41,16 +41,19 @@ false happens-before edge is ever introduced, whatever the fabric drops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 from repro.net.channel import Channel, ChannelStats
-from repro.net.message import Message
+from repro.net.message import Message, MessageKind
 from repro.sim.events import Event
 from repro.util.validation import require_non_negative
 
 #: The service levels a runtime/NIC can be configured with.
 TRANSPORT_MODES = ("rc", "ud")
+
+#: Delivery-event names, one constant per kind instead of a format per datagram.
+_UD_DELIVER = {kind: f"ud-deliver:{kind.value}" for kind in MessageKind}
 
 
 def validate_transport(mode: str) -> str:
@@ -122,12 +125,12 @@ class UdChannel(Channel):
             self.stats.reordered += 1
         else:
             self._last_delivery = deliver_at
-        stamped = replace(message, send_time=now, deliver_time=deliver_at)
+        stamped = message.stamped(now, deliver_at)
         self.stats.messages += 1
         self.stats.bytes += stamped.total_bytes
         self.stats.total_latency += deliver_at - now
         event = self._sim.timeout(
-            deliver_at - now, value=stamped, name=f"ud-deliver:{stamped.kind.value}"
+            deliver_at - now, value=stamped, name=_UD_DELIVER[stamped.kind]
         )
         return event, stamped
 
@@ -142,9 +145,7 @@ class UdChannel(Channel):
         """
         require_non_negative(retransmit_timeout, "retransmit_timeout")
         now = self._sim.now
-        stamped = replace(
-            message, send_time=now, deliver_time=now + retransmit_timeout
-        )
+        stamped = message.stamped(now, now + retransmit_timeout)
         self.stats.messages += 1
         self.stats.bytes += stamped.total_bytes
         self.stats.dropped += 1

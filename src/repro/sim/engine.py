@@ -82,7 +82,7 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None, name: Optional[str] = None) -> Timeout:
         """Create an event that fires ``delay`` time units from now."""
         require_non_negative(delay, "delay")
-        return Timeout(self, delay, value=value, name=name)
+        return Timeout(self, delay, value, name)
 
     def all_of(self, events: Sequence[Event], name: Optional[str] = None) -> AllOf:
         """Create an event that fires when all of *events* have fired."""
@@ -146,13 +146,6 @@ class Simulator:
         heapq.heappush(self._queue, (time, self._sequence, event))
         self._sequence += 1
 
-    def _enqueue_triggered(self, event: Event) -> None:
-        """Schedule an already-triggered event's callbacks at the current time."""
-        self._push(self._now, event)
-
-    def _schedule_timeout(self, timeout: Timeout, delay: float) -> None:
-        self._push(self._now + delay, timeout)
-
     def _record_process_failure(self, process: Process, exc: BaseException) -> None:
         self._failures.append((process, exc))
 
@@ -166,21 +159,23 @@ class Simulator:
 
     def step(self) -> None:
         """Process exactly one event from the calendar."""
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             raise SimulationError("step() called on an empty event queue")
         if self.controller is not None:
-            time, _seq, event = self.controller.pick_next(self._queue)
+            time, _seq, event = self.controller.pick_next(queue)
         else:
-            time, _seq, event = heapq.heappop(self._queue)
+            time, _seq, event = heapq.heappop(queue)
         if time < self._now:
             raise SimulationError(
                 f"event calendar corrupted: popped t={time} < now={self._now}"
             )
         self._now = time
-        if isinstance(event, Timeout) and not event.triggered:
-            event._auto_trigger()
+        if not event._triggered:
+            # Only a Timeout sits on the calendar untriggered: its delay elapsed.
+            event._triggered = event._ok = True
         callbacks, event.callbacks = event.callbacks, []
-        event._mark_processed()
+        event._processed = True
         for callback in callbacks:
             callback(event)
         self._events_processed += 1
@@ -199,13 +194,14 @@ class Simulator:
         rank 3's program fails the test that launched it).
         """
         processed = 0
-        while self._queue:
-            if until is not None and self.peek() > until:
+        queue, step = self._queue, self.step
+        while queue:
+            if until is not None and queue[0][0] > until:
                 self._now = until
                 break
             if max_events is not None and processed >= max_events:
                 break
-            self.step()
+            step()
             processed += 1
         if raise_process_errors and self._failures:
             process, exc = self._failures[0]

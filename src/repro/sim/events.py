@@ -47,7 +47,7 @@ class Event:
 
     def __init__(self, sim: "Simulator", name: Optional[str] = None) -> None:
         self.sim = sim
-        self.name = name or self.__class__.__name__
+        self._name = name
         self.callbacks: List[Callable[["Event"], None]] = []
         self._triggered = False
         self._processed = False
@@ -55,6 +55,18 @@ class Event:
         self._value: Any = None
 
     # -- state ---------------------------------------------------------------
+
+    @property
+    def name(self) -> str:
+        """The label given at construction, or the default one.
+
+        The default is built when asked for, not per event: an untraced run
+        creates thousands of events whose names nobody reads.
+        """
+        return self._name or self._default_name()
+
+    def _default_name(self) -> str:
+        return self.__class__.__name__
 
     @property
     def triggered(self) -> bool:
@@ -89,7 +101,7 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        self.sim._enqueue_triggered(self)
+        self.sim._push(self.sim._now, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -101,13 +113,8 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exception
-        self.sim._enqueue_triggered(self)
+        self.sim._push(self.sim._now, self)
         return self
-
-    # -- internal ------------------------------------------------------------
-
-    def _mark_processed(self) -> None:
-        self._processed = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
@@ -115,7 +122,11 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires automatically after a fixed simulated delay."""
+    """An event that fires automatically after a fixed simulated delay.
+
+    Built by :meth:`Simulator.timeout`, which validates *delay*; the
+    simulator triggers it when it pops it off the calendar.
+    """
 
     def __init__(
         self,
@@ -124,12 +135,13 @@ class Timeout(Event):
         value: Any = None,
         name: Optional[str] = None,
     ) -> None:
-        if delay < 0:
-            raise ValueError(f"Timeout delay must be non-negative, got {delay}")
-        super().__init__(sim, name or f"Timeout({delay})")
+        super().__init__(sim, name)
         self.delay = delay
         self._value = value
-        sim._schedule_timeout(self, delay)
+        sim._push(sim._now + delay, self)
+
+    def _default_name(self) -> str:
+        return f"Timeout({self.delay})"
 
     def succeed(self, value: Any = None) -> "Event":  # noqa: D102
         raise SimulationError("Timeout events are triggered by the simulator only")
@@ -137,16 +149,11 @@ class Timeout(Event):
     def fail(self, exception: BaseException) -> "Event":  # noqa: D102
         raise SimulationError("Timeout events are triggered by the simulator only")
 
-    def _auto_trigger(self) -> None:
-        """Called by the simulator when the delay has elapsed."""
-        self._triggered = True
-        self._ok = True
-
 
 class _Condition(Event):
     """Common machinery for :class:`AllOf` / :class:`AnyOf`."""
 
-    def __init__(self, sim: "Simulator", events: Sequence[Event], name: str) -> None:
+    def __init__(self, sim: "Simulator", events: Sequence[Event], name: Optional[str] = None) -> None:
         super().__init__(sim, name)
         self.events: List[Event] = list(events)
         if not self.events:
@@ -163,6 +170,9 @@ class _Condition(Event):
     def _on_child(self, event: Event) -> None:
         raise NotImplementedError
 
+    def _default_name(self) -> str:
+        return f"{self.__class__.__name__}({len(self.events)})"
+
     def _collect_values(self) -> dict:
         return {e: e.value for e in self.events if e.triggered and e.ok}
 
@@ -173,9 +183,6 @@ class AllOf(_Condition):
     The value is a dict mapping each child event to its value.  If any child
     fails, the condition fails with that child's exception.
     """
-
-    def __init__(self, sim: "Simulator", events: Sequence[Event], name: Optional[str] = None) -> None:
-        super().__init__(sim, events, name or f"AllOf({len(list(events))})")
 
     def _on_child(self, event: Event) -> None:
         if self.triggered:
@@ -190,9 +197,6 @@ class AllOf(_Condition):
 
 class AnyOf(_Condition):
     """Fires when *any* child event has fired (with that child's outcome)."""
-
-    def __init__(self, sim: "Simulator", events: Sequence[Event], name: Optional[str] = None) -> None:
-        super().__init__(sim, events, name or f"AnyOf({len(list(events))})")
 
     def _on_child(self, event: Event) -> None:
         if self.triggered:

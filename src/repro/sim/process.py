@@ -33,6 +33,10 @@ class ProcessState(enum.Enum):
     FAILED = "failed"
 
 
+#: The two states a process never leaves.
+_ENDED = (ProcessState.FINISHED, ProcessState.FAILED)
+
+
 class Process(Event):
     """Wraps a generator and steps it through the event loop.
 
@@ -80,7 +84,7 @@ class Process(Event):
     @property
     def is_alive(self) -> bool:
         """True while the generator has not finished or failed."""
-        return self._state not in (ProcessState.FINISHED, ProcessState.FAILED)
+        return self._state not in _ENDED
 
     # -- control -------------------------------------------------------------
 
@@ -99,16 +103,16 @@ class Process(Event):
     # -- stepping ------------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        """Advance the generator with the outcome of *event*."""
-        if not self.is_alive:
+        """Advance the generator with the outcome of *event* (already fired)."""
+        if self._state in _ENDED:
             return
         self._waiting_on = None
         self._state = ProcessState.RUNNING
         try:
-            if event.ok:
-                target = self._generator.send(event.value)
+            if event._ok:
+                target = self._generator.send(event._value)
             else:
-                target = self._generator.throw(event.value)
+                target = self._generator.throw(event._value)
         except StopIteration as stop:
             self._finish(stop.value)
             return
@@ -141,7 +145,7 @@ class Process(Event):
             return
         self._state = ProcessState.WAITING
         self._waiting_on = target
-        if target.triggered:
+        if target._triggered:
             # Already fired: resume on the next simulator step at the same time.
             bounce = Event(self.sim, name=f"{self.name}:bounce")
             bounce.callbacks.append(lambda _ev: self._resume(target))
@@ -152,14 +156,14 @@ class Process(Event):
     def _finish(self, value: Any) -> None:
         self._state = ProcessState.FINISHED
         self._waiting_on = None
-        if not self.triggered:
+        if not self._triggered:
             self.succeed(value)
 
     def _fail(self, exc: BaseException) -> None:
         self._state = ProcessState.FAILED
         self._waiting_on = None
         self.sim._record_process_failure(self, exc)
-        if not self.triggered:
+        if not self._triggered:
             self.fail(exc)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

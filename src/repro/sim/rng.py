@@ -54,7 +54,10 @@ class RandomStreams:
         """Draw one uniform sample in ``[low, high)`` from stream *name*."""
         if high < low:
             raise ValueError(f"uniform bounds reversed: [{low}, {high})")
-        return float(self.stream(name).uniform(low, high))
+        # The draw ``Generator.uniform(low, high)`` makes, bit for bit, without
+        # its per-call scalar-argument handling.
+        stream = self._streams.get(name) or self.stream(name)
+        return float(low + (high - low) * stream.random())
 
     def exponential(self, name: str, mean: float) -> float:
         """Draw one exponential sample with the given *mean* from stream *name*."""

@@ -37,6 +37,8 @@ def require_type(value: Any, types: Type | tuple[Type, ...], name: str) -> Any:
 
 def require_non_negative(value: float | int, name: str) -> float | int:
     """Raise :class:`ValueError` unless ``value >= 0``."""
+    if (type(value) is float or type(value) is int) and value >= 0:
+        return value  # the common case; everything else takes the full checks
     require_type(value, (int, float), name)
     if isinstance(value, bool):
         raise TypeError(f"{name} must be a number, got bool")
@@ -47,6 +49,8 @@ def require_non_negative(value: float | int, name: str) -> float | int:
 
 def require_positive(value: float | int, name: str) -> float | int:
     """Raise :class:`ValueError` unless ``value > 0``."""
+    if (type(value) is float or type(value) is int) and value > 0:
+        return value
     require_type(value, (int, float), name)
     if isinstance(value, bool):
         raise TypeError(f"{name} must be a number, got bool")
@@ -71,6 +75,8 @@ def require_rank(rank: int, world_size: int, name: str = "rank") -> int:
     Ranks in the global address space are integers in ``[0, world_size)``,
     mirroring MPI/UPC conventions.
     """
+    if type(rank) is int and type(world_size) is int and 0 <= rank < world_size:
+        return rank
     require_type(rank, int, name)
     if isinstance(rank, bool):
         raise TypeError(f"{name} must be an int, got bool")

@@ -116,3 +116,39 @@ class TestTiming:
         table.acquire(address, 2)
         assert len(table.history()) == 2
         assert [r.requester for r in table.history()] == [0, 2]
+
+
+class TestInstruments:
+    """The table's instruments are bound on first use, never before."""
+
+    def snapshot(self, sim):
+        return sim.obs.metrics.snapshot(prefix="memory.lock")
+
+    def test_an_unused_table_adds_nothing_to_a_snapshot(self):
+        sim, _table = setup_table()
+        assert self.snapshot(sim) == {}
+
+    def test_contended_counter_appears_with_the_first_contention(self):
+        sim, table = setup_table()
+        address = GlobalAddress(1, 0)
+        first = table.acquire(address, requester=0)
+        assert sorted(self.snapshot(sim)) == [
+            "memory.lock_requests{rank=1}",
+            "memory.lock_wait_time{rank=1}",
+        ]
+        table.acquire(address, requester=2)
+        assert self.snapshot(sim)["memory.lock_contended{rank=1}"] == 1
+        sim.timeout(3.0)
+        sim.run()
+        table.release(first)
+        snapshot = self.snapshot(sim)
+        assert snapshot["memory.lock_requests{rank=1}"] == 2
+        assert snapshot["memory.lock_wait_time{rank=1}"]["count"] == 2
+        assert snapshot["memory.lock_wait_time{rank=1}"]["sum"] == 3.0
+
+    def test_bound_instruments_are_the_registrys_own(self):
+        sim, table = setup_table()
+        table.acquire(GlobalAddress(1, 0), requester=0)
+        sim.obs.reset()
+        table.acquire(GlobalAddress(1, 1), requester=0)
+        assert sim.obs.metrics.counter("memory.lock_requests", rank=1).value == 1

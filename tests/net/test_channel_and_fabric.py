@@ -1,5 +1,8 @@
 """Unit tests for FIFO channels and the fabric's accounting."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.net.channel import Channel
@@ -7,6 +10,7 @@ from repro.net.fabric import Fabric
 from repro.net.latency import ConstantLatency, UniformLatency
 from repro.net.message import Message, MessageKind
 from repro.net.topology import Topology
+from repro.net.ud_transport import UdChannel
 from repro.sim.engine import Simulator
 
 
@@ -132,3 +136,135 @@ class TestFabric:
         _sim, fabric = self.make_fabric(world_size=2)
         with pytest.raises(ValueError):
             fabric.send(MessageKind.PUT_DATA, 0, 5)
+
+
+class NegativeLatency(ConstantLatency):
+    def latency(self, message, hops=1):
+        return -1.0
+
+
+class TestStamping:
+    """Stamping fills in the two times and carries every other field over."""
+
+    #: One non-default value per field, so a dropped field shows as its default.
+    FULL = dict(
+        message_id=7, kind=MessageKind.PUT_DATA, source=0, destination=1,
+        payload="v", payload_bytes=40, send_time=-1.0, deliver_time=-1.0,
+        operation_tag="op-3", carried_clock=(1, 2, 3, 4), clock_wire_bytes=32,
+        ud_seq=9, ud_frame="sparse",
+    )
+    TIMES = {"send_time", "deliver_time"}
+
+    def assert_carried_over(self, original, stamped):
+        for field in dataclasses.fields(Message):
+            if field.name not in self.TIMES:
+                assert getattr(stamped, field.name) == getattr(original, field.name), field.name
+
+    def test_the_probe_covers_every_field_with_a_non_default(self):
+        for field in dataclasses.fields(Message):
+            assert self.FULL[field.name] != field.default, field.name
+        assert len(self.FULL) == len(dataclasses.fields(Message))
+
+    @pytest.mark.parametrize("channel_type", [Channel, UdChannel])
+    def test_transmit_keeps_every_field(self, channel_type):
+        sim = Simulator()
+        sim.timeout(5.0)
+        sim.run()
+        channel = channel_type(sim, 0, 1, ConstantLatency(base=2.0))
+        original = Message(**self.FULL)
+        _event, stamped = channel.transmit(original)
+        self.assert_carried_over(original, stamped)
+        assert (stamped.send_time, stamped.deliver_time) == (5.0, 7.0)
+
+    def test_ud_drop_keeps_every_field(self):
+        sim = Simulator()
+        original = Message(**self.FULL)
+        _event, stamped = UdChannel(sim, 0, 1, ConstantLatency()).drop(original, 8.0)
+        self.assert_carried_over(original, stamped)
+        assert (stamped.send_time, stamped.deliver_time) == (0.0, 8.0)
+
+    def test_fabric_send_keeps_the_clock_rider_on_rc_and_loopback(self):
+        sim = Simulator()
+        fabric = Fabric(sim, Topology.complete(2), ConstantLatency(base=1.0))
+        for destination in (1, 0):
+            _event, stamped = fabric.send(
+                MessageKind.PUT_DATA, 0, destination, payload_bytes=40,
+                carried_clock=(1, 2, 3, 4), clock_wire_bytes=32,
+            )
+            assert stamped.clock_wire_bytes == 32
+            assert stamped.carried_clock == (1, 2, 3, 4)
+
+    def test_fabric_messages_are_whole_and_equal_to_the_public_constructor(self):
+        sim = Simulator()
+        fabric = Fabric(sim, Topology.complete(2), ConstantLatency(base=1.0))
+        _event, stamped = fabric.send(MessageKind.NOTIFY, 0, 1, payload="x", operation_tag="t")
+        assert stamped == Message(
+            message_id=0, kind=MessageKind.NOTIFY, source=0, destination=1,
+            payload="x", payload_bytes=8, send_time=0.0, deliver_time=1.0,
+            operation_tag="t",
+        )
+        assert dataclasses.replace(stamped, ud_seq=1).ud_seq == 1
+        assert "notify #0 P0->P1" in str(stamped)
+
+    def test_transmit_never_touches_the_callers_message(self):
+        # The wall-clock micro pass transmits one message object repeatedly.
+        sim = Simulator()
+        channel = Channel(sim, 0, 1, ConstantLatency(base=1.0))
+        message = make_message()
+        event_a, first = channel.transmit(message)
+        sim.run()
+        event_b, second = channel.transmit(message)
+        assert (message.send_time, message.deliver_time) == (0.0, 0.0)
+        assert first is not message and second is not first
+        assert (first.send_time, first.deliver_time) == (0.0, 1.0)
+        assert (second.send_time, second.deliver_time) == (1.0, 2.0)
+        assert event_a.value is first and event_b._value is second
+
+    def test_messages_stay_frozen(self):
+        _event, stamped = Channel(Simulator(), 0, 1, ConstantLatency()).transmit(make_message())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stamped.deliver_time = 3.0
+
+
+class TestValidationRim:
+    """A cached channel means a validated pair; everything else is checked."""
+
+    def make_fabric(self):
+        return Fabric(Simulator(), Topology.complete(2), ConstantLatency(base=1.0))
+
+    @pytest.mark.parametrize("lookup", ["channel", "ud_channel"])
+    def test_out_of_range_pair_rejected(self, lookup):
+        with pytest.raises(ValueError):
+            getattr(self.make_fabric(), lookup)(0, 99)
+
+    @pytest.mark.parametrize("lookup", ["channel", "ud_channel"])
+    @pytest.mark.parametrize("alias", [True, 1.0, np.int64(1)])
+    def test_keys_that_hash_like_a_cached_pair_do_not_alias_it(self, lookup, alias):
+        fabric = self.make_fabric()
+        cached = getattr(fabric, lookup)(1, 0)
+        with pytest.raises(TypeError):
+            getattr(fabric, lookup)(alias, 0)
+        with pytest.raises(TypeError):
+            getattr(fabric, lookup)(0, alias)
+        assert getattr(fabric, lookup)(1, 0) is cached
+
+    def test_send_to_a_cached_pair_still_rejects_an_alias(self):
+        fabric = self.make_fabric()
+        fabric.send(MessageKind.PUT_DATA, 1, 0)
+        with pytest.raises(TypeError):
+            fabric.send(MessageKind.PUT_DATA, True, 0)
+
+    def test_negative_flight_rejected(self):
+        sim = Simulator()
+        fabric = Fabric(sim, Topology.complete(2), NegativeLatency())
+        with pytest.raises(ValueError, match="latency"):
+            fabric.send(MessageKind.PUT_DATA, 0, 1)
+
+    def test_hop_count_checked_where_the_channel_is_built(self):
+        with pytest.raises(ValueError, match="hops"):
+            Channel(Simulator(), 0, 1, ConstantLatency(), hops=-1)
+        assert Channel(Simulator(), 0, 1, ConstantLatency(), hops=0).hops == 1
+
+    def test_world_size_is_fixed_at_construction(self):
+        topology = Topology.ring(5)
+        assert topology.world_size == 5 == topology.graph.number_of_nodes()

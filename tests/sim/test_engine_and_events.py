@@ -55,6 +55,25 @@ class TestTimeouts:
         with pytest.raises(ValueError):
             sim.timeout(-1.0)
 
+    @pytest.mark.parametrize("delay", ["x", None, True])
+    def test_non_numeric_delay_rejected(self, delay):
+        sim = Simulator()
+        with pytest.raises(TypeError):
+            sim.timeout(delay)
+        assert sim.peek() == float("inf")  # nothing reached the calendar
+
+    def test_default_names_are_built_when_asked_for(self):
+        sim = Simulator()
+        assert sim.timeout(1.0).name == "Timeout(1.0)"
+        assert sim.timeout(2, name="tick").name == "tick"
+        assert sim.event().name == "Event"
+        assert sim.event(name="grant").name == "grant"
+        pair = [sim.timeout(1.0), sim.timeout(2.0)]
+        assert sim.all_of(pair).name == "AllOf(2)"
+        assert sim.any_of(iter(pair)).name == "AnyOf(2)"
+        assert sim.all_of(pair, name="both").name == "both"
+        assert "Timeout(1.0)" in repr(pair[0])
+
     def test_timeouts_cannot_be_triggered_manually(self):
         sim = Simulator()
         timeout = sim.timeout(1.0)

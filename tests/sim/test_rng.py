@@ -76,3 +76,57 @@ class TestRandomStreams:
         streams.stream("zeta")
         streams.stream("alpha")
         assert streams.names() == ["alpha", "zeta"]
+
+
+class TestUniformIsGeneratorUniform:
+    """``uniform`` is NumPy's ``Generator.uniform`` draw, bit for bit.
+
+    It computes ``low + (high - low) * random()`` itself to skip NumPy's
+    scalar-argument handling; every recorded digest depends on the two being
+    the same double, so the identity is pinned here rather than assumed.
+    """
+
+    BOUNDS = [
+        (0.5, 1.5),        # UniformLatency's defaults
+        (0.0, 0.037),      # a LogGP jitter window
+        (0.1, 10.0),
+        (1e-9, 3.3e7),
+        (-3.5, 7.25),
+        (2.0, 2.0),        # degenerate
+        (0, 1),            # ints in, float out
+    ]
+
+    @pytest.mark.parametrize("low, high", BOUNDS)
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_identical_over_ten_thousand_draws(self, seed, low, high):
+        streams = RandomStreams(seed)
+        reference = RandomStreams(seed).stream("net.latency")
+        for _ in range(10_000):
+            drawn = streams.uniform("net.latency", low, high)
+            assert type(drawn) is float
+            assert drawn == float(reference.uniform(low, high))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_identical_with_other_draws_interleaved(self, seed):
+        streams = RandomStreams(seed)
+        reference = RandomStreams(seed).stream("mixed")
+        for index in range(10_000):
+            low, high = self.BOUNDS[index % len(self.BOUNDS)]
+            assert streams.uniform("mixed", low, high) == float(reference.uniform(low, high))
+            if index % 3 == 0:
+                assert streams.integers("mixed", 0, 97) == int(reference.integers(0, 97))
+            if index % 5 == 0:
+                assert streams.exponential("mixed", 2.5) == float(reference.exponential(2.5))
+
+    def test_numpy_bounds_still_give_a_python_float(self):
+        import numpy as np
+
+        drawn = RandomStreams(0).uniform("x", np.float64(0.5), np.float64(1.5))
+        assert type(drawn) is float
+        assert drawn == float(RandomStreams(0).stream("x").uniform(0.5, 1.5))
+
+    def test_a_failed_draw_leaves_the_stream_where_it_was(self):
+        streams = RandomStreams(3)
+        with pytest.raises(ValueError):
+            streams.uniform("x", 3.0, 2.0)
+        assert streams.uniform("x", 0.0, 1.0) == RandomStreams(3).uniform("x", 0.0, 1.0)
