@@ -495,12 +495,15 @@ class ScheduleController:
         earlier delivery in the set, so per-channel FIFO survives any
         choice — and lets the strategy pick among those.
         """
-        top_time = queue[0][0]
-        ready: List[Tuple[float, int, Any]] = []
+        first = heapq.heappop(queue)
+        top_time = first[0]
+        if not queue or queue[0][0] != top_time:
+            return first  # nothing else is ready at this time: no choice to make
+        ready: List[Tuple[float, int, Any]] = [first]
         while queue and queue[0][0] == top_time and len(ready) < self.max_ties:
             ready.append(heapq.heappop(queue))
         if len(ready) == 1:
-            return ready[0]
+            return first
 
         seen_channels = set()
         eligible_positions: List[int] = []

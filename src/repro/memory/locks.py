@@ -138,15 +138,17 @@ class MemoryLockTable:
         # The request→grant interval as a span on the owner's NIC track —
         # zero-length for uncontended grants, the Figure 3 serialization
         # otherwise.
-        self._obs.spans.complete(
-            f"nic-P{self._rank}",
-            "lock_wait",
-            request.queued_at,
-            request.granted_at,
-            address=str(request.address),
-            requester=f"P{request.requester}",
-            purpose=request.purpose,
-        )
+        spans = self._obs.spans
+        if spans.enabled:
+            spans.complete(
+                f"nic-P{self._rank}",
+                "lock_wait",
+                request.queued_at,
+                request.granted_at,
+                address=str(request.address),
+                requester=f"P{request.requester}",
+                purpose=request.purpose,
+            )
 
     # -- release ----------------------------------------------------------------
 

@@ -8,6 +8,13 @@ the general-purpose access clock ``V`` and the write clock ``W`` (paper,
 Section IV-A), along with simple access counters used by the overhead
 benchmarks (experiment E11).
 
+The array is stored sparsely: a cell object exists from the first time its
+address is touched (``cell`` / ``read`` / ``write`` / ``peek``) and is the
+same object from then on.  An untouched cell is indistinguishable from a
+fresh ``MemoryCell()`` — no value, no clocks, zero counters — so building a
+segment costs nothing per cell and the accounting methods visit only the
+cells a run actually used.
+
 The clocks are stored *with the data they protect*, on the rank that owns the
 data — exactly as the paper prescribes ("a clock must be used for each shared
 piece of data", Section V-A) — and are read/updated remotely by the NIC during
@@ -61,7 +68,8 @@ class PublicMemory:
         require_positive(size, "size")
         self._rank = rank
         self._size = size
-        self._cells: List[MemoryCell] = [MemoryCell() for _ in range(size)]
+        #: offset -> cell, for the offsets touched so far.
+        self._cells: Dict[int, MemoryCell] = {}
         self._regions: Dict[str, MemoryRegion] = {}
         self._next_free = 0
 
@@ -141,7 +149,11 @@ class PublicMemory:
 
     def cell(self, address: GlobalAddress) -> MemoryCell:
         """Return the cell object at *address* (metadata included)."""
-        return self._cells[self._check_address(address)]
+        offset = self._check_address(address)
+        cell = self._cells.get(offset)
+        if cell is None:
+            cell = self._cells[offset] = MemoryCell()
+        return cell
 
     def read(self, address: GlobalAddress) -> Any:
         """Read the value stored at *address* and bump the read counter."""
@@ -164,11 +176,11 @@ class PublicMemory:
 
     def total_reads(self) -> int:
         """Sum of read counters over all cells."""
-        return sum(c.read_count for c in self._cells)
+        return sum(c.read_count for c in self._cells.values())
 
     def total_writes(self) -> int:
         """Sum of write counters over all cells."""
-        return sum(c.write_count for c in self._cells)
+        return sum(c.write_count for c in self._cells.values())
 
     def clock_storage_entries(self) -> int:
         """Total number of vector-clock entries held by this segment.
@@ -177,11 +189,14 @@ class PublicMemory:
         about: clock storage grows with the number of shared data and with
         the number of processes.
         """
-        return sum(c.clock_storage_entries() for c in self._cells)
+        return sum(c.clock_storage_entries() for c in self._cells.values())
 
     def snapshot_values(self) -> List[Any]:
         """Return the raw values of every cell (for whole-memory assertions)."""
-        return [c.value for c in self._cells]
+        values: List[Any] = [None] * self._size
+        for offset, cell in self._cells.items():
+            values[offset] = cell.value
+        return values
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

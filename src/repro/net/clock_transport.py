@@ -72,11 +72,12 @@ from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
 from repro.core.detector import DualClockRaceDetector
 from repro.net.message import MessageKind
+from repro.obs.metrics import Counter, MetricsRegistry, family_keys
+from repro.obs.observability import Observability
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.clocks import VectorClock
     from repro.net.nic import NIC
-    from repro.obs.metrics import MetricsRegistry
 
 #: Legal values of the ``clock_transport`` knob.
 CLOCK_TRANSPORT_MODES = ("roundtrip", "piggyback")
@@ -374,20 +375,23 @@ CLOCK_TRANSPORT_FIELDS = (
     "ud_stale_frames",
 )
 
+#: The fields' counter names, in field order.
+_COUNTER_NAMES = tuple(f"clock_transport.{name}" for name in CLOCK_TRANSPORT_FIELDS)
+
 
 def _transport_field(name: str) -> property:
     """A field of :class:`ClockTransportStats` backed by a registry counter.
 
-    Both halves matter: call sites *increment* fields in place
-    (``stats.round_trips += 1``), and ``merge`` read-modify-writes them — so
+    Call sites *increment* fields in place (``stats.round_trips += 1``), so
     each field is a getter/setter pair over the counter's value.
     """
+    index = CLOCK_TRANSPORT_FIELDS.index(name)
 
     def getter(self: "ClockTransportStats") -> int:
-        return self._counters[name].value
+        return self._counters[index].value
 
     def setter(self: "ClockTransportStats", value: int) -> None:
-        self._counters[name].value = value
+        self._counters[index].value = value
 
     return property(getter, setter, doc=f"Registry-backed ``{name}`` count.")
 
@@ -399,25 +403,24 @@ class ClockTransportStats:
     ``clock_transport.<field>`` counter (labelled ``rank=<rank>`` when owned
     by a NIC's transport), so ``RunResult.metrics`` and this object can never
     disagree.  Constructed bare — e.g. for whole-machine totals built with
-    :meth:`merge` — it owns a private registry.
+    :meth:`merge` — its counters belong to no registry.
     """
 
     __slots__ = ("_counters",)
 
     def __init__(
         self,
-        registry: Optional["MetricsRegistry"] = None,
+        registry: Optional[MetricsRegistry] = None,
         rank: Optional[int] = None,
     ) -> None:
-        if registry is None:
-            from repro.obs.metrics import MetricsRegistry
-
-            registry = MetricsRegistry()
         labels = {} if rank is None else {"rank": rank}
-        self._counters = {
-            name: registry.counter(f"clock_transport.{name}", **labels)
-            for name in CLOCK_TRANSPORT_FIELDS
-        }
+        keys = family_keys(_COUNTER_NAMES, **labels)
+        #: One counter per field, in :data:`CLOCK_TRANSPORT_FIELDS` order.
+        self._counters = (
+            [Counter(*key) for key in keys]
+            if registry is None
+            else registry.counter_family(keys)
+        )
 
     round_trips = _transport_field("round_trips")
     piggybacked_messages = _transport_field("piggybacked_messages")
@@ -440,13 +443,16 @@ class ClockTransportStats:
 
     def merge(self, other: "ClockTransportStats") -> "ClockTransportStats":
         """Accumulate *other* into this record (whole-machine totals)."""
-        for name in CLOCK_TRANSPORT_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for mine, theirs in zip(self._counters, other._counters):
+            mine.value += theirs.value
         return self
 
     def as_dict(self) -> Dict[str, int]:
         """Flat dictionary for reports and the benchmark JSON."""
-        return {name: getattr(self, name) for name in CLOCK_TRANSPORT_FIELDS}
+        return {
+            name: counter.value
+            for name, counter in zip(CLOCK_TRANSPORT_FIELDS, self._counters)
+        }
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClockTransportStats):
@@ -471,8 +477,6 @@ class ClockTransport:
     """
 
     def __init__(self, nic: "NIC") -> None:
-        from repro.obs.observability import Observability
-
         self._nic = nic
         self.stats = ClockTransportStats(
             registry=Observability.of(nic._sim).metrics, rank=nic.rank
@@ -488,7 +492,11 @@ class ClockTransport:
     @property
     def mode(self) -> str:
         """The active transport mode (``"roundtrip"`` or ``"piggyback"``)."""
-        return validate_clock_transport(self._nic.config.clock_transport)
+        mode = self._nic.config.clock_transport
+        if mode in CLOCK_TRANSPORT_MODES:
+            return mode
+        # A bare illegal ``NICConfig`` assignment: raise at first use.
+        return validate_clock_transport(mode)
 
     @property
     def piggyback(self) -> bool:
@@ -498,7 +506,10 @@ class ClockTransport:
     @property
     def wire_format(self) -> str:
         """The active clock wire format (``full``/``delta``/``truncated``)."""
-        return validate_clock_wire(self._nic.config.clock_wire)
+        wire_format = self._nic.config.clock_wire
+        if wire_format in CLOCK_WIRE_FORMATS:
+            return wire_format
+        return validate_clock_wire(wire_format)
 
     def _active(self) -> bool:
         detector = self._nic.detector
@@ -693,11 +704,13 @@ class ClockTransport:
         )
         yield reply
         self.stats.round_trips += 1
-        self._nic._obs.spans.complete(
-            self._nic.engine_track, "clock_sync", sync_started,
-            self._nic._sim.now, target=f"P{target_rank}",
-            update_bytes=update_bytes,
-        )
+        spans = self._nic._obs.spans
+        if spans.enabled:
+            spans.complete(
+                self._nic.engine_track, "clock_sync", sync_started,
+                self._nic._sim.now, target=f"P{target_rank}",
+                update_bytes=update_bytes,
+            )
         return 2, update_bytes
 
     # -- retirement joins and completion events ------------------------------------------

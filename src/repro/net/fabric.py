@@ -18,7 +18,7 @@ from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.message import Message, MessageKind
 from repro.net.topology import Topology
 from repro.net.ud_transport import UdChannel
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry, family_keys
 from repro.obs.observability import Observability
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
@@ -36,6 +36,19 @@ _CATEGORY_OF = {
     for kind in MessageKind
 }
 
+#: The registry keys of FabricStats' counter family: messages per category,
+#: bytes per category, messages per kind.
+_FAMILY = tuple(
+    key
+    for name, label, values in (
+        ("fabric.messages", "category", _CATEGORIES),
+        ("fabric.bytes", "category", _CATEGORIES),
+        ("fabric.messages_by_kind", "kind", [kind.value for kind in MessageKind]),
+    )
+    for value in values
+    for key in family_keys((name,), **{label: value})
+)
+
 #: Loopback delivery-event names, one constant per kind.
 _LOCAL = {kind: f"local:{kind.value}" for kind in MessageKind}
 
@@ -48,25 +61,21 @@ class FabricStats:
     counters, and the historical attribute surface (``data_messages``,
     ``detection_bytes``, ...) reads straight through to them — one source of
     truth whichever spelling a caller uses.  Constructed without a registry
-    (tests, ad-hoc accounting) it owns a private one.
+    (tests, ad-hoc accounting) its counters belong to none.
     """
 
     __slots__ = ("_messages", "_bytes", "_by_kind", "_rows")
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        registry = registry if registry is not None else MetricsRegistry()
-        self._messages = {
-            category: registry.counter("fabric.messages", category=category)
-            for category in _CATEGORIES
-        }
-        self._bytes = {
-            category: registry.counter("fabric.bytes", category=category)
-            for category in _CATEGORIES
-        }
-        self._by_kind = {
-            kind: registry.counter("fabric.messages_by_kind", kind=kind.value)
-            for kind in MessageKind
-        }
+        family = (
+            [Counter(*key) for key in _FAMILY]
+            if registry is None
+            else registry.counter_family(_FAMILY)
+        )
+        n = len(_CATEGORIES)
+        self._messages = dict(zip(_CATEGORIES, family[:n]))
+        self._bytes = dict(zip(_CATEGORIES, family[n : 2 * n]))
+        self._by_kind = dict(zip(MessageKind, family[2 * n :]))
         #: kind -> the three counters one message of that kind increments.
         self._rows = {
             kind: (self._messages[category], self._bytes[category], self._by_kind[kind])

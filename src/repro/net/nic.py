@@ -57,6 +57,7 @@ from repro.net.clock_transport import WIRE_TAG_BYTES, ClockTransport
 from repro.net.fabric import Fabric
 from repro.net.message import MessageKind
 from repro.net.ud_transport import UdDeliveryExceeded, UdEndpoint, validate_transport
+from repro.obs.metrics import family_keys
 from repro.obs.observability import Observability
 from repro.sim.engine import Simulator
 from repro.util.ids import IdAllocator
@@ -78,6 +79,8 @@ NIC_COUNTER_FIELDS = (
     "remote_ops_serviced",
     "rnr_retries",
 )
+
+_NIC_COUNTER_NAMES = tuple(f"nic.{name}" for name in NIC_COUNTER_FIELDS)
 
 
 def _nic_counter(name: str) -> property:
@@ -277,10 +280,10 @@ class NIC:
         #: Observability bundle shared by everything on this simulator; the
         #: issue/service tallies live in its metrics registry.
         self._obs = Observability.of(sim)
-        self._counters = {
-            name: self._obs.metrics.counter(f"nic.{name}", rank=rank)
-            for name in NIC_COUNTER_FIELDS
-        }
+        tallies = self._obs.metrics.counter_family(
+            family_keys(_NIC_COUNTER_NAMES, rank=rank)
+        )
+        self._counters = dict(zip(NIC_COUNTER_FIELDS, tallies))
         #: The clock-transport policy (roundtrip vs piggyback) shared by every
         #: instrumented path through this NIC.
         self.clock_transport = ClockTransport(self)
@@ -647,10 +650,12 @@ class NIC:
         self._record(AccessKind.WRITE, target, value, symbol, "put")
 
         self._release_lock(target_nic, lock_request, tag)
-        self._obs.spans.complete(
-            self.engine_track, "put", start, self._sim.now,
-            target=f"P{target.rank}",
-        )
+        spans = self._obs.spans
+        if spans.enabled:
+            spans.complete(
+                self.engine_track, "put", start, self._sim.now,
+                target=f"P{target.rank}",
+            )
         return RemoteOperationResult(
             operation="put",
             origin=self.rank,
@@ -740,10 +745,12 @@ class NIC:
             data_messages += sent
 
         self._release_lock(target_nic, lock_request, tag)
-        self._obs.spans.complete(
-            self.engine_track, "get", start, self._sim.now,
-            target=f"P{target.rank}",
-        )
+        spans = self._obs.spans
+        if spans.enabled:
+            spans.complete(
+                self.engine_track, "get", start, self._sim.now,
+                target=f"P{target.rank}",
+            )
         return RemoteOperationResult(
             operation="get",
             origin=self.rank,
@@ -896,10 +903,12 @@ class NIC:
             data_messages += sent
 
         self._release_lock(target_nic, lock_request, tag)
-        self._obs.spans.complete(
-            self.engine_track, operation, start, self._sim.now,
-            target=f"P{target.rank}",
-        )
+        spans = self._obs.spans
+        if spans.enabled:
+            spans.complete(
+                self.engine_track, operation, start, self._sim.now,
+                target=f"P{target.rank}",
+            )
         return RemoteOperationResult(
             operation=operation,
             origin=self.rank,
@@ -1131,10 +1140,12 @@ class NIC:
             if recv_wr.addresses
             else GlobalAddress(destination, 0)
         )
-        self._obs.spans.complete(
-            self.engine_track, "send", start, self._sim.now,
-            target=f"P{destination}", cells=len(values), retries=retries,
-        )
+        spans = self._obs.spans
+        if spans.enabled:
+            spans.complete(
+                self.engine_track, "send", start, self._sim.now,
+                target=f"P{destination}", cells=len(values), retries=retries,
+            )
         result = RemoteOperationResult(
             operation="send",
             origin=self.rank,

@@ -30,7 +30,7 @@ byte-identical with it on or off.
 """
 
 from repro.obs.critical_path import CriticalPath, CriticalPathAnalyzer, PathSegment
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, family_keys
 from repro.obs.observability import Observability
 from repro.obs.profiler import DetectionProfiler
 from repro.obs.spans import SpanTracer
@@ -48,4 +48,5 @@ __all__ = [
     "PathSegment",
     "SpanTracer",
     "WhatIfEngine",
+    "family_keys",
 ]

@@ -14,6 +14,9 @@ Design constraints, in priority order:
   produce byte-identical snapshots.
 * **Cheapness.**  Instruments are memoized by ``(name, labels)``; the hot path
   is one dict hit plus an integer add.  No wall-clock, no locks, no I/O.
+  A stats view that owns a whole family of counters registers it in one pass
+  (:func:`family_keys` + :meth:`MetricsRegistry.counter_family`), and the
+  snapshot key text of an instrument is formatted once per process.
 * **Zero behavioural footprint.**  Nothing in here touches simulation clocks,
   scheduling order, or randomness — metrics on/off cannot change verdicts.
 
@@ -45,11 +48,48 @@ BUCKET_LAYOUTS: Dict[str, Tuple[float, ...]] = {
 }
 
 
-def _label_suffix(labels: Sequence[Tuple[str, str]]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f"{key}={value}" for key, value in labels)
-    return "{" + inner + "}"
+#: Canonical form of a label set: ``(key, str(value))`` pairs sorted by key.
+LabelKey = Tuple[Tuple[str, str], ...]
+#: What a registry memoizes an instrument under.
+InstrumentKey = Tuple[str, LabelKey]
+
+
+def _label_key(labels: Dict[str, object]) -> LabelKey:
+    if len(labels) > 1:
+        return tuple(sorted((key, str(value)) for key, value in labels.items()))
+    for key, value in labels.items():
+        return ((key, str(value)),)
+    return ()
+
+
+def family_keys(names: Sequence[str], **labels: object) -> Tuple[InstrumentKey, ...]:
+    """One registry key per name in *names*, all carrying *labels*.
+
+    For :meth:`MetricsRegistry.counter_family`.  A family whose labels are
+    fixed builds its keys once, at import; a per-rank family calls this per
+    instance and still canonicalizes its labels once, not once per counter.
+    """
+    label_key = _label_key(labels)
+    return tuple([(name, label_key) for name in names])
+
+
+class _KeyText(dict):
+    """``(name, labels)`` -> snapshot key text ``name{label=value,...}``.
+
+    Process-wide: the text depends on nothing else, and every run of a
+    campaign asks for the same few hundred, so each is formatted once.
+    """
+
+    def __missing__(self, key: InstrumentKey) -> str:
+        name, labels = key
+        text = name
+        if labels:
+            text += "{" + ",".join(f"{label}={value}" for label, value in labels) + "}"
+        self[key] = text
+        return text
+
+
+_KEY_TEXT = _KeyText()
 
 
 class Counter:
@@ -60,21 +100,18 @@ class Counter:
     directly, and ``merge`` needs read-modify-write.
     """
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "key", "value")
 
     def __init__(self, name: str, labels: Sequence[Tuple[str, str]] = ()) -> None:
         self.name = name
         self.labels = tuple(labels)
+        #: Snapshot key: ``name{label=value,...}``.
+        self.key = _KEY_TEXT[name, self.labels]
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
         """Add *amount* (default 1)."""
         self.value += amount
-
-    @property
-    def key(self) -> str:
-        """Snapshot key: ``name{label=value,...}``."""
-        return self.name + _label_suffix(self.labels)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Counter {self.key}={self.value}>"
@@ -83,11 +120,12 @@ class Counter:
 class Gauge:
     """A value that can go up and down (queue depth, outstanding requests)."""
 
-    __slots__ = ("name", "labels", "value", "high_watermark")
+    __slots__ = ("name", "labels", "key", "value", "high_watermark")
 
     def __init__(self, name: str, labels: Sequence[Tuple[str, str]] = ()) -> None:
         self.name = name
         self.labels = tuple(labels)
+        self.key = _KEY_TEXT[name, self.labels]
         self.value = 0
         self.high_watermark = 0
 
@@ -103,10 +141,6 @@ class Gauge:
     def dec(self, amount: int = 1) -> None:
         self.value -= amount
 
-    @property
-    def key(self) -> str:
-        return self.name + _label_suffix(self.labels)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Gauge {self.key}={self.value} high={self.high_watermark}>"
 
@@ -118,7 +152,7 @@ class Histogram:
     values above the last bound land in the implicit overflow bucket.
     """
 
-    __slots__ = ("name", "labels", "bounds", "bucket_counts", "count", "total")
+    __slots__ = ("name", "labels", "key", "bounds", "bucket_counts", "count", "total")
 
     def __init__(
         self,
@@ -128,6 +162,7 @@ class Histogram:
     ) -> None:
         self.name = name
         self.labels = tuple(labels)
+        self.key = _KEY_TEXT[name, self.labels]
         self.bounds: Tuple[float, ...] = BUCKET_LAYOUTS[layout]
         self.bucket_counts: List[int] = [0] * (len(self.bounds) + 1)
         self.count = 0
@@ -170,10 +205,6 @@ class Histogram:
                 return lower + (upper - lower) * fraction
         return self.bounds[-1]
 
-    @property
-    def key(self) -> str:
-        return self.name + _label_suffix(self.labels)
-
     def as_dict(self) -> Dict[str, object]:
         """Deterministic flat summary of this histogram."""
         buckets: Dict[str, int] = {}
@@ -190,15 +221,13 @@ class MetricsRegistry:
     """Memoizing factory and snapshot point for all instruments."""
 
     def __init__(self) -> None:
-        self._counters: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], Counter] = {}
-        self._gauges: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], Gauge] = {}
-        self._histograms: Dict[
-            Tuple[str, Tuple[Tuple[str, str], ...]], Histogram
-        ] = {}
+        self._counters: Dict[InstrumentKey, Counter] = {}
+        self._gauges: Dict[InstrumentKey, Gauge] = {}
+        self._histograms: Dict[InstrumentKey, Histogram] = {}
 
     @staticmethod
-    def _key(name: str, labels: Dict[str, object]) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
-        return name, tuple(sorted((k, str(v)) for k, v in labels.items()))
+    def _key(name: str, labels: Dict[str, object]) -> InstrumentKey:
+        return name, _label_key(labels)
 
     def counter(self, name: str, **labels: object) -> Counter:
         """The counter for ``name`` + *labels*, created on first use."""
@@ -207,6 +236,21 @@ class MetricsRegistry:
         if instrument is None:
             instrument = self._counters[key] = Counter(name, key[1])
         return instrument
+
+    def counter_family(self, keys: Iterable[InstrumentKey]) -> List[Counter]:
+        """The counters for *keys* (see :func:`family_keys`), in order.
+
+        What ``[self.counter(name, **labels) for ...]`` returns — the very
+        same objects — without canonicalizing the labels per counter.
+        """
+        counters = self._counters
+        family = []
+        for key in keys:
+            instrument = counters.get(key)
+            if instrument is None:
+                instrument = counters[key] = Counter(*key)
+            family.append(instrument)
+        return family
 
     def gauge(self, name: str, **labels: object) -> Gauge:
         """The gauge for ``name`` + *labels*, created on first use."""

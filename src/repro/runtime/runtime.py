@@ -10,6 +10,7 @@ and overhead statistics, and the final contents of shared memory.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Union
 
@@ -420,6 +421,17 @@ class DSMRuntime:
                     f"topology covers {spec.world_size} ranks but world_size={world_size}"
                 )
             return spec
+        return DSMRuntime._named_topology(spec, world_size)
+
+    @staticmethod
+    @functools.lru_cache(maxsize=32, typed=True)
+    def _named_topology(spec: str, world_size: int) -> Topology:
+        """The built-in topology *spec* names, over *world_size* ranks.
+
+        A :class:`Topology` is immutable, so one per ``(spec, world_size)``
+        serves every runtime of the process: a campaign builds its graph (and
+        checks it for connectivity) once, not once per schedule.
+        """
         name = spec.lower()
         if name == "complete":
             return Topology.complete(world_size)

@@ -188,7 +188,9 @@ class Simulator:
     ) -> float:
         """Run until the calendar is empty, *until* is reached, or *max_events*.
 
-        Returns the simulated time at which the run stopped.  If any process
+        Returns the simulated time at which the run stopped; an *until*
+        earlier than ``now`` processes nothing and leaves the clock where it
+        is (simulated time never moves backwards).  If any process
         raised an unhandled exception and *raise_process_errors* is true, the
         first such exception is re-raised after the loop stops (so an error in
         rank 3's program fails the test that launched it).
@@ -197,7 +199,8 @@ class Simulator:
         queue, step = self._queue, self.step
         while queue:
             if until is not None and queue[0][0] > until:
-                self._now = until
+                if until > self._now:  # an *until* already in the past moves nothing
+                    self._now = until
                 break
             if max_events is not None and processed >= max_events:
                 break

@@ -5,6 +5,10 @@ once for the exact-type in-range case and fall through to the original body
 for everything else.  The ``reference_*`` functions below are that original
 body, verbatim from before the fast paths existed; the properties compare
 return value (identity included), exception type and exception text.
+
+``ClockTransport.mode`` / ``wire_format`` follow the same idiom over
+``validate_clock_transport`` / ``validate_clock_wire``, which are unchanged
+and so serve as their own reference.
 """
 
 import math
@@ -13,6 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import DSMRuntime, RuntimeConfig
+from repro.net.clock_transport import (
+    CLOCK_TRANSPORT_MODES,
+    CLOCK_WIRE_FORMATS,
+    validate_clock_transport,
+    validate_clock_wire,
+)
 from repro.util.validation import (
     require_non_negative,
     require_positive,
@@ -135,3 +146,53 @@ class TestRequireParity:
         assert math.isnan(require_non_negative(math.nan, "x"))
         assert math.isnan(require_positive(math.nan, "x"))
         assert math.copysign(1.0, require_non_negative(-0.0, "x")) == -1.0
+
+
+class StrSubclass(str):
+    """Equal to a legal value without being that exact object or type."""
+
+
+#: What a bare ``NICConfig`` assignment might leave behind.
+knob_values = st.one_of(
+    st.sampled_from(CLOCK_TRANSPORT_MODES + CLOCK_WIRE_FORMATS),
+    st.sampled_from(CLOCK_TRANSPORT_MODES + CLOCK_WIRE_FORMATS).map(StrSubclass),
+    st.sampled_from(["Roundtrip", "piggy", "FULL", "", "sparse"]),
+    st.text(max_size=4),
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.just(b"full"),
+    st.just(["full"]),
+    st.just(("roundtrip", "piggyback")),
+)
+
+
+class TestKnobReadParity:
+    """Every read of the transport's knobs checks them, legal or not."""
+
+    @pytest.fixture(scope="class")
+    def runtime(self):
+        return DSMRuntime(RuntimeConfig(world_size=2))
+
+    @given(knob_values)
+    @settings(max_examples=200, deadline=None)
+    def test_mode(self, runtime, value):
+        transport = runtime.nics[1].clock_transport
+        runtime.config.nic.clock_transport = value  # bare: no set_knob, no check
+        assert_same_outcome(lambda _: transport.mode, validate_clock_transport, value)
+
+    @given(knob_values)
+    @settings(max_examples=200, deadline=None)
+    def test_wire_format(self, runtime, value):
+        transport = runtime.nics[1].clock_transport
+        runtime.config.nic.clock_wire = value
+        assert_same_outcome(lambda _: transport.wire_format, validate_clock_wire, value)
+
+    def test_an_illegal_bare_assignment_raises_at_first_use_with_the_validators_text(self):
+        runtime = DSMRuntime(RuntimeConfig(world_size=2))
+        runtime.config.nic.clock_transport = "carrier-pigeon"
+        with pytest.raises(ValueError, match="clock_transport must be one of .*'carrier-pigeon'"):
+            runtime.nics[0].clock_transport.piggyback
+        runtime.config.nic.clock_wire = "morse"
+        with pytest.raises(ValueError, match="clock_wire must be one of .*'morse'"):
+            runtime.nics[0].clock_transport.wire_format

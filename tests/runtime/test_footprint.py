@@ -1,0 +1,225 @@
+"""A runtime's footprint, guarded by count rather than by time.
+
+Building, running and collecting a schedule should cost what the schedule
+touches.  Host time is too noisy to assert on, so these tests count the
+things the time is spent on: ``MemoryCell`` objects built, instruments in the
+metric snapshot, topologies constructed.
+
+``golden_metric_keys.json`` holds, per corpus pattern, the sorted key list of
+``RunResult.metrics`` (zero-valued counters included) as recorded before the
+stats views registered their counters in one pass; per-rank families are
+written once, ``name{rank=0,1,2}``.  Regenerate it with::
+
+    PYTHONPATH=src python tests/runtime/test_footprint.py > tests/runtime/golden_metric_keys.json
+"""
+
+import json
+import os
+import re
+import sys
+
+import pytest
+
+import repro.memory.public as public_module
+from repro import DSMRuntime, RuntimeConfig
+from repro.memory.public import MemoryCell
+from repro.net.clock_transport import CLOCK_TRANSPORT_FIELDS, ClockTransportStats
+from repro.net.fabric import FabricStats
+from repro.net.message import MessageKind
+from repro.net.nic import NIC_COUNTER_FIELDS
+from repro.net.topology import Topology
+from repro.obs.metrics import MetricsRegistry, family_keys
+from repro.workloads import pattern_corpus
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_metric_keys.json")
+PATTERNS = {pattern.name: pattern for pattern in pattern_corpus()}
+
+_RANK_KEY = re.compile(r"^(.*)\{rank=([0-9,]+)\}$")
+
+
+def collapse(keys):
+    """Write each per-rank family once: ``name{rank=0,1,2}``."""
+    ranks, out = {}, []
+    for key in keys:
+        match = _RANK_KEY.match(key)
+        if match is None:
+            out.append(key)
+        else:
+            ranks.setdefault(match.group(1), []).append(match.group(2))
+    out += [f"{name}{{rank={','.join(found)}}}" for name, found in ranks.items()]
+    return sorted(out)
+
+
+@pytest.fixture
+def cells_built(monkeypatch):
+    """Counts every ``MemoryCell`` a ``PublicMemory`` constructs."""
+    built = []
+
+    class CountedCell(MemoryCell):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(public_module, "MemoryCell", CountedCell)
+    return built
+
+
+class TestCellsMaterialiseOnFirstTouch:
+    def test_construction_builds_no_cell(self, cells_built):
+        runtime = DSMRuntime(RuntimeConfig(world_size=4))
+        assert cells_built == []
+        assert [memory.size for memory in runtime.public_memories] == [256] * 4
+
+    @pytest.mark.parametrize("name", PATTERNS)
+    def test_a_run_builds_the_cells_its_trace_and_symbols_name(self, name, cells_built):
+        runtime = PATTERNS[name].build(0)
+        result = runtime.run()
+        named = {access.address for access in runtime.recorder.accesses()}
+        for symbol in runtime.directory.symbols():
+            named.update(
+                runtime.directory.resolve(symbol.name, index)
+                for index in range(symbol.length)
+            )
+        assert len(cells_built) == len(named)
+        # ...and they are the cells at exactly those addresses: asking for
+        # each by address finds one already built and builds none.
+        assert {id(cell) for cell in cells_built} == {
+            id(runtime.public_memories[address.rank].cell(address)) for address in named
+        }
+        assert len(cells_built) == len(named)
+        # The accounting visits them only, and still sees everything.
+        reads = sum(memory.total_reads() for memory in runtime.public_memories)
+        assert reads == sum(
+            1 for access in runtime.recorder.accesses() if access.kind.is_read
+        )
+        assert result.clock_storage_entries == runtime.detector.clock_storage_entries() + sum(
+            cell.clock_storage_entries() for cell in cells_built
+        )
+
+
+class TestSnapshotKeySet:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(GOLDEN) as handle:
+            return json.load(handle)
+
+    def test_the_golden_file_covers_the_corpus(self, golden):
+        assert sorted(golden) == sorted(PATTERNS)
+
+    @pytest.mark.parametrize("name", PATTERNS)
+    def test_metrics_keys_equal_the_golden_list(self, name, golden):
+        result = PATTERNS[name].build(0).run()
+        keys = sorted(result.metrics)
+        assert list(result.metrics) == keys
+        assert collapse(keys) == golden[name]
+
+    def test_a_family_registration_returns_the_registrys_own_counters(self):
+        registry = MetricsRegistry()
+        names = ("nic.puts_issued", "nic.gets_issued")
+        family = registry.counter_family(family_keys(names, rank=3))
+        assert [counter.key for counter in family] == [
+            "nic.puts_issued{rank=3}", "nic.gets_issued{rank=3}",
+        ]
+        for name, counter in zip(names, family):
+            assert counter is registry.counter(name, rank=3)
+        assert registry.counter_family(family_keys(names, rank=3)) == family
+        # Labels are canonical however they are spelled.
+        assert family_keys(("x",), b=1, a="2") == (("x", (("a", "2"), ("b", "1"))),)
+        assert registry.counter_family(family_keys(("x",), b=1, a="2")) == [
+            registry.counter("x", a=2, b="1")
+        ]
+        assert family_keys(("x",)) == (("x", ()),)
+
+    def test_the_three_stats_views_hold_the_registrys_own_counters(self):
+        runtime = DSMRuntime(RuntimeConfig(world_size=3))
+        registry = runtime.sim.obs.metrics
+        before = len(list(registry.instruments()))
+        stats = runtime.fabric.stats
+        for category in ("data", "lock", "detection", "other"):
+            assert stats._messages[category] is registry.counter(
+                "fabric.messages", category=category
+            )
+            assert stats._bytes[category] is registry.counter(
+                "fabric.bytes", category=category
+            )
+        for kind in MessageKind:
+            assert stats._by_kind[kind] is registry.counter(
+                "fabric.messages_by_kind", kind=kind.value
+            )
+        for nic in runtime.nics:
+            for field in NIC_COUNTER_FIELDS:
+                assert nic._counters[field] is registry.counter(
+                    f"nic.{field}", rank=nic.rank
+                )
+            transport = nic.clock_transport.stats
+            for field, counter in zip(CLOCK_TRANSPORT_FIELDS, transport._counters):
+                assert counter is registry.counter(
+                    f"clock_transport.{field}", rank=nic.rank
+                )
+        # Every lookup above found its instrument: none was created by asking.
+        assert len(list(registry.instruments())) == before
+
+    def test_bare_views_and_run_totals_touch_no_registry(self):
+        runtime = DSMRuntime(RuntimeConfig(world_size=3))
+        registry = runtime.sim.obs.metrics
+        before = registry.snapshot()
+        runtime.nics[1].clock_transport.stats.round_trips += 2
+        runtime.nics[2].clock_transport.stats.round_trips += 3
+        total = runtime.clock_transport_stats()
+        assert total.round_trips == 5
+        assert total.as_dict() == {
+            field: 5 if field == "round_trips" else 0 for field in CLOCK_TRANSPORT_FIELDS
+        }
+        total.round_trips += 1  # a total is a copy, not a view
+        assert runtime.clock_transport_stats().round_trips == 5
+        after = registry.snapshot()
+        assert set(after) == set(before)
+        assert ClockTransportStats() == ClockTransportStats()
+        assert FabricStats() == FabricStats()
+
+
+class TestTopologyReuse:
+    @pytest.mark.parametrize("name, world_size", [
+        ("complete", 4), ("ring", 5), ("star", 4), ("mesh", 6), ("torus", 9), ("hypercube", 8),
+    ])
+    def test_runtimes_share_one_topology_with_a_fresh_ones_hops(self, name, world_size):
+        first = DSMRuntime(RuntimeConfig(world_size=world_size, topology=name))
+        second = DSMRuntime(RuntimeConfig(world_size=world_size, topology=name))
+        assert first.topology is second.topology
+        fresh = DSMRuntime._named_topology.__wrapped__(name, world_size)
+        assert fresh is not first.topology and fresh.name == first.topology.name
+        for source in range(world_size):
+            for destination in range(world_size):
+                assert first.topology.hops(source, destination) == fresh.hops(
+                    source, destination
+                )
+        other_size = DSMRuntime(RuntimeConfig(world_size=world_size * 2, topology="ring"))
+        assert other_size.topology.world_size == world_size * 2
+
+    def test_a_supplied_topology_is_used_as_is(self):
+        mine = Topology.ring(4)
+        runtime = DSMRuntime(RuntimeConfig(world_size=4, topology=mine))
+        assert runtime.topology is mine
+        assert runtime.fabric.topology is mine
+        assert DSMRuntime(RuntimeConfig(world_size=4, topology="ring")).topology is not mine
+        with pytest.raises(ValueError, match="covers 4 ranks"):
+            DSMRuntime(RuntimeConfig(world_size=3, topology=mine))
+
+    def test_errors_are_raised_every_time_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown topology 'Moebius'"):
+                DSMRuntime(RuntimeConfig(world_size=4, topology="Moebius"))
+            with pytest.raises(ValueError, match="power-of-two"):
+                DSMRuntime(RuntimeConfig(world_size=6, topology="hypercube"))
+
+
+if __name__ == "__main__":
+    json.dump(
+        {
+            name: collapse(sorted(pattern.build(0).run().metrics))
+            for name, pattern in PATTERNS.items()
+        },
+        sys.stdout,
+        indent=1,
+    )
+    sys.stdout.write("\n")

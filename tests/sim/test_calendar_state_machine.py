@@ -161,13 +161,14 @@ class CalendarMachine(RuleBasedStateMachine):
         with pytest.raises(SimulationError):
             self.sim.step()
 
-    @rule(ahead=delays)
-    def run_until(self, ahead):
-        until = self.now + ahead
+    @rule(offset=st.one_of(delays, delays.map(lambda delay: -delay)))
+    def run_until(self, offset):
+        """*until* on either side of ``now``: a past one runs and moves nothing."""
+        until = self.now + offset
         stopped = self.sim.run(until=until, raise_process_errors=False)
         while self.calendar:
             if min(self.calendar)[0] > until:
-                self.now = until
+                self.now = max(self.now, until)
                 break
             self.pop()
         assert stopped == self.now

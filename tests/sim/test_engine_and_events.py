@@ -147,6 +147,17 @@ class TestEngine:
         assert stopped == 10.0
         assert sim.now == 10.0
 
+    def test_run_until_a_past_time_does_not_move_the_clock_backwards(self):
+        sim = Simulator()
+        sim.timeout(100.0)
+        sim.run(until=6.0)
+        stopped = sim.run(until=2.0)
+        assert stopped == 6.0
+        assert sim.now == 6.0
+        # The pending event is still where it was, and time still advances.
+        assert sim.peek() == 100.0
+        assert sim.run(until=7.5) == 7.5
+
     def test_run_max_events_limits_processing(self):
         sim = Simulator()
         for _ in range(10):
