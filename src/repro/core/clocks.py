@@ -18,8 +18,11 @@ remote memory access.
 
 Validation boundary (docs/architecture.md): public constructors and methods
 validate every rank and foreign :data:`ClockLike`; arrays this module produced
-itself are wrapped by the private :meth:`VectorClock._adopt` unchecked, so
-every clock value handed out costs exactly one array copy.
+itself are wrapped by the private :func:`_adopt` unchecked, so every clock
+value handed out costs exactly one array copy.  The underscore names
+(:func:`_adopt`, ``VectorClock._entries``, ``MatrixClock._principal`` /
+``_absorb``) are for ``repro``'s own detectors, which index with ranks they
+validated on entry and read a snapshot only when someone asked for one.
 
 Charron-Bost's lower bound (Section IV-C of the paper) says vector clocks for
 ``n`` processes need at least ``n`` entries; :attr:`VectorClock.size` is that
@@ -62,6 +65,21 @@ class Epoch(NamedTuple):
     scalar: int
 
 
+_new = object.__new__
+
+
+def _adopt(entries: np.ndarray) -> "VectorClock":
+    """Trusted constructor: wrap *entries* without validating or copying.
+
+    Only for a fresh non-negative 1-D ``int64`` array that ``core`` produced
+    itself and that nothing else references (the module docstring's
+    validation boundary); everything else goes through ``VectorClock(...)``.
+    """
+    clock = _new(VectorClock)
+    clock._entries = entries
+    return clock
+
+
 class VectorClock:
     """A fixed-size vector clock over ``n`` processes.
 
@@ -96,19 +114,6 @@ class VectorClock:
         if (entries < 0).any():
             raise ValueError("vector clock entries must be non-negative")
         self._entries = entries
-
-    @classmethod
-    def _adopt(cls, entries: np.ndarray) -> "VectorClock":
-        """Trusted constructor: wrap *entries* without validating or copying.
-
-        Only for a fresh non-negative 1-D ``int64`` array that ``core``
-        produced itself and that nothing else references (the module
-        docstring's validation boundary); everything else goes through
-        ``VectorClock(...)``.
-        """
-        clock = cls.__new__(cls)
-        clock._entries = entries
-        return clock
 
     # -- construction helpers --------------------------------------------------
 
@@ -157,18 +162,22 @@ class VectorClock:
 
     def merge_in_place(self, other: ClockLike) -> "VectorClock":
         """Component-wise max with *other* (Algorithm 4), mutating ``self``."""
-        other_entries = self._coerce(other)
-        np.maximum(self._entries, other_entries, out=self._entries)
+        entries = self._entries
+        if type(other) is VectorClock and other._entries.size == entries.size:
+            other_entries = other._entries
+        else:
+            other_entries = self._coerce(other)
+        np.maximum(entries, other_entries, out=entries)
         return self
 
     def merged(self, other: ClockLike) -> "VectorClock":
         """Return a new clock equal to the component-wise max (Algorithm 4)."""
         other_entries = self._coerce(other)
-        return VectorClock._adopt(np.maximum(self._entries, other_entries))
+        return _adopt(np.maximum(self._entries, other_entries))
 
     def copy(self) -> "VectorClock":
         """Return an independent copy."""
-        return VectorClock._adopt(self._entries.copy())
+        return _adopt(self._entries.copy())
 
     # -- comparisons ---------------------------------------------------------------
 
@@ -249,13 +258,29 @@ class MatrixClock:
     the vector clock actually attached to events and compared by the detector.
     """
 
-    __slots__ = ("_rank", "_matrix")
+    __slots__ = ("_rank", "_matrix", "_principal")
 
     def __init__(self, rank: int, size: int) -> None:
         require_positive(size, "size")
         require_rank(rank, size, "rank")
+        self._attach(rank, np.zeros((size, size), dtype=np.int64))
+
+    def _attach(self, rank: int, matrix: np.ndarray) -> None:
+        """Take *matrix* as the state; the one place the row view is bound."""
         self._rank = rank
-        self._matrix = np.zeros((size, size), dtype=np.int64)
+        self._matrix = matrix
+        #: A *view* of row ``rank``: the detectors tick and merge through it
+        #: without re-indexing the matrix.  Never handed out — every public
+        #: method returns a copy.
+        self._principal = matrix[rank]
+
+    def __getstate__(self) -> Tuple[int, np.ndarray]:
+        return self._rank, self._matrix
+
+    def __setstate__(self, state: Tuple[int, np.ndarray]) -> None:
+        # Pickling or deep-copying the slots one by one would detach the
+        # view from the matrix; rebind it to the restored one.
+        self._attach(*state)
 
     @property
     def rank(self) -> int:
@@ -274,17 +299,17 @@ class MatrixClock:
 
     def local_component(self) -> int:
         """The diagonal entry ``V_Pi[i, i]``."""
-        return int(self._matrix[self._rank, self._rank])
+        return self._principal.item(self._rank)
 
     def row(self, rank: Optional[int] = None) -> VectorClock:
         """Return row *rank* (default: the principal row) as a vector clock."""
         rank = self._rank if rank is None else rank
         require_rank(rank, self.size, "rank")
-        return VectorClock._adopt(self._matrix[rank].copy())
+        return _adopt(self._matrix[rank].copy())
 
     def principal(self) -> VectorClock:
         """The owning process's own vector clock (row ``i``)."""
-        return VectorClock._adopt(self._matrix[self._rank].copy())
+        return _adopt(self._principal.copy())
 
     def tick(self) -> VectorClock:
         """``update_local_clock``: increment ``V_Pi[i, i]`` before an event.
@@ -292,8 +317,17 @@ class MatrixClock:
         Returns a copy of the principal row *after* the increment, which is the
         clock value attached to the event (Algorithms 1 and 2).
         """
-        self._matrix[self._rank, self._rank] += 1
+        self._principal[self._rank] += 1
         return self.principal()
+
+    def _absorb(self, entries: np.ndarray, source_rank: Optional[int] = None) -> None:
+        """:meth:`observe_vector` for a trusted same-size ``int64`` array and a
+        validated *source_rank*, without the snapshot."""
+        principal = self._principal
+        np.maximum(principal, entries, out=principal)
+        if source_rank is not None:
+            row = self._matrix[source_rank]
+            np.maximum(row, entries, out=row)
 
     def observe_vector(self, other: ClockLike, source_rank: Optional[int] = None) -> VectorClock:
         """Merge a received vector clock into the principal row (Algorithm 4).
@@ -311,13 +345,7 @@ class MatrixClock:
             )
         if source_rank is not None:
             require_rank(source_rank, self.size, "source_rank")
-        np.maximum(
-            self._matrix[self._rank], other_entries, out=self._matrix[self._rank]
-        )
-        if source_rank is not None:
-            np.maximum(
-                self._matrix[source_rank], other_entries, out=self._matrix[source_rank]
-            )
+        self._absorb(other_entries, source_rank)
         return self.principal()
 
     def known_lower_bound(self) -> VectorClock:
@@ -327,7 +355,7 @@ class MatrixClock:
         needed by the detection algorithm itself but is exposed for the
         analysis package and future-work experiments.
         """
-        return VectorClock._adopt(self._matrix.min(axis=0))
+        return _adopt(self._matrix.min(axis=0))
 
     def storage_entries(self) -> int:
         """Number of integer entries held (``n²``), for overhead accounting."""
@@ -335,8 +363,8 @@ class MatrixClock:
 
     def copy(self) -> "MatrixClock":
         """Return an independent copy."""
-        clone = MatrixClock(self._rank, self.size)
-        clone._matrix = self._matrix.copy()
+        clone = _new(MatrixClock)
+        clone._attach(self._rank, self._matrix.copy())
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

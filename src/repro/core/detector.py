@@ -54,11 +54,12 @@ ablations (benchmark E9): ``comparison = STRICT`` uses the literal Algorithm 3
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.clocks import Epoch, MatrixClock, VectorClock
+import numpy as np
+
+from repro.core.clocks import Epoch, MatrixClock, VectorClock, _adopt
 from repro.core.comparator import compare_clocks, compare_clocks_strict
 from repro.core.races import RaceRecord, RaceReport, SignalPolicy
 from repro.memory.address import GlobalAddress
@@ -67,10 +68,42 @@ from repro.memory.public import MemoryCell
 from repro.obs.profiler import DetectionProfiler
 from repro.util.validation import require_positive, require_rank
 
+_maximum = np.maximum
 
-def _entry(clock: VectorClock, rank: int) -> int:
-    """``clock.component(rank)`` for a rank this module already validated."""
-    return clock._entries.item(rank)
+#: The three per-datum clocks a check can take as its reference.
+_ACCESS, _WRITE, _PLAIN = "V(x)", "W(x)", "plain"
+
+
+def _covers(entries: np.ndarray, epoch: Optional[Epoch]) -> bool:
+    """O(1) probe: do *entries* dominate the clock *epoch* annotates?
+
+    The unchecked twin of :func:`repro.core.comparator.epoch_precedes`, for
+    epochs this module built from ranks it validated.
+    """
+    return epoch is not None and entries.item(epoch[0]) >= epoch[1]
+
+
+def _merged_annotation(
+    current_epoch: Optional[Epoch],
+    covered: bool,
+    event_epoch: Optional[Epoch],
+    datum: np.ndarray,
+) -> Optional[Epoch]:
+    """Annotation for ``datum := datum ∪ event``, computed *before* the merge.
+
+    Three exact O(1) cases: the old content was *covered* by the event
+    (merged content == event, so the event's own epoch — if it has one —
+    annotates the result); the event was already contained in the datum
+    clock (witnessed by probing the event's epoch against the pre-merge
+    content: content unchanged, the standing annotation survives); otherwise
+    the merge is a genuine join with no O(1) witness and the annotation drops
+    to the full-vector state.
+    """
+    if covered:
+        return event_epoch
+    if event_epoch is not None and datum.item(event_epoch[0]) >= event_epoch[1]:
+        return current_epoch
+    return None
 
 
 class WriteCheckMode(enum.Enum):
@@ -239,46 +272,56 @@ class AccessCheckResult:
         return self.race is not None
 
 
-@dataclass
-class _LastAccessInfo:
-    """Detector-side memory of who last touched a datum.
+#: What is fixed per kind of access: ``(kind, profiler bucket, advances W(x)
+#: too, counts as a plain — non-atomic — access)``.
+_WRITE_ACCESS = (AccessKind.WRITE, "write", True, True)
+_READ_ACCESS = (AccessKind.READ, "read", False, True)
+_RMW_ACCESS = (AccessKind.RMW, "rmw", True, False)
 
-    Beyond the reporting fields, each "last X" records whether that access
-    was *live* (the process's own clock ticked at the access — blocking
-    operations) or *carried* (the NIC engine acted from a post-time snapshot
-    the message physically carried — posted one-sided work and two-sided
-    scatter writes), plus the origin-component of its event clock.  The
-    refined ``same_origin_program_order`` guard needs both: program order
-    only orders same-origin pairs whose issue-to-effect paths are themselves
-    ordered (live/live, carried/carried on one queue pair, or live-then-post
-    where the snapshot proves the post came after the blocking access
-    returned) — a posted-but-unwaited operation and a later live access by
-    the same rank are NOT ordered, which is exactly the async blind spot the
+#: ``(rank, kind, live, origin component)`` of an access that never happened.
+_UNTOUCHED = (None, AccessKind.WRITE, True, 0)
+
+
+class _DatumState:
+    """Detector-side memory of who last touched a datum; lives on its cell
+    (``MemoryCell.detector_state``), next to the clocks it describes.
+
+    Each "last X" is ``(rank, kind, live, component)``: beyond the reporting
+    fields it records whether that access was *live* (the process's own
+    clock ticked at the access — blocking operations) or *carried* (the NIC
+    engine acted from a post-time snapshot the message physically carried —
+    posted one-sided work and two-sided scatter writes), plus the
+    origin-component of its event clock.  The refined
+    ``same_origin_program_order`` guard needs both: program order only orders
+    same-origin pairs whose issue-to-effect paths are themselves ordered
+    (live/live, carried/carried on one queue pair, or live-then-post where
+    the snapshot proves the post came after the blocking access returned) —
+    a posted-but-unwaited operation and a later live access by the same rank
+    are NOT ordered, which is exactly the async blind spot the
     clock-transport refactor closes.
+
+    ``last_access`` goes with ``V(x)``, ``last_write`` with ``W(x)`` and
+    ``last_plain`` — the last *non-atomic* access — with the plain clock an
+    RMW is checked against under ``treat_rmw_pairs_as_ordered``.
+
+    The epochs are FastTrack-style annotations of the same three clocks:
+    ``(r, s)`` asserts the clock's content equals rank ``r``'s principal as
+    captured at its ``s``-th own tick (see :class:`repro.core.clocks.Epoch`);
+    None is the promoted-to-full-vector state.  They are maintained in
+    lockstep with the clock contents, which presumes the detector is the
+    only mutator of a cell's clocks.
     """
 
-    last_writer: Optional[int] = None
-    last_writer_live: bool = True
-    last_writer_component: int = 0
-    last_accessor: Optional[int] = None
-    last_access_kind: AccessKind = AccessKind.WRITE
-    last_accessor_live: bool = True
-    last_accessor_component: int = 0
-    # Last *non-atomic* accessor, consulted by RMW checks when
-    # ``treat_rmw_pairs_as_ordered`` is enabled.
-    last_plain_accessor: Optional[int] = None
-    last_plain_kind: AccessKind = AccessKind.WRITE
-    last_plain_live: bool = True
-    last_plain_component: int = 0
-    # FastTrack-style epoch annotations of the per-datum clocks: ``(r, s)``
-    # asserts the clock's content equals rank ``r``'s principal as captured
-    # at its ``s``-th own tick (see :class:`repro.core.clocks.Epoch`); None
-    # is the promoted-to-full-vector state.  Maintained in lockstep with the
-    # cell clock contents, which presumes the per-address MemoryCell identity
-    # the NIC maintains (the detector is the only cell-clock mutator).
-    access_epoch: Optional[Epoch] = None
-    write_epoch: Optional[Epoch] = None
-    plain_epoch: Optional[Epoch] = None
+    __slots__ = (
+        "last_access", "last_write", "last_plain",
+        "access_epoch", "write_epoch", "plain_epoch",
+    )
+
+    def __init__(self) -> None:
+        self.last_access = self.last_write = self.last_plain = _UNTOUCHED
+        self.access_epoch: Optional[Epoch] = None
+        self.write_epoch: Optional[Epoch] = None
+        self.plain_epoch: Optional[Epoch] = None
 
 
 class DualClockRaceDetector:
@@ -301,7 +344,6 @@ class DualClockRaceDetector:
         self._process_clocks: Dict[int, MatrixClock] = {
             rank: MatrixClock(rank, world_size) for rank in range(world_size)
         }
-        self._last_info: Dict[GlobalAddress, _LastAccessInfo] = defaultdict(_LastAccessInfo)
         # Per-datum clock covering only the *plain* (non-RMW) accesses; built
         # lazily and only consulted when ``treat_rmw_pairs_as_ordered`` is on.
         self._plain_clocks: Dict[GlobalAddress, VectorClock] = {}
@@ -311,13 +353,6 @@ class DualClockRaceDetector:
         # Per-check-type cost attribution; a private profiler until the
         # runtime binds the simulator-wide one (bind_observability).
         self._profiler = DetectionProfiler()
-        self._last_check_compares = 0
-        self._last_check_epoch_hits = 0
-        # Tri-state outcome of the last _check: True when it established
-        # ``reference <= event`` (virgin reference, or a non-racy verdict),
-        # False when racy, None when the check was skipped (same-origin
-        # program order) and nothing is known.
-        self._last_check_reference_covered: Optional[bool] = None
         self._spans = None
 
     def bind_observability(self, obs: object) -> None:
@@ -428,15 +463,6 @@ class DualClockRaceDetector:
 
     # -- bookkeeping helpers ------------------------------------------------------
 
-    def _ensure_cell_clocks(self, cell: MemoryCell) -> None:
-        if cell.access_clock is None:
-            cell.access_clock = VectorClock.zeros(self._world_size)
-        if cell.write_clock is None:
-            cell.write_clock = VectorClock.zeros(self._world_size)
-
-    def _info(self, address: GlobalAddress) -> _LastAccessInfo:
-        return self._last_info[address]
-
     def _plain_clock(self, address: GlobalAddress) -> VectorClock:
         """Clock covering only the non-RMW accesses to *address* (lazy)."""
         clock = self._plain_clocks.get(address)
@@ -445,129 +471,22 @@ class DualClockRaceDetector:
             self._plain_clocks[address] = clock
         return clock
 
-    def _epochs_active(self) -> bool:
-        """Epoch annotations presume Mattern semantics (equality is ordered,
-        and the O(1) probe is exact for ``<=``); the STRICT ablation always
-        runs the full-vector path."""
-        return self.config.epochs and self.config.comparison is ComparisonMode.MATTERN
-
-    @staticmethod
-    def _covers(clock: VectorClock, epoch: Optional[Epoch]) -> bool:
-        """O(1) probe: does *clock* dominate the clock *epoch* annotates?
-
-        The unchecked twin of :func:`repro.core.comparator.epoch_precedes`,
-        for epochs this detector built from ranks it validated.
-        """
-        return epoch is not None and _entry(clock, epoch.rank) >= epoch.scalar
-
-    @staticmethod
-    def _merge_annotation(
-        current_epoch: Optional[Epoch],
-        covered: bool,
-        event_epoch: Optional[Epoch],
-        cell_clock: VectorClock,
-    ) -> Optional[Epoch]:
-        """Annotation for ``cell := cell ∪ event``, computed *before* the merge.
-
-        Three exact O(1) cases: the old content was *covered* by the event
-        (merged content == event, so the event's own epoch — if it has one —
-        annotates the result); the event was already contained in the cell
-        (witnessed by probing the event's epoch against the pre-merge cell:
-        content unchanged, the standing annotation survives); otherwise the
-        merge is a genuine join with no O(1) witness and the annotation drops
-        to the full-vector state.
-        """
-        if covered:
-            return event_epoch
-        if event_epoch is not None and (
-            _entry(cell_clock, event_epoch.rank) >= event_epoch.scalar
-        ):
-            return current_epoch
-        return None
-
     def _note_plain_access(
         self,
         address: GlobalAddress,
-        event_clock: VectorClock,
-        event_epoch: Optional[Epoch] = None,
-    ) -> int:
-        """Fold a plain access into the per-datum non-RMW clock, when needed.
-
-        Returns the number of clock joins performed (0 or 1) so the hot-path
-        profiler can attribute the cost to the enclosing check.
-        """
-        if self.config.treat_rmw_pairs_as_ordered:
-            clock = self._plain_clock(address)
-            if self._epochs_active():
-                info = self._info(address)
-                covered = clock.total() == 0 or self._covers(
-                    event_clock, info.plain_epoch
-                )
-                info.plain_epoch = self._merge_annotation(
-                    info.plain_epoch, covered, event_epoch, clock
-                )
-            clock.merge_in_place(event_clock)
-            return 1
-        return 0
-
-    def _overhead_for_check(
-        self, wire_clock_bytes: Optional[int] = None
-    ) -> Tuple[int, int]:
-        """Control messages and clock bytes booked per instrumented access.
-
-        One vector clock per booked control message (Algorithm 5's fetch +
-        update each move one).  *wire_clock_bytes* is the clock's measured
-        wire size under the active ``clock_wire`` format, passed in by the
-        NIC when it actually charged the round trip; ``None`` books the
-        uncompressed ``world_size × BYTES_PER_ENTRY`` figure.  A piggybacked
-        deployment sets ``control_messages_per_check = 0`` and books nothing
-        here — its clock bytes ride on data messages and are accounted by
-        the clock-transport layer (``RunResult.clock_transport_stats``), so
-        the two figures never contradict each other for the same run.
-        """
-        messages = self.config.control_messages_per_check
-        per_clock = (
-            wire_clock_bytes
-            if wire_clock_bytes is not None
-            else self._world_size * self.BYTES_PER_ENTRY
-        )
-        return messages, messages * per_clock
-
-    def _finish_check(
-        self,
-        check_type: str,
-        live: bool,
-        profile_started: Optional[int],
-        joins: int,
-        race: Optional[RaceRecord],
-        event_clock: VectorClock,
-        cell: MemoryCell,
-        info: _LastAccessInfo,
-        wire_clock_bytes: Optional[int],
-    ) -> AccessCheckResult:
-        """Shared epilogue of the instrumented operations: profile the check,
-        book its overhead, freeze the clocks into the result."""
-        self._checks_performed += 1
-        self._profiler.record(
-            check_type,
-            live,
-            started=profile_started,
-            compares=self._last_check_compares,
-            joins=joins,
-            epoch_hits=self._last_check_epoch_hits,
-        )
-        messages, clock_bytes = self._overhead_for_check(wire_clock_bytes)
-        self._control_messages += messages
-        self._clock_bytes_on_wire += clock_bytes
-        return AccessCheckResult(
-            race=race,
-            event_clock=event_clock.frozen(),
-            datum_access_clock=cell.access_clock.frozen(),
-            datum_write_clock=cell.write_clock.frozen(),
-            extra_control_messages=messages,
-            extra_clock_bytes=clock_bytes,
-            datum_epoch=info.access_epoch,
-        )
+        state: _DatumState,
+        event: np.ndarray,
+        event_epoch: Optional[Epoch],
+        epochs: bool,
+    ) -> None:
+        """Fold a plain access into the per-datum non-RMW clock (one join)."""
+        plain = self._plain_clock(address)._entries
+        if epochs:
+            covered = not plain.any() or _covers(event, state.plain_epoch)
+            state.plain_epoch = _merged_annotation(
+                state.plain_epoch, covered, event_epoch, plain
+            )
+        _maximum(plain, event, out=plain)
 
     # -- the instrumented operations ------------------------------------------------
 
@@ -579,10 +498,10 @@ class DualClockRaceDetector:
     ) -> None:
         """The one validation of an instrumented access, on entry.
 
-        Everything the hot path indexes afterwards — ``_process_clocks`` by
+        Everything the kernel indexes afterwards — ``_process_clocks`` by
         the origin and by the datum's owner, clock entries by either, epoch
         ranks derived from them — is covered here, so the lookups below are
-        unchecked (:func:`_entry`, ``MatrixClock.principal``).
+        unchecked (``ndarray.item``, ``MatrixClock._principal``).
         """
         require_rank(origin, self._world_size, "origin")
         require_rank(address.rank, self._world_size, "address.rank")
@@ -625,174 +544,27 @@ class DualClockRaceDetector:
         exactly like a blocking put's (the ``write_effect_ticks_owner``
         convention) — while two-sided scatter writes keep the default
         exemption: their owner synchronizes explicitly at completion
-        retirement, and an implicit owner event would hide buffer accesses
-        the receiver makes between landing and retirement.  ``None`` (the
-        default) resolves to "owner event iff no carried clock", the
-        pre-existing behaviour.
+        retirement (:meth:`on_recv_complete`), and an implicit owner event
+        would order — and hide — buffer accesses the receiver makes between
+        landing and retirement.  ``None`` (the default) resolves to "owner
+        event iff no carried clock", the pre-existing behaviour.
         """
         self._validate_access(origin, address, carried_clock)
-        if not self.config.enabled:
+        config = self.config
+        if not config.enabled:
             return self._uninstrumented(origin, cell)
-        profile_started = self._profiler.start()
-        joins = 0
-        self._ensure_cell_clocks(cell)
-        if carried_clock is None:
-            event_clock = self._process_clocks[origin].tick()
-        else:
-            event_clock = carried_clock.copy()
-        live = carried_clock is None
-        origin_component = _entry(event_clock, origin)
-        if owner_event is None:
-            owner_event = live
         reference = (
-            cell.access_clock
-            if self.config.write_check is WriteCheckMode.ACCESS_CLOCK
-            else cell.write_clock
+            _ACCESS if config.write_check is WriteCheckMode.ACCESS_CLOCK else _WRITE
         )
-        assert reference is not None  # _ensure_cell_clocks ran
-        info = self._info(address)
-        use_access = self.config.write_check is WriteCheckMode.ACCESS_CLOCK
-        epochs = self._epochs_active()
-        pre_access_epoch = info.access_epoch if epochs else None
-        pre_write_epoch = info.write_epoch if epochs else None
-        race = self._check(
-            origin=origin,
-            address=address,
-            kind=AccessKind.WRITE,
-            event_clock=event_clock,
-            reference_clock=reference,
-            previous_rank=(info.last_accessor if use_access else info.last_writer),
-            previous_kind=(
-                info.last_access_kind if use_access else AccessKind.WRITE
-            ),
-            symbol=symbol,
-            time=time,
-            operation=operation,
-            current_live=live,
-            previous_live=(
-                info.last_accessor_live if use_access else info.last_writer_live
-            ),
-            previous_component=(
-                info.last_accessor_component
-                if use_access
-                else info.last_writer_component
-            ),
-            reference_epoch=(pre_access_epoch if use_access else pre_write_epoch),
-        )
-        if carried_clock is None and self.config.origin_learns_on_put_check:
+        return self._instrument(
+            _WRITE_ACCESS, origin, address, cell, symbol, time, operation,
+            carried_clock, wire_clock_bytes,
+            reference,
             # The writer fetched the datum clock for the check; it now knows it.
-            event_clock = self._process_clocks[origin].observe_vector(reference)
-            joins += 1
-        event_epoch: Optional[Epoch] = None
-        access_covered = write_covered = False
-        new_access_epoch: Optional[Epoch] = None
-        new_write_epoch: Optional[Epoch] = None
-        if epochs:
-            if live:
-                # A freshly ticked (and possibly reference-enriched) live
-                # event clock IS the origin's principal at its current tick.
-                event_epoch = Epoch(origin, origin_component)
-            covered = self._last_check_reference_covered
-            if live and self.config.origin_learns_on_put_check:
-                # The observe above folded the checked reference into the
-                # event clock, so coverage holds even for a racy verdict.
-                covered = True
-            if use_access:
-                access_covered = (
-                    covered
-                    if covered is not None
-                    else self._covers(event_clock, pre_access_epoch)
-                )
-                # W(x) <= V(x) always (every write also advanced V), so
-                # access coverage implies write coverage.
-                write_covered = access_covered or self._covers(
-                    event_clock, pre_write_epoch
-                )
-            else:
-                write_covered = (
-                    covered
-                    if covered is not None
-                    else self._covers(event_clock, pre_write_epoch)
-                )
-                access_covered = self._covers(event_clock, pre_access_epoch)
-                write_covered = write_covered or access_covered
-            new_access_epoch = self._merge_annotation(
-                pre_access_epoch, access_covered, event_epoch, cell.access_clock
-            )
-            new_write_epoch = self._merge_annotation(
-                pre_write_epoch, write_covered, event_epoch, cell.write_clock
-            )
-        # Algorithm 5 (update_clock / update_clock_W): merge the event clock
-        # into both per-datum clocks; the write's effect at the owner's memory
-        # additionally counts as an event of the owning process.
-        cell.access_clock.merge_in_place(event_clock)
-        cell.write_clock.merge_in_place(event_clock)
-        joins += 2
-        if epochs:
-            info.access_epoch = new_access_epoch
-            info.write_epoch = new_write_epoch
-        if (
-            self.config.write_effect_ticks_owner
-            and address.rank != origin
-            and owner_event
-        ):
-            # The arrival of the write at the owner's memory is an event of the
-            # owning process (this is how the paper's Figure 5 space-time
-            # diagrams advance the target's clock on reception of a put): the
-            # owner merges the incoming clock, ticks its own component, and the
-            # datum clocks record that reception event.  Two-sided scatter
-            # writes (owner_event False) are exempt: their owner synchronizes
-            # explicitly at completion retirement (on_recv_complete), and an
-            # implicit owner event here would order — and hide — buffer
-            # accesses the receiver makes between landing and retirement.
-            # Posted one-sided puts (carried clock, owner_event True) keep the
-            # owner event: the tick is what a later unwaited same-origin
-            # access cannot know about, making the async race detectable.
-            owner_clock = self._process_clocks[address.rank]
-            owner_clock.observe_vector(event_clock)
-            owner_view = owner_clock.tick()
-            owner_epoch = (
-                Epoch(address.rank, _entry(owner_view, address.rank))
-                if epochs
-                else None
-            )
-            cell.access_clock.merge_in_place(owner_view)
-            cell.write_clock.merge_in_place(owner_view)
-            joins += 3 + self._note_plain_access(address, owner_view, owner_epoch)
-            if epochs:
-                # The owner view dominates the event clock, so the cells now
-                # hold exactly ``owner_view`` whenever the pre-tick content
-                # was covered — by the event (covered flags) or by the owner
-                # view itself (O(1) probe of the post-event annotation).
-                # This is the demotion back to an epoch after a read-share.
-                info.access_epoch = (
-                    owner_epoch
-                    if access_covered or self._covers(owner_view, new_access_epoch)
-                    else None
-                )
-                info.write_epoch = (
-                    owner_epoch
-                    if write_covered or self._covers(owner_view, new_write_epoch)
-                    else None
-                )
-        if carried_clock is None and self.config.origin_learns_datum_after_write:
-            self._process_clocks[origin].observe_vector(cell.access_clock)
-            joins += 1
-        joins += self._note_plain_access(address, event_clock, event_epoch)
-        info.last_writer = origin
-        info.last_writer_live = live
-        info.last_writer_component = origin_component
-        info.last_accessor = origin
-        info.last_access_kind = AccessKind.WRITE
-        info.last_accessor_live = live
-        info.last_accessor_component = origin_component
-        info.last_plain_accessor = origin
-        info.last_plain_kind = AccessKind.WRITE
-        info.last_plain_live = live
-        info.last_plain_component = origin_component
-        return self._finish_check(
-            "write", live, profile_started, joins, race, event_clock, cell, info,
-            wire_clock_bytes,
+            reference if config.origin_learns_on_put_check else None,
+            carried_clock is None if owner_event is None else owner_event,
+            False,
+            config.origin_learns_datum_after_write,
         )
 
     def on_read(
@@ -818,106 +590,26 @@ class DualClockRaceDetector:
         (:meth:`on_completion_retired`) rather than at service.  The arrival
         of a carried read additionally counts as an owner event folded into
         the *access* clock only (never the write clock — a read is not a
-        write): that tick is what a later unwaited same-origin write to the
-        cell cannot know about, making the read side of the async blind spot
-        detectable.  A blocking get keeps the paper's calibration — servicing
-        it ticks nobody (Figure 5b).
+        write): later writes (checked against ``V(x)``) see it, later reads
+        (checked against ``W(x)``) do not, so concurrent reads stay silent
+        (Figure 4).  That tick is what a later unwaited same-origin write to
+        the cell cannot know about, making the read side of the async blind
+        spot detectable.  A blocking get keeps the paper's calibration —
+        servicing it ticks nobody (Figure 5b).
         """
         self._validate_access(origin, address, carried_clock)
-        if not self.config.enabled:
+        config = self.config
+        if not config.enabled:
             return self._uninstrumented(origin, cell)
-        profile_started = self._profiler.start()
-        joins = 0
-        self._ensure_cell_clocks(cell)
-        if carried_clock is None:
-            event_clock = self._process_clocks[origin].tick()
-        else:
-            event_clock = carried_clock.copy()
-        live = carried_clock is None
-        origin_component = _entry(event_clock, origin)
-        info = self._info(address)
-        epochs = self._epochs_active()
-        pre_access_epoch = info.access_epoch if epochs else None
-        race = self._check(
-            origin=origin,
-            address=address,
-            kind=AccessKind.READ,
-            event_clock=event_clock,
-            reference_clock=cell.write_clock,
-            previous_rank=info.last_writer,
-            previous_kind=AccessKind.WRITE,
-            symbol=symbol,
-            time=time,
-            operation=operation,
-            current_live=live,
-            previous_live=info.last_writer_live,
-            previous_component=info.last_writer_component,
-            reference_epoch=(info.write_epoch if epochs else None),
-        )
-        if carried_clock is None and self.config.origin_learns_on_get:
+        return self._instrument(
+            _READ_ACCESS, origin, address, cell, symbol, time, operation,
+            carried_clock, wire_clock_bytes,
+            _WRITE,
             # The data (and its causal history) flows back to the reader.
-            event_clock = self._process_clocks[origin].observe_vector(
-                cell.access_clock
-            )
-            joins += 1
-        event_epoch: Optional[Epoch] = None
-        access_covered = False
-        new_access_epoch: Optional[Epoch] = None
-        if epochs:
-            if live:
-                event_epoch = Epoch(origin, origin_component)
-            if live and self.config.origin_learns_on_get:
-                # The observe above folded V(x) itself into the event clock.
-                access_covered = True
-            else:
-                access_covered = self._covers(event_clock, pre_access_epoch)
-            new_access_epoch = self._merge_annotation(
-                pre_access_epoch, access_covered, event_epoch, cell.access_clock
-            )
-        cell.access_clock.merge_in_place(event_clock)
-        joins += 1
-        if epochs:
-            # A carried read whose coverage has no O(1) witness drops the
-            # annotation: this is the read-share promotion to a full vector.
-            # The write clock is untouched by a read, so its epoch stands.
-            info.access_epoch = new_access_epoch
-        if (
-            carried_clock is not None
-            and self.config.write_effect_ticks_owner
-            and address.rank != origin
-        ):
-            # The NIC-engine read's arrival is an owner event recorded in the
-            # access clock only: later writes (checked against V(x)) see it,
-            # later reads (checked against W(x)) do not — concurrent reads
-            # stay silent, Figure 4.
-            owner_clock = self._process_clocks[address.rank]
-            owner_clock.observe_vector(event_clock)
-            owner_view = owner_clock.tick()
-            owner_epoch = (
-                Epoch(address.rank, _entry(owner_view, address.rank))
-                if epochs
-                else None
-            )
-            cell.access_clock.merge_in_place(owner_view)
-            joins += 2 + self._note_plain_access(address, owner_view, owner_epoch)
-            if epochs:
-                info.access_epoch = (
-                    owner_epoch
-                    if access_covered or self._covers(owner_view, new_access_epoch)
-                    else None
-                )
-        joins += self._note_plain_access(address, event_clock, event_epoch)
-        info.last_accessor = origin
-        info.last_access_kind = AccessKind.READ
-        info.last_accessor_live = live
-        info.last_accessor_component = origin_component
-        info.last_plain_accessor = origin
-        info.last_plain_kind = AccessKind.READ
-        info.last_plain_live = live
-        info.last_plain_component = origin_component
-        return self._finish_check(
-            "read", live, profile_started, joins, race, event_clock, cell, info,
-            wire_clock_bytes,
+            _ACCESS if config.origin_learns_on_get else None,
+            carried_clock is not None,
+            False,
+            False,
         )
 
     def on_rmw(
@@ -941,7 +633,8 @@ class DualClockRaceDetector:
         datum's causal history back to the origin.  With
         ``treat_rmw_pairs_as_ordered`` the check only consults the plain
         (non-RMW) accesses, modelling the target NIC's atomic execution unit
-        serializing RMW/RMW pairs.
+        serializing RMW/RMW pairs; the plain clock is deliberately *not*
+        advanced by the RMW itself.
 
         *carried_clock* is the post-time snapshot of a *posted* atomic: the
         event clock is the snapshot, the origin learns the reply's history at
@@ -950,144 +643,84 @@ class DualClockRaceDetector:
         owner event (an RMW writes, exactly as a posted put does).
         """
         self._validate_access(origin, address, carried_clock)
-        if not self.config.enabled:
+        config = self.config
+        if not config.enabled:
             return self._uninstrumented(origin, cell)
-        profile_started = self._profiler.start()
-        joins = 0
-        self._ensure_cell_clocks(cell)
-        if carried_clock is None:
-            event_clock = self._process_clocks[origin].tick()
-        else:
-            event_clock = carried_clock.copy()
-        live = carried_clock is None
-        origin_component = _entry(event_clock, origin)
-        info = self._info(address)
-        epochs = self._epochs_active()
-        pre_access_epoch = info.access_epoch if epochs else None
-        pre_write_epoch = info.write_epoch if epochs else None
-        if self.config.treat_rmw_pairs_as_ordered:
-            reference: VectorClock = self._plain_clock(address)
-            previous_rank = info.last_plain_accessor
-            previous_kind = info.last_plain_kind
-            previous_live = info.last_plain_live
-            previous_component = info.last_plain_component
-            reference_epoch = info.plain_epoch if epochs else None
-        else:
-            assert cell.access_clock is not None  # _ensure_cell_clocks ran
-            reference = cell.access_clock
-            previous_rank = info.last_accessor
-            previous_kind = info.last_access_kind
-            previous_live = info.last_accessor_live
-            previous_component = info.last_accessor_component
-            reference_epoch = pre_access_epoch
-        race = self._check(
-            origin=origin,
-            address=address,
-            kind=AccessKind.RMW,
-            event_clock=event_clock,
-            reference_clock=reference,
-            previous_rank=previous_rank,
-            previous_kind=previous_kind,
-            symbol=symbol,
-            time=time,
-            operation=operation,
-            current_live=live,
-            previous_live=previous_live,
-            previous_component=previous_component,
-            reference_epoch=reference_epoch,
-        )
-        if carried_clock is None and self.config.origin_learns_on_get:
+        learns_on_get = config.origin_learns_on_get
+        return self._instrument(
+            _RMW_ACCESS, origin, address, cell, symbol, time, operation,
+            carried_clock, wire_clock_bytes,
+            _PLAIN if config.treat_rmw_pairs_as_ordered else _ACCESS,
             # The old value flows back in the ATOMIC_REPLY, and with it the
-            # datum's causal history (same rule as a get).
-            event_clock = self._process_clocks[origin].observe_vector(
-                cell.access_clock
-            )
-            joins += 1
-        event_epoch: Optional[Epoch] = None
-        access_covered = write_covered = False
-        new_access_epoch: Optional[Epoch] = None
-        new_write_epoch: Optional[Epoch] = None
-        if epochs:
-            if live:
-                event_epoch = Epoch(origin, origin_component)
-            if live and self.config.origin_learns_on_get:
-                # The observe above folded V(x) itself into the event clock.
-                access_covered = True
-            elif not self.config.treat_rmw_pairs_as_ordered:
-                covered = self._last_check_reference_covered
-                access_covered = (
-                    covered
-                    if covered is not None
-                    else self._covers(event_clock, pre_access_epoch)
-                )
-            else:
-                access_covered = self._covers(event_clock, pre_access_epoch)
-            write_covered = access_covered or self._covers(
-                event_clock, pre_write_epoch
-            )
-            new_access_epoch = self._merge_annotation(
-                pre_access_epoch, access_covered, event_epoch, cell.access_clock
-            )
-            new_write_epoch = self._merge_annotation(
-                pre_write_epoch, write_covered, event_epoch, cell.write_clock
-            )
-        # The RMW writes: both per-datum clocks advance, and the effect at the
-        # owner's memory counts as an event of the owning process, exactly as
-        # for a put.  The plain-access clock is deliberately *not* touched.
-        cell.access_clock.merge_in_place(event_clock)
-        cell.write_clock.merge_in_place(event_clock)
-        joins += 2
-        if epochs:
-            info.access_epoch = new_access_epoch
-            info.write_epoch = new_write_epoch
-        if self.config.write_effect_ticks_owner and address.rank != origin:
-            owner_clock = self._process_clocks[address.rank]
-            owner_clock.observe_vector(event_clock)
-            owner_view = owner_clock.tick()
-            cell.access_clock.merge_in_place(owner_view)
-            cell.write_clock.merge_in_place(owner_view)
-            joins += 3
-            if epochs:
-                owner_epoch = Epoch(
-                    address.rank, _entry(owner_view, address.rank)
-                )
-                info.access_epoch = (
-                    owner_epoch
-                    if access_covered or self._covers(owner_view, new_access_epoch)
-                    else None
-                )
-                info.write_epoch = (
-                    owner_epoch
-                    if write_covered or self._covers(owner_view, new_write_epoch)
-                    else None
-                )
-            if carried_clock is None and self.config.origin_learns_on_get:
-                # The reply leaves the owner after the reception event.
-                event_clock = self._process_clocks[origin].observe_vector(
-                    cell.access_clock
-                )
-                joins += 1
-        info.last_writer = origin
-        info.last_writer_live = live
-        info.last_writer_component = origin_component
-        info.last_accessor = origin
-        info.last_access_kind = AccessKind.RMW
-        info.last_accessor_live = live
-        info.last_accessor_component = origin_component
-        return self._finish_check(
-            "rmw", live, profile_started, joins, race, event_clock, cell, info,
-            wire_clock_bytes,
+            # datum's causal history (same rule as a get) ...
+            _ACCESS if learns_on_get else None,
+            True,
+            # ... and the reply leaves the owner after the reception event.
+            learns_on_get,
+            False,
         )
 
-    @staticmethod
-    def _same_origin_ordered(
+    def _uninstrumented(self, origin: int, cell: MemoryCell) -> AccessCheckResult:
+        """Detection disabled: no clocks, no checks, no overhead."""
+        return AccessCheckResult(
+            race=None,
+            event_clock=(),
+            datum_access_clock=(),
+            datum_write_clock=None,
+            extra_control_messages=0,
+            extra_clock_bytes=0,
+        )
+
+    def _instrument(
+        self,
+        access_kind: Tuple[AccessKind, str, bool, bool],
         origin: int,
-        event_clock: VectorClock,
-        current_live: bool,
-        previous_live: bool,
-        previous_component: int,
-    ) -> bool:
-        """Is a same-origin (previous, current) access pair surely ordered?
+        address: GlobalAddress,
+        cell: MemoryCell,
+        symbol: Optional[str],
+        time: float,
+        operation: str,
+        carried_clock: Optional[VectorClock],
+        wire_clock_bytes: Optional[int],
+        reference_slot: str,
+        learns: Optional[str],
+        owner_event: bool,
+        reply_follows_owner_event: bool,
+        acknowledged: bool,
+    ) -> AccessCheckResult:
+        """The check kernel behind :meth:`on_write`, :meth:`on_read`, :meth:`on_rmw`.
+
+        What differs per kind arrives resolved: *reference_slot* names the
+        datum clock the event is compared against (its "previous access"
+        fields and epoch go with it); *learns* the datum clock a live origin
+        absorbs with the check's reply (``None``: nothing);
+        *owner_event* whether the effect at the owner's memory is an event
+        of the owning process; *reply_follows_owner_event* whether a live
+        origin absorbs ``V(x)`` once more after that event (an atomic's
+        reply); *acknowledged* whether it does so when the operation
+        completes, outside the reported event clock (an acknowledged put).
+        *access_kind* (one of the three module constants) carries what the
+        kind itself fixes — which datum clocks advance: every access joins
+        ``V(x)``, writes and RMWs ``W(x)`` too, reads and writes the plain
+        clock.
+
+        The kernel works on the ``int64`` rows directly — ranks were
+        validated on entry and every array here was built by ``core`` — and
+        books the *algorithm's* operations in the profile (one join per
+        Algorithm-4 merge, one or two compares per directional vector
+        comparison), whatever the number of NumPy calls that took.  A live
+        event clock is the origin's principal row itself, read in place; the
+        three snapshots of the result are the only copies.
+
+        **The check** (Corollary 1: signal a race when the clocks are
+        incomparable).  A virgin datum (all-zero reference clock) has never
+        been accessed: the zero clock happens-before every non-zero clock, so
+        no race can be reported for a first access.  A non-zero origin
+        component recorded for the reference's last access witnesses a
+        non-zero clock without a reduction.  When the last conflicting
+        access was made by the same process AND the pair is ordered by an
+        issue-to-effect path, the check is skipped
+        (``same_origin_program_order``):
 
         * live → live: program order — the process issued both and the first
           completed before the second was issued;
@@ -1101,110 +734,282 @@ class DualClockRaceDetector:
         * carried → live: nothing orders the NIC engine's effect against the
           process's later access — the posted-but-unwaited blind spot, so
           the clock comparison must run.
-        """
-        if previous_live and current_live:
-            return True
-        if previous_live and not current_live:
-            return _entry(event_clock, origin) > previous_component
-        if not previous_live and not current_live:
-            return True
-        return False
 
-    def _uninstrumented(self, origin: int, cell: MemoryCell) -> AccessCheckResult:
-        """Detection disabled: no clocks, no checks, no overhead."""
+        With a valid epoch annotation of the reference clock, both
+        provenance variants collapse to one O(1) probe.  For a carried event
+        ``reference_unknown`` is literally ``not (reference <= event)``,
+        which the probe decides exactly.  For a live event the freshly
+        ticked origin component cannot appear in the reference yet, so
+        ``event <= reference`` and equality are impossible and
+        ``clocks_unordered`` reduces to the same ``not (reference <=
+        event)`` — identical verdicts by construction, no confirming full
+        compare.
+        """
+        config = self.config
+        profile_started = self._profiler.start()
+        kind, check_type, writes, is_plain = access_kind
+        plain = is_plain and config.treat_rmw_pairs_as_ordered
+        # Epoch annotations presume Mattern semantics (equality is ordered,
+        # and the O(1) probe is exact for ``<=``); the STRICT ablation always
+        # runs the full-vector path.
+        epochs = config.epochs and config.comparison is ComparisonMode.MATTERN
+
+        state = cell.detector_state
+        if state is None:
+            state = cell.detector_state = _DatumState()
+        access_clock = cell.access_clock
+        if access_clock is None:
+            access_clock = cell.access_clock = VectorClock.zeros(self._world_size)
+        write_clock = cell.write_clock
+        if write_clock is None:
+            write_clock = cell.write_clock = VectorClock.zeros(self._world_size)
+        access = access_clock._entries
+        write = write_clock._entries
+
+        live = carried_clock is None
+        if live:
+            event = self._process_clocks[origin]._principal
+            component = event.item(origin) + 1
+            event[origin] = component
+        else:
+            event = carried_clock._entries
+            component = event.item(origin)
+
+        pre_access_epoch = state.access_epoch if epochs else None
+        pre_write_epoch = state.write_epoch if epochs else None
+        if reference_slot is _ACCESS:
+            reference_clock, reference_epoch = access_clock, pre_access_epoch
+            previous_rank, previous_kind, previous_live, previous_component = (
+                state.last_access
+            )
+        elif reference_slot is _WRITE:
+            reference_clock, reference_epoch = write_clock, pre_write_epoch
+            # Whatever advanced W(x) — an RMW included — is reported as a write.
+            previous_rank, _, previous_live, previous_component = state.last_write
+            previous_kind = AccessKind.WRITE
+        else:
+            reference_clock = self._plain_clock(address)
+            reference_epoch = state.plain_epoch if epochs else None
+            previous_rank, previous_kind, previous_live, previous_component = (
+                state.last_plain
+            )
+        reference = reference_clock._entries
+
+        compares = epoch_hits = 0
+        # Tri-state: True when the check established ``reference <= event``
+        # (virgin reference, or a non-racy verdict), False when racy, None
+        # when it was skipped and nothing is known.
+        covered: Optional[bool] = None
+        race: Optional[RaceRecord] = None
+        # V(x) and W(x) absorbed their last access's event clock, so its
+        # origin component, when non-zero, stands for the whole reduction;
+        # the plain clock only advances while its knob is on.
+        if (
+            previous_component == 0 or reference_slot is _PLAIN
+        ) and not reference.any():
+            covered = True
+        elif not (
+            previous_rank == origin
+            and config.same_origin_program_order
+            and (
+                (live or component > previous_component)
+                if previous_live
+                else not live
+            )
+        ):
+            if reference_epoch is not None:
+                # The FastTrack fast path: one O(1) component probe.
+                epoch_hits = 1
+                racy = event.item(reference_epoch[0]) < reference_epoch[1]
+            elif live:
+                # Two directional O(n) comparisons (neither clock precedes the other).
+                compares = 2
+                racy = config.clocks_unordered(_adopt(event), reference_clock)
+            else:
+                # One directional O(n) comparison (is the datum history in the snapshot?).
+                compares = 1
+                racy = config.reference_unknown(reference_clock, carried_clock)
+            # A non-racy verdict establishes ``reference <= event`` in both
+            # provenances: directly for carried events, and by the fresh-tick
+            # argument (the other two Mattern outcomes are impossible) for
+            # live ones.  Consumed only by the epoch annotation maintenance.
+            covered = not racy
+            if racy:
+                race = self._signal(
+                    origin, address, kind, event, previous_rank, previous_kind,
+                    reference, time, symbol, operation,
+                )
+
+        joins = 0
+        if not live:
+            # The origin is not there to learn; it synchronizes at retirement.
+            learns = None
+        elif learns is not None:
+            _maximum(event, access if learns is _ACCESS else write, out=event)
+            joins = 1
+
+        # Epoch annotations of the merged datum clocks, decided before the
+        # merges.  A datum clock is covered by the event when the origin just
+        # absorbed it, when it was the reference of a check that said so, or
+        # by an O(1) probe of its annotation; W(x) <= V(x) always (every
+        # write also advanced V), so access coverage implies write coverage.
+        # No witness: the annotation drops — the read-share promotion to a
+        # full vector.
+        event_epoch: Optional[Epoch] = None
+        access_covered = write_covered = False
+        new_access_epoch: Optional[Epoch] = None
+        new_write_epoch: Optional[Epoch] = None
+        if epochs:
+            if live:
+                # A freshly ticked (and possibly datum-enriched) live event
+                # clock IS the origin's principal at its current tick.
+                event_epoch = Epoch(origin, component)
+            if learns is _ACCESS:
+                access_covered = True
+            elif reference_slot is _ACCESS and covered is not None:
+                access_covered = covered
+            else:
+                access_covered = _covers(event, pre_access_epoch)
+            new_access_epoch = _merged_annotation(
+                pre_access_epoch, access_covered, event_epoch, access
+            )
+            if writes:
+                if access_covered or learns is _WRITE:
+                    write_covered = True
+                elif reference_slot is _WRITE and covered is not None:
+                    write_covered = covered
+                else:
+                    write_covered = _covers(event, pre_write_epoch)
+                new_write_epoch = _merged_annotation(
+                    pre_write_epoch, write_covered, event_epoch, write
+                )
+
+        # Algorithm 5 (update_clock / update_clock_W): merge the event clock
+        # into the per-datum clocks.
+        _maximum(access, event, out=access)
+        joins += 1
+        if writes:
+            _maximum(write, event, out=write)
+            joins += 1
+        if epochs:
+            state.access_epoch = new_access_epoch
+            if writes:
+                state.write_epoch = new_write_epoch
+
+        owner = address.rank
+        if owner_event and owner != origin and config.write_effect_ticks_owner:
+            # The arrival at the owner's memory is an event of the owning
+            # process (this is how the paper's Figure 5 space-time diagrams
+            # advance the target's clock on reception of a put): the owner
+            # merges the incoming clock, ticks its own component, and the
+            # datum clocks record that reception event.  Posted operations
+            # keep it: the tick is what a later unwaited same-origin access
+            # cannot know about, making the async race detectable.
+            owner_view = self._process_clocks[owner]._principal
+            _maximum(owner_view, event, out=owner_view)
+            owner_component = owner_view.item(owner) + 1
+            owner_view[owner] = owner_component
+            _maximum(access, owner_view, out=access)
+            joins += 2
+            if writes:
+                _maximum(write, owner_view, out=write)
+                joins += 1
+            owner_epoch = Epoch(owner, owner_component) if epochs else None
+            if plain:
+                self._note_plain_access(address, state, owner_view, owner_epoch, epochs)
+                joins += 1
+            if epochs:
+                # The owner view dominates the event clock, so the datum
+                # clocks now hold exactly ``owner_view`` whenever the
+                # pre-tick content was covered — by the event (covered
+                # flags) or by the owner view itself (O(1) probe of the
+                # post-event annotation).  This is the demotion back to an
+                # epoch after a read-share.
+                state.access_epoch = (
+                    owner_epoch
+                    if access_covered or _covers(owner_view, new_access_epoch)
+                    else None
+                )
+                if writes:
+                    state.write_epoch = (
+                        owner_epoch
+                        if write_covered or _covers(owner_view, new_write_epoch)
+                        else None
+                    )
+            if reply_follows_owner_event and live:
+                _maximum(event, access, out=event)
+                joins += 1
+
+        event_snapshot = tuple(event.tolist())
+        if plain:
+            self._note_plain_access(address, state, event, event_epoch, epochs)
+            joins += 1
+        if acknowledged and live:
+            _maximum(event, access, out=event)
+            joins += 1
+
+        last = (origin, kind, live, component)
+        state.last_access = last
+        if writes:
+            state.last_write = last
+        if is_plain:
+            state.last_plain = last
+
+        # Profile the check, book its overhead, freeze the clocks.  One
+        # vector clock per booked control message (Algorithm 5's fetch +
+        # update each move one).  *wire_clock_bytes* is the clock's measured
+        # wire size under the active ``clock_wire`` format, passed in by the
+        # NIC when it actually charged the round trip; ``None`` books the
+        # uncompressed ``world_size × BYTES_PER_ENTRY`` figure.  A
+        # piggybacked deployment sets ``control_messages_per_check = 0`` and
+        # books nothing here — its clock bytes ride on data messages and are
+        # accounted by the clock-transport layer
+        # (``RunResult.clock_transport_stats``), so the two figures never
+        # contradict each other for the same run.
+        self._checks_performed += 1
+        self._profiler.record(
+            check_type, live, profile_started, compares, joins, epoch_hits
+        )
+        messages = config.control_messages_per_check
+        clock_bytes = messages * (
+            wire_clock_bytes
+            if wire_clock_bytes is not None
+            else self._world_size * self.BYTES_PER_ENTRY
+        )
+        self._control_messages += messages
+        self._clock_bytes_on_wire += clock_bytes
         return AccessCheckResult(
-            race=None,
-            event_clock=(),
-            datum_access_clock=(),
-            datum_write_clock=None,
-            extra_control_messages=0,
-            extra_clock_bytes=0,
+            race,
+            event_snapshot,
+            tuple(access.tolist()),
+            tuple(write.tolist()),
+            messages,
+            clock_bytes,
+            state.access_epoch,
         )
 
-    def _check(
+    def _signal(
         self,
-        *,
         origin: int,
         address: GlobalAddress,
         kind: AccessKind,
-        event_clock: VectorClock,
-        reference_clock: VectorClock,
+        event: np.ndarray,
         previous_rank: Optional[int],
         previous_kind: AccessKind,
-        symbol: Optional[str],
+        reference: np.ndarray,
         time: float,
+        symbol: Optional[str],
         operation: str,
-        current_live: bool = True,
-        previous_live: bool = True,
-        previous_component: int = 0,
-        reference_epoch: Optional[Epoch] = None,
-    ) -> Optional[RaceRecord]:
-        """Corollary 1: signal a race when the clocks are incomparable.
-
-        A virgin datum (all-zero reference clock) has never been accessed:
-        the zero clock happens-before every non-zero clock, so no race can be
-        reported for a first access.  When the last conflicting access was
-        made by the same process AND the pair is ordered by an issue-to-effect
-        path — program order for live/live, RC in-order servicing for
-        carried/carried (same origin + same cell implies the same queue
-        pair), or a post provably made after a live access returned — the
-        check is skipped (``same_origin_program_order``).  A carried access
-        followed by a live one is the async blind spot: nothing orders the
-        NIC engine's effect against the process's later access, so the clock
-        comparison runs.
-
-        When the caller holds a valid epoch annotation of the reference
-        clock, both provenance variants collapse to one O(1) probe.  For a
-        carried event ``reference_unknown`` is literally ``not (reference <=
-        event)``, which the probe decides exactly.  For a live event the
-        freshly ticked origin component cannot appear in the reference yet,
-        so ``event <= reference`` and equality are impossible and
-        ``clocks_unordered`` reduces to the same ``not (reference <= event)``
-        — identical verdicts by construction, no confirming full compare.
-        """
-        self._last_check_compares = 0
-        self._last_check_epoch_hits = 0
-        self._last_check_reference_covered = None
-        if reference_clock.total() == 0:
-            # The zero clock precedes every event clock.
-            self._last_check_reference_covered = True
-            return None
-        if (
-            self.config.same_origin_program_order
-            and previous_rank is not None
-            and previous_rank == origin
-            and self._same_origin_ordered(
-                origin, event_clock, current_live, previous_live, previous_component
-            )
-        ):
-            return None
-        if reference_epoch is not None:
-            # The FastTrack fast path: one O(1) component probe.
-            self._last_check_epoch_hits = 1
-            racy = not self._covers(event_clock, reference_epoch)
-        elif current_live:
-            # Two directional O(n) comparisons (neither clock precedes the other).
-            self._last_check_compares = 2
-            racy = self.config.clocks_unordered(event_clock, reference_clock)
-        else:
-            # One directional O(n) comparison (is the datum history in the snapshot?).
-            self._last_check_compares = 1
-            racy = self.config.reference_unknown(reference_clock, event_clock)
-        # A non-racy verdict establishes ``reference <= event`` in both
-        # provenances: directly for carried events, and by the fresh-tick
-        # argument (the other two Mattern outcomes are impossible) for live
-        # ones.  Consumed only by the epoch annotation maintenance.
-        self._last_check_reference_covered = not racy
-        if not racy:
-            return None
+    ) -> RaceRecord:
+        """Record the race between the event and the reference's last access."""
         record = RaceRecord(
             address=address,
             current_rank=origin,
             current_kind=kind,
-            current_clock=event_clock.frozen(),
+            current_clock=tuple(event.tolist()),
             previous_rank=previous_rank,
             previous_kind=previous_kind,
-            previous_clock=reference_clock.frozen(),
+            previous_clock=tuple(reference.tolist()),
             time=time,
             symbol=symbol,
             operation=operation,

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.clocks import Epoch, VectorClock
-from repro.core.comparator import concurrent, epoch_precedes
 from repro.detectors.base import BaselineDetector, DetectedRace, DetectionResult
 from repro.memory.address import GlobalAddress
 from repro.memory.consistency import AccessKind, MemoryAccess
@@ -70,22 +69,29 @@ class SingleClockDetector(BaselineDetector):
                         process_clocks[rank].merge_in_place(merged)
                 continue
             access = event
-            clock = process_clocks[access.rank]
-            clock.tick(access.rank)
+            rank = access.rank
+            clock = process_clocks[rank]
+            # The trusted rows of ``core`` (docs/architecture.md): *rank* just
+            # indexed ``process_clocks``, and every array here is its own.
+            entries = clock._entries
+            tick = entries.item(rank) + 1
+            entries[rank] = tick
             datum_clock = datum_clocks.get(access.address)
             # Does the pre-merge datum content precede this access's clock?
             # True for a virgin datum; re-derived below from the verdict.
             covered = True
-            if datum_clock is not None and datum_clock.total() > 0:
+            # A datum clock exists from its first access on and absorbed that
+            # access's ticked clock: it is never all-zero.
+            if datum_clock is not None:
                 epoch = datum_epochs.get(access.address) if self.epochs else None
                 if epoch is not None:
                     # O(1) fast path: the just-ticked ``clock[access.rank]``
                     # appears in no other clock yet, so ``clock <= datum``
                     # and equality are impossible and ``concurrent`` reduces
                     # to ``not (datum <= clock)`` — decided by the probe.
-                    is_race = not epoch_precedes(epoch, clock)
+                    is_race = entries.item(epoch[0]) < epoch[1]
                 else:
-                    is_race = concurrent(clock, datum_clock)
+                    is_race = clock.concurrent_with(datum_clock)
                 covered = not is_race
                 if is_race:
                     previous = last_access.get(access.address)
@@ -94,7 +100,7 @@ class SingleClockDetector(BaselineDetector):
                             address=access.address,
                             symbol=access.symbol,
                             ranks=(
-                                access.rank,
+                                rank,
                                 previous.rank if previous is not None else -1,
                             ),
                             kinds=(
@@ -120,11 +126,7 @@ class SingleClockDetector(BaselineDetector):
                 covered = True
             datum_clock.merge_in_place(clock)
             if self.epochs:
-                datum_epochs[access.address] = (
-                    Epoch(access.rank, int(clock.component(access.rank)))
-                    if covered
-                    else None
-                )
+                datum_epochs[access.address] = Epoch(rank, tick) if covered else None
             last_access[access.address] = access
 
         return DetectionResult(

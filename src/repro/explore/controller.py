@@ -287,11 +287,6 @@ class ScheduleController:
         self._barrier_index = 0
         self._drop_index = 0
         self._reorder_index = 0
-        self._sim = None
-
-    def bind(self, sim: Any) -> None:
-        """Called by :meth:`Simulator.install_controller`."""
-        self._sim = sim
 
     # -- delivery timing (called by Channel.transmit) ---------------------------------
 

@@ -93,14 +93,16 @@ class Decision:
     Attributes
     ----------
     kind:
-        ``"latency"``, ``"tie"`` or ``"rnr"``.
+        One of :data:`DECISION_KINDS` (the module docstring describes each).
     key:
         Stable identity of the choice point within its run (e.g.
         ``"latency:0->2#17"``).  Replays assert the key matches, catching a
         log applied to the wrong program or seed.
     choice:
-        The controller's decision: extra delivery delay (float, ``latency``)
-        or eligible-entry index (int, ``tie``).  ``0`` always means "the
+        The controller's decision, whose meaning the kind fixes: an extra
+        delay (float — ``latency``, ``rnr``, ``credit``, ``cq_timer``,
+        ``reorder``), an index (int — ``tie``, ``barrier``), a count
+        (``resync``) or a fate (``drop``).  ``0`` always means "the
         uncontrolled default".
     alternatives:
         How many alternatives the searcher considers at this point (1 when

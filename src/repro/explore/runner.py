@@ -28,8 +28,9 @@ every random draw are held fixed.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.detectors.base import BaselineDetector
 from repro.detectors.lockset import LocksetDetector
@@ -412,11 +413,11 @@ class Explorer:
         result = ExplorationResult(strategy="systematic", seed=self.seed, budget=budget)
         # Frontier entries: (forced assignment, index of the first branch
         # point a child may perturb).  BFS order = fewest perturbations first.
-        frontier: List[Tuple[Dict[str, int], int]] = [({}, 0)]
+        frontier: Deque[Tuple[Dict[str, int], int]] = deque([({}, 0)])
         seen_fingerprints: Set[str] = set()
         schedule_id = 0
         while frontier and schedule_id < budget:
-            forced, next_position = frontier.pop(0)
+            forced, next_position = frontier.popleft()
             strategy = SystematicStrategy(
                 forced,
                 branch_factor=branch_factor,

@@ -16,9 +16,10 @@ operations simply ``yield`` it.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.memory.address import GlobalAddress
 from repro.obs.observability import Observability
@@ -67,7 +68,7 @@ class MemoryLockTable:
         self._sim = sim
         self._rank = rank
         self._holders: Dict[GlobalAddress, LockRequest] = {}
-        self._queues: Dict[GlobalAddress, List[LockRequest]] = {}
+        self._queues: Dict[GlobalAddress, Deque[LockRequest]] = {}
         self._ids = IdAllocator(f"lock-P{rank}")
         self._history: List[LockRequest] = []
         self._contended_acquisitions = 0
@@ -101,8 +102,10 @@ class MemoryLockTable:
     def acquire(self, address: GlobalAddress, requester: int, purpose: str = "") -> LockRequest:
         """Request exclusive access to *address*.
 
-        Returns a :class:`LockRequest` whose ``event`` fires (with the request
-        itself as value) once the lock is granted.  Grants are strictly FIFO
+        Returns a :class:`LockRequest` whose ``event`` fires once the lock is
+        granted (without a value: the request holds the event, and the event
+        holding the request back would make every acquisition a reference
+        cycle).  Grants are strictly FIFO
         per address, which is what serializes the put behind the get in
         Figure 3 of the paper.
         """
@@ -126,14 +129,14 @@ class MemoryLockTable:
         else:
             self._contended_acquisitions += 1
             self._contended.inc()
-            self._queues.setdefault(address, []).append(request)
+            self._queues.setdefault(address, deque()).append(request)
         return request
 
     def _grant(self, request: LockRequest) -> None:
         self._holders[request.address] = request
         request.state = LockState.GRANTED
         request.granted_at = self._sim.now
-        request.event.succeed(request)
+        request.event.succeed()
         self._wait_time.observe(request.granted_at - request.queued_at)
         # The request→grant interval as a span on the owner's NIC track —
         # zero-length for uncontended grants, the Figure 3 serialization
@@ -167,7 +170,7 @@ class MemoryLockTable:
         del self._holders[request.address]
         queue = self._queues.get(request.address)
         if queue:
-            nxt = queue.pop(0)
+            nxt = queue.popleft()
             if not queue:
                 del self._queues[request.address]
             self._grant(nxt)
@@ -184,7 +187,7 @@ class MemoryLockTable:
 
     def queue_length(self, address: GlobalAddress) -> int:
         """Number of requests waiting behind the holder for *address*."""
-        return len(self._queues.get(address, []))
+        return len(self._queues.get(address, ()))
 
     def outstanding(self) -> int:
         """Total number of granted-but-unreleased locks."""

@@ -42,6 +42,9 @@ class MemoryCell:
     read_count: int = 0
     write_count: int = 0
     last_writer: Optional[int] = None
+    #: What the race detector remembers about this datum besides the two
+    #: clocks (last accessors, epoch annotations); the detector's to define.
+    detector_state: Any = field(default=None, repr=False, compare=False)
 
     def clock_storage_entries(self) -> int:
         """Number of vector-clock entries stored with this cell.

@@ -7,8 +7,8 @@ hardware layer:
 
 * :mod:`repro.net.message` — typed messages with payload sizes;
 * :mod:`repro.net.latency` — latency models (constant, uniform, LogGP-like);
-* :mod:`repro.net.topology` — physical topologies built on :mod:`networkx`,
-  used to scale latency with hop count;
+* :mod:`repro.net.topology` — physical topologies (adjacency lists and a
+  breadth-first hop count), used to scale latency with hop count;
 * :mod:`repro.net.channel` — FIFO point-to-point channels;
 * :mod:`repro.net.fabric` — the interconnect: routes messages between ranks
   and accounts for every message and byte (the overhead benchmarks read these

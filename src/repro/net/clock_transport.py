@@ -67,6 +67,7 @@ sound here because the per-queue-pair RC transport delivers in order.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
@@ -477,7 +478,9 @@ class ClockTransport:
     """
 
     def __init__(self, nic: "NIC") -> None:
-        self._nic = nic
+        # Held weakly: the NIC owns its transport, and a strong reference
+        # back would leave every finished run to the cyclic collector.
+        self._owner = weakref.ref(nic)
         self.stats = ClockTransportStats(
             registry=Observability.of(nic._sim).metrics, rank=nic.rank
         )
@@ -486,6 +489,10 @@ class ClockTransport:
         #: in-order delivery of each queue pair's channel).
         self._encoders: Dict[int, ClockWireEncoder] = {}
         self._decoders: Dict[int, ClockWireDecoder] = {}
+
+    @property
+    def _nic(self) -> "NIC":
+        return self._owner()
 
     # -- mode ---------------------------------------------------------------------
 
@@ -677,38 +684,39 @@ class ClockTransport:
         update is the target's message — so Algorithm 5's dedicated clock
         traffic also shrinks.
         """
+        nic = self._nic
         if (
             not self._active()
             or self.piggyback
-            or not self._nic.config.charge_detection_messages
-            or target_rank == self._nic.rank
+            or not nic.config.charge_detection_messages
+            or target_rank == nic.rank
         ):
             return 0, None
-        sync_started = self._nic._sim.now
-        fetch, _ = self._nic.fabric.send(
-            MessageKind.CLOCK_FETCH, self._nic.rank, target_rank,
+        sync_started = nic._sim.now
+        fetch, _ = nic.fabric.send(
+            MessageKind.CLOCK_FETCH, nic.rank, target_rank,
             payload_bytes=0, operation_tag=tag,
         )
         yield fetch
         if self.wire_format == "full":
             update_bytes = self.clock_bytes()
         else:
-            target_transport = self._nic.peer(target_rank).clock_transport
+            target_transport = nic.peer(target_rank).clock_transport
             update_bytes = target_transport.encode_clock(
-                self._nic.detector.current_clock(target_rank).frozen(),
-                self._nic.rank,
+                nic.detector.current_clock(target_rank).frozen(),
+                nic.rank,
             )
-        reply, _ = self._nic.fabric.send(
-            MessageKind.CLOCK_UPDATE, target_rank, self._nic.rank,
+        reply, _ = nic.fabric.send(
+            MessageKind.CLOCK_UPDATE, target_rank, nic.rank,
             payload_bytes=update_bytes, operation_tag=tag,
         )
         yield reply
         self.stats.round_trips += 1
-        spans = self._nic._obs.spans
+        spans = nic._obs.spans
         if spans.enabled:
             spans.complete(
-                self._nic.engine_track, "clock_sync", sync_started,
-                self._nic._sim.now, target=f"P{target_rank}",
+                nic.engine_track, "clock_sync", sync_started,
+                nic._sim.now, target=f"P{target_rank}",
                 update_bytes=update_bytes,
             )
         return 2, update_bytes

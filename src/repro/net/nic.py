@@ -34,6 +34,7 @@ so user programs remain ordinary sequential-looking code.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -290,7 +291,11 @@ class NIC:
         #: UD datagram state: per-destination tx sequences + resync history,
         #: per-source rx view (only consulted when ``config.transport == "ud"``).
         self.ud = UdEndpoint(rank)
-        self._peers: Dict[int, "NIC"] = {rank: self}
+        #: rank -> weak reference: peers reach each other both ways, and
+        #: strong references would tie every NIC of a finished run into one
+        #: cycle only the cyclic collector frees.  Whoever built the NICs
+        #: (the runtime's ``nics`` list) keeps them alive.
+        self._peers: Dict[int, "weakref.ref[NIC]"] = {rank: weakref.ref(self)}
         self._tags = IdAllocator(f"op-P{rank}")
 
     # Tallies consumed by the overhead and scalability experiments —
@@ -308,11 +313,11 @@ class NIC:
 
     def register_peer(self, nic: "NIC") -> None:
         """Make another rank's NIC reachable from this one."""
-        self._peers[nic.rank] = nic
+        self._peers[nic.rank] = weakref.ref(nic)
 
     def peer(self, rank: int) -> "NIC":
         """Return the NIC of *rank* (``KeyError`` if not registered)."""
-        return self._peers[rank]
+        return self._peers[rank]()
 
     # -- helpers -------------------------------------------------------------------
 

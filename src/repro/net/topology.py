@@ -1,9 +1,10 @@
 """Interconnect topologies.
 
 The fabric scales message latency by the number of hops between the source
-and destination rank.  Topologies are thin wrappers around undirected
-:mod:`networkx` graphs whose nodes are ranks; shortest-path hop counts are
-precomputed and cached because the fabric queries them for every message.
+and destination rank.  A topology is an undirected adjacency structure whose
+nodes are ranks; shortest-path hop counts come from a breadth-first search
+per source rank, computed on first use and cached because the fabric queries
+them for every message.
 
 Supercomputer-style topologies relevant to the paper's motivation (Section I
 mentions many-core nodes, NoC meshes and Top500 machines) are provided:
@@ -13,34 +14,52 @@ and a hypercube.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.util.validation import require_positive, require_rank
 
 
-class Topology:
-    """A physical interconnect over ``world_size`` ranks."""
+def _linked(world_size: int, links: Iterable[Tuple[int, int]]) -> Dict[int, List[int]]:
+    """Adjacency of ``world_size`` ranks joined by the undirected *links*."""
+    adjacency: Dict[int, List[int]] = {rank: [] for rank in range(world_size)}
+    for first, second in links:
+        adjacency[first].append(second)
+    return adjacency
 
-    def __init__(self, graph: nx.Graph, name: str = "custom") -> None:
-        world_size = graph.number_of_nodes()
+
+class Topology:
+    """A physical interconnect over ``world_size`` ranks.
+
+    *adjacency* maps every rank to the ranks it has a direct link to; links
+    are undirected, so naming one from either end is enough, naming it twice
+    changes nothing, and a rank linked to itself is ignored.
+    """
+
+    def __init__(self, adjacency: Mapping[int, Iterable[int]], name: str = "custom") -> None:
+        neighbours: Dict[int, set] = {rank: set() for rank in adjacency}
+        for rank, peers in adjacency.items():
+            for peer in peers:
+                if peer != rank:
+                    neighbours[rank].add(peer)
+                    neighbours.setdefault(peer, set()).add(rank)
+        world_size = len(neighbours)
         if world_size == 0:
             raise ValueError("topology graph must have at least one node")
-        expected = set(range(world_size))
-        if set(graph.nodes) != expected:
+        if set(neighbours) != set(range(world_size)):
             raise ValueError(
                 "topology nodes must be consecutive ranks 0..n-1, "
-                f"got {sorted(graph.nodes)}"
+                f"got {sorted(neighbours)}"
             )
-        if world_size > 1 and not nx.is_connected(graph):
-            raise ValueError("topology must be connected")
-        self._graph = graph
-        #: The graph is never mutated after this point (``graph`` hands out
-        #: copies), so the rank count is fixed here instead of asked per send.
+        #: Never mutated after this point (``graph`` hands out copies).
+        self._adjacency: List[List[int]] = [
+            sorted(neighbours[rank]) for rank in range(world_size)
+        ]
         self._world_size = world_size
         self._name = name
-        self._hops: Dict[Tuple[int, int], int] = {}
+        #: source rank -> hop count to every rank (one BFS, on first use).
+        self._hops: Dict[int, List[int]] = {}
+        if -1 in self._hops_from(0):
+            raise ValueError("topology must be connected")
 
     # -- constructors --------------------------------------------------------
 
@@ -48,49 +67,50 @@ class Topology:
     def complete(cls, world_size: int) -> "Topology":
         """Every pair of ranks is one hop apart (a single crossbar switch)."""
         require_positive(world_size, "world_size")
-        return cls(nx.complete_graph(world_size), name=f"complete({world_size})")
+        links = ((a, b) for a in range(world_size) for b in range(a + 1, world_size))
+        return cls(_linked(world_size, links), name=f"complete({world_size})")
 
     @classmethod
     def ring(cls, world_size: int) -> "Topology":
         """Ranks arranged in a cycle."""
         require_positive(world_size, "world_size")
-        if world_size == 1:
-            return cls(nx.complete_graph(1), name="ring(1)")
-        if world_size == 2:
-            return cls(nx.path_graph(2), name="ring(2)")
-        return cls(nx.cycle_graph(world_size), name=f"ring({world_size})")
+        links = ((rank, (rank + 1) % world_size) for rank in range(world_size))
+        return cls(_linked(world_size, links), name=f"ring({world_size})")
 
     @classmethod
     def star(cls, world_size: int, center: int = 0) -> "Topology":
         """All ranks attached to a central rank (e.g. a master node)."""
         require_positive(world_size, "world_size")
         require_rank(center, world_size, "center")
-        graph = nx.Graph()
-        graph.add_nodes_from(range(world_size))
-        for rank in range(world_size):
-            if rank != center:
-                graph.add_edge(center, rank)
-        return cls(graph, name=f"star({world_size}, center={center})")
+        links = ((center, rank) for rank in range(world_size))
+        return cls(_linked(world_size, links), name=f"star({world_size}, center={center})")
 
     @classmethod
     def mesh2d(cls, rows: int, cols: int, torus: bool = False) -> "Topology":
         """A ``rows × cols`` 2-D mesh (or torus) — the NoC layout of Section I."""
         require_positive(rows, "rows")
         require_positive(cols, "cols")
-        grid = nx.grid_2d_graph(rows, cols, periodic=torus)
-        mapping = {(r, c): r * cols + c for r, c in grid.nodes}
-        graph = nx.relabel_nodes(grid, mapping)
+        links = []
+        for r in range(rows):
+            for c in range(cols):
+                # A torus wraps a dimension only where that adds a link: a
+                # dimension of 2 is already joined, one of 1 has nothing to join.
+                if r + 1 < rows or (torus and rows > 2):
+                    links.append((r * cols + c, (r + 1) % rows * cols + c))
+                if c + 1 < cols or (torus and cols > 2):
+                    links.append((r * cols + c, r * cols + (c + 1) % cols))
         kind = "torus" if torus else "mesh"
-        return cls(graph, name=f"{kind}2d({rows}x{cols})")
+        return cls(_linked(rows * cols, links), name=f"{kind}2d({rows}x{cols})")
 
     @classmethod
     def hypercube(cls, dimension: int) -> "Topology":
         """A ``2^dimension``-node hypercube."""
         require_positive(dimension, "dimension")
-        graph = nx.hypercube_graph(dimension)
-        mapping = {node: int("".join(map(str, node)), 2) for node in graph.nodes}
-        graph = nx.relabel_nodes(graph, mapping)
-        return cls(graph, name=f"hypercube({dimension})")
+        world_size = 1 << dimension
+        links = (
+            (rank, rank ^ (1 << bit)) for rank in range(world_size) for bit in range(dimension)
+        )
+        return cls(_linked(world_size, links), name=f"hypercube({dimension})")
 
     # -- queries ------------------------------------------------------------------
 
@@ -105,44 +125,54 @@ class Topology:
         return self._world_size
 
     @property
-    def graph(self) -> nx.Graph:
-        """The underlying graph (a copy, to keep the topology immutable)."""
-        return self._graph.copy()
+    def graph(self) -> Dict[int, List[int]]:
+        """The adjacency, rank -> sorted neighbours (a copy, to keep the topology immutable)."""
+        return {rank: list(peers) for rank, peers in enumerate(self._adjacency)}
+
+    def _hops_from(self, source: int) -> List[int]:
+        """Hop count from *source* to every rank (``-1``: unreachable)."""
+        distances = self._hops.get(source)
+        if distances is None:
+            distances = [-1] * self._world_size
+            distances[source] = 0
+            frontier = [source]
+            while frontier:
+                reached = []
+                for rank in frontier:
+                    for peer in self._adjacency[rank]:
+                        if distances[peer] < 0:
+                            distances[peer] = distances[rank] + 1
+                            reached.append(peer)
+                frontier = reached
+            self._hops[source] = distances
+        return distances
 
     def hops(self, source: int, destination: int) -> int:
         """Shortest-path hop count between two ranks (0 for self-messages)."""
         require_rank(source, self.world_size, "source")
         require_rank(destination, self.world_size, "destination")
-        if source == destination:
-            return 0
-        key = (source, destination)
-        if key not in self._hops:
-            length = nx.shortest_path_length(self._graph, source, destination)
-            self._hops[key] = int(length)
-            self._hops[(destination, source)] = int(length)
-        return self._hops[key]
+        return self._hops_from(source)[destination]
 
     def diameter(self) -> int:
         """Maximum hop count over all pairs."""
-        if self.world_size == 1:
-            return 0
-        return int(nx.diameter(self._graph))
+        return max(max(self._hops_from(rank)) for rank in range(self._world_size))
 
     def average_hops(self) -> float:
         """Mean hop count over all ordered pairs of distinct ranks."""
         if self.world_size == 1:
             return 0.0
-        return float(nx.average_shortest_path_length(self._graph))
+        total = sum(sum(self._hops_from(rank)) for rank in range(self._world_size))
+        return total / (self._world_size * (self._world_size - 1))
 
     def neighbors(self, rank: int) -> List[int]:
         """Directly connected ranks."""
         require_rank(rank, self.world_size, "rank")
-        return sorted(self._graph.neighbors(rank))
+        return list(self._adjacency[rank])
 
     def degree(self, rank: int) -> int:
         """Number of direct links of *rank*."""
         require_rank(rank, self.world_size, "rank")
-        return int(self._graph.degree[rank])
+        return len(self._adjacency[rank])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Topology {self._name} n={self.world_size}>"

@@ -103,6 +103,16 @@ class ProcessAPI:
         """Current simulated time."""
         return self._sim.now
 
+    def random_stream(self, name: str):
+        """The run's seeded random stream called *name* (``sim.rng.stream``).
+
+        For a program's think times and choices: a program that reached for
+        ``runtime.sim.rng`` instead would close over the runtime that holds
+        it, and that cycle keeps a finished run alive until the collector
+        finds it.
+        """
+        return self._sim.rng.stream(name)
+
     @property
     def nic(self) -> NIC:
         """The rank's NIC (exposed for advanced workloads and tests)."""

@@ -18,6 +18,7 @@ ties), so ordinary runs pay a single attribute check per step.
 from __future__ import annotations
 
 import heapq
+import weakref
 from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.obs.observability import Observability
@@ -55,7 +56,11 @@ class Simulator:
         self.rng = RandomStreams(seed)
         # Note: an empty SimLogger is falsy (len == 0), so test for None explicitly.
         self.logger = logger if logger is not None else SimLogger()
-        self.logger.bind_clock(lambda: self._now)
+        # The logger may outlive the simulator (a caller can pass its own)
+        # and must not keep it alive through its clock — nor may the clock
+        # close a simulator -> logger -> simulator cycle.
+        this = weakref.ref(self)
+        self.logger.bind_clock(lambda: getattr(this(), "_now", 0.0))
         #: The observability bundle (metrics registry, span tracer, detection
         #: profiler) every attached component records into.  Always present;
         #: metrics collection is unconditional, span tracing is opt-in.
@@ -136,9 +141,6 @@ class Simulator:
                 f"({self._events_processed} events already processed)"
             )
         self.controller = controller
-        bind = getattr(controller, "bind", None)
-        if bind is not None:
-            bind(self)
 
     # -- scheduling internals ------------------------------------------------
 

@@ -15,6 +15,7 @@ the runtime's barrier/join machinery).
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.sim.events import Event, Interrupt, SimulationError
@@ -70,6 +71,17 @@ class Process(Event):
         start.succeed(None)
 
     # -- inspection ----------------------------------------------------------
+
+    @property
+    def sim(self) -> "Simulator":
+        """The owning simulator, held weakly: it lists its processes, and a
+        strong reference back would leave every finished run to the cyclic
+        collector.  Whatever steps a process is driven by that simulator."""
+        return self._sim()
+
+    @sim.setter
+    def sim(self, sim: "Simulator") -> None:
+        self._sim = weakref.ref(sim)
 
     @property
     def state(self) -> ProcessState:

@@ -22,8 +22,9 @@ tests assert that equivalence.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.core.clocks import VectorClock
 from repro.core.detector import DetectorConfig, DualClockRaceDetector
@@ -94,7 +95,7 @@ class TraceReplayer:
         # (adjacent trace ids), so the head entry always belongs to the next
         # matching access — which replays with the carried snapshot as its
         # event clock, exactly as online.
-        wr_clocks: Dict[tuple, List[VectorClock]] = {}
+        wr_clocks: Dict[tuple, Deque[VectorClock]] = {}
         stream: List[tuple] = [
             (access.time, access.access_id, "access", access) for access in accesses
         ]
@@ -108,9 +109,11 @@ class TraceReplayer:
                 continue
             access = event
             replayed += 1
-            cell = cells.setdefault(access.address, MemoryCell())
+            cell = cells.get(access.address)
+            if cell is None:
+                cell = cells[access.address] = MemoryCell()
             pending = wr_clocks.get((access.rank, access.address.rank))
-            carried = pending.pop(0) if pending else None
+            carried = pending.popleft() if pending else None
             if access.kind is AccessKind.RMW:
                 detector.on_rmw(
                     access.rank,
@@ -165,7 +168,7 @@ class TraceReplayer:
         detector: DualClockRaceDetector,
         sync: SyncEvent,
         transfer_clocks: Optional[Dict[tuple, VectorClock]] = None,
-        wr_clocks: Optional[Dict[tuple, List[VectorClock]]] = None,
+        wr_clocks: Optional[Dict[tuple, Deque[VectorClock]]] = None,
     ) -> None:
         """Re-apply one recorded synchronization to the replay clocks.
 
@@ -197,7 +200,7 @@ class TraceReplayer:
                 return
             origin, target = sync.participants
             if wr_clocks is not None:
-                wr_clocks.setdefault((origin, target), []).append(
+                wr_clocks.setdefault((origin, target), deque()).append(
                     VectorClock.from_entries(sync.clock)
                 )
             return
@@ -222,7 +225,7 @@ class TraceReplayer:
             elif 0 <= sender < detector.world_size:
                 # Trace recorded without detection: best effort, the live
                 # clock stands in for the (unrecorded) message clock.
-                snapshot = detector.current_clock(sender).copy()
+                snapshot = detector.current_clock(sender)
             else:
                 return
             if transfer_clocks is not None:
@@ -246,8 +249,9 @@ class TraceReplayer:
             return
         if len(participants) < 2:
             return
-        merged = detector.current_clock(participants[0]).copy()
-        for rank in participants[1:]:
-            merged.merge_in_place(detector.current_clock(rank))
-        for rank in participants:
-            detector.process_clock(rank).observe_vector(merged)
+        clocks = [detector.process_clock(rank) for rank in participants]
+        merged = clocks[0].principal()
+        for clock in clocks[1:]:
+            merged.merge_in_place(clock.principal())
+        for clock in clocks:
+            clock._absorb(merged._entries)

@@ -22,6 +22,7 @@ two styles on the same queue.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.memory.address import GlobalAddress
@@ -113,7 +114,11 @@ class VerbsContext:
         )
         self._wr_ids = IdAllocator(f"wr-P{self.rank}")
         self._queue_pairs: Dict[int, QueuePair] = {}
-        self._peers: Dict[int, "VerbsContext"] = {self.rank: self}
+        #: rank -> weak reference, for the reason ``NIC._peers`` gives; the
+        #: runtime's ``verbs_contexts`` list keeps the contexts alive.
+        self._peers: Dict[int, "weakref.ref[VerbsContext]"] = {
+            self.rank: weakref.ref(self)
+        }
         self._srq: Optional[SharedReceiveQueue] = None
         #: SRQ low-watermark limit events (``IBV_EVENT_SRQ_LIMIT_REACHED``
         #: analogue), as ``(time, depth_at_firing)`` pairs, in firing order.
@@ -137,11 +142,11 @@ class VerbsContext:
 
     def register_peer(self, context: "VerbsContext") -> None:
         """Make another rank's context reachable (for rkey validation)."""
-        self._peers[context.rank] = context
+        self._peers[context.rank] = weakref.ref(context)
 
     def peer_context(self, rank: int) -> "VerbsContext":
         """The context of *rank* (``KeyError`` if not registered)."""
-        return self._peers[rank]
+        return self._peers[rank]()
 
     def queue_pair(self, peer: int) -> QueuePair:
         """Return (creating lazily) the queue pair to *peer*.

@@ -44,6 +44,7 @@ separate clock identity for the NIC engine (see the ROADMAP follow-up).
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Generator, Optional
 
@@ -75,7 +76,10 @@ class QueuePair:
         recv_queue: Optional[ReceiveQueue] = None,
     ) -> None:
         require_positive(max_send_wr, "max_send_wr")
-        self._context = context
+        # Held weakly: the context owns its queue pairs, and a strong
+        # reference back would leave every finished run to the cyclic
+        # collector.
+        self._owner = weakref.ref(context)
         self._sim = context.sim
         self._obs = Observability.of(context.sim)
         self.origin = context.rank
@@ -129,6 +133,10 @@ class QueuePair:
     def uses_srq(self) -> bool:
         """True when this QP's receive side is a shared receive queue."""
         return isinstance(self.recv_queue, SharedReceiveQueue)
+
+    @property
+    def _context(self) -> "VerbsContext":
+        return self._owner()
 
     # -- posting -----------------------------------------------------------------
 

@@ -67,7 +67,7 @@ class LockFreeCounterWorkload(WorkloadScenario):
         workload = self
 
         def program(api):
-            rng = runtime.sim.rng.stream(f"workload.atomic_counter.P{api.rank}")
+            rng = api.random_stream(f"workload.atomic_counter.P{api.rank}")
             observed = []
             for _ in range(workload.increments):
                 yield from api.compute(workload.work_cost * (0.5 + float(rng.uniform())))

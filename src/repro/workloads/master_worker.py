@@ -108,7 +108,7 @@ class MasterWorkerWorkload(WorkloadScenario):
             api.private.write("completed_seen", done)
 
         def worker(api):
-            rng = runtime.sim.rng.stream(f"workload.master_worker.P{api.rank}")
+            rng = api.random_stream(f"workload.master_worker.P{api.rank}")
             for _iteration in range(workload.tasks):
                 ticket = (yield from api.get("ticket")) or 0
                 if ticket >= workload.tasks:

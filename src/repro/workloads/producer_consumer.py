@@ -76,7 +76,7 @@ class ProducerConsumerWorkload(WorkloadScenario):
             # different seeds place its reads at different points of the
             # producer's write sequence — this is what lets the seed-varying
             # oracle observe the divergent outcomes of the race.
-            rng = runtime.sim.rng.stream("workload.producer_consumer.consumer")
+            rng = api.random_stream("workload.producer_consumer.consumer")
             yield from api.compute(workload.consumer_delay * (0.5 + float(rng.uniform())))
             if workload.synchronized:
                 yield from api.barrier()

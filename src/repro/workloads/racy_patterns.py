@@ -122,7 +122,7 @@ def _unsynchronized_counter(seed: int = 0) -> DSMRuntime:
     runtime.declare_scalar("counter", owner=0, initial=0)
 
     def program(api):
-        rng = runtime.sim.rng.stream(f"pattern.counter.P{api.rank}")
+        rng = api.random_stream(f"pattern.counter.P{api.rank}")
         yield from api.compute(float(rng.uniform()))
         value = yield from api.get("counter")
         yield from api.put("counter", (value or 0) + 1)
@@ -146,7 +146,7 @@ def _cas_flag_claim(seed: int = 0) -> DSMRuntime:
     runtime.declare_scalar("prize", owner=0, initial=0)
 
     def program(api):
-        rng = runtime.sim.rng.stream(f"pattern.casflag.P{api.rank}")
+        rng = api.random_stream(f"pattern.casflag.P{api.rank}")
         yield from api.compute(float(rng.uniform()))
         prior = yield from api.compare_and_swap("flag", 0, 1)
         if prior == 0:

@@ -76,7 +76,7 @@ class RandomAccessWorkload(WorkloadScenario):
         workload = self
 
         def program(api, rank_seed: int = 0):
-            rng = runtime.sim.rng.stream(f"workload.random_access.P{api.rank}")
+            rng = api.random_stream(f"workload.random_access.P{api.rank}")
             counter = 0
             for _round in range(workload.rounds):
                 for _op in range(ops_per_round):

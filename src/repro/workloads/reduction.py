@@ -75,7 +75,7 @@ class OneSidedReductionWorkload(WorkloadScenario):
         workload = self
 
         def program(api):
-            rng = runtime.sim.rng.stream(f"workload.reduction.P{api.rank}")
+            rng = api.random_stream(f"workload.reduction.P{api.rank}")
             # Every rank (including the reducer) deposits its contribution
             # into its own slot after some local work.
             yield from api.compute(workload.contribution_cost * float(rng.uniform()))

@@ -32,7 +32,7 @@ class TestSameRankReRead:
         fast = DualClockRaceDetector(WORLD, DetectorConfig(epochs=True))
         cell = MemoryCell()
         fast.on_write(1, ADDR, cell, symbol="x")
-        info = fast._info(ADDR)
+        info = cell.detector_state
         assert info.access_epoch is not None
         assert info.write_epoch is not None
         # Order rank 2 after the write (the owner ticked on its reception,
@@ -53,7 +53,7 @@ class TestSameRankReRead:
 
         # The re-read keeps the access clock in the epoch state, anchored
         # at the re-reader's latest tick (its merged clock IS the content).
-        info = fast._info(ADDR)
+        info = cell.detector_state
         assert info.access_epoch == Epoch(2, fast.current_clock(2).component(2))
         # Reads never touch W(x): the writer's annotation stands.
         assert info.write_epoch.rank in (1, 0)
@@ -69,12 +69,12 @@ class TestReadSharePromotionThenWriteDemotion:
         # read below lands with no knowledge of the datum's history.
         stale = fast.current_clock(2)
         fast.on_write(1, ADDR, cell, symbol="x")
-        assert fast._info(ADDR).access_epoch is not None
+        assert cell.detector_state.access_epoch is not None
 
         # The carried read has no O(1) coverage witness: genuine read-share,
         # the annotation must drop to the full-vector state.
         fast.on_read(2, ADDR, cell, carried_clock=stale, symbol="x")
-        assert fast._info(ADDR).access_epoch is None
+        assert cell.detector_state.access_epoch is None
 
         # With the annotation gone the next cross-rank check falls back to
         # full compares — the slow path must remain reachable.
@@ -87,7 +87,7 @@ class TestReadSharePromotionThenWriteDemotion:
         # That write is an owner event: the owner's fresh tick dominates
         # the merged content, re-anchoring both clocks to a single epoch —
         # the demotion that makes the next exclusive phase O(1) again.
-        info = fast._info(ADDR)
+        info = cell.detector_state
         owner_tick = fast.current_clock(ADDR.rank).component(ADDR.rank)
         assert info.access_epoch == Epoch(ADDR.rank, owner_tick)
         assert info.write_epoch == Epoch(ADDR.rank, owner_tick)

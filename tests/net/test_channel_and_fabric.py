@@ -267,4 +267,4 @@ class TestValidationRim:
 
     def test_world_size_is_fixed_at_construction(self):
         topology = Topology.ring(5)
-        assert topology.world_size == 5 == topology.graph.number_of_nodes()
+        assert topology.world_size == 5 == len(topology.graph)

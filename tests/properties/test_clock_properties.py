@@ -6,15 +6,19 @@ operation are checked over randomly generated clocks rather than hand-picked
 examples.
 """
 
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.clocks import MatrixClock, VectorClock
+from repro.core.clocks import MatrixClock, VectorClock, _adopt
 from repro.core.comparator import ClockOrdering, compare_clocks, concurrent, max_clock, ordering
 from repro.core.detector import ComparisonMode, DetectorConfig, DualClockRaceDetector
+from repro.memory.address import GlobalAddress
+from repro.memory.public import MemoryCell
 
 # Clocks over 1..6 processes with entries in 0..20.
 clock_entries = st.integers(min_value=1, max_value=6).flatmap(
@@ -299,6 +303,103 @@ class TestTrustedPathAliasing:
         assert detector.current_clock(rank).frozen() == tuple(
             value + (index == rank) for index, value in enumerate(model[rank])
         )
+
+    @given(matrix_histories, st.data())
+    def test_a_clone_carries_its_own_principal_view(self, world, data):
+        """``MatrixClock`` holds a *view* of its principal row; a clone whose
+        view still pointed into the source's matrix would tick the source."""
+        size, rank, history = world
+        received = data.draw(st.lists(st.integers(0, 20), min_size=size, max_size=size))
+        cloners = {
+            "copy": lambda clock: clock.copy(),
+            "deepcopy": copy.deepcopy,
+            "pickle": lambda clock: pickle.loads(pickle.dumps(clock)),
+        }
+        for name, clone_of in cloners.items():
+            source, model = _replay_history(size, rank, history)
+            clone = clone_of(source)
+            assert clone.rank == rank and clone.matrix.tolist() == model, name
+            # Mutate the result: the source does not move, and the clone's
+            # principal is a row of the clone's own matrix.
+            clone.tick()
+            clone.observe_vector(received)
+            assert source.matrix.tolist() == model, name
+            expected = [max(a, b) for a, b in zip(model[rank], received)]
+            expected[rank] = max(model[rank][rank] + 1, received[rank])
+            assert clone.principal().frozen() == tuple(expected), name
+            assert clone.principal().frozen() == tuple(clone.matrix[rank].tolist()), name
+            assert clone.local_component() == expected[rank], name
+            # Mutate the source: the clone does not move.
+            kept = clone.matrix.tolist()
+            source.tick()
+            source.observe_vector([3000] * size, source_rank=rank)
+            assert clone.matrix.tolist() == kept, name
+
+    @given(matrix_histories)
+    def test_the_in_package_absorb_matches_observe_vector(self, world):
+        """``_absorb`` is ``observe_vector`` minus the validation and the
+        snapshot: same matrix, nothing returned, argument untouched."""
+        size, rank, history = world
+        public, model = _replay_history(size, rank, history)
+        trusted = MatrixClock(rank, size)
+        for step in history:
+            if step is None:
+                trusted.tick()
+            else:
+                entries, source = step
+                argument = np.array(entries, dtype=np.int64)
+                assert trusted._absorb(argument, source) is None
+                assert argument.tolist() == entries  # read, never written
+        assert trusted.matrix.tolist() == public.matrix.tolist() == model
+        assert trusted.principal() == public.principal()
+
+    @given(clock_entries)
+    def test_adopt_wraps_without_copying_and_public_results_never_do(self, entries):
+        array = np.array(entries, dtype=np.int64)
+        adopted = _adopt(array)
+        _assert_built_like_public(adopted, entries)
+        # The trusted constructor shares its argument — which is why only
+        # fresh arrays may be adopted ...
+        array[0] += 5
+        assert adopted.frozen()[0] == entries[0] + 5
+        # ... and every clock a public method derives from it is its own.
+        for derived in (adopted.copy(), adopted.merged(adopted), VectorClock(adopted)):
+            kept = derived.frozen()
+            _scribble(adopted)
+            assert derived.frozen() == kept
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["on_write", "on_read", "on_rmw"]),
+                st.integers(0, 2),
+                st.integers(0, 2),
+                st.booleans(),
+            ),
+            max_size=25,
+        )
+    )
+    @settings(deadline=None)
+    def test_the_kernel_reads_a_carried_clock_and_never_writes_it(self, steps):
+        """The check kernel uses a carried clock's entries in place (no
+        defensive copy): nothing it does may show in the caller's object."""
+        detector = DualClockRaceDetector(3)
+        cells = {}
+        carried = detector.current_clock(0)
+        for entry_point, origin, owner, refresh in steps:
+            if refresh:
+                detector.local_event(origin)
+                carried = detector.current_clock(origin)
+            before = carried.frozen()
+            address = GlobalAddress(owner, 0)
+            result = getattr(detector, entry_point)(
+                origin, address, cells.setdefault(owner, MemoryCell()), carried_clock=carried
+            )
+            assert carried.frozen() == before == result.event_clock
+            # The result's snapshots are detached from the live state too.
+            kept = (result.datum_access_clock, result.datum_write_clock)
+            detector.on_write((origin + 1) % 3, address, cells[owner])
+            assert (result.datum_access_clock, result.datum_write_clock) == kept
 
     @given(clock_entries)
     def test_frozen_elements_are_exact_python_ints(self, entries):

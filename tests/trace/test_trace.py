@@ -6,9 +6,9 @@ import pytest
 
 from repro.core.detector import DetectorConfig
 from repro.memory.address import GlobalAddress
-from repro.memory.consistency import AccessKind
+from repro.memory.consistency import AccessKind, MemoryAccess
 from repro.net.nic import RemoteOperationResult
-from repro.trace.events import OperationRecord, summarize
+from repro.trace.events import OperationRecord, SyncEvent, summarize
 from repro.trace.recorder import TraceRecorder
 from repro.trace.replay import TraceReplayer
 from repro.trace.serialization import (
@@ -147,6 +147,59 @@ class TestReplay:
         recorder.record_access(2, a, AccessKind.READ, time=2.0, operation="get")
         default = TraceReplayer(3).replay(recorder.accesses())
         assert default.race_count == 0  # read-read is never a race
+
+    def test_a_deep_posted_burst_pairs_snapshots_with_accesses_in_order(self):
+        """2 000 serviced-but-unreplayed work requests queue on one (origin,
+        target) pair; each access takes the *oldest* pending snapshot.  The
+        same trace with every ``wr_transfer`` right before its access (queue
+        depth 1) must replay identically — races carry the snapshot they
+        were checked with, so a LIFO or skipping queue would show."""
+        depth, target = 2000, GlobalAddress(1, 0)
+        snapshots = [(index + 1, 0, 0) for index in range(depth)]
+
+        def trace(burst):
+            ids = iter(range(1, 10 * depth))
+            accesses, syncs, now = [], [], 0.0
+            if burst:
+                for clock in snapshots:
+                    now += 1.0
+                    syncs.append(SyncEvent(next(ids), now, (0, 1), "wr_transfer", clock))
+            for index, clock in enumerate(snapshots):
+                if not burst:
+                    now += 1.0
+                    syncs.append(SyncEvent(next(ids), now, (0, 1), "wr_transfer", clock))
+                now += 1.0
+                accesses.append(
+                    MemoryAccess(next(ids), 0, target, AccessKind.WRITE, index, now, "x", "put")
+                )
+                if index % 100 == 50:  # an unordered reader: races with the burst
+                    now += 1.0
+                    accesses.append(
+                        MemoryAccess(next(ids), 2, target, AccessKind.READ, None, now, "x", "get")
+                    )
+                    now += 1.0
+                    accesses.append(
+                        MemoryAccess(next(ids), 2, target, AccessKind.WRITE, -1, now, "x", "put")
+                    )
+            return accesses, syncs
+
+        def observed(outcome):
+            return (
+                [
+                    (r.current_rank, r.current_clock, r.previous_rank, r.previous_clock)
+                    for r in outcome.races
+                ],
+                outcome.detection_profile,
+            )
+
+        queued = TraceReplayer(3).replay(*trace(burst=True))
+        adjacent = TraceReplayer(3).replay(*trace(burst=False))
+        assert queued.accesses_replayed == adjacent.accesses_replayed == depth + 40
+        assert observed(queued) == observed(adjacent)
+        carried_racers = [r for r in queued.races if r.current_rank == 0]
+        assert len(carried_racers) == 20
+        # Snapshot k + 1 is the one checked right after the k-th foreign write.
+        assert [r.current_clock[0] for r in carried_racers] == list(range(52, depth, 100))
 
 
 class TestArchiveSchemaVersion:
