@@ -299,9 +299,7 @@ class ScheduleController:
         extra, alternatives = self.strategy.choose_latency(key, message, model_flight)
         if extra < 0:
             raise ValueError(f"strategy produced a negative delay at {key}: {extra}")
-        self.log.append(
-            Decision("latency", key, float(extra), alternatives=alternatives)
-        )
+        self.log.append(Decision._build("latency", key, float(extra), alternatives))
         return model_flight + extra
 
     # -- RNR retry timing (called by NIC.send_payload) ----------------------------------
@@ -321,7 +319,7 @@ class ScheduleController:
         extra, alternatives = self.strategy.choose_rnr(key, attempt, base_backoff)
         if extra < 0:
             raise ValueError(f"strategy produced a negative RNR delay at {key}: {extra}")
-        self.log.append(Decision("rnr", key, float(extra), alternatives=alternatives))
+        self.log.append(Decision._build("rnr", key, float(extra), alternatives))
         return base_backoff + extra
 
     # -- credit grant timing (called by CreditGate.on_posted) ---------------------------
@@ -341,9 +339,7 @@ class ScheduleController:
             raise ValueError(
                 f"strategy produced a negative credit delay at {key}: {extra}"
             )
-        self.log.append(
-            Decision("credit", key, float(extra), alternatives=alternatives)
-        )
+        self.log.append(Decision._build("credit", key, float(extra), alternatives))
         return extra
 
     # -- CQ moderation timer expiry (called by CqModerationTimer.arm) -------------------
@@ -362,9 +358,7 @@ class ScheduleController:
             raise ValueError(
                 f"strategy produced a negative CQ timer delay at {key}: {extra}"
             )
-        self.log.append(
-            Decision("cq_timer", key, float(extra), alternatives=alternatives)
-        )
+        self.log.append(Decision._build("cq_timer", key, float(extra), alternatives))
         return base_usec + extra
 
     # -- adaptive clock-wire resync (called by ClockWireEncoder) ------------------------
@@ -386,9 +380,7 @@ class ScheduleController:
             raise ValueError(
                 f"strategy produced a negative resync deferral at {key}: {defer}"
             )
-        self.log.append(
-            Decision("resync", key, int(defer), alternatives=alternatives)
-        )
+        self.log.append(Decision._build("resync", key, int(defer), alternatives))
         return defer
 
     # -- barrier fan-out order (called by Barrier._open) --------------------------------
@@ -407,9 +399,7 @@ class ScheduleController:
             raise ValueError(
                 f"strategy picked barrier index {index} of {remaining} at {key}"
             )
-        self.log.append(
-            Decision("barrier", key, int(index), alternatives=alternatives)
-        )
+        self.log.append(Decision._build("barrier", key, int(index), alternatives))
         return index
 
     # -- UD datagram fate (called by Fabric.send_datagram) ------------------------------
@@ -432,7 +422,7 @@ class ScheduleController:
         )
         if fate not in (0, 1, 2):
             raise ValueError(f"strategy picked datagram fate {fate} at {key}")
-        self.log.append(Decision("drop", key, int(fate), alternatives=alternatives))
+        self.log.append(Decision._build("drop", key, int(fate), alternatives))
         return fate
 
     # -- UD datagram delay (called by UdChannel.transmit) -------------------------------
@@ -457,9 +447,7 @@ class ScheduleController:
             raise ValueError(
                 f"strategy produced a negative datagram delay at {key}: {extra}"
             )
-        self.log.append(
-            Decision("reorder", key, float(extra), alternatives=alternatives)
-        )
+        self.log.append(Decision._build("reorder", key, float(extra), alternatives))
         return extra
 
     # -- same-time scheduling (called by Simulator.step) --------------------------------
@@ -520,7 +508,7 @@ class ScheduleController:
                     f"{len(eligible_positions)} at {key}"
                 )
             self.log.append(
-                Decision("tie", key, int(index), alternatives=len(eligible_positions))
+                Decision._build("tie", key, int(index), len(eligible_positions))
             )
             chosen_position = eligible_positions[index]
         else:

@@ -72,6 +72,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Union
 
+from repro.util.records import trusted_build
+
 #: The controlled choice-point kinds.
 DECISION_KINDS = (
     "latency",
@@ -86,7 +88,8 @@ DECISION_KINDS = (
 )
 
 
-@dataclass(frozen=True)
+@trusted_build
+@dataclass(frozen=True, slots=True)
 class Decision:
     """One resolved choice point.
 

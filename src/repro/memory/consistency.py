@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.memory.address import GlobalAddress
+from repro.util.records import trusted_build
 
 
 class AccessKind(enum.Enum):
@@ -48,9 +49,13 @@ class AccessKind(enum.Enum):
         return self in (AccessKind.READ, AccessKind.RMW)
 
 
-@dataclass(frozen=True)
+@trusted_build
+@dataclass(frozen=True, slots=True)
 class MemoryAccess:
     """One access to one cell of the global address space.
+
+    ``MemoryAccess._build(*values)`` (one value per field, in order) is the
+    recorder's constructor; see :func:`~repro.util.records.trusted_build`.
 
     Attributes
     ----------

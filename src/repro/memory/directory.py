@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.memory.address import GlobalAddress
 from repro.memory.public import PublicMemory
@@ -64,6 +64,9 @@ class SymbolDirectory:
             )
         self._memories: List[PublicMemory] = list(memories)
         self._symbols: Dict[str, SharedSymbol] = {}
+        #: ``(name, index)`` -> its address, filled by :meth:`resolve`.  A
+        #: declaration is for good, so an entry never goes stale.
+        self._resolved: Dict[Tuple[str, int], GlobalAddress] = {}
         self._round_robin_next = 0
 
     @property
@@ -178,8 +181,21 @@ class SymbolDirectory:
         """Translate ``name[index]`` into its global address.
 
         This is the compile-time address resolution of the paper; the runtime
-        calls it before issuing the corresponding NIC operation.
+        calls it before issuing the corresponding NIC operation.  A cell is
+        located once: every later call returns the same address object
+        without validating *index* again.  An *index* that is not an exact
+        ``int`` is located every time — ``True``, ``1.0`` and NumPy integers
+        hash like a valid index and must still get their ``TypeError``.
         """
+        if type(index) is not int:
+            return self._locate(name, index)
+        address = self._resolved.get((name, index))
+        if address is None:
+            address = self._resolved[name, index] = self._locate(name, index)
+        return address
+
+    def _locate(self, name: str, index: int) -> GlobalAddress:
+        """Validate ``name[index]`` and build its address from the symbol's regions."""
         symbol = self.symbol(name)
         if not isinstance(index, int) or isinstance(index, bool):
             raise TypeError(f"index must be an int, got {index!r}")

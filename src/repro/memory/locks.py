@@ -16,16 +16,16 @@ operations simply ``yield`` it.
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional
 
 from repro.memory.address import GlobalAddress
 from repro.obs.observability import Observability
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, SimulationError
-from repro.util.ids import IdAllocator
 from repro.util.validation import require_type
 
 
@@ -37,9 +37,31 @@ class LockState(enum.Enum):
     RELEASED = "released"
 
 
-@dataclass
+class _GrantEvent(Event):
+    """The event of one lock request.
+
+    It keeps what its label is made of, not the label: nobody reads the name
+    of an event that fires without trouble, and formatting one per access
+    cost more than building the event.
+    """
+
+    def __init__(self, sim: Simulator, address: GlobalAddress, requester: int) -> None:
+        super().__init__(sim)
+        self._address = address
+        self._requester = requester
+
+    def _default_name(self) -> str:
+        return f"lock({self._address})byP{self._requester}"
+
+
+@dataclass(slots=True)
 class LockRequest:
-    """One pending or granted request for exclusive access to an address."""
+    """One pending or granted request for exclusive access to an address.
+
+    A request lives as long as whoever asked for it holds on to it — the NIC
+    operation, until it has released the lock; the table keeps a request only
+    while it holds or waits for the lock.
+    """
 
     request_id: int
     address: GlobalAddress
@@ -49,6 +71,7 @@ class LockRequest:
     state: LockState = LockState.QUEUED
     granted_at: Optional[float] = None
     released_at: Optional[float] = None
+    queued_at: float = 0.0
 
     @property
     def wait_time(self) -> Optional[float]:
@@ -57,20 +80,23 @@ class LockRequest:
             return None
         return self.granted_at - self.queued_at
 
-    queued_at: float = 0.0
-
 
 class MemoryLockTable:
-    """Per-address FIFO locks for one rank's public memory segment."""
+    """Per-address FIFO locks for one rank's public memory segment.
+
+    The table is one rank's, so it files holders and queues under the
+    address's *offset*: an integer hashes itself, a ``GlobalAddress`` hashes
+    through a Python-level ``__hash__``.  ``acquire`` refuses an address of
+    another rank; the inspection methods answer that nobody holds it.
+    """
 
     def __init__(self, sim: Simulator, rank: int) -> None:
         require_type(rank, int, "rank")
         self._sim = sim
         self._rank = rank
-        self._holders: Dict[GlobalAddress, LockRequest] = {}
-        self._queues: Dict[GlobalAddress, Deque[LockRequest]] = {}
-        self._ids = IdAllocator(f"lock-P{rank}")
-        self._history: List[LockRequest] = []
+        self._holders: Dict[int, LockRequest] = {}
+        self._queues: Dict[int, Deque[LockRequest]] = {}
+        self._next_id = itertools.count().__next__
         self._contended_acquisitions = 0
         self._obs = Observability.of(sim)
 
@@ -115,25 +141,24 @@ class MemoryLockTable:
                 f"lock table of rank {self._rank} cannot lock {address} owned by rank {address.rank}"
             )
         request = LockRequest(
-            request_id=self._ids.next_int(),
-            address=address,
-            requester=requester,
-            purpose=purpose,
-            event=self._sim.event(name=f"lock({address})byP{requester}"),
+            self._next_id(),
+            address,
+            requester,
+            purpose,
+            _GrantEvent(self._sim, address, requester),
             queued_at=self._sim.now,
         )
-        self._history.append(request)
         self._requests.inc()
-        if address not in self._holders:
+        if address.offset not in self._holders:
             self._grant(request)
         else:
             self._contended_acquisitions += 1
             self._contended.inc()
-            self._queues.setdefault(address, deque()).append(request)
+            self._queues.setdefault(address.offset, deque()).append(request)
         return request
 
     def _grant(self, request: LockRequest) -> None:
-        self._holders[request.address] = request
+        self._holders[request.address.offset] = request
         request.state = LockState.GRANTED
         request.granted_at = self._sim.now
         request.event.succeed()
@@ -158,8 +183,11 @@ class MemoryLockTable:
     def release(self, request: LockRequest) -> None:
         """Release a previously granted lock and grant the next waiter, if any."""
         require_type(request, LockRequest, "request")
-        holder = self._holders.get(request.address)
-        if holder is not request:
+        offset = request.address.offset
+        if self._holders.get(offset) is not request:
+            # Asked by address: a request of another rank's table names a
+            # cell nobody holds here, whatever sits at its offset.
+            holder = self.holder(request.address)
             raise SimulationError(
                 f"release of {request.address} by P{request.requester} "
                 f"but the lock is held by "
@@ -167,27 +195,31 @@ class MemoryLockTable:
             )
         request.state = LockState.RELEASED
         request.released_at = self._sim.now
-        del self._holders[request.address]
-        queue = self._queues.get(request.address)
+        del self._holders[offset]
+        queue = self._queues.get(offset)
         if queue:
             nxt = queue.popleft()
             if not queue:
-                del self._queues[request.address]
+                del self._queues[offset]
             self._grant(nxt)
 
     # -- inspection ---------------------------------------------------------------
 
     def holder(self, address: GlobalAddress) -> Optional[LockRequest]:
         """The currently granted request for *address*, or ``None``."""
-        return self._holders.get(address)
+        if address.rank != self._rank:
+            return None
+        return self._holders.get(address.offset)
 
     def is_locked(self, address: GlobalAddress) -> bool:
         """True when some process currently holds the lock on *address*."""
-        return address in self._holders
+        return self.holder(address) is not None
 
     def queue_length(self, address: GlobalAddress) -> int:
         """Number of requests waiting behind the holder for *address*."""
-        return len(self._queues.get(address, ()))
+        if address.rank != self._rank:
+            return 0
+        return len(self._queues.get(address.offset, ()))
 
     def outstanding(self) -> int:
         """Total number of granted-but-unreleased locks."""
@@ -198,10 +230,6 @@ class MemoryLockTable:
         """How many acquisitions had to wait behind another holder."""
         return self._contended_acquisitions
 
-    def history(self) -> List[LockRequest]:
-        """All requests ever made, in request order (for tests and analysis)."""
-        return list(self._history)
-
     def assert_quiescent(self) -> None:
         """Raise :class:`SimulationError` unless every lock has been released.
 
@@ -210,6 +238,6 @@ class MemoryLockTable:
         """
         if self._holders:
             held = ", ".join(
-                f"{addr} by P{req.requester}" for addr, req in self._holders.items()
+                f"{req.address} by P{req.requester}" for req in self._holders.values()
             )
             raise SimulationError(f"locks still held on rank {self._rank}: {held}")

@@ -1186,6 +1186,7 @@ class NIC:
             raise ValueError(
                 f"local_write on rank {self.rank} given remote address {address}; use rdma_put"
             )
+        start = self._sim.now
         self.local_writes += 1
         tag = self._tags.next_str()
         lock_request = yield from self._acquire_lock(self, address, "local_write", tag)
@@ -1206,7 +1207,7 @@ class NIC:
             target=address,
             value=value,
             check=check,
-            start_time=self._sim.now,
+            start_time=start,
             end_time=self._sim.now,
             data_messages=0,
             control_messages=0,
@@ -1223,6 +1224,7 @@ class NIC:
             raise ValueError(
                 f"local_read on rank {self.rank} given remote address {address}; use rdma_get"
             )
+        start = self._sim.now
         self.local_reads += 1
         tag = self._tags.next_str()
         lock_request = yield from self._acquire_lock(self, address, "local_read", tag)
@@ -1243,7 +1245,7 @@ class NIC:
             target=address,
             value=value,
             check=check,
-            start_time=self._sim.now,
+            start_time=start,
             end_time=self._sim.now,
             data_messages=0,
             control_messages=0,

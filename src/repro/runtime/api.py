@@ -89,7 +89,6 @@ class ProcessAPI:
         self._barrier = barrier
         self._recorder = recorder
         self._verbs = verbs
-        self._operation_results: List[RemoteOperationResult] = []
 
     # -- introspection -----------------------------------------------------------
 
@@ -122,10 +121,6 @@ class ProcessAPI:
     def directory(self) -> SymbolDirectory:
         """The shared-symbol directory."""
         return self._directory
-
-    def operation_results(self) -> List[RemoteOperationResult]:
-        """All one-sided operations this rank has completed, in order."""
-        return list(self._operation_results)
 
     def clock_transport_stats(self) -> dict:
         """This rank's clock-traffic accounting, as a flat dictionary.
@@ -162,7 +157,8 @@ class ProcessAPI:
     # -- shared-memory operations ----------------------------------------------------
 
     def _finish(self, result: RemoteOperationResult, symbol: Optional[str]) -> RemoteOperationResult:
-        self._operation_results.append(result)
+        # The result is the caller's; what the run keeps of a completed
+        # operation is its trace record.
         if self._recorder is not None:
             self._recorder.record_operation(result, symbol=symbol)
         return result
@@ -447,24 +443,16 @@ class ProcessAPI:
         """Retire whatever receive completions are ready, without blocking."""
         return self.verbs.poll_recv()
 
-    def _claim(
-        self, completions: List[WorkCompletion], raise_on_error: bool
-    ) -> List[WorkCompletion]:
-        # Record every successful sibling before raising, so one failed
-        # request does not lose the results of the others (they have already
-        # been claimed from the verbs context and cannot be re-waited).
-        failed: Optional[WorkCompletion] = None
+    @staticmethod
+    def _raise_first_failure(completions: List[WorkCompletion]) -> None:
+        # The successful siblings lose nothing: each was recorded in the
+        # trace when the NIC serviced it.
         for completion in completions:
-            if completion.result is not None:
-                self._operation_results.append(completion.result)
-            if failed is None and not completion.ok:
-                failed = completion
-        if raise_on_error and failed is not None:
-            message = f"work request {failed.wr_id} failed: {failed.detail}"
-            if failed.status is CompletionStatus.REMOTE_ACCESS_ERROR:
-                raise RemoteAccessError(message)
-            raise CompletionError(message)
-        return completions
+            if not completion.ok:
+                message = f"work request {completion.wr_id} failed: {completion.detail}"
+                if completion.status is CompletionStatus.REMOTE_ACCESS_ERROR:
+                    raise RemoteAccessError(message)
+                raise CompletionError(message)
 
     def wait(self, *requests: WorkRequest, raise_on_error: bool = True) -> Generator:
         """Block until every given work request completes; returns the completions.
@@ -476,7 +464,9 @@ class ProcessAPI:
         completion statuses.
         """
         completions = yield from self.verbs.wait(requests)
-        return self._claim(completions, raise_on_error)
+        if raise_on_error:
+            self._raise_first_failure(completions)
+        return completions
 
     def wait_all(self, raise_on_error: bool = True) -> Generator:
         """Block until every outstanding posted operation completes.
@@ -484,11 +474,13 @@ class ProcessAPI:
         Returns all completions not yet claimed, in posting order.
         """
         completions = yield from self.verbs.wait_all()
-        return self._claim(completions, raise_on_error)
+        if raise_on_error:
+            self._raise_first_failure(completions)
+        return completions
 
     def poll_completions(self) -> List[WorkCompletion]:
         """Retire whatever completions are ready, without blocking."""
-        return self._claim(self.verbs.poll(), raise_on_error=False)
+        return self.verbs.poll()
 
     # -- local behaviour ----------------------------------------------------------------
 

@@ -38,6 +38,21 @@ class ProcessState(enum.Enum):
 _ENDED = (ProcessState.FINISHED, ProcessState.FAILED)
 
 
+class _Bounce(Event):
+    """The hop that resumes a process which yielded an already-fired event.
+
+    One is made for every uncontended lock grant, so its label is built when
+    somebody asks for it.
+    """
+
+    def __init__(self, sim: "Simulator", process: "Process") -> None:
+        super().__init__(sim)
+        self._process = process
+
+    def _default_name(self) -> str:
+        return f"{self._process.name}:bounce"
+
+
 class Process(Event):
     """Wraps a generator and steps it through the event loop.
 
@@ -159,7 +174,7 @@ class Process(Event):
         self._waiting_on = target
         if target._triggered:
             # Already fired: resume on the next simulator step at the same time.
-            bounce = Event(self.sim, name=f"{self.name}:bounce")
+            bounce = _Bounce(self.sim, self)
             bounce.callbacks.append(lambda _ev: self._resume(target))
             bounce.succeed(None)
         else:

@@ -13,9 +13,11 @@ from typing import Dict, List, Optional
 
 from repro.memory.address import GlobalAddress
 from repro.memory.consistency import AccessKind, MemoryAccess
+from repro.util.records import trusted_build
 
 
-@dataclass(frozen=True)
+@trusted_build
+@dataclass(frozen=True, slots=True)
 class SyncEvent:
     """One explicit synchronization among a set of ranks.
 
@@ -60,7 +62,8 @@ class SyncEvent:
     clock: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
+@trusted_build
+@dataclass(frozen=True, slots=True)
 class OperationRecord:
     """One completed high-level one-sided operation.
 
@@ -149,29 +152,53 @@ def summarize(
     accesses: List[MemoryAccess],
     operations: List[OperationRecord],
 ) -> TraceSummary:
-    """Build a :class:`TraceSummary` from raw trace contents."""
+    """Build a :class:`TraceSummary` from raw trace contents.
+
+    One pass over each list: a run ends with this call, over everything it
+    recorded.
+    """
     summary = TraceSummary(world_size=world_size)
     summary.accesses = len(accesses)
-    summary.reads = sum(1 for a in accesses if a.kind is AccessKind.READ)
-    summary.writes = sum(1 for a in accesses if a.kind is AccessKind.WRITE)
-    summary.rmws = sum(1 for a in accesses if a.kind is AccessKind.RMW)
     summary.operations = len(operations)
-    summary.puts = sum(1 for o in operations if o.operation == "put")
-    summary.gets = sum(1 for o in operations if o.operation == "get")
-    summary.atomics = sum(
-        1 for o in operations if o.operation in ("fetch_add", "compare_and_swap")
-    )
-    summary.sends = sum(1 for o in operations if o.operation == "send")
-    summary.posted_operations = sum(1 for o in operations if o.was_posted)
-    summary.local_accesses = sum(
-        1 for a in accesses if a.operation.startswith("local_")
-    )
-    summary.cells_touched = len({a.address for a in accesses})
-    summary.races_flagged = sum(1 for o in operations if o.raced)
-    if accesses:
-        summary.duration = max(a.time for a in accesses) - min(a.time for a in accesses)
+    read, write, rmw = AccessKind.READ, AccessKind.WRITE, AccessKind.RMW
+    reads = writes = rmws = local = 0
+    per_rank = summary.per_rank_accesses
+    cells = set()
+    first = last = accesses[0].time if accesses else 0.0
     for access in accesses:
-        summary.per_rank_accesses[access.rank] = (
-            summary.per_rank_accesses.get(access.rank, 0) + 1
-        )
+        kind = access.kind
+        if kind is read:
+            reads += 1
+        elif kind is write:
+            writes += 1
+        elif kind is rmw:
+            rmws += 1
+        per_rank[access.rank] = per_rank.get(access.rank, 0) + 1
+        # As a pair of integers: an address hashes through Python code.
+        address = access.address
+        cells.add((address.rank, address.offset))
+        if access.operation.startswith("local_"):
+            local += 1
+        time = access.time
+        if time < first:
+            first = time
+        elif time > last:
+            last = time
+    summary.reads, summary.writes, summary.rmws = reads, writes, rmws
+    summary.local_accesses = local
+    summary.cells_touched = len(cells)
+    summary.duration = last - first
+    by_operation: Dict[str, int] = {}
+    for record in operations:
+        by_operation[record.operation] = by_operation.get(record.operation, 0) + 1
+        if record.posted_time is not None:
+            summary.posted_operations += 1
+        if record.raced:
+            summary.races_flagged += 1
+    summary.puts = by_operation.get("put", 0)
+    summary.gets = by_operation.get("get", 0)
+    summary.atomics = by_operation.get("fetch_add", 0) + by_operation.get(
+        "compare_and_swap", 0
+    )
+    summary.sends = by_operation.get("send", 0)
     return summary

@@ -9,13 +9,13 @@ recorded accesses; the analysis package consumes the operation records.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterable, List, Optional
 
 from repro.memory.address import GlobalAddress
 from repro.memory.consistency import AccessKind, MemoryAccess
 from repro.net.nic import RemoteOperationResult
 from repro.trace.events import OperationRecord, SyncEvent, TraceSummary, summarize
-from repro.util.ids import IdAllocator
 from repro.util.validation import require_positive
 
 
@@ -37,7 +37,7 @@ class TraceRecorder:
         # Accesses and syncs share one id sequence so that sorting a combined
         # stream by (time, id) reproduces the exact order in which the online
         # system processed them.
-        self._ids = IdAllocator("access")
+        self._next_id = itertools.count().__next__
 
     @property
     def world_size(self) -> int:
@@ -66,27 +66,22 @@ class TraceRecorder:
         observed: object = None,
     ) -> MemoryAccess:
         """Append one shared-memory access; returns the stored record."""
-        access = MemoryAccess(
-            access_id=self._ids.next_int(),
-            rank=rank,
-            address=address,
-            kind=kind,
-            value=value if self._keep_values else None,
-            time=time,
-            symbol=symbol,
-            operation=operation,
-            observed=observed if self._keep_values else None,
+        if not self._keep_values:
+            value = observed = None
+        access = MemoryAccess._build(
+            self._next_id(), rank, address, kind, value, time, symbol, operation, observed
         )
         self._accesses.append(access)
         return access
 
     def record_sync(self, participants, time: float = 0.0, kind: str = "barrier") -> SyncEvent:
         """Append one symmetric synchronization event among *participants*."""
-        event = SyncEvent(
-            sync_id=self._ids.next_int(),
-            time=time,
-            participants=tuple(sorted(set(int(r) for r in participants))),
-            kind=kind,
+        event = SyncEvent._build(
+            self._next_id(),
+            time,
+            tuple(sorted(set(int(r) for r in participants))),
+            kind,
+            None,
         )
         self._syncs.append(event)
         return event
@@ -105,14 +100,13 @@ class TraceRecorder:
         preserved: ``(source, destination)``.  ``kind="send_post"`` records
         the sender-side posting event (a local tick); ``kind="transfer"``
         records the match, with *clock* carrying the sender's post-time
-        snapshot the receiver merged.
+        snapshot the receiver merged — a ``VectorClock.frozen()`` tuple,
+        stored as it is; any other sequence is copied into a tuple of ints.
         """
-        event = SyncEvent(
-            sync_id=self._ids.next_int(),
-            time=time,
-            participants=(int(source), int(destination)),
-            kind=kind,
-            clock=tuple(int(c) for c in clock) if clock is not None else None,
+        if clock is not None and type(clock) is not tuple:
+            clock = tuple(int(c) for c in clock)
+        event = SyncEvent._build(
+            self._next_id(), time, (int(source), int(destination)), kind, clock
         )
         self._syncs.append(event)
         return event
@@ -129,17 +123,17 @@ class TraceRecorder:
         the simulated time the work request entered its queue pair, which
         precedes ``start_time`` (when the NIC began servicing it).
         """
-        record = OperationRecord(
-            operation=result.operation,
-            origin=result.origin,
-            target=result.target,
-            symbol=symbol,
-            start_time=result.start_time,
-            end_time=result.end_time,
-            data_messages=result.data_messages,
-            control_messages=result.control_messages,
-            raced=result.raced,
-            posted_time=posted_time,
+        record = OperationRecord._build(
+            result.operation,
+            result.origin,
+            result.target,
+            symbol,
+            result.start_time,
+            result.end_time,
+            result.data_messages,
+            result.control_messages,
+            result.raced,
+            posted_time,
         )
         self._operations.append(record)
         return record

@@ -1,8 +1,9 @@
 """Utility helpers shared across the ``repro`` packages.
 
 This sub-package holds small, dependency-free building blocks: argument
-validation, identifier generation, and a lightweight structured logger used by
-the simulation kernel and the runtime.  Nothing in here knows about the
+validation, identifier generation, the in-package constructor of frozen
+record classes, and a lightweight structured logger used by the simulation
+kernel and the runtime.  Nothing in here knows about the
 distributed-shared-memory model itself.
 """
 
@@ -15,6 +16,7 @@ from repro.util.validation import (
     require_rank,
 )
 from repro.util.ids import IdAllocator, monotonic_id
+from repro.util.records import trusted_build
 from repro.util.logging import SimLogger, LogRecord, NullLogger
 
 __all__ = [
@@ -26,6 +28,7 @@ __all__ = [
     "require_rank",
     "IdAllocator",
     "monotonic_id",
+    "trusted_build",
     "SimLogger",
     "LogRecord",
     "NullLogger",

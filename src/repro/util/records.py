@@ -1,0 +1,60 @@
+"""A second, unchecked constructor for frozen record classes.
+
+A run builds one trace record per access, operation and synchronization, and
+one :class:`~repro.explore.decisions.Decision` per choice point.  They are
+frozen dataclasses, and a frozen ``__init__`` stores every field through
+``object.__setattr__`` — ≈ 1.7 µs for nine fields, most of what recording an
+access cost.  :func:`trusted_build` gives such a class the in-package
+constructor ``Message._build`` is for messages: same object, no checks, for
+values the caller validated or made itself.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from typing import Type, TypeVar
+
+T = TypeVar("T")
+
+
+def trusted_build(cls: Type[T]) -> Type[T]:
+    """Class decorator: add ``cls._build(*values)`` to a frozen slots dataclass.
+
+    ``cls._build(v0, v1, ...)`` takes one value per field, in field order, and
+    returns what ``cls(v0, v1, ...)`` returns — an instance of *cls* itself,
+    equal to it, hashing, printing, pickling and refusing assignment alike —
+    without ``__post_init__`` and in about a quarter of the time.  The
+    public constructor stays the place where outside values are checked.
+
+    The record is born as an instance of a private subclass that adds no slot
+    and stores attributes the ordinary way, filled by the plain (non-frozen)
+    dataclass ``__init__`` for the same field names, and is then handed over
+    to *cls* by assigning its ``__class__`` — legal because the two layouts
+    are identical.  This needs ``slots=True``: on a ``__dict__``-backed class
+    CPython >= 3.11 answers both this assignment and the shorter
+    ``__dict__.update(...)`` by materialising the instance dictionary it
+    otherwise never builds, one more tracked object per record kept.
+    """
+    if "__slots__" not in vars(cls) or not cls.__dataclass_params__.frozen:
+        raise TypeError(f"{cls.__name__} must be a frozen dataclass with slots=True")
+    names = [field.name for field in dataclasses.fields(cls)]
+    store = dataclasses.make_dataclass(f"_{cls.__name__}Fields", names).__init__
+    unfrozen = type(
+        f"_Unfrozen{cls.__name__}",
+        (cls,),
+        {
+            "__slots__": (),
+            "__init__": store,
+            # Both, or the type keeps the frozen pair's slow slot.
+            "__setattr__": object.__setattr__,
+            "__delattr__": object.__delattr__,
+        },
+    )
+
+    def _build(*values: object) -> T:
+        record = unfrozen(*values)
+        record.__class__ = cls
+        return record
+
+    cls._build = staticmethod(_build)
+    return cls

@@ -1,5 +1,7 @@
 """Unit tests for the NIC lock table (Figure 3 semantics)."""
 
+import sys
+
 import pytest
 
 from repro.memory.address import GlobalAddress
@@ -109,13 +111,27 @@ class TestTiming:
         assert second.granted_at == 4.0
         assert second.wait_time == 4.0
 
-    def test_history_keeps_every_request(self):
+    def test_the_table_keeps_a_request_only_while_it_holds_or_waits(self):
         sim, table = setup_table()
         address = GlobalAddress(1, 0)
-        table.acquire(address, 0)
-        table.acquire(address, 2)
-        assert len(table.history()) == 2
-        assert [r.requester for r in table.history()] == [0, 2]
+        first = table.acquire(address, 0)
+        second = table.acquire(address, 2)
+        assert sim.obs.metrics.counter("memory.lock_requests", rank=1).value == 2
+        assert table.holder(address) is first and table.queue_length(address) == 1
+        table.release(first)
+        assert table.holder(address) is second and table.queue_length(address) == 0
+        table.release(second)
+        assert table.holder(address) is None and table.outstanding() == 0
+        # Every request was counted; none is kept: what is left of each is the
+        # caller's own reference (and getrefcount's argument).
+        assert sim.obs.metrics.counter("memory.lock_requests", rank=1).value == 2
+        assert sys.getrefcount(first) == sys.getrefcount(second) == 2
+
+    def test_the_grant_event_is_labelled_when_asked(self):
+        sim, table = setup_table()
+        request = table.acquire(GlobalAddress(1, 3), requester=2)
+        assert request.event.name == "lock(P1[3])byP2"
+        assert "lock(P1[3])byP2" in repr(request.event)
 
 
 class TestInstruments:

@@ -176,6 +176,48 @@ class TestLocalAccesses:
         assert result.raced
         assert cluster.detector.race_count() == 1
 
+    @pytest.mark.parametrize("access", ["local_read", "local_write"])
+    def test_a_local_access_that_waited_for_the_lock_reports_the_wait(self, access):
+        """Figure 3 on the owner's side: its latency includes the lock wait."""
+        cluster = Cluster()
+        target = GlobalAddress(1, 0)
+        results = {}
+
+        def remote_reader():
+            results["get"] = yield from cluster.nics[0].rdma_get(target)
+
+        def owner():
+            yield cluster.sim.timeout(1.5)  # the get holds the lock by now
+            nic = cluster.nics[1]
+            operation = nic.local_read(target) if access == "local_read" else (
+                nic.local_write(target, "mine")
+            )
+            results["local"] = yield from operation
+
+        cluster.sim.process(remote_reader())
+        cluster.sim.process(owner())
+        cluster.sim.run()
+        local, get = results["local"], results["get"]
+        assert cluster.locks[1].contended_acquisitions == 1
+        assert local.start_time == 1.5
+        # The get's UNLOCK message lands one flight after its reply did.
+        assert local.end_time == get.end_time + 1.0 == 7.0
+        assert local.elapsed == 5.5
+
+    @pytest.mark.parametrize("access", ["local_read", "local_write"])
+    def test_an_uncontended_local_access_takes_no_simulated_time(self, access):
+        cluster = Cluster()
+        target = GlobalAddress(1, 0)
+        cluster.sim.timeout(2.0)
+        cluster.sim.run()
+        nic = cluster.nics[1]
+        result = cluster.drive(
+            nic.local_read(target) if access == "local_read" else nic.local_write(target, 2)
+        )
+        # The grant hop resumes the caller on a later step of the same instant.
+        assert result.start_time == result.end_time == 2.0
+        assert result.elapsed == 0.0
+
 
 class TestTracing:
     def test_recorder_sees_every_access(self):

@@ -1,14 +1,15 @@
-"""Property-based tests for the lock table, channels and trace serialization."""
+"""Property-based tests for the lock table, channels, trace serialization and summary."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.memory.address import GlobalAddress
-from repro.memory.consistency import AccessKind
+from repro.memory.consistency import AccessKind, MemoryAccess
 from repro.memory.locks import LockState, MemoryLockTable
 from repro.net.channel import Channel
 from repro.net.latency import UniformLatency
 from repro.net.message import Message, MessageKind
 from repro.sim.engine import Simulator
+from repro.trace.events import OperationRecord, TraceSummary, summarize
 from repro.trace.recorder import TraceRecorder
 from repro.trace.serialization import trace_from_json, trace_to_json
 
@@ -108,3 +109,71 @@ class TestTraceSerializationProperties:
         world, accesses, _operations, _syncs = trace_from_json(text)
         assert world == 4
         assert accesses == recorder.accesses()
+
+
+def reference_summarize(world_size, accesses, operations):
+    """``summarize`` as it was: one pass per figure, verbatim."""
+    summary = TraceSummary(world_size=world_size)
+    summary.accesses = len(accesses)
+    summary.reads = sum(1 for a in accesses if a.kind is AccessKind.READ)
+    summary.writes = sum(1 for a in accesses if a.kind is AccessKind.WRITE)
+    summary.rmws = sum(1 for a in accesses if a.kind is AccessKind.RMW)
+    summary.operations = len(operations)
+    summary.puts = sum(1 for o in operations if o.operation == "put")
+    summary.gets = sum(1 for o in operations if o.operation == "get")
+    summary.atomics = sum(
+        1 for o in operations if o.operation in ("fetch_add", "compare_and_swap")
+    )
+    summary.sends = sum(1 for o in operations if o.operation == "send")
+    summary.posted_operations = sum(1 for o in operations if o.was_posted)
+    summary.local_accesses = sum(
+        1 for a in accesses if a.operation.startswith("local_")
+    )
+    summary.cells_touched = len({a.address for a in accesses})
+    summary.races_flagged = sum(1 for o in operations if o.raced)
+    if accesses:
+        summary.duration = max(a.time for a in accesses) - min(a.time for a in accesses)
+    for access in accesses:
+        summary.per_rank_accesses[access.rank] = (
+            summary.per_rank_accesses.get(access.rank, 0) + 1
+        )
+    return summary
+
+
+_times = st.floats(min_value=0, max_value=1e6, allow_nan=False)
+_addresses = st.builds(GlobalAddress, st.integers(0, 3), st.integers(0, 5))
+_accesses = st.builds(
+    MemoryAccess,
+    st.integers(0, 99),
+    st.integers(0, 3),
+    _addresses,
+    # A kind the enum does not know is counted as an access and as nothing else.
+    st.one_of(st.sampled_from(list(AccessKind)), st.just("prefetch")),
+    time=_times,
+    operation=st.sampled_from(["put", "get", "local_read", "local_write", "fetch_add", ""]),
+)
+_operations = st.builds(
+    OperationRecord,
+    st.sampled_from(["put", "get", "send", "fetch_add", "compare_and_swap", "local_read"]),
+    st.integers(0, 3),
+    _addresses,
+    st.none(),
+    _times,
+    _times,
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.booleans(),
+    posted_time=st.one_of(st.none(), _times),
+)
+
+
+class TestSummaryProperties:
+    @given(st.lists(_accesses, max_size=40), st.lists(_operations, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_the_one_pass_summary_equals_the_pass_per_figure_one(self, accesses, operations):
+        got = summarize(4, accesses, operations)
+        expected = reference_summarize(4, accesses, operations)
+        assert got == expected
+        # Ranks are listed in order of first appearance, as they always were.
+        assert list(got.per_rank_accesses) == list(expected.per_rank_accesses)
+        assert got.as_dict() == expected.as_dict()

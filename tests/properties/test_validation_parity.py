@@ -9,21 +9,37 @@ return value (identity included), exception type and exception text.
 ``ClockTransport.mode`` / ``wire_format`` follow the same idiom over
 ``validate_clock_transport`` / ``validate_clock_wire``, which are unchanged
 and so serve as their own reference.
+
+The trace records and ``Decision`` have a second, unchecked constructor
+(``Cls._build``, :func:`repro.util.records.trusted_build`): it must hand out
+what the public one does, and the public ones must raise what they always
+raised.  ``SymbolDirectory.resolve`` remembers a located cell and must answer
+like ``_locate``, the validation it fronts, every time.
 """
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import DSMRuntime, RuntimeConfig
+from repro.explore.decisions import DECISION_KINDS, Decision
+from repro.memory.address import GlobalAddress
+from repro.memory.consistency import AccessKind, MemoryAccess
+from repro.memory.directory import PlacementPolicy, SymbolDirectory
+from repro.memory.public import PublicMemory
 from repro.net.clock_transport import (
     CLOCK_TRANSPORT_MODES,
     CLOCK_WIRE_FORMATS,
     validate_clock_transport,
     validate_clock_wire,
 )
+from repro.trace.events import OperationRecord, SyncEvent
+from repro.util.records import trusted_build
 from repro.util.validation import (
     require_non_negative,
     require_positive,
@@ -196,3 +212,196 @@ class TestKnobReadParity:
         runtime.config.nic.clock_wire = "morse"
         with pytest.raises(ValueError, match="clock_wire must be one of .*'morse'"):
             runtime.nics[0].clock_transport.wire_format
+
+
+# -- trusted record constructors ------------------------------------------------------
+
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 40), st.floats(allow_nan=False),
+    st.text(max_size=4),
+)
+small_ints = st.integers(0, 40)
+times = st.floats(0, 1e6, allow_nan=False)
+addresses = st.builds(GlobalAddress, st.integers(0, 15), st.integers(0, 255))
+symbols = st.one_of(st.none(), st.sampled_from(["x", "halo", "flag"]))
+clocks = st.one_of(st.none(), st.lists(small_ints, max_size=6).map(tuple))
+
+#: One strategy per field, in field order, and the name of a field to assign to.
+RECORDS = {
+    MemoryAccess: (
+        st.tuples(
+            small_ints, small_ints, addresses, st.sampled_from(list(AccessKind)), scalars,
+            times, symbols, st.sampled_from(["", "put", "get", "local_read"]), scalars,
+        ),
+        "rank",
+    ),
+    OperationRecord: (
+        st.tuples(
+            st.sampled_from(["put", "get", "send", "fetch_add"]), small_ints, addresses,
+            symbols, times, times, small_ints, small_ints, st.booleans(),
+            st.one_of(st.none(), times),
+        ),
+        "end_time",
+    ),
+    SyncEvent: (
+        st.tuples(
+            small_ints, times, st.lists(small_ints, max_size=4).map(tuple),
+            st.sampled_from(["barrier", "transfer", "wr_post", "recv_complete"]), clocks,
+        ),
+        "clock",
+    ),
+    Decision: (
+        st.tuples(
+            st.sampled_from(DECISION_KINDS), st.text(max_size=12),
+            st.one_of(st.integers(0, 9), st.floats(0, 50, allow_nan=False)),
+            st.integers(1, 8),
+        ),
+        "choice",
+    ),
+}
+
+
+class TestTrustedConstructors:
+    """``Cls._build(*values)`` hands out what ``Cls(*values)`` does, unchecked."""
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_build_and_the_public_constructor_agree(self, cls, data):
+        values = data.draw(RECORDS[cls][0])
+        built, public = cls._build(*values), cls(*values)
+        assert type(built) is cls
+        assert built == public and public == built
+        assert hash(built) == hash(public)
+        assert repr(built) == repr(public)
+        for field, value in zip(dataclasses.fields(cls), values):
+            assert getattr(built, field.name) is value
+        assert pickle.loads(pickle.dumps(built)) == public
+        assert copy.deepcopy(built) == public
+        assert dataclasses.replace(built) == public
+        first = dataclasses.fields(cls)[0].name
+        moved = dataclasses.replace(built, **{first: values[0]})
+        assert type(moved) is cls and moved == public
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_a_built_record_refuses_assignment_like_a_public_one(self, cls, data):
+        strategy, name = RECORDS[cls]
+        values = data.draw(strategy)
+        for record in (cls._build(*values), cls(*values)):
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"field '{name}'"):
+                setattr(record, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"field '{name}'"):
+                delattr(record, name)
+            # (CPython < 3.13 answers a name that is no field with TypeError.)
+            with pytest.raises((AttributeError, TypeError)):
+                record.not_a_field = 1
+            assert not hasattr(record, "__dict__")
+
+    def test_build_takes_exactly_one_value_per_field(self):
+        with pytest.raises(TypeError):
+            Decision._build("latency", "key", 0.0)
+        with pytest.raises(TypeError):
+            SyncEvent._build(1, 0.0, (0, 1), "barrier", None, "one too many")
+
+    def test_only_a_frozen_slots_dataclass_can_be_given_one(self):
+        @dataclasses.dataclass(frozen=True)
+        class WithDict:
+            value: int
+
+        @dataclasses.dataclass(slots=True)
+        class NotFrozen:
+            value: int
+
+        for cls in (WithDict, NotFrozen):
+            with pytest.raises(TypeError, match="frozen dataclass with slots=True"):
+                trusted_build(cls)
+
+    @pytest.mark.parametrize(
+        "build, error, text",
+        [
+            (lambda: Decision("bogus", "k", 0), ValueError, "unknown decision kind 'bogus'"),
+            (lambda: Decision(None, "k", 0), ValueError, "unknown decision kind None"),
+            (lambda: GlobalAddress("0", 1), TypeError, "rank must be int, got str: '0'"),
+            (lambda: GlobalAddress(0, 1.0), TypeError, "offset must be int, got float: 1.0"),
+            (lambda: GlobalAddress(True, 1), TypeError, "rank and offset must be plain integers"),
+            (lambda: GlobalAddress(-1, 1), ValueError, "rank must be non-negative, got -1"),
+            (lambda: GlobalAddress(1, -2), ValueError, "offset must be non-negative, got -2"),
+            (lambda: MemoryAccess(1), TypeError, "missing 3 required positional arguments"),
+            (lambda: OperationRecord("put", 0), TypeError, "missing 7 required positional"),
+            (lambda: SyncEvent(1), TypeError, "missing 2 required positional arguments"),
+        ],
+    )
+    def test_the_public_constructors_raise_what_they_always_raised(self, build, error, text):
+        with pytest.raises(error) as raised:
+            build()
+        assert text in str(raised.value)
+
+    def test_the_public_constructors_keep_their_defaults(self):
+        access = MemoryAccess(1, 2, GlobalAddress(0, 3), AccessKind.READ)
+        assert (access.value, access.time, access.symbol, access.operation, access.observed) == (
+            None, 0.0, None, "", None,
+        )
+        assert SyncEvent(1, 0.5, (0, 1)) == SyncEvent._build(1, 0.5, (0, 1), "barrier", None)
+        assert Decision("tie", "tie#0", 1).alternatives == 1
+        # ``alternatives`` stays out of equality and hashing, built either way.
+        assert Decision._build("tie", "tie#0", 1, 5) == Decision("tie", "tie#0", 1)
+        assert hash(Decision._build("tie", "tie#0", 1, 5)) == hash(Decision("tie", "tie#0", 1))
+
+
+# -- SymbolDirectory.resolve ----------------------------------------------------------
+
+indices = st.one_of(
+    st.integers(-3, 12),
+    st.booleans(),
+    st.integers(0, 9).map(np.int64),
+    st.integers(0, 9).map(IntSubclass),
+    st.floats(0, 9),
+    st.none(),
+    st.just("1"),
+)
+
+
+class TestResolveParity:
+    """A located cell is remembered; what is not an exact index is judged every time."""
+
+    @staticmethod
+    def directory():
+        memories = [PublicMemory(rank, 32) for rank in range(3)]
+        directory = SymbolDirectory(memories)
+        directory.declare_scalar("x", owner=1)
+        directory.declare_array("block", 10, PlacementPolicy.BLOCK)
+        directory.declare_array("cyclic", 7, PlacementPolicy.ROUND_ROBIN)
+        directory.declare_array("owned", 4, owner=2)
+        return directory
+
+    @given(st.sampled_from(["x", "block", "cyclic", "owned", "nowhere"]), indices)
+    @settings(max_examples=400, deadline=None)
+    def test_resolve_answers_like_locating_from_scratch(self, name, index):
+        directory, fresh = self.directory(), self.directory()
+        expected = outcome(fresh._locate, name, index)
+        for _ in range(3):  # a miss, then hits
+            assert outcome(directory.resolve, name, index) == expected
+
+    def test_a_cell_is_one_address_object_per_directory(self):
+        directory = self.directory()
+        first = directory.resolve("block", 4)
+        assert directory.resolve("block", 4) is first
+        assert directory.resolve("block", IntSubclass(4)) == first
+        assert directory.resolve("block", 4) is first
+        assert self.directory().resolve("block", 4) is not first
+        # Declaring with an initial value resolved every cell already.
+        directory.declare_array("filled", 5, initial=0)
+        before = dict(directory._resolved)
+        assert [directory.resolve("filled", i) for i in range(5)] == [
+            before["filled", i] for i in range(5)
+        ]
+        assert directory._resolved == before
+
+    def test_an_index_that_only_hashes_like_one_is_never_served_from_the_table(self):
+        directory = self.directory()
+        directory.resolve("block", 1)
+        for alias in (True, 1.0, np.int64(1)):
+            with pytest.raises(TypeError, match="index must be an int"):
+                directory.resolve("block", alias)

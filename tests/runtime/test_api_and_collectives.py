@@ -50,20 +50,25 @@ class TestProcessAPI:
         result = runtime.run()
         assert result.shared_value("dst") == "payload"
 
-    def test_operation_results_accumulate(self):
+    def test_completed_operations_accumulate_in_the_trace(self):
         runtime = DSMRuntime(RuntimeConfig(world_size=2))
         runtime.declare_scalar("x", owner=1, initial=0)
+        returned = []
 
         def program(api):
-            yield from api.put("x", 1)
-            yield from api.get("x")
+            returned.append((yield from api.put("x", 1)))
+            returned.append((yield from api.get_result("x")))
 
         runtime.set_program(0, program)
         runtime.set_program(1, idle)
         runtime.run()
-        results = runtime.api(0).operation_results()
-        assert [r.operation for r in results] == ["put", "get"]
-        assert all(r.elapsed >= 0 for r in results)
+        records = runtime.recorder.operations()
+        assert [r.operation for r in records] == ["put", "get"]
+        assert all(r.origin == 0 and r.elapsed > 0 for r in records)
+        # The record is the caller's result, minus the value and the check.
+        assert [(r.start_time, r.end_time, r.data_messages) for r in records] == [
+            (r.start_time, r.end_time, r.data_messages) for r in returned
+        ]
 
     def test_get_result_returns_full_record(self):
         runtime = DSMRuntime(RuntimeConfig(world_size=2))

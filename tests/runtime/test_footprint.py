@@ -215,14 +215,15 @@ class TestTopologyReuse:
                 DSMRuntime(RuntimeConfig(world_size=6, topology="hypercube"))
 
 
-def _posted_stencil(seed):
+def _stencil(iterations):
+    """The posted stencil as ``run_posted`` configures it, four ranks wide."""
     config = RuntimeConfig(clock_transport="piggyback", clock_wire="delta")
-    return SendRecvStencilWorkload(world_size=4, iterations=3, config=config).build(seed)
+    return SendRecvStencilWorkload(world_size=4, iterations=iterations, config=config)
 
 
 FINISHED_RUNS = {
     **{pattern.name: pattern.build for pattern in pattern_corpus() + rmw_pattern_corpus()},
-    "send-recv-stencil": _posted_stencil,
+    "send-recv-stencil": _stencil(3).build,
     "random-access": RandomAccessWorkload(world_size=4, operations_per_rank=20).build,
 }
 
@@ -267,6 +268,170 @@ class TestAFinishedRunFreesItself:
         del runtime
         gc.collect()
         assert logger.log("app", "after it is gone").time == 0.0
+
+
+#: name -> (a run at the smaller size, the same at the larger one).  The two
+#: growth runs are race-free, so nothing but the trace grows with them; the
+#: default random-access run races on its hot cells like ``run_blocking``.
+RETENTION_RUNS = {
+    "send-recv-stencil": (lambda: _stencil(3), lambda: _stencil(9)),
+    "random-access-cold": (
+        lambda: RandomAccessWorkload(world_size=4, operations_per_rank=80, hotspot_fraction=0.0),
+        lambda: RandomAccessWorkload(world_size=4, operations_per_rank=240, hotspot_fraction=0.0),
+    ),
+    "random-access": (
+        lambda: RandomAccessWorkload(world_size=4, operations_per_rank=20),
+        lambda: RandomAccessWorkload(world_size=4, operations_per_rank=60),
+    ),
+}
+
+#: What an access needs while it is under way and nobody needs afterwards.
+SCAFFOLDING = (
+    "LockRequest", "_GrantEvent", "_Bounce", "Timeout", "Event",
+    "RemoteOperationResult", "AccessCheckResult", "WorkCompletion", "Message",
+)
+
+#: Tracked objects a trace record adds besides itself: none.  The records have
+#: ``__slots__``; built through ``__dict__.update`` each would own a
+#: materialised ``__dict__`` (1), and the growth test below would say so.
+OBJECTS_PER_RECORD_BESIDES_ITSELF = 0
+
+
+def census():
+    """Live GC-tracked objects, counted by type name."""
+    counts = {}
+    for thing in gc.get_objects():
+        name = type(thing).__name__
+        counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+def held_run(make):
+    """Run ``make()`` with the collector off; return what it left alive.
+
+    ``(objects by type that the run added, the finished run itself)`` — the
+    runtime, its result and its trace are all still held by the caller.
+    """
+    before = census()
+    finished = make().run(0)
+    after = census()
+    added = {name: after[name] - before.get(name, 0) for name in after}
+    return {name: count for name, count in added.items() if count}, finished
+
+
+def records_of(finished):
+    recorder = finished.runtime.recorder
+    return recorder.accesses() + recorder.operations() + recorder.syncs()
+
+
+def owned_by(records):
+    """Tracked objects only the records hold: written values, participants, clocks."""
+    owned = {}
+    for record in records:
+        for name in ("value", "observed", "participants", "clock"):
+            thing = getattr(record, name, None)
+            if gc.is_tracked(thing):
+                owned[id(thing)] = thing
+    return len(owned)
+
+
+class TestAnAccessKeepsOnlyItsTrace:
+    """When an access completes, what it leaves behind is its trace records.
+
+    Counted, not timed: every object a run retains is one more the cyclic
+    collector walks on each pass, and per-access scaffolding kept "for
+    inspection" (a lock-request log, a per-rank result list, one address
+    object per resolution) was 75 % of a finished run's heap.
+    """
+
+    @pytest.fixture(autouse=True)
+    def collector_off(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize("name", RETENTION_RUNS)
+    def test_no_scaffolding_outlives_the_programs(self, name):
+        held_run(RETENTION_RUNS[name][0])  # imports, caches, interned keys
+        added, finished = held_run(RETENTION_RUNS[name][1])
+        runtime = finished.runtime
+        assert runtime.sim.all_finished()
+        assert [table.outstanding() for table in runtime.lock_tables] == [0] * 4
+        assert {kind: added.get(kind, 0) for kind in SCAFFOLDING} == dict.fromkeys(
+            SCAFFOLDING, 0
+        )
+        recorder = runtime.recorder
+        assert added["MemoryAccess"] == len(recorder.accesses())
+        assert added["OperationRecord"] == len(recorder.operations())
+        assert added.get("SyncEvent", 0) == len(recorder.syncs())
+        # One address object per cell and per directory, however often it is
+        # resolved; a region builds its own when asked for its range.
+        cells = {access.address for access in recorder.accesses()}
+        cells.update(
+            runtime.directory.resolve(symbol.name, index)
+            for symbol in runtime.directory.symbols()
+            for index in range(symbol.length)
+        )
+        regions = sum(len(list(memory.regions())) for memory in runtime.public_memories)
+        assert added["GlobalAddress"] <= len(cells) + regions + 4
+
+    def test_a_held_lock_is_the_only_request_alive(self):
+        runtime = DSMRuntime(RuntimeConfig(world_size=2))
+        runtime.declare_scalar("x", owner=1, initial=0)
+        seen = []
+
+        def program(api):
+            for _ in range(5):
+                yield from api.put("x", 1)
+            request = api.iput("x", 2)
+            yield from api.compute(2.5)  # in flight: its lock is held
+            seen.append((census().get("LockRequest", 0), runtime.lock_tables[1].outstanding()))
+            yield from api.wait(request)
+
+        runtime.set_program(0, program)
+        runtime.set_program(1, lambda api: api.compute(0.0))
+        runtime.run()
+        assert seen == [(1, 1)]
+        assert census().get("LockRequest", 0) == 0
+
+    @pytest.mark.parametrize("name", ["send-recv-stencil", "random-access-cold"])
+    def test_a_longer_run_grows_by_its_trace_and_nothing_else(self, name):
+        small, large = RETENTION_RUNS[name]
+        held_run(small)
+        added_small, finished_small = held_run(small)
+        records_small = records_of(finished_small)
+        owned_small = owned_by(records_small)
+        processes_small = len(finished_small.runtime.sim.processes)
+        crossings_small = finished_small.runtime.barrier.crossings
+        cells_small = {access.address for access in finished_small.runtime.recorder.accesses()}
+        del finished_small
+        added_large, finished_large = held_run(large)
+        records_large = records_of(finished_large)
+        more_records = len(records_large) - len(records_small)
+        assert more_records == 2 * len(records_small) > 0  # three times the run
+        runtime = finished_large.runtime
+        # Same cells, so the detector's per-datum state is the same size.
+        assert {access.address for access in runtime.recorder.accesses()} == cells_small
+        # Two things besides the trace are kept per *burst*, not per access: a
+        # queue pair's drain is a process the simulator lists for good (itself,
+        # its generator, its callback list), and the barrier remembers who
+        # opened each generation, and when (one pair).
+        more_processes = len(runtime.sim.processes) - processes_small
+        more_crossings = runtime.barrier.crossings - crossings_small
+        growth = sum(added_large.values()) - sum(added_small.values())
+        unexplained = growth - (
+            more_records * (1 + OBJECTS_PER_RECORD_BESIDES_ITSELF)
+            + owned_by(records_large) - owned_small
+            + 3 * more_processes
+            + more_crossings
+        )
+        # The detector's memory of a datum is up to three "last access" tuples
+        # and three epochs, and which of them exist depends on how the run
+        # left the cell: the stencil leaves every cell as it found it, the
+        # random run does not.
+        per_datum = 0 if name == "send-recv-stencil" else 6
+        assert abs(unexplained) <= per_datum * len(cells_small) < more_records // 4
 
 
 if __name__ == "__main__":

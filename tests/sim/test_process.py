@@ -72,6 +72,27 @@ class TestProcessExecution:
         sim.run()
         assert order == ["worker done", "waiter saw result"]
 
+    def test_an_already_fired_event_resumes_on_a_later_step_of_the_same_instant(self):
+        sim = Simulator()
+        fired = sim.event()
+        fired.succeed("early")
+        seen = []
+
+        def program():
+            yield sim.timeout(1.0)
+            seen.append((yield fired))
+            seen.append(sim.now)
+
+        sim.process(program(), name="rank-2")
+        sim.run(max_events=3)  # `fired` itself, the start hop, the timeout
+        assert seen == []
+        # What waits on the calendar is the hop back into the process,
+        # labelled when somebody looks at it.
+        (_, _, bounce), = sim._queue
+        assert bounce.name == "rank-2:bounce" and "rank-2:bounce" in repr(bounce)
+        sim.run()
+        assert seen == ["early", 1.0]
+
     def test_two_processes_interleave_by_time(self):
         sim = Simulator()
         order = []

@@ -130,19 +130,30 @@ class TestMessageDecomposition:
 
     def test_atomic_serializes_under_the_nic_lock(self):
         runtime = build()
-        lock_purposes = []
+        runtime.sim.obs.configure(trace_spans=True)
+        held_during = []
 
         def program(api):
-            yield from api.fetch_add("x", 1)
-            lock_purposes.extend(
-                request.purpose for request in runtime.lock_tables[1].history()
-            )
+            request = api.ifetch_add("x", 1)
+            yield from api.compute(2.5)  # in flight: the owner's NIC holds the lock
+            holder = runtime.lock_tables[1].holder(api.address_of("x"))
+            held_during.append((holder.requester, holder.purpose))
+            yield from api.wait(request)
 
         runtime.set_program(0, program)
         runtime.set_program(1, idle)
         runtime.set_program(2, idle)
         runtime.run()
-        assert "fetch_add" in lock_purposes
+        assert held_during == [(0, "fetch_add")]
+        lock_waits = [
+            event["args"]
+            for event in runtime.sim.obs.spans.events()
+            if event.get("name") == "lock_wait"
+        ]
+        assert lock_waits == [
+            {"address": "P1[0]", "requester": "P0", "purpose": "fetch_add"}
+        ]
+        assert runtime.sim.obs.metrics.counter("memory.lock_requests", rank=1).value == 1
 
 
 class TestTraceRecords:

@@ -238,10 +238,10 @@ class TestErrors:
             good = api.iput("data", 7, index=0)
             bad = api.verbs.post_put(api.address_of("data", 1), 8, rkey=0xBAD,
                                      symbol="data")
-            before = len(api.operation_results())
+            before = len(runtime.recorder.operations())
             with pytest.raises(RemoteAccessError):
                 yield from api.wait(good, bad)
-            observed["recorded"] = len(api.operation_results()) - before
+            observed["recorded"] = len(runtime.recorder.operations()) - before
 
         runtime.set_program(0, program)
         runtime.set_program(1, idle)
