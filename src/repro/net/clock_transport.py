@@ -618,7 +618,7 @@ class ClockTransport:
     def data_overhead_bytes(self) -> int:
         """Clock bytes added to one data message under the *legacy* accounting.
 
-        Piggyback riders are sized per message by :meth:`ride` (the wire
+        Piggyback riders are sized per message by :meth:`ride_frame` (the wire
         format decides); this figure covers only the roundtrip transport's
         ``charge_detection_messages=False`` shortcut, where clocks are
         assumed piggybacked on data messages for free at full size.
@@ -629,32 +629,28 @@ class ClockTransport:
             return self.clock_bytes()
         return 0
 
-    def ride(self, clock, destination: int, request: bool = False) -> Tuple[Optional[tuple], int]:
-        """Stamp a clock rider onto one message bound for *destination*.
-
-        Returns ``(frozen_clock_or_None, clock_wire_bytes)``: the frozen
-        snapshot to put in :attr:`~repro.net.message.Message.carried_clock`
-        (``None`` when no clock rides this message) and the clock's share of
-        ``payload_bytes``.  Under the piggyback transport the rider is
-        encoded through the channel's wire-format codec — ``full`` costs the
-        whole vector, ``delta``/``truncated`` cost only the components that
-        changed since the channel's last clock (plus periodic resyncs).
-        Under roundtrip, *request* messages add nothing and data messages
-        add the legacy ``charge_detection_messages=False`` allowance.
-        """
-        frozen, wire_bytes, _ = self.ride_frame(clock, destination, request=request)
-        return frozen, wire_bytes
-
     def ride_frame(
         self, clock, destination: int, request: bool = False
     ) -> Tuple[Optional[tuple], int, Optional[str]]:
-        """Like :meth:`ride`, also reporting the frame's wire shape.
+        """Stamp a clock rider onto one message bound for *destination*.
 
-        The third element is ``"full"`` (self-contained frame), ``"sparse"``
+        Returns ``(frozen_clock_or_None, clock_wire_bytes, frame_shape)``:
+        the frozen snapshot to put in
+        :attr:`~repro.net.message.Message.carried_clock` (``None`` when no
+        clock rides this message), the clock's share of ``payload_bytes``,
+        and the frame's wire shape.  Under the piggyback transport the
+        rider is encoded through the channel's wire-format codec — ``full``
+        costs the whole vector, ``delta``/``truncated`` cost only the
+        components that changed since the channel's last clock (plus
+        periodic resyncs).  Under roundtrip, *request* messages add nothing
+        and data messages add the legacy ``charge_detection_messages=False``
+        allowance.
+
+        The shape is ``"full"`` (self-contained frame), ``"sparse"``
         (sequence-dependent patch) or ``None`` (no frame rode).  The UD
         transport stamps it into :attr:`Message.ud_frame` so the receiver
         can tell whether a gapped or stale datagram needs a resync before
-        its clock could have been reconstructed from the wire.
+        its clock could have been reconstructed from the wire; RC ignores it.
         """
         if not self._active():
             return None, 0, None

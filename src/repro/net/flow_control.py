@@ -17,7 +17,9 @@ The accounting invariant that makes the two modes verdict-identical:
 * a claim is taken *before* the SEND's first transmission and **settled**
   (released) when the send matches the buffer the claim reserved, so every
   in-flight SEND has a buffer reserved for it and the match can never hit
-  the RNR condition;
+  the RNR condition; a SEND that dies before matching (its datagrams
+  exhausted the UD retransmission budget) **returns** its claim, and the
+  returned credit is granted like a freshly posted one;
 * matching stays strictly FIFO — credits carry no addressing, they are
   pure admission control, so the receive a send consumes is exactly the
   one the RNR protocol would have matched.
@@ -106,6 +108,18 @@ class CreditGate:
             )
         self._claims -= 1
 
+    def release(self) -> None:
+        """Return the claim of a SEND that will never match its buffer.
+
+        The buffer the claim reserved is still posted, so the credit is back
+        in the pool — a grant like any post's, through the same
+        controller-owned wake-up: a gate guarding an SRQ is shared by
+        several senders, and the credit the failed one held may be the only
+        thing the oldest parked sender was waiting for.
+        """
+        self.settle()
+        self.on_posted()
+
     def enqueue_waiter(self, event, sender: int) -> None:
         """Park a stalled sender's wake-up event until a post grants a credit."""
         self.stalls += 1
@@ -120,7 +134,10 @@ class CreditGate:
     # -- receiver side (wired as the queue's post listener) ------------------------
 
     def on_posted(self) -> None:
-        """One buffer was posted: grant its credit to the oldest waiter.
+        """One credit entered the pool: grant it to the oldest waiter.
+
+        Called for every posted buffer, and by :meth:`release` for a claim
+        handed back.
 
         The wake-up delay is a controlled choice point — stretching a grant
         decides which of several stalled senders claims a contested buffer

@@ -83,6 +83,44 @@ NIC_COUNTER_FIELDS = (
 
 _NIC_COUNTER_NAMES = tuple(f"nic.{name}" for name in NIC_COUNTER_FIELDS)
 
+#: Everything that differs between the NIC's one-sided operations, declared
+#: once for the one kernel (:meth:`NIC._access`) that performs them all:
+#: operation -> (access kind, issue tally, request message, reply message,
+#: cells the request carries, whether the engine track gets a span, and for
+#: the atomics what ``(old value, operand)`` deposits).  The message columns
+#: are Figure 2's decomposition — a put is one data message, a get (and an
+#: atomic, which mirrors it) a request and a reply carrying the data — and
+#: the local accesses have none.  A compare-and-swap's operand is the
+#: ``(expected, desired)`` pair, two cells on the wire as on InfiniBand; a
+#: fetch-and-add counts an uninitialized cell (``None``) as zero.
+_OPERATIONS = {
+    "put": (
+        AccessKind.WRITE, "puts_issued", MessageKind.PUT_DATA, None, 1, True, None,
+    ),
+    "get": (
+        AccessKind.READ, "gets_issued",
+        MessageKind.GET_REQUEST, MessageKind.GET_REPLY, 0, True, None,
+    ),
+    "fetch_add": (
+        AccessKind.RMW, "atomics_issued",
+        MessageKind.ATOMIC_REQUEST, MessageKind.ATOMIC_REPLY, 1, True,
+        lambda old, amount: (0 if old is None else old) + amount,
+    ),
+    "compare_and_swap": (
+        AccessKind.RMW, "atomics_issued",
+        MessageKind.ATOMIC_REQUEST, MessageKind.ATOMIC_REPLY, 2, True,
+        lambda old, operand: operand[1] if old == operand[0] else old,
+    ),
+    "local_write": (AccessKind.WRITE, "local_writes", None, None, 0, False, None),
+    "local_read": (AccessKind.READ, "local_reads", None, None, 0, False, None),
+}
+
+#: What a put or a get *is* when its target is the caller's own memory.  The
+#: atomics have no local flavour: an own-rank atomic keeps its name, tally
+#: and span and merely crosses no wire.
+_LOCAL_FLAVOUR = {"put": "local_write", "get": "local_read"}
+_REMOTE_FLAVOUR = {local: remote for remote, local in _LOCAL_FLAVOUR.items()}
+
 
 def _nic_counter(name: str) -> property:
     """A NIC tally backed by a registry counter.
@@ -326,27 +364,6 @@ class NIC:
             return 0
         return self.detector.world_size * DualClockRaceDetector.BYTES_PER_ENTRY
 
-    def _record(
-        self,
-        kind: AccessKind,
-        address: GlobalAddress,
-        value: Any,
-        symbol: Optional[str],
-        operation: str,
-        observed: Any = None,
-    ) -> None:
-        if self.recorder is not None:
-            self.recorder.record_access(
-                rank=self.rank,
-                address=address,
-                kind=kind,
-                value=value,
-                time=self._sim.now,
-                symbol=symbol,
-                operation=operation,
-                observed=observed,
-            )
-
     def _detection_active(self) -> bool:
         return self.detector is not None and self.detector.config.enabled
 
@@ -412,33 +429,12 @@ class NIC:
             return clock_snapshot
         return self.detector.current_clock(self.rank)
 
-    def _record_wr_transfer(
-        self, target_rank: int, clock_snapshot: Optional[VectorClock]
-    ) -> None:
-        """Trace the snapshot a posted one-sided operation was serviced with.
-
-        Recorded immediately before the instrumented access (adjacent trace
-        ids), so offline replay pairs each ``wr_transfer`` with the access
-        that consumed it and re-runs the check with the exact carried clock.
-        """
-        if clock_snapshot is not None and self.recorder is not None:
-            self.recorder.record_transfer(
-                self.rank, target_rank, time=self._sim.now,
-                kind="wr_transfer", clock=clock_snapshot.frozen(),
-            )
-
     # -- clocked transmission (RC vs UD service levels) ----------------------------------
 
     def _transmit_clocked(
-        self,
-        kind: MessageKind,
-        destination: int,
-        *,
-        payload: Any = None,
-        base_payload_bytes: int = 0,
-        tag: str,
-        clock_provider: Callable[[], Any],
-        request: bool = False,
+        self, kind: MessageKind, destination: int, payload: Any,
+        base_payload_bytes: int, tag: str, clock: Any,
+        origin_clock: bool = False, request: bool = False,
     ) -> Generator:
         """Transmit one clock-carrying data message on the configured transport.
 
@@ -453,17 +449,22 @@ class NIC:
         repairs); a delivered datagram is absorbed into the receiver's wire
         view, with the receiver-driven resync subprotocol
         (:meth:`_ud_resync`) run inline when the frame arrived gapped or
-        stale.  *clock_provider* is re-invoked per transmission, mirroring
-        the RNR re-ride idiom — under the sparse wire formats a
-        retransmission of an unchanged clock costs only an empty sparse
-        frame.
-
-        Returns ``(transmissions, carried, clock_wire_bytes)`` for the
-        transmission that was finally delivered.
+        stale.  The rider is *clock*; with *origin_clock* (an operation's
+        request) it is what :meth:`_wire_clock` makes of *clock*,
+        re-evaluated per transmission, mirroring the RNR re-ride idiom —
+        under the sparse wire formats a retransmission of an unchanged
+        clock costs only an empty sparse frame.  A flag, not a provider
+        closure: one built per operation would turn the caller's locals
+        into cell variables for every access, the local ones included.
+        Which service level is one branch here, on the live ``NICConfig``
+        (every knob can be switched on a built runtime), not a strategy
+        object chosen at construction.  Returns the number of transmissions
+        it took.
         """
         if self.config.transport != "ud":
-            carried, clock_wire_bytes = self.clock_transport.ride(
-                clock_provider(), destination, request=request
+            carried, clock_wire_bytes, _ = self.clock_transport.ride_frame(
+                self._wire_clock(clock) if origin_clock else clock,
+                destination, request=request,
             )
             event, _ = self.fabric.send(
                 kind, self.rank, destination,
@@ -473,14 +474,15 @@ class NIC:
                 carried_clock=carried, clock_wire_bytes=clock_wire_bytes,
             )
             yield event
-            return 1, carried, clock_wire_bytes
+            return 1
 
         target_nic = self.peer(destination)
         stats = self.clock_transport.stats
         attempts = 0
         while True:
             carried, clock_wire_bytes, frame = self.clock_transport.ride_frame(
-                clock_provider(), destination, request=request
+                self._wire_clock(clock) if origin_clock else clock,
+                destination, request=request,
             )
             seq = self.ud.assign_seq(destination, carried)
             stats.ud_datagrams += 1
@@ -518,7 +520,7 @@ class NIC:
                 if verdict == "stale":
                     target_nic.clock_transport.stats.ud_stale_frames += 1
                 yield from target_nic._ud_resync(self, seq, tag)
-            return attempts, carried, clock_wire_bytes
+            return attempts
 
     def _absorb_duplicate(
         self, target_nic: "NIC", seq: int, frame: Optional[str]
@@ -589,7 +591,202 @@ class NIC:
             source=f"P{sender_nic.rank}", seq=seq,
         )
 
-    # -- one-sided operations ------------------------------------------------------------
+    # -- the access kernel ----------------------------------------------------------------
+
+    def _abort(
+        self, tag: str, target_nic: Optional["NIC"] = None,
+        lock_request: Optional[LockRequest] = None, credit_gate: Any = None,
+    ) -> None:
+        """The one abort path: a failed operation gives back what it holds.
+
+        A delivery failure (:class:`UdDeliveryExceeded` — a data datagram or
+        its resync subprotocol burnt the retransmission budget) ends the
+        operation mid-flight, wherever it was.  The target cell lock must
+        not stay held (quiescence; a lost request touched no memory, a lost
+        reply leaves the effect in place).  A SEND that had claimed a
+        receive credit returns it to the pool — the buffer it reserved is
+        still posted and this SEND will never consume it, so the oldest
+        sender parked on the gate is woken, as by a post.
+        """
+        self._release_lock(target_nic, lock_request, tag)
+        if credit_gate is not None:
+            credit_gate.release()
+
+    def _perform(
+        self, target_nic: "NIC", kind: AccessKind, operation: str,
+        address: GlobalAddress, operand: Any,
+        apply: Optional[Callable[[Any, Any], Any]], symbol: Optional[str],
+        carried_clock: Optional[VectorClock], owner_event: Optional[bool],
+        wire_clock_bytes: Optional[int],
+    ) -> Tuple[Optional[AccessCheckResult], Any, Any]:
+        """The step under the lock: check, memory effect, access record.
+
+        Must be called while the NIC lock on *address* is held — detection
+        itself cannot race.  The check (Algorithms 1 and 2, one detector
+        entry per access kind) runs against the cell as the operation found
+        it; then the operation takes effect — a write deposits *operand*, a
+        read observes, an atomic observes and deposits ``apply(observed,
+        operand)`` with no window in between — and the access is traced.
+        Shared by :meth:`_access` and the scatter loop of
+        :meth:`send_payload`.  Returns ``(check, value, new_value)``: what
+        the operation hands back (the value written or read; for an atomic
+        the value the cell held before) and what an atomic deposited.
+        """
+        now = self._sim.now
+        memory = target_nic.memory
+        check: Optional[AccessCheckResult] = None
+        detector = self.detector
+        if self._detection_active():
+            cell = memory.cell(address)
+            if kind is AccessKind.WRITE:
+                check = detector.on_write(
+                    self.rank, address, cell, symbol=symbol, time=now,
+                    operation=operation, carried_clock=carried_clock,
+                    owner_event=owner_event, wire_clock_bytes=wire_clock_bytes,
+                )
+            elif kind is AccessKind.READ:
+                check = detector.on_read(
+                    self.rank, address, cell, symbol=symbol, time=now,
+                    operation=operation, carried_clock=carried_clock,
+                    wire_clock_bytes=wire_clock_bytes,
+                )
+            else:
+                check = detector.on_rmw(
+                    self.rank, address, cell, symbol=symbol, time=now,
+                    operation=operation, carried_clock=carried_clock,
+                    wire_clock_bytes=wire_clock_bytes,
+                )
+        observed = new_value = None
+        if kind is AccessKind.WRITE:
+            memory.write(address, operand, writer=self.rank)
+            value = recorded = operand
+        elif kind is AccessKind.READ:
+            value = recorded = memory.read(address)
+        else:
+            value = observed = memory.read(address)
+            new_value = recorded = apply(observed, operand)
+            memory.write(address, new_value, writer=self.rank)
+        if self.recorder is not None:
+            self.recorder.record_access(
+                self.rank, address, kind, recorded, now, symbol, operation, observed
+            )
+        return check, value, new_value
+
+    def _access(
+        self, operation: str, target: GlobalAddress, operand: Any,
+        symbol: Optional[str], clock_snapshot: Optional[VectorClock],
+    ) -> Generator:
+        """The one access path behind every one-sided and local operation.
+
+        The paper makes "no distinction between accesses to public memory
+        from a remote process and from the process that actually maps this
+        address space" (Section III-A) and gives every access one shape,
+        which is this generator, once:
+
+        1. take the NIC lock on the target cell (Figure 3; a remote
+           acquisition optionally costs a request/grant round trip);
+        2. *remote only:* charge Algorithm 5's clock round trip when the
+           transport owes one, then send the request message of Figure 2 —
+           under piggybacking the target-side check consumes the origin's
+           clock, so it must physically travel on the request (a reply then
+           carries the datum's history back: two riders per get, mirroring
+           Algorithm 5's fetch + update pair);
+        3. trace the snapshot a posted operation is serviced with, as a
+           ``wr_transfer`` recorded immediately before the instrumented
+           access (adjacent trace ids), so offline replay pairs each with
+           the access that consumed it and re-runs the check with the exact
+           carried clock;
+        4. check, take effect and record the access under the lock
+           (:meth:`_perform`) — a landing write counts as an owner event;
+        5. *remote, data-returning only:* send the reply.  It is the
+           target's message: its rider goes through the target's channel
+           codec (and the target's UD sequence space) towards this rank;
+        6. unlock, draw the engine-track span, hand back the
+           :class:`RemoteOperationResult`.
+
+        What differs per operation is one row of :data:`_OPERATIONS`, and
+        whether the address crosses the wire is decided here and nowhere
+        above: the NIC is the module that knows.  An own-rank target skips
+        step 2 and 5 outright (no peer lookup, no round-trip generator: half
+        of a posted workload's accesses are local reads) but still takes the
+        lock and the check, as for every public-memory access; a put or get
+        of one is recorded as the ``local_write`` / ``local_read`` it is.
+
+        *clock_snapshot* is the post-time clock of a posted (verbs)
+        operation (see :meth:`rdma_put`).  The check result's
+        ``datum_epoch`` (the owner-tick annotation the epoch fast path
+        re-establishes on the datum clock) travels back with the
+        completion, where the queue pair uses it to replace — rather than
+        re-join — its running service clock across a drain burst.
+
+        A delivery failure between lock and unlock leaves through
+        :meth:`_abort`.  Errors in the arguments are raised here, that is
+        when the generator is first driven, inside the calling process.
+        """
+        if type(target) is not GlobalAddress:  # inline: no call on the hot path
+            require_type(target, GlobalAddress, "target")
+        remote = target.rank != self.rank
+        if not remote:
+            operation = _LOCAL_FLAVOUR.get(operation, operation)
+        kind, tally, request_kind, reply_kind, request_cells, spanned, apply = (
+            _OPERATIONS[operation]
+        )
+        if remote and request_kind is None:
+            raise ValueError(
+                f"{operation} on rank {self.rank} given remote address {target}; "
+                f"use rdma_{_REMOTE_FLAVOUR[operation]}"
+            )
+        start = self._sim.now
+        tag = self._tags.next_str()
+        self._counters[tally].value += 1
+        target_nic = self._peers[target.rank]() if remote else self
+        data_messages = control_messages = 0
+        update_clock_bytes = None
+
+        lock_request = yield from self._acquire_lock(target_nic, target, operation, tag)
+        try:
+            if remote:
+                control_messages, update_clock_bytes = (
+                    yield from self.clock_transport.round_trip(target.rank, tag)
+                )
+                data_messages = yield from self._transmit_clocked(
+                    request_kind, target.rank, operand,
+                    request_cells * self.config.cell_bytes, tag,
+                    clock_snapshot, True, reply_kind is not None,
+                )
+                target_nic._counters["remote_ops_serviced"].value += 1
+            if clock_snapshot is not None and self.recorder is not None:
+                self.recorder.record_transfer(
+                    self.rank, target.rank, time=self._sim.now,
+                    kind="wr_transfer", clock=clock_snapshot.frozen(),
+                )
+            check, value, new_value = self._perform(
+                target_nic, kind, operation, target, operand, apply, symbol,
+                clock_snapshot, True, update_clock_bytes,
+            )
+            if remote and reply_kind is not None:
+                data_messages += yield from target_nic._transmit_clocked(
+                    reply_kind, self.rank, value, self.config.cell_bytes, tag,
+                    check.datum_access_clock if check is not None else None,
+                )
+        except UdDeliveryExceeded:
+            self._abort(tag, target_nic, lock_request)
+            raise
+        self._release_lock(target_nic, lock_request, tag)
+
+        end = self._sim.now
+        if spanned:
+            spans = self._obs.spans
+            if spans.enabled:
+                spans.complete(
+                    self.engine_track, operation, start, end, target=f"P{target.rank}"
+                )
+        return RemoteOperationResult(
+            operation, self.rank, target, value, check, start, end,
+            data_messages, control_messages, new_value,
+        )
+
+    # -- one-sided and local operations (entry points of the kernel) ----------------------
 
     def rdma_put(
         self,
@@ -605,73 +802,11 @@ class NIC:
         clock of a posted (verbs) put: the write is then checked with the
         carried snapshot instead of the origin's live clock, the landing
         still counts as an owner event, and the origin synchronizes only
-        when it retires the completion.  The check result's ``datum_epoch``
-        (the owner-tick annotation the epoch fast path re-establishes on
-        the datum clock) travels back with the completion, where the queue
-        pair uses it to replace — rather than re-join — its running
-        service clock across a drain burst.  Returns a
+        when it retires the completion (see :meth:`_access`).  A *target* in
+        this rank's own memory makes it :meth:`local_write`.  Returns a
         :class:`RemoteOperationResult`.
         """
-        require_type(target, GlobalAddress, "target")
-        start = self._sim.now
-        tag = self._tags.next_str()
-        target_nic = self.peer(target.rank)
-        self.puts_issued += 1
-        data_messages = 0
-        control_messages = 0
-
-        lock_request = yield from self._acquire_lock(target_nic, target, "put", tag)
-        round_trips, update_clock_bytes = yield from self.clock_transport.round_trip(
-            target.rank, tag
-        )
-        control_messages += round_trips
-
-        if target.rank != self.rank:
-            try:
-                sent, _, _ = yield from self._transmit_clocked(
-                    MessageKind.PUT_DATA, target.rank,
-                    payload=value, base_payload_bytes=self.config.cell_bytes,
-                    tag=tag,
-                    clock_provider=lambda: self._wire_clock(clock_snapshot),
-                )
-            except UdDeliveryExceeded:
-                # The operation aborts mid-flight: the target cell lock must
-                # not stay held (quiescence), and no memory was touched.
-                self._release_lock(target_nic, lock_request, tag)
-                raise
-            data_messages += sent
-            target_nic.remote_ops_serviced += 1
-
-        self._record_wr_transfer(target.rank, clock_snapshot)
-        check: Optional[AccessCheckResult] = None
-        if self._detection_active():
-            cell = target_nic.memory.cell(target)
-            check = self.detector.on_write(
-                self.rank, target, cell, symbol=symbol, time=self._sim.now, operation="put",
-                carried_clock=clock_snapshot, owner_event=True,
-                wire_clock_bytes=update_clock_bytes,
-            )
-        target_nic.memory.write(target, value, writer=self.rank)
-        self._record(AccessKind.WRITE, target, value, symbol, "put")
-
-        self._release_lock(target_nic, lock_request, tag)
-        spans = self._obs.spans
-        if spans.enabled:
-            spans.complete(
-                self.engine_track, "put", start, self._sim.now,
-                target=f"P{target.rank}",
-            )
-        return RemoteOperationResult(
-            operation="put",
-            origin=self.rank,
-            target=target,
-            value=value,
-            check=check,
-            start_time=start,
-            end_time=self._sim.now,
-            data_messages=data_messages,
-            control_messages=control_messages,
-        )
+        return self._access("put", target, value, symbol, clock_snapshot)
 
     def rdma_get(
         self,
@@ -684,91 +819,12 @@ class NIC:
         Involves two data messages — the request and the reply carrying the
         data (Figure 2).  *clock_snapshot* is the post-time clock of a
         posted (verbs) get; the datum's causal history then flows back to
-        the origin at completion retirement rather than at service.
+        the origin at completion retirement rather than at service.  A
+        *target* in this rank's own memory makes it :meth:`local_read`.
         Returns a :class:`RemoteOperationResult` whose ``value`` is the
         value read.
         """
-        require_type(target, GlobalAddress, "target")
-        start = self._sim.now
-        tag = self._tags.next_str()
-        target_nic = self.peer(target.rank)
-        self.gets_issued += 1
-        data_messages = 0
-        control_messages = 0
-
-        lock_request = yield from self._acquire_lock(target_nic, target, "get", tag)
-        round_trips, update_clock_bytes = yield from self.clock_transport.round_trip(
-            target.rank, tag
-        )
-        control_messages += round_trips
-
-        if target.rank != self.rank:
-            # Under piggybacking the target-side check consumes the origin's
-            # clock, so it must physically travel on the request (the reply
-            # then carries the datum's history back — two riders per get,
-            # mirroring Algorithm 5's fetch + update pair).
-            try:
-                sent, _, _ = yield from self._transmit_clocked(
-                    MessageKind.GET_REQUEST, target.rank,
-                    tag=tag,
-                    clock_provider=lambda: self._wire_clock(clock_snapshot),
-                    request=True,
-                )
-            except UdDeliveryExceeded:
-                self._release_lock(target_nic, lock_request, tag)
-                raise
-            data_messages += sent
-            target_nic.remote_ops_serviced += 1
-
-        self._record_wr_transfer(target.rank, clock_snapshot)
-        check: Optional[AccessCheckResult] = None
-        if self._detection_active():
-            cell = target_nic.memory.cell(target)
-            check = self.detector.on_read(
-                self.rank, target, cell, symbol=symbol, time=self._sim.now, operation="get",
-                carried_clock=clock_snapshot, wire_clock_bytes=update_clock_bytes,
-            )
-        value = target_nic.memory.read(target)
-        self._record(AccessKind.READ, target, value, symbol, "get")
-
-        if target.rank != self.rank:
-            # The reply is the target's message: its rider goes through the
-            # target's channel codec (and the target's UD sequence space)
-            # towards this rank.
-            try:
-                sent, _, _ = yield from target_nic._transmit_clocked(
-                    MessageKind.GET_REPLY, self.rank,
-                    payload=value, base_payload_bytes=self.config.cell_bytes,
-                    tag=tag,
-                    clock_provider=lambda: (
-                        check.datum_access_clock if check is not None else None
-                    ),
-                )
-            except UdDeliveryExceeded:
-                self._release_lock(target_nic, lock_request, tag)
-                raise
-            data_messages += sent
-
-        self._release_lock(target_nic, lock_request, tag)
-        spans = self._obs.spans
-        if spans.enabled:
-            spans.complete(
-                self.engine_track, "get", start, self._sim.now,
-                target=f"P{target.rank}",
-            )
-        return RemoteOperationResult(
-            operation="get",
-            origin=self.rank,
-            target=target,
-            value=value,
-            check=check,
-            start_time=start,
-            end_time=self._sim.now,
-            data_messages=data_messages,
-            control_messages=control_messages,
-        )
-
-    # -- one-sided atomics ---------------------------------------------------------------
+        return self._access("get", target, None, symbol, clock_snapshot)
 
     def fetch_add(
         self,
@@ -780,18 +836,18 @@ class NIC:
         """One-sided atomic fetch-and-add on *target*.
 
         Serviced entirely by the target NIC under the cell's lock: read the
-        old value, deposit ``old + amount``, send the old value back.  An
-        uninitialized cell (``None``) counts as zero.  Returns a
+        old value, deposit ``old + amount``, send the old value back.  The
+        message decomposition mirrors a ``get``: one ATOMIC_REQUEST carrying
+        the operand, one ATOMIC_REPLY carrying the prior value; a local
+        atomic (the caller owns the cell) crosses no wire but still takes
+        the NIC lock and the detector check.  An uninitialized cell
+        (``None``) counts as zero.  *clock_snapshot* is the post-time clock
+        of a posted atomic (see :meth:`rdma_put`); the reply's causal
+        history then merges at completion retirement.  Returns a
         :class:`RemoteOperationResult` whose ``value`` is the *old* value.
         """
-
-        def apply(old: Any) -> Any:
-            return (0 if old is None else old) + amount
-
-        result = yield from self._atomic(
-            "fetch_add", target, apply, operand=amount,
-            operand_bytes=self.config.cell_bytes, symbol=symbol,
-            clock_snapshot=clock_snapshot,
+        result = yield from self._access(
+            "fetch_add", target, amount, symbol, clock_snapshot
         )
         if result.value is None:
             # The returned old value follows the same uninitialized-is-zero
@@ -813,119 +869,40 @@ class NIC:
         Deposits *desired* iff the cell currently holds *expected*; always
         returns the prior value (the swap succeeded iff ``result.value ==
         expected``).  The operand carries both the compare and the swap value,
-        as on InfiniBand (two cells on the wire).
+        as on InfiniBand (two cells on the wire); messages, locking and
+        *clock_snapshot* are as for :meth:`fetch_add`.
         """
-
-        def apply(old: Any) -> Any:
-            return desired if old == expected else old
-
-        result = yield from self._atomic(
-            "compare_and_swap", target, apply, operand=(expected, desired),
-            operand_bytes=2 * self.config.cell_bytes, symbol=symbol,
-            clock_snapshot=clock_snapshot,
+        return self._access(
+            "compare_and_swap", target, (expected, desired), symbol, clock_snapshot
         )
-        return result
 
-    def _atomic(
+    def local_write(
         self,
-        operation: str,
-        target: GlobalAddress,
-        apply: Callable[[Any], Any],
-        operand: Any,
-        operand_bytes: int,
-        symbol: Optional[str],
+        address: GlobalAddress,
+        value: Any,
+        symbol: Optional[str] = None,
         clock_snapshot: Optional[VectorClock] = None,
     ) -> Generator:
-        """Common read-modify-write machinery for the one-sided atomics.
+        """Write to this rank's own public memory.
 
-        Message decomposition mirrors a ``get``: one ATOMIC_REQUEST carrying
-        the operands, one ATOMIC_REPLY carrying the prior value.  A local
-        atomic (the caller owns the cell) crosses no wire but still takes the
-        NIC lock and the detector check, as for every public-memory access.
-        *clock_snapshot* is the post-time clock of a posted atomic (see
-        :meth:`rdma_put`); the reply's causal history then merges at
-        completion retirement.
+        The paper makes "no distinction between accesses to public memory from
+        a remote process and from the process that actually maps this address
+        space" (Section III-A), so local public accesses go through the same
+        lock and the same detection check — just without any network traffic.
+        A posted local write carries its post-time *clock_snapshot* exactly
+        like a remote one.  A remote *address* is a ``ValueError``; callers
+        that do not know where an address lives call :meth:`rdma_put`.
         """
-        require_type(target, GlobalAddress, "target")
-        start = self._sim.now
-        tag = self._tags.next_str()
-        target_nic = self.peer(target.rank)
-        self.atomics_issued += 1
-        remote = target.rank != self.rank
-        data_messages = 0
-        control_messages = 0
+        return self._access("local_write", address, value, symbol, clock_snapshot)
 
-        lock_request = yield from self._acquire_lock(target_nic, target, operation, tag)
-        round_trips, update_clock_bytes = yield from self.clock_transport.round_trip(
-            target.rank, tag
-        )
-        control_messages += round_trips
-
-        if remote:
-            try:
-                sent, _, _ = yield from self._transmit_clocked(
-                    MessageKind.ATOMIC_REQUEST, target.rank,
-                    payload=operand, base_payload_bytes=operand_bytes,
-                    tag=tag,
-                    clock_provider=lambda: self._wire_clock(clock_snapshot),
-                    request=True,
-                )
-            except UdDeliveryExceeded:
-                self._release_lock(target_nic, lock_request, tag)
-                raise
-            data_messages += sent
-            target_nic.remote_ops_serviced += 1
-
-        self._record_wr_transfer(target.rank, clock_snapshot)
-        check: Optional[AccessCheckResult] = None
-        if self._detection_active():
-            cell = target_nic.memory.cell(target)
-            check = self.detector.on_rmw(
-                self.rank, target, cell, symbol=symbol, time=self._sim.now,
-                operation=operation, carried_clock=clock_snapshot,
-                wire_clock_bytes=update_clock_bytes,
-            )
-        old_value = target_nic.memory.read(target)
-        new_value = apply(old_value)
-        target_nic.memory.write(target, new_value, writer=self.rank)
-        self._record(
-            AccessKind.RMW, target, new_value, symbol, operation, observed=old_value
-        )
-
-        if remote:
-            try:
-                sent, _, _ = yield from target_nic._transmit_clocked(
-                    MessageKind.ATOMIC_REPLY, self.rank,
-                    payload=old_value, base_payload_bytes=self.config.cell_bytes,
-                    tag=tag,
-                    clock_provider=lambda: (
-                        check.datum_access_clock if check is not None else None
-                    ),
-                )
-            except UdDeliveryExceeded:
-                self._release_lock(target_nic, lock_request, tag)
-                raise
-            data_messages += sent
-
-        self._release_lock(target_nic, lock_request, tag)
-        spans = self._obs.spans
-        if spans.enabled:
-            spans.complete(
-                self.engine_track, operation, start, self._sim.now,
-                target=f"P{target.rank}",
-            )
-        return RemoteOperationResult(
-            operation=operation,
-            origin=self.rank,
-            target=target,
-            value=old_value,
-            check=check,
-            start_time=start,
-            end_time=self._sim.now,
-            data_messages=data_messages,
-            control_messages=control_messages,
-            new_value=new_value,
-        )
+    def local_read(
+        self,
+        address: GlobalAddress,
+        symbol: Optional[str] = None,
+        clock_snapshot: Optional[VectorClock] = None,
+    ) -> Generator:
+        """Read from this rank's own public memory (lock + detection, no messages)."""
+        return self._access("local_read", address, None, symbol, clock_snapshot)
 
     # -- two-sided send (matched against posted receives) --------------------------------
 
@@ -940,7 +917,7 @@ class NIC:
         "stolen" by a sender that never parked, in which case we re-park.
         """
         if gate.try_claim():
-            return True
+            return
         stall_started = self._sim.now
         while True:
             wake = self._sim.event(name=f"credit-wait:{tag}")
@@ -952,7 +929,6 @@ class NIC:
             self.engine_track, "credit_stall", stall_started, self._sim.now,
             destination=f"P{destination}",
         )
-        return True
 
     def send_payload(
         self,
@@ -964,7 +940,6 @@ class NIC:
         clock_snapshot: Any = None,
         rnr_backoff: float = 1.0,
         rnr_retry_limit: Optional[int] = None,
-        flow_control: str = "rnr",
         credit_gate: Any = None,
     ) -> Generator:
         """Two-sided SEND of *values* to *destination* (``IBV_WR_SEND``).
@@ -984,12 +959,14 @@ class NIC:
           and after ``rnr_retry_limit`` retries give up with
           :class:`RnrRetryExceeded` (``None`` retries forever, like the
           InfiniBand ``rnr_retry=7`` encoding).  Under credit-based flow
-          control (``flow_control="credit"`` with a *credit_gate*) the NIC
+          control — a *credit_gate* is given; its presence *is* the mode,
+          one branch here rather than a flow-control object — the NIC
           instead claims one receive credit *before* the first
           transmission, stalling locally — zero bytes on the wire, a
           ``credit_stall`` span on the engine track — until the receiver's
           next post grants one, so the match never hits the RNR condition
-          and every payload is transmitted exactly once;
+          and every payload is transmitted exactly once.  A SEND whose
+          delivery fails hands the credit back (:meth:`_abort`);
         * a payload longer than the matched buffer consumes the receive but
           touches no memory — :class:`ReceiveLengthError` (``IBV_WC_LOC_LEN_ERR``);
         * the delivery carries the happens-before of message passing: the
@@ -1001,7 +978,8 @@ class NIC:
           that clock only when it retires the completion
           (:meth:`~repro.core.detector.DualClockRaceDetector.on_recv_complete`);
         * each payload cell is scattered into the posted addresses under the
-          per-cell NIC lock with the ordinary write instrumentation, so the
+          per-cell NIC lock with the ordinary write instrumentation (the
+          kernel's own step under the lock, :meth:`_perform`), so the
           detector sees a buffer reused while a SEND is in flight exactly as
           it sees any conflicting write — in every schedule, because neither
           side's live clock contaminates the carried snapshot.
@@ -1017,13 +995,11 @@ class NIC:
         self.sends_issued += 1
         remote = destination != self.rank
         data_messages = 0
-        control_messages = 0
 
-        claimed = False
-        if flow_control == "credit" and credit_gate is not None:
+        if credit_gate is not None:
             # Proactive admission control: reserve the receive buffer this
             # SEND will consume before spending any fabric bytes on it.
-            claimed = yield from self._acquire_credit(credit_gate, destination, tag)
+            yield from self._acquire_credit(credit_gate, destination, tag)
 
         retries = 0
         while True:
@@ -1031,13 +1007,14 @@ class NIC:
                 # Each transmission (including RNR retransmits) stamps its
                 # own rider: under the sparse wire formats a retransmission
                 # of an unchanged clock costs only an empty sparse frame.
-                sent, _, _ = yield from self._transmit_clocked(
-                    MessageKind.SEND_REQUEST, destination,
-                    payload=tuple(values),
-                    base_payload_bytes=len(values) * self.config.cell_bytes,
-                    tag=tag, clock_provider=lambda: clock_snapshot,
-                )
-                data_messages += sent
+                try:
+                    data_messages += yield from self._transmit_clocked(
+                        MessageKind.SEND_REQUEST, destination, tuple(values),
+                        len(values) * self.config.cell_bytes, tag, clock_snapshot,
+                    )
+                except UdDeliveryExceeded:
+                    self._abort(tag, credit_gate=credit_gate)
+                    raise
             try:
                 recv_wr = match_receive()
             except ReceiverNotReady as error:
@@ -1070,7 +1047,7 @@ class NIC:
                 )
                 continue
             break
-        if claimed:
+        if credit_gate is not None:
             # The match consumed the exact buffer the claim reserved; the
             # claim and the buffer leave the pool together.
             credit_gate.settle()
@@ -1085,10 +1062,9 @@ class NIC:
                 recv_wr=recv_wr,
             )
 
-        round_trips, update_clock_bytes = yield from self.clock_transport.round_trip(
-            destination, tag
+        control_messages, update_clock_bytes = (
+            yield from self.clock_transport.round_trip(destination, tag)
         )
-        control_messages += round_trips
         # The delivery event is causally after BOTH posts: the SEND's
         # (snapshot carried by the message) and the matched RECV's (snapshot
         # taken when the buffer was posted — the permission point).  Their
@@ -1119,32 +1095,20 @@ class NIC:
             lock_request = yield from self._acquire_lock(
                 target_nic, address, "send", tag
             )
-            if self._detection_active():
-                cell = target_nic.memory.cell(address)
-                cell_check = self.detector.on_write(
-                    self.rank, address, cell,
-                    symbol=symbol or recv_wr.symbol,
-                    time=self._sim.now, operation="send",
-                    carried_clock=effective_clock,
-                    wire_clock_bytes=update_clock_bytes,
-                )
-                # The result's single check slot keeps the first flagged
-                # scatter access (or the first cell's when none raced), so
-                # ``result.raced`` means "any cell of this send raced".
-                if check is None or (cell_check.raced and not check.raced):
-                    check = cell_check
-            target_nic.memory.write(address, value, writer=self.rank)
-            self._record(
-                AccessKind.WRITE, address, value,
-                symbol or recv_wr.symbol, "send",
+            # No owner event: the receiver synchronizes at retirement.
+            cell_check, _, _ = self._perform(
+                target_nic, AccessKind.WRITE, "send", address, value, None,
+                symbol or recv_wr.symbol, effective_clock, None, update_clock_bytes,
             )
+            # The result's single check slot keeps the first flagged
+            # scatter access (or the first cell's when none raced), so
+            # ``result.raced`` means "any cell of this send raced".
+            if check is None or (cell_check.raced and not check.raced):
+                check = cell_check
             self._release_lock(target_nic, lock_request, tag)
 
-        landing = (
-            recv_wr.addresses[0]
-            if recv_wr.addresses
-            else GlobalAddress(destination, 0)
-        )
+        addresses = recv_wr.addresses
+        landing = addresses[0] if addresses else GlobalAddress(destination, 0)
         spans = self._obs.spans
         if spans.enabled:
             spans.complete(
@@ -1163,93 +1127,6 @@ class NIC:
             control_messages=control_messages,
         )
         return result, recv_wr, effective_clock
-
-    # -- local public-memory accesses ----------------------------------------------------
-
-    def local_write(
-        self,
-        address: GlobalAddress,
-        value: Any,
-        symbol: Optional[str] = None,
-        clock_snapshot: Optional[VectorClock] = None,
-    ) -> Generator:
-        """Write to this rank's own public memory.
-
-        The paper makes "no distinction between accesses to public memory from
-        a remote process and from the process that actually maps this address
-        space" (Section III-A), so local public accesses go through the same
-        lock and the same detection check — just without any network traffic.
-        A posted local write carries its post-time *clock_snapshot* exactly
-        like a remote one.
-        """
-        if address.rank != self.rank:
-            raise ValueError(
-                f"local_write on rank {self.rank} given remote address {address}; use rdma_put"
-            )
-        start = self._sim.now
-        self.local_writes += 1
-        tag = self._tags.next_str()
-        lock_request = yield from self._acquire_lock(self, address, "local_write", tag)
-        self._record_wr_transfer(address.rank, clock_snapshot)
-        check: Optional[AccessCheckResult] = None
-        if self._detection_active():
-            check = self.detector.on_write(
-                self.rank, address, self.memory.cell(address),
-                symbol=symbol, time=self._sim.now, operation="local_write",
-                carried_clock=clock_snapshot, owner_event=True,
-            )
-        self.memory.write(address, value, writer=self.rank)
-        self._record(AccessKind.WRITE, address, value, symbol, "local_write")
-        self._release_lock(self, lock_request, tag)
-        return RemoteOperationResult(
-            operation="local_write",
-            origin=self.rank,
-            target=address,
-            value=value,
-            check=check,
-            start_time=start,
-            end_time=self._sim.now,
-            data_messages=0,
-            control_messages=0,
-        )
-
-    def local_read(
-        self,
-        address: GlobalAddress,
-        symbol: Optional[str] = None,
-        clock_snapshot: Optional[VectorClock] = None,
-    ) -> Generator:
-        """Read from this rank's own public memory (lock + detection, no messages)."""
-        if address.rank != self.rank:
-            raise ValueError(
-                f"local_read on rank {self.rank} given remote address {address}; use rdma_get"
-            )
-        start = self._sim.now
-        self.local_reads += 1
-        tag = self._tags.next_str()
-        lock_request = yield from self._acquire_lock(self, address, "local_read", tag)
-        self._record_wr_transfer(address.rank, clock_snapshot)
-        check: Optional[AccessCheckResult] = None
-        if self._detection_active():
-            check = self.detector.on_read(
-                self.rank, address, self.memory.cell(address),
-                symbol=symbol, time=self._sim.now, operation="local_read",
-                carried_clock=clock_snapshot,
-            )
-        value = self.memory.read(address)
-        self._record(AccessKind.READ, address, value, symbol, "local_read")
-        self._release_lock(self, lock_request, tag)
-        return RemoteOperationResult(
-            operation="local_read",
-            origin=self.rank,
-            target=address,
-            value=value,
-            check=check,
-            start_time=start,
-            end_time=self._sim.now,
-            data_messages=0,
-            control_messages=0,
-        )
 
     # -- notifications (runtime support) ----------------------------------------------------
 

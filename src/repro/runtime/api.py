@@ -39,10 +39,11 @@ matching is FIFO::
 
 The API resolves symbolic names through the
 :class:`~repro.memory.directory.SymbolDirectory` (the paper's "compiler") and
-routes the access through the origin NIC: remote targets become RDMA
-operations, targets owned by the calling rank become local public-memory
-accesses — the paper makes no semantic distinction between the two
-(Section III-A), and neither does the detector.
+hands the access to the origin NIC, which decides whether the address
+crosses the wire: remote targets become RDMA operations, targets owned by
+the calling rank become local public-memory accesses — the paper makes no
+semantic distinction between the two (Section III-A), and neither do this
+layer and the detector.
 """
 
 from __future__ import annotations
@@ -175,10 +176,7 @@ class ProcessAPI:
         self, address: GlobalAddress, value: Any, symbol: Optional[str] = None
     ) -> Generator:
         """Write *value* at an explicit global address."""
-        if address.rank == self.rank:
-            result = yield from self._nic.local_write(address, value, symbol=symbol)
-        else:
-            result = yield from self._nic.rdma_put(value, address, symbol=symbol)
+        result = yield from self._nic.rdma_put(value, address, symbol=symbol)
         return self._finish(result, symbol)
 
     def get(self, symbol: str, index: int = 0) -> Generator:
@@ -189,20 +187,14 @@ class ProcessAPI:
 
     def get_address(self, address: GlobalAddress, symbol: Optional[str] = None) -> Generator:
         """Read the value at an explicit global address; returns the value."""
-        if address.rank == self.rank:
-            result = yield from self._nic.local_read(address, symbol=symbol)
-        else:
-            result = yield from self._nic.rdma_get(address, symbol=symbol)
+        result = yield from self._nic.rdma_get(address, symbol=symbol)
         self._finish(result, symbol)
         return result.value
 
     def get_result(self, symbol: str, index: int = 0) -> Generator:
         """Like :meth:`get` but returns the full :class:`RemoteOperationResult`."""
         address = self._directory.resolve(symbol, index)
-        if address.rank == self.rank:
-            result = yield from self._nic.local_read(address, symbol=symbol)
-        else:
-            result = yield from self._nic.rdma_get(address, symbol=symbol)
+        result = yield from self._nic.rdma_get(address, symbol=symbol)
         return self._finish(result, symbol)
 
     def copy_shared(

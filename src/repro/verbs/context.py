@@ -257,21 +257,11 @@ class VerbsContext:
             symbol=symbol,
             posted_at=self.sim.now,
         )
-        # Posting a receive is itself an event and the permission point for
-        # the buffer: the snapshot joins the matching send's clock at
-        # delivery, ordering the scatter after everything this rank did
-        # before posting (and nothing it does afterwards).
-        detector = self.nic.detector
-        if detector is not None and detector.config.enabled:
-            detector.local_event(self.rank)
-            request.clock_snapshot = detector.current_clock(self.rank)
-        if self.nic.recorder is not None:
-            self.nic.recorder.record_transfer(
-                self.rank,
-                source if source is not None else self.rank,
-                time=self.sim.now,
-                kind="recv_post",
-            )
+        # Posting a receive is the permission point for the buffer: the
+        # snapshot joins the matching send's clock at delivery, ordering the
+        # scatter after everything this rank did before posting (and nothing
+        # it does afterwards).
+        self._stamp(request, self.rank if source is None else source, "recv_post")
         return request
 
     def post_recv(
@@ -419,30 +409,60 @@ class VerbsContext:
             compare=compare,
             symbol=symbol,
         )
-        # Tick, snapshot and register only after the queue pair accepted the
-        # request: a SendQueueFull must not leave a phantom entry that
-        # wait_all() would block on forever, nor a phantom wr_post trace
-        # event / clock tick for an operation that never existed.  (Posting
-        # cannot complete synchronously — the drain process only runs once
-        # the simulator resumes — so setting the snapshot right after the
-        # post is equivalent to setting it before.)
-        self.queue_pair(target.rank).post(request)
-        # Posting is itself an event, for every opcode: the poster's clock
-        # ticks and the request carries a snapshot of it — the clock the NIC
-        # engine will act from when it services the request (the unified
-        # clock-transport discipline, mirroring post_send).  The snapshot,
-        # not the live clock, is what keeps a posted-but-unwaited operation
-        # causally unordered with the poster's later accesses.
+        return self._accept(request, target.rank, "wr_post")
+
+    def _stamp(self, request, peer: int, kind: str) -> None:
+        """The posting event of *request*: tick, snapshot, trace.
+
+        Posting is itself an event, for every opcode and for receives: the
+        poster's clock ticks and the request carries a snapshot of it — the
+        clock the NIC engine will act from when it services the request
+        (the unified clock-transport discipline).  The snapshot, not the
+        live clock, is what keeps a posted-but-unwaited operation causally
+        unordered with the poster's later accesses.
+        """
         detector = self.nic.detector
         if detector is not None and detector.config.enabled:
             detector.local_event(self.rank)
             request.clock_snapshot = detector.current_clock(self.rank)
         if self.nic.recorder is not None:
             self.nic.recorder.record_transfer(
-                self.rank, target.rank, time=self.sim.now, kind="wr_post"
+                self.rank, peer, time=self.sim.now, kind=kind
             )
+
+    def _accept(self, request: WorkRequest, peer: int, kind: str) -> WorkRequest:
+        """Post *request* to *peer*'s queue pair and book it, in that order.
+
+        Tick, snapshot and register only after the queue pair accepted the
+        request: a SendQueueFull must not leave a phantom entry that
+        wait_all() would block on forever, nor a phantom trace event /
+        clock tick for an operation that never existed — a rejected post is
+        a non-event.  (Posting cannot complete synchronously — the drain
+        process only runs once the simulator resumes — so setting the
+        snapshot right after the post is equivalent to setting it before.)
+        """
+        self.queue_pair(peer).post(request)
+        self._stamp(request, peer, kind)
         self._outstanding[request.wr_id] = request
-        self._note_wr_posted(request, f"P{target.rank}")
+        # Observability hooks for one accepted post (counters, flow start).
+        self._obs.metrics.counter("verbs.wr_posted", rank=self.rank).inc()
+        self._obs.metrics.gauge("verbs.outstanding_wrs", rank=self.rank).set(
+            len(self._outstanding)
+        )
+        spans = self._obs.spans
+        spans.instant(
+            self.track,
+            "wr_post",
+            self.sim.now,
+            wr_id=request.wr_id,
+            opcode=request.opcode.value,
+            destination=f"P{peer}",
+        )
+        # The flow is closed at retirement (same key, this rank's track) and,
+        # for two-sided sends, at the receiver's delivery (cross-rank track).
+        spans.flow_start(
+            self.track, "wr", self.sim.now, key=("wr", self.rank, request.wr_id)
+        )
         return request
 
     def post_put(
@@ -524,21 +544,7 @@ class VerbsContext:
             gather_from=tuple(gather_from) if gather_from else None,
             symbol=symbol,
         )
-        # As in _post: the posting tick/snapshot/trace happen only once the
-        # queue pair accepted the request (a rejected post is a non-event),
-        # which is safe because the drain cannot run before we return.
-        self.queue_pair(peer).post(request)
-        detector = self.nic.detector
-        if detector is not None and detector.config.enabled:
-            detector.local_event(self.rank)
-            request.clock_snapshot = detector.current_clock(self.rank)
-        if self.nic.recorder is not None:
-            self.nic.recorder.record_transfer(
-                self.rank, peer, time=self.sim.now, kind="send_post"
-            )
-        self._outstanding[request.wr_id] = request
-        self._note_wr_posted(request, f"P{peer}")
-        return request
+        return self._accept(request, peer, "send_post")
 
     # -- throttled posting (configurable backpressure) -----------------------------------
 
@@ -662,27 +668,6 @@ class VerbsContext:
                 kind="wr_retire",
                 clock=completion.sync_clock.frozen(),
             )
-
-    def _note_wr_posted(self, request: WorkRequest, destination: str) -> None:
-        """Observability hooks for one accepted post (counters, flow start)."""
-        self._obs.metrics.counter("verbs.wr_posted", rank=self.rank).inc()
-        self._obs.metrics.gauge("verbs.outstanding_wrs", rank=self.rank).set(
-            len(self._outstanding)
-        )
-        spans = self._obs.spans
-        spans.instant(
-            self.track,
-            "wr_post",
-            self.sim.now,
-            wr_id=request.wr_id,
-            opcode=request.opcode.value,
-            destination=destination,
-        )
-        # The flow is closed at retirement (same key, this rank's track) and,
-        # for two-sided sends, at the receiver's delivery (cross-rank track).
-        spans.flow_start(
-            self.track, "wr", self.sim.now, key=("wr", self.rank, request.wr_id)
-        )
 
     def _file(self, completions: Iterable[WorkCompletion]) -> None:
         for completion in completions:

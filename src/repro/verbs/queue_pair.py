@@ -274,17 +274,28 @@ class QueuePair:
         try:
             completion = yield from self._execute_op(request)
         except UdDeliveryExceeded as error:
-            return WorkCompletion(
-                wr_id=request.wr_id,
-                opcode=request.opcode,
-                status=CompletionStatus.UD_DELIVERY_EXCEEDED,
-                origin=self.origin,
-                peer=self.peer,
-                posted_at=request.posted_at,
-                completed_at=self._sim.now,
-                detail=str(error),
-            )
+            return self._failed(request, CompletionStatus.UD_DELIVERY_EXCEEDED, error)
         return completion
+
+    def _failed(
+        self, request: WorkRequest, status: CompletionStatus, error: Exception
+    ) -> WorkCompletion:
+        """The sender-side completion of a request that did not succeed.
+
+        No value, no result, no clock: the initiator learns the status (and
+        the error's text as ``detail``) when it retires the completion,
+        never through an exception at the post site (verbs semantics).
+        """
+        return WorkCompletion(
+            wr_id=request.wr_id,
+            opcode=request.opcode,
+            status=status,
+            origin=self.origin,
+            peer=self.peer,
+            posted_at=request.posted_at,
+            completed_at=self._sim.now,
+            detail=str(error),
+        )
 
     def _execute_op(self, request: WorkRequest) -> Generator:
         """Opcode dispatch of :meth:`_execute` (everything but UD failure)."""
@@ -295,42 +306,22 @@ class QueuePair:
         try:
             target_registry.validate(request.rkey, request.target)
         except RemoteAccessError as error:
-            # Protection fault: no memory is touched, the initiator learns
-            # through the completion status (verbs semantics).
-            return WorkCompletion(
-                wr_id=request.wr_id,
-                opcode=request.opcode,
-                status=CompletionStatus.REMOTE_ACCESS_ERROR,
-                origin=self.origin,
-                peer=self.peer,
-                posted_at=request.posted_at,
-                completed_at=self._sim.now,
-                detail=str(error),
-            )
+            # Protection fault: no memory is touched.
+            return self._failed(request, CompletionStatus.REMOTE_ACCESS_ERROR, error)
 
+        # One NIC entry per opcode: whether the target crosses the wire (a
+        # verbs loopback does not) is the NIC's decision, not this layer's.
         nic = self._context.nic
-        local = request.target.rank == nic.rank
         snapshot = request.clock_snapshot
         if request.opcode is Opcode.PUT:
-            if local:
-                result = yield from nic.local_write(
-                    request.target, request.value, symbol=request.symbol,
-                    clock_snapshot=snapshot,
-                )
-            else:
-                result = yield from nic.rdma_put(
-                    request.value, request.target, symbol=request.symbol,
-                    clock_snapshot=snapshot,
-                )
+            result = yield from nic.rdma_put(
+                request.value, request.target, symbol=request.symbol,
+                clock_snapshot=snapshot,
+            )
         elif request.opcode is Opcode.GET:
-            if local:
-                result = yield from nic.local_read(
-                    request.target, symbol=request.symbol, clock_snapshot=snapshot
-                )
-            else:
-                result = yield from nic.rdma_get(
-                    request.target, symbol=request.symbol, clock_snapshot=snapshot
-                )
+            result = yield from nic.rdma_get(
+                request.target, symbol=request.symbol, clock_snapshot=snapshot
+            )
         elif request.opcode is Opcode.FETCH_ADD:
             result = yield from nic.fetch_add(
                 request.target, request.value, symbol=request.symbol,
@@ -427,10 +418,9 @@ class QueuePair:
         nic = self._context.nic
         target_context = self._context.peer_context(self.peer)
         recv_queue = target_context.receive_queue_from(self.origin)
-        flow_control = self._context.flow_control
         credit_gate = (
             target_context.credit_gate(self.origin)
-            if flow_control == "credit"
+            if self._context.flow_control == "credit"
             else None
         )
         values = list(request.payload or ())
@@ -450,20 +440,10 @@ class QueuePair:
                 clock_snapshot=request.clock_snapshot,
                 rnr_backoff=self._context.rnr_backoff,
                 rnr_retry_limit=self._context.rnr_retry_limit,
-                flow_control=flow_control,
                 credit_gate=credit_gate,
             )
         except RnrRetryExceeded as error:
-            return WorkCompletion(
-                wr_id=request.wr_id,
-                opcode=request.opcode,
-                status=CompletionStatus.RNR_RETRY_EXCEEDED,
-                origin=self.origin,
-                peer=self.peer,
-                posted_at=request.posted_at,
-                completed_at=self._sim.now,
-                detail=str(error),
-            )
+            return self._failed(request, CompletionStatus.RNR_RETRY_EXCEEDED, error)
         except ReceiveLengthError as error:
             target_context.deliver_recv(
                 WorkCompletion(
@@ -478,16 +458,7 @@ class QueuePair:
                     detail=str(error),
                 )
             )
-            return WorkCompletion(
-                wr_id=request.wr_id,
-                opcode=request.opcode,
-                status=CompletionStatus.LENGTH_ERROR,
-                origin=self.origin,
-                peer=self.peer,
-                posted_at=request.posted_at,
-                completed_at=self._sim.now,
-                detail=str(error),
-            )
+            return self._failed(request, CompletionStatus.LENGTH_ERROR, error)
         if nic.recorder is not None:
             nic.recorder.record_operation(
                 result, symbol=request.symbol, posted_time=request.posted_at

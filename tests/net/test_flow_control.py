@@ -155,6 +155,21 @@ class TestCreditGateAccounting:
         queue.post()
         assert gate.grants == 2, "a post with no waiters grants nothing"
 
+    def test_a_released_claim_is_granted_like_a_post(self):
+        """A SEND that will never match hands its credit to the oldest waiter."""
+        queue = FakeQueue()
+        gate = credit_gate_for(queue, FakeSim())
+        queue.post()
+        assert gate.try_claim() and gate.available == 0
+        first, second = FakeEvent(), FakeEvent()
+        gate.enqueue_waiter(first, sender=0)
+        gate.enqueue_waiter(second, sender=2)
+        gate.release()
+        assert gate.available == 1, "the buffer is still posted, the claim is gone"
+        assert first.fired and not second.fired and gate.grants == 1
+        with pytest.raises(RuntimeError, match="settle without a claim"):
+            gate.release()
+
 
 class TestSaturationHeadToHead:
     @pytest.fixture(scope="class")

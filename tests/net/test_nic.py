@@ -11,7 +11,9 @@ from repro.net.latency import ConstantLatency
 from repro.net.message import MessageKind
 from repro.net.nic import NIC, NICConfig
 from repro.net.topology import Topology
+from repro.obs.observability import Observability
 from repro.sim.engine import Simulator
+from repro.sim.events import SimulationError
 from repro.trace.recorder import TraceRecorder
 
 
@@ -102,6 +104,123 @@ class TestMessageDecomposition:
         assert cluster.fabric.stats.detection_messages == 0
         # The data message grew by the piggybacked clock payload.
         assert cluster.fabric.stats.data_bytes > 32 + 8
+
+
+#: operation -> (call, tally that moves, data messages when the target is
+#: remote, value returned, value deposited); the cell holds 5 beforehand.
+OPERATION_TABLE = {
+    "put": (
+        lambda nic, address: nic.rdma_put(9, address),
+        "puts_issued", {MessageKind.PUT_DATA: 1}, 9, None,
+    ),
+    "get": (
+        lambda nic, address: nic.rdma_get(address),
+        "gets_issued", {MessageKind.GET_REQUEST: 1, MessageKind.GET_REPLY: 1}, 5, None,
+    ),
+    "fetch_add": (
+        lambda nic, address: nic.fetch_add(address, 3),
+        "atomics_issued",
+        {MessageKind.ATOMIC_REQUEST: 1, MessageKind.ATOMIC_REPLY: 1}, 5, 8,
+    ),
+    "compare_and_swap": (
+        lambda nic, address: nic.compare_and_swap(address, 5, 6),
+        "atomics_issued",
+        {MessageKind.ATOMIC_REQUEST: 1, MessageKind.ATOMIC_REPLY: 1}, 5, 6,
+    ),
+    "local_write": (
+        lambda nic, address: nic.local_write(address, 9), "local_writes", {}, 9, None,
+    ),
+    "local_read": (
+        lambda nic, address: nic.local_read(address), "local_reads", {}, 5, None,
+    ),
+}
+#: What an operation is recorded as when its target is the caller's own memory.
+LOCAL_FLAVOUR = {"put": "local_write", "get": "local_read"}
+#: The entry point a local-only operation's error message points to.
+REMOTE_ENTRY = {"local_write": "rdma_put", "local_read": "rdma_get"}
+DATA_KINDS = (
+    MessageKind.PUT_DATA, MessageKind.GET_REQUEST, MessageKind.GET_REPLY,
+    MessageKind.ATOMIC_REQUEST, MessageKind.ATOMIC_REPLY, MessageKind.SEND_REQUEST,
+)
+
+
+class TestOperationTable:
+    @pytest.mark.parametrize("target_rank", [1, 2], ids=["remote", "own-rank"])
+    @pytest.mark.parametrize("operation", OPERATION_TABLE)
+    def test_every_operation_on_a_remote_and_on_an_own_rank_target(
+        self, operation, target_rank
+    ):
+        """The six operations are one sequence with one table of differences.
+
+        Rank 2 drives each operation against a cell of rank 1 (remote) and
+        against a cell of its own.  What may differ is the table above plus
+        one rule: an own-rank target crosses no wire, and a put or a get of
+        one *is* the local write or read (same record, same tally, no engine
+        span) — the local-or-remote decision is the NIC's, not the caller's.
+        That rule is the one cell pair this test changed: up to PR 19
+        ``rdma_put`` / ``rdma_get`` of an own-rank address recorded ``"put"``
+        / ``"get"``, counted ``puts_issued`` / ``gets_issued`` and drew an
+        engine span, although every caller branched to ``local_write`` /
+        ``local_read`` first.  Own-rank atomics keep their name, tally and
+        span: there is no local flavour of them.
+        """
+        call, tally, messages, value, new_value = OPERATION_TABLE[operation]
+        cluster = Cluster()
+        Observability.of(cluster.sim).configure(trace_spans=True)
+        nic = cluster.nics[2]
+        address = GlobalAddress(target_rank, 0)
+        cluster.memories[target_rank].write(address, 5)
+
+        if target_rank != nic.rank and operation in REMOTE_ENTRY:
+            generator = call(nic, address)  # lazily: only driving it raises
+            with pytest.raises(SimulationError) as failure:
+                cluster.drive(generator)
+            assert isinstance(failure.value.__cause__, ValueError)
+            assert str(failure.value.__cause__) == (
+                f"{operation} on rank 2 given remote address {address}; "
+                f"use {REMOTE_ENTRY[operation]}"
+            )
+            return
+
+        if target_rank == nic.rank:
+            recorded = LOCAL_FLAVOUR.get(operation, operation)
+            tally, messages = OPERATION_TABLE[recorded][1], {}
+        else:
+            recorded = operation
+        before = {name: getattr(nic, name) for _, name, *_ in OPERATION_TABLE.values()}
+
+        result = cluster.drive(call(nic, address))
+
+        (access,) = cluster.recorder.accesses()
+        record = cluster.recorder.record_operation(result)
+        assert access.operation == record.operation == result.operation == recorded
+        assert (access.rank, access.address) == (2, address)
+        moved = {name: getattr(nic, name) - count for name, count in before.items()}
+        assert moved == {name: int(name == tally) for name in before}
+        assert {
+            kind: cluster.fabric.message_count(kind)
+            for kind in DATA_KINDS
+            if cluster.fabric.message_count(kind)
+        } == messages
+        assert result.data_messages == sum(messages.values())
+        assert cluster.nics[1].remote_ops_serviced == int(target_rank != nic.rank)
+        tracer = Observability.of(cluster.sim).spans
+        engine_spans = [
+            event["name"]
+            for event in tracer.events()
+            if event["ph"] == "X"
+            and tracer.tracks()[event["pid"] - 1] == nic.engine_track
+            # The lock table's wait and Algorithm 5's round trip draw their
+            # own spans there, whatever the operation.
+            and event["name"] not in ("lock_wait", "clock_sync")
+        ]
+        assert engine_spans == ([] if recorded in REMOTE_ENTRY else [recorded])
+        assert (result.value, result.new_value) == (value, new_value)
+        assert cluster.memories[target_rank].peek(address) == (
+            new_value if new_value is not None else value
+        )
+        assert cluster.locks[target_rank].holder(address) is None
+        cluster.locks[target_rank].assert_quiescent()
 
 
 class TestLockSerialization:

@@ -17,7 +17,9 @@ The transport knob's contracts:
   verdict matches the RC run of the same program.
 * **Exhaustion** — burning the whole retransmission budget surfaces as a
   failed ``UD_DELIVERY_EXCEEDED`` work completion, and the failed
-  operation's cell lock is released (no quiescence leak).
+  operation gives back what it held: its cell lock (no quiescence leak)
+  and, for a SEND under credit flow control, the receive credit it had
+  claimed (no sender parked for good behind a buffer nobody will consume).
 """
 
 import pytest
@@ -474,3 +476,76 @@ class TestExhaustion:
         runtime.run()
         private = runtime.private_memories[0].snapshot()
         assert private["status"] == CompletionStatus.SUCCESS.value
+
+    # -- a doomed SEND gives its credit back ------------------------------------------
+
+    def _doomed_send_runtime(self, flow_control, senders=1):
+        """SENDs to one posted buffer; the fabric eats the first one whole."""
+        receiver = senders
+        runtime = DSMRuntime(
+            RuntimeConfig(
+                world_size=senders + 1,
+                seed=0,
+                latency="constant",
+                transport="ud",
+                flow_control=flow_control,
+            )
+        )
+        runtime.config.nic.ud_max_retransmits = 2
+        runtime.declare_array("inbox", 1, owner=receiver, initial=0)
+
+        def sender(api):
+            yield from api.compute(float(api.rank))  # rank 0's SEND goes first
+            payloads = (111, 222) if senders == 1 else ((111,), (222,))[api.rank]
+            for payload in payloads:
+                request = api.isend(receiver, [payload])
+                (completion,) = yield from api.wait(request, raise_on_error=False)
+                api.private.write(f"status-{payload}", completion.status.value)
+
+        def server(api):
+            if senders > 1:
+                api.create_srq()
+                api.post_srq_recv("inbox")
+            else:
+                api.irecv(0, "inbox")
+            (message,) = yield from api.wait_recv(1)
+            api.private.write("received", message.value)
+
+        for rank in range(senders):
+            runtime.set_program(rank, sender)
+        runtime.set_program(receiver, server)
+        return controlled(
+            runtime, ForcedFates(fates={"send_request": {0: 1, 1: 1, 2: 1}})
+        )
+
+    def _assert_second_send_landed(self, runtime, second_sender):
+        receiver = runtime.config.world_size - 1
+        statuses = {
+            **runtime.private_memories[0].snapshot(),
+            **runtime.private_memories[second_sender].snapshot(),
+        }
+        assert statuses["status-111"] == CompletionStatus.UD_DELIVERY_EXCEEDED.value
+        assert statuses["status-222"] == CompletionStatus.SUCCESS.value
+        assert runtime.private_memories[receiver].snapshot()["received"] == (222,)
+        assert runtime.sim.all_finished()
+        context = runtime.verbs_contexts[receiver]
+        gate = context.credit_gate(0)
+        assert gate.available == context.receive_queue_from(0).depth == 0, "a claim leaked"
+        assert gate.waiting == 0
+
+    @pytest.mark.parametrize("flow_control", ["rnr", "credit"])
+    def test_a_send_that_exhausts_its_budget_returns_its_credit(self, flow_control):
+        """The doomed SEND claimed the only buffer; the next SEND must get it."""
+        runtime = self._doomed_send_runtime(flow_control)
+        runtime.run()
+        self._assert_second_send_landed(runtime, second_sender=0)
+
+    def test_a_returned_credit_wakes_the_sender_parked_behind_it(self):
+        """An SRQ gate is shared: rank 1 parks while rank 0's doomed SEND
+        holds the one credit, and only the return of that credit can wake it
+        (the server posts nothing more)."""
+        runtime = self._doomed_send_runtime("credit", senders=2)
+        runtime.run()
+        self._assert_second_send_landed(runtime, second_sender=1)
+        gate = runtime.verbs_contexts[2].credit_gate(0)
+        assert gate.stalls == 1 and gate.grants == 1

@@ -14,12 +14,23 @@ plus one fix: a local access that waited for the NIC lock used to report
 operation records of those runs now start when the access was asked for, and
 nothing else in their archives moved.
 
+The knob-variant rows (``stencil/ud/credit/piggyback/delta`` and its 63
+siblings) pin the NIC's access path instead: four workloads that reach every
+operation the NIC offers (two-sided sends into scatter lists, posted and
+blocking puts and gets, loopback accesses, a racy buffer reuse) under every
+combination of service level, flow control, clock transport and clock wire,
+the ``ud`` rows on a fabric that drops and duplicates datagrams.  Each keeps
+three digests — the trace archive, ``RunResult.metrics`` and the span trace —
+recorded while the NIC still spelled the access sequence out once per
+operation; the one kernel behind them now must not move a byte of any.
+
 Regenerate (only for an intended change of what a run records) with::
 
     PYTHONPATH=src python tests/trace/test_trace_golden.py > tests/trace/golden_trace_digests.json
 """
 
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -27,8 +38,16 @@ import sys
 import pytest
 
 from repro import RuntimeConfig
+from repro.explore.controller import ScheduleController
+from repro.explore.fuzzer import ScheduleFuzzer
 from repro.trace.serialization import trace_to_json
-from repro.workloads import RandomAccessWorkload, SendRecvStencilWorkload, pattern_corpus
+from repro.workloads import (
+    RandomAccessWorkload,
+    RPCEchoWorkload,
+    SendRecvStencilWorkload,
+    VerbsStencilWorkload,
+    pattern_corpus,
+)
 from repro.workloads.racy_patterns import rmw_pattern_corpus
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_trace_digests.json")
@@ -46,9 +65,49 @@ RUNS = {
 }
 
 
-def record(name):
-    """What the golden file keeps for run *name*."""
-    runtime = RUNS[name](0)
+KNOB_WORKLOADS = {
+    "stencil": lambda config: SendRecvStencilWorkload(4, iterations=3, config=config),
+    "verbs-stencil": lambda config: VerbsStencilWorkload(4, iterations=2, config=config),
+    "random-access": lambda config: RandomAccessWorkload(
+        4, operations_per_rank=15, config=config
+    ),
+    "rpc-echo": lambda config: RPCEchoWorkload(racy_buffer_reuse=True, config=config),
+}
+
+
+def _knob_variant(workload, transport, flow_control, clock_transport, clock_wire):
+    def build(seed):
+        config = RuntimeConfig(
+            transport=transport, flow_control=flow_control,
+            clock_transport=clock_transport, clock_wire=clock_wire, trace_spans=True,
+        )
+        runtime = KNOB_WORKLOADS[workload](config).build(seed)
+        if transport == "ud":
+            # A lossy fabric, so retransmissions, duplicate absorbs and the
+            # resync subprotocol are part of what the digests pin.
+            runtime.sim.install_controller(ScheduleController(ScheduleFuzzer(
+                seed=7, drop_probability=0.2, duplicate_probability=0.1
+            )))
+        return runtime
+
+    return build
+
+
+KNOB_RUNS = {
+    "/".join(cell): _knob_variant(*cell)
+    for cell in itertools.product(
+        KNOB_WORKLOADS, ("rc", "ud"), ("rnr", "credit"),
+        ("roundtrip", "piggyback"), ("full", "delta"),
+    )
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _run(build):
+    runtime = build(0)
     result = runtime.run()
     recorder = runtime.recorder
     # Without the run_info header: the knobs a run was made under are
@@ -56,8 +115,22 @@ def record(name):
     archive = trace_to_json(
         recorder.world_size, recorder.accesses(), recorder.operations(), recorder.syncs()
     )
+    return runtime, result, _sha256(archive)
+
+
+def record(name):
+    """What the golden file keeps for run *name*."""
+    if name in KNOB_RUNS:
+        runtime, result, trace_sha256 = _run(KNOB_RUNS[name])
+        assert runtime.sim.all_finished()
+        return {
+            "trace_sha256": trace_sha256,
+            "metrics_sha256": _sha256(json.dumps(result.metrics, sort_keys=True)),
+            "spans_sha256": _sha256(runtime.sim.obs.spans.to_json()),
+        }
+    _, result, trace_sha256 = _run(RUNS[name])
     return {
-        "trace_sha256": hashlib.sha256(archive.encode()).hexdigest(),
+        "trace_sha256": trace_sha256,
         # Through JSON, as the file stores it (integer keys become text).
         "trace_summary": json.loads(json.dumps(result.trace_summary.as_dict())),
     }
@@ -70,14 +143,17 @@ def golden():
 
 
 def test_the_golden_file_covers_every_run(golden):
-    assert sorted(golden) == sorted(RUNS)
+    assert sorted(golden) == sorted([*RUNS, *KNOB_RUNS])
 
 
-@pytest.mark.parametrize("name", RUNS)
+@pytest.mark.parametrize("name", [*RUNS, *KNOB_RUNS])
 def test_archive_bytes_and_summary_equal_the_recording(name, golden):
     assert record(name) == golden[name]
 
 
 if __name__ == "__main__":
-    json.dump({name: record(name) for name in RUNS}, sys.stdout, indent=1, sort_keys=True)
+    json.dump(
+        {name: record(name) for name in [*RUNS, *KNOB_RUNS]},
+        sys.stdout, indent=1, sort_keys=True,
+    )
     sys.stdout.write("\n")
