@@ -46,7 +46,9 @@ class _GrantEvent(Event):
     """
 
     def __init__(self, sim: Simulator, address: GlobalAddress, requester: int) -> None:
-        super().__init__(sim)
+        # One frame: the rest is Event's class-level defaults.
+        self.sim = sim
+        self.callbacks = []
         self._address = address
         self._requester = requester
 
@@ -135,7 +137,8 @@ class MemoryLockTable:
         per address, which is what serializes the put behind the get in
         Figure 3 of the paper.
         """
-        require_type(address, GlobalAddress, "address")
+        if type(address) is not GlobalAddress:  # inline: no call per acquire
+            require_type(address, GlobalAddress, "address")
         if address.rank != self._rank:
             raise ValueError(
                 f"lock table of rank {self._rank} cannot lock {address} owned by rank {address.rank}"
@@ -146,7 +149,7 @@ class MemoryLockTable:
             requester,
             purpose,
             _GrantEvent(self._sim, address, requester),
-            queued_at=self._sim.now,
+            queued_at=self._sim._now,
         )
         self._requests.inc()
         if address.offset not in self._holders:
@@ -160,7 +163,7 @@ class MemoryLockTable:
     def _grant(self, request: LockRequest) -> None:
         self._holders[request.address.offset] = request
         request.state = LockState.GRANTED
-        request.granted_at = self._sim.now
+        request.granted_at = self._sim._now
         request.event.succeed()
         self._wait_time.observe(request.granted_at - request.queued_at)
         # The request→grant interval as a span on the owner's NIC track —
@@ -182,7 +185,8 @@ class MemoryLockTable:
 
     def release(self, request: LockRequest) -> None:
         """Release a previously granted lock and grant the next waiter, if any."""
-        require_type(request, LockRequest, "request")
+        if type(request) is not LockRequest:
+            require_type(request, LockRequest, "request")
         offset = request.address.offset
         if self._holders.get(offset) is not request:
             # Asked by address: a request of another rank's table names a
@@ -194,7 +198,7 @@ class MemoryLockTable:
                 f"{'nobody' if holder is None else f'P{holder.requester}'}"
             )
         request.state = LockState.RELEASED
-        request.released_at = self._sim.now
+        request.released_at = self._sim._now
         del self._holders[offset]
         queue = self._queues.get(offset)
         if queue:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.net.latency import LatencyModel
 from repro.net.message import Message, MessageKind
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 from repro.util.validation import require_non_negative
 
 
@@ -82,9 +82,12 @@ class Channel:
         one transmission, which is then stamped in place.
         """
         sim, stats = self._sim, self.stats
-        now = sim.now
+        now = sim._now
         flight = self._latency_model.latency(message, hops=self._hops)
-        require_non_negative(flight, "latency")
+        # A flight is checked where it enters: inline when it is the exact
+        # non-negative float every model here returns, in full otherwise.
+        if not (type(flight) is float and flight >= 0.0):
+            require_non_negative(flight, "latency")
         controller = sim.controller
         if controller is not None:
             # The schedule controller owns delivery timing: it sees the
@@ -94,7 +97,8 @@ class Channel:
             flight = controller.on_message_latency(
                 message, self.source, self.destination, flight
             )
-            require_non_negative(flight, "controlled latency")
+            if not (type(flight) is float and flight >= 0.0):
+                require_non_negative(flight, "controlled latency")
         start = now
         if self._bandwidth is not None:
             # The link serializes messages: a message cannot start transmission
@@ -113,7 +117,10 @@ class Channel:
         stats.messages += 1
         stats.bytes += stamped.total_bytes
         stats.total_latency += deliver_at - now
-        return sim.timeout(deliver_at - now, stamped, _DELIVER[stamped.kind]), stamped
+        # The delay needs no second check: ``deliver_at >= now`` by the sum
+        # of non-negative terms and the clamp above.  It stays the difference
+        # (the calendar then holds ``now + (deliver_at - now)``, as ever).
+        return Timeout(sim, deliver_at - now, stamped, _DELIVER[stamped.kind]), stamped
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -518,10 +518,6 @@ class ClockTransport:
             return wire_format
         return validate_clock_wire(wire_format)
 
-    def _active(self) -> bool:
-        detector = self._nic.detector
-        return detector is not None and detector.config.enabled
-
     def clock_bytes(self) -> int:
         """Wire size of one *full* vector clock for this world."""
         return self._nic._clock_bytes()
@@ -615,20 +611,6 @@ class ClockTransport:
 
     # -- wire traffic --------------------------------------------------------------
 
-    def data_overhead_bytes(self) -> int:
-        """Clock bytes added to one data message under the *legacy* accounting.
-
-        Piggyback riders are sized per message by :meth:`ride_frame` (the wire
-        format decides); this figure covers only the roundtrip transport's
-        ``charge_detection_messages=False`` shortcut, where clocks are
-        assumed piggybacked on data messages for free at full size.
-        """
-        if not self._active():
-            return 0
-        if not self.piggyback and not self._nic.config.charge_detection_messages:
-            return self.clock_bytes()
-        return 0
-
     def ride_frame(
         self, clock, destination: int, request: bool = False
     ) -> Tuple[Optional[tuple], int, Optional[str]]:
@@ -652,9 +634,19 @@ class ClockTransport:
         can tell whether a gapped or stale datagram needs a resync before
         its clock could have been reconstructed from the wire; RC ignores it.
         """
-        if not self._active():
+        # No property chain here: the owner is fetched once and its config
+        # and detector read directly (``_active``, ``mode``, ``piggyback``
+        # were five frames per message).  The mode is still read per call —
+        # every knob stays live-switchable — and an illegal one, a bare bad
+        # ``NICConfig`` assignment, still raises at first use.
+        nic = self._owner()
+        detector = nic.detector
+        if detector is None or not detector.config.enabled:
             return None, 0, None
-        if self.piggyback:
+        mode = nic.config.clock_transport
+        if mode not in CLOCK_TRANSPORT_MODES:
+            validate_clock_transport(mode)
+        if mode == "piggyback":
             if clock is None:
                 return None, 0, None
             frozen = (
@@ -666,7 +658,11 @@ class ClockTransport:
             self.stats.piggybacked_messages += 1
             self.stats.piggybacked_bytes += frame.wire_bytes
             return frozen, frame.wire_bytes, ("full" if frame.full else "sparse")
-        return None, (0 if request else self.data_overhead_bytes()), None
+        if request or nic.config.charge_detection_messages:
+            return None, 0, None
+        # The legacy accounting shortcut: clocks assumed piggybacked on data
+        # messages for free, at full size.
+        return None, nic._clock_bytes(), None
 
     def round_trip(self, target_rank: int, tag: str) -> Generator:
         """Charge Algorithm 5's CLOCK_FETCH/CLOCK_UPDATE pair, when owed.
@@ -680,15 +676,20 @@ class ClockTransport:
         update is the target's message — so Algorithm 5's dedicated clock
         traffic also shrinks.
         """
-        nic = self._nic
+        nic = self._owner()  # once, and no property chain: see ride_frame
+        config, detector = nic.config, nic.detector
+        if detector is None or not detector.config.enabled:
+            return 0, None
+        mode = config.clock_transport
+        if mode not in CLOCK_TRANSPORT_MODES:
+            validate_clock_transport(mode)
         if (
-            not self._active()
-            or self.piggyback
-            or not nic.config.charge_detection_messages
+            mode == "piggyback"
+            or not config.charge_detection_messages
             or target_rank == nic.rank
         ):
             return 0, None
-        sync_started = nic._sim.now
+        sync_started = nic._sim._now
         fetch, _ = nic.fabric.send(
             MessageKind.CLOCK_FETCH, nic.rank, target_rank,
             payload_bytes=0, operation_tag=tag,
@@ -712,7 +713,7 @@ class ClockTransport:
         if spans.enabled:
             spans.complete(
                 nic.engine_track, "clock_sync", sync_started,
-                nic._sim.now, target=f"P{target_rank}",
+                nic._sim._now, target=f"P{target_rank}",
                 update_bytes=update_bytes,
             )
         return 2, update_bytes

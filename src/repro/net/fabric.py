@@ -15,13 +15,13 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.net.channel import Channel
 from repro.net.latency import ConstantLatency, LatencyModel
-from repro.net.message import Message, MessageKind
+from repro.net.message import HEADER_BYTES, Message, MessageKind
 from repro.net.topology import Topology
 from repro.net.ud_transport import UdChannel
 from repro.obs.metrics import Counter, MetricsRegistry, family_keys
 from repro.obs.observability import Observability
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 from repro.util.validation import require_rank
 
 #: The traffic categories FabricStats splits counts by.
@@ -130,7 +130,9 @@ class FabricStats:
         """Account one message into the appropriate category."""
         messages, byte_count, by_kind = self._rows[message.kind]
         messages.value += 1
-        byte_count.value += message.total_bytes
+        # ``message.total_bytes``, without the property's frame.
+        payload_bytes = message.payload_bytes
+        byte_count.value += HEADER_BYTES + (payload_bytes if payload_bytes > 0 else 0)
         by_kind.value += 1
 
     def message_count_for_kind(self, kind: MessageKind) -> int:
@@ -274,7 +276,16 @@ class Fabric:
         in ``"piggyback"`` mode; *clock_wire_bytes* is its exact share of
         *payload_bytes* under the active ``clock_wire`` format.
         """
-        message = Message._build(
+        # Frame budget: one message is three ``net`` frames — this one,
+        # ``Channel.transmit`` and the latency model — plus the accounting.
+        # So the message is filled here — the object ``Message(**fields)``
+        # builds (omitted fields read their class default) without the frozen
+        # ``__init__``'s thirteen guarded assignments or a classmethod hop;
+        # the names are trusted — and the pair's channel looked up here (what
+        # :meth:`channel` does; a miss or a non-``int`` rank still goes
+        # through :meth:`_open` for its checks).
+        message = object.__new__(Message)
+        message.__dict__.update(
             message_id=self._next_id(),
             kind=kind,
             source=source,
@@ -286,10 +297,13 @@ class Fabric:
             clock_wire_bytes=clock_wire_bytes,
         )
         if source == destination:
-            event = self._sim.timeout(0.0, value=message, name=_LOCAL[kind])
+            event = Timeout(self._sim, 0.0, message, _LOCAL[kind])
         else:
+            channel = self._channels.get((source, destination))
+            if channel is None or type(source) is not int or type(destination) is not int:
+                channel = self._open(self._channels, Channel, source, destination)
             # Built here and shared with nobody: stamped in place, not copied.
-            event, message = self.channel(source, destination).transmit(message, _owned=True)
+            event, message = channel.transmit(message, _owned=True)
         self.stats.record(message)
         return event, message
 
@@ -323,7 +337,8 @@ class Fabric:
 
         Self-datagrams never drop: loopback does not cross the fabric.
         """
-        message = Message._build(
+        message = object.__new__(Message)  # filled as in send()
+        message.__dict__.update(
             message_id=self._next_id(),
             kind=kind,
             source=source,

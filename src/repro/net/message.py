@@ -37,6 +37,12 @@ class MessageKind(enum.Enum):
     #                                          full clock frame for that sequence
     NOTIFY = "notify"              # runtime-level notification (barrier, join)
 
+    # ``Enum.__hash__`` is a Python function, entered for every
+    # ``dict[MessageKind]`` lookup on the per-message path.  Members are
+    # singletons (also through a pickle) and compare by identity, so the C
+    # identity hash is the same relation; nothing orders or persists hashes.
+    __hash__ = object.__hash__
+
     @property
     def is_data(self) -> bool:
         """True for the messages that move application data (Fig. 2 count)."""
@@ -143,18 +149,6 @@ class Message:
     def latency(self) -> float:
         """Flight time of the message."""
         return self.deliver_time - self.send_time
-
-    @classmethod
-    def _build(cls, **fields: Any) -> "Message":
-        """A message from keyword *fields*, for the fabric's per-send use.
-
-        Same object as ``Message(**fields)`` (omitted fields read their class
-        default) without the frozen ``__init__``'s thirteen guarded
-        assignments; the names are trusted, so only ``net`` calls this.
-        """
-        message = object.__new__(cls)
-        message.__dict__.update(fields)
-        return message
 
     def stamped(
         self, send_time: float, deliver_time: float, in_place: bool = False

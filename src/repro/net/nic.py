@@ -364,9 +364,6 @@ class NIC:
             return 0
         return self.detector.world_size * DualClockRaceDetector.BYTES_PER_ENTRY
 
-    def _detection_active(self) -> bool:
-        return self.detector is not None and self.detector.config.enabled
-
     # -- lock protocol ----------------------------------------------------------------
 
     def _acquire_lock(
@@ -423,7 +420,12 @@ class NIC:
         outright unless the piggyback transport will actually stamp it, so
         the default roundtrip hot path allocates nothing.
         """
-        if not self._detection_active() or not self.clock_transport.piggyback:
+        detector = self.detector
+        if detector is None or not detector.config.enabled:
+            return None
+        # Read off the config, not through the transport's property chain:
+        # ``ride_frame`` gets what this returns and rejects an illegal mode.
+        if self.config.clock_transport != "piggyback":
             return None
         if clock_snapshot is not None:
             return clock_snapshot
@@ -544,7 +546,7 @@ class NIC:
         within the same budget as data datagrams.  The blocked time renders
         as a ``resync_wait`` span on this NIC's engine track.
         """
-        started = self._sim.now
+        started = self._sim._now
         stats = self.clock_transport.stats
         attempts = 0
         while True:
@@ -587,7 +589,7 @@ class NIC:
         self.ud.mark_resynced(sender_nic.rank, seq)
         stats.ud_resyncs += 1
         self._obs.spans.complete(
-            self.engine_track, "resync_wait", started, self._sim.now,
+            self.engine_track, "resync_wait", started, self._sim._now,
             source=f"P{sender_nic.rank}", seq=seq,
         )
 
@@ -632,11 +634,11 @@ class NIC:
         the operation hands back (the value written or read; for an atomic
         the value the cell held before) and what an atomic deposited.
         """
-        now = self._sim.now
+        now = self._sim._now
         memory = target_nic.memory
         check: Optional[AccessCheckResult] = None
         detector = self.detector
-        if self._detection_active():
+        if detector is not None and detector.config.enabled:
             cell = memory.cell(address)
             if kind is AccessKind.WRITE:
                 check = detector.on_write(
@@ -736,7 +738,7 @@ class NIC:
                 f"{operation} on rank {self.rank} given remote address {target}; "
                 f"use rdma_{_REMOTE_FLAVOUR[operation]}"
             )
-        start = self._sim.now
+        start = self._sim._now
         tag = self._tags.next_str()
         self._counters[tally].value += 1
         target_nic = self._peers[target.rank]() if remote else self
@@ -757,7 +759,7 @@ class NIC:
                 target_nic._counters["remote_ops_serviced"].value += 1
             if clock_snapshot is not None and self.recorder is not None:
                 self.recorder.record_transfer(
-                    self.rank, target.rank, time=self._sim.now,
+                    self.rank, target.rank, time=self._sim._now,
                     kind="wr_transfer", clock=clock_snapshot.frozen(),
                 )
             check, value, new_value = self._perform(
@@ -774,7 +776,7 @@ class NIC:
             raise
         self._release_lock(target_nic, lock_request, tag)
 
-        end = self._sim.now
+        end = self._sim._now
         if spanned:
             spans = self._obs.spans
             if spans.enabled:
@@ -918,7 +920,7 @@ class NIC:
         """
         if gate.try_claim():
             return
-        stall_started = self._sim.now
+        stall_started = self._sim._now
         while True:
             wake = self._sim.event(name=f"credit-wait:{tag}")
             gate.enqueue_waiter(wake, self.rank)
@@ -926,7 +928,7 @@ class NIC:
             if gate.try_claim():
                 break
         self._obs.spans.complete(
-            self.engine_track, "credit_stall", stall_started, self._sim.now,
+            self.engine_track, "credit_stall", stall_started, self._sim._now,
             destination=f"P{destination}",
         )
 
@@ -989,7 +991,7 @@ class NIC:
         ``addresses``) and *carried_clock* is the merged clock the matched
         completion must hand to the receiver at retirement.
         """
-        start = self._sim.now
+        start = self._sim._now
         tag = self._tags.next_str()
         target_nic = self.peer(destination)
         self.sends_issued += 1
@@ -1026,7 +1028,7 @@ class NIC:
                 retries += 1
                 self.rnr_retries += 1
                 self._obs.spans.instant(
-                    self.engine_track, "rnr_retry", self._sim.now,
+                    self.engine_track, "rnr_retry", self._sim._now,
                     destination=f"P{destination}", retry=retries,
                 )
                 backoff = rnr_backoff
@@ -1039,11 +1041,11 @@ class NIC:
                     backoff = controller.on_rnr_backoff(
                         self.rank, destination, retries, rnr_backoff
                     )
-                backoff_started = self._sim.now
+                backoff_started = self._sim._now
                 yield self._sim.timeout(backoff, name=f"rnr-backoff:{tag}")
                 self._obs.spans.complete(
                     self.engine_track, "rnr_backoff", backoff_started,
-                    self._sim.now, destination=f"P{destination}", retry=retries,
+                    self._sim._now, destination=f"P{destination}", retry=retries,
                 )
                 continue
             break
@@ -1082,7 +1084,7 @@ class NIC:
             )
         if self.recorder is not None:
             self.recorder.record_transfer(
-                self.rank, destination, time=self._sim.now, kind="transfer",
+                self.rank, destination, time=self._sim._now, kind="transfer",
                 clock=(
                     effective_clock.frozen()
                     if effective_clock is not None
@@ -1112,7 +1114,7 @@ class NIC:
         spans = self._obs.spans
         if spans.enabled:
             spans.complete(
-                self.engine_track, "send", start, self._sim.now,
+                self.engine_track, "send", start, self._sim._now,
                 target=f"P{destination}", cells=len(values), retries=retries,
             )
         result = RemoteOperationResult(
@@ -1122,7 +1124,7 @@ class NIC:
             value=tuple(values),
             check=check,
             start_time=start,
-            end_time=self._sim.now,
+            end_time=self._sim._now,
             data_messages=data_messages,
             control_messages=control_messages,
         )

@@ -90,6 +90,8 @@ class ProcessAPI:
         self._barrier = barrier
         self._recorder = recorder
         self._verbs = verbs
+        #: The label of this rank's compute events, built once, not per call.
+        self._compute_label = f"compute-P{rank}"
 
     # -- introspection -----------------------------------------------------------
 
@@ -479,7 +481,7 @@ class ProcessAPI:
     def compute(self, duration: float) -> Generator:
         """Model *duration* units of purely local computation."""
         require_non_negative(duration, "duration")
-        yield self._sim.timeout(duration, name=f"compute-P{self.rank}")
+        yield self._sim.timeout(duration, name=self._compute_label)
         return duration
 
     def barrier(self) -> Generator:

@@ -18,6 +18,7 @@ of SHMEM/UPC programs.  Three are provided:
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.core.clocks import VectorClock
@@ -67,6 +68,12 @@ class Barrier:
         #: edge the critical-path analyzer hops across.
         self._open_info: Dict[int, tuple] = {}
         self._obs = Observability.of(sim)
+        #: rank -> its ``barrier.wait_time`` histogram, bound on first use.
+        self._wait_times: Dict[int, object] = {}
+
+    @cached_property
+    def _crossings_counter(self):
+        return self._obs.metrics.counter("barrier.crossings")
 
     @property
     def crossings(self) -> int:
@@ -126,9 +133,12 @@ class Barrier:
             self._sim.now,
             **span_args,
         )
-        self._obs.metrics.histogram(
-            "barrier.wait_time", layout="sim_time", rank=rank
-        ).observe(self._sim.now - arrived_at)
+        wait_time = self._wait_times.get(rank)
+        if wait_time is None:
+            wait_time = self._wait_times[rank] = self._obs.metrics.histogram(
+                "barrier.wait_time", layout="sim_time", rank=rank
+            )
+        wait_time.observe(self._sim.now - arrived_at)
         return generation
 
     def _open(self, generation: int, opener: int) -> None:
@@ -161,7 +171,7 @@ class Barrier:
         self._arrived = 0
         self._release_events = {}
         self._crossings += 1
-        self._obs.metrics.counter("barrier.crossings").inc()
+        self._crossings_counter.inc()
         # Barrier fan-out order is a controlled choice point: with a
         # schedule controller installed, which waiter's release fires (or is
         # put on the wire) next is a logged, replayable decision — the last

@@ -86,7 +86,10 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None, name: Optional[str] = None) -> Timeout:
         """Create an event that fires ``delay`` time units from now."""
-        require_non_negative(delay, "delay")
+        # The public entry admits *delay* from outside, so it checks it —
+        # inline for the exact-float common case, in full for the rest.
+        if not (type(delay) is float and delay >= 0.0):
+            require_non_negative(delay, "delay")
         return Timeout(self, delay, value, name)
 
     def all_of(self, events: Sequence[Event], name: Optional[str] = None) -> AllOf:

@@ -12,6 +12,7 @@ NIC model waits for e.g. "lock granted AND payload delivered".
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -45,14 +46,21 @@ class Event:
         Optional human-readable label used in ``repr`` and error messages.
     """
 
+    # What a pending event has not set yet, as class-level defaults: a
+    # constructor stores ``sim``, a fresh ``callbacks`` list and its own
+    # fields, and nothing else — which is what lets every subclass build its
+    # event in one frame instead of chaining here.  (Not ``__slots__``:
+    # measured time-neutral, and slots cannot carry defaults.)
+    _name: Optional[str] = None
+    _triggered = False
+    _processed = False
+    _ok: Optional[bool] = None
+    _value: Any = None
+
     def __init__(self, sim: "Simulator", name: Optional[str] = None) -> None:
         self.sim = sim
-        self._name = name
         self.callbacks: List[Callable[["Event"], None]] = []
-        self._triggered = False
-        self._processed = False
-        self._ok: Optional[bool] = None
-        self._value: Any = None
+        self._name = name
 
     # -- state ---------------------------------------------------------------
 
@@ -101,7 +109,10 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        self.sim._push(self.sim._now, self)
+        # The calendar push, in this frame (as in ``Simulator._push``).
+        sim = self.sim
+        heappush(sim._queue, (sim._now, sim._sequence, self))
+        sim._sequence += 1
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -135,10 +146,15 @@ class Timeout(Event):
         value: Any = None,
         name: Optional[str] = None,
     ) -> None:
-        super().__init__(sim, name)
+        # One frame per delivery: the event's own fields and the calendar
+        # push, neither chained to ``Event.__init__`` nor to ``_push``.
+        self.sim = sim
+        self.callbacks = []
+        self._name = name
         self.delay = delay
         self._value = value
-        sim._push(sim._now + delay, self)
+        heappush(sim._queue, (sim._now + delay, sim._sequence, self))
+        sim._sequence += 1
 
     def _default_name(self) -> str:
         return f"Timeout({self.delay})"

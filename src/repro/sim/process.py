@@ -46,7 +46,9 @@ class _Bounce(Event):
     """
 
     def __init__(self, sim: "Simulator", process: "Process") -> None:
-        super().__init__(sim)
+        # One frame: the rest is Event's class-level defaults.
+        self.sim = sim
+        self.callbacks = []
         self._process = process
 
     def _default_name(self) -> str:
@@ -146,7 +148,14 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - propagate via the event
             self._fail(exc)
             return
-        self._wait_for(target)
+        if isinstance(target, Event) and not target._triggered:
+            # Parked on a pending event, in this frame: what nearly every
+            # resumption ends in.  The rest is ``_wait_for``'s.
+            self._state = ProcessState.WAITING
+            self._waiting_on = target
+            target.callbacks.append(self._resume)
+        else:
+            self._wait_for(target)
 
     def _throw_in(self, exc: BaseException) -> None:
         if not self.is_alive:

@@ -4,9 +4,9 @@ A run builds one trace record per access, operation and synchronization, and
 one :class:`~repro.explore.decisions.Decision` per choice point.  They are
 frozen dataclasses, and a frozen ``__init__`` stores every field through
 ``object.__setattr__`` — ≈ 1.7 µs for nine fields, most of what recording an
-access cost.  :func:`trusted_build` gives such a class the in-package
-constructor ``Message._build`` is for messages: same object, no checks, for
-values the caller validated or made itself.
+access cost.  :func:`trusted_build` gives such a class an in-package
+constructor (what ``Fabric.send`` does inline for messages): same object, no
+checks, for values the caller validated or made itself.
 """
 
 from __future__ import annotations

@@ -274,6 +274,8 @@ class CqModerationTimer:
         self._armed_at: Optional[float] = None
         #: Flushes by trigger, for tests and benchmarks.
         self.flushes = {"count": 0, "timer": 0, "capacity": 0}
+        #: trigger -> its ``verbs.cq_timer_flushes`` counter, bound on first use.
+        self._flush_counters: dict = {}
 
     @property
     def pending(self) -> int:
@@ -331,7 +333,10 @@ class CqModerationTimer:
                 self._context.track, "timer_wait", armed_at, self._sim.now,
                 reason=reason, coalesced=len(batch),
             )
-        obs.metrics.counter(
-            "verbs.cq_timer_flushes", rank=self._context.rank, reason=reason
-        ).inc()
+        counter = self._flush_counters.get(reason)
+        if counter is None:
+            counter = self._flush_counters[reason] = obs.metrics.counter(
+                "verbs.cq_timer_flushes", rank=self._context.rank, reason=reason
+            )
+        counter.inc()
         self._context.deliver_burst(batch)

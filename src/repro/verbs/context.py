@@ -23,6 +23,7 @@ two styles on the same queue.
 from __future__ import annotations
 
 import weakref
+from functools import cached_property
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.memory.address import GlobalAddress
@@ -102,6 +103,8 @@ class VerbsContext:
         self.cq_moderation_timer = None
         self._cq_moderator: Optional[CqModerationTimer] = None
         self._obs = Observability.of(sim)
+        #: opcode -> its (service, retire) latency histograms, bound on first use.
+        self._latency: Dict[str, tuple] = {}
         #: Trace track for this rank's process-side verbs activity.
         self.track = f"rank-P{self.rank}"
         self.registry = MemoryRegistry(self.rank)
@@ -298,6 +301,35 @@ class VerbsContext:
             )
         return self._srq.post(self._make_recv_wr(addresses, symbol))
 
+    # The context's per-operation instruments, each bound on first use as the
+    # lock table's are: no label-sorting registry lookup per post, delivery
+    # or retirement, and a context that never posts or receives still adds
+    # no zero-valued instrument to a snapshot.
+
+    @cached_property
+    def _recv_completions(self):
+        return self._obs.metrics.counter("verbs.recv_completions", rank=self.rank)
+
+    @cached_property
+    def _recv_cq_depth(self):
+        return self._obs.metrics.gauge("verbs.recv_cq_depth", rank=self.rank)
+
+    @cached_property
+    def _wr_posted(self):
+        return self._obs.metrics.counter("verbs.wr_posted", rank=self.rank)
+
+    @cached_property
+    def _wr_retired(self):
+        return self._obs.metrics.counter("verbs.wr_retired", rank=self.rank)
+
+    @cached_property
+    def _outstanding_wrs(self):
+        return self._obs.metrics.gauge("verbs.outstanding_wrs", rank=self.rank)
+
+    @cached_property
+    def _cq_depth(self):
+        return self._obs.metrics.gauge("verbs.cq_depth", rank=self.rank)
+
     def deliver_recv(self, completion: WorkCompletion) -> None:
         """Called by a peer's queue pair when a send lands in our buffer.
 
@@ -320,15 +352,14 @@ class VerbsContext:
             self.recv_cq.push(completion)
         except CompletionQueueOverflow as error:
             self.async_errors.append((self.sim.now, str(error)))
+            # An error event, not a per-operation one: looked up, not bound.
             self._obs.metrics.counter("verbs.cq_overflows", rank=self.rank).inc()
         else:
             self.nic.clock_transport.note_completion_event(
                 1, carries_clock=completion.sync_clock is not None
             )
-            self._obs.metrics.counter("verbs.recv_completions", rank=self.rank).inc()
-            self._obs.metrics.gauge("verbs.recv_cq_depth", rank=self.rank).set(
-                self.recv_cq.depth
-            )
+            self._recv_completions.inc()
+            self._recv_cq_depth.set(self.recv_cq.depth)
 
     def _on_recv_retired(self, completion: WorkCompletion) -> None:
         detector = self.nic.detector
@@ -445,10 +476,8 @@ class VerbsContext:
         self._stamp(request, peer, kind)
         self._outstanding[request.wr_id] = request
         # Observability hooks for one accepted post (counters, flow start).
-        self._obs.metrics.counter("verbs.wr_posted", rank=self.rank).inc()
-        self._obs.metrics.gauge("verbs.outstanding_wrs", rank=self.rank).set(
-            len(self._outstanding)
-        )
+        self._wr_posted.inc()
+        self._outstanding_wrs.set(len(self._outstanding))
         spans = self._obs.spans
         spans.instant(
             self.track,
@@ -611,7 +640,7 @@ class VerbsContext:
         self.nic.clock_transport.note_completion_event(
             1, carries_clock=completion.sync_clock is not None
         )
-        self._obs.metrics.gauge("verbs.cq_depth", rank=self.rank).set(self.cq.depth)
+        self._cq_depth.set(self.cq.depth)
 
     def deliver_burst(self, completions: List[WorkCompletion]) -> None:
         """Deliver a coalesced drain burst to the send CQ (CQ moderation).
@@ -634,7 +663,7 @@ class VerbsContext:
             len(completions),
             carries_clock=any(c.sync_clock is not None for c in completions),
         )
-        self._obs.metrics.gauge("verbs.cq_depth", rank=self.rank).set(self.cq.depth)
+        self._cq_depth.set(self.cq.depth)
 
     def _on_wr_retired(self, completion: WorkCompletion) -> None:
         """Merge a retired one-sided completion's batched clock, once useful.
@@ -673,16 +702,18 @@ class VerbsContext:
         for completion in completions:
             self._outstanding.pop(completion.wr_id, None)
             self._retired[completion.wr_id] = completion
-            self._obs.metrics.counter("verbs.wr_retired", rank=self.rank).inc()
+            self._wr_retired.inc()
             # Per-op latency split: post→completion is NIC service + transfer
             # time; completion→retire is how long the CQE sat unclaimed.
             opcode = completion.opcode.value
-            self._obs.metrics.histogram(
-                "verbs.latency.service", layout="sim_time", opcode=opcode
-            ).observe(completion.completed_at - completion.posted_at)
-            self._obs.metrics.histogram(
-                "verbs.latency.retire", layout="sim_time", opcode=opcode
-            ).observe(self.sim.now - completion.completed_at)
+            latency = self._latency.get(opcode)
+            if latency is None:
+                latency = self._latency[opcode] = tuple(
+                    self._obs.metrics.histogram(name, layout="sim_time", opcode=opcode)
+                    for name in ("verbs.latency.service", "verbs.latency.retire")
+                )
+            latency[0].observe(completion.completed_at - completion.posted_at)
+            latency[1].observe(self.sim.now - completion.completed_at)
             self._obs.spans.flow_end(
                 self.track,
                 "wr",
@@ -697,9 +728,7 @@ class VerbsContext:
                 opcode=completion.opcode.value,
                 status=completion.status.value,
             )
-        self._obs.metrics.gauge("verbs.outstanding_wrs", rank=self.rank).set(
-            len(self._outstanding)
-        )
+        self._outstanding_wrs.set(len(self._outstanding))
 
     def poll(self) -> List[WorkCompletion]:
         """Retire whatever is ready, without blocking; claims the completions."""

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
+from functools import cached_property
 from typing import TYPE_CHECKING, Deque, Generator, Optional
 
 from repro.core.clocks import VectorClock
@@ -140,6 +141,22 @@ class QueuePair:
 
     # -- posting -----------------------------------------------------------------
 
+    # Bound on first use (see ``MemoryLockTable``): a queue pair that never
+    # posts adds no zero-valued instrument, one that does pays no lookup per
+    # post and per drained request.
+
+    @cached_property
+    def _send_queue_depth(self):
+        return self._obs.metrics.gauge(
+            "verbs.send_queue_depth", rank=self.origin, peer=self.peer
+        )
+
+    @cached_property
+    def _drain_bursts(self):
+        return self._obs.metrics.counter(
+            "verbs.drain_bursts", rank=self.origin, peer=self.peer
+        )
+
     @property
     def outstanding(self) -> int:
         """Requests posted but not yet completed on this queue pair."""
@@ -165,9 +182,7 @@ class QueuePair:
         request.posted_at = self._sim.now
         self.posted += 1
         self._pending.append(request)
-        self._obs.metrics.gauge(
-            "verbs.send_queue_depth", rank=self.origin, peer=self.peer
-        ).set(self.outstanding)
+        self._send_queue_depth.set(self.outstanding)
         if not self._draining:
             self._draining = True
             self._sim.process(
@@ -225,9 +240,7 @@ class QueuePair:
             self._in_service = None
             self.completed += 1
             serviced += 1
-            self._obs.metrics.gauge(
-                "verbs.send_queue_depth", rank=self.origin, peer=self.peer
-            ).set(self.outstanding)
+            self._send_queue_depth.set(self.outstanding)
             if burst is None:
                 self._context.deliver(completion)
             else:
@@ -250,9 +263,7 @@ class QueuePair:
         if burst:
             self._context.deliver_burst(burst)
         self._draining = False
-        self._obs.metrics.counter(
-            "verbs.drain_bursts", rank=self.origin, peer=self.peer
-        ).inc()
+        self._drain_bursts.inc()
         self._obs.spans.complete(
             self._context.nic.engine_track,
             "qp_drain",

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from repro.memory.address import GlobalAddress
-from repro.memory.locks import LockState, MemoryLockTable
+from repro.memory.locks import LockState, MemoryLockTable, _GrantEvent
 from repro.sim.engine import Simulator
 from repro.sim.events import SimulationError
 
@@ -87,6 +87,38 @@ class TestErrors:
         with pytest.raises(ValueError):
             table.acquire(GlobalAddress(0, 0), 2)
 
+    @pytest.mark.parametrize(
+        "address, text",
+        [
+            ("x", "address must be GlobalAddress, got str: 'x'"),
+            ((1, 0), "address must be GlobalAddress, got tuple: (1, 0)"),
+            (None, "address must be GlobalAddress, got NoneType: None"),
+        ],
+    )
+    def test_acquire_of_something_that_is_no_address_rejected(self, address, text):
+        sim, table = setup_table()
+        with pytest.raises(TypeError) as caught:
+            table.acquire(address, 0)
+        assert str(caught.value) == text
+        assert table.outstanding() == 0 and sim.peek() == float("inf")
+
+    def test_release_of_something_that_is_no_request_rejected(self):
+        _sim, table = setup_table()
+        with pytest.raises(TypeError, match=r"^request must be LockRequest, got object: <object"):
+            table.release(object())
+        with pytest.raises(TypeError, match=r"^request must be LockRequest, got NoneType: None$"):
+            table.release(None)
+
+    def test_an_address_subclass_is_still_an_address(self):
+        class Tagged(GlobalAddress):
+            pass
+
+        sim, table = setup_table()
+        request = table.acquire(Tagged(1, 0), 0)
+        sim.run()
+        assert table.holder(GlobalAddress(1, 0)) is request
+        table.release(request)
+
     def test_assert_quiescent(self):
         sim, table = setup_table()
         request = table.acquire(GlobalAddress(1, 0), 0)
@@ -132,6 +164,28 @@ class TestTiming:
         request = table.acquire(GlobalAddress(1, 3), requester=2)
         assert request.event.name == "lock(P1[3])byP2"
         assert "lock(P1[3])byP2" in repr(request.event)
+
+    def test_the_grant_event_is_a_whole_event(self):
+        sim = Simulator()
+        address = GlobalAddress(1, 3)
+        event = _GrantEvent(sim, address, 2)
+        fields = ("_name", "_triggered", "_processed", "_ok", "_value", "_address", "_requester")
+        read = lambda: {name: getattr(event, name) for name in fields}  # noqa: E731
+        assert event.sim is sim and event.callbacks == []
+        assert read() == {
+            "_name": None, "_triggered": False, "_processed": False,
+            "_ok": None, "_value": None, "_address": address, "_requester": 2,
+        }
+        assert repr(event) == "<_GrantEvent 'lock(P1[3])byP2' pending>"
+        event.succeed()
+        assert repr(event) == "<_GrantEvent 'lock(P1[3])byP2' triggered>"
+        sim.run()
+        assert read() == {
+            "_name": None, "_triggered": True, "_processed": True,
+            "_ok": True, "_value": None, "_address": address, "_requester": 2,
+        }
+        assert repr(event) == "<_GrantEvent 'lock(P1[3])byP2' processed>"
+        assert _GrantEvent(sim, address, 0).callbacks is not event.callbacks
 
 
 class TestInstruments:

@@ -260,6 +260,119 @@ class TestValidationRim:
         with pytest.raises(ValueError, match="latency"):
             fabric.send(MessageKind.PUT_DATA, 0, 1)
 
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize(
+        "source, destination, error, text",
+        [
+            (True, 0, TypeError, "source must be an int, got bool"),
+            (0, True, TypeError, "destination must be an int, got bool"),
+            (1.0, 0, TypeError, "source must be int, got float: 1.0"),
+            (0, 1.0, TypeError, "destination must be int, got float: 1.0"),
+            (0, 2, ValueError, "destination must be in [0, 2), got 2"),
+            (-1, 0, ValueError, "source must be in [0, 2), got -1"),
+        ],
+    )
+    def test_send_rejects_a_bad_pair_with_the_same_words(
+        self, cached, source, destination, error, text
+    ):
+        fabric = self.make_fabric()
+        if cached:
+            fabric.send(MessageKind.PUT_DATA, 1, 0)
+            fabric.send(MessageKind.PUT_DATA, 0, 1)
+        sent = fabric.stats.total_messages
+        with pytest.raises(error) as caught:
+            fabric.send(MessageKind.PUT_DATA, source, destination)
+        assert str(caught.value) == text
+        assert fabric.stats.total_messages == sent
+
+    @pytest.mark.parametrize(
+        "flight, error, text",
+        [
+            (-0.5, ValueError, "latency must be non-negative, got -0.5"),
+            (-1, ValueError, "latency must be non-negative, got -1"),
+            (True, TypeError, "latency must be a number, got bool"),
+            ("1", TypeError, "latency must be int or float, got str: '1'"),
+            (
+                np.float32(0.5), TypeError,
+                f"latency must be int or float, got float32: {np.float32(0.5)!r}",
+            ),
+            (
+                np.float64(-0.5), ValueError,
+                f"latency must be non-negative, got {np.float64(-0.5)!r}",
+            ),
+        ],
+    )
+    def test_a_bad_model_flight_raises_what_it_always_raised(self, flight, error, text):
+        class Model(ConstantLatency):
+            def latency(self, message, hops=1):
+                return flight
+
+        sim = Simulator()
+        fabric = Fabric(sim, Topology.complete(2), Model())
+        with pytest.raises(error) as caught:
+            fabric.send(MessageKind.PUT_DATA, 0, 1)
+        assert str(caught.value) == text
+        assert sim.peek() == float("inf") and fabric.stats.total_messages == 0
+
+    @pytest.mark.parametrize("flight", [2, np.float64(2.0), 2.0])
+    def test_flights_that_are_not_exact_floats_are_still_admitted(self, flight):
+        class Model(ConstantLatency):
+            def latency(self, message, hops=1):
+                return flight
+
+        sim = Simulator()
+        _event, stamped = Fabric(sim, Topology.complete(2), Model()).send(
+            MessageKind.PUT_DATA, 0, 1
+        )
+        assert stamped.deliver_time == 2.0 and sim.peek() == 2.0
+
+    @pytest.mark.parametrize(
+        "stretched, error, text",
+        [
+            (-0.25, ValueError, "controlled latency must be non-negative, got -0.25"),
+            (None, TypeError, "controlled latency must be int or float, got NoneType: None"),
+            (True, TypeError, "controlled latency must be a number, got bool"),
+        ],
+    )
+    def test_a_controller_stretching_to_a_bad_flight_rejected(self, stretched, error, text):
+        class Controller:
+            def on_message_latency(self, message, source, destination, flight):
+                return stretched
+
+        sim = Simulator()
+        sim.install_controller(Controller())
+        fabric = Fabric(sim, Topology.complete(2), ConstantLatency(base=1.0))
+        with pytest.raises(error) as caught:
+            fabric.send(MessageKind.PUT_DATA, 0, 1)
+        assert str(caught.value) == text
+        assert sim.peek() == float("inf")
+
+    def test_a_clamped_delivery_lands_at_the_bit_identical_time(self):
+        # now + (deliver_at - now) is not always deliver_at in floating point;
+        # the calendar has always held the former.
+        now, deliver_at = 0.6369086473719767, 3.3169369814192593
+        assert now + (deliver_at - now) != deliver_at
+        flights = iter([deliver_at, 0.1])
+
+        class Model(ConstantLatency):
+            def latency(self, message, hops=1):
+                return next(flights)
+
+        sim = Simulator()
+        channel = Channel(sim, 0, 1, Model())
+        channel.transmit(make_message())
+        sim.timeout(now)
+        sim.step()
+        assert sim.now == now
+        event, stamped = channel.transmit(make_message())
+        assert channel.stats.reordering_clamps == 1
+        assert stamped.deliver_time == deliver_at
+        assert event.delay == deliver_at - now
+        assert [entry for entry in sim._queue if entry[2] is event] == [
+            (now + (deliver_at - now), 2, event)
+        ]
+        assert (event._value, event.name) == (stamped, "deliver:put_data")
+
     def test_hop_count_checked_where_the_channel_is_built(self):
         with pytest.raises(ValueError, match="hops"):
             Channel(Simulator(), 0, 1, ConstantLatency(), hops=-1)

@@ -1,5 +1,8 @@
 """Unit tests for messages, latency models and topologies."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.net.latency import ConstantLatency, LogGPLatency, UniformLatency
@@ -33,6 +36,21 @@ class TestMessage:
         assert MessageKind.GET_REQUEST.is_data and MessageKind.GET_REPLY.is_data
         assert MessageKind.LOCK_REQUEST.is_lock
         assert MessageKind.CLOCK_FETCH.is_detection
+
+    def test_kinds_are_singletons_through_a_pickle_and_as_keys(self):
+        table = {kind: kind.value for kind in MessageKind}
+        members = set(MessageKind)
+        assert len(table) == len(members) == len(list(MessageKind))
+        for kind in MessageKind:
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(kind, protocol))
+                assert back is kind
+                assert table[back] == kind.value and back in members
+            assert copy.deepcopy(kind) is kind
+            assert hash(kind) == hash(MessageKind(kind.value))
+            assert MessageKind[kind.name] is kind
+        message = make_message(kind=MessageKind.LOCK_GRANT)
+        assert table[pickle.loads(pickle.dumps(message)).kind] == "lock_grant"
 
 
 class TestLatencyModels:

@@ -1,9 +1,11 @@
 """Unit tests for the discrete-event kernel: events, timeouts, conditions, engine."""
 
+import numpy as np
 import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.events import AllOf, AnyOf, Event, SimulationError, Timeout
+from repro.sim.process import Process, ProcessState, _Bounce
 
 
 class TestEventLifecycle:
@@ -197,3 +199,217 @@ class TestEngine:
 
         assert trace(7) == trace(7)
         assert trace(7) != trace(8)
+
+
+#: The fields every event has, whichever constructor built it.
+EVENT_FIELDS = ("_name", "_triggered", "_processed", "_ok", "_value")
+
+
+def fields_of(event, *extra):
+    """Every field of *event* by name, read the way the kernel reads them."""
+    return {name: getattr(event, name) for name in EVENT_FIELDS + extra}
+
+
+class TestConstructorsBuildWholeEvents:
+    """Each constructor, one frame or chained, leaves every field set.
+
+    A table per class: every field, ``name`` and ``repr`` while pending, once
+    triggered and once processed.
+    """
+
+    def test_event(self):
+        sim = Simulator()
+        event = Event(sim)
+        assert event.sim is sim and event.callbacks == []
+        assert fields_of(event) == {
+            "_name": None, "_triggered": False, "_processed": False,
+            "_ok": None, "_value": None,
+        }
+        assert (event.name, repr(event)) == ("Event", "<Event 'Event' pending>")
+        event.succeed("v")
+        assert fields_of(event) == {
+            "_name": None, "_triggered": True, "_processed": False,
+            "_ok": True, "_value": "v",
+        }
+        assert repr(event) == "<Event 'Event' triggered>"
+        sim.run()
+        assert fields_of(event) == {
+            "_name": None, "_triggered": True, "_processed": True,
+            "_ok": True, "_value": "v",
+        }
+        assert repr(event) == "<Event 'Event' processed>"
+        named = sim.event(name="grant")
+        assert (named._name, named.name) == ("grant", "grant")
+        assert repr(named) == "<Event 'grant' pending>"
+
+    def test_events_share_no_state(self):
+        sim = Simulator()
+        first, second = Event(sim), Event(sim)
+        assert first.callbacks is not second.callbacks
+        first.succeed(1)
+        first.callbacks.append(print)
+        assert fields_of(second)["_triggered"] is False and second.callbacks == []
+        assert not Event(sim)._triggered  # nothing leaked to the class
+
+    def test_timeout(self):
+        sim = Simulator()
+        timeout = sim.timeout(1.5, value="v")
+        assert timeout.sim is sim and timeout.callbacks == []
+        assert fields_of(timeout, "delay") == {
+            "_name": None, "_triggered": False, "_processed": False,
+            "_ok": None, "_value": "v", "delay": 1.5,
+        }
+        assert timeout.name == "Timeout(1.5)"
+        assert repr(timeout) == "<Timeout 'Timeout(1.5)' pending>"
+        assert sim._queue == [(1.5, 0, timeout)] and sim._sequence == 1
+        sim.run()
+        assert fields_of(timeout, "delay") == {
+            "_name": None, "_triggered": True, "_processed": True,
+            "_ok": True, "_value": "v", "delay": 1.5,
+        }
+        assert repr(timeout) == "<Timeout 'Timeout(1.5)' processed>"
+        labelled = Timeout(sim, 2, None, "tick")
+        assert (labelled._name, labelled.name, labelled._value) == ("tick", "tick", None)
+        assert sim._queue == [(3.5, 1, labelled)]
+
+    def test_bounce(self):
+        sim = Simulator()
+
+        def body():
+            yield sim.timeout(1.0)
+
+        process = sim.process(body(), name="rank-2")
+        bounce = _Bounce(sim, process)
+        assert bounce.sim is sim and bounce.callbacks == []
+        assert fields_of(bounce, "_process") == {
+            "_name": None, "_triggered": False, "_processed": False,
+            "_ok": None, "_value": None, "_process": process,
+        }
+        assert bounce.name == "rank-2:bounce"
+        assert repr(bounce) == "<_Bounce 'rank-2:bounce' pending>"
+        bounce.succeed()
+        assert repr(bounce) == "<_Bounce 'rank-2:bounce' triggered>"
+        sim.run()
+        assert fields_of(bounce, "_process") == {
+            "_name": None, "_triggered": True, "_processed": True,
+            "_ok": True, "_value": None, "_process": process,
+        }
+        assert repr(bounce) == "<_Bounce 'rank-2:bounce' processed>"
+
+    @pytest.mark.parametrize("condition_type", [AllOf, AnyOf])
+    def test_conditions(self, condition_type):
+        sim = Simulator()
+        children = [sim.timeout(1.0, value="a"), sim.timeout(1.0, value="b")]
+        condition = condition_type(sim, iter(children))
+        label = f"{condition_type.__name__}(2)"
+        assert condition.sim is sim and condition.callbacks == []
+        assert fields_of(condition, "events", "_pending") == {
+            "_name": None, "_triggered": False, "_processed": False,
+            "_ok": None, "_value": None, "events": children, "_pending": 2,
+        }
+        assert condition.name == label
+        assert repr(condition) == f"<{condition_type.__name__} {label!r} pending>"
+        sim.run()
+        values = dict(zip(children, "ab"))
+        if condition_type is AnyOf:
+            del values[children[1]]
+        assert fields_of(condition, "events") == {
+            "_name": None, "_triggered": True, "_processed": True,
+            "_ok": True, "_value": values, "events": children,
+        }
+        assert repr(condition) == f"<{condition_type.__name__} {label!r} processed>"
+        assert condition_type(sim, [], name="none")._name == "none"
+
+    def test_process(self):
+        sim = Simulator()
+
+        def body():
+            yield sim.timeout(1.0)
+            return "done"
+
+        generator = body()
+        process = Process(sim, generator)
+        assert process.sim is sim and process.callbacks == []
+        assert fields_of(process, "_generator", "_state", "_waiting_on") == {
+            "_name": "process", "_triggered": False, "_processed": False,
+            "_ok": None, "_value": None, "_generator": generator,
+            "_state": ProcessState.CREATED, "_waiting_on": None,
+        }
+        assert (process.name, repr(process)) == ("process", "<Process 'process' created>")
+        start = sim._queue[0][2]
+        assert (start.name, start._triggered, start.callbacks) == (
+            "process:start", True, [process._resume],
+        )
+        sim.step()
+        assert process._state is ProcessState.WAITING
+        assert process._waiting_on is sim._queue[0][2]
+        assert repr(process) == "<Process 'process' waiting>"
+        sim.run()
+        assert fields_of(process, "_state", "_waiting_on") == {
+            "_name": "process", "_triggered": True, "_processed": True,
+            "_ok": True, "_value": "done",
+            "_state": ProcessState.FINISHED, "_waiting_on": None,
+        }
+        assert repr(process) == "<Process 'process' finished>"
+        assert sim.process(body(), name="rank-3").name == "rank-3"
+
+    def test_a_process_parks_on_a_pending_event_and_bounces_off_a_fired_one(self):
+        sim = Simulator()
+        pending, fired = sim.event(), sim.event()
+        fired.succeed("early")
+        seen = []
+
+        def body():
+            seen.append((yield pending))
+            seen.append((yield fired))
+
+        process = sim.process(body())
+        sim.step()  # fired's own (empty) step
+        sim.step()  # the start event: the process runs up to its first yield
+        assert process._state is ProcessState.WAITING and process._waiting_on is pending
+        assert pending.callbacks == [process._resume]
+        pending.succeed("late")
+        sim.step()  # pending fires: the process runs on and meets a fired event
+        assert process._waiting_on is fired
+        bounce = sim._queue[0][2]
+        assert type(bounce) is _Bounce and bounce._triggered
+        sim.run()
+        assert seen == ["late", "early"] and process._state is ProcessState.FINISHED
+
+    def test_a_process_that_yields_no_event_fails(self):
+        sim = Simulator()
+
+        def body():
+            yield 3
+
+        process = sim.process(body(), name="rank-0")
+        with pytest.raises(SimulationError, match="processes must yield Event objects"):
+            sim.run()
+        assert not process.ok
+
+
+class TestDelayGuard:
+    """``Simulator.timeout`` admits a delay from outside: same errors as ever."""
+
+    @pytest.mark.parametrize(
+        "delay, error, text",
+        [
+            (-1, ValueError, "delay must be non-negative, got -1"),
+            (-0.5, ValueError, "delay must be non-negative, got -0.5"),
+            (True, TypeError, "delay must be a number, got bool"),
+            ("1", TypeError, "delay must be int or float, got str: '1'"),
+            (None, TypeError, "delay must be int or float, got NoneType: None"),
+        ],
+    )
+    def test_bad_delays_raise_what_they_always_raised(self, delay, error, text):
+        sim = Simulator()
+        with pytest.raises(error) as caught:
+            sim.timeout(delay)
+        assert str(caught.value) == text
+        assert sim._queue == [] and sim._sequence == 0
+
+    def test_delays_that_are_not_exact_floats_are_still_admitted(self):
+        sim = Simulator()
+        for delay in (2, 0, 0.0, np.float64(1.5)):
+            sim.timeout(delay)
+        assert [time for time, _seq, _event in sorted(sim._queue)] == [0, 0.0, 1.5, 2]

@@ -1,0 +1,120 @@
+"""The frame budget of the per-event path, as exact counts.
+
+A checked access of the paper's basic model costs 4.3 fabric messages and 7.1
+simulator events, so what a run waits for is the cost of one message and one
+event — and in Python most of that cost is frames entered, not work done.  The
+budget is **one Python frame per layer per hop** (``docs/architecture.md``,
+"Frame budget of the per-event path"); this file counts the frames.
+
+One small run (``RandomAccessWorkload(world_size=4, operations_per_rank=20)``,
+seed 0: 181 messages over 10 channels, 424 events) is driven under
+``sys.setprofile`` and every Python ``call`` event whose code lives under
+``repro/sim``, ``repro/net`` or ``repro/util`` is counted.  The counts repeat
+exactly for a seed, so the ceilings carry no slack for noise: each is the
+finished change's own reading, and only a deliberate addition to the path
+should ever move one.
+
+Readings (parent = the commit before the frame budget, PR 20):
+
+========================================================  =============  =============
+count                                                            parent        ceiling
+========================================================  =============  =============
+(a) frames entered inside ``Fabric.send`` (per message)    3 048 (16.84)   1 419 (7.84)
+(b) ``sim`` frames (per processed event)                   3 729 (8.79)    1 777 (4.19)
+(c) ``util.validation`` frames inside ``Fabric.send`` on
+    a pair whose channel already exists (per message)        342 (1.89)        0
+========================================================  =============  =============
+
+The parent fails all three.  What (a) still holds per message: ``transmit``,
+the model's ``latency``, its stream draw, ``stamped``, ``Timeout.__init__``,
+``ChannelStats``'s ``total_bytes`` read and ``FabricStats.record`` — seven —
+plus the ten channel constructions spread over the run.  What (b) holds per
+event: ``step``, and for most events one ``Process._resume``, one
+``Timeout.__init__`` and one stream draw (``sim/rng.py``).
+"""
+
+import os
+import sys
+
+import repro
+from repro.net.fabric import Fabric
+from repro.workloads import RandomAccessWorkload
+
+_PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+_COUNTED = tuple(_PACKAGE + layer + os.sep for layer in ("sim", "net", "util"))
+_SIM = _PACKAGE + "sim" + os.sep
+_VALIDATION = _PACKAGE + os.path.join("util", "validation.py")
+
+#: The finished change's readings on this very run (see the table above).
+FRAMES_INSIDE_SEND_CEILING = 1419
+SIM_FRAMES_CEILING = 1777
+
+
+class _FrameCounter:
+    """Counts Python frames entered, overall and inside ``Fabric.send``."""
+
+    def __init__(self) -> None:
+        self.sends = 0
+        self.inside_send = 0
+        self.sim_frames = 0
+        self.validation_on_known_pair = 0
+        self._send_code = Fabric.send.__code__
+        self._known_pairs = set()
+        self._pair_was_known = False
+        #: Depth of Python frames below the running ``Fabric.send`` (0 = not
+        #: inside one).  ``send`` is not re-entrant, so one integer does.
+        self._depth = 0
+
+    def __call__(self, frame, event, _arg) -> None:
+        if event == "call":
+            code = frame.f_code
+            filename = code.co_filename
+            if self._depth:
+                self._depth += 1
+                if filename.startswith(_COUNTED):
+                    self.inside_send += 1
+                    if filename == _VALIDATION and self._pair_was_known:
+                        self.validation_on_known_pair += 1
+            elif code is self._send_code:
+                self._depth = 1
+                self.sends += 1
+                pair = (frame.f_locals["source"], frame.f_locals["destination"])
+                self._pair_was_known = pair in self._known_pairs
+                self._known_pairs.add(pair)
+            if filename.startswith(_SIM):
+                self.sim_frames += 1
+        elif event == "return" and self._depth:
+            self._depth -= 1
+
+
+def _count_one_run():
+    scenario = RandomAccessWorkload(world_size=4, operations_per_rank=20)
+    runtime = scenario.build(0)
+    counter = _FrameCounter()
+    sys.setprofile(counter)
+    try:
+        runtime.run()
+    finally:
+        sys.setprofile(None)
+    return counter, runtime
+
+
+class TestFrameBudget:
+    @classmethod
+    def setup_class(cls):
+        cls.counter, cls.runtime = _count_one_run()
+
+    def test_the_run_is_the_one_the_readings_were_taken_on(self):
+        assert self.counter.sends == 181
+        assert self.runtime.fabric.stats.total_messages == 181
+        assert self.runtime.sim.events_processed == 424
+        assert len(self.runtime.fabric.channels()) == 10
+
+    def test_a_message_enters_few_frames_inside_fabric_send(self):
+        assert self.counter.inside_send <= FRAMES_INSIDE_SEND_CEILING
+
+    def test_an_event_enters_few_sim_frames(self):
+        assert self.counter.sim_frames <= SIM_FRAMES_CEILING
+
+    def test_no_validation_frame_on_a_pair_whose_channel_exists(self):
+        assert self.counter.validation_on_known_pair == 0
