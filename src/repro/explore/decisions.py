@@ -1,7 +1,8 @@
 """The replayable decision log.
 
-Every nondeterministic choice point the schedule controller owns — a message
-delivery timing, a same-time scheduling tie — produces one :class:`Decision`.
+Every nondeterministic choice point the schedule controller owns — a delivery
+or timer stretched, a same-time tie or fan-out ordered, a datagram's fate, a
+resync deferred; nine kinds, below — produces one :class:`Decision`.
 A run's log is therefore a complete recipe for the schedule: replaying the
 log through a fresh runtime (same program, same seed) reproduces the run
 byte for byte, and *truncating* it replays a prefix with every later choice
@@ -69,23 +70,56 @@ their defaults while keeping every later entry aligned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Union
 
 from repro.util.records import trusted_build
 
+#: What a choice of each kind looks like — the one table strategies, the
+#: controller and the artifact reader go by.  A ``"delay"`` is extra simulated
+#: time (stored as ``float``), an ``"index"`` picks one of a number of options
+#: the choice point states (``int``), a ``"count"`` is a number of messages
+#: (``int``).  Zero is every kind's uncontrolled default.
+DECISION_SHAPES = {
+    "latency": "delay",
+    "tie": "index",
+    "rnr": "delay",
+    "credit": "delay",
+    "cq_timer": "delay",
+    "resync": "count",
+    "barrier": "index",
+    "drop": "index",
+    "reorder": "delay",
+}
+
 #: The controlled choice-point kinds.
-DECISION_KINDS = (
-    "latency",
-    "tie",
-    "rnr",
-    "credit",
-    "cq_timer",
-    "resync",
-    "barrier",
-    "drop",
-    "reorder",
-)
+DECISION_KINDS = tuple(DECISION_SHAPES)
+
+#: What the controller hands out and a :class:`Decision` holds.
+Choice = Union[int, float]
+
+
+def check_choice(kind: str, key: str, choice: object) -> None:
+    """Refuse a *choice* that a decision of (known) *kind* cannot hold.
+
+    The check for values that come from outside (an artifact file): a delay
+    is a finite number >= 0, an index or a count an integer >= 0, neither a
+    ``bool``.  Anything else would replay a different schedule than the file
+    names (``1.5`` truncated to index 1) or none at all (a ``NaN`` delay).
+    """
+    shape = DECISION_SHAPES[kind]
+    allowed = (int, float) if shape == "delay" else int
+    if (
+        isinstance(choice, bool)
+        or not isinstance(choice, allowed)
+        or not 0 <= choice < math.inf
+    ):
+        expected = "a finite number >= 0" if shape == "delay" else "an integer >= 0"
+        raise ValueError(
+            f"{kind} decision {key!r} cannot hold choice {choice!r}: "
+            f"a {shape} is {expected}"
+        )
 
 
 @trusted_build
@@ -102,26 +136,17 @@ class Decision:
         ``"latency:0->2#17"``).  Replays assert the key matches, catching a
         log applied to the wrong program or seed.
     choice:
-        The controller's decision, whose meaning the kind fixes: an extra
-        delay (float — ``latency``, ``rnr``, ``credit``, ``cq_timer``,
-        ``reorder``), an index (int — ``tie``, ``barrier``), a count
-        (``resync``) or a fate (``drop``).  ``0`` always means "the
-        uncontrolled default".
-    alternatives:
-        How many alternatives the searcher considers at this point (1 when
-        the point is not branchable); systematic search metadata only, and
-        deliberately excluded from equality — a replayed log compares equal
-        to its source even though the replay strategy does not re-derive
-        branching metadata.
+        The controller's decision, in the shape :data:`DECISION_SHAPES`
+        gives its kind: an extra delay (float), an index or a count (int).
+        ``0`` always means "the uncontrolled default".
     """
 
     kind: str
     key: str
-    choice: Union[int, float]
-    alternatives: int = field(default=1, compare=False)
+    choice: Choice
 
     def __post_init__(self) -> None:
-        if self.kind not in DECISION_KINDS:
+        if self.kind not in DECISION_SHAPES:
             raise ValueError(f"unknown decision kind {self.kind!r}")
 
     @property
@@ -135,12 +160,10 @@ class Decision:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "Decision":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            kind=str(data["kind"]),
-            key=str(data["key"]),
-            choice=data["choice"],
-        )
+        """Inverse of :meth:`to_dict`; refuses a choice the kind cannot hold."""
+        decision = cls(str(data["kind"]), str(data["key"]), data["choice"])
+        check_choice(decision.kind, decision.key, decision.choice)
+        return decision
 
 
 class DecisionLog:

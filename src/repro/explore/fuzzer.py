@@ -5,36 +5,44 @@ one private :class:`random.Random` stream, so a fuzzed schedule is a pure
 function of its fuzz seed: the same seed replays the same perturbations (and
 the recorded decision log replays them without the RNG at all).
 
-Two independent knobs shape the search:
+Three groups of knobs shape the search:
 
 * ``reorder_probability`` / ``reorder_aggressiveness`` — how often a data
   message's delivery is delayed and by how much (in units of ``quantum``,
   which should be on the order of the fabric's typical one-hop latency).
   Delays *stretch* flight times only; shrinking could not reorder anything
   per-channel FIFO does not already forbid, and additive delays already
-  reach every cross-channel arrival order;
-* ``tie_shuffle_probability`` — how often a same-time scheduling tie is
-  resolved against insertion order (process-scheduling perturbation);
+  reach every cross-channel arrival order.  Every other delay kind — RNR
+  backoff, credit grant, CQ timer, UD datagram flight — is stretched the
+  same way (:mod:`repro.explore.decisions` says what each stretch races),
+  and a due adaptive resync is deferred by 1-3 messages at the same rate:
+  that perturbs only byte accounting, but it is drawn from the same stream
+  so that fuzzed schedules stay seed-pure;
+* ``tie_shuffle_probability`` — how often a same-time scheduling tie, or a
+  barrier's fan-out order, is resolved against insertion order
+  (process-scheduling perturbation);
 * ``drop_probability`` / ``duplicate_probability`` — under the UD
   transport, how often a datagram is dropped (forcing a sender
   retransmission and usually a receiver-driven clock resync) or delivered
   twice.  Both default to 0 so RC runs spend no rolls on them; datagram
   *delays* reuse ``reorder_probability``/``reorder_aggressiveness``.
 
-By default only *reorderable* messages are perturbed — data messages and
-the lock requests that decide which conflicting access the target NIC
-serializes first (see :func:`repro.explore.controller.is_reorderable`);
-detection round-trips ride inside an operation that already holds the cell
-lock, so perturbing them only re-explores equivalent schedules.  Set
-``reorderable_only=False`` to fuzz every message kind.
+Only *reorderable* deliveries are perturbed — data messages and the lock
+requests that decide which conflicting access the target NIC serializes
+first (see :func:`repro.explore.controller.is_reorderable`); detection
+round-trips ride inside an operation that already holds the cell lock, so
+perturbing them only re-explores equivalent schedules, and they spend no
+roll.  Every other choice point spends exactly one ``random()`` roll and then
+at most one value draw, so the stream stays seed-pure whatever the rates.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Tuple
+from typing import Optional
 
 from repro.explore.controller import ScheduleStrategy, is_reorderable
+from repro.explore.decisions import DECISION_SHAPES, Choice
 from repro.net.message import Message
 
 
@@ -48,32 +56,23 @@ class ScheduleFuzzer(ScheduleStrategy):
         reorder_aggressiveness: float = 2.0,
         quantum: float = 1.0,
         tie_shuffle_probability: float = 0.15,
-        reorderable_only: bool = True,
         drop_probability: float = 0.0,
         duplicate_probability: float = 0.0,
     ) -> None:
-        if not (0.0 <= reorder_probability <= 1.0):
-            raise ValueError(
-                f"reorder_probability must be in [0, 1], got {reorder_probability}"
-            )
-        if not (0.0 <= tie_shuffle_probability <= 1.0):
-            raise ValueError(
-                f"tie_shuffle_probability must be in [0, 1], got {tie_shuffle_probability}"
-            )
+        for name, probability in (
+            ("reorder_probability", reorder_probability),
+            ("tie_shuffle_probability", tie_shuffle_probability),
+            ("drop_probability", drop_probability),
+            ("duplicate_probability", duplicate_probability),
+        ):
+            if not (0.0 <= probability <= 1.0):
+                raise ValueError(f"{name} must be in [0, 1], got {probability}")
         if reorder_aggressiveness < 0:
             raise ValueError(
                 f"reorder_aggressiveness must be non-negative, got {reorder_aggressiveness}"
             )
         if quantum <= 0:
             raise ValueError(f"quantum must be positive, got {quantum}")
-        if not (0.0 <= drop_probability <= 1.0):
-            raise ValueError(
-                f"drop_probability must be in [0, 1], got {drop_probability}"
-            )
-        if not (0.0 <= duplicate_probability <= 1.0):
-            raise ValueError(
-                f"duplicate_probability must be in [0, 1], got {duplicate_probability}"
-            )
         if drop_probability + duplicate_probability > 1.0:
             raise ValueError(
                 "drop_probability + duplicate_probability must not exceed 1, got "
@@ -84,103 +83,38 @@ class ScheduleFuzzer(ScheduleStrategy):
         self.reorder_aggressiveness = reorder_aggressiveness
         self.quantum = quantum
         self.tie_shuffle_probability = tie_shuffle_probability
-        self.reorderable_only = reorderable_only
         self.drop_probability = drop_probability
         self.duplicate_probability = duplicate_probability
         self._rng = random.Random(seed)
 
-    def choose_latency(
-        self, key: str, message: Message, model_flight: float
-    ) -> Tuple[float, int]:
-        if self.reorderable_only and not is_reorderable(message):
-            return 0.0, 1
+    def choose(
+        self,
+        kind: str,
+        key: str,
+        bound: Optional[int] = None,
+        message: Optional[Message] = None,
+    ) -> Choice:
+        if kind == "latency" and not is_reorderable(message):
+            return 0
         roll = self._rng.random()
+        if kind == "drop":
+            # The roll alone decides the fate: [0, drop) drops,
+            # [drop, drop + duplicate) duplicates, the rest delivers.
+            if roll < self.drop_probability:
+                return 1
+            if roll < self.drop_probability + self.duplicate_probability:
+                return 2
+            return 0
+        shape = DECISION_SHAPES[kind]
+        if shape == "index":
+            if roll >= self.tie_shuffle_probability:
+                return 0
+            return self._rng.randrange(bound)
         if roll >= self.reorder_probability:
-            return 0.0, 2
-        extra = self._rng.uniform(
-            0.0, self.reorder_aggressiveness * self.quantum
-        )
-        return extra, 2
-
-    def choose_tie(self, key: str, eligible: int) -> Tuple[int, int]:
-        roll = self._rng.random()
-        if roll >= self.tie_shuffle_probability:
-            return 0, eligible
-        return self._rng.randrange(eligible), eligible
-
-    def choose_rnr(
-        self, key: str, attempt: int, base_backoff: float
-    ) -> Tuple[float, int]:
-        # RNR retry timers are perturbed like delivery latencies: stretching
-        # a backoff explores which retransmission races which repost.
-        roll = self._rng.random()
-        if roll >= self.reorder_probability:
-            return 0.0, 2
-        extra = self._rng.uniform(0.0, self.reorder_aggressiveness * self.quantum)
-        return extra, 2
-
-    def choose_credit(
-        self, key: str, receiver: int, sender: int
-    ) -> Tuple[float, int]:
-        # Credit grants are the credit-mode analogue of RNR backoffs:
-        # stretching a grant explores which stalled sender claims a
-        # contested receive buffer first.
-        roll = self._rng.random()
-        if roll >= self.reorder_probability:
-            return 0.0, 2
-        extra = self._rng.uniform(0.0, self.reorder_aggressiveness * self.quantum)
-        return extra, 2
-
-    def choose_cq_timer(self, key: str, base_usec: float) -> Tuple[float, int]:
-        # Stretching a moderation timer races its expiry against arriving
-        # completions — the flush-boundary interleavings where lost-wakeup
-        # bugs live.
-        roll = self._rng.random()
-        if roll >= self.reorder_probability:
-            return 0.0, 2
-        extra = self._rng.uniform(0.0, self.reorder_aggressiveness * self.quantum)
-        return extra, 2
-
-    def choose_resync(
-        self, key: str, since_resync: int, period: int
-    ) -> Tuple[int, int]:
-        # Deferring a due adaptive resync perturbs only byte accounting
-        # (sparse frames still decode exactly), but it must be drawn from
-        # the same RNG stream to keep fuzzed schedules seed-pure.
-        roll = self._rng.random()
-        if roll >= self.reorder_probability:
-            return 0, 2
-        return self._rng.randrange(1, 4), 2
-
-    def choose_barrier(self, key: str, remaining: int) -> Tuple[int, int]:
-        # Barrier fan-out order is shuffled like a scheduling tie.
-        roll = self._rng.random()
-        if roll >= self.tie_shuffle_probability:
-            return 0, remaining
-        return self._rng.randrange(remaining), remaining
-
-    def choose_datagram_fate(
-        self, key: str, message: Message, source: int, destination: int
-    ) -> Tuple[int, int]:
-        # One roll decides the fate so the stream stays seed-pure whatever
-        # the configured rates: [0, drop) drops, [drop, drop+dup) duplicates.
-        roll = self._rng.random()
-        if roll < self.drop_probability:
-            return 1, 3
-        if roll < self.drop_probability + self.duplicate_probability:
-            return 2, 3
-        return 0, 3
-
-    def choose_datagram_delay(
-        self, key: str, message: Message, source: int, destination: int
-    ) -> Tuple[float, int]:
-        # Datagram delays reuse the reorder knobs; the UD channel applies
-        # them without a FIFO clamp, so every stretch is a real reorder.
-        roll = self._rng.random()
-        if roll >= self.reorder_probability:
-            return 0.0, 2
-        extra = self._rng.uniform(0.0, self.reorder_aggressiveness * self.quantum)
-        return extra, 2
+            return 0
+        if shape == "count":
+            return self._rng.randrange(1, 4)
+        return self._rng.uniform(0.0, self.reorder_aggressiveness * self.quantum)
 
     def describe(self) -> str:
         return (

@@ -5,12 +5,15 @@ Where the fuzzer samples the schedule space, the systematic searcher
 accesses that can actually conflict.  The moving parts:
 
 * :class:`SystematicStrategy` — a controller strategy that treats the first
-  ``max_branch_points`` *reorderable* delivery choice points of a run (data
-  messages and lock requests — see
-  :func:`~repro.explore.controller.is_reorderable`) as branchable, each with
-  ``branch_factor`` delay slots, slot *k* delaying delivery by
-  ``k * quantum``, and forces a given partial assignment of slots.  Everything else runs at the default, so a node of the search tree
-  is just ``{choice-point key: slot}``;
+  ``max_branch_points`` branchable choice points of a run as branch points —
+  *reorderable* deliveries (data messages and lock requests, see
+  :func:`~repro.explore.controller.is_reorderable`) and every point of the
+  other kinds except same-time ties — each with ``branch_factor`` slots, and
+  forces a given partial assignment of slots.  Slot *k* is ``k * quantum``
+  of extra delay, *k* more sparse messages before a due resync, or option
+  *k* of an index kind (the barrier waiter released next; a datagram
+  delivered, dropped or duplicated).  Everything else runs at the default,
+  so a node of the search tree is just ``{choice-point key: slot}``;
 * :func:`schedule_fingerprint` — the Mazurkiewicz-style equivalence class
   of a completed run: the per-cell order of conflicting accesses.  Two
   schedules with the same fingerprint order every racing pair identically,
@@ -25,15 +28,16 @@ Why delay slots rather than an explicit delivery permutation: the engine is
 a timed discrete-event simulator, so "deliver B before A" *is* "stretch A's
 flight past B's".  Slot enumeration reaches every cross-channel arrival
 order the timing model can express while keeping each branch point's
-alternatives finite and replayable.
+options finite and replayable.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.explore.controller import ScheduleStrategy, is_reorderable
+from repro.explore.decisions import DECISION_SHAPES, Choice
 from repro.memory.consistency import MemoryAccess
 from repro.net.message import Message
 
@@ -72,14 +76,14 @@ class SystematicStrategy(ScheduleStrategy):
     Parameters
     ----------
     forced:
-        Mapping from latency choice-point key to delay slot (``1`` to
+        Mapping from choice-point key to slot (``1`` to
         ``branch_factor - 1``); every other choice point runs at default.
     branch_factor:
         Delay slots per branch point, slot 0 being the default timing.
     quantum:
         Delay per slot, on the order of the fabric's one-hop latency.
     max_branch_points:
-        How many reorderable deliveries of one run are branchable; bounds
+        How many choice points of one run are branchable; bounds
         the search tree's width (the "around conflicting accesses" budget —
         data messages carry the accesses, lock requests decide the order in
         which the target serializes conflicting ones).
@@ -113,76 +117,28 @@ class SystematicStrategy(ScheduleStrategy):
         #: Branchable choice-point keys met during the run, in order.
         self.branch_points: List[str] = []
 
-    def choose_latency(
-        self, key: str, message: Message, model_flight: float
-    ) -> Tuple[float, int]:
-        if not is_reorderable(message):
-            return 0.0, 1
-        return self._branch(key)
+    def choose(
+        self,
+        kind: str,
+        key: str,
+        bound: Optional[int] = None,
+        message: Optional[Message] = None,
+    ) -> Choice:
+        """The forced slot of a branch point, in its kind's own unit.
 
-    def choose_rnr(
-        self, key: str, attempt: int, base_backoff: float
-    ) -> Tuple[float, int]:
-        # RNR backoffs are branch points exactly like reorderable
-        # deliveries: slot k stretches the retry timer by k quanta, which
-        # enumerates how a retransmission storm interleaves with the
-        # receiver's reposts.
-        return self._branch(key)
-
-    def choose_credit(
-        self, key: str, receiver: int, sender: int
-    ) -> Tuple[float, int]:
-        # Credit grants branch like RNR backoffs: slot k delays the grant's
-        # wake-up by k quanta, enumerating which stalled sender claims a
-        # contested receive buffer first.
-        return self._branch(key)
-
-    def choose_cq_timer(self, key: str, base_usec: float) -> Tuple[float, int]:
-        # Moderation timers branch on their expiry boundary: slot k
-        # stretches the timer by k quanta, racing the flush against
-        # arriving completions.
-        return self._branch(key)
-
-    def choose_resync(
-        self, key: str, since_resync: int, period: int
-    ) -> Tuple[int, int]:
-        # Resync deferrals are integer-valued: slot k defers the due
-        # full-frame resync by k more sparse messages.
-        return self._branch_slot(key)
-
-    def choose_barrier(self, key: str, remaining: int) -> Tuple[int, int]:
-        # Barrier fan-out branches on which waiter is released next; the
-        # slot is the waiter index, clamped to the remaining set.
-        return self._branch_slot(key, limit=remaining)
-
-    def choose_datagram_fate(
-        self, key: str, message: Message, source: int, destination: int
-    ) -> Tuple[int, int]:
-        # Datagram fate branches over {deliver, drop, duplicate}: slot 1
-        # drops (sequence gap → receiver-driven resync), slot 2 duplicates.
-        return self._branch_slot(key, limit=3)
-
-    def choose_datagram_delay(
-        self, key: str, message: Message, source: int, destination: int
-    ) -> Tuple[float, int]:
-        # Datagram delays branch like reorderable deliveries, but the UD
-        # channel applies the slot's delay without a FIFO clamp.
-        return self._branch(key)
-
-    def _branch(self, key: str) -> Tuple[float, int]:
-        slot, alternatives = self._branch_slot(key)
-        return slot * self.quantum, alternatives
-
-    def _branch_slot(self, key: str, limit: int = None) -> Tuple[int, int]:
-        branchable = len(self.branch_points) < self.max_branch_points
-        if branchable:
+        A slot beyond the options an index kind has at this point is clamped
+        to the last one.
+        """
+        if kind == "tie" or (kind == "latency" and not is_reorderable(message)):
+            return 0
+        if len(self.branch_points) < self.max_branch_points:
             self.branch_points.append(key)
         slot = self.forced.get(key, 0)
-        alternatives = self.branch_factor if branchable else 1
-        if limit is not None:
-            slot = min(slot, limit - 1)
-            alternatives = min(alternatives, limit)
-        return slot, alternatives
+        if bound is not None:
+            return min(slot, bound - 1)
+        if DECISION_SHAPES[kind] == "count":
+            return slot
+        return slot * self.quantum
 
     def describe(self) -> str:
         return (

@@ -533,8 +533,8 @@ class ClockTransport:
         """The controller hook deciding whether a due resync is deferred."""
 
         def decide(since_resync: int, period: int) -> int:
-            controller = getattr(self._nic._sim, "controller", None)
-            if controller is not None and hasattr(controller, "on_clock_resync"):
+            controller = self._nic._sim.controller
+            if controller is not None:
                 return controller.on_clock_resync(
                     self._nic.rank, destination, since_resync, period
                 )

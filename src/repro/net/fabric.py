@@ -357,7 +357,7 @@ class Fabric:
             return event, message, "deliver", None
         controller = self._sim.controller
         fate_code = 0
-        if controller is not None and hasattr(controller, "on_datagram_fate"):
+        if controller is not None:
             fate_code = controller.on_datagram_fate(message, source, destination)
         channel = self.ud_channel(source, destination)
         if fate_code == 1:

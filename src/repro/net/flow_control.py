@@ -150,8 +150,8 @@ class CreditGate:
         self.grants += 1
         self._grant_counter.inc()
         extra = 0.0
-        controller = getattr(self._sim, "controller", None)
-        if controller is not None and hasattr(controller, "on_credit_grant"):
+        controller = self._sim.controller
+        if controller is not None:
             extra = controller.on_credit_grant(self.rank, sender)
         if extra > 0:
             self._sim.call_after(

@@ -1033,7 +1033,7 @@ class NIC:
                 )
                 backoff = rnr_backoff
                 controller = self._sim.controller
-                if controller is not None and hasattr(controller, "on_rnr_backoff"):
+                if controller is not None:
                     # The schedule controller owns RNR retry timing: the
                     # systematic searcher can branch on how long a storm of
                     # retransmissions backs off (a logged, replayable

@@ -3,8 +3,8 @@
 RC — everything this simulation modelled before — is the reliable connected
 transport: per-pair FIFO delivery, no loss.  The lockstep ``clock_wire``
 codecs lean on exactly that promise (a sparse frame is a patch against *the
-previous frame on the channel*), and ROADMAP item 3 calls the assumption
-out as the standing limit.  This module models the transport a planet-scale
+previous frame on the channel*); that assumption was the wire formats'
+standing limit.  This module models the transport a planet-scale
 deployment would actually run on: **unreliable datagrams** that the fabric
 may drop, duplicate or reorder, with no FIFO clamp.
 
@@ -110,7 +110,7 @@ class UdChannel(Channel):
         flight = self._latency_model.latency(message, hops=self._hops)
         require_non_negative(flight, "latency")
         controller = self._sim.controller
-        if controller is not None and hasattr(controller, "on_datagram_delay"):
+        if controller is not None:
             flight += controller.on_datagram_delay(
                 message, self.source, self.destination
             )

@@ -6,7 +6,7 @@ the merges/observes that fold clock knowledge into process and datum clocks.
 This profiler attributes those costs per check type — the cross product of
 access kind (``read`` / ``write`` / ``rmw``) and clock provenance (``live``
 post-check vs ``carried`` post-time snapshot) — which is exactly the
-breakdown an epoch-optimised hot path (ROADMAP item 2) must improve without
+breakdown the epoch fast path (``detector_epochs``) has to improve without
 changing verdicts.
 
 Counts (checks, compares, joins) are deterministic and feed benchmark

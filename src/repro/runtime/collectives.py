@@ -178,13 +178,10 @@ class Barrier:
         # previously-uncontrolled ordering.  The default (index 0 at every
         # pick) reproduces arrival order, the uncontrolled behaviour.
         order = list(releases.items())
-        controller = getattr(self._sim, "controller", None)
-        controlled = controller is not None and hasattr(
-            controller, "on_barrier_release"
-        )
+        controller = self._sim.controller
         while order:
             index = 0
-            if controlled and len(order) > 1:
+            if controller is not None and len(order) > 1:
                 index = controller.on_barrier_release(generation, len(order))
             rank, release = order.pop(index)
             if rank != self._root and self._charge_messages:

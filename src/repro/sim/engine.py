@@ -129,10 +129,13 @@ class Simulator:
     def install_controller(self, controller: Any) -> None:
         """Install a schedule controller owning this run's choice points.
 
-        The *controller* must provide ``pick_next(queue)`` (called by
-        :meth:`step` with the live event heap; must pop and return one
-        ``(time, sequence, event)`` entry) and ``on_message_latency(...)``
-        (called by the network layer).  At most one controller per simulator,
+        The *controller* must provide the whole protocol of
+        :class:`~repro.explore.controller.ScheduleController`:
+        ``pick_next(queue)`` (called by :meth:`step` with the live event
+        heap; must pop and return one ``(time, sequence, event)`` entry) and
+        its eight ``on_*`` entry points, which ``net``, ``verbs`` and
+        ``runtime`` call whenever a controller is installed, without probing
+        for the method first.  At most one controller per simulator,
         installed before any event is processed — a schedule is only
         replayable when every choice point was controlled from the start.
         """

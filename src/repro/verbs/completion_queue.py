@@ -302,8 +302,8 @@ class CqModerationTimer:
 
     def _arm(self) -> None:
         delay = self.usec
-        controller = getattr(self._sim, "controller", None)
-        if controller is not None and hasattr(controller, "on_cq_timer"):
+        controller = self._sim.controller
+        if controller is not None:
             # The schedule controller owns the timer's expiry: stretching it
             # races the flush against arriving completions (a logged,
             # replayable decision), exactly as it owns RNR backoffs.

@@ -39,7 +39,8 @@ Residual limitation: a posted operation targeting the poster's OWN public
 memory (verbs loopback) keeps the blind spot, because the origin and the
 owner are the same clock identity — there is no reception tick the poster
 could be missing, so the pair always looks ordered.  Closing it needs a
-separate clock identity for the NIC engine (see the ROADMAP follow-up).
+separate clock identity for the NIC engine (the loopback clock identity
+gap, ROADMAP item 2a; ``tests/verbs/test_loopback_blind_spot.py`` pins it).
 """
 
 from __future__ import annotations

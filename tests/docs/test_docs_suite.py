@@ -129,3 +129,19 @@ def test_docs_cover_every_benchmark_file():
         if bench.name not in table
     ]
     assert not missing, f"benchmarks missing from docs/benchmarks.md: {missing}"
+
+
+def test_the_choice_point_table_is_the_decision_shape_table():
+    """docs/explore.md lists every decision kind with the shape the code uses."""
+    from repro.explore.controller import ScheduleController
+    from repro.explore.decisions import DECISION_SHAPES
+
+    rows = re.findall(
+        r"^\| `(\w+)` \| (\w+) \| .*→ `(\w+)` \|",
+        (REPO_ROOT / "docs" / "explore.md").read_text(),
+        re.MULTILINE,
+    )
+    assert {kind: shape for kind, shape, _ in rows} == DECISION_SHAPES
+    assert [kind for kind, _, _ in rows] == list(DECISION_SHAPES)
+    for _, _, entry_point in rows:
+        assert callable(getattr(ScheduleController, entry_point)), entry_point

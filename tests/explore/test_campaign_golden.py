@@ -1,0 +1,48 @@
+"""The default campaign's report, pinned byte for byte.
+
+Every refactor since the campaign runner landed has had to show that the
+default-argument ``python -m repro.explore --json --markdown`` writes the same
+bytes before and after; this test does it instead of a hand-run ``cmp``.  It
+runs the CLI entry point with no argument but the two output paths (15
+patterns x budget 6, fuzz strategy, seed 0) and compares byte length and
+sha256 of both files — and stdout, which is the markdown plus a newline —
+with what the parent of the choice-point kernel rewrite produced.
+
+Regenerating is legitimate only in a PR whose *purpose* is to change what a
+campaign reports (a new metric in the per-schedule snapshot, a new report
+column, a corpus pattern added or relabelled); a refactor, an optimisation or
+a new strategy that moves these bytes has changed behaviour.  To regenerate::
+
+    PYTHONPATH=src python -m repro.explore --json /tmp/c.json --markdown /tmp/c.md
+    wc -c /tmp/c.json /tmp/c.md && sha256sum /tmp/c.json /tmp/c.md
+
+and paste the four values into ``EXPECTED`` below.
+"""
+
+import hashlib
+
+from repro.explore.campaign import main
+
+EXPECTED = {
+    "json": (
+        788712,
+        "325217982f511ed1a5cb909ea2415788708ec7c57e3ef771825513b265c5ddf8",
+    ),
+    "markdown": (
+        2446,
+        "82ff1de5bc6f0681f0cf422d46c47f58b2e0ee72bfebb2ddc47c582e9555cb9c",
+    ),
+}
+
+
+def _size_and_digest(data):
+    return len(data), hashlib.sha256(data).hexdigest()
+
+
+def test_default_campaign_writes_the_recorded_bytes(tmp_path, capsys):
+    json_path, markdown_path = tmp_path / "campaign.json", tmp_path / "campaign.md"
+    assert main(["--json", str(json_path), "--markdown", str(markdown_path)]) == 0
+    markdown = markdown_path.read_bytes()
+    assert _size_and_digest(json_path.read_bytes()) == EXPECTED["json"]
+    assert _size_and_digest(markdown) == EXPECTED["markdown"]
+    assert capsys.readouterr().out.encode() == markdown + b"\n"

@@ -106,6 +106,8 @@ class FakeEvent:
 class FakeSim:
     """Just enough simulator for a bare gate: no controller, no scheduler."""
 
+    controller = None
+
     def __init__(self):
         from repro.obs.observability import Observability
 

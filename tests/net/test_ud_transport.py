@@ -60,11 +60,12 @@ class ForcedFates(PassthroughStrategy):
         counts[kind] = index + 1
         return table.get(kind, {}).get(index, default)
 
-    def choose_datagram_fate(self, key, message, source, destination):
-        return self._scripted(self.fates, self._fate_counts, message, 0), 3
-
-    def choose_datagram_delay(self, key, message, source, destination):
-        return self._scripted(self.delays, self._delay_counts, message, 0.0), 2
+    def choose(self, kind, key, bound=None, message=None):
+        if kind == "drop":
+            return self._scripted(self.fates, self._fate_counts, message, 0)
+        if kind == "reorder":
+            return self._scripted(self.delays, self._delay_counts, message, 0.0)
+        return 0
 
     def describe(self):
         return "forced-fates"
@@ -139,12 +140,13 @@ def verdict(result):
 # keeps its FIFO-clamp state apart from the pair's RC channel, so a data
 # message RC held behind earlier control traffic on the pair arrives on its
 # own latency instead (zero intra-UD overtakes).  Strict, so that closing the
-# gap (ROADMAP item 4f) XPASSes loudly and the marker goes in the same change.
+# gap (UD FIFO-clamp state, ROADMAP item 2b) XPASSes loudly and the marker goes
+# in the same change.
 UD_ESCAPES_RC_CLAMP = pytest.mark.xfail(
     strict=True,
     reason="a quiet UD fabric escapes the FIFO clamp RC applies across the "
     "pair's control and data traffic: Fabric.ud_channel keeps separate clamp "
-    "state (ROADMAP item 4f)",
+    "state (the UD FIFO-clamp state gap, ROADMAP item 2b)",
 )
 
 

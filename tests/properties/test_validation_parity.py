@@ -254,7 +254,6 @@ RECORDS = {
         st.tuples(
             st.sampled_from(DECISION_KINDS), st.text(max_size=12),
             st.one_of(st.integers(0, 9), st.floats(0, 50, allow_nan=False)),
-            st.integers(1, 8),
         ),
         "choice",
     ),
@@ -301,7 +300,7 @@ class TestTrustedConstructors:
 
     def test_build_takes_exactly_one_value_per_field(self):
         with pytest.raises(TypeError):
-            Decision._build("latency", "key", 0.0)
+            Decision._build("latency", "key")
         with pytest.raises(TypeError):
             SyncEvent._build(1, 0.0, (0, 1), "barrier", None, "one too many")
 
@@ -344,10 +343,6 @@ class TestTrustedConstructors:
             None, 0.0, None, "", None,
         )
         assert SyncEvent(1, 0.5, (0, 1)) == SyncEvent._build(1, 0.5, (0, 1), "barrier", None)
-        assert Decision("tie", "tie#0", 1).alternatives == 1
-        # ``alternatives`` stays out of equality and hashing, built either way.
-        assert Decision._build("tie", "tie#0", 1, 5) == Decision("tie", "tie#0", 1)
-        assert hash(Decision._build("tie", "tie#0", 1, 5)) == hash(Decision("tie", "tie#0", 1))
 
 
 # -- SymbolDirectory.resolve ----------------------------------------------------------

@@ -10,7 +10,8 @@ loopback write or the program's next access goes first is a genuine
 scheduling choice, observably flipping the value read.
 
 Closing it needs a separate clock component for each rank's queue-pair
-engine (``world_size + n`` entries) — the ROADMAP follow-up.  Until then
+engine (``world_size + n`` entries) — the loopback clock identity gap,
+ROADMAP item 2a.  Until then
 this test is ``xfail(strict=True)``: the day the detector flags loopback
 races in every schedule, it XPASSes loudly and must be promoted to a real
 acceptance test.
@@ -84,7 +85,8 @@ def test_ground_truth_the_loopback_race_is_real():
     reason="verbs loopback blind spot (origin == owner): the poster and the "
     "owner share one clock identity, so the every-schedule guarantee does "
     "not yet cover posted operations on the poster's own memory — needs a "
-    "clock component per queue-pair engine (ROADMAP follow-up); holds in "
+    "clock component per queue-pair engine (the loopback clock identity gap, "
+    "ROADMAP item 2a); holds in "
     "both detector_epochs modes, the fast path cannot change it",
 )
 def test_unwaited_loopback_post_flagged_in_every_schedule(detector_epochs):
