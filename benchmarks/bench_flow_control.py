@@ -52,7 +52,6 @@ def _saturating_run(flow_control, seed=0):
             world_size=2,
             seed=seed,
             flow_control=flow_control,
-            verbs_backpressure="block",
             verbs_rnr_backoff=COARSE_BACKOFF,
         )
     )

@@ -15,7 +15,7 @@ produces.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.clocks import Epoch, VectorClock
 from repro.detectors.base import BaselineDetector, DetectedRace, DetectionResult
@@ -28,18 +28,6 @@ class SingleClockDetector(BaselineDetector):
 
     name = "single-clock"
 
-    def __init__(self, origin_learns: bool = True, epochs: bool = True) -> None:
-        #: Whether the accessing process merges the datum clock into its own
-        #: clock after each access (the same convention as the dual-clock
-        #: detector); turning it off makes the baseline even noisier.
-        self.origin_learns = origin_learns
-        #: FastTrack-style epoch fast path: when the datum clock's content is
-        #: known to equal a single rank's captured clock, the concurrency
-        #: test collapses to one O(1) component probe (the access's fresh
-        #: tick rules out every Mattern outcome except ``datum <= clock``).
-        #: Findings are identical either way; off runs the full compares.
-        self.epochs = epochs
-
     def detect(
         self, accesses: Sequence[MemoryAccess], world_size: int, syncs: Sequence = ()
     ) -> DetectionResult:
@@ -50,7 +38,11 @@ class SingleClockDetector(BaselineDetector):
             rank: VectorClock.zeros(world_size) for rank in range(world_size)
         }
         datum_clocks: Dict[GlobalAddress, VectorClock] = {}
-        datum_epochs: Dict[GlobalAddress, Optional[Epoch]] = {}
+        #: The accessing process merges the datum clock into its own after
+        #: each access (the dual-clock detector's convention), so a datum
+        #: clock's content always equals its last accessor's captured clock:
+        #: this is that accessor's ``(rank, tick)``.
+        datum_epochs: Dict[GlobalAddress, Epoch] = {}
         last_access: Dict[GlobalAddress, MemoryAccess] = {}
         findings: List[DetectedRace] = []
 
@@ -77,23 +69,16 @@ class SingleClockDetector(BaselineDetector):
             tick = entries.item(rank) + 1
             entries[rank] = tick
             datum_clock = datum_clocks.get(access.address)
-            # Does the pre-merge datum content precede this access's clock?
-            # True for a virgin datum; re-derived below from the verdict.
-            covered = True
             # A datum clock exists from its first access on and absorbed that
             # access's ticked clock: it is never all-zero.
             if datum_clock is not None:
-                epoch = datum_epochs.get(access.address) if self.epochs else None
-                if epoch is not None:
-                    # O(1) fast path: the just-ticked ``clock[access.rank]``
-                    # appears in no other clock yet, so ``clock <= datum``
-                    # and equality are impossible and ``concurrent`` reduces
-                    # to ``not (datum <= clock)`` — decided by the probe.
-                    is_race = entries.item(epoch[0]) < epoch[1]
-                else:
-                    is_race = clock.concurrent_with(datum_clock)
-                covered = not is_race
-                if is_race:
+                # ``clock.concurrent_with(datum_clock)`` as one O(1) probe:
+                # the just-ticked ``clock[access.rank]`` appears in no other
+                # clock yet, so ``clock <= datum`` and equality are
+                # impossible and ``concurrent`` reduces to ``not (datum <=
+                # clock)`` — decided by the last accessor's component.
+                epoch = datum_epochs[access.address]
+                if entries.item(epoch[0]) < epoch[1]:
                     previous = last_access.get(access.address)
                     findings.append(
                         DetectedRace(
@@ -119,14 +104,11 @@ class SingleClockDetector(BaselineDetector):
             if datum_clock is None:
                 datum_clock = VectorClock.zeros(world_size)
                 datum_clocks[access.address] = datum_clock
-            if self.origin_learns:
-                # The access absorbs the datum clock first, so the merge
-                # below always leaves the datum equal to this clock.
-                clock.merge_in_place(datum_clock)
-                covered = True
+            # The access absorbs the datum clock first, so the merge below
+            # always leaves the datum equal to this clock.
+            clock.merge_in_place(datum_clock)
             datum_clock.merge_in_place(clock)
-            if self.epochs:
-                datum_epochs[access.address] = Epoch(rank, tick) if covered else None
+            datum_epochs[access.address] = Epoch(rank, tick)
             last_access[access.address] = access
 
         return DetectionResult(

@@ -34,7 +34,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.metrics import DetectorScore, score_against_labels
+from repro.explore.fuzzer import ScheduleFuzzer
 from repro.explore.runner import MATRIX_CLOCK, Explorer
+from repro.explore.systematic import SystematicStrategy
 from repro.runtime.knobs import KNOBS, Knob
 
 
@@ -46,51 +48,17 @@ class CampaignConfig:
     detector's RMW-pair knob on every built runtime (the atomic-aware
     accuracy sweep runs one campaign per setting).
 
-    ``clock_transport`` — when not ``None``, select how clocks travel with
-    verbs traffic on every built runtime (``"roundtrip"`` or
-    ``"piggyback"``); the clock-transport acceptance runs one campaign per
-    mode and asserts byte-identical verdicts with strictly fewer messages
-    under piggybacking.
-
-    ``clock_wire`` — when not ``None``, select how clocks are encoded on
-    the wire (``"full"``, ``"delta"`` or ``"truncated"``); every format
-    decodes to the exact clock, so ``--expect-consistent`` must hold for
-    every combination (the CI knob-matrix gate).
-
-    ``cq_moderation`` — when not ``None``, force completion coalescing on
-    (``True``) or off (``False``) on every built runtime; coalescing only
-    changes completion-event accounting and CQ visibility timing, never a
-    verdict.
-
-    ``detector_epochs`` — when not ``None``, force the detector's epoch
-    fast path ``"on"`` or ``"off"`` on every built runtime; the fast path
-    is an exact shortcut, so ``--expect-consistent`` must hold for every
-    combination (the CI knob-matrix gate runs the full transports × wires
-    × moderation × flow-control × epoch-mode cross product).
-
-    ``flow_control`` — when not ``None``, select the two-sided admission
-    protocol on every built runtime (``"rnr"`` or ``"credit"``); both
-    protocols admit sends in the same FIFO order, so
-    ``--expect-consistent`` must hold for every combination.
-
-    ``cq_moderation_timer`` — when not ``None``, install
-    ``(cq_count, cq_usec)`` timer moderation on every built runtime (the
-    string ``"COUNT,USEC"``, e.g. ``"4,2.0"``, or ``"off"`` to force the
-    timer off); pure delivery-timing policy, never a verdict.
-
-    ``clock_wire_resync`` — when not ``None``, set the sparse-wire resync
-    cadence on every built runtime (a decimal message count or
-    ``"adaptive"``); every frame decodes to the exact clock, so verdicts
-    never depend on the cadence.
-
-    ``transport`` — when not ``None``, select the data-message service
-    level on every built runtime (``"rc"`` or ``"ud"``); the detector
-    always stamps the in-process carried clock and a gapped/stale UD frame
-    forces a receiver resync before the verdict, so
-    ``--expect-consistent`` must hold for every combination — including
-    ``"ud"`` with nonzero ``drop_probability``/``duplicate_probability``,
-    where the fuzzer drops, duplicates and reorders the clock-carrying
-    datagrams themselves.
+    The consistency knobs (one field per entry of
+    :data:`repro.runtime.knobs.KNOBS`, described on
+    :class:`~repro.runtime.runtime.RuntimeConfig`) — when not ``None``,
+    set that knob on every built runtime, spelled as on the command line
+    (``cq_moderation_timer`` is ``"COUNT,USEC"`` or ``"off"``,
+    ``clock_wire_resync`` a decimal count or ``"adaptive"``).  A knob moves
+    traffic, bytes or timing and never a verdict, so ``--expect-consistent``
+    must hold for every combination (the CI knob-matrix gate) — including
+    ``transport="ud"`` with nonzero ``drop_probability`` /
+    ``duplicate_probability``, where the fuzzer drops, duplicates and
+    reorders the clock-carrying datagrams themselves.
     """
 
     strategy: str = "fuzz"
@@ -139,14 +107,29 @@ class CampaignConfig:
         if self.workers < 0:
             raise ValueError(f"workers must be non-negative, got {self.workers}")
         self.knob_settings()  # raises on an illegal override
-        for name in ("drop_probability", "duplicate_probability"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.drop_probability + self.duplicate_probability > 1.0:
-            raise ValueError(
-                "drop_probability + duplicate_probability must not exceed 1"
-            )
+        # The search parameters are the strategies' own, so the strategies
+        # check them — here, not in a worker after schedule 0 has run.
+        ScheduleFuzzer(**self.fuzz_parameters())
+        SystematicStrategy({}, **self.systematic_parameters())
+
+    def fuzz_parameters(self) -> Dict[str, float]:
+        """The keywords of :meth:`Explorer.explore_fuzzed` this campaign sets."""
+        return {
+            "reorder_probability": self.reorder_probability,
+            "reorder_aggressiveness": self.reorder_aggressiveness,
+            "quantum": self.quantum,
+            "tie_shuffle_probability": self.tie_shuffle_probability,
+            "drop_probability": self.drop_probability,
+            "duplicate_probability": self.duplicate_probability,
+        }
+
+    def systematic_parameters(self) -> Dict[str, Any]:
+        """The keywords of :meth:`Explorer.explore_systematic` this campaign sets."""
+        return {
+            "branch_factor": self.branch_factor,
+            "quantum": self.quantum,
+            "max_branch_points": self.max_branch_points,
+        }
 
     def knob_settings(self) -> List[Tuple[str, Any]]:
         """``(name, validated runtime value)`` of every knob this campaign overrides."""
@@ -204,21 +187,10 @@ def _explore_pattern_task(task: Dict[str, object]) -> Dict[str, object]:
     )
     if config.strategy == "systematic":
         result = explorer.explore_systematic(
-            config.budget,
-            branch_factor=config.branch_factor,
-            quantum=config.quantum,
-            max_branch_points=config.max_branch_points,
+            config.budget, **config.systematic_parameters()
         )
     else:
-        result = explorer.explore_fuzzed(
-            config.budget,
-            reorder_probability=config.reorder_probability,
-            reorder_aggressiveness=config.reorder_aggressiveness,
-            quantum=config.quantum,
-            tie_shuffle_probability=config.tie_shuffle_probability,
-            drop_probability=config.drop_probability,
-            duplicate_probability=config.duplicate_probability,
-        )
+        result = explorer.explore_fuzzed(config.budget, **config.fuzz_parameters())
     payload = result.as_dict()
     payload["pattern"] = pattern.name
     payload["labelled_racy"] = pattern.racy

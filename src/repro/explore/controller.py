@@ -159,24 +159,17 @@ class ReplayStrategy(ScheduleStrategy):
         return f"replay({len(self._entries)} decisions)"
 
 
+#: Cap on how many same-time calendar entries are offered to the tie hook at
+#: once (the rest simply run on a later step).  Bounds the branching factor
+#: without losing any event.
+MAX_TIES = 8
+
+
 class ScheduleController:
-    """Owns a run's choice points; records every resolution.
+    """Owns a run's choice points; records every resolution by *strategy*."""
 
-    Parameters
-    ----------
-    strategy:
-        The :class:`ScheduleStrategy` resolving each choice point.
-    max_ties:
-        Cap on how many same-time calendar entries are offered to the tie
-        hook at once (the rest simply run on a later step).  Bounds the
-        branching factor without losing any event.
-    """
-
-    def __init__(self, strategy: ScheduleStrategy, max_ties: int = 8) -> None:
-        if max_ties < 1:
-            raise ValueError(f"max_ties must be at least 1, got {max_ties}")
+    def __init__(self, strategy: ScheduleStrategy) -> None:
         self.strategy = strategy
-        self.max_ties = max_ties
         self.log = DecisionLog()
         self._met = dict.fromkeys(DECISION_KINDS, 0)
 
@@ -272,7 +265,7 @@ class ScheduleController:
     def on_datagram_delay(
         self, message: Message, source: int, destination: int
     ) -> float:
-        """One UD datagram's extra flight time (``UdChannel.transmit``).
+        """One UD datagram's extra flight time (``Channel.transmit(ordered=False)``).
 
         Applied without the FIFO clamp ``on_message_latency``'s result gets,
         which is how sparse clock frames arrive stale and exercise the
@@ -303,7 +296,7 @@ class ScheduleController:
         """Pop and return the calendar entry to process next.
 
         Gathers the ready set (entries tied at the earliest time, up to
-        ``max_ties``), restricts it to *eligible* entries — everything
+        :data:`MAX_TIES`), restricts it to *eligible* entries — everything
         except later-posted deliveries on a channel that already has an
         earlier delivery in the set, so per-channel FIFO survives any
         choice — and lets the strategy pick among those.
@@ -313,7 +306,7 @@ class ScheduleController:
         if not queue or queue[0][0] != top_time:
             return first  # nothing else is ready at this time: no choice to make
         ready: List[Tuple[float, int, Any]] = [first]
-        while queue and queue[0][0] == top_time and len(ready) < self.max_ties:
+        while queue and queue[0][0] == top_time and len(ready) < MAX_TIES:
             ready.append(heapq.heappop(queue))
         if len(ready) == 1:
             return first

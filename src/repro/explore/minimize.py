@@ -37,7 +37,12 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set
 
-from repro.explore.controller import ReplayDivergence, ReplayStrategy, ScheduleController
+from repro.explore.controller import (
+    MAX_TIES,
+    ReplayDivergence,
+    ReplayStrategy,
+    ScheduleController,
+)
 from repro.explore.decisions import DecisionLog
 from repro.explore.runner import (
     MATRIX_CLOCK,
@@ -52,11 +57,8 @@ from repro.trace.serialization import trace_to_json
 ARTIFACT_FORMAT = "repro-racing-schedule"
 #: Version 2: decision logs gained the positional ``rnr`` choice-point kind
 #: (controller-owned RNR backoffs), so version-1 logs recorded from runs
-#: that hit an RNR retry no longer align against current replays.
+#: that hit an RNR retry do not align against current replays.
 ARTIFACT_VERSION = 2
-#: Versions this loader still accepts (v1 replays fine when its schedule
-#: never hit an RNR backoff; a divergence is reported loudly otherwise).
-SUPPORTED_ARTIFACT_VERSIONS = (1, 2)
 
 
 @dataclass
@@ -83,10 +85,7 @@ class MinimizedSchedule:
 
 
 def _replay(
-    factory: RuntimeFactory,
-    seed: int,
-    log: DecisionLog,
-    max_ties: int,
+    factory: RuntimeFactory, seed: int, log: DecisionLog
 ) -> Optional[ScheduleOutcome]:
     """Replay one candidate log; ``None`` when the candidate misaligns.
 
@@ -98,13 +97,7 @@ def _replay(
     minimizer treats it exactly like one that lost the race.
     """
     try:
-        return run_schedule(
-            factory,
-            seed,
-            ReplayStrategy(log),
-            offline_detectors=(),
-            max_ties=max_ties,
-        )
+        return run_schedule(factory, seed, ReplayStrategy(log), offline_detectors=())
     except ReplayDivergence:
         return None
     except SimulationError as error:
@@ -118,7 +111,6 @@ def minimize_racing_schedule(
     seed: int,
     decisions: DecisionLog,
     target_symbols: Set[str],
-    max_ties: int = 8,
     predicate: Optional[Callable[[ScheduleOutcome], bool]] = None,
 ) -> MinimizedSchedule:
     """Shrink *decisions* to a minimal log still flagging *target_symbols*.
@@ -149,7 +141,7 @@ def minimize_racing_schedule(
     def races(log: DecisionLog) -> Optional[ScheduleOutcome]:
         nonlocal replays
         replays += 1
-        outcome = _replay(factory, seed, log, max_ties)
+        outcome = _replay(factory, seed, log)
         if outcome is not None and holds(outcome):
             return outcome
         return None
@@ -238,7 +230,6 @@ def save_artifact(
     seed: int,
     path: str,
     pattern: Optional[str] = None,
-    max_ties: int = 8,
 ) -> Dict[str, object]:
     """Write a self-contained, replayable racing-schedule artifact.
 
@@ -248,7 +239,7 @@ def save_artifact(
     Returns the artifact dictionary that was written.
     """
     runtime = factory(seed)
-    controller = ScheduleController(ReplayStrategy(minimized.decisions), max_ties=max_ties)
+    controller = ScheduleController(ReplayStrategy(minimized.decisions))
     runtime.sim.install_controller(controller)
     result = runtime.run()
     artifact: Dict[str, object] = {
@@ -256,7 +247,7 @@ def save_artifact(
         "version": ARTIFACT_VERSION,
         "pattern": pattern,
         "seed": seed,
-        "max_ties": max_ties,
+        "max_ties": MAX_TIES,
         "target_symbols": sorted(minimized.target_symbols),
         "flagged_symbols": sorted(
             s for s in result.races.by_symbol() if s is not None
@@ -285,11 +276,10 @@ def load_artifact(path: str) -> Dict[str, object]:
         raise ValueError(
             f"not a racing-schedule artifact (format={artifact.get('format')!r})"
         )
-    if int(artifact.get("version", 0)) not in SUPPORTED_ARTIFACT_VERSIONS:
+    if int(artifact.get("version", 0)) != ARTIFACT_VERSION:
         raise ValueError(
             f"unsupported racing-schedule artifact version "
-            f"{artifact.get('version')!r} (supported: "
-            f"{SUPPORTED_ARTIFACT_VERSIONS})"
+            f"{artifact.get('version')!r} (supported: {ARTIFACT_VERSION})"
         )
     return artifact
 
@@ -309,5 +299,4 @@ def replay_artifact(
         int(artifact["seed"]),
         ReplayStrategy(log),
         offline_detectors=(),
-        max_ties=int(artifact.get("max_ties", 8)),
     )

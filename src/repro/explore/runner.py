@@ -123,7 +123,6 @@ def run_schedule(
     strategy: ScheduleStrategy,
     schedule_id: int = 0,
     offline_detectors: Optional[Sequence[BaselineDetector]] = None,
-    max_ties: int = 8,
     configure: Optional[Callable[[DSMRuntime], None]] = None,
     critical_path: bool = False,
 ) -> ScheduleOutcome:
@@ -141,7 +140,7 @@ def run_schedule(
         configure(runtime)
     if critical_path:
         runtime.sim.obs.configure(trace_spans=True)
-    controller = ScheduleController(strategy, max_ties=max_ties)
+    controller = ScheduleController(strategy)
     runtime.sim.install_controller(controller)
     result = runtime.run()
 
@@ -325,14 +324,12 @@ class Explorer:
         factory: RuntimeFactory,
         seed: int = 0,
         offline_detectors: Optional[Sequence[BaselineDetector]] = None,
-        max_ties: int = 8,
         configure: Optional[Callable[[DSMRuntime], None]] = None,
         critical_path: bool = False,
     ) -> None:
         self._factory = factory
         self.seed = seed
         self._offline = offline_detectors
-        self._max_ties = max_ties
         self._configure = configure
         self._critical_path = critical_path
 
@@ -343,7 +340,6 @@ class Explorer:
             strategy,
             schedule_id=schedule_id,
             offline_detectors=self._offline,
-            max_ties=self._max_ties,
             configure=self._configure,
             critical_path=self._critical_path,
         )

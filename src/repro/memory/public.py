@@ -95,7 +95,7 @@ class PublicMemory:
 
     # -- region management ------------------------------------------------------
 
-    def register_region(self, name: str, length: int, element_label: Optional[str] = None) -> MemoryRegion:
+    def register_region(self, name: str, length: int) -> MemoryRegion:
         """Allocate *length* cells and register them as a named region.
 
         Allocation is a simple bump pointer: regions are never freed during a
@@ -115,7 +115,6 @@ class PublicMemory:
             owner=self._rank,
             base=self._next_free,
             length=length,
-            element_label=element_label,
         )
         self._regions[name] = region
         self._next_free += length

@@ -11,7 +11,6 @@ operate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.memory.address import AddressRange, GlobalAddress
 from repro.util.validation import require_positive, require_type
@@ -31,15 +30,12 @@ class MemoryRegion:
         First offset of the region in the owner's public memory.
     length:
         Number of cells in the region.
-    element_label:
-        Optional free-form description of what one cell holds (for reports).
     """
 
     name: str
     owner: int
     base: int
     length: int
-    element_label: Optional[str] = None
 
     def __post_init__(self) -> None:
         require_type(self.name, str, "name")

@@ -1,4 +1,4 @@
-"""FIFO point-to-point channels.
+"""Point-to-point channels.
 
 RDMA fabrics deliver messages between a given pair of endpoints in order
 (per queue pair); the simulation preserves that property: even when the
@@ -6,12 +6,16 @@ latency model draws a shorter flight time for a later message, its delivery is
 clamped to be no earlier than the previous message on the same ordered pair.
 This mirrors the paper's model of "communication channels that interconnect"
 the processors (Section III-C) and keeps per-channel causality intact.
+
+The unreliable-datagram service level (:mod:`repro.net.ud_transport`) is the
+same class asked for no such promise (``transmit(..., ordered=False)``,
+:meth:`~Channel.drop`, :meth:`~Channel.duplicate`), on a channel of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.net.latency import LatencyModel
 from repro.net.message import Message, MessageKind
@@ -22,6 +26,7 @@ from repro.util.validation import require_non_negative
 
 #: Delivery-event names, one constant per kind instead of a format per message.
 _DELIVER = {kind: f"deliver:{kind.value}" for kind in MessageKind}
+_UD_DELIVER = {kind: f"ud-deliver:{kind.value}" for kind in MessageKind}
 
 
 @dataclass
@@ -32,6 +37,15 @@ class ChannelStats:
     bytes: int = 0
     total_latency: float = 0.0
     reordering_clamps: int = 0
+    #: Datagrams the fabric dropped on this channel (each one armed the
+    #: sender's retransmission timer).
+    dropped: int = 0
+    #: Datagrams delivered twice.
+    duplicated: int = 0
+    #: Unordered deliveries that genuinely overtook an earlier send — the
+    #: events the FIFO clamp would have corrected (and counted as
+    #: ``reordering_clamps``).
+    reordered: int = 0
 
     @property
     def mean_latency(self) -> float:
@@ -40,7 +54,7 @@ class ChannelStats:
 
 
 class Channel:
-    """An ordered, reliable channel from one rank to another."""
+    """A channel from one rank to another: ordered and reliable unless asked."""
 
     def __init__(
         self,
@@ -49,7 +63,6 @@ class Channel:
         destination: int,
         latency_model: LatencyModel,
         hops: int = 1,
-        bandwidth_bytes_per_time: Optional[float] = None,
     ) -> None:
         self._sim = sim
         self.source = source
@@ -58,13 +71,7 @@ class Channel:
         # Checked here once; the latency models trust the hop count they get.
         require_non_negative(hops, "hops")
         self._hops = max(1, hops) if source != destination else 0
-        self._bandwidth = bandwidth_bytes_per_time
-        if bandwidth_bytes_per_time is not None:
-            require_non_negative(bandwidth_bytes_per_time, "bandwidth_bytes_per_time")
-            if bandwidth_bytes_per_time == 0:
-                raise ValueError("bandwidth must be positive or None")
         self._last_delivery = 0.0
-        self._next_free = 0.0  # link serialization when bandwidth is modelled
         self.stats = ChannelStats()
 
     @property
@@ -72,7 +79,9 @@ class Channel:
         """Hop count used to scale latency."""
         return self._hops
 
-    def transmit(self, message: Message, _owned: bool = False) -> Tuple[Event, Message]:
+    def transmit(
+        self, message: Message, _owned: bool = False, ordered: bool = True
+    ) -> Tuple[Event, Message]:
         """Send *message*; returns ``(delivery_event, stamped_message)``.
 
         The event fires at the computed delivery time with the stamped message
@@ -80,6 +89,12 @@ class Channel:
         copy, so one *message* may be transmitted any number of times;
         ``_owned`` is the fabric's promise that it built *message* for this
         one transmission, which is then stamped in place.
+
+        ``ordered=False`` sends an unreliable datagram: delivery timing is the
+        ``reorder`` decision kind (extra delay on the model's draw, owned by
+        :meth:`ScheduleController.on_datagram_delay`), and there is **no FIFO
+        clamp** — a datagram that would arrive before its predecessor simply
+        does, which is what lets sparse clock frames arrive stale.
         """
         sim, stats = self._sim, self.stats
         now = sim._now
@@ -92,27 +107,27 @@ class Channel:
         if controller is not None:
             # The schedule controller owns delivery timing: it sees the
             # model's draw and may stretch it (a logged, replayable decision).
-            # The FIFO clamp below still applies, so per-channel ordering is
-            # preserved in every controlled schedule.
-            flight = controller.on_message_latency(
-                message, self.source, self.destination, flight
-            )
+            # The FIFO clamp below still applies to ordered traffic, so
+            # per-channel ordering is preserved in every controlled schedule.
+            if ordered:
+                flight = controller.on_message_latency(
+                    message, self.source, self.destination, flight
+                )
+            else:
+                flight += controller.on_datagram_delay(
+                    message, self.source, self.destination
+                )
             if not (type(flight) is float and flight >= 0.0):
                 require_non_negative(flight, "controlled latency")
-        start = now
-        if self._bandwidth is not None:
-            # The link serializes messages: a message cannot start transmission
-            # before the previous one's bytes have left the wire.
-            start = max(now, self._next_free)
-            transmission = message.total_bytes / self._bandwidth
-            self._next_free = start + transmission
-            flight += (start - now) + transmission
         deliver_at = now + flight
-        if deliver_at < self._last_delivery:
+        if deliver_at >= self._last_delivery:
+            self._last_delivery = deliver_at
+        elif ordered:
             # Preserve FIFO order on the pair.
             deliver_at = self._last_delivery
             stats.reordering_clamps += 1
-        self._last_delivery = deliver_at
+        else:
+            stats.reordered += 1
         stamped = message.stamped(now, deliver_at, in_place=_owned)
         stats.messages += 1
         stats.bytes += stamped.total_bytes
@@ -120,7 +135,46 @@ class Channel:
         # The delay needs no second check: ``deliver_at >= now`` by the sum
         # of non-negative terms and the clamp above.  It stays the difference
         # (the calendar then holds ``now + (deliver_at - now)``, as ever).
-        return Timeout(sim, deliver_at - now, stamped, _DELIVER[stamped.kind]), stamped
+        names = _DELIVER if ordered else _UD_DELIVER
+        return Timeout(sim, deliver_at - now, stamped, names[stamped.kind]), stamped
+
+    def drop(
+        self, message: Message, retransmit_timeout: float
+    ) -> Tuple[Event, Message]:
+        """Lose *message*; returns ``(retransmit_timer_event, stamped)``.
+
+        The datagram's bytes left the sender (it is accounted like any
+        transmission) but no delivery event exists; the returned event is
+        the sender's retransmission timer.
+        """
+        require_non_negative(retransmit_timeout, "retransmit_timeout")
+        now = self._sim.now
+        stamped = message.stamped(now, now + retransmit_timeout)
+        self.stats.messages += 1
+        self.stats.bytes += stamped.total_bytes
+        self.stats.dropped += 1
+        event = self._sim.timeout(
+            retransmit_timeout,
+            value=stamped,
+            name=f"ud-drop:{stamped.kind.value}",
+        )
+        return event, stamped
+
+    def duplicate(self, stamped: Message) -> Event:
+        """Schedule a second arrival of an already-transmitted datagram.
+
+        The copy reuses the original's flight time, so it lands one flight
+        after the primary delivery — deterministically, with no extra
+        latency-model draw, which keeps replays byte-identical.
+        """
+        self.stats.duplicated += 1
+        flight = max(0.0, stamped.deliver_time - stamped.send_time)
+        delay = (stamped.deliver_time - self._sim.now) + flight
+        return self._sim.timeout(
+            max(0.0, delay),
+            value=stamped,
+            name=f"ud-duplicate:{stamped.kind.value}",
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -188,7 +188,6 @@ class ClockWireEncoder:
         world_size: int,
         wire_format: str,
         resync_period: int = 64,
-        entry_bytes: int = BYTES_PER_ENTRY,
         adaptive: bool = False,
         resync_decider=None,
     ) -> None:
@@ -199,7 +198,6 @@ class ClockWireEncoder:
         self.world_size = world_size
         self.wire_format = validate_clock_wire(wire_format)
         self.resync_period = resync_period
-        self.entry_bytes = entry_bytes
         self.adaptive = adaptive
         self._resync_decider = resync_decider
         self._last_sent: Optional[List[int]] = None
@@ -218,7 +216,7 @@ class ClockWireEncoder:
             full=True,
             entries=tuple(clock),
             wire_bytes=(WIRE_TAG_BYTES if tagged else 0)
-            + self.world_size * self.entry_bytes,
+            + self.world_size * BYTES_PER_ENTRY,
         )
 
     def encode(self, clock) -> ClockWireFrame:
@@ -255,12 +253,12 @@ class ClockWireEncoder:
                 if value != self._last_sent[rank]
             ]
             entry_cost = WIRE_RANK_BYTES + (
-                WIRE_DELTA_BYTES if self.wire_format == "delta" else self.entry_bytes
+                WIRE_DELTA_BYTES if self.wire_format == "delta" else BYTES_PER_ENTRY
             )
             sparse_bytes = (
                 WIRE_TAG_BYTES + WIRE_COUNT_BYTES + len(changed) * entry_cost
             )
-            full_bytes = WIRE_TAG_BYTES + self.world_size * self.entry_bytes
+            full_bytes = WIRE_TAG_BYTES + self.world_size * BYTES_PER_ENTRY
             if sparse_bytes < full_bytes:
                 self._last_sent = list(entries)
                 self._since_resync += 1
@@ -283,7 +281,7 @@ class ClockWireEncoder:
         """Re-tune the cadence from the closing window's realized byte ratio."""
         if not self._window_frames:
             return
-        full_bytes = WIRE_TAG_BYTES + self.world_size * self.entry_bytes
+        full_bytes = WIRE_TAG_BYTES + self.world_size * BYTES_PER_ENTRY
         ratio = self._window_sparse_bytes / (self._window_frames * full_bytes)
         self._window_sparse_bytes = 0
         self._window_frames = 0

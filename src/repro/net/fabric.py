@@ -14,10 +14,10 @@ import itertools
 from typing import Any, Dict, Optional, Tuple
 
 from repro.net.channel import Channel
-from repro.net.latency import ConstantLatency, LatencyModel
+from repro.net.latency import LatencyModel
 from repro.net.message import HEADER_BYTES, Message, MessageKind
 from repro.net.topology import Topology
-from repro.net.ud_transport import UdChannel
+from repro.net.ud_transport import UD_RETRANSMIT_TIMEOUT
 from repro.obs.metrics import Counter, MetricsRegistry, family_keys
 from repro.obs.observability import Observability
 from repro.sim.engine import Simulator
@@ -182,15 +182,13 @@ class Fabric:
         self,
         sim: Simulator,
         topology: Topology,
-        latency_model: Optional[LatencyModel] = None,
-        bandwidth_bytes_per_time: Optional[float] = None,
+        latency_model: LatencyModel,
     ) -> None:
         self._sim = sim
         self._topology = topology
-        self._latency_model = latency_model or ConstantLatency(base=1.0)
-        self._bandwidth = bandwidth_bytes_per_time
+        self._latency_model = latency_model
         self._channels: Dict[Tuple[int, int], Channel] = {}
-        self._ud_channels: Dict[Tuple[int, int], UdChannel] = {}
+        self._ud_channels: Dict[Tuple[int, int], Channel] = {}
         self._next_id = itertools.count().__next__  # message ids, 0-based
         self.stats = FabricStats(registry=Observability.of(sim).metrics)
 
@@ -215,11 +213,11 @@ class Fabric:
         """Return (creating lazily) the ordered channel for the pair."""
         channel = self._channels.get((source, destination))
         if channel is None or type(source) is not int or type(destination) is not int:
-            channel = self._open(self._channels, Channel, source, destination)
+            channel = self._open(self._channels, source, destination)
         return channel
 
-    def ud_channel(self, source: int, destination: int) -> UdChannel:
-        """Return (creating lazily) the unreliable channel for the pair.
+    def ud_channel(self, source: int, destination: int) -> Channel:
+        """Return (creating lazily) the pair's channel for unreliable datagrams.
 
         UD and RC channels for the same pair are distinct objects — real
         fabrics multiplex service levels over the same link, but keeping the
@@ -228,10 +226,10 @@ class Fabric:
         """
         channel = self._ud_channels.get((source, destination))
         if channel is None or type(source) is not int or type(destination) is not int:
-            channel = self._open(self._ud_channels, UdChannel, source, destination)
+            channel = self._open(self._ud_channels, source, destination)
         return channel
 
-    def _open(self, channels: dict, factory: type, source: int, destination: int):
+    def _open(self, channels: dict, source: int, destination: int) -> Channel:
         """Validate the pair, then return (building on a miss) its channel.
 
         The lookups above skip this for a cached pair — it was range-checked
@@ -243,13 +241,12 @@ class Fabric:
         require_rank(destination, self.world_size, "destination")
         key = (source, destination)
         if key not in channels:
-            channels[key] = factory(
+            channels[key] = Channel(
                 self._sim,
                 source,
                 destination,
                 self._latency_model,
                 hops=self._topology.hops(source, destination),
-                bandwidth_bytes_per_time=self._bandwidth,
             )
         return channels[key]
 
@@ -301,7 +298,7 @@ class Fabric:
         else:
             channel = self._channels.get((source, destination))
             if channel is None or type(source) is not int or type(destination) is not int:
-                channel = self._open(self._channels, Channel, source, destination)
+                channel = self._open(self._channels, source, destination)
             # Built here and shared with nobody: stamped in place, not copied.
             event, message = channel.transmit(message, _owned=True)
         self.stats.record(message)
@@ -319,7 +316,6 @@ class Fabric:
         clock_wire_bytes: int = 0,
         ud_seq: Optional[int] = None,
         ud_frame: Optional[str] = None,
-        retransmit_timeout: float = 8.0,
     ) -> Tuple[Event, Message, str, Optional[Event]]:
         """Send one UD datagram; returns ``(event, stamped, fate, dup_event)``.
 
@@ -331,25 +327,16 @@ class Fabric:
           stamped message), exactly like :meth:`send`;
         * ``"drop"`` — the bytes left the sender and are accounted, but no
           delivery exists; *event* is the sender's retransmission timer,
-          firing after *retransmit_timeout*;
+          firing after :data:`~repro.net.ud_transport.UD_RETRANSMIT_TIMEOUT`;
         * ``"duplicate"`` — delivered, **and** *dup_event* fires a second
           arrival of the same stamped datagram one flight later.
 
         Self-datagrams never drop: loopback does not cross the fabric.
         """
-        message = object.__new__(Message)  # filled as in send()
-        message.__dict__.update(
-            message_id=self._next_id(),
-            kind=kind,
-            source=source,
-            destination=destination,
-            payload=payload,
-            payload_bytes=payload_bytes,
-            operation_tag=operation_tag,
-            carried_clock=carried_clock,
-            clock_wire_bytes=clock_wire_bytes,
-            ud_seq=ud_seq,
-            ud_frame=ud_frame,
+        message = Message(
+            self._next_id(), kind, source, destination, payload, payload_bytes,
+            operation_tag=operation_tag, carried_clock=carried_clock,
+            clock_wire_bytes=clock_wire_bytes, ud_seq=ud_seq, ud_frame=ud_frame,
         )
         if source == destination:
             event = self._sim.timeout(0.0, value=message, name=_LOCAL[kind])
@@ -361,10 +348,10 @@ class Fabric:
             fate_code = controller.on_datagram_fate(message, source, destination)
         channel = self.ud_channel(source, destination)
         if fate_code == 1:
-            event, stamped = channel.drop(message, retransmit_timeout)
+            event, stamped = channel.drop(message, UD_RETRANSMIT_TIMEOUT)
             self.stats.record(stamped)
             return event, stamped, "drop", None
-        event, stamped = channel.transmit(message)
+        event, stamped = channel.transmit(message, _owned=True, ordered=False)
         self.stats.record(stamped)
         if fate_code == 2:
             return event, stamped, "duplicate", channel.duplicate(stamped)
@@ -382,7 +369,7 @@ class Fabric:
         """All channels created so far."""
         return dict(self._channels)
 
-    def ud_channels(self) -> Dict[Tuple[int, int], UdChannel]:
+    def ud_channels(self) -> Dict[Tuple[int, int], Channel]:
         """All unreliable channels created so far."""
         return dict(self._ud_channels)
 

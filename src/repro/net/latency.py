@@ -5,7 +5,7 @@ of an execution (which access reaches a datum first) is determined by message
 timing, so the latency model is what generates the different legal
 interleavings the ground-truth oracle explores.  Three models are provided:
 
-* :class:`ConstantLatency` — fixed per-hop latency plus a byte cost; gives
+* :class:`ConstantLatency` — fixed per-hop latency; gives
   fully deterministic executions (used by the figure-scenario benchmarks so
   the clock values printed match run after run);
 * :class:`UniformLatency` — per-message jitter drawn from a seeded stream;
@@ -42,25 +42,23 @@ class LatencyModel(abc.ABC):
 
 
 class ConstantLatency(LatencyModel):
-    """Fixed latency per hop plus an optional per-byte cost."""
+    """Fixed latency per hop, whatever the message's size."""
 
-    def __init__(self, base: float = 1.0, per_byte: float = 0.0) -> None:
+    def __init__(self, base: float = 1.0) -> None:
         require_non_negative(base, "base")
-        require_non_negative(per_byte, "per_byte")
         self.base = base
-        self.per_byte = per_byte
 
     def latency(self, message: Message, hops: int = 1) -> float:
-        return self.base * max(1, hops) + self.per_byte * message.total_bytes
+        return self.base * max(1, hops)
 
     def describe(self) -> str:
-        return f"constant(base={self.base}, per_byte={self.per_byte})"
+        return f"constant(base={self.base})"
 
 
 class UniformLatency(LatencyModel):
     """Latency drawn uniformly from ``[low, high]`` per message, per hop.
 
-    The draw comes from a named stream of the simulator's
+    The draw comes from the ``net.latency`` stream of the simulator's
     :class:`~repro.sim.rng.RandomStreams`, so the same seed reproduces the
     same interleaving and different seeds perturb it.
     """
@@ -70,7 +68,6 @@ class UniformLatency(LatencyModel):
         streams: RandomStreams,
         low: float = 0.5,
         high: float = 1.5,
-        stream_name: str = "net.latency",
     ) -> None:
         if high < low:
             raise ValueError(f"latency bounds reversed: [{low}, {high}]")
@@ -78,12 +75,11 @@ class UniformLatency(LatencyModel):
         self._streams = streams
         self.low = low
         self.high = high
-        self._stream_name = stream_name
 
     def latency(self, message: Message, hops: int = 1) -> float:
         total = 0.0
         for _ in range(max(1, hops)):
-            total += self._streams.uniform(self._stream_name, self.low, self.high)
+            total += self._streams.uniform("net.latency", self.low, self.high)
         return total
 
     def describe(self) -> str:
@@ -107,7 +103,6 @@ class LogGPLatency(LatencyModel):
         G: float = 0.001,
         jitter: Optional[RandomStreams] = None,
         jitter_fraction: float = 0.0,
-        stream_name: str = "net.loggp.jitter",
     ) -> None:
         require_non_negative(L, "L")
         require_non_negative(o_send, "o_send")
@@ -120,7 +115,6 @@ class LogGPLatency(LatencyModel):
         self.G = G
         self._jitter = jitter
         self._jitter_fraction = jitter_fraction
-        self._stream_name = stream_name
 
     def latency(self, message: Message, hops: int = 1) -> float:
         base = (
@@ -131,7 +125,7 @@ class LogGPLatency(LatencyModel):
         )
         if self._jitter is not None and self._jitter_fraction > 0:
             jitter = self._jitter.uniform(
-                self._stream_name, 0.0, self._jitter_fraction * base
+                "net.loggp.jitter", 0.0, self._jitter_fraction * base
             )
             return base + jitter
         return base

@@ -56,7 +56,7 @@ from repro.memory.locks import LockRequest, MemoryLockTable
 from repro.memory.public import PublicMemory
 from repro.net.clock_transport import WIRE_TAG_BYTES, ClockTransport
 from repro.net.fabric import Fabric
-from repro.net.message import MessageKind
+from repro.net.message import DEFAULT_CELL_BYTES, MessageKind
 from repro.net.ud_transport import UdDeliveryExceeded, UdEndpoint, validate_transport
 from repro.obs.metrics import family_keys
 from repro.obs.observability import Observability
@@ -145,14 +145,6 @@ class NICConfig:
 
     Attributes
     ----------
-    lock_remote_accesses:
-        Acquire the NIC lock on the target cell around every remote access
-        (the paper's model; turning it off is only useful for demonstrating
-        what *would* go wrong without the serialization of Figure 3).
-    charge_lock_messages:
-        Model lock acquisition/release as real messages with latency
-        (request + grant + release); when false, locks are acquired with zero
-        network cost (as if piggybacked on the data messages).
     charge_detection_messages:
         When detection is enabled under the ``"roundtrip"`` transport, add
         one CLOCK_FETCH/CLOCK_UPDATE round trip per instrumented remote
@@ -160,64 +152,30 @@ class NICConfig:
         assumed piggybacked on the data messages for free (the legacy
         accounting shortcut); the ``"piggyback"`` transport below models
         that piggybacking explicitly and ignores this knob.
-    clock_transport:
-        How causal clocks travel with the data (see
-        :mod:`repro.net.clock_transport`): ``"roundtrip"`` charges
-        Algorithm 5's explicit clock messages per access, ``"piggyback"``
-        rides the clock on every data message and batches origin-side joins
-        per queue-pair drain.  The two modes produce byte-identical
-        detector verdicts; only the traffic differs.  Under the detector's
-        epoch fast path the carried-clock checks these paths run also
-        return a ``datum_epoch`` annotation on the post-check datum clock
-        (``AccessCheckResult.datum_epoch``), which lets the queue pair's
-        drain chain O(1) domination probes across a burst and amortize
-        the service-clock join to one per burst instead of one per access.
-    clock_wire:
-        How a clock is *encoded* when it crosses the wire (see
-        :mod:`repro.net.clock_transport`): ``"full"`` ships the whole
-        vector (``world_size × 8`` bytes), ``"delta"`` /``"truncated"``
-        ship only the components that changed since the channel's last
-        clock (as increments or absolute values), with a full resync every
-        ``clock_wire_resync`` messages.  All formats decode to the exact
-        clock, so verdicts never depend on this knob; only bytes do.
-    clock_wire_resync:
-        Messages between full-clock resync frames on each directed channel
-        under the sparse wire formats, or ``"adaptive"`` to let each
-        channel tune its own cadence from the realized sparse/full byte
-        ratio (see :data:`~repro.net.clock_transport.ADAPTIVE_RESYNC_START`).
-    transport:
-        The service level clock-carrying data messages ride on (see
-        :mod:`repro.net.ud_transport`): ``"rc"`` (reliable connected — per
-        pair FIFO, no loss, the default and the paper's implicit model) or
-        ``"ud"`` (unreliable datagrams — each data message becomes a
-        sequence-numbered datagram the fabric may drop, duplicate or
-        reorder, with receiver-driven clock resync repairing sequence
-        gaps).  Verdicts never depend on this knob — only traffic, latency
-        and resync costs do.  Lock and roundtrip clock control traffic
-        stays RC in either mode, as on real fabrics where connection
-        management rides a reliable QP.
-    ud_retransmit_timeout:
-        Simulated time a UD sender waits for a datagram it cannot see
-        delivered before retransmitting (also the receiver's re-request
-        deadline for lost resync traffic).
+    clock_transport, clock_wire, clock_wire_resync, transport:
+        The NIC's copy of the consistency knobs of these names, described on
+        :class:`~repro.runtime.runtime.RuntimeConfig`; the runtime resolves
+        each (:data:`repro.runtime.knobs.KNOBS`) and mirrors it here, where
+        the NIC reads it per operation.  Lock and roundtrip clock control
+        traffic stays RC under either ``transport``, as on real fabrics
+        where connection management rides a reliable QP.
     ud_max_retransmits:
         Retransmissions of one datagram (or resync re-requests of one
         sequence) before the operation fails with
         :class:`~repro.net.ud_transport.UdDeliveryExceeded`.
-    cell_bytes:
-        Modelled size of one memory cell's value on the wire.
+
+    Fixed by the model, not configured: every access takes the NIC lock on
+    its target cell (Section III-A) and a remote one pays its request /
+    grant / release messages; one cell is
+    :data:`~repro.net.message.DEFAULT_CELL_BYTES` on the wire.
     """
 
-    lock_remote_accesses: bool = True
-    charge_lock_messages: bool = True
     charge_detection_messages: bool = True
     clock_transport: str = "roundtrip"
     clock_wire: str = "full"
     clock_wire_resync: Union[int, str] = 64
     transport: str = "rc"
-    ud_retransmit_timeout: float = 8.0
     ud_max_retransmits: int = 16
-    cell_bytes: int = 8
 
 
 class ReceiverNotReady(RuntimeError):
@@ -371,14 +329,12 @@ class NIC:
     ) -> Generator:
         """Acquire the NIC lock on *address* at *target_nic*; returns the request.
 
-        Remote acquisitions optionally cost a LOCK_REQUEST / LOCK_GRANT round
-        trip; the wait for a contended lock happens at the target, which is
-        what delays a put behind an in-flight get on the same datum (Fig. 3).
+        A remote acquisition costs a LOCK_REQUEST / LOCK_GRANT round trip;
+        the wait for a contended lock happens at the target, which is what
+        delays a put behind an in-flight get on the same datum (Fig. 3).
         """
-        if not self.config.lock_remote_accesses:
-            return None
         remote = target_nic.rank != self.rank
-        if remote and self.config.charge_lock_messages:
+        if remote:
             event, _ = self.fabric.send(
                 MessageKind.LOCK_REQUEST, self.rank, target_nic.rank,
                 payload_bytes=0, operation_tag=tag,
@@ -386,7 +342,7 @@ class NIC:
             yield event
         request = target_nic.locks.acquire(address, requester=self.rank, purpose=purpose)
         yield request.event
-        if remote and self.config.charge_lock_messages:
+        if remote:
             event, _ = self.fabric.send(
                 MessageKind.LOCK_GRANT, target_nic.rank, self.rank,
                 payload_bytes=0, operation_tag=tag,
@@ -400,8 +356,7 @@ class NIC:
         """Release a previously acquired lock (fire-and-forget for remote locks)."""
         if request is None:
             return
-        remote = target_nic.rank != self.rank
-        if remote and self.config.charge_lock_messages:
+        if target_nic.rank != self.rank:
             event, _ = self.fabric.send(
                 MessageKind.UNLOCK, self.rank, target_nic.rank,
                 payload_bytes=0, operation_tag=tag,
@@ -495,7 +450,6 @@ class NIC:
                 operation_tag=tag,
                 carried_clock=carried, clock_wire_bytes=clock_wire_bytes,
                 ud_seq=seq, ud_frame=frame,
-                retransmit_timeout=self.config.ud_retransmit_timeout,
             )
             attempts += 1
             yield event
@@ -561,7 +515,6 @@ class NIC:
             event, _, fate, _ = self.fabric.send_datagram(
                 MessageKind.UD_RESYNC_REQUEST, self.rank, sender_nic.rank,
                 payload=seq, payload_bytes=8, operation_tag=tag,
-                retransmit_timeout=self.config.ud_retransmit_timeout,
             )
             yield event
             if fate == "drop":
@@ -579,7 +532,6 @@ class NIC:
                 MessageKind.UD_RESYNC_FULL, sender_nic.rank, self.rank,
                 payload=entries, payload_bytes=reply_bytes, operation_tag=tag,
                 carried_clock=entries, clock_wire_bytes=reply_bytes,
-                retransmit_timeout=sender_nic.config.ud_retransmit_timeout,
             )
             yield event
             if fate != "drop":
@@ -753,7 +705,7 @@ class NIC:
                 )
                 data_messages = yield from self._transmit_clocked(
                     request_kind, target.rank, operand,
-                    request_cells * self.config.cell_bytes, tag,
+                    request_cells * DEFAULT_CELL_BYTES, tag,
                     clock_snapshot, True, reply_kind is not None,
                 )
                 target_nic._counters["remote_ops_serviced"].value += 1
@@ -768,7 +720,7 @@ class NIC:
             )
             if remote and reply_kind is not None:
                 data_messages += yield from target_nic._transmit_clocked(
-                    reply_kind, self.rank, value, self.config.cell_bytes, tag,
+                    reply_kind, self.rank, value, DEFAULT_CELL_BYTES, tag,
                     check.datum_access_clock if check is not None else None,
                 )
         except UdDeliveryExceeded:
@@ -952,7 +904,7 @@ class NIC:
         its own addresses).  The NIC's part of the protocol:
 
         * one SEND_REQUEST message carries the whole gathered payload
-          (``len(values) * cell_bytes`` on the wire — the multi-cell payload
+          (``len(values) * DEFAULT_CELL_BYTES`` on the wire — the multi-cell payload
           the bandwidth-aware latency models care about);
         * on arrival, *match_receive* is called to consume the head of the
           target's receive queue (FIFO, no tag matching — verbs semantics).
@@ -1012,7 +964,7 @@ class NIC:
                 try:
                     data_messages += yield from self._transmit_clocked(
                         MessageKind.SEND_REQUEST, destination, tuple(values),
-                        len(values) * self.config.cell_bytes, tag, clock_snapshot,
+                        len(values) * DEFAULT_CELL_BYTES, tag, clock_snapshot,
                     )
                 except UdDeliveryExceeded:
                     self._abort(tag, credit_gate=credit_gate)

@@ -10,8 +10,9 @@ may drop, duplicate or reorder, with no FIFO clamp.
 
 The moving parts:
 
-* :class:`UdChannel` — a :class:`~repro.net.channel.Channel` that makes no
-  ordering promise.  Delivery timing is a ``reorder`` decision
+* ``Channel.transmit(..., ordered=False)`` — the pair's datagram
+  :class:`~repro.net.channel.Channel` asked to make no ordering promise.
+  Delivery timing is a ``reorder`` decision
   (:meth:`ScheduleController.on_datagram_delay`) applied *without* the FIFO
   clamp; a delivery that genuinely overtakes an earlier one is counted, not
   corrected.  Drops and duplicates are ``drop`` decisions resolved by
@@ -41,19 +42,15 @@ false happens-before edge is ever introduced, whatever the fabric drops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
-
-from repro.net.channel import Channel, ChannelStats
-from repro.net.message import Message, MessageKind
-from repro.sim.events import Event
-from repro.util.validation import require_non_negative
+from typing import Dict, Optional, Set
 
 #: The service levels a runtime/NIC can be configured with.
 TRANSPORT_MODES = ("rc", "ud")
 
-#: Delivery-event names, one constant per kind instead of a format per datagram.
-_UD_DELIVER = {kind: f"ud-deliver:{kind.value}" for kind in MessageKind}
+#: Simulated time a UD sender waits for a datagram it cannot see delivered
+#: before retransmitting (also the receiver's re-request deadline for lost
+#: resync traffic).
+UD_RETRANSMIT_TIMEOUT = 8.0
 
 
 def validate_transport(mode: str) -> str:
@@ -73,110 +70,6 @@ class UdDeliveryExceeded(RuntimeError):
     (``CompletionStatus.UD_DELIVERY_EXCEEDED``) instead of letting it
     propagate out of the queue pair.
     """
-
-
-@dataclass
-class UdChannelStats(ChannelStats):
-    """Per-UD-channel accounting on top of the base channel counters."""
-
-    #: Datagrams the fabric dropped on this channel (each one armed the
-    #: sender's retransmission timer).
-    dropped: int = 0
-    #: Datagrams delivered twice.
-    duplicated: int = 0
-    #: Deliveries that genuinely overtook an earlier send — the events the
-    #: RC channel's FIFO clamp would have corrected (and counted as
-    #: ``reordering_clamps``).
-    reordered: int = 0
-
-
-class UdChannel(Channel):
-    """An unordered, unreliable channel from one rank to another."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.stats = UdChannelStats()
-
-    def transmit(self, message: Message) -> Tuple[Event, Message]:
-        """Send *message* unreliably; returns ``(delivery_event, stamped)``.
-
-        Differences from the RC channel: delivery timing is the ``reorder``
-        decision kind (extra delay on the model's draw, owned by
-        :meth:`ScheduleController.on_datagram_delay`), and there is **no
-        FIFO clamp** — a datagram that would arrive before its predecessor
-        simply does, which is what lets sparse clock frames arrive stale.
-        """
-        now = self._sim.now
-        flight = self._latency_model.latency(message, hops=self._hops)
-        require_non_negative(flight, "latency")
-        controller = self._sim.controller
-        if controller is not None:
-            flight += controller.on_datagram_delay(
-                message, self.source, self.destination
-            )
-        start = now
-        if self._bandwidth is not None:
-            start = max(now, self._next_free)
-            transmission = message.total_bytes / self._bandwidth
-            self._next_free = start + transmission
-            flight += (start - now) + transmission
-        deliver_at = now + flight
-        if deliver_at < self._last_delivery:
-            self.stats.reordered += 1
-        else:
-            self._last_delivery = deliver_at
-        stamped = message.stamped(now, deliver_at)
-        self.stats.messages += 1
-        self.stats.bytes += stamped.total_bytes
-        self.stats.total_latency += deliver_at - now
-        event = self._sim.timeout(
-            deliver_at - now, value=stamped, name=_UD_DELIVER[stamped.kind]
-        )
-        return event, stamped
-
-    def drop(
-        self, message: Message, retransmit_timeout: float
-    ) -> Tuple[Event, Message]:
-        """Lose *message*; returns ``(retransmit_timer_event, stamped)``.
-
-        The datagram's bytes left the sender (it is accounted like any
-        transmission) but no delivery event exists; the returned event is
-        the sender's retransmission timer.
-        """
-        require_non_negative(retransmit_timeout, "retransmit_timeout")
-        now = self._sim.now
-        stamped = message.stamped(now, now + retransmit_timeout)
-        self.stats.messages += 1
-        self.stats.bytes += stamped.total_bytes
-        self.stats.dropped += 1
-        event = self._sim.timeout(
-            retransmit_timeout,
-            value=stamped,
-            name=f"ud-drop:{stamped.kind.value}",
-        )
-        return event, stamped
-
-    def duplicate(self, stamped: Message) -> Event:
-        """Schedule a second arrival of an already-transmitted datagram.
-
-        The copy reuses the original's flight time, so it lands one flight
-        after the primary delivery — deterministically, with no extra
-        latency-model draw, which keeps replays byte-identical.
-        """
-        self.stats.duplicated += 1
-        flight = max(0.0, stamped.deliver_time - stamped.send_time)
-        delay = (stamped.deliver_time - self._sim.now) + flight
-        return self._sim.timeout(
-            max(0.0, delay),
-            value=stamped,
-            name=f"ud-duplicate:{stamped.kind.value}",
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<UdChannel P{self.source}->P{self.destination} "
-            f"messages={self.stats.messages} dropped={self.stats.dropped}>"
-        )
 
 
 class UdEndpoint:

@@ -42,7 +42,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.spans import SIM_TIME_TO_US, TRACE_SCHEMA_VERSION
+from repro.obs.spans import (
+    SIM_TIME_TO_US,
+    TRACE_SCHEMA_VERSION,
+    unreadable_schema_version,
+)
 
 #: Attribution categories, in reporting order.  ``compute`` is the residual:
 #: intervals no instrumented span covers are the process (or analysis-unknown
@@ -285,8 +289,8 @@ class CriticalPathAnalyzer:
         accepted).  ``end_time`` defaults to ``otherData.elapsed_sim_time``
         when the exporter recorded it, else the latest event end.
         """
-        version = trace.get("schema_version")
-        if version is not None and version != TRACE_SCHEMA_VERSION:
+        version = unreadable_schema_version(trace)
+        if version is not None:
             raise ValueError(
                 f"trace schema_version {version!r} is not supported "
                 f"(this analyzer reads version {TRACE_SCHEMA_VERSION})"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.obs.spans import TRACE_SCHEMA_VERSION
+from repro.obs.spans import TRACE_SCHEMA_VERSION, unreadable_schema_version
 
 #: Phases this repo emits, with the extra keys each requires.
 _REQUIRED_BY_PHASE: Dict[str, tuple] = {
@@ -35,10 +35,8 @@ def validate_chrome_trace(trace: object) -> List[str]:
     problems: List[str] = []
     if not isinstance(trace, dict):
         return [f"top level must be an object, got {type(trace).__name__}"]
-    # Absent schema_version means a pre-versioning export and stays valid;
-    # present-and-wrong means a layout this checker does not understand.
-    version = trace.get("schema_version")
-    if version is not None and version != TRACE_SCHEMA_VERSION:
+    version = unreadable_schema_version(trace)
+    if version is not None:
         problems.append(
             f"schema_version {version!r} is not supported "
             f"(this validator understands version {TRACE_SCHEMA_VERSION})"

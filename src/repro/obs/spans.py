@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import time as _time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 #: One simulated time unit == this many trace microseconds.
 SIM_TIME_TO_US = 1000.0
@@ -36,6 +36,16 @@ SIM_TIME_TO_US = 1000.0
 #: (the schema validator, :class:`~repro.obs.critical_path.CriticalPathAnalyzer`)
 #: fail loudly on a trace from a different era instead of misreading it.
 TRACE_SCHEMA_VERSION = 1
+
+
+def unreadable_schema_version(trace: Mapping[str, object]) -> Optional[object]:
+    """The ``schema_version`` of an exported *trace* this code cannot read.
+
+    ``None`` when it can: the version is current, or absent — a
+    pre-versioning export, which stays readable.
+    """
+    version = trace.get("schema_version")
+    return None if version == TRACE_SCHEMA_VERSION else version
 
 
 class SpanHandle:

@@ -287,17 +287,17 @@ class ProcessAPI:
         address = self._directory.resolve(symbol, index)
         return self.verbs.post_compare_and_swap(address, expected, desired, symbol=symbol)
 
-    # -- throttled posting (configurable send backpressure) -------------------------------
+    # -- throttled posting (send backpressure) ---------------------------------------------
 
     def iput_throttled(self, symbol: str, value: Any, index: int = 0) -> Generator:
-        """Post a put under the configured backpressure policy (generator).
+        """Post a put once the send queue has a free slot (generator).
 
-        With ``RuntimeConfig.verbs_backpressure="raise"`` this is
-        :meth:`iput` (a full send queue raises
-        :class:`~repro.verbs.queue_pair.SendQueueFull`); with ``"block"``
-        the program yields until a completion frees a slot, then posts —
-        the blocking-post mode of many runtime libraries.  Use with
-        ``yield from``; returns the posted work request.
+        Where :meth:`iput` raises
+        :class:`~repro.verbs.queue_pair.SendQueueFull` on a full send queue
+        (it cannot yield), the program here waits until a completion frees a
+        slot, then posts — the blocking-post mode of many runtime libraries,
+        which keeps a saturating producer free of exception plumbing.  Use
+        with ``yield from``; returns the posted work request.
         """
         address = self._directory.resolve(symbol, index)
         request = yield from self.verbs.post_put_throttled(address, value, symbol=symbol)
@@ -309,10 +309,9 @@ class ProcessAPI:
         values: Union[Any, Sequence[Any]],
         symbol: Optional[str] = None,
     ) -> Generator:
-        """Post a two-sided SEND under the configured backpressure policy.
+        """Post a two-sided SEND once the send queue has a free slot.
 
-        The blocking-mode counterpart of :meth:`isend`; see
-        :meth:`iput_throttled` for the policy semantics.
+        The waiting counterpart of :meth:`isend`; see :meth:`iput_throttled`.
         """
         payload = list(values) if isinstance(values, (list, tuple)) else [values]
         request = yield from self.verbs.post_send_throttled(

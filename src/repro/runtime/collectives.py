@@ -35,30 +35,28 @@ class Barrier:
     """A reusable centralized barrier over all ranks.
 
     One :class:`Barrier` instance is shared by the whole runtime; it can be
-    crossed any number of times (generations).  Message accounting: each
-    non-root arrival costs one NOTIFY to the root and each release costs one
-    NOTIFY from the root, i.e. ``2·(n−1)`` messages per crossing.
+    crossed any number of times (generations).  Rank 0 is the root.  Message
+    accounting: each non-root arrival costs one NOTIFY to the root and each
+    release costs one NOTIFY from the root, i.e. ``2·(n−1)`` messages per
+    crossing.
     """
+
+    _root = 0
 
     def __init__(
         self,
         sim: Simulator,
         world_size: int,
-        fabric: Optional[Fabric] = None,
+        fabric: Fabric,
         detector: Optional[DualClockRaceDetector] = None,
-        root: int = 0,
-        charge_messages: bool = True,
         recorder: Optional[object] = None,
     ) -> None:
         require_positive(world_size, "world_size")
-        require_rank(root, world_size, "root")
         self._sim = sim
         self._world_size = world_size
         self._fabric = fabric
         self._detector = detector
         self._recorder = recorder
-        self._root = root
-        self._charge_messages = charge_messages and fabric is not None
         self._generation = 0
         self._arrived = 0
         self._merged: Optional[VectorClock] = None
@@ -94,7 +92,7 @@ class Barrier:
         generation = self._generation
         arrived_at = self._sim.now
         # Arrival notification to the root (charged as a message for non-root ranks).
-        if rank != self._root and self._charge_messages:
+        if rank != self._root:
             event, _ = self._fabric.send(
                 MessageKind.NOTIFY, rank, self._root, payload=("barrier", generation),
                 payload_bytes=8,
@@ -184,7 +182,7 @@ class Barrier:
             if controller is not None and len(order) > 1:
                 index = controller.on_barrier_release(generation, len(order))
             rank, release = order.pop(index)
-            if rank != self._root and self._charge_messages:
+            if rank != self._root:
                 event, _ = self._fabric.send(
                     MessageKind.NOTIFY, self._root, rank,
                     payload=("barrier-release", generation), payload_bytes=8,

@@ -56,14 +56,13 @@ class RuntimeConfig:
         Name of a built-in topology (``"complete"``, ``"ring"``, ``"star"``,
         ``"mesh"``, ``"torus"``, ``"hypercube"``) or a :class:`Topology`.
     latency:
-        ``"constant"``, ``"uniform"``, ``"loggp"`` or a :class:`LatencyModel`.
-    latency_scale:
-        Multiplier applied to the default parameters of the named models.
+        ``"constant"``, ``"uniform"``, ``"loggp"`` (each with its default
+        parameters) or a :class:`LatencyModel` built with others.
     detector:
         The race-detector configuration (set ``detector.enabled = False`` for
         an uninstrumented run).
     nic:
-        NIC behaviour (lock and clock message charging).
+        NIC behaviour (clock message charging, the UD retransmission budget).
     clock_transport:
         How causal clocks travel with verbs traffic (see
         :mod:`repro.net.clock_transport`): ``"roundtrip"`` charges
@@ -153,9 +152,6 @@ class RuntimeConfig:
         :mod:`repro.net.flow_control`.
     signal_policy:
         What to do when a race is signalled (collect / warn / abort).
-    trace_values:
-        Whether the trace keeps the transferred values (turn off for very
-        large scalability runs).
     trace_spans:
         Record sim-time spans (WR post→retire, drain bursts, lock waits,
         barrier fan-in) on ``sim.obs.spans`` for Chrome trace-event export
@@ -165,15 +161,15 @@ class RuntimeConfig:
         Additionally record host wall time on spans and in the detection
         profiler.  Off by default because wall time is nondeterministic and
         would break byte-identical artifacts.
-    echo_log:
-        Print structured log records as they are emitted.
     verbs_cq_capacity:
         Capacity of each rank's default completion queues (``None`` =
         unbounded); a bounded queue overflows when completions outpace
         retirement, as on real hardware.
     verbs_max_send_wr:
-        Send-queue depth of each queue pair (posting beyond it raises
-        :class:`~repro.verbs.queue_pair.SendQueueFull`).
+        Send-queue depth of each queue pair.  A plain post (``iput`` /
+        ``isend``) beyond it raises
+        :class:`~repro.verbs.queue_pair.SendQueueFull`, since it cannot
+        yield; a ``*_throttled`` post waits until a completion frees a slot.
     verbs_max_recv_wr:
         Receive-queue depth of each queue pair and the default SRQ depth
         (posting beyond it raises
@@ -185,15 +181,6 @@ class RuntimeConfig:
         RNR retries before a SEND fails with an RNR_RETRY_EXCEEDED
         completion; ``None`` retries forever (the InfiniBand ``rnr_retry=7``
         encoding).
-    verbs_backpressure:
-        What a throttled post does when the send queue is full:
-        ``"raise"`` (default) raises
-        :class:`~repro.verbs.queue_pair.SendQueueFull` at the post site;
-        ``"block"`` yields the posting process until a completion frees a
-        slot (the blocking-post mode of many runtime libraries, which keeps
-        saturation benchmarks free of exception plumbing).  Applies to the
-        ``*_throttled`` posting surface; the plain ``iput``/``isend`` posts
-        always raise, since they cannot yield.
     """
 
     world_size: int = 4
@@ -201,7 +188,6 @@ class RuntimeConfig:
     seed: int = 0
     topology: Union[str, Topology] = "complete"
     latency: Union[str, LatencyModel] = "constant"
-    latency_scale: float = 1.0
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     nic: NICConfig = field(default_factory=NICConfig)
     # The consistency knobs, in repro.runtime.knobs.KNOBS order.
@@ -214,16 +200,13 @@ class RuntimeConfig:
     clock_wire_resync: Optional[Union[int, str]] = None
     transport: Optional[str] = None
     signal_policy: SignalPolicy = SignalPolicy.COLLECT
-    trace_values: bool = True
     trace_spans: bool = False
     obs_wall_clock: bool = False
-    echo_log: bool = False
     verbs_cq_capacity: Optional[int] = None
     verbs_max_send_wr: int = 128
     verbs_max_recv_wr: int = 128
     verbs_rnr_backoff: float = 1.0
     verbs_rnr_retry_limit: Optional[int] = None
-    verbs_backpressure: str = "raise"
 
     def with_overrides(self, **kwargs: Any) -> "RuntimeConfig":
         """Return a copy with the given fields replaced."""
@@ -293,7 +276,7 @@ class DSMRuntime:
         )
         require_positive(self.config.world_size, "world_size")
 
-        self.logger = SimLogger(echo=self.config.echo_log)
+        self.logger = SimLogger()
         self.sim = Simulator(seed=self.config.seed, logger=self.logger)
         self.sim.obs.configure(
             trace_spans=self.config.trace_spans,
@@ -302,7 +285,7 @@ class DSMRuntime:
         self.topology = self._build_topology(self.config.topology, self.config.world_size)
         self.latency_model = self._build_latency(self.config.latency)
         self.fabric = Fabric(self.sim, self.topology, self.latency_model)
-        self.recorder = TraceRecorder(self.config.world_size, keep_values=self.config.trace_values)
+        self.recorder = TraceRecorder(self.config.world_size)
         self.report = RaceReport(self.config.signal_policy, logger=self.logger)
         self.detector = DualClockRaceDetector(
             self.config.world_size, config=self.config.detector, report=self.report
@@ -345,7 +328,6 @@ class DSMRuntime:
                 max_recv_wr=self.config.verbs_max_recv_wr,
                 rnr_backoff=self.config.verbs_rnr_backoff,
                 rnr_retry_limit=self.config.verbs_rnr_retry_limit,
-                backpressure=self.config.verbs_backpressure,
             )
             for rank in range(self.config.world_size)
         ]
@@ -358,7 +340,6 @@ class DSMRuntime:
             self.config.world_size,
             fabric=self.fabric,
             detector=self.detector,
-            charge_messages=True,
             recorder=self.recorder,
         )
         self._programs: Dict[int, ProcessProgram] = {}
@@ -459,17 +440,13 @@ class DSMRuntime:
     def _build_latency(self, spec: Union[str, LatencyModel]) -> LatencyModel:
         if isinstance(spec, LatencyModel):
             return spec
-        scale = self.config.latency_scale
         name = spec.lower()
         if name == "constant":
-            return ConstantLatency(base=1.0 * scale)
+            return ConstantLatency()
         if name == "uniform":
-            return UniformLatency(self.sim.rng, low=0.5 * scale, high=1.5 * scale)
+            return UniformLatency(self.sim.rng)
         if name == "loggp":
-            return LogGPLatency(
-                L=1.0 * scale, o_send=0.3 * scale, o_recv=0.3 * scale, G=0.001 * scale,
-                jitter=self.sim.rng, jitter_fraction=0.05,
-            )
+            return LogGPLatency(jitter=self.sim.rng, jitter_fraction=0.05)
         raise ValueError(f"unknown latency model {spec!r}")
 
     # -- shared-data declaration -------------------------------------------------------
@@ -534,7 +511,7 @@ class DSMRuntime:
 
     # -- execution ---------------------------------------------------------------------------
 
-    def run(self, until: Optional[float] = None, check_locks: bool = True) -> RunResult:
+    def run(self, until: Optional[float] = None) -> RunResult:
         """Launch every registered program and run the simulation to completion."""
         if self._ran:
             raise RuntimeError("DSMRuntime.run() may only be called once per instance")
@@ -556,7 +533,7 @@ class DSMRuntime:
             f"({len(ranks_without_program)} idle ranks) on {self.topology.name}",
         )
         elapsed = self.sim.run(until=until)
-        if check_locks and until is None:
+        if until is None:
             for table in self.lock_tables:
                 table.assert_quiescent()
         return self._collect_results(elapsed)

@@ -22,10 +22,9 @@ from repro.util.validation import require_positive
 class TraceRecorder:
     """Collects accesses, operations and synchronization events of one run."""
 
-    def __init__(self, world_size: int, keep_values: bool = True) -> None:
+    def __init__(self, world_size: int) -> None:
         require_positive(world_size, "world_size")
         self._world_size = world_size
-        self._keep_values = keep_values
         self._accesses: List[MemoryAccess] = []
         self._operations: List[OperationRecord] = []
         self._syncs: List[SyncEvent] = []
@@ -66,8 +65,6 @@ class TraceRecorder:
         observed: object = None,
     ) -> MemoryAccess:
         """Append one shared-memory access; returns the stored record."""
-        if not self._keep_values:
-            value = observed = None
         access = MemoryAccess._build(
             self._next_id(), rank, address, kind, value, time, symbol, operation, observed
         )

@@ -28,7 +28,7 @@ from typing import Deque, Dict, List, Optional
 
 from repro.core.clocks import VectorClock
 from repro.core.detector import DetectorConfig, DualClockRaceDetector
-from repro.core.races import RaceRecord, RaceReport, SignalPolicy
+from repro.core.races import RaceRecord
 from repro.memory.address import GlobalAddress
 from repro.memory.consistency import AccessKind, MemoryAccess
 from repro.memory.public import MemoryCell
@@ -61,11 +61,9 @@ class TraceReplayer:
         self,
         world_size: int,
         config: Optional[DetectorConfig] = None,
-        policy: SignalPolicy = SignalPolicy.COLLECT,
     ) -> None:
         self._world_size = world_size
         self._config = config or DetectorConfig()
-        self._policy = policy
 
     def replay(
         self,
@@ -77,11 +75,7 @@ class TraceReplayer:
         The combined stream is processed by ``(time, id)``, which is exactly
         the order in which the online detector handled the same events.
         """
-        detector = DualClockRaceDetector(
-            self._world_size,
-            config=self._config,
-            report=RaceReport(self._policy),
-        )
+        detector = DualClockRaceDetector(self._world_size, config=self._config)
         cells: Dict[GlobalAddress, MemoryCell] = {}
         # Snapshot clock of the most recent SEND/RECV match per directed
         # (sender, receiver) pair: the scatter writes that follow a transfer

@@ -151,15 +151,12 @@ def trace_to_json(
     return json.dumps(payload, indent=indent)
 
 
-def trace_from_json(
-    text: str,
-) -> Tuple[int, List[MemoryAccess], List[OperationRecord], List[SyncEvent]]:
-    """Parse a JSON trace; returns ``(world_size, accesses, operations, syncs)``.
+def _require_readable(payload: Dict[str, object]) -> None:
+    """The archive's one version check: format marker and both version fields.
 
-    The optional ``run_info`` header survives in the raw JSON for
-    provenance tooling but is not part of the replay inputs.
+    ``version`` is required; ``schema_version`` may be absent (legacy
+    producers) but not different.
     """
-    payload = json.loads(text)
     if payload.get("format") != "repro-dsm-trace":
         raise ValueError(
             f"not a repro DSM trace (format={payload.get('format')!r})"
@@ -172,6 +169,18 @@ def trace_from_json(
             f"unsupported trace schema_version {schema_version!r} "
             f"(this loader reads version {TRACE_ARCHIVE_SCHEMA_VERSION})"
         )
+
+
+def trace_from_json(
+    text: str,
+) -> Tuple[int, List[MemoryAccess], List[OperationRecord], List[SyncEvent]]:
+    """Parse a JSON trace; returns ``(world_size, accesses, operations, syncs)``.
+
+    The optional ``run_info`` header survives in the raw JSON for
+    provenance tooling but is not part of the replay inputs.
+    """
+    payload = json.loads(text)
+    _require_readable(payload)
     accesses = [access_from_dict(a) for a in payload.get("accesses", [])]
     operations = [operation_from_dict(o) for o in payload.get("operations", [])]
     syncs = [sync_from_dict(s) for s in payload.get("syncs", [])]

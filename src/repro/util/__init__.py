@@ -17,7 +17,7 @@ from repro.util.validation import (
 )
 from repro.util.ids import IdAllocator, monotonic_id
 from repro.util.records import trusted_build
-from repro.util.logging import SimLogger, LogRecord, NullLogger
+from repro.util.logging import SimLogger, LogRecord
 
 __all__ = [
     "require",
@@ -31,5 +31,4 @@ __all__ = [
     "trusted_build",
     "SimLogger",
     "LogRecord",
-    "NullLogger",
 ]

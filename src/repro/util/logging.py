@@ -3,9 +3,9 @@
 The standard :mod:`logging` module timestamps records with wall-clock time,
 which is meaningless inside a discrete-event simulation.  :class:`SimLogger`
 records the *simulated* time of each event and keeps records in memory so that
-tests and the analysis package can assert on them; it can also echo to stdout
-for interactive debugging (the paper's recommendation is precisely that race
-reports go to standard output without aborting the run, Section IV-D).
+tests and the analysis package can assert on them.  (Race reports reach
+standard output through ``SignalPolicy.WARN``, the paper's recommendation in
+Section IV-D, not through this log.)
 
 Records carry a severity level (``debug`` < ``info`` < ``warning`` <
 ``error``); :meth:`SimLogger.to_jsonl` exports the collected records as JSON
@@ -58,9 +58,8 @@ class LogRecord:
 class SimLogger:
     """Collects :class:`LogRecord` objects emitted during a simulation run."""
 
-    def __init__(self, echo: bool = False, clock: Optional[Callable[[], float]] = None) -> None:
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._records: List[LogRecord] = []
-        self._echo = echo
         self._clock = clock or (lambda: 0.0)
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
@@ -81,9 +80,6 @@ class SimLogger:
             level=level,
         )
         self._records.append(record)
-        if self._echo:
-            where = f"P{record.rank}" if record.rank is not None else "--"
-            print(f"[t={record.time:10.3f}] [{record.category:>6}] [{where}] {record.message}")
         return record
 
     # -- severity shorthands -------------------------------------------------------
@@ -144,24 +140,3 @@ class SimLogger:
 
     def __iter__(self) -> Iterable[LogRecord]:
         return iter(self._records)
-
-
-class NullLogger(SimLogger):
-    """A logger that drops everything; used when tracing overhead matters.
-
-    The returned record still carries the *real* bound-clock time (not a
-    fabricated ``0.0``) so call sites that inspect the return value see the
-    same timestamps they would with a recording logger.
-    """
-
-    def log(
-        self,
-        category: str,
-        message: str,
-        rank: Optional[int] = None,
-        level: str = "info",
-    ) -> LogRecord:  # noqa: D102
-        return LogRecord(
-            time=self._clock(), category=category, message=message, rank=rank,
-            level=level,
-        )

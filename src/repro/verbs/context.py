@@ -65,12 +65,7 @@ class VerbsContext:
         max_recv_wr: int = 128,
         rnr_backoff: float = 1.0,
         rnr_retry_limit: Optional[int] = None,
-        backpressure: str = "raise",
     ) -> None:
-        if backpressure not in ("raise", "block"):
-            raise ValueError(
-                f"backpressure must be 'raise' or 'block', got {backpressure!r}"
-            )
         self.sim = sim
         self.nic = nic
         self.rank = nic.rank
@@ -82,10 +77,6 @@ class VerbsContext:
         #: InfiniBand ``rnr_retry=7`` encoding).
         self.rnr_backoff = rnr_backoff
         self.rnr_retry_limit = rnr_retry_limit
-        #: Send backpressure policy for the ``*_throttled`` posting surface:
-        #: ``"raise"`` (SendQueueFull at the post site) or ``"block"``
-        #: (yield until a completion frees a slot).
-        self.backpressure = backpressure
         #: CQ moderation: when true, each queue pair's drain delivers the
         #: completions of one burst together as a single CQE event (send CQ
         #: only — receive completions are the peer's business), and the
@@ -575,18 +566,7 @@ class VerbsContext:
         )
         return self._accept(request, peer, "send_post")
 
-    # -- throttled posting (configurable backpressure) -----------------------------------
-
-    def wait_send_slot(self, peer: int):
-        """Generator: apply the configured backpressure towards *peer*.
-
-        In ``"block"`` mode, yields until the queue pair has a free send
-        slot; in ``"raise"`` mode returns immediately (the subsequent post
-        raises :class:`~repro.verbs.queue_pair.SendQueueFull` if full).
-        """
-        if self.backpressure == "block":
-            yield from self.queue_pair(peer).wait_send_slot()
-        return None
+    # -- throttled posting (wait for a send slot, then post) -------------------------------
 
     def post_put_throttled(
         self,
@@ -595,8 +575,13 @@ class VerbsContext:
         rkey: Optional[int] = None,
         symbol: Optional[str] = None,
     ):
-        """Generator: :meth:`post_put` under the configured backpressure policy."""
-        yield from self.wait_send_slot(target.rank)
+        """Generator: :meth:`post_put` once the queue pair has a free send slot.
+
+        The plain post raises :class:`~repro.verbs.queue_pair.SendQueueFull`
+        on a full send queue, since it cannot yield; this one parks the
+        posting process until a completion frees a slot.
+        """
+        yield from self.queue_pair(target.rank).wait_send_slot()
         return self.post_put(target, value, rkey=rkey, symbol=symbol)
 
     def post_send_throttled(
@@ -606,14 +591,14 @@ class VerbsContext:
         gather_from: Optional[Sequence[GlobalAddress]] = None,
         symbol: Optional[str] = None,
     ):
-        """Generator: :meth:`post_send` under the configured backpressure policy.
+        """Generator: :meth:`post_send` once the queue pair has a free send slot.
 
-        In ``"block"`` mode the posting event — the sender's clock tick and
-        snapshot — happens when the slot is granted, not when the caller
-        first asked: a blocked post has not happened yet, so nothing it
-        later sends can claim to precede the completions that unblocked it.
+        The posting event — the sender's clock tick and snapshot — happens
+        when the slot is granted, not when the caller first asked: a blocked
+        post has not happened yet, so nothing it later sends can claim to
+        precede the completions that unblocked it.
         """
-        yield from self.wait_send_slot(peer)
+        yield from self.queue_pair(peer).wait_send_slot()
         return self.post_send(peer, values, gather_from=gather_from, symbol=symbol)
 
     # -- completion handling -----------------------------------------------------------

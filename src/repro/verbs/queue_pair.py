@@ -194,11 +194,10 @@ class QueuePair:
     def wait_send_slot(self) -> Generator:
         """Yield the calling process until this queue pair has a free slot.
 
-        The blocking half of the backpressure policy: a throttled post in
-        ``"block"`` mode waits here instead of raising
-        :class:`SendQueueFull`.  Several processes may wait on one queue
-        pair; each freed slot wakes one of them, in arrival order, and the
-        loop re-checks on wake-up — a slot snatched by a same-instant
+        Send backpressure: a ``*_throttled`` post waits here where the plain
+        post raises :class:`SendQueueFull`.  Several processes may wait on
+        one queue pair; each freed slot wakes one of them, in arrival order,
+        and the loop re-checks on wake-up — a slot snatched by a same-instant
         non-blocking post just parks the waiter again.
         """
         while self.outstanding >= self.max_send_wr:

@@ -109,7 +109,6 @@ def racy_saturating_factory(seed):
             world_size=2,
             seed=seed,
             latency="constant",
-            verbs_backpressure="block",
             verbs_rnr_backoff=COARSE_BACKOFF,
         )
     )

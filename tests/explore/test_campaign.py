@@ -63,6 +63,11 @@ def test_campaign_rejects_bad_configuration():
         CampaignConfig(budget=0)
     with pytest.raises(ValueError):
         CampaignConfig(workers=-1)
+    # Search parameters fail at the parent, by the strategies' own checks.
+    with pytest.raises(ValueError, match="reorder_probability"):
+        CampaignConfig(reorder_probability=1.5, quantum=-1.0)
+    with pytest.raises(ValueError, match="branch_factor"):
+        CampaignConfig(strategy="systematic", branch_factor=0)
     with pytest.raises(ValueError):
         run_campaign(CampaignConfig(), corpus="nonexistent")
     with pytest.raises(ValueError):

@@ -36,7 +36,6 @@ def saturating_runtime(flow_control, seed=0):
             world_size=2,
             seed=seed,
             flow_control=flow_control,
-            verbs_backpressure="block",
             verbs_rnr_backoff=COARSE_BACKOFF,
         )
     )

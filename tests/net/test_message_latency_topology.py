@@ -59,11 +59,6 @@ class TestLatencyModels:
         assert model.latency(make_message(), hops=1) == 2.0
         assert model.latency(make_message(), hops=3) == 6.0
 
-    def test_constant_per_byte_component(self):
-        model = ConstantLatency(base=1.0, per_byte=0.1)
-        expected = 1.0 + 0.1 * (HEADER_BYTES + 8)
-        assert model.latency(make_message()) == pytest.approx(expected)
-
     def test_uniform_within_bounds_and_reproducible(self):
         streams = RandomStreams(seed=5)
         model = UniformLatency(streams, low=1.0, high=2.0)

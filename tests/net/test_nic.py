@@ -77,17 +77,12 @@ class TestMessageDecomposition:
         assert cluster.fabric.message_count(MessageKind.GET_REQUEST) == 1
         assert cluster.fabric.message_count(MessageKind.GET_REPLY) == 1
 
-    def test_lock_traffic_is_charged_when_configured(self):
+    def test_lock_traffic_is_charged(self):
         cluster = Cluster()
         cluster.drive(cluster.nics[2].rdma_put("v", GlobalAddress(1, 0)))
         assert cluster.fabric.message_count(MessageKind.LOCK_REQUEST) == 1
         assert cluster.fabric.message_count(MessageKind.LOCK_GRANT) == 1
         assert cluster.fabric.message_count(MessageKind.UNLOCK) == 1
-
-    def test_lock_traffic_can_be_piggybacked(self):
-        cluster = Cluster(nic_config=NICConfig(charge_lock_messages=False))
-        cluster.drive(cluster.nics[2].rdma_put("v", GlobalAddress(1, 0)))
-        assert cluster.fabric.stats.lock_messages == 0
 
     def test_detection_round_trip_charged_only_when_enabled(self):
         with_detection = Cluster()

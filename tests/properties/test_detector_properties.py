@@ -3,7 +3,6 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.detector import DetectorConfig, DualClockRaceDetector
-from repro.detectors.single_clock import SingleClockDetector
 from repro.memory.address import GlobalAddress
 from repro.memory.consistency import AccessKind
 from repro.memory.public import MemoryCell
@@ -82,36 +81,6 @@ class TestDetectorInvariants:
     def test_checks_count_matches_accesses(self, steps):
         detector, _cells = drive_detector(steps)
         assert detector.checks_performed == len(steps)
-
-
-class TestDualVsSingleClock:
-    @given(access_sequences)
-    @settings(max_examples=40, deadline=None)
-    def test_single_clock_reports_at_least_as_many_findings(self, steps):
-        """The dual-clock design only removes reports (read/read ones).
-
-        Compared against the *non-learning* single-clock baseline: with
-        ``origin_learns=True`` an access merges the datum clock into the
-        accessing process, and that cross-datum pollution manufactures
-        happens-before edges that can suppress findings the dual-clock
-        detector keeps (e.g. a reader "learning" one cell's history and
-        thereby appearing ordered with an unrelated cell's writer) —
-        breaking the superset relation this property asserts.
-        """
-        recorder = TraceRecorder(WORLD)
-        for index, (rank, offset, is_write) in enumerate(steps):
-            recorder.record_access(
-                rank,
-                GlobalAddress(OWNER, offset),
-                AccessKind.WRITE if is_write else AccessKind.READ,
-                time=float(index),
-            )
-        accesses = recorder.accesses()
-        dual = TraceReplayer(WORLD).replay(accesses).race_count
-        single = (
-            SingleClockDetector(origin_learns=False).detect(accesses, WORLD).count()
-        )
-        assert single >= dual
 
 
 class TestReplayEquivalence:

@@ -14,6 +14,7 @@
 
 import dataclasses
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -25,14 +26,30 @@ from repro.runtime.runtime import DSMRuntime, RuntimeConfig
 
 NAMES = [knob.name for knob in KNOBS]
 
-#: Every config field that is NOT a consistency knob.  A new field lands
-#: either here or in the registry — never silently in between.
+#: Every config field that is NOT a consistency knob, with a file outside
+#: ``tests/`` that sets it by keyword: a setting needs a caller.  A new field
+#: lands either here — naming the traffic that needs it — or in the registry,
+#: never silently in between.
 RUNTIME_OTHER_FIELDS = {
-    "world_size", "public_memory_cells", "seed", "topology", "latency",
-    "latency_scale", "detector", "nic", "signal_policy", "trace_values",
-    "trace_spans", "obs_wall_clock", "echo_log", "verbs_cq_capacity",
-    "verbs_max_send_wr", "verbs_max_recv_wr", "verbs_rnr_backoff",
-    "verbs_rnr_retry_limit", "verbs_backpressure",
+    "world_size": "examples/quickstart.py",
+    "public_memory_cells": "src/repro/workloads/stencil.py",
+    "seed": "examples/quickstart.py",
+    "topology": "examples/quickstart.py",
+    "latency": "src/repro/workloads/racy_patterns.py",
+    "detector": "benchmarks/bench_overhead_detection.py",
+    "nic": "benchmarks/bench_overhead_detection.py",
+    "signal_policy": "examples/quickstart.py",
+    "trace_spans": "src/repro/obs/__main__.py",
+    "obs_wall_clock": "docs/observability.md",
+    "verbs_cq_capacity": "docs/verbs.md",
+    "verbs_max_send_wr": "docs/verbs.md",
+    "verbs_max_recv_wr": "docs/verbs.md",
+    "verbs_rnr_backoff": "src/repro/workloads/rpc_echo.py",
+    "verbs_rnr_retry_limit": "docs/verbs.md",
+}
+NIC_OTHER_FIELDS = {
+    "charge_detection_messages": "benchmarks/bench_overhead_detection.py",
+    "ud_max_retransmits": "docs/verbs.md",
 }
 CAMPAIGN_OTHER_FIELDS = {
     "strategy", "budget", "seed", "workers", "reorder_probability",
@@ -88,6 +105,19 @@ class TestCoherence:
     def test_config_dataclasses_declare_exactly_the_registry(self):
         assert knob_fields(RuntimeConfig, RUNTIME_OTHER_FIELDS) == NAMES
         assert knob_fields(CampaignConfig, CAMPAIGN_OTHER_FIELDS) == NAMES
+
+    def test_nic_config_declares_its_mirrors_and_nothing_unaccounted(self):
+        mirrors = [knob.name for knob in KNOBS if knob.nic_mirror]
+        assert sorted(knob_fields(NICConfig, NIC_OTHER_FIELDS)) == sorted(mirrors)
+
+    @pytest.mark.parametrize(
+        "name, setter",
+        sorted({**RUNTIME_OTHER_FIELDS, **NIC_OTHER_FIELDS}.items()),
+    )
+    def test_every_other_field_has_a_caller_outside_tests(self, name, setter):
+        assert not setter.startswith("tests/")
+        text = (Path(__file__).resolve().parents[2] / setter).read_text()
+        assert re.search(rf"\b{name}\s*=[^=]", text), f"{setter} does not set {name}"
 
     def test_campaign_parser_flags(self):
         flags = [

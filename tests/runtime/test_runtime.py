@@ -176,5 +176,5 @@ class TestExecution:
             yield from api.compute(1000.0)
 
         runtime.set_spmd_program(long_program)
-        result = runtime.run(until=10.0, check_locks=False)
+        result = runtime.run(until=10.0)
         assert result.elapsed_sim_time == 10.0

@@ -74,11 +74,6 @@ class TestTraceRecorder:
         assert summary.duration == 3.0
         assert summary.as_dict()["accesses"] == 4
 
-    def test_values_can_be_dropped(self):
-        recorder = TraceRecorder(3, keep_values=False)
-        recorder.record_access(0, GlobalAddress(0, 0), AccessKind.WRITE, value="big blob")
-        assert recorder.accesses()[0].value is None
-
     def test_clear(self):
         recorder = TraceRecorder(3)
         record_some_accesses(recorder)

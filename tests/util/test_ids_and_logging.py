@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.util.ids import IdAllocator, monotonic_id
-from repro.util.logging import LEVELS, NullLogger, SimLogger, level_number
+from repro.util.logging import LEVELS, SimLogger, level_number
 
 
 class TestIdAllocator:
@@ -66,25 +66,6 @@ class TestSimLogger:
         assert len(logger) == 1
         logger.clear()
         assert len(logger) == 0
-
-    def test_echo_prints(self, capsys):
-        logger = SimLogger(echo=True)
-        logger.log("race", "found one", rank=3)
-        out = capsys.readouterr().out
-        assert "found one" in out
-        assert "P3" in out
-
-    def test_null_logger_drops_records(self):
-        logger = NullLogger()
-        logger.log("x", "ignored")
-        assert len(logger) == 0
-
-    def test_null_logger_records_still_carry_the_bound_clock(self):
-        logger = NullLogger()
-        logger.bind_clock(lambda: 7.5)
-        record = logger.log("x", "ignored", rank=1)
-        assert record.time == 7.5
-        assert record.rank == 1
 
 
 class TestSeverity:

@@ -1,10 +1,10 @@
-"""The send backpressure policy: raise at the post site vs block for a slot.
+"""Send backpressure: a plain post raises, a throttled post waits for a slot.
 
-`RuntimeConfig.verbs_backpressure` selects what a throttled post does when
-`verbs_max_send_wr` requests are already outstanding on the queue pair:
-``"raise"`` surfaces :class:`SendQueueFull` immediately (the PR-1
-behaviour), ``"block"`` yields the posting process until a completion frees
-a slot — so a saturating producer self-paces instead of crashing.
+When `verbs_max_send_wr` requests are already outstanding on the queue pair,
+``iput`` / ``isend`` surface :class:`SendQueueFull` at the post site (they
+cannot yield), and ``iput_throttled`` / ``isend_throttled`` yield the posting
+process until a completion frees a slot — so a saturating producer
+self-paces instead of crashing.
 """
 
 import pytest
@@ -17,15 +17,10 @@ DEPTH = 2
 POSTS = 12
 
 
-def build_saturating_producer(mode: str, throttled: bool = True) -> DSMRuntime:
+def build_saturating_producer(throttled: bool = True) -> DSMRuntime:
     """Rank 0 posts POSTS puts to rank 1 through a DEPTH-deep send queue."""
     runtime = DSMRuntime(
-        RuntimeConfig(
-            world_size=2,
-            seed=0,
-            verbs_max_send_wr=DEPTH,
-            verbs_backpressure=mode,
-        )
+        RuntimeConfig(world_size=2, seed=0, verbs_max_send_wr=DEPTH)
     )
     runtime.declare_array("x", POSTS, owner=1, initial=None)
 
@@ -48,23 +43,16 @@ def build_saturating_producer(mode: str, throttled: bool = True) -> DSMRuntime:
     return runtime
 
 
-def test_raise_mode_surfaces_send_queue_full():
-    runtime = build_saturating_producer("raise")
-    with pytest.raises(SimulationError) as excinfo:
-        runtime.run()
-    assert isinstance(excinfo.value.__cause__, SendQueueFull)
-
-
-def test_plain_posts_always_raise_even_in_block_mode():
+def test_plain_posts_raise_send_queue_full():
     """iput (non-generator) cannot yield, so it keeps the raise contract."""
-    runtime = build_saturating_producer("block", throttled=False)
+    runtime = build_saturating_producer(throttled=False)
     with pytest.raises(SimulationError) as excinfo:
         runtime.run()
     assert isinstance(excinfo.value.__cause__, SendQueueFull)
 
 
-def test_block_mode_saturation_completes_with_stalls():
-    runtime = build_saturating_producer("block")
+def test_throttled_saturation_completes_with_stalls():
+    runtime = build_saturating_producer()
     result = runtime.run()
     # Every put landed, in order, with no exception.
     assert result.final_shared_values["x"] == [i * 10 for i in range(POSTS)]
@@ -77,10 +65,10 @@ def test_block_mode_saturation_completes_with_stalls():
     assert queue_pair.outstanding == 0
 
 
-def test_block_mode_is_deterministic():
+def test_throttled_posting_is_deterministic():
     elapsed = set()
     for _ in range(2):
-        runtime = build_saturating_producer("block")
+        runtime = build_saturating_producer()
         result = runtime.run()
         elapsed.add(
             (
@@ -92,13 +80,12 @@ def test_block_mode_is_deterministic():
 
 
 def test_throttled_send_blocks_too():
-    """The two-sided path honours the same policy."""
+    """The two-sided path waits for a slot the same way."""
     runtime = DSMRuntime(
         RuntimeConfig(
             world_size=2,
             seed=0,
             verbs_max_send_wr=DEPTH,
-            verbs_backpressure="block",
             verbs_rnr_backoff=0.25,
         )
     )
