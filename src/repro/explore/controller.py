@@ -9,9 +9,10 @@ choice point (:data:`~repro.explore.decisions.DECISION_SHAPES` is the table,
 point: :meth:`~ScheduleController.pick_next`, with which the engine's
 :meth:`~repro.sim.engine.Simulator.step` resolves same-time ties, and one
 ``on_*`` method per other kind for ``net``, ``verbs`` and ``runtime``.  The
-entry points differ only in how they name the point and whether the caller
-wants the choice alone or on top of its own value; the mechanism — number,
-key, ask, check, log — is :meth:`ScheduleController._decide`.
+entry points differ only in how they name the point (its key, formatted
+there in one go) and whether the caller wants the choice alone or on top of
+its own value; the mechanism — ask, check, log — is
+:meth:`ScheduleController._decide`.
 
 Every resolution is appended to a :class:`~repro.explore.decisions.DecisionLog`,
 and what the resolution *is* comes from a pluggable
@@ -36,6 +37,8 @@ reorderable ties.
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 from typing import Any, List, Optional, Tuple
 
 from repro.explore.decisions import (
@@ -53,6 +56,12 @@ class ReplayDivergence(RuntimeError):
     """A replayed decision log does not match the run it is applied to."""
 
 
+#: The message kinds :func:`is_reorderable` admits: data and lock traffic.
+_REORDERABLE = frozenset(
+    [kind for kind in MessageKind if kind.is_data or kind.is_lock]
+)
+
+
 def is_reorderable(message: Message) -> bool:
     """Whether delaying *message* can change which access wins a conflict.
 
@@ -63,7 +72,7 @@ def is_reorderable(message: Message) -> bool:
     traffic rides inside an operation that already holds the cell lock, so
     delaying it only shifts absolute times, never the conflict order.
     """
-    return message.kind.is_data or message.kind.is_lock
+    return message.kind in _REORDERABLE
 
 
 class ScheduleStrategy:
@@ -159,6 +168,11 @@ class ReplayStrategy(ScheduleStrategy):
         return f"replay({len(self._entries)} decisions)"
 
 
+#: The type a choice of each kind is logged in (``DECISION_SHAPES``' rule).
+_STORED_TYPE = {
+    kind: float if shape == "delay" else int for kind, shape in DECISION_SHAPES.items()
+}
+
 #: Cap on how many same-time calendar entries are offered to the tie hook at
 #: once (the rest simply run on a later step).  Bounds the branching factor
 #: without losing any event.
@@ -171,35 +185,35 @@ class ScheduleController:
     def __init__(self, strategy: ScheduleStrategy) -> None:
         self.strategy = strategy
         self.log = DecisionLog()
-        self._met = dict.fromkeys(DECISION_KINDS, 0)
+        self._record = self.log._entries.append
+        #: Per kind, the next choice point's number (the ``#n`` of its key).
+        self._next_number = {kind: itertools.count().__next__ for kind in DECISION_KINDS}
 
     def _decide(
         self,
         kind: str,
-        subject: str,
+        key: str,
         bound: Optional[int] = None,
         message: Optional[Message] = None,
     ) -> Choice:
         """Resolve one choice point of *kind*; every logged decision is made here.
 
-        Numbers the point within its kind, builds its key (``kind`` +
-        *subject* + ``#n``), asks the strategy, refuses an answer the kind's
-        shape does not allow — negative, or an index outside
-        ``range(bound)`` — and logs it in the shape's stored type.
+        Asks the strategy, refuses an answer the kind's shape does not allow
+        — negative, infinite or NaN (a log holding one could not be read
+        back, :func:`~repro.explore.decisions.check_choice`), or an index
+        outside ``range(bound)`` — and logs it in the shape's stored type.
+        *key* is the point's identity, ``kind`` + subject + ``#n``, formatted
+        by the entry point in one go with ``n`` from ``_next_number``.
         """
-        number = self._met[kind]
-        self._met[kind] = number + 1
-        key = f"{kind}{subject}#{number}"
         choice = self.strategy.choose(kind, key, bound, message)
-        shape = DECISION_SHAPES[kind]
-        if choice < 0 or (bound is not None and choice >= bound):
+        if not 0 <= choice < math.inf or (bound is not None and choice >= bound):
             options = "" if bound is None else f" below {bound}"
             raise ValueError(
                 f"strategy chose {choice!r} at {key}: "
-                f"a {shape} is a non-negative number{options}"
+                f"a {DECISION_SHAPES[kind]} is a finite number >= 0{options}"
             )
-        choice = float(choice) if shape == "delay" else int(choice)
-        self.log.append(Decision._build(kind, key, choice))
+        choice = _STORED_TYPE[kind](choice)
+        self._record(Decision._build(kind, key, choice))
         return choice
 
     # The entry points.  What each kind's choice means and why it is worth
@@ -214,9 +228,8 @@ class ScheduleController:
         clamp, and additive delays already reach every cross-channel
         arrival order.
         """
-        return model_flight + self._decide(
-            "latency", f":{source}->{destination}", None, message
-        )
+        key = f"latency:{source}->{destination}#{self._next_number['latency']()}"
+        return model_flight + self._decide("latency", key, None, message)
 
     def on_rnr_backoff(
         self, origin: int, destination: int, attempt: int, base_backoff: float
@@ -227,21 +240,25 @@ class ScheduleController:
         Stretched, never shrunk: additive delays already reach every
         retransmission/repost order the timing model can express.
         """
-        return base_backoff + self._decide("rnr", f":{origin}->{destination}")
+        key = f"rnr:{origin}->{destination}#{self._next_number['rnr']()}"
+        return base_backoff + self._decide("rnr", key)
 
     def on_credit_grant(self, receiver: int, sender: int) -> float:
         """Extra delay before a credit grant wakes *sender* (``CreditGate``)."""
-        return self._decide("credit", f":{receiver}->{sender}")
+        key = f"credit:{receiver}->{sender}#{self._next_number['credit']()}"
+        return self._decide("credit", key)
 
     def on_cq_timer(self, rank: int, base_usec: float) -> float:
         """One armed CQ moderation timer's controlled delay (stretched only)."""
-        return base_usec + self._decide("cq_timer", f":P{rank}")
+        key = f"cq_timer:P{rank}#{self._next_number['cq_timer']()}"
+        return base_usec + self._decide("cq_timer", key)
 
     def on_clock_resync(
         self, source: int, destination: int, since_resync: int, period: int
     ) -> int:
         """Sparse messages to defer a due adaptive resync by (0: resync now)."""
-        return self._decide("resync", f":{source}->{destination}")
+        key = f"resync:{source}->{destination}#{self._next_number['resync']()}"
+        return self._decide("resync", key)
 
     def on_barrier_release(self, generation: int, remaining: int) -> int:
         """Which of *remaining* barrier waiters is released next (0: arrival order).
@@ -249,7 +266,8 @@ class ScheduleController:
         Called once per pick while more than one waiter remains, so a full
         fan-out of *n* ranks produces ``n - 1`` decisions.
         """
-        return self._decide("barrier", f":g{generation}", remaining)
+        key = f"barrier:g{generation}#{self._next_number['barrier']()}"
+        return self._decide("barrier", key, remaining)
 
     def on_datagram_fate(
         self, message: Message, source: int, destination: int
@@ -260,7 +278,8 @@ class ScheduleController:
         freshly encoded clock frame (the RNR re-ride idiom); a duplicate is
         a second, later arrival the receiver must absorb idempotently.
         """
-        return self._decide("drop", f":{source}->{destination}", 3, message)
+        key = f"drop:{source}->{destination}#{self._next_number['drop']()}"
+        return self._decide("drop", key, 3, message)
 
     def on_datagram_delay(
         self, message: Message, source: int, destination: int
@@ -271,7 +290,8 @@ class ScheduleController:
         which is how sparse clock frames arrive stale and exercise the
         resync path.
         """
-        return self._decide("reorder", f":{source}->{destination}", None, message)
+        key = f"reorder:{source}->{destination}#{self._next_number['reorder']()}"
+        return self._decide("reorder", key, None, message)
 
     # -- same-time scheduling (called by Simulator.step) --------------------------------
 
@@ -292,24 +312,24 @@ class ScheduleController:
             return (message.source, message.destination)
         return None
 
-    def pick_next(self, queue: List[Tuple[float, int, Any]]):
-        """Pop and return the calendar entry to process next.
+    def pick_next(
+        self, first: Tuple[float, int, Any], queue: List[Tuple[float, int, Any]]
+    ) -> Tuple[float, int, Any]:
+        """The calendar entry to process next, at a tie.
 
-        Gathers the ready set (entries tied at the earliest time, up to
+        :meth:`~repro.sim.engine.Simulator.step` calls this only when the
+        entry it popped, *first*, has a successor on *queue* due at the same
+        time.  Gathers the ready set (the entries tied at that time, up to
         :data:`MAX_TIES`), restricts it to *eligible* entries — everything
         except later-posted deliveries on a channel that already has an
         earlier delivery in the set, so per-channel FIFO survives any
-        choice — and lets the strategy pick among those.
+        choice — lets the strategy pick among those, and pushes the rest
+        back.
         """
-        first = heapq.heappop(queue)
         top_time = first[0]
-        if not queue or queue[0][0] != top_time:
-            return first  # nothing else is ready at this time: no choice to make
         ready: List[Tuple[float, int, Any]] = [first]
         while queue and queue[0][0] == top_time and len(ready) < MAX_TIES:
             ready.append(heapq.heappop(queue))
-        if len(ready) == 1:
-            return first
 
         seen_channels = set()
         eligible_positions: List[int] = []
@@ -322,7 +342,8 @@ class ScheduleController:
             eligible_positions.append(position)
 
         if len(eligible_positions) > 1:
-            index = self._decide("tie", "", len(eligible_positions))
+            key = f"tie#{self._next_number['tie']()}"
+            index = self._decide("tie", key, len(eligible_positions))
             chosen_position = eligible_positions[index]
         else:
             chosen_position = eligible_positions[0]

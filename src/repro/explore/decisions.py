@@ -176,13 +176,9 @@ class DecisionLog:
     """
 
     def __init__(self, entries: Optional[List[Optional[Decision]]] = None) -> None:
+        #: Filled by the controller that owns the log, one append per
+        #: resolved choice point; every other use goes through the views.
         self._entries: List[Optional[Decision]] = list(entries or [])
-
-    # -- building -----------------------------------------------------------------
-
-    def append(self, decision: Optional[Decision]) -> None:
-        """Record one resolved choice point (or an explicit default)."""
-        self._entries.append(decision)
 
     # -- views --------------------------------------------------------------------
 

@@ -34,40 +34,44 @@ options finite and replayable.
 from __future__ import annotations
 
 import hashlib
+import operator
 from typing import Dict, List, Optional, Sequence
 
 from repro.explore.controller import ScheduleStrategy, is_reorderable
 from repro.explore.decisions import DECISION_SHAPES, Choice
-from repro.memory.consistency import MemoryAccess
+from repro.memory.consistency import AccessKind, MemoryAccess
 from repro.net.message import Message
 
 
 def schedule_fingerprint(accesses: Sequence[MemoryAccess]) -> str:
     """The schedule's conflict-order equivalence class, as a stable digest.
 
-    For every cell touched by at least one *conflicting pair* (two accesses
-    from different ranks, not both reads — the paper's potential races,
-    Section III-C), take the cell's access sequence in observation order
-    projected to ``(rank, kind)``.  Cells with no possible conflict are
+    For every cell touched by at least one *conflicting pair* — two accesses
+    to the cell, at least one of which writes
+    (:meth:`~repro.memory.consistency.MemoryAccess.conflicts_with`, the
+    paper's potential races, Section III-C) — take the cell's access
+    sequence in observation order projected to ``(rank, kind)``.  The pair's
+    ranks do not matter: a cell only one rank writes and reads is kept too.
+    Cells with no possible conflict — one access, or reads only — are
     dropped: reordering commuting accesses does not change any detector's
     verdict, so schedules differing only there are equivalent.
     """
     by_address: Dict[object, List[MemoryAccess]] = {}
-    for access in sorted(accesses, key=lambda a: (a.time, a.access_id)):
+    for access in sorted(accesses, key=_OBSERVATION_ORDER):
         by_address.setdefault(access.address, []).append(access)
     parts: List[str] = []
     for address in sorted(by_address, key=repr):
         cell_accesses = by_address[address]
-        has_conflict = any(
-            a.conflicts_with(b)
-            for i, a in enumerate(cell_accesses)
-            for b in cell_accesses[i + 1 :]
-        )
-        if not has_conflict:
-            continue
-        order = ",".join(f"{a.rank}:{a.kind.value}" for a in cell_accesses)
+        kinds = [access.kind for access in cell_accesses]
+        if len(kinds) < 2 or kinds.count(AccessKind.READ) == len(kinds):
+            continue  # one access, or reads only: no conflicting pair
+        order = ",".join([f"{a.rank}:{a.kind.value}" for a in cell_accesses])
         parts.append(f"{address!r}:{order}")
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
+
+
+#: The sort key of :func:`schedule_fingerprint`'s observation order.
+_OBSERVATION_ORDER = operator.attrgetter("time", "access_id")
 
 
 class SystematicStrategy(ScheduleStrategy):

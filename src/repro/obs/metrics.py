@@ -47,6 +47,13 @@ BUCKET_LAYOUTS: Dict[str, Tuple[float, ...]] = {
     "bytes": (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0),
 }
 
+#: Per layout, the snapshot label of each bucket (``le_<bound>``, then
+#: ``le_inf`` for the overflow bucket), formatted once per process.
+_BUCKET_LABELS: Dict[str, Tuple[str, ...]] = {
+    layout: tuple([f"le_{bound:g}" for bound in bounds]) + ("le_inf",)
+    for layout, bounds in BUCKET_LAYOUTS.items()
+}
+
 
 #: Canonical form of a label set: ``(key, str(value))`` pairs sorted by key.
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -152,7 +159,9 @@ class Histogram:
     values above the last bound land in the implicit overflow bucket.
     """
 
-    __slots__ = ("name", "labels", "key", "bounds", "bucket_counts", "count", "total")
+    __slots__ = (
+        "name", "labels", "key", "bounds", "bucket_labels", "bucket_counts", "count", "total",
+    )
 
     def __init__(
         self,
@@ -164,6 +173,7 @@ class Histogram:
         self.labels = tuple(labels)
         self.key = _KEY_TEXT[name, self.labels]
         self.bounds: Tuple[float, ...] = BUCKET_LAYOUTS[layout]
+        self.bucket_labels = _BUCKET_LABELS[layout]
         self.bucket_counts: List[int] = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
@@ -207,10 +217,7 @@ class Histogram:
 
     def as_dict(self) -> Dict[str, object]:
         """Deterministic flat summary of this histogram."""
-        buckets: Dict[str, int] = {}
-        for bound, count in zip(self.bounds, self.bucket_counts):
-            buckets[f"le_{bound:g}"] = count
-        buckets["le_inf"] = self.bucket_counts[-1]
+        buckets = dict(zip(self.bucket_labels, self.bucket_counts))
         return {"buckets": buckets, "count": self.count, "sum": self.total}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -10,6 +10,7 @@ and overhead statistics, and the final contents of shared memory.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Union
@@ -270,10 +271,11 @@ class DSMRuntime:
             base = base.with_overrides(**overrides)
         # The runtime owns its configuration: resolved knobs are written to
         # this copy (whose ``nic`` and ``detector`` the NICs and the detector
-        # read), never through to the caller's objects.
-        self.config = replace(
-            base, nic=replace(base.nic), detector=replace(base.detector)
-        )
+        # read), never through to the caller's objects.  Shallow copies: none
+        # of the three classes has a ``__post_init__`` to re-run.
+        self.config = copy.copy(base)
+        self.config.nic = copy.copy(base.nic)
+        self.config.detector = copy.copy(base.detector)
         require_positive(self.config.world_size, "world_size")
 
         self.logger = SimLogger()
@@ -565,7 +567,9 @@ class DSMRuntime:
             final_shared_values=final_shared,
             per_rank_private=per_rank_private,
             knobs=self.knobs(),
-            clock_transport_stats=self.clock_transport_stats().as_dict(),
+            clock_transport_stats=ClockTransportStats.summed(
+                [nic.clock_transport.stats for nic in self.nics]
+            ),
             metrics=self.sim.obs.metrics.snapshot(),
             detection_profile=self.sim.obs.profiler.snapshot(),
         )

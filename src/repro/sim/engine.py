@@ -108,9 +108,9 @@ class Simulator:
 
     def call_at(self, time: float, callback: Callable[[], None], name: Optional[str] = None) -> Event:
         """Run *callback* (a plain callable) at absolute simulated *time*."""
-        if time < self._now:
+        if not time >= self._now:  # also refuses a NaN time
             raise SimulationError(
-                f"cannot schedule callback in the past: {time} < now={self._now}"
+                f"cannot schedule callback at {time}: now={self._now}"
             )
         event = Event(self, name=name or "call_at")
         event.callbacks.append(lambda _ev: callback())
@@ -131,11 +131,14 @@ class Simulator:
 
         The *controller* must provide the whole protocol of
         :class:`~repro.explore.controller.ScheduleController`:
-        ``pick_next(queue)`` (called by :meth:`step` with the live event
-        heap; must pop and return one ``(time, sequence, event)`` entry) and
-        its eight ``on_*`` entry points, which ``net``, ``verbs`` and
-        ``runtime`` call whenever a controller is installed, without probing
-        for the method first.  At most one controller per simulator,
+        ``pick_next(first, queue)`` and its eight ``on_*`` entry points.
+        :meth:`step` pops the earliest ``(time, sequence, event)`` entry
+        itself and calls ``pick_next`` only at a tie — when the live heap's
+        next entry is due at the same time — with the popped entry as
+        *first*; it must return one entry of the tie and leave every other
+        one on the heap.  ``net``, ``verbs`` and ``runtime`` call the
+        ``on_*`` entry points whenever a controller is installed, without
+        probing for the method first.  At most one controller per simulator,
         installed before any event is processed — a schedule is only
         replayable when every choice point was controlled from the start.
         """
@@ -170,10 +173,10 @@ class Simulator:
         queue = self._queue
         if not queue:
             raise SimulationError("step() called on an empty event queue")
-        if self.controller is not None:
-            time, _seq, event = self.controller.pick_next(queue)
-        else:
-            time, _seq, event = heapq.heappop(queue)
+        time, seq, event = heapq.heappop(queue)
+        if self.controller is not None and queue and queue[0][0] == time:
+            # A tie: the one choice point the engine owns.
+            time, seq, event = self.controller.pick_next((time, seq, event), queue)
         if time < self._now:
             raise SimulationError(
                 f"event calendar corrupted: popped t={time} < now={self._now}"

@@ -9,13 +9,36 @@ using NumPy's ``SeedSequence.spawn`` machinery, so
 
 * the same root seed always yields the same per-stream sequences, and
 * adding a new stream never changes existing streams' draws.
+
+A stream's seed sequence is a pure function of ``(root seed, name)``, and a
+campaign builds hundreds of runtimes on one seed, so the derivation is
+memoised process-wide (:func:`_derive_once`).  Two rules keep the memo
+invisible: a registry without a seed draws fresh entropy and never consults
+it, and no run is handed the memo's own sequence — ``Generator.spawn``
+advances the sequence it came from, so every stream starts from a copy.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 from typing import Dict, Optional
 
 import numpy as np
+
+
+def _derive(entropy: int, name: str) -> np.random.SeedSequence:
+    """The seed sequence of stream *name* under root *entropy*.
+
+    The name's code points are the child's spawn key (``map``, not a
+    comprehension: no Python frame on the per-event path's first draw).
+    """
+    return np.random.SeedSequence(entropy=entropy, spawn_key=tuple(map(ord, name)))
+
+
+#: :func:`_derive` for a seeded registry, derived once per process per
+#: ``(seed, name)``.  Callers copy what it returns (see the module docstring).
+_derive_once = functools.lru_cache(maxsize=1024, typed=True)(_derive)
 
 
 class RandomStreams:
@@ -37,18 +60,16 @@ class RandomStreams:
         The generator for a given ``(root seed, name)`` pair is always the
         same sequence, regardless of creation order of other streams.
         """
-        if not isinstance(name, str) or not name:
-            raise TypeError(f"stream name must be a non-empty string, got {name!r}")
-        if name not in self._streams:
-            # Derive a child seed deterministically from (root, name): hash the
-            # name into integers and fold them into a child SeedSequence.
-            name_words = [ord(c) for c in name]
-            child = np.random.SeedSequence(
-                entropy=self._root.entropy if self._root.entropy is not None else 0,
-                spawn_key=tuple(name_words),
-            )
-            self._streams[name] = np.random.default_rng(child)
-        return self._streams[name]
+        stream = self._streams.get(name)
+        if stream is None:
+            if not isinstance(name, str) or not name:
+                raise TypeError(f"stream name must be a non-empty string, got {name!r}")
+            if self._seed is None:
+                child = _derive(self._root.entropy, name)
+            else:
+                child = copy.copy(_derive_once(self._seed, name))
+            stream = self._streams[name] = np.random.default_rng(child)
+        return stream
 
     def uniform(self, name: str, low: float, high: float) -> float:
         """Draw one uniform sample in ``[low, high)`` from stream *name*."""

@@ -42,7 +42,7 @@ def require_non_negative(value: float | int, name: str) -> float | int:
     require_type(value, (int, float), name)
     if isinstance(value, bool):
         raise TypeError(f"{name} must be a number, got bool")
-    if value < 0:
+    if not value >= 0:  # a NaN compares false both ways
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return value
 
@@ -54,7 +54,7 @@ def require_positive(value: float | int, name: str) -> float | int:
     require_type(value, (int, float), name)
     if isinstance(value, bool):
         raise TypeError(f"{name} must be a number, got bool")
-    if value <= 0:
+    if not value > 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
     return value
 

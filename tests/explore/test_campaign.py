@@ -9,14 +9,25 @@ from repro.explore.campaign import CampaignConfig, main, run_campaign
 PATTERNS = ["fig5a-concurrent-puts", "write-after-read-unsync"]
 
 
-def test_sharded_campaign_matches_inline_campaign():
+@pytest.mark.parametrize(
+    "strategy, patterns",
+    [
+        ("systematic", PATTERNS),
+        # The benchmark's strategy, and a pattern that draws a stream per rank:
+        # each worker fills its own process-wide stream memo (``repro.sim.rng``),
+        # the inline run this process's.
+        ("fuzz", PATTERNS + ["unsynchronized-counter"]),
+    ],
+    ids=["systematic", "fuzz"],
+)
+def test_sharded_campaign_matches_inline_campaign(strategy, patterns):
     inline = run_campaign(
-        CampaignConfig(strategy="systematic", budget=4, seed=0, quantum=4.0, workers=0),
-        patterns=PATTERNS,
+        CampaignConfig(strategy=strategy, budget=4, seed=0, quantum=4.0, workers=0),
+        patterns=patterns,
     )
     sharded = run_campaign(
-        CampaignConfig(strategy="systematic", budget=4, seed=0, quantum=4.0, workers=2),
-        patterns=PATTERNS,
+        CampaignConfig(strategy=strategy, budget=4, seed=0, quantum=4.0, workers=2),
+        patterns=patterns,
     )
     inline_dict, sharded_dict = inline.as_dict(), sharded.as_dict()
     # Worker count is orchestration, not an input to any schedule.

@@ -93,8 +93,14 @@ class TestTheStrategyRim:
         "entry, arguments, answer, key",
         [
             ("on_message_latency", (None, 0, 2, 1.0), -0.5, "latency:0->2#0"),
+            # NaN and infinity were logged once, and the log then refused to load.
+            ("on_message_latency", (None, 0, 2, 1.0), math.nan, "latency:0->2#0"),
+            ("on_message_latency", (None, 0, 2, 1.0), math.inf, "latency:0->2#0"),
             ("on_cq_timer", (3, 2.0), -1, "cq_timer:P3#0"),
+            ("on_cq_timer", (3, 2.0), math.nan, "cq_timer:P3#0"),
             ("on_clock_resync", (0, 1, 64, 64), -1, "resync:0->1#0"),
+            ("on_clock_resync", (0, 1, 64, 64), math.inf, "resync:0->1#0"),
+            ("on_clock_resync", (0, 1, 64, 64), math.nan, "resync:0->1#0"),
             ("on_barrier_release", (4, 3), 3, "barrier:g4#0"),
             ("on_barrier_release", (4, 3), -1, "barrier:g4#0"),
             ("on_datagram_fate", (None, 1, 0), 3, "drop:1->0#0"),

@@ -1,0 +1,147 @@
+"""What one campaign schedule pays besides its own events, as exact counts.
+
+A fuzz campaign runs hundreds of short schedules, so whatever a schedule
+redoes although its inputs never change is paid hundreds of times
+(``docs/explore.md``, "What a schedule costs").  This file pins three counts
+of one pattern's first two schedules, exactly as
+:meth:`~repro.explore.runner.Explorer.explore_fuzzed` runs them at seed 0 —
+the uncontrolled baseline, then ``ScheduleFuzzer(seed=1)`` — driven under
+``sys.setprofile``.  The counts repeat exactly for a seed, so the ceiling
+carries no slack for noise: it is the finished change's own reading, and only
+a deliberate addition to a schedule's fixed cost should ever move it.
+
+Readings on ``unsynchronized-counter`` (62 events, 48 decisions in the
+second schedule; parent = the commit before this budget):
+
+============================================================  ========  ==========
+count (the second schedule unless said)                          parent    ceiling
+============================================================  ========  ==========
+(a) ``pick_next`` calls / steps whose successor is due at
+    the same time                                               62 / 12   12 / 12
+(b) stream seed sequences derived, first / second schedule        5 / 5     5 / 0
+(c) Python calls ``run_schedule`` makes outside
+    ``Simulator.run``                                                899       857
+============================================================  ========  ==========
+
+(c) reads 856 by default and 857 under ``REPRO_DETECTOR_EPOCHS=off`` (CI's
+slow-path leg: one more ``os.environ`` frame decodes the variable's value);
+the ceiling is the larger reading.
+
+The parent fails all three: it asked the controller at every step, derived
+every stream of every runtime afresh, and per result built a throwaway
+whole-machine ``ClockTransportStats`` (18 counters).  (c) counts what a
+schedule's fixed part enters — building the runtime, collecting its result,
+the offline detectors, the fingerprint — not its events.  To re-read the
+counts: ``PYTHONPATH=src python -m tests.explore.test_schedule_budget``.
+"""
+
+import gc
+import sys
+
+from repro.explore.controller import PassthroughStrategy, ScheduleController
+from repro.explore.fuzzer import ScheduleFuzzer
+from repro.explore.runner import run_schedule
+from repro.sim import rng
+from repro.sim.engine import Simulator
+from repro.workloads.racy_patterns import pattern_corpus
+
+PATTERN = "unsynchronized-counter"
+
+#: The finished change's reading of (c) (see the table above).
+CALLS_OUTSIDE_THE_RUN_CEILING = 857
+
+
+class _ScheduleCounter:
+    """Counts what the table above names while one schedule runs."""
+
+    def __init__(self) -> None:
+        self.steps = 0
+        self.tied_steps = 0
+        self.pick_next_calls = 0
+        self.derivations = 0
+        self.calls_outside_the_run = 0
+        self._run_code = Simulator.run.__code__
+        self._step_code = Simulator.step.__code__
+        self._pick_next_code = ScheduleController.pick_next.__code__
+        self._derive_code = rng._derive.__code__
+        #: Depth of Python frames below the running ``Simulator.run`` (0 =
+        #: outside it).  ``run`` is not re-entrant, so one integer does.
+        self._depth = 0
+
+    def __call__(self, frame, event, _arg) -> None:
+        if event == "call":
+            code = frame.f_code
+            if code is self._derive_code:
+                self.derivations += 1
+            if self._depth:
+                self._depth += 1
+                if code is self._step_code:
+                    self.steps += 1
+                    # Before ``step`` pops the earliest entry: is another one
+                    # due at the same time?  In a heap, one of the root's
+                    # children is, if any entry is.
+                    queue = frame.f_locals["self"]._queue
+                    self.tied_steps += any(
+                        entry[0] == queue[0][0] for entry in queue[1:3]
+                    )
+                elif code is self._pick_next_code:
+                    self.pick_next_calls += 1
+            elif code is self._run_code:
+                self._depth = 1
+            else:
+                self.calls_outside_the_run += 1
+        elif event == "return" and self._depth:
+            self._depth -= 1
+
+
+def _count(pattern, strategy):
+    counter = _ScheduleCounter()
+    # No collector pass inside: it could run a finalizer left by another test.
+    gc.collect()
+    gc.disable()
+    sys.setprofile(counter)
+    try:
+        outcome = run_schedule(pattern.build, 0, strategy)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return counter, outcome
+
+
+def _readings():
+    """The pattern's first two schedules, the stream memo emptied first."""
+    (pattern,) = [p for p in pattern_corpus() if p.name == PATTERN]
+    rng._derive_once.cache_clear()
+    first = _count(pattern, PassthroughStrategy())
+    second = _count(pattern, ScheduleFuzzer(seed=1))
+    return first, second
+
+
+class TestScheduleBudget:
+    @classmethod
+    def setup_class(cls):
+        (cls.first, _), (cls.counter, cls.outcome) = _readings()
+
+    def test_the_schedule_is_the_one_the_readings_were_taken_on(self):
+        assert self.counter.steps == self.outcome.events_processed == 62
+        assert len(self.outcome.decisions) == 48
+
+    def test_the_controller_is_asked_only_at_a_tie(self):
+        assert self.counter.pick_next_calls == self.counter.tied_steps > 0
+
+    def test_a_patterns_second_schedule_derives_no_stream(self):
+        assert self.first.derivations == 5  # net.latency + one per rank
+        assert self.counter.derivations == 0
+
+    def test_few_calls_outside_the_run(self):
+        assert self.counter.calls_outside_the_run <= CALLS_OUTSIDE_THE_RUN_CEILING
+
+
+if __name__ == "__main__":  # print the readings
+    for label, (counter, outcome) in zip(("first", "second"), _readings()):
+        print(
+            label,
+            {name: value for name, value in vars(counter).items() if not name.startswith("_")},
+            "events", outcome.events_processed,
+            "decisions", len(outcome.decisions),
+        )

@@ -3,8 +3,10 @@
 ``require_rank`` / ``require_non_negative`` / ``require_positive`` return at
 once for the exact-type in-range case and fall through to the original body
 for everything else.  The ``reference_*`` functions below are that original
-body, verbatim from before the fast paths existed; the properties compare
-return value (identity included), exception type and exception text.
+body, verbatim from before the fast paths existed except for one later fix —
+the range test is written ``not value >= 0`` (``> 0``), so a NaN is refused;
+the properties compare return value (identity included), exception type and
+exception text.
 
 ``ClockTransport.mode`` / ``wire_format`` follow the same idiom over
 ``validate_clock_transport`` / ``validate_clock_wire``, which are unchanged
@@ -52,7 +54,7 @@ def reference_non_negative(value, name):
     require_type(value, (int, float), name)
     if isinstance(value, bool):
         raise TypeError(f"{name} must be a number, got bool")
-    if value < 0:
+    if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return value
 
@@ -61,7 +63,7 @@ def reference_positive(value, name):
     require_type(value, (int, float), name)
     if isinstance(value, bool):
         raise TypeError(f"{name} must be a number, got bool")
-    if value <= 0:
+    if not value > 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
     return value
 
@@ -158,9 +160,11 @@ class TestRequireParity:
         with pytest.raises(error):
             function(*args)
 
-    def test_nan_and_negative_zero_pass_as_before(self):
-        assert math.isnan(require_non_negative(math.nan, "x"))
-        assert math.isnan(require_positive(math.nan, "x"))
+    def test_nan_is_refused_and_negative_zero_passes(self):
+        with pytest.raises(ValueError, match="x must be non-negative, got nan"):
+            require_non_negative(math.nan, "x")
+        with pytest.raises(ValueError, match="x must be positive, got nan"):
+            require_positive(math.nan, "x")
         assert math.copysign(1.0, require_non_negative(-0.0, "x")) == -1.0
 
 

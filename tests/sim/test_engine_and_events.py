@@ -408,6 +408,18 @@ class TestDelayGuard:
         assert str(caught.value) == text
         assert sim._queue == [] and sim._sequence == 0
 
+    def test_a_nan_delay_or_time_never_reaches_the_calendar(self):
+        # Admitted, a NaN timeout fired before a 1.0 one and set ``now`` to NaN.
+        sim = Simulator()
+        nan = float("nan")
+        for schedule in (sim.timeout, lambda d: sim.call_after(d, lambda: None)):
+            with pytest.raises(ValueError, match="delay must be non-negative, got nan"):
+                schedule(nan)
+        with pytest.raises(SimulationError, match="cannot schedule callback at nan"):
+            sim.call_at(nan, lambda: None)
+        sim.timeout(1.0)
+        assert sim.run() == 1.0 and sim.events_processed == 1
+
     def test_delays_that_are_not_exact_floats_are_still_admitted(self):
         sim = Simulator()
         for delay in (2, 0, 0.0, np.float64(1.5)):

@@ -1,7 +1,10 @@
 """Unit tests for named reproducible random streams."""
 
+import numpy as np
 import pytest
 
+from repro import DSMRuntime, RuntimeConfig
+from repro.sim import rng
 from repro.sim.rng import RandomStreams
 
 
@@ -130,3 +133,42 @@ class TestUniformIsGeneratorUniform:
         with pytest.raises(ValueError):
             streams.uniform("x", 3.0, 2.0)
         assert streams.uniform("x", 0.0, 1.0) == RandomStreams(3).uniform("x", 0.0, 1.0)
+
+
+class TestTheProcessWideDerivation:
+    """A seeded stream's sequence is derived once per process; no run can tell."""
+
+    @staticmethod
+    def from_scratch(seed, name):
+        """The derivation as written before the memo: no cache, no copy."""
+        child = np.random.SeedSequence(entropy=seed, spawn_key=tuple(ord(c) for c in name))
+        return np.random.default_rng(child)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**70])
+    def test_a_derived_stream_draws_what_a_fresh_derivation_draws(self, seed):
+        rng._derive_once.cache_clear()
+        for _ in range(2):  # a miss, then a hit
+            drawn = RandomStreams(seed).stream("net.latency").random(8)
+            assert drawn.tolist() == self.from_scratch(seed, "net.latency").random(8).tolist()
+        assert rng._derive_once.cache_info().misses == 1
+
+    def test_unseeded_runtimes_draw_different_latencies(self):
+        def latencies():
+            runtime = DSMRuntime(RuntimeConfig(world_size=2, seed=None, latency="uniform"))
+            return [runtime.sim.rng.uniform("net.latency", 0.5, 1.5) for _ in range(4)]
+
+        before = rng._derive_once.cache_info()
+        assert latencies() != latencies()
+        after = rng._derive_once.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_a_spawn_in_one_runtime_does_not_reach_the_next(self):
+        # ``Generator.spawn`` advances the sequence it came from: were the
+        # memo's sequence handed out, the second runtime's child would differ.
+        def spawned_draws():
+            runtime = DSMRuntime(RuntimeConfig(world_size=2, seed=7))
+            (child,) = runtime.api(0).random_stream("pattern.spawned").spawn(1)
+            return child.random(3).tolist()
+
+        first = spawned_draws()
+        assert spawned_draws() == first

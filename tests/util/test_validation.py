@@ -1,5 +1,7 @@
 """Unit tests for the argument-validation helpers."""
 
+import math
+
 import pytest
 
 from repro.util.validation import (
@@ -49,6 +51,15 @@ class TestNumericValidators:
     def test_non_negative_rejects_bool(self):
         with pytest.raises(TypeError):
             require_non_negative(True, "n")
+
+    def test_non_negative_rejects_nan(self):
+        # ``nan < 0`` is false: only ``not nan >= 0`` refuses it.
+        with pytest.raises(ValueError, match="n must be non-negative, got nan"):
+            require_non_negative(math.nan, "n")
+
+    def test_positive_rejects_nan(self):
+        with pytest.raises(ValueError, match="n must be positive, got nan"):
+            require_positive(math.nan, "n")
 
     def test_positive_rejects_zero(self):
         with pytest.raises(ValueError):
