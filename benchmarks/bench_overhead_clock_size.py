@@ -5,7 +5,9 @@ per-datum storage of the detector is ``2·n`` entries (access clock + write
 clock) and cannot be reduced.  The benchmark measures the clock entries a real
 run allocates for several world sizes and checks the analytical model:
 linear growth in ``n`` per shared datum and a 2x ratio over a single-clock
-scheme.
+scheme.  It records the model's ``n³`` of process matrices (the paper's
+``V_Pi``) beside the measured count, which holds one vector of ``n`` per
+process.
 """
 
 from conftest import record
@@ -43,6 +45,7 @@ def test_clock_storage_grows_with_world_size(benchmark):
         world_sizes=list(WORLD_SIZES),
         measured_entries=entries,
         per_datum_entries=[m.entries_per_datum_dual for m in models],
+        model_process_matrix_entries=[m.process_matrix_entries for m in models],
     )
 
 

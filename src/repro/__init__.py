@@ -30,7 +30,6 @@ Quick start::
 from repro.core import (
     DetectorConfig,
     DualClockRaceDetector,
-    MatrixClock,
     RaceRecord,
     RaceReport,
     SignalPolicy,
@@ -59,7 +58,6 @@ __version__ = "1.0.0"
 __all__ = [
     "DetectorConfig",
     "DualClockRaceDetector",
-    "MatrixClock",
     "RaceRecord",
     "RaceReport",
     "SignalPolicy",

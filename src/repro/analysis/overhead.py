@@ -5,9 +5,12 @@ them on actual runs so benchmark E8/E11 can print them:
 
 * **Clock size** (Section IV-C): vector clocks cannot have fewer than ``n``
   entries [Charron-Bost], so per shared datum the dual-clock scheme stores
-  ``2·n`` entries, and each process keeps an ``n×n`` matrix clock —
-  :func:`clock_storage_model` gives the closed form,
-  :class:`OverheadComparison` reports what a run actually allocated.
+  ``2·n`` entries, and each of the paper's processes keeps an ``n×n`` matrix
+  clock ``V_Pi`` — :func:`clock_storage_model` gives the closed form
+  (``process_matrix_entries`` is that ``n³``), :class:`OverheadComparison`
+  reports what a run actually holds.  A run holds ``n`` entries per process,
+  the principal row of ``V_Pi``: no verdict reads the other rows, so they are
+  modelled here and not held (:mod:`repro.core.clocks`).
 * **Message overhead** (Section V-A): the clock fetch/update traffic per
   instrumented remote access, plus the growth of every data message by the
   piggybacked clock bytes.

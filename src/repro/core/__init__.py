@@ -2,9 +2,8 @@
 
 This package implements Section IV of the paper:
 
-* :mod:`repro.core.clocks` — vector clocks and the
-  matrix clocks the paper's processes maintain (``V_Pi`` with the local
-  component ``V_Pi[i, i]``);
+* :mod:`repro.core.clocks` — vector clocks; a process holds the principal
+  row of the paper's clock matrix ``V_Pi``, the one row a verdict reads;
 * :mod:`repro.core.comparator` — the clock-comparison and merge primitives
   (``compare_clocks``, Algorithm 3; ``max_clock``, Algorithm 4) and the
   happens-before / concurrency relations of Mattern's theorem (Lemma 1);
@@ -16,7 +15,7 @@ This package implements Section IV of the paper:
   and updating them with Algorithm 5.
 """
 
-from repro.core.clocks import VectorClock, MatrixClock
+from repro.core.clocks import VectorClock
 from repro.core.comparator import (
     ClockOrdering,
     compare_clocks,
@@ -35,7 +34,6 @@ from repro.core.detector import (
 
 __all__ = [
     "VectorClock",
-    "MatrixClock",
     "ClockOrdering",
     "compare_clocks",
     "compare_clocks_strict",

@@ -1,4 +1,4 @@
-"""Logical clocks: vector clocks and matrix clocks.
+"""Logical clocks: vector clocks.
 
 The race-detection algorithm of the paper rests entirely on logical time:
 
@@ -11,6 +11,14 @@ The race-detection algorithm of the paper rests entirely on logical time:
   ``P_i``'s latest knowledge of ``P_j``'s vector clock — and increment the
   diagonal entry ``V_Pi[i, i]`` before every event (Section IV-B).
 
+A process here holds only the principal row ``i`` of ``V_Pi``, as one
+:class:`VectorClock`: every check, join and epoch probe reads that row and
+no verdict reads another.  The other ``n - 1`` rows are modelled, not held
+(:class:`repro.analysis.overhead.ClockStorageModel` keeps the paper's ``n³``);
+their one classic use, garbage-collecting datum clocks below the column-wise
+minimum, is unsound here because a posted access lands carrying a post-time
+snapshot that may be older than that minimum.
+
 Clock entries are stored as NumPy ``int64`` arrays: merges (component-wise
 max, Algorithm 4) and comparisons are then single vectorized operations, which
 matters because the detector performs one merge and up to two comparisons per
@@ -20,9 +28,9 @@ Validation boundary (docs/architecture.md): public constructors and methods
 validate every rank and foreign :data:`ClockLike`; arrays this module produced
 itself are wrapped by the private :func:`_adopt` unchecked, so every clock
 value handed out costs exactly one array copy.  The underscore names
-(:func:`_adopt`, ``VectorClock._entries``, ``MatrixClock._principal`` /
-``_absorb``) are for ``repro``'s own detectors, which index with ranks they
-validated on entry and read a snapshot only when someone asked for one.
+(:func:`_adopt`, ``VectorClock._entries``) are for ``repro``'s own detectors,
+which index with ranks they validated on entry and read a snapshot only when
+someone asked for one.
 
 Charron-Bost's lower bound (Section IV-C of the paper) says vector clocks for
 ``n`` processes need at least ``n`` entries; :attr:`VectorClock.size` is that
@@ -31,7 +39,7 @@ Charron-Bost's lower bound (Section IV-C of the paper) says vector clocks for
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -247,125 +255,3 @@ class VectorClock:
         if self.size <= 10 and self._entries.max() < 10:
             return "".join(map(str, self._entries.tolist()))
         return repr(self)
-
-
-class MatrixClock:
-    """The per-process clock matrix ``V_Pi`` of the paper (Section IV-B).
-
-    Row ``j`` holds ``P_i``'s latest knowledge of ``P_j``'s vector clock; the
-    diagonal entry ``[i, i]`` is ``P_i``'s own event counter and is the value
-    incremented by ``update_local_clock``.  The *principal row* ``row(i)`` is
-    the vector clock actually attached to events and compared by the detector.
-    """
-
-    __slots__ = ("_rank", "_matrix", "_principal")
-
-    def __init__(self, rank: int, size: int) -> None:
-        require_positive(size, "size")
-        require_rank(rank, size, "rank")
-        self._attach(rank, np.zeros((size, size), dtype=np.int64))
-
-    def _attach(self, rank: int, matrix: np.ndarray) -> None:
-        """Take *matrix* as the state; the one place the row view is bound."""
-        self._rank = rank
-        self._matrix = matrix
-        #: A *view* of row ``rank``: the detectors tick and merge through it
-        #: without re-indexing the matrix.  Never handed out — every public
-        #: method returns a copy.
-        self._principal = matrix[rank]
-
-    def __getstate__(self) -> Tuple[int, np.ndarray]:
-        return self._rank, self._matrix
-
-    def __setstate__(self, state: Tuple[int, np.ndarray]) -> None:
-        # Pickling or deep-copying the slots one by one would detach the
-        # view from the matrix; rebind it to the restored one.
-        self._attach(*state)
-
-    @property
-    def rank(self) -> int:
-        """The owning process."""
-        return self._rank
-
-    @property
-    def size(self) -> int:
-        """Number of processes ``n`` (the matrix is ``n × n``)."""
-        return int(self._matrix.shape[0])
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """A copy of the full matrix."""
-        return self._matrix.copy()
-
-    def local_component(self) -> int:
-        """The diagonal entry ``V_Pi[i, i]``."""
-        return self._principal.item(self._rank)
-
-    def row(self, rank: Optional[int] = None) -> VectorClock:
-        """Return row *rank* (default: the principal row) as a vector clock."""
-        rank = self._rank if rank is None else rank
-        require_rank(rank, self.size, "rank")
-        return _adopt(self._matrix[rank].copy())
-
-    def principal(self) -> VectorClock:
-        """The owning process's own vector clock (row ``i``)."""
-        return _adopt(self._principal.copy())
-
-    def tick(self) -> VectorClock:
-        """``update_local_clock``: increment ``V_Pi[i, i]`` before an event.
-
-        Returns a copy of the principal row *after* the increment, which is the
-        clock value attached to the event (Algorithms 1 and 2).
-        """
-        self._principal[self._rank] += 1
-        return self.principal()
-
-    def _absorb(self, entries: np.ndarray, source_rank: Optional[int] = None) -> None:
-        """:meth:`observe_vector` for a trusted same-size ``int64`` array and a
-        validated *source_rank*, without the snapshot."""
-        principal = self._principal
-        np.maximum(principal, entries, out=principal)
-        if source_rank is not None:
-            row = self._matrix[source_rank]
-            np.maximum(row, entries, out=row)
-
-    def observe_vector(self, other: ClockLike, source_rank: Optional[int] = None) -> VectorClock:
-        """Merge a received vector clock into the principal row (Algorithm 4).
-
-        When *source_rank* is given, the corresponding row is also raised to
-        the received vector, recording what that process knew — this is the
-        matrix-clock refinement of [17] mentioned in the paper.
-        """
-        if not isinstance(other, VectorClock):
-            other = VectorClock(other)
-        other_entries = other._entries  # read only: no copy needed
-        if other_entries.shape != (self.size,):
-            raise ValueError(
-                f"clock size mismatch: expected {self.size}, got {other_entries.size}"
-            )
-        if source_rank is not None:
-            require_rank(source_rank, self.size, "source_rank")
-        self._absorb(other_entries, source_rank)
-        return self.principal()
-
-    def known_lower_bound(self) -> VectorClock:
-        """Column-wise minimum over rows: events known to be known by everyone.
-
-        This is the classic matrix-clock garbage-collection bound; it is not
-        needed by the detection algorithm itself but is exposed for the
-        analysis package and future-work experiments.
-        """
-        return _adopt(self._matrix.min(axis=0))
-
-    def storage_entries(self) -> int:
-        """Number of integer entries held (``n²``), for overhead accounting."""
-        return int(self._matrix.size)
-
-    def copy(self) -> "MatrixClock":
-        """Return an independent copy."""
-        clone = _new(MatrixClock)
-        clone._attach(self._rank, self._matrix.copy())
-        return clone
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<MatrixClock P{self._rank} {self.size}x{self.size} diag={self.local_component()}>"

@@ -7,11 +7,13 @@ public memory next to the data (``MemoryCell.access_clock`` /
 * ``V(x)`` — the *general-purpose clock*, advanced by every access to ``x``;
 * ``W(x)`` — the *write clock*, advanced only by writes to ``x``.
 
-Every process ``P_i`` maintains a matrix clock ``V_Pi`` and increments its
-local component before each event (``update_local_clock``).  When a remote
-operation reaches the datum (under the NIC lock, so the detection mechanism
-itself cannot race — paper, end of Section IV-B), the detector compares the
-event's clock with the datum's clock:
+Every process ``P_i`` maintains the principal row of the paper's clock matrix
+``V_Pi`` — its own vector clock, the one row a verdict reads (see
+:mod:`repro.core.clocks`) — and increments its local component before each
+event (``update_local_clock``).  When a remote operation reaches the datum
+(under the NIC lock, so the detection mechanism itself cannot race — paper,
+end of Section IV-B), the detector compares the event's clock with the
+datum's clock:
 
 * a **write** (``put``) is compared against the datum's access clock ``V(x)``
   by default — a write races with *any* unordered earlier access;
@@ -59,7 +61,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.clocks import Epoch, MatrixClock, VectorClock, _adopt
+from repro.core.clocks import Epoch, VectorClock, _adopt
 from repro.core.comparator import compare_clocks, compare_clocks_strict
 from repro.core.races import RaceRecord, RaceReport, SignalPolicy
 from repro.memory.address import GlobalAddress
@@ -341,9 +343,9 @@ class DualClockRaceDetector:
         self.config = config if config is not None else DetectorConfig()
         # Note: RaceReport is falsy while empty, so test for None explicitly.
         self.report = report if report is not None else RaceReport(SignalPolicy.COLLECT)
-        self._process_clocks: Dict[int, MatrixClock] = {
-            rank: MatrixClock(rank, world_size) for rank in range(world_size)
-        }
+        self._process_clocks: List[VectorClock] = [
+            _adopt(np.zeros(world_size, dtype=np.int64)) for _ in range(world_size)
+        ]
         # Per-datum clock covering only the *plain* (non-RMW) accesses; built
         # lazily and only consulted when ``treat_rmw_pairs_as_ordered`` is on.
         self._plain_clocks: Dict[GlobalAddress, VectorClock] = {}
@@ -374,18 +376,18 @@ class DualClockRaceDetector:
         """Number of processes the clocks cover."""
         return self._world_size
 
-    def process_clock(self, rank: int) -> MatrixClock:
-        """The matrix clock maintained by *rank*."""
+    def process_clock(self, rank: int) -> VectorClock:
+        """*rank*'s live vector clock (the principal row of the paper's ``V_Pi``)."""
         require_rank(rank, self._world_size, "rank")
         return self._process_clocks[rank]
 
     def current_clock(self, rank: int) -> VectorClock:
-        """A copy of *rank*'s current principal vector clock."""
-        return self.process_clock(rank).principal()
+        """A copy of *rank*'s current vector clock."""
+        return self.process_clock(rank).copy()
 
     def local_event(self, rank: int) -> VectorClock:
         """``update_local_clock``: tick *rank* for a purely local event."""
-        return self.process_clock(rank).tick()
+        return self.process_clock(rank).tick(rank).copy()
 
     def transfer_clock(self, from_rank: int, to_rank: int) -> VectorClock:
         """Merge *from_rank*'s clock into *to_rank*'s (explicit synchronization).
@@ -394,14 +396,11 @@ class DualClockRaceDetector:
         notifications): any explicit synchronization creates a happens-before
         edge, which is what makes subsequent accesses ordered.
         """
-        snapshot = self.current_clock(from_rank)
-        return self.process_clock(to_rank).observe_vector(snapshot, source_rank=from_rank)
+        source = self.process_clock(from_rank)
+        return self.process_clock(to_rank).merge_in_place(source).copy()
 
     def on_recv_complete(
-        self,
-        receiver: int,
-        sender: int,
-        carried_clock: Optional[VectorClock] = None,
+        self, receiver: int, carried_clock: Optional[VectorClock] = None
     ) -> Optional[VectorClock]:
         """Retiring a receive completion: the happens-before of message passing.
 
@@ -429,15 +428,10 @@ class DualClockRaceDetector:
         """
         if not self.config.enabled or carried_clock is None:
             return None
-        return self.process_clock(receiver).observe_vector(
-            carried_clock, source_rank=sender
-        )
+        return self.process_clock(receiver).merge_in_place(carried_clock).copy()
 
     def on_completion_retired(
-        self,
-        origin: int,
-        target_rank: int,
-        carried_clock: Optional[VectorClock] = None,
+        self, origin: int, carried_clock: Optional[VectorClock] = None
     ) -> Optional[VectorClock]:
         """Retiring a one-sided work completion: the initiator learns the datum.
 
@@ -457,9 +451,7 @@ class DualClockRaceDetector:
         """
         if not self.config.enabled or carried_clock is None:
             return None
-        return self.process_clock(origin).observe_vector(
-            carried_clock, source_rank=target_rank
-        )
+        return self.process_clock(origin).merge_in_place(carried_clock).copy()
 
     # -- bookkeeping helpers ------------------------------------------------------
 
@@ -501,7 +493,7 @@ class DualClockRaceDetector:
         Everything the kernel indexes afterwards — ``_process_clocks`` by
         the origin and by the datum's owner, clock entries by either, epoch
         ranks derived from them — is covered here, so the lookups below are
-        unchecked (``ndarray.item``, ``MatrixClock._principal``).
+        unchecked (``ndarray.item``, ``VectorClock._entries``).
         """
         require_rank(origin, self._world_size, "origin")
         require_rank(address.rank, self._world_size, "address.rank")
@@ -768,7 +760,7 @@ class DualClockRaceDetector:
 
         live = carried_clock is None
         if live:
-            event = self._process_clocks[origin]._principal
+            event = self._process_clocks[origin]._entries
             component = event.item(origin) + 1
             event[origin] = component
         else:
@@ -905,7 +897,7 @@ class DualClockRaceDetector:
             # datum clocks record that reception event.  Posted operations
             # keep it: the tick is what a later unwaited same-origin access
             # cannot know about, making the async race detectable.
-            owner_view = self._process_clocks[owner]._principal
+            owner_view = self._process_clocks[owner]._entries
             _maximum(owner_view, event, out=owner_view)
             owner_component = owner_view.item(owner) + 1
             owner_view[owner] = owner_component
@@ -1045,13 +1037,15 @@ class DualClockRaceDetector:
         return self._clock_bytes_on_wire
 
     def clock_storage_entries(self) -> int:
-        """Vector-clock entries held in the process matrix clocks (``n²`` each).
+        """Vector-clock entries the detector holds: ``n`` per process clock.
 
         Includes the per-datum plain-access clocks maintained when
         ``treat_rmw_pairs_as_ordered`` is enabled (``n`` entries per touched
         cell), so the overhead accounting reflects that configuration's cost.
+        The paper's ``n × n`` matrices are modelled, not held
+        (:class:`repro.analysis.overhead.ClockStorageModel`).
         """
-        return sum(c.storage_entries() for c in self._process_clocks.values()) + sum(
+        return sum(c.size for c in self._process_clocks) + sum(
             c.size for c in self._plain_clocks.values()
         )
 

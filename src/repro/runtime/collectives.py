@@ -114,7 +114,7 @@ class Barrier:
         yield release
         # Every participant leaves knowing everything every participant knew.
         if self._detector is not None and self._merged is not None:
-            self._detector.process_clock(rank).observe_vector(self._merged)
+            self._detector.process_clock(rank).merge_in_place(self._merged)
         # The fan-in span: from this rank's arrival to its release — the
         # straggler's span is ~zero, the first arrival's spans the longest.
         # The opener args name the true fan-in edge: wait time before the

@@ -198,17 +198,14 @@ class TraceReplayer:
                     VectorClock.from_entries(sync.clock)
                 )
             return
-        if sync.kind == "wr_retire":
+        if sync.kind in ("wr_retire", "recv_complete"):
             if len(sync.participants) != 2 or sync.clock is None:
                 return
-            origin, target = sync.participants
-            if not (0 <= origin < detector.world_size):
-                return
-            detector.on_completion_retired(
-                origin,
-                target if 0 <= target < detector.world_size else origin,
-                VectorClock.from_entries(sync.clock),
-            )
+            retiring = sync.participants[0]
+            if 0 <= retiring < detector.world_size:
+                detector.process_clock(retiring).merge_in_place(
+                    VectorClock.from_entries(sync.clock)
+                )
             return
         if sync.kind == "transfer":
             if len(sync.participants) != 2:
@@ -225,17 +222,6 @@ class TraceReplayer:
             if transfer_clocks is not None:
                 transfer_clocks[(sender, receiver)] = snapshot
             return
-        if sync.kind == "recv_complete":
-            if len(sync.participants) != 2 or sync.clock is None:
-                return
-            receiver, sender = sync.participants
-            if not (0 <= receiver < detector.world_size):
-                return
-            detector.process_clock(receiver).observe_vector(
-                VectorClock.from_entries(sync.clock),
-                source_rank=sender if 0 <= sender < detector.world_size else None,
-            )
-            return
         if sync.kind not in ("barrier", "join", "notify"):
             # Unknown kinds from newer trace producers are skipped rather
             # than misread as a symmetric barrier: replay exactness demands
@@ -244,8 +230,8 @@ class TraceReplayer:
         if len(participants) < 2:
             return
         clocks = [detector.process_clock(rank) for rank in participants]
-        merged = clocks[0].principal()
+        merged = clocks[0].copy()
         for clock in clocks[1:]:
-            merged.merge_in_place(clock.principal())
+            merged.merge_in_place(clock)
         for clock in clocks:
-            clock._absorb(merged._entries)
+            clock.merge_in_place(merged)

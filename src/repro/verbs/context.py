@@ -355,7 +355,7 @@ class VerbsContext:
     def _on_recv_retired(self, completion: WorkCompletion) -> None:
         detector = self.nic.detector
         if detector is not None and detector.config.enabled:
-            detector.on_recv_complete(self.rank, completion.peer, completion.sync_clock)
+            detector.on_recv_complete(self.rank, completion.sync_clock)
         if self.nic.recorder is not None:
             self.nic.recorder.record_transfer(
                 self.rank,
@@ -669,9 +669,7 @@ class VerbsContext:
         if transport.piggyback and completion.sync_seq <= last:
             transport.note_join(performed=False)
             return
-        detector.on_completion_retired(
-            self.rank, completion.peer, completion.sync_clock
-        )
+        detector.on_completion_retired(self.rank, completion.sync_clock)
         self._joined_seq[completion.peer] = max(last, completion.sync_seq)
         transport.note_join(performed=True)
         if self.nic.recorder is not None:

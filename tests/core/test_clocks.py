@@ -1,9 +1,9 @@
-"""Unit tests for vector and matrix clocks."""
+"""Unit tests for vector clocks."""
 
 import numpy as np
 import pytest
 
-from repro.core.clocks import MatrixClock, VectorClock
+from repro.core.clocks import VectorClock
 
 
 class TestVectorClockConstruction:
@@ -158,80 +158,3 @@ class TestVectorClockOrdering:
     def test_str_falls_back_to_repr_beyond_ten_processes(self):
         clock = VectorClock.zeros(11)
         assert str(clock) == repr(clock)
-
-
-class TestMatrixClock:
-    def test_initially_zero(self):
-        clock = MatrixClock(rank=1, size=3)
-        assert clock.local_component() == 0
-        assert clock.principal().total() == 0
-
-    def test_tick_increments_diagonal_and_returns_principal(self):
-        clock = MatrixClock(rank=2, size=3)
-        view = clock.tick()
-        assert view.entries.tolist() == [0, 0, 1]
-        assert clock.local_component() == 1
-
-    def test_observe_vector_merges_principal_row(self):
-        clock = MatrixClock(rank=0, size=3)
-        clock.tick()
-        clock.observe_vector([0, 5, 2])
-        assert clock.principal().entries.tolist() == [1, 5, 2]
-
-    def test_observe_vector_records_source_row(self):
-        clock = MatrixClock(rank=0, size=3)
-        clock.observe_vector([0, 4, 0], source_rank=1)
-        assert clock.row(1).entries.tolist() == [0, 4, 0]
-
-    @pytest.mark.parametrize(
-        "bad, error",
-        [([-5, 0, 0], ValueError), ([1.9, 0, 0], TypeError), (["1", "0", "0"], TypeError)],
-    )
-    def test_observe_vector_validates_foreign_sequences(self, bad, error):
-        clock = MatrixClock(rank=0, size=3)
-        clock.tick()
-        with pytest.raises(error):
-            clock.observe_vector(bad)
-        with pytest.raises(error):
-            clock.observe_vector(bad, source_rank=1)
-        assert clock.matrix.tolist() == [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
-
-    def test_observe_vector_does_not_keep_or_touch_its_argument(self):
-        clock = MatrixClock(rank=0, size=3)
-        received = VectorClock.from_entries([0, 4, 2])
-        view = clock.observe_vector(received, source_rank=1)
-        assert received.frozen() == (0, 4, 2)
-        received.tick(2)
-        view.tick(0)
-        assert clock.principal().frozen() == (0, 4, 2)
-        assert clock.row(1).frozen() == (0, 4, 2)
-
-    def test_observe_vector_rejects_bad_source_before_merging(self):
-        clock = MatrixClock(rank=0, size=3)
-        with pytest.raises(ValueError):
-            clock.observe_vector([0, 4, 2], source_rank=3)
-        assert clock.matrix.tolist() == [[0, 0, 0]] * 3
-
-    def test_observe_rejects_wrong_size(self):
-        with pytest.raises(ValueError):
-            MatrixClock(0, 3).observe_vector([1, 2])
-
-    def test_known_lower_bound_is_columnwise_min(self):
-        clock = MatrixClock(rank=0, size=2)
-        clock.observe_vector([3, 1])
-        clock.observe_vector([2, 4], source_rank=1)
-        # rows: [3,4] (principal after merges) and [2,4]
-        assert clock.known_lower_bound().entries.tolist() == [2, 4]
-
-    def test_storage_entries_is_n_squared(self):
-        assert MatrixClock(0, 5).storage_entries() == 25
-
-    def test_copy_is_independent(self):
-        clock = MatrixClock(0, 2)
-        clone = clock.copy()
-        clock.tick()
-        assert clone.local_component() == 0
-
-    def test_rank_must_be_valid(self):
-        with pytest.raises(ValueError):
-            MatrixClock(rank=3, size=3)

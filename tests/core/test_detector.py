@@ -1,5 +1,7 @@
 """Unit tests for the dual-clock race detector (Algorithms 1, 2, 5)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core.detector import (
@@ -173,6 +175,117 @@ class TestClockMaintenance:
         assert reader_clock.component(0) >= 1
 
 
+class TestProcessClock:
+    """Each rank's process clock is one live ``VectorClock`` of ``n`` entries."""
+
+    def test_initially_zero(self):
+        detector = make_detector()
+        for rank in range(3):
+            assert detector.process_clock(rank).frozen() == (0, 0, 0)
+
+    def test_local_event_ticks_own_component_and_returns_the_clock(self):
+        detector = make_detector()
+        ticked = detector.local_event(2)
+        assert ticked.frozen() == (0, 0, 1)
+        assert detector.process_clock(2).frozen() == (0, 0, 1)
+
+    def test_process_clock_is_the_live_clock(self):
+        detector = make_detector()
+        live = detector.process_clock(1)
+        assert detector.process_clock(1) is live
+        live.merge_in_place([2, 0, 3])
+        assert detector.current_clock(1).frozen() == (2, 0, 3)
+
+    def test_on_recv_complete_merges_the_carried_clock(self):
+        detector = make_detector()
+        detector.local_event(0)
+        merged = detector.on_recv_complete(0, VectorClock.from_entries([0, 5, 2]))
+        assert merged.frozen() == (1, 5, 2)
+        assert detector.current_clock(0).frozen() == (1, 5, 2)
+
+    def test_on_completion_retired_merges_the_carried_clock(self):
+        detector = make_detector()
+        detector.local_event(1)
+        merged = detector.on_completion_retired(1, VectorClock.from_entries([4, 0, 1]))
+        assert merged.frozen() == (4, 1, 1)
+        assert detector.current_clock(1).frozen() == (4, 1, 1)
+
+    def test_transfer_clock_merges_source_into_target_only(self):
+        detector = make_detector()
+        detector.local_event(0)
+        detector.local_event(1)
+        assert detector.transfer_clock(0, 1).frozen() == (1, 1, 0)
+        assert detector.current_clock(0).frozen() == (1, 0, 0)
+
+    def test_merges_without_a_carried_clock_change_nothing(self):
+        detector = make_detector()
+        detector.local_event(0)
+        assert detector.on_recv_complete(0) is None
+        assert detector.on_completion_retired(0, None) is None
+        assert detector.current_clock(0).frozen() == (1, 0, 0)
+
+    def test_merges_are_skipped_when_detection_is_disabled(self):
+        detector = make_detector(enabled=False)
+        carried = VectorClock.from_entries([3, 3, 3])
+        assert detector.on_recv_complete(0, carried) is None
+        assert detector.on_completion_retired(0, carried) is None
+        assert detector.current_clock(0).total() == 0
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [([-5, 0, 0], ValueError), ([1.9, 0, 0], TypeError), (["1", "0", "0"], TypeError)],
+    )
+    def test_merges_validate_foreign_sequences(self, bad, error):
+        detector = make_detector()
+        detector.local_event(0)
+        for merge in (detector.on_recv_complete, detector.on_completion_retired):
+            with pytest.raises(error):
+                merge(0, bad)
+        assert detector.current_clock(0).frozen() == (1, 0, 0)
+
+    def test_merge_does_not_keep_or_touch_its_argument(self):
+        detector = make_detector()
+        received = VectorClock.from_entries([0, 4, 2])
+        returned = detector.on_recv_complete(0, received)
+        assert received.frozen() == (0, 4, 2)
+        received.tick(2)
+        returned.tick(0)
+        assert detector.current_clock(0).frozen() == (0, 4, 2)
+
+    def test_merge_rejects_wrong_size(self):
+        detector = make_detector()
+        with pytest.raises(ValueError):
+            detector.on_recv_complete(0, VectorClock.from_entries([1, 2]))
+        with pytest.raises(ValueError):
+            detector.on_completion_retired(0, VectorClock.from_entries([1, 2, 3, 4]))
+        assert detector.current_clock(0).total() == 0
+
+    def test_process_clocks_are_independent(self):
+        detector = make_detector()
+        detector.local_event(0)
+        detector.on_recv_complete(1, VectorClock.from_entries([0, 2, 0]))
+        assert detector.current_clock(0).frozen() == (1, 0, 0)
+        assert detector.current_clock(1).frozen() == (0, 2, 0)
+        assert detector.current_clock(2).frozen() == (0, 0, 0)
+
+    def test_current_clock_is_independent(self):
+        detector = make_detector()
+        snapshot = detector.current_clock(0)
+        detector.local_event(0)
+        assert snapshot.total() == 0
+
+    def test_merge_ranks_must_be_valid(self):
+        detector = make_detector()
+        carried = VectorClock.from_entries([1, 1, 1])
+        with pytest.raises(ValueError):
+            detector.on_recv_complete(3, carried)
+        with pytest.raises(ValueError):
+            detector.on_completion_retired(-1, carried)
+        with pytest.raises(ValueError):
+            detector.transfer_clock(0, 3)
+        assert all(detector.current_clock(rank).total() == 0 for rank in range(3))
+
+
 class TestConfigurationVariants:
     def test_disabled_detector_does_nothing(self):
         detector = make_detector(enabled=False)
@@ -256,9 +369,26 @@ class TestOverheadAccounting:
         assert detector.control_messages == 2 * detector.config.control_messages_per_check
         assert detector.clock_bytes_on_wire > 0
 
-    def test_clock_storage_is_n_cubed_for_matrix_clocks(self):
+    def test_clock_storage_is_one_vector_per_process(self):
         detector = make_detector(world_size=4)
-        assert detector.clock_storage_entries() == 4 * 4 * 4
+        assert detector.clock_storage_entries() == 4 * 4
+
+    def test_a_large_world_allocates_vectors_not_matrices(self):
+        # An n × n matrix per process would be 256 × 512 KiB = 128 MiB here.
+        tracemalloc.start()
+        try:
+            detector = DualClockRaceDetector(256)
+            allocated, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert allocated < 2 * 1024 * 1024
+        assert detector.clock_storage_entries() == 256 * 256
+
+    def test_clock_storage_adds_a_vector_per_plain_clocked_cell(self):
+        detector = make_detector(world_size=4, treat_rmw_pairs_as_ordered=True)
+        detector.on_write(0, addr(offset=0), MemoryCell())
+        detector.on_write(0, addr(offset=1), MemoryCell())
+        assert detector.clock_storage_entries() == 4 * 4 + 2 * 4
 
     def test_invalid_rank_rejected(self):
         detector = make_detector()

@@ -331,8 +331,8 @@ class CheckStream:
                     ]
                     for address, cell in sorted(self._cells.items())
                 },
-                "matrices": [
-                    detector.process_clock(rank).matrix.tolist()
+                "process_clocks": [
+                    list(detector.current_clock(rank).frozen())
                     for rank in range(detector.world_size)
                 ],
                 "profile": detector.profiler.snapshot(),
@@ -340,7 +340,7 @@ class CheckStream:
                 "checks_performed": detector.checks_performed,
                 "control_messages": detector.control_messages,
                 "clock_bytes_on_wire": detector.clock_bytes_on_wire,
-                "clock_storage_entries": detector.clock_storage_entries(),
+                "plain_clock_entries": sum(clock.size for clock in plain.values()),
             }
         )
         return {

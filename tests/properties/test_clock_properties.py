@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.clocks import MatrixClock, VectorClock, _adopt
+from repro.core.clocks import VectorClock, _adopt
 from repro.core.comparator import ClockOrdering, compare_clocks, concurrent, max_clock, ordering
 from repro.core.detector import ComparisonMode, DetectorConfig, DualClockRaceDetector
 from repro.memory.address import GlobalAddress
@@ -123,12 +123,12 @@ class TestTickProperties:
         assert before.happens_before(clock)
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=30))
-    def test_matrix_clock_principal_reflects_all_local_events(self, size, events):
-        clock = MatrixClock(rank=0, size=size)
+    def test_process_clock_reflects_all_local_events(self, size, events):
+        detector = DualClockRaceDetector(size)
         for _ in range(events):
-            clock.tick()
-        assert clock.local_component() == events
-        assert clock.principal().component(0) == events
+            detector.local_event(0)
+        assert detector.process_clock(0).component(0) == events
+        assert detector.current_clock(0).total() == events
 
 
 class TestSimulatedCausality:
@@ -164,45 +164,35 @@ class TestSimulatedCausality:
 #
 # ``core`` wraps arrays it produced itself without re-validating or re-copying
 # them (``VectorClock._adopt``).  The one hazard of that path is aliasing: a
-# returned clock that shares memory with the matrix row (or the operand) it
+# returned clock that shares memory with the process clock (or the operand) it
 # was built from.  Every ``VectorClock``-returning method is therefore checked
 # against a pure-Python model, mutated, and checked again from both sides.
 
-#: A matrix-clock history: ticks (``None``) and observed vectors with an
-#: optional source rank, over a world of 1..5 processes.
-matrix_histories = st.integers(min_value=1, max_value=5).flatmap(
+#: A process-clock history: ticks (``None``) and received vectors, over a
+#: world of 1..5 processes.
+process_histories = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.tuples(
         st.just(n),
         st.integers(0, n - 1),
         st.lists(
-            st.one_of(
-                st.none(),
-                st.tuples(
-                    st.lists(st.integers(0, 20), min_size=n, max_size=n),
-                    st.one_of(st.none(), st.integers(0, n - 1)),
-                ),
-            ),
+            st.one_of(st.none(), st.lists(st.integers(0, 20), min_size=n, max_size=n)),
             max_size=12,
         ),
     )
 )
 
 
-def _replay_history(size, rank, history):
-    """Drive a ``MatrixClock`` and a list-of-lists model through *history*."""
-    clock = MatrixClock(rank, size)
-    model = [[0] * size for _ in range(size)]
+def _replay_history(detector, rank, history):
+    """Drive *rank*'s process clock and a list model through *history*."""
+    model = [0] * detector.world_size
     for step in history:
         if step is None:
-            clock.tick()
-            model[rank][rank] += 1
-            continue
-        entries, source = step
-        clock.observe_vector(entries, source_rank=source)
-        model[rank] = [max(a, b) for a, b in zip(model[rank], entries)]
-        if source is not None:
-            model[source] = [max(a, b) for a, b in zip(model[source], entries)]
-    return clock, model
+            detector.local_event(rank)
+            model[rank] += 1
+        else:
+            detector.on_recv_complete(rank, VectorClock(step))
+            model = [max(a, b) for a, b in zip(model, step)]
+    return model
 
 
 def _scribble(clock):
@@ -240,118 +230,76 @@ class TestTrustedPathAliasing:
             _scribble(b)
             assert result.frozen() == kept
 
-    @given(matrix_histories, st.data())
-    def test_matrix_clock_views_never_alias_the_matrix(self, world, data):
+    @given(process_histories, st.data())
+    def test_detector_current_clock_is_a_private_copy(self, world, data):
         size, rank, history = world
-        other = data.draw(st.integers(0, size - 1))
         received = data.draw(st.lists(st.integers(0, 20), min_size=size, max_size=size))
-        lower = lambda model: [min(column) for column in zip(*model)]
-        producers = {
-            "row": (lambda c: c.row(other), lambda m: m[other]),
-            "row-default": (lambda c: c.row(), lambda m: m[rank]),
-            "principal": (lambda c: c.principal(), lambda m: m[rank]),
-            "known_lower_bound": (lambda c: c.known_lower_bound(), lower),
-        }
-        for name, (produce, expect) in producers.items():
-            clock, model = _replay_history(size, rank, history)
-            result = produce(clock)
-            _assert_built_like_public(result, expect(model))
-            _scribble(result)
-            assert clock.matrix.tolist() == model, name
-            kept = result.frozen()
-            clock.tick()
-            clock.observe_vector([2000] * size, source_rank=other)
-            assert result.frozen() == kept, name
-
-        # The two mutators return the principal row *after* their update.
-        _, model = _replay_history(size, rank, history + [None])
-        clock, _ = _replay_history(size, rank, history)
-        ticked = clock.tick()
-        _assert_built_like_public(ticked, model[rank])
-        _scribble(ticked)
-        assert clock.matrix.tolist() == model
-
-        _, model = _replay_history(size, rank, history + [(received, other)])
-        clock, _ = _replay_history(size, rank, history)
-        argument = VectorClock(received)
-        observed = clock.observe_vector(argument, source_rank=other)
-        _assert_built_like_public(observed, model[rank])
-        _scribble(observed)
-        assert clock.matrix.tolist() == model
-        assert argument.frozen() == tuple(received)
-        _scribble(argument)
-        assert clock.matrix.tolist() == model
-
-    @given(matrix_histories)
-    def test_detector_current_clock_is_a_private_copy(self, world):
-        size, rank, history = world
         detector = DualClockRaceDetector(size)
-        process_clock = detector.process_clock(rank)
-        for step in history:
-            if step is None:
-                detector.local_event(rank)
-            else:
-                process_clock.observe_vector(step[0], source_rank=step[1])
-        _, model = _replay_history(size, rank, history)
+        model = _replay_history(detector, rank, history)
+        live = detector.process_clock(rank)
         current = detector.current_clock(rank)
-        _assert_built_like_public(current, model[rank])
+        _assert_built_like_public(current, model)
         _scribble(current)
-        assert process_clock.matrix.tolist() == model
+        assert live.frozen() == tuple(model)
         kept = current.frozen()
         detector.local_event(rank)
+        model[rank] += 1
         assert current.frozen() == kept
-        assert detector.current_clock(rank).frozen() == tuple(
-            value + (index == rank) for index, value in enumerate(model[rank])
-        )
+        assert detector.current_clock(rank).frozen() == tuple(model)
 
-    @given(matrix_histories, st.data())
-    def test_a_clone_carries_its_own_principal_view(self, world, data):
-        """``MatrixClock`` holds a *view* of its principal row; a clone whose
-        view still pointed into the source's matrix would tick the source."""
+        # The mutators return the clock *after* their update, detached from it.
+        ticked = detector.local_event(rank)
+        model[rank] += 1
+        _assert_built_like_public(ticked, model)
+        _scribble(ticked)
+        assert live.frozen() == tuple(model)
+        argument = VectorClock(received)
+        for merge in (detector.on_recv_complete, detector.on_completion_retired):
+            observed = merge(rank, argument)
+            model = [max(a, b) for a, b in zip(model, received)]
+            _assert_built_like_public(observed, model)
+            _scribble(observed)
+            assert live.frozen() == tuple(model)
+        assert argument.frozen() == tuple(received)
+        _scribble(argument)
+        assert live.frozen() == tuple(model)
+
+    @given(process_histories, st.data())
+    def test_a_cloned_detector_carries_its_own_process_clocks(self, world, data):
+        """A deep copy or pickle of a detector whose process clocks still
+        shared arrays with the source's would tick the source."""
         size, rank, history = world
         received = data.draw(st.lists(st.integers(0, 20), min_size=size, max_size=size))
         cloners = {
-            "copy": lambda clock: clock.copy(),
             "deepcopy": copy.deepcopy,
-            "pickle": lambda clock: pickle.loads(pickle.dumps(clock)),
+            "pickle": lambda detector: pickle.loads(pickle.dumps(detector)),
         }
         for name, clone_of in cloners.items():
-            source, model = _replay_history(size, rank, history)
+            source = DualClockRaceDetector(size)
+            model = _replay_history(source, rank, history)
             clone = clone_of(source)
-            assert clone.rank == rank and clone.matrix.tolist() == model, name
-            # Mutate the result: the source does not move, and the clone's
-            # principal is a row of the clone's own matrix.
-            clone.tick()
-            clone.observe_vector(received)
-            assert source.matrix.tolist() == model, name
-            expected = [max(a, b) for a, b in zip(model[rank], received)]
-            expected[rank] = max(model[rank][rank] + 1, received[rank])
-            assert clone.principal().frozen() == tuple(expected), name
-            assert clone.principal().frozen() == tuple(clone.matrix[rank].tolist()), name
-            assert clone.local_component() == expected[rank], name
-            # Mutate the source: the clone does not move.
-            kept = clone.matrix.tolist()
-            source.tick()
-            source.observe_vector([3000] * size, source_rank=rank)
-            assert clone.matrix.tolist() == kept, name
+            assert clone.current_clock(rank).frozen() == tuple(model), name
+            clone.local_event(rank)
+            clone.on_recv_complete(rank, VectorClock(received))
+            assert source.current_clock(rank).frozen() == tuple(model), name
+            expected = [max(a, b) for a, b in zip(model, received)]
+            expected[rank] = max(model[rank] + 1, received[rank])
+            assert clone.current_clock(rank).frozen() == tuple(expected), name
+            source.local_event(rank)
+            source.on_recv_complete(rank, VectorClock([3000] * size))
+            assert clone.current_clock(rank).frozen() == tuple(expected), name
 
-    @given(matrix_histories)
-    def test_the_in_package_absorb_matches_observe_vector(self, world):
-        """``_absorb`` is ``observe_vector`` minus the validation and the
-        snapshot: same matrix, nothing returned, argument untouched."""
-        size, rank, history = world
-        public, model = _replay_history(size, rank, history)
-        trusted = MatrixClock(rank, size)
-        for step in history:
-            if step is None:
-                trusted.tick()
-            else:
-                entries, source = step
-                argument = np.array(entries, dtype=np.int64)
-                assert trusted._absorb(argument, source) is None
-                assert argument.tolist() == entries  # read, never written
-        assert trusted.matrix.tolist() == public.matrix.tolist() == model
-        assert trusted.principal() == public.principal()
+    @given(paired_entries())
+    def test_merge_in_place_matches_merged_and_reads_its_argument_only(self, pair):
+        """Barriers and replay join through ``merge_in_place`` on the live
+        process clock: same result as ``merged``, the clock itself returned,
+        the argument untouched."""
+        expected = VectorClock(pair[0]).merged(VectorClock(pair[1]))
+        for argument in (VectorClock(pair[1]), list(pair[1]), np.array(pair[1])):
+            clock = VectorClock(pair[0])
+            assert clock.merge_in_place(argument) is clock
+            assert clock == expected
+            assert VectorClock(argument).frozen() == tuple(pair[1])
 
     @given(clock_entries)
     def test_adopt_wraps_without_copying_and_public_results_never_do(self, entries):

@@ -9,16 +9,16 @@ receives; the true causal order is computed independently of the clocks by
 transitively closing program order plus send→receive edges, and must agree
 with the clock comparison for **every** pair of events — both directions.
 
-The clocks are maintained with the paper's :class:`MatrixClock` (principal
-rows), so the matrix-clock machinery used by the online detector is what is
-being characterized.
+The clocks are maintained by the online detector itself
+(``DualClockRaceDetector.local_event`` / ``on_recv_complete``), so the process
+clocks its checks read are what is being characterized.
 """
 
 from collections import deque
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.clocks import MatrixClock
+from repro.core.detector import DualClockRaceDetector
 
 
 def build_history(world, raw_ops):
@@ -31,7 +31,7 @@ def build_history(world, raw_ops):
     messages at the end of the history are simply dropped — their sends are
     ordinary events.
     """
-    clocks = [MatrixClock(rank, world) for rank in range(world)]
+    detector = DualClockRaceDetector(world)
     in_flight = {}  # (src, dst) -> deque of (event_id, clock snapshot)
     event_clocks = []  # event_id -> frozen vector clock
     edges = []  # (earlier_event, later_event) direct causal edges
@@ -48,16 +48,16 @@ def build_history(world, raw_ops):
     for a_raw, b_raw, deliver in raw_ops:
         a, b = a_raw % world, b_raw % world
         if a == b:
-            new_event(a, clocks[a].tick())
+            new_event(a, detector.local_event(a))
             continue
         queue = in_flight.get((a, b))
         if deliver and queue:
             send_id, snapshot = queue.popleft()
-            clocks[b].observe_vector(snapshot, source_rank=a)
-            receive_id = new_event(b, clocks[b].tick())
+            detector.on_recv_complete(b, snapshot)
+            receive_id = new_event(b, detector.local_event(b))
             edges.append((send_id, receive_id))  # message edge
         else:
-            send_clock = clocks[a].tick()
+            send_clock = detector.local_event(a)
             send_id = new_event(a, send_clock)
             in_flight.setdefault((a, b), deque()).append((send_id, send_clock))
     return event_clocks, edges
