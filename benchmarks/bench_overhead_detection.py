@@ -287,12 +287,11 @@ def _write_artifact(section: str, report: dict) -> None:
 
 def test_piggybacked_clocks_remove_message_overhead(benchmark):
     """An optimized library can piggyback clocks on data messages (no extra messages)."""
-    from repro.net.nic import NICConfig
 
     def run():
         workload = StencilWorkload(
             world_size=4, cells_per_rank=6, iterations=2, use_barriers=True,
-            config=RuntimeConfig(nic=NICConfig(charge_detection_messages=False)),
+            config=RuntimeConfig(charge_detection_messages=False),
         )
         return workload.run(seed=0).run
 

@@ -41,7 +41,7 @@ from repro.core import (
     max_clock,
 )
 from repro.memory import GlobalAddress, PlacementPolicy
-from repro.net import NICConfig, Topology
+from repro.net import Topology
 from repro.runtime import DSMRuntime, ProcessAPI, RunResult, RuntimeConfig
 from repro.verbs import (
     CompletionQueue,
@@ -69,7 +69,6 @@ __all__ = [
     "max_clock",
     "GlobalAddress",
     "PlacementPolicy",
-    "NICConfig",
     "Topology",
     "DSMRuntime",
     "ProcessAPI",

@@ -28,7 +28,7 @@ from repro.net.latency import (
 from repro.net.topology import Topology
 from repro.net.channel import Channel
 from repro.net.fabric import Fabric, FabricStats
-from repro.net.nic import NIC, NICConfig, RemoteOperationResult
+from repro.net.nic import NIC, RemoteOperationResult
 
 __all__ = [
     "Message",
@@ -42,6 +42,5 @@ __all__ = [
     "Fabric",
     "FabricStats",
     "NIC",
-    "NICConfig",
     "RemoteOperationResult",
 ]

@@ -472,13 +472,13 @@ class ClockTransportStats:
 class ClockTransport:
     """One rank's clock-movement policy, consulted by NIC and verbs layers.
 
-    The mode is read from the owning NIC's config on every decision — that
-    is what lets ``DSMRuntime.set_knob("clock_transport", mode)`` switch an
-    already-built runtime (the campaign runner's configure hook).  Always
-    switch through that method (or ``RuntimeConfig.clock_transport`` at
-    construction): it also keeps the detector's per-check control
-    accounting in step, which a bare ``NICConfig.clock_transport``
-    assignment would not.
+    The mode is read from the owning NIC's config (the runtime's
+    ``RuntimeConfig``) on every decision — that is what lets
+    ``DSMRuntime.set_knob("clock_transport", mode)`` switch an already-built
+    runtime (the campaign runner's configure hook).  Always switch through
+    that method (or ``RuntimeConfig.clock_transport`` at construction): it
+    also keeps the detector's per-check control accounting in step, which a
+    bare ``runtime.config.clock_transport`` assignment would not.
     """
 
     def __init__(self, nic: "NIC") -> None:
@@ -506,7 +506,7 @@ class ClockTransport:
         mode = self._nic.config.clock_transport
         if mode in CLOCK_TRANSPORT_MODES:
             return mode
-        # A bare illegal ``NICConfig`` assignment: raise at first use.
+        # A bare illegal ``runtime.config`` assignment: raise at first use.
         return validate_clock_transport(mode)
 
     @property
@@ -642,7 +642,7 @@ class ClockTransport:
         # and detector read directly (``_active``, ``mode``, ``piggyback``
         # were five frames per message).  The mode is still read per call —
         # every knob stays live-switchable — and an illegal one, a bare bad
-        # ``NICConfig`` assignment, still raises at first use.
+        # ``runtime.config`` assignment, still raises at first use.
         nic = self._owner()
         detector = nic.detector
         if detector is None or not detector.config.enabled:

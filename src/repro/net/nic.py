@@ -35,7 +35,7 @@ so user programs remain ordinary sequential-looking code.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -45,7 +45,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.core.clocks import VectorClock
@@ -57,7 +56,7 @@ from repro.memory.public import PublicMemory
 from repro.net.clock_transport import WIRE_TAG_BYTES, ClockTransport
 from repro.net.fabric import Fabric
 from repro.net.message import DEFAULT_CELL_BYTES, MessageKind
-from repro.net.ud_transport import UdDeliveryExceeded, UdEndpoint, validate_transport
+from repro.net.ud_transport import UdDeliveryExceeded, UdEndpoint
 from repro.obs.metrics import family_keys
 from repro.obs.observability import Observability
 from repro.sim.engine import Simulator
@@ -65,6 +64,7 @@ from repro.util.ids import IdAllocator
 from repro.util.validation import require_rank, require_type
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.runtime import RuntimeConfig
     from repro.trace.recorder import TraceRecorder
 
 #: The per-NIC issue/service tallies, each a ``nic.<name>{rank=...}`` counter
@@ -137,45 +137,6 @@ def _nic_counter(name: str) -> property:
         self._counters[name].value = value
 
     return property(getter, setter, doc=f"Registry-backed ``{name}`` tally.")
-
-
-@dataclass
-class NICConfig:
-    """Behavioural knobs of the simulated NIC.
-
-    Attributes
-    ----------
-    charge_detection_messages:
-        When detection is enabled under the ``"roundtrip"`` transport, add
-        one CLOCK_FETCH/CLOCK_UPDATE round trip per instrumented remote
-        access (Algorithm 5's clock traffic).  When false, clocks are
-        assumed piggybacked on the data messages for free (the legacy
-        accounting shortcut); the ``"piggyback"`` transport below models
-        that piggybacking explicitly and ignores this knob.
-    clock_transport, clock_wire, clock_wire_resync, transport:
-        The NIC's copy of the consistency knobs of these names, described on
-        :class:`~repro.runtime.runtime.RuntimeConfig`; the runtime resolves
-        each (:data:`repro.runtime.knobs.KNOBS`) and mirrors it here, where
-        the NIC reads it per operation.  Lock and roundtrip clock control
-        traffic stays RC under either ``transport``, as on real fabrics
-        where connection management rides a reliable QP.
-    ud_max_retransmits:
-        Retransmissions of one datagram (or resync re-requests of one
-        sequence) before the operation fails with
-        :class:`~repro.net.ud_transport.UdDeliveryExceeded`.
-
-    Fixed by the model, not configured: every access takes the NIC lock on
-    its target cell (Section III-A) and a remote one pays its request /
-    grant / release messages; one cell is
-    :data:`~repro.net.message.DEFAULT_CELL_BYTES` on the wire.
-    """
-
-    charge_detection_messages: bool = True
-    clock_transport: str = "roundtrip"
-    clock_wire: str = "full"
-    clock_wire_resync: Union[int, str] = 64
-    transport: str = "rc"
-    ud_max_retransmits: int = 16
 
 
 class ReceiverNotReady(RuntimeError):
@@ -253,8 +214,8 @@ class NIC:
         fabric: Fabric,
         memory: PublicMemory,
         locks: MemoryLockTable,
+        config: "RuntimeConfig",
         detector: Optional[DualClockRaceDetector] = None,
-        config: Optional[NICConfig] = None,
         recorder: Optional["TraceRecorder"] = None,
     ) -> None:
         require_rank(rank, fabric.world_size, "rank")
@@ -271,8 +232,9 @@ class NIC:
         self.memory = memory
         self.locks = locks
         self.detector = detector
-        self.config = config or NICConfig()
-        validate_transport(self.config.transport)
+        #: The runtime's own config (the object ``set_knob`` writes); the
+        #: NIC reads its knobs per operation, so each stays live-switchable.
+        self.config = config
         self.recorder = recorder
         #: Observability bundle shared by everything on this simulator; the
         #: issue/service tallies live in its metrics registry.
@@ -413,7 +375,7 @@ class NIC:
         clock costs only an empty sparse frame.  A flag, not a provider
         closure: one built per operation would turn the caller's locals
         into cell variables for every access, the local ones included.
-        Which service level is one branch here, on the live ``NICConfig``
+        Which service level is one branch here, on the live ``RuntimeConfig``
         (every knob can be switched on a built runtime), not a strategy
         object chosen at construction.  Returns the number of transmissions
         it took.

@@ -28,7 +28,6 @@ from repro.net.clock_transport import (
     validate_clock_wire_resync,
 )
 from repro.net.flow_control import FLOW_CONTROL_MODES, validate_flow_control
-from repro.net.nic import NICConfig
 from repro.net.ud_transport import TRANSPORT_MODES, validate_transport
 from repro.verbs.completion_queue import validate_cq_moderation_timer
 
@@ -56,15 +55,13 @@ class Knob:
     parse:
         Converts command-line spellings that are not themselves legal values
         (``"4,2.0"``, ``"off"``, ``"64"``); ``None`` if ``validate`` will do.
-    nic_mirror:
-        ``NICConfig`` has a field of this name that the NICs read: ``None``
-        on ``RuntimeConfig`` follows it, two different explicit values (a
-        mirror that differs from ``NICConfig``'s default was set explicitly)
-        are an error, and the resolved value is written to both.
     inherit:
-        Where a non-mirrored knob left ``None`` gets its value.
+        Where a knob left ``None`` gets its value.
     apply:
-        Pushes a value into whatever else in the runtime keeps a copy.
+        Pushes a value into what keeps its own state for it: a stateful
+        moderator, or the ``DetectorConfig`` a standalone detector also
+        reads.  Everything else (the NICs, the verbs contexts) reads the
+        runtime's ``config`` directly.
     extra_flags:
         Additional command-line tokens a matrix value requires.
     """
@@ -74,7 +71,6 @@ class Knob:
     cli: Mapping[str, Any]
     matrix_values: Tuple[str, ...]
     parse: Optional[Callable[[str], Any]] = None
-    nic_mirror: bool = False
     inherit: Optional[Callable[["RuntimeConfig"], Any]] = None
     apply: Optional[Callable[["DSMRuntime", Any], None]] = None
     extra_flags: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
@@ -91,19 +87,6 @@ class Knob:
     def resolve(self, config: "RuntimeConfig") -> Any:
         """The validated value a runtime built from *config* runs with."""
         value = getattr(config, self.name)
-        if self.nic_mirror:
-            mirrored = getattr(config.nic, self.name)
-            if value is None:
-                return self.validate(mirrored)
-            value = self.validate(value)
-            # Naming two different values explicitly is a configuration
-            # error, not a precedence puzzle.
-            if mirrored != getattr(NICConfig, self.name) and mirrored != value:
-                raise ValueError(
-                    f"conflicting {self.name.replace('_', ' ')}s: RuntimeConfig "
-                    f"says {value!r} but NICConfig says {mirrored!r}"
-                )
-            return value
         if value is None and self.inherit is not None:
             value = self.inherit(config)
         return self.validate(value)
@@ -198,19 +181,9 @@ def _apply_detector_epochs(runtime: "DSMRuntime", mode: str) -> None:
     runtime.config.detector.epochs = mode == "on"
 
 
-def _apply_cq_moderation(runtime: "DSMRuntime", enabled: bool) -> None:
-    for context in runtime.verbs_contexts:
-        context.cq_moderation = enabled
-
-
 def _apply_cq_moderation_timer(runtime: "DSMRuntime", value) -> None:
     for context in runtime.verbs_contexts:
         context.set_cq_moderation_timer(value)
-
-
-def _apply_flow_control(runtime: "DSMRuntime", mode: str) -> None:
-    for context in runtime.verbs_contexts:
-        context.set_flow_control(mode)
 
 
 # -- the registry ----------------------------------------------------------------------
@@ -226,7 +199,6 @@ KNOBS: Tuple[Knob, ...] = (
             "help": f"clock transport for every explored runtime {_PATTERN_DEFAULT}",
         },
         matrix_values=("roundtrip", "piggyback"),
-        nic_mirror=True,
         apply=_apply_clock_transport,
     ),
     Knob(
@@ -237,7 +209,6 @@ KNOBS: Tuple[Knob, ...] = (
             "help": f"clock wire format for every explored runtime {_PATTERN_DEFAULT}",
         },
         matrix_values=("full", "delta", "truncated"),
-        nic_mirror=True,
     ),
     Knob(
         name="cq_moderation",
@@ -248,7 +219,6 @@ KNOBS: Tuple[Knob, ...] = (
             f"runtime {_PATTERN_DEFAULT}",
         },
         matrix_values=("off", "on"),
-        apply=_apply_cq_moderation,
     ),
     Knob(
         name="detector_epochs",
@@ -271,7 +241,6 @@ KNOBS: Tuple[Knob, ...] = (
             f"{_PATTERN_DEFAULT}",
         },
         matrix_values=("rnr", "credit"),
-        apply=_apply_flow_control,
     ),
     Knob(
         name="cq_moderation_timer",
@@ -297,7 +266,6 @@ KNOBS: Tuple[Knob, ...] = (
         },
         matrix_values=("64", "adaptive"),
         parse=parse_clock_wire_resync,
-        nic_mirror=True,
     ),
     Knob(
         name="transport",
@@ -309,7 +277,6 @@ KNOBS: Tuple[Knob, ...] = (
             f"receiver-driven clock resync) {_PATTERN_DEFAULT}",
         },
         matrix_values=("rc", "ud"),
-        nic_mirror=True,
         # UD rows carry nonzero drop/duplicate rates so the matrix exercises
         # loss recovery, not just the datagram happy path.
         extra_flags={"ud": ("--drop-rate", "0.25", "--duplicate-rate", "0.1")},

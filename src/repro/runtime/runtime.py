@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Union
 
@@ -26,7 +27,7 @@ from repro.memory.public import PublicMemory
 from repro.net.clock_transport import ClockTransportStats
 from repro.net.fabric import Fabric, FabricStats
 from repro.net.latency import ConstantLatency, LatencyModel, LogGPLatency, UniformLatency
-from repro.net.nic import NIC, NICConfig
+from repro.net.nic import NIC
 from repro.net.topology import Topology
 from repro.runtime.api import ProcessAPI
 from repro.runtime.collectives import Barrier
@@ -62,8 +63,20 @@ class RuntimeConfig:
     detector:
         The race-detector configuration (set ``detector.enabled = False`` for
         an uninstrumented run).
-    nic:
-        NIC behaviour (clock message charging, the UD retransmission budget).
+    charge_detection_messages:
+        When detection is enabled under the ``"roundtrip"`` clock transport,
+        charge one CLOCK_FETCH/CLOCK_UPDATE round trip per instrumented
+        remote access (Algorithm 5's clock traffic).  When false, clocks
+        are assumed piggybacked on the data messages for free (the legacy
+        accounting shortcut); the ``"piggyback"`` transport models that
+        piggybacking explicitly and ignores this field.  Lock traffic is
+        not configurable: every access takes the NIC lock on its target
+        cell (Section III-A) and a remote one pays its request / grant /
+        release messages.
+    ud_max_retransmits:
+        Retransmissions of one datagram (or resync re-requests of one
+        sequence) under ``transport="ud"`` before the operation fails with
+        :class:`~repro.net.ud_transport.UdDeliveryExceeded`.
     clock_transport:
         How causal clocks travel with verbs traffic (see
         :mod:`repro.net.clock_transport`): ``"roundtrip"`` charges
@@ -72,10 +85,7 @@ class RuntimeConfig:
         data messages themselves (no dedicated clock traffic, a vector
         clock of extra payload per data message) and batches origin-side
         clock joins per queue-pair drain.  Detector verdicts are identical
-        in both modes; only traffic and join counts differ.  ``None`` (the
-        default) follows ``nic.clock_transport`` — effectively
-        ``"roundtrip"`` unless the NIC config names a mode; naming
-        *conflicting* modes here and on the NIC config is an error.
+        in both modes; only traffic and join counts differ.
     clock_wire:
         How each clock is encoded when it crosses the wire (see
         :mod:`repro.net.clock_transport`): ``"full"`` ships the whole
@@ -85,9 +95,7 @@ class RuntimeConfig:
         ships their absolute values; both sparse formats resync with a
         full frame every ``clock_wire_resync`` messages.  Every format
         decodes to the exact clock (verified on every frame), so detector
-        verdicts never depend on this knob — only bytes do.  ``None``
-        (the default) follows ``nic.clock_wire``; naming *conflicting*
-        formats here and on the NIC config is an error.
+        verdicts never depend on this knob — only bytes do.
     clock_wire_resync:
         Channel messages between full-clock resync frames under the sparse
         wire formats: a positive count for a fixed cadence, or
@@ -96,9 +104,7 @@ class RuntimeConfig:
         frames stay cheap, halving when they bloat; see
         :mod:`repro.net.clock_transport`).  Every format decodes to the
         exact clock regardless of cadence, so verdicts never depend on
-        this knob.  ``None`` (the default) follows
-        ``nic.clock_wire_resync``; naming *conflicting* cadences here and on
-        the NIC config is an error.
+        this knob.
     transport:
         The service level clock-carrying data messages ride on (see
         :mod:`repro.net.ud_transport`): ``"rc"`` (reliable connected —
@@ -108,9 +114,9 @@ class RuntimeConfig:
         duplicate or reorder, with receiver-driven clock resync repairing
         sequence gaps so a stale clock is never stamped).  Detector
         verdicts never depend on this knob — only traffic, latency and
-        resync accounting do.  ``None`` (the default) follows
-        ``nic.transport``; naming *conflicting* modes here and on the NIC
-        config is an error.
+        resync accounting do.  Lock and roundtrip clock control traffic
+        stays RC under either mode, as on real fabrics where connection
+        management rides a reliable QP.
     detector_epochs:
         The FastTrack-style epoch fast path of the detector (see
         ``DetectorConfig.epochs``): ``"on"`` replaces full O(n) vector
@@ -190,16 +196,17 @@ class RuntimeConfig:
     topology: Union[str, Topology] = "complete"
     latency: Union[str, LatencyModel] = "constant"
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    nic: NICConfig = field(default_factory=NICConfig)
+    charge_detection_messages: bool = True
+    ud_max_retransmits: int = 16
     # The consistency knobs, in repro.runtime.knobs.KNOBS order.
-    clock_transport: Optional[str] = None
-    clock_wire: Optional[str] = None
+    clock_transport: str = "roundtrip"
+    clock_wire: str = "full"
     cq_moderation: bool = False
     detector_epochs: Optional[str] = None
     flow_control: str = "rnr"
     cq_moderation_timer: Optional[Any] = None
-    clock_wire_resync: Optional[Union[int, str]] = None
-    transport: Optional[str] = None
+    clock_wire_resync: Union[int, str] = 64
+    transport: str = "rc"
     signal_policy: SignalPolicy = SignalPolicy.COLLECT
     trace_spans: bool = False
     obs_wall_clock: bool = False
@@ -212,6 +219,36 @@ class RuntimeConfig:
     def with_overrides(self, **kwargs: Any) -> "RuntimeConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)
+
+
+def _require_count(value: Any, name: str, minimum: int) -> None:
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
+def _validate_settings(config: RuntimeConfig) -> None:
+    """Reject an illegal non-knob setting the NICs or verbs contexts read.
+
+    Checked once, at construction: the readers take these values on trust,
+    so a bad one would otherwise fail deep inside a run (at the first drop,
+    RNR or queue pair) or, like a truthy string, not fail at all.
+    """
+    require_positive(config.world_size, "world_size")
+    if type(config.charge_detection_messages) is not bool:
+        raise ValueError(
+            "charge_detection_messages must be a bool, "
+            f"got {config.charge_detection_messages!r}"
+        )
+    _require_count(config.ud_max_retransmits, "ud_max_retransmits", 0)
+    _require_count(config.verbs_max_send_wr, "verbs_max_send_wr", 1)
+    _require_count(config.verbs_max_recv_wr, "verbs_max_recv_wr", 1)
+    if config.verbs_rnr_retry_limit is not None:
+        _require_count(config.verbs_rnr_retry_limit, "verbs_rnr_retry_limit", 0)
+    backoff = config.verbs_rnr_backoff
+    if type(backoff) not in (int, float) or not 0 <= backoff < math.inf:
+        raise ValueError(
+            f"verbs_rnr_backoff must be a finite number >= 0, got {backoff!r}"
+        )
 
 
 @dataclass
@@ -270,13 +307,12 @@ class DSMRuntime:
         if overrides:
             base = base.with_overrides(**overrides)
         # The runtime owns its configuration: resolved knobs are written to
-        # this copy (whose ``nic`` and ``detector`` the NICs and the detector
-        # read), never through to the caller's objects.  Shallow copies: none
-        # of the three classes has a ``__post_init__`` to re-run.
+        # this copy (which the NICs and verbs contexts read, as the detector
+        # reads its ``detector``), never through to the caller's objects.
+        # Shallow copies: neither class has a ``__post_init__`` to re-run.
         self.config = copy.copy(base)
-        self.config.nic = copy.copy(base.nic)
         self.config.detector = copy.copy(base.detector)
-        require_positive(self.config.world_size, "world_size")
+        _validate_settings(self.config)
 
         self.logger = SimLogger()
         self.sim = Simulator(seed=self.config.seed, logger=self.logger)
@@ -311,8 +347,8 @@ class DSMRuntime:
                 self.fabric,
                 self.public_memories[rank],
                 self.lock_tables[rank],
+                self.config,
                 detector=self.detector,
-                config=self.config.nic,
                 recorder=self.recorder,
             )
             for rank in range(self.config.world_size)
@@ -322,16 +358,7 @@ class DSMRuntime:
                 if peer is not nic:
                     nic.register_peer(peer)
         self.verbs_contexts: List[VerbsContext] = [
-            VerbsContext(
-                self.sim,
-                self.nics[rank],
-                cq_capacity=self.config.verbs_cq_capacity,
-                max_send_wr=self.config.verbs_max_send_wr,
-                max_recv_wr=self.config.verbs_max_recv_wr,
-                rnr_backoff=self.config.verbs_rnr_backoff,
-                rnr_retry_limit=self.config.verbs_rnr_retry_limit,
-            )
-            for rank in range(self.config.world_size)
+            VerbsContext(self.sim, nic) for nic in self.nics
         ]
         for context in self.verbs_contexts:
             for peer in self.verbs_contexts:
@@ -363,8 +390,8 @@ class DSMRuntime:
         """Change one consistency knob on a built runtime (before :meth:`run`).
 
         *name* is an entry of :data:`repro.runtime.knobs.KNOBS`; the value is
-        validated, written to ``self.config`` (and its NIC mirror) and pushed
-        to whatever else keeps a copy.  None of the knobs can change a
+        validated, written to ``self.config`` (which the NICs and verbs
+        contexts read) and pushed to whatever keeps its own state for it.  None of the knobs can change a
         verdict — only traffic, bytes and timing.  The campaign runner's
         configure hook uses this to sweep the knobs on already-built runtimes.
         """
@@ -378,8 +405,6 @@ class DSMRuntime:
 
     def _store_knob(self, knob: Knob, value: Any) -> None:
         setattr(self.config, knob.name, value)
-        if knob.nic_mirror:
-            setattr(self.config.nic, knob.name, value)
         if knob.apply is not None:
             knob.apply(self, value)
 

@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.memory.address import GlobalAddress
-from repro.net.flow_control import credit_gate_for, validate_flow_control
+from repro.net.flow_control import credit_gate_for
 from repro.net.nic import NIC
 from repro.obs.observability import Observability
 from repro.sim.engine import Simulator
@@ -56,42 +56,17 @@ from repro.verbs.work import Opcode, WorkCompletion, WorkRequest
 class VerbsContext:
     """One rank's handle on the asynchronous (one- and two-sided) subsystem."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        nic: NIC,
-        cq_capacity: Optional[int] = None,
-        max_send_wr: int = 128,
-        max_recv_wr: int = 128,
-        rnr_backoff: float = 1.0,
-        rnr_retry_limit: Optional[int] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, nic: NIC) -> None:
+        # Queue depths, the RNR retry protocol, ``cq_moderation`` and
+        # ``flow_control`` are read from ``nic.config`` (the runtime's one
+        # config, which ``set_knob`` writes) where they are used.
         self.sim = sim
         self.nic = nic
         self.rank = nic.rank
-        self.max_send_wr = max_send_wr
-        self.max_recv_wr = max_recv_wr
-        #: RNR retry protocol for two-sided sends: backoff between
-        #: retransmissions, and how many retries before giving up with an
-        #: RNR_RETRY_EXCEEDED completion (``None`` retries forever, the
-        #: InfiniBand ``rnr_retry=7`` encoding).
-        self.rnr_backoff = rnr_backoff
-        self.rnr_retry_limit = rnr_retry_limit
-        #: CQ moderation: when true, each queue pair's drain delivers the
-        #: completions of one burst together as a single CQE event (send CQ
-        #: only — receive completions are the peer's business), and the
-        #: batched retirement clock is charged once per burst instead of
-        #: once per completion.
-        self.cq_moderation = False
-        #: Admission control for two-sided sends: ``"rnr"`` (the RC retry
-        #: protocol, the default) or ``"credit"`` (claim a posted receive
-        #: buffer before transmitting; stall locally instead of retrying).
-        self.flow_control = "rnr"
-        #: ``(cq_count, cq_usec)`` send-CQ moderation; ``None`` disables the
-        #: timer (:meth:`set_cq_moderation_timer` creates the moderator only
-        #: when the knob is on, so the default path carries zero extra
-        #: footprint).
-        self.cq_moderation_timer = None
+        cq_capacity = nic.config.verbs_cq_capacity
+        #: The ``(cq_count, cq_usec)`` send-CQ moderator;
+        #: :meth:`set_cq_moderation_timer` creates it only when the knob is
+        #: on, so the default path carries zero extra footprint.
         self._cq_moderator: Optional[CqModerationTimer] = None
         self._obs = Observability.of(sim)
         #: opcode -> its (service, retire) latency histograms, bound on first use.
@@ -152,9 +127,7 @@ class VerbsContext:
         if peer not in self._queue_pairs:
             if peer != self.rank and peer not in self._peers:
                 raise KeyError(f"rank {peer} has no registered verbs context")
-            self._queue_pairs[peer] = QueuePair(
-                self, peer, max_send_wr=self.max_send_wr, recv_queue=self._srq
-            )
+            self._queue_pairs[peer] = QueuePair(self, peer, recv_queue=self._srq)
         return self._queue_pairs[peer]
 
     # -- two-sided receive side -------------------------------------------------------
@@ -169,7 +142,8 @@ class VerbsContext:
         if self._srq is not None:
             raise RuntimeError(f"rank {self.rank} already has a shared receive queue")
         self._srq = SharedReceiveQueue(
-            self.rank, max_wr=self.max_recv_wr if max_wr is None else max_wr
+            self.rank,
+            max_wr=self.nic.config.verbs_max_recv_wr if max_wr is None else max_wr,
         )
         self._srq.set_limit_listener(self._on_srq_limit)
         return self._srq
@@ -212,14 +186,9 @@ class VerbsContext:
         """The queue incoming SENDs from *source* consume posted buffers from."""
         return self.queue_pair(source).recv_queue
 
-    def set_flow_control(self, mode: str) -> None:
-        """Select the two-sided admission protocol (``"rnr"`` or ``"credit"``)."""
-        self.flow_control = validate_flow_control(mode)
-
     def set_cq_moderation_timer(self, value) -> None:
         """Install (or remove, with ``None``) ``(cq_count, cq_usec)`` moderation."""
         value = validate_cq_moderation_timer(value)
-        self.cq_moderation_timer = value
         self._cq_moderator = (
             CqModerationTimer(self, *value) if value is not None else None
         )

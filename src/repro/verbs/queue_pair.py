@@ -54,7 +54,6 @@ from repro.core.clocks import VectorClock
 from repro.net.nic import ReceiveLengthError, RnrRetryExceeded
 from repro.net.ud_transport import UdDeliveryExceeded
 from repro.obs.observability import Observability
-from repro.util.validation import require_positive
 from repro.verbs.memory_registration import RemoteAccessError
 from repro.verbs.receive_queue import ReceiveQueue, SharedReceiveQueue
 from repro.verbs.work import CompletionStatus, Opcode, WorkCompletion, WorkRequest
@@ -74,10 +73,8 @@ class QueuePair:
         self,
         context: "VerbsContext",
         peer: int,
-        max_send_wr: int = 128,
         recv_queue: Optional[ReceiveQueue] = None,
     ) -> None:
-        require_positive(max_send_wr, "max_send_wr")
         # Held weakly: the context owns its queue pairs, and a strong
         # reference back would leave every finished run to the cyclic
         # collector.
@@ -86,7 +83,7 @@ class QueuePair:
         self._obs = Observability.of(context.sim)
         self.origin = context.rank
         self.peer = peer
-        self.max_send_wr = max_send_wr
+        self.max_send_wr = context.nic.config.verbs_max_send_wr
         #: Where incoming SENDs *from the peer* consume posted buffers: a
         #: private receive queue, or the context's SRQ when one was created
         #: before this queue pair (the verbs rule: the SRQ is named at QP
@@ -96,7 +93,7 @@ class QueuePair:
             if recv_queue is not None
             else ReceiveQueue(
                 context.rank,
-                max_wr=context.max_recv_wr,
+                max_wr=context.nic.config.verbs_max_recv_wr,
                 name=f"rq-P{context.rank}<-P{peer}",
             )
         )
@@ -228,7 +225,8 @@ class QueuePair:
         # per-completion and lets the timer decide the batching.
         burst: Optional[list] = (
             []
-            if self._context.cq_moderation and self._context.cq_moderator is None
+            if self._context.nic.config.cq_moderation
+            and self._context.cq_moderator is None
             else None
         )
         drain_started = self._sim.now
@@ -427,11 +425,12 @@ class QueuePair:
         consumed buffer must still be reported to its poster.
         """
         nic = self._context.nic
+        config = nic.config
         target_context = self._context.peer_context(self.peer)
         recv_queue = target_context.receive_queue_from(self.origin)
         credit_gate = (
             target_context.credit_gate(self.origin)
-            if self._context.flow_control == "credit"
+            if config.flow_control == "credit"
             else None
         )
         values = list(request.payload or ())
@@ -449,8 +448,8 @@ class QueuePair:
                 lambda: recv_queue.match(self.origin),
                 symbol=request.symbol,
                 clock_snapshot=request.clock_snapshot,
-                rnr_backoff=self._context.rnr_backoff,
-                rnr_retry_limit=self._context.rnr_retry_limit,
+                rnr_backoff=config.verbs_rnr_backoff,
+                rnr_retry_limit=config.verbs_rnr_retry_limit,
                 credit_gate=credit_gate,
             )
         except RnrRetryExceeded as error:

@@ -77,7 +77,7 @@ class CompletionStatus(enum.Enum):
     #: (``IBV_WC_LOC_LEN_ERR``); the receive was consumed, no memory written.
     LENGTH_ERROR = "length-error"
     #: A UD datagram (or its resync subprotocol) exhausted the
-    #: retransmission budget (``nic.ud_max_retransmits``) — the unreliable
+    #: retransmission budget (``RuntimeConfig.ud_max_retransmits``) — the unreliable
     #: transport's twin of RNR-retry exhaustion, reported through the
     #: completion rather than raised at the post site.
     UD_DELIVERY_EXCEEDED = "ud-delivery-exceeded"

@@ -138,36 +138,6 @@ class TestWireFormatIsByteInvisible:
             > baseline.clock_transport_stats["wire_frames_full"]
         )
 
-    @pytest.mark.parametrize(
-        "knob,runtime_value,nic_value,message",
-        [
-            ("clock_wire", "delta", "truncated", "conflicting clock wire"),
-            ("clock_wire_resync", 32, 16, "conflicting clock wire resync"),
-            ("clock_wire_resync", 64, "adaptive", "conflicting clock wire resync"),
-            ("clock_transport", "roundtrip", "piggyback", "conflicting clock transport"),
-        ],
-    )
-    def test_conflicting_wire_format_configs_are_rejected(
-        self, knob, runtime_value, nic_value, message
-    ):
-        from repro.net.nic import NICConfig
-
-        with pytest.raises(ValueError, match=message):
-            DSMRuntime(
-                RuntimeConfig(
-                    world_size=2,
-                    nic=NICConfig(**{knob: nic_value}),
-                    **{knob: runtime_value},
-                )
-            )
-        # Naming the same value twice is not a conflict.
-        agreed = DSMRuntime(
-            RuntimeConfig(
-                world_size=2, nic=NICConfig(**{knob: nic_value}), **{knob: nic_value}
-            )
-        )
-        assert agreed.knobs()[knob] == nic_value
-
 
 class TestCqModerationIsVerdictInvisible:
     @pytest.mark.parametrize("transport", TRANSPORTS)

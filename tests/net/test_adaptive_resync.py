@@ -43,7 +43,7 @@ class TestValidation:
                 world_size=2, clock_wire="delta", clock_wire_resync="adaptive"
             )
         )
-        assert runtime.config.nic.clock_wire_resync == "adaptive"
+        assert runtime.config.clock_wire_resync == "adaptive"
         assert runtime.nics[0].clock_transport.adaptive_resync
 
 

@@ -9,9 +9,10 @@ from repro.memory.public import PublicMemory
 from repro.net.fabric import Fabric
 from repro.net.latency import ConstantLatency
 from repro.net.message import MessageKind
-from repro.net.nic import NIC, NICConfig
+from repro.net.nic import NIC
 from repro.net.topology import Topology
 from repro.obs.observability import Observability
+from repro.runtime.runtime import RuntimeConfig
 from repro.sim.engine import Simulator
 from repro.sim.events import SimulationError
 from repro.trace.recorder import TraceRecorder
@@ -20,7 +21,7 @@ from repro.trace.recorder import TraceRecorder
 class Cluster:
     """Minimal hand-wired cluster of NICs for unit testing."""
 
-    def __init__(self, world_size=3, nic_config=None, detector_config=None, with_detector=True):
+    def __init__(self, world_size=3, config=None, detector_config=None, with_detector=True):
         self.sim = Simulator(seed=0)
         self.fabric = Fabric(self.sim, Topology.complete(world_size), ConstantLatency(base=1.0))
         self.recorder = TraceRecorder(world_size)
@@ -34,8 +35,8 @@ class Cluster:
         self.nics = [
             NIC(
                 self.sim, rank, self.fabric, self.memories[rank], self.locks[rank],
-                detector=self.detector, config=nic_config or NICConfig(),
-                recorder=self.recorder,
+                config or RuntimeConfig(world_size=world_size),
+                detector=self.detector, recorder=self.recorder,
             )
             for rank in range(world_size)
         ]
@@ -94,7 +95,7 @@ class TestMessageDecomposition:
         assert without_detection.fabric.stats.detection_messages == 0
 
     def test_detection_messages_piggybacked_when_configured(self):
-        cluster = Cluster(nic_config=NICConfig(charge_detection_messages=False))
+        cluster = Cluster(config=RuntimeConfig(world_size=3, charge_detection_messages=False))
         cluster.drive(cluster.nics[2].rdma_put("v", GlobalAddress(1, 0)))
         assert cluster.fabric.stats.detection_messages == 0
         # The data message grew by the piggybacked clock payload.
@@ -361,7 +362,7 @@ class TestValidation:
         memory = PublicMemory(1, 8)
         locks = MemoryLockTable(sim, 0)
         with pytest.raises(ValueError):
-            NIC(sim, 0, fabric, memory, locks)
+            NIC(sim, 0, fabric, memory, locks, RuntimeConfig(world_size=2))
 
     def test_notification_delivers_payload(self):
         cluster = Cluster()

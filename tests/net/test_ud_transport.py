@@ -2,8 +2,8 @@
 
 The transport knob's contracts:
 
-* **Validation** — ``transport`` is ``"rc"`` or ``"ud"``; the runtime knob
-  follows the NIC config and conflicting explicit values are rejected.
+* **Validation** — ``transport`` is ``"rc"`` (the default) or ``"ud"``;
+  the NICs read the runtime's own config.
 * **Quiet-fabric equivalence** — UD under a fabric that drops nothing is
   byte-for-byte the RC execution: same verdicts, same final memory, same
   elapsed sim-time, on the whole labelled pattern corpus.
@@ -174,26 +174,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="transport"):
             validate_transport(bad)
 
-    def test_runtime_knob_follows_the_nic_config(self):
+    def test_runtime_knob_defaults_to_rc(self):
         runtime = DSMRuntime(RuntimeConfig(world_size=2))
         assert runtime.config.transport == "rc"
-        assert runtime.config.nic.transport == "rc"
 
     def test_runtime_knob_propagates_to_the_nic(self):
         runtime = DSMRuntime(RuntimeConfig(world_size=2, transport="ud"))
-        assert runtime.config.nic.transport == "ud"
+        assert runtime.config.transport == "ud"
         for nic in runtime.nics:
             assert nic.config.transport == "ud"
-
-    def test_conflicting_explicit_values_are_rejected(self):
-        from repro.net.nic import NICConfig
-
-        with pytest.raises(ValueError, match="conflicting transports"):
-            DSMRuntime(
-                RuntimeConfig(
-                    world_size=2, transport="rc", nic=NICConfig(transport="ud")
-                )
-            )
 
     def test_run_result_records_the_transport(self):
         result = sparse_wire_factory(transport="ud").run()
@@ -435,7 +424,7 @@ class TestExhaustion:
                 transport="ud",
             )
         )
-        runtime.config.nic.ud_max_retransmits = 2
+        runtime.config.ud_max_retransmits = 2
         runtime.declare_array("x", 2, owner=1, initial=0)
 
         def producer(api):
@@ -493,7 +482,7 @@ class TestExhaustion:
                 flow_control=flow_control,
             )
         )
-        runtime.config.nic.ud_max_retransmits = 2
+        runtime.config.ud_max_retransmits = 2
         runtime.declare_array("inbox", 1, owner=receiver, initial=0)
 
         def sender(api):

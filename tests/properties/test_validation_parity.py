@@ -172,7 +172,7 @@ class StrSubclass(str):
     """Equal to a legal value without being that exact object or type."""
 
 
-#: What a bare ``NICConfig`` assignment might leave behind.
+#: What a bare ``runtime.config`` assignment might leave behind.
 knob_values = st.one_of(
     st.sampled_from(CLOCK_TRANSPORT_MODES + CLOCK_WIRE_FORMATS),
     st.sampled_from(CLOCK_TRANSPORT_MODES + CLOCK_WIRE_FORMATS).map(StrSubclass),
@@ -198,22 +198,22 @@ class TestKnobReadParity:
     @settings(max_examples=200, deadline=None)
     def test_mode(self, runtime, value):
         transport = runtime.nics[1].clock_transport
-        runtime.config.nic.clock_transport = value  # bare: no set_knob, no check
+        runtime.config.clock_transport = value  # bare: no set_knob, no check
         assert_same_outcome(lambda _: transport.mode, validate_clock_transport, value)
 
     @given(knob_values)
     @settings(max_examples=200, deadline=None)
     def test_wire_format(self, runtime, value):
         transport = runtime.nics[1].clock_transport
-        runtime.config.nic.clock_wire = value
+        runtime.config.clock_wire = value
         assert_same_outcome(lambda _: transport.wire_format, validate_clock_wire, value)
 
     def test_an_illegal_bare_assignment_raises_at_first_use_with_the_validators_text(self):
         runtime = DSMRuntime(RuntimeConfig(world_size=2))
-        runtime.config.nic.clock_transport = "carrier-pigeon"
+        runtime.config.clock_transport = "carrier-pigeon"
         with pytest.raises(ValueError, match="clock_transport must be one of .*'carrier-pigeon'"):
             runtime.nics[0].clock_transport.piggyback
-        runtime.config.nic.clock_wire = "morse"
+        runtime.config.clock_wire = "morse"
         with pytest.raises(ValueError, match="clock_wire must be one of .*'morse'"):
             runtime.nics[0].clock_transport.wire_format
 

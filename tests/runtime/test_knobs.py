@@ -8,19 +8,25 @@
 * **One validator per knob, three entry points** — the config field,
   ``DSMRuntime.set_knob`` and ``CampaignConfig`` all reject the same
   illegal values.
+* **One home** — a knob is a field of ``RuntimeConfig`` (and of
+  ``CampaignConfig``, which overrides it) and nowhere else; the NICs and
+  verbs contexts read the runtime's own config.
 * **Config ownership** — a runtime resolves knobs on its own copy of the
   configuration, never through to the caller's objects.
 """
 
 import dataclasses
+import importlib
 import importlib.util
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.explore.campaign import CampaignConfig, build_parser
-from repro.net.nic import NICConfig
 from repro.runtime.knobs import KNOBS
 from repro.runtime.runtime import DSMRuntime, RuntimeConfig
 
@@ -37,7 +43,8 @@ RUNTIME_OTHER_FIELDS = {
     "topology": "examples/quickstart.py",
     "latency": "src/repro/workloads/racy_patterns.py",
     "detector": "benchmarks/bench_overhead_detection.py",
-    "nic": "benchmarks/bench_overhead_detection.py",
+    "charge_detection_messages": "benchmarks/bench_overhead_detection.py",
+    "ud_max_retransmits": "docs/verbs.md",
     "signal_policy": "examples/quickstart.py",
     "trace_spans": "src/repro/obs/__main__.py",
     "obs_wall_clock": "docs/observability.md",
@@ -46,10 +53,6 @@ RUNTIME_OTHER_FIELDS = {
     "verbs_max_recv_wr": "docs/verbs.md",
     "verbs_rnr_backoff": "src/repro/workloads/rpc_echo.py",
     "verbs_rnr_retry_limit": "docs/verbs.md",
-}
-NIC_OTHER_FIELDS = {
-    "charge_detection_messages": "benchmarks/bench_overhead_detection.py",
-    "ud_max_retransmits": "docs/verbs.md",
 }
 CAMPAIGN_OTHER_FIELDS = {
     "strategy", "budget", "seed", "workers", "reorder_probability",
@@ -106,14 +109,20 @@ class TestCoherence:
         assert knob_fields(RuntimeConfig, RUNTIME_OTHER_FIELDS) == NAMES
         assert knob_fields(CampaignConfig, CAMPAIGN_OTHER_FIELDS) == NAMES
 
-    def test_nic_config_declares_its_mirrors_and_nothing_unaccounted(self):
-        mirrors = [knob.name for knob in KNOBS if knob.nic_mirror]
-        assert sorted(knob_fields(NICConfig, NIC_OTHER_FIELDS)) == sorted(mirrors)
+    def test_no_other_dataclass_declares_a_knob(self):
+        homes = set()
+        for module_info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if module_info.name.endswith(".__main__"):
+                continue
+            module = importlib.import_module(module_info.name)
+            for _, cls in inspect.getmembers(module, dataclasses.is_dataclass):
+                if cls.__module__ == module.__name__:
+                    for field in dataclasses.fields(cls):
+                        if field.name in NAMES:
+                            homes.add(cls.__qualname__)
+        assert homes == {"RuntimeConfig", "CampaignConfig"}
 
-    @pytest.mark.parametrize(
-        "name, setter",
-        sorted({**RUNTIME_OTHER_FIELDS, **NIC_OTHER_FIELDS}.items()),
-    )
+    @pytest.mark.parametrize("name, setter", sorted(RUNTIME_OTHER_FIELDS.items()))
     def test_every_other_field_has_a_caller_outside_tests(self, name, setter):
         assert not setter.startswith("tests/")
         text = (Path(__file__).resolve().parents[2] / setter).read_text()
@@ -141,11 +150,6 @@ class TestCoherence:
         result = runtime.run()
         assert list(result.knobs) == NAMES
         assert list(runtime.recorder.run_info()) == ["world_size", "seed"] + NAMES
-
-    def test_nic_mirrors(self):
-        nic_fields = {field.name for field in dataclasses.fields(NICConfig)}
-        for knob in KNOBS:
-            assert knob.nic_mirror == (knob.name in nic_fields)
 
     def test_matrix_values_are_legal_spellings(self, monkeypatch):
         monkeypatch.delenv("REPRO_DETECTOR_EPOCHS", raising=False)
@@ -194,12 +198,14 @@ class TestCqModerationSpellings:
     def test_all_entry_points_agree(self, spelling, enabled):
         built = tiny_runtime(cq_moderation=spelling)
         assert built.config.cq_moderation is enabled
-        assert all(c.cq_moderation is enabled for c in built.verbs_contexts)
+        assert all(c.nic.config.cq_moderation is enabled for c in built.verbs_contexts)
 
         switched = tiny_runtime(cq_moderation=not enabled)
         switched.set_knob("cq_moderation", spelling)
         assert switched.knobs()["cq_moderation"] is enabled
-        assert all(c.cq_moderation is enabled for c in switched.verbs_contexts)
+        assert all(
+            c.nic.config.cq_moderation is enabled for c in switched.verbs_contexts
+        )
 
         (setting,) = CampaignConfig(cq_moderation=spelling).knob_settings()
         assert setting == ("cq_moderation", enabled)
@@ -232,10 +238,15 @@ class TestConfigOwnership:
         ]:
             runtime.set_knob(name, value)
         assert dataclasses.asdict(cfg) == pristine
-        # The NICs and the detector read the runtime's own copy.
-        assert runtime.nics[0].config is runtime.config.nic
+        # The NICs, the verbs contexts and the detector read the runtime's
+        # own copy.
+        assert all(nic.config is runtime.config for nic in runtime.nics)
+        assert all(
+            context.nic.config is runtime.config
+            for context in runtime.verbs_contexts
+        )
         assert runtime.detector.config is runtime.config.detector
-        assert runtime.config.nic.clock_transport == "piggyback"
+        assert runtime.nics[0].config.clock_transport == "piggyback"
         assert runtime.config.detector.epochs is False
 
     def test_custom_control_message_figure_survives_a_piggyback_round_trip(self):

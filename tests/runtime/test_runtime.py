@@ -50,6 +50,29 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DSMRuntime(RuntimeConfig(world_size=6, topology="hypercube"))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("charge_detection_messages", "no"),
+            ("charge_detection_messages", 0),
+            ("ud_max_retransmits", -1),
+            ("ud_max_retransmits", "x"),
+            ("ud_max_retransmits", True),
+            ("verbs_rnr_backoff", -1.0),
+            ("verbs_rnr_backoff", float("nan")),
+            ("verbs_rnr_backoff", float("inf")),
+            ("verbs_rnr_retry_limit", -3),
+            ("verbs_rnr_retry_limit", 1.5),
+            ("verbs_max_send_wr", 0),
+            ("verbs_max_recv_wr", 0),
+        ],
+    )
+    def test_settings_the_nic_and_contexts_read_are_checked_at_construction(
+        self, name, value
+    ):
+        with pytest.raises(ValueError, match=name):
+            DSMRuntime(RuntimeConfig(world_size=2, **{name: value}))
+
     def test_config_with_overrides_returns_copy(self):
         config = RuntimeConfig(world_size=4)
         other = config.with_overrides(world_size=8)
