@@ -854,8 +854,6 @@ class NIC:
         *,
         symbol: Optional[str] = None,
         clock_snapshot: Any = None,
-        rnr_backoff: float = 1.0,
-        rnr_retry_limit: Optional[int] = None,
         credit_gate: Any = None,
     ) -> Generator:
         """Two-sided SEND of *values* to *destination* (``IBV_WR_SEND``).
@@ -871,9 +869,9 @@ class NIC:
         * on arrival, *match_receive* is called to consume the head of the
           target's receive queue (FIFO, no tag matching — verbs semantics).
           If it raises :class:`ReceiverNotReady`, the RC RNR protocol runs:
-          back off ``rnr_backoff``, retransmit (charged as a fresh message),
-          and after ``rnr_retry_limit`` retries give up with
-          :class:`RnrRetryExceeded` (``None`` retries forever, like the
+          back off ``config.verbs_rnr_backoff``, retransmit (charged as a
+          fresh message), and after ``config.verbs_rnr_retry_limit`` retries
+          give up with :class:`RnrRetryExceeded` (``None`` retries forever, like the
           InfiniBand ``rnr_retry=7`` encoding).  Under credit-based flow
           control — a *credit_gate* is given; its presence *is* the mode,
           one branch here rather than a flow-control object — the NIC
@@ -934,6 +932,7 @@ class NIC:
             try:
                 recv_wr = match_receive()
             except ReceiverNotReady as error:
+                rnr_retry_limit = self.config.verbs_rnr_retry_limit
                 if rnr_retry_limit is not None and retries >= rnr_retry_limit:
                     raise RnrRetryExceeded(
                         f"send P{self.rank}->P{destination}: receiver not ready "
@@ -945,7 +944,7 @@ class NIC:
                     self.engine_track, "rnr_retry", self._sim._now,
                     destination=f"P{destination}", retry=retries,
                 )
-                backoff = rnr_backoff
+                backoff = self.config.verbs_rnr_backoff
                 controller = self._sim.controller
                 if controller is not None:
                     # The schedule controller owns RNR retry timing: the
@@ -953,7 +952,7 @@ class NIC:
                     # retransmissions backs off (a logged, replayable
                     # decision), exactly as it owns delivery latencies.
                     backoff = controller.on_rnr_backoff(
-                        self.rank, destination, retries, rnr_backoff
+                        self.rank, destination, retries, backoff
                     )
                 backoff_started = self._sim._now
                 yield self._sim.timeout(backoff, name=f"rnr-backoff:{tag}")

@@ -37,7 +37,12 @@ from repro.sim.engine import Simulator
 from repro.trace.events import TraceSummary
 from repro.trace.recorder import TraceRecorder
 from repro.util.logging import SimLogger
-from repro.util.validation import require_positive
+from repro.util.validation import (
+    require,
+    require_non_negative,
+    require_positive,
+    require_type,
+)
 from repro.verbs.context import VerbsContext
 
 
@@ -221,11 +226,6 @@ class RuntimeConfig:
         return replace(self, **kwargs)
 
 
-def _require_count(value: Any, name: str, minimum: int) -> None:
-    if type(value) is not int or value < minimum:
-        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
-
-
 def _validate_settings(config: RuntimeConfig) -> None:
     """Reject an illegal non-knob setting the NICs or verbs contexts read.
 
@@ -234,21 +234,19 @@ def _validate_settings(config: RuntimeConfig) -> None:
     RNR or queue pair) or, like a truthy string, not fail at all.
     """
     require_positive(config.world_size, "world_size")
-    if type(config.charge_detection_messages) is not bool:
-        raise ValueError(
-            "charge_detection_messages must be a bool, "
-            f"got {config.charge_detection_messages!r}"
-        )
-    _require_count(config.ud_max_retransmits, "ud_max_retransmits", 0)
-    _require_count(config.verbs_max_send_wr, "verbs_max_send_wr", 1)
-    _require_count(config.verbs_max_recv_wr, "verbs_max_recv_wr", 1)
-    if config.verbs_rnr_retry_limit is not None:
-        _require_count(config.verbs_rnr_retry_limit, "verbs_rnr_retry_limit", 0)
-    backoff = config.verbs_rnr_backoff
-    if type(backoff) not in (int, float) or not 0 <= backoff < math.inf:
-        raise ValueError(
-            f"verbs_rnr_backoff must be a finite number >= 0, got {backoff!r}"
-        )
+    require_type(config.charge_detection_messages, bool, "charge_detection_messages")
+    for name in ("ud_max_retransmits", "verbs_rnr_retry_limit"):
+        value = getattr(config, name)
+        if value is not None or name == "ud_max_retransmits":
+            # only the RNR retry limit may be None (retry forever)
+            require_non_negative(require_type(value, int, name), name)
+    for name in ("verbs_max_send_wr", "verbs_max_recv_wr"):
+        require_positive(require_type(getattr(config, name), int, name), name)
+    require_non_negative(config.verbs_rnr_backoff, "verbs_rnr_backoff")
+    require(
+        math.isfinite(config.verbs_rnr_backoff),
+        f"verbs_rnr_backoff must be finite, got {config.verbs_rnr_backoff!r}",
+    )
 
 
 @dataclass

@@ -448,8 +448,6 @@ class QueuePair:
                 lambda: recv_queue.match(self.origin),
                 symbol=request.symbol,
                 clock_snapshot=request.clock_snapshot,
-                rnr_backoff=config.verbs_rnr_backoff,
-                rnr_retry_limit=config.verbs_rnr_retry_limit,
                 credit_gate=credit_gate,
             )
         except RnrRetryExceeded as error:

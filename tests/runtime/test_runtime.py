@@ -70,7 +70,7 @@ class TestConstruction:
     def test_settings_the_nic_and_contexts_read_are_checked_at_construction(
         self, name, value
     ):
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises((ValueError, TypeError), match=name):
             DSMRuntime(RuntimeConfig(world_size=2, **{name: value}))
 
     def test_config_with_overrides_returns_copy(self):
