@@ -4,8 +4,8 @@ The piggyback transport (E16) made clock traffic free in *messages* but not
 in *bytes*: a full vector clock costs ``world_size × 8`` bytes on every data
 message, so matrix-clock detection stops scaling past debugging-size worlds.
 The wire-format layer fixes that: ``clock_wire="delta"``/``"truncated"``
-send only the components that changed since the channel's last clock (plus
-periodic resyncs), which for neighbor-local communication is O(neighbors)
+send only the components that changed since the channel's last clock (a
+full frame on first contact), which for neighbor-local communication is O(neighbors)
 per message, not O(world).
 
 This benchmark sweeps world sizes 4 → 32 over a ring of posted puts (each

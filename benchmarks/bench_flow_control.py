@@ -1,8 +1,7 @@
-"""E18 — the adaptive runtime control plane's two perf claims, gated.
+"""E18 — the adaptive runtime control plane's perf claim, gated.
 
-The control plane (``flow_control``, ``clock_wire_resync="adaptive"``)
-trades protocol chatter for explicit state, and each knob's win is
-measurable on a fully seeded simulation:
+The control plane (``flow_control``) trades protocol chatter for explicit
+state, and the knob's win is measurable on a fully seeded simulation:
 
 * **credit vs RNR under saturation** — a sender overrunning a slow
   receiver.  RNR-retry mode blindly retransmits on every receiver-not-ready
@@ -12,13 +11,9 @@ measurable on a fully seeded simulation:
   retransmissions disappear), suffer *zero* RNR events, and — under a
   realistically coarse RNR timer — finish *no later*.
 
-* **adaptive resync** — a busy channel in a wide world touches few clock
-  components, so the self-tuning cadence stretches its resync period and
-  saves clock bytes over the fixed default.
-
 Writes ``BENCH_flow_control.json``; CI's perf gate (``tools/perf_gate.py``)
-compares it against the committed baseline, so message counts, RNR events,
-clock bytes and elapsed sim-times can only regress loudly.
+compares it against the committed baseline, so message counts, RNR events
+and elapsed sim-times can only regress loudly.
 """
 
 import json
@@ -27,7 +22,6 @@ import os
 from conftest import record
 
 from repro.memory.directory import PlacementPolicy
-from repro.net.clock_transport import ADAPTIVE_RESYNC_START
 from repro.runtime.runtime import DSMRuntime, RuntimeConfig
 
 #: Where the per-push perf artifact lands (CI uploads and gates it).
@@ -79,38 +73,6 @@ def _saturating_run(flow_control, seed=0):
     }
 
 
-def _resync_run(resync, world_size=8, seed=0):
-    """One busy channel in a wide world: sparse frames patch ~2 of 8
-    components, so the adaptive cadence stretches its period."""
-    runtime = DSMRuntime(
-        RuntimeConfig(
-            world_size=world_size,
-            seed=seed,
-            clock_transport="piggyback",
-            clock_wire="delta",
-            clock_wire_resync=resync,
-        )
-    )
-    runtime.declare_array("cells", 4, owner=1, initial=0)
-
-    def writer(api):
-        for step in range(3 * ADAPTIVE_RESYNC_START):
-            yield from api.put("cells", step, index=step % 4)
-
-    def idle(api):
-        yield from api.compute(1.0)
-
-    runtime.set_program(0, writer)
-    for rank in range(1, world_size):
-        runtime.set_program(rank, idle)
-    result = runtime.run()
-    return {
-        "result": result,
-        "clock_bytes": result.clock_transport_stats["piggybacked_bytes"],
-        "sim_time": result.elapsed_sim_time,
-    }
-
-
 def test_credit_beats_rnr_under_saturation(benchmark):
     runs = benchmark(
         lambda: {mode: _saturating_run(mode) for mode in ("rnr", "credit")}
@@ -145,42 +107,6 @@ def test_credit_beats_rnr_under_saturation(benchmark):
             "sim_time": runs[mode]["sim_time"],
         }
         for mode in ("rnr", "credit")
-    }
-    _flush()
-
-
-def test_adaptive_resync_saves_clock_bytes(benchmark):
-    runs = benchmark(
-        lambda: {
-            resync: _resync_run(resync)
-            for resync in (ADAPTIVE_RESYNC_START, "adaptive")
-        }
-    )
-    fixed, adaptive = runs[ADAPTIVE_RESYNC_START], runs["adaptive"]
-    assert adaptive["result"].race_count == fixed["result"].race_count
-    assert (
-        adaptive["result"].final_shared_values
-        == fixed["result"].final_shared_values
-    )
-    assert adaptive["clock_bytes"] < fixed["clock_bytes"]
-    assert adaptive["sim_time"] == fixed["sim_time"], (
-        "the cadence is pure byte accounting — it cannot move sim-time"
-    )
-    record(
-        benchmark,
-        experiment="E18 / adaptive resync",
-        fixed_clock_bytes=fixed["clock_bytes"],
-        adaptive_clock_bytes=adaptive["clock_bytes"],
-    )
-    _ARTIFACT["adaptive_resync"] = {
-        "fixed": {
-            "clock_bytes": fixed["clock_bytes"],
-            "sim_time": fixed["sim_time"],
-        },
-        "adaptive": {
-            "clock_bytes": adaptive["clock_bytes"],
-            "sim_time": adaptive["sim_time"],
-        },
     }
     _flush()
 

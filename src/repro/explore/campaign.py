@@ -52,9 +52,8 @@ class CampaignConfig:
     The consistency knobs (one field per entry of
     :data:`repro.runtime.knobs.KNOBS`, described on
     :class:`~repro.runtime.runtime.RuntimeConfig`) — when not ``None``,
-    set that knob on every built runtime, spelled as on the command line
-    (``clock_wire_resync`` is a decimal count or ``"adaptive"``).  A knob moves
-    traffic, bytes or timing and never a verdict, so ``--expect-consistent``
+    set that knob on every built runtime.  A knob moves traffic, bytes or
+    timing and never a verdict, so ``--expect-consistent``
     must hold for every combination (the CI knob-matrix gate) — including
     ``transport="ud"`` with nonzero ``drop_probability`` /
     ``duplicate_probability``, where the fuzzer drops, duplicates and
@@ -88,8 +87,6 @@ class CampaignConfig:
     detector_epochs: Optional[str] = None
     # two-sided admission-protocol sweep ("rnr" / "credit")
     flow_control: Optional[str] = None
-    # sparse-wire resync-cadence sweep (decimal count / "adaptive")
-    clock_wire_resync: Optional[str] = None
     # data-message service-level sweep ("rc" / "ud")
     transport: Optional[str] = None
     #: Record each schedule's critical-path summary (span tracing on for
@@ -102,6 +99,11 @@ class CampaignConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         require_positive(require_type(self.budget, int, "budget"), "budget")
         require_non_negative(require_type(self.workers, int, "workers"), "workers")
+        require_type(
+            self.treat_rmw_pairs_as_ordered,
+            (bool, type(None)),
+            "treat_rmw_pairs_as_ordered",
+        )
         self.knob_settings()  # raises on an illegal override
         # The search parameters are the strategies' own, so the strategies
         # check them — here, not in a worker after schedule 0 has run.
@@ -130,7 +132,7 @@ class CampaignConfig:
     def knob_settings(self) -> List[Tuple[str, Any]]:
         """``(name, validated runtime value)`` of every knob this campaign overrides."""
         return [
-            (knob.name, knob.from_text(getattr(self, knob.name)))
+            (knob.name, knob.validate(getattr(self, knob.name)))
             for knob in KNOBS
             if getattr(self, knob.name) is not None
         ]
@@ -162,9 +164,7 @@ def _knob_configure(config: CampaignConfig):
 
     def configure(runtime) -> None:
         if rmw_pairs_ordered is not None:
-            runtime.detector.config.treat_rmw_pairs_as_ordered = bool(
-                rmw_pairs_ordered
-            )
+            runtime.detector.config.treat_rmw_pairs_as_ordered = rmw_pairs_ordered
         for name, value in settings:
             runtime.set_knob(name, value)
 
@@ -569,11 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _flag_value(knob: Knob, text: Optional[str]):
     """What ``CampaignConfig`` (and so the report) holds for a knob's flag:
-    the text of a knob with a parser (``"64"``), the value otherwise
-    (``--cq-moderation on`` is ``True``)."""
-    if text is None or knob.parse is not None:
-        return text
-    return knob.validate(text)
+    its value (``--cq-moderation on`` is ``True``), or ``None`` if unset."""
+    return None if text is None else knob.validate(text)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

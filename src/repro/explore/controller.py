@@ -3,7 +3,7 @@
 A :class:`ScheduleController` is installed on a
 :class:`~repro.sim.engine.Simulator` before the run starts
 (:meth:`~repro.sim.engine.Simulator.install_controller`).  From then on it
-sits at every place where a run's interleaving is decided — eight kinds of
+sits at every place where a run's interleaving is decided — seven kinds of
 choice point (:data:`~repro.explore.decisions.DECISION_SHAPES` is the table,
 ``docs/explore.md`` says who calls what), each reached through one entry
 point: :meth:`~ScheduleController.pick_next`, with which the engine's
@@ -247,13 +247,6 @@ class ScheduleController:
         """Extra delay before a credit grant wakes *sender* (``CreditGate``)."""
         key = f"credit:{receiver}->{sender}#{self._next_number['credit']()}"
         return self._decide("credit", key)
-
-    def on_clock_resync(
-        self, source: int, destination: int, since_resync: int, period: int
-    ) -> int:
-        """Sparse messages to defer a due adaptive resync by (0: resync now)."""
-        key = f"resync:{source}->{destination}#{self._next_number['resync']()}"
-        return self._decide("resync", key)
 
     def on_barrier_release(self, generation: int, remaining: int) -> int:
         """Which of *remaining* barrier waiters is released next (0: arrival order).

@@ -1,15 +1,15 @@
 """The replayable decision log.
 
 Every nondeterministic choice point the schedule controller owns — a delivery
-or timer stretched, a same-time tie or fan-out ordered, a datagram's fate, a
-resync deferred; eight kinds, below — produces one :class:`Decision`.
+stretched, a same-time tie or fan-out ordered, a datagram's fate; seven
+kinds, below — produces one :class:`Decision`.
 A run's log is therefore a complete recipe for the schedule: replaying the
 log through a fresh runtime (same program, same seed) reproduces the run
 byte for byte, and *truncating* it replays a prefix with every later choice
 point falling back to its uncontrolled default.  That prefix property is
 what the racing-schedule minimizer delta-debugs over.
 
-Eight decision kinds exist:
+Seven decision kinds exist:
 
 ``latency``
     The controller stretched (or left alone) one message's flight time.
@@ -32,12 +32,6 @@ Eight decision kinds exist:
     wake-up.  ``choice`` is the extra delay before the sender resumes;
     ``0.0`` is the default (wake at the post).  Grant timing decides which
     of several stalled senders claims a contested buffer first.
-``resync``
-    An adaptive clock-wire channel reached its full-frame resync cadence;
-    the controller deferred (or did not defer) the resync.  ``choice`` is
-    the number of additional sparse messages before the resync re-arms;
-    ``0`` is the default (resync now).  Every frame still decodes to the
-    exact clock, so this is pure byte-accounting nondeterminism.
 ``barrier``
     A barrier opened and the controller picked which waiting rank's release
     fires next (one decision per pick while more than one waiter remains).
@@ -73,14 +67,13 @@ from repro.util.records import trusted_build
 #: What a choice of each kind looks like — the one table strategies, the
 #: controller and the artifact reader go by.  A ``"delay"`` is extra simulated
 #: time (stored as ``float``), an ``"index"`` picks one of a number of options
-#: the choice point states (``int``), a ``"count"`` is a number of messages
-#: (``int``).  Zero is every kind's uncontrolled default.
+#: the choice point states (``int``).  Zero is every kind's uncontrolled
+#: default.
 DECISION_SHAPES = {
     "latency": "delay",
     "tie": "index",
     "rnr": "delay",
     "credit": "delay",
-    "resync": "count",
     "barrier": "index",
     "drop": "index",
     "reorder": "delay",
@@ -97,7 +90,7 @@ def check_choice(kind: str, key: str, choice: object) -> None:
     """Refuse a *choice* that a decision of (known) *kind* cannot hold.
 
     The check for values that come from outside (an artifact file): a delay
-    is a finite number >= 0, an index or a count an integer >= 0, neither a
+    is a finite number >= 0, an index an integer >= 0, neither a
     ``bool``.  Anything else would replay a different schedule than the file
     names (``1.5`` truncated to index 1) or none at all (a ``NaN`` delay).
     """
@@ -130,7 +123,7 @@ class Decision:
         log applied to the wrong program or seed.
     choice:
         The controller's decision, in the shape :data:`DECISION_SHAPES`
-        gives its kind: an extra delay (float), an index or a count (int).
+        gives its kind: an extra delay (float) or an index (int).
         ``0`` always means "the uncontrolled default".
     """
 

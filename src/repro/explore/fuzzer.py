@@ -13,11 +13,8 @@ Three groups of knobs shape the search:
   Delays *stretch* flight times only; shrinking could not reorder anything
   per-channel FIFO does not already forbid, and additive delays already
   reach every cross-channel arrival order.  Every other delay kind — RNR
-  backoff, credit grant, CQ timer, UD datagram flight — is stretched the
-  same way (:mod:`repro.explore.decisions` says what each stretch races),
-  and a due adaptive resync is deferred by 1-3 messages at the same rate:
-  that perturbs only byte accounting, but it is drawn from the same stream
-  so that fuzzed schedules stay seed-pure;
+  backoff, credit grant, UD datagram flight — is stretched the same way
+  (:mod:`repro.explore.decisions` says what each stretch races);
 * ``tie_shuffle_probability`` — how often a same-time scheduling tie, or a
   barrier's fan-out order, is resolved against insertion order
   (process-scheduling perturbation);
@@ -112,8 +109,6 @@ class ScheduleFuzzer(ScheduleStrategy):
             return self._rng.randrange(bound)
         if roll >= self.reorder_probability:
             return 0
-        if shape == "count":
-            return self._rng.randrange(1, 4)
         return self._rng.uniform(0.0, self.reorder_aggressiveness * self.quantum)
 
     def describe(self) -> str:

@@ -10,9 +10,9 @@ accesses that can actually conflict.  The moving parts:
   :func:`~repro.explore.controller.is_reorderable`) and every point of the
   other kinds except same-time ties — each with ``branch_factor`` slots, and
   forces a given partial assignment of slots.  Slot *k* is ``k * quantum``
-  of extra delay, *k* more sparse messages before a due resync, or option
-  *k* of an index kind (the barrier waiter released next; a datagram
-  delivered, dropped or duplicated).  Everything else runs at the default,
+  of extra delay or option *k* of an index kind (the barrier waiter
+  released next; a datagram delivered, dropped or duplicated).  Everything
+  else runs at the default,
   so a node of the search tree is just ``{choice-point key: slot}``;
 * :func:`schedule_fingerprint` — the Mazurkiewicz-style equivalence class
   of a completed run: the per-cell order of conflicting accesses.  Two
@@ -38,7 +38,7 @@ import operator
 from typing import Dict, List, Optional, Sequence
 
 from repro.explore.controller import ScheduleStrategy, is_reorderable
-from repro.explore.decisions import DECISION_SHAPES, Choice
+from repro.explore.decisions import Choice
 from repro.memory.consistency import AccessKind, MemoryAccess
 from repro.net.message import Message
 
@@ -140,8 +140,6 @@ class SystematicStrategy(ScheduleStrategy):
         slot = self.forced.get(key, 0)
         if bound is not None:
             return min(slot, bound - 1)
-        if DECISION_SHAPES[kind] == "count":
-            return slot
         return slot * self.quantum
 
     def describe(self) -> str:

@@ -47,14 +47,15 @@ compresses each directed channel's clock stream:
     Each rider encodes only the components that changed since the last clock
     sent on this ``(source, destination)`` channel, as ``(rank, increment)``
     pairs — the receiver reconstructs by applying the increments to its
-    last-acknowledged view.  Every ``resync_period`` messages (and whenever
-    the sparse encoding would not actually be smaller) a tagged *full*
-    frame resynchronizes the channel.
+    last-acknowledged view.  The channel's first clock, and any clock whose
+    sparse encoding would not actually be smaller, travels as a tagged
+    *full* frame instead (Singhal and Kshemkalyani's differential
+    technique over FIFO channels).
 
 ``"truncated"``
     Like delta, but each changed component travels as its absolute value
     (``(rank, value)`` pairs) — simpler to apply, slightly larger entries,
-    same resync protocol.
+    same full-frame rule.
 
 All three formats decode to the *exact* clock — the transport round-trips
 every frame through the decoder and verifies it against the frozen snapshot
@@ -66,9 +67,8 @@ sound here because the per-queue-pair RC transport delivers in order.
 
 from __future__ import annotations
 
-import enum
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.detector import DualClockRaceDetector
@@ -90,12 +90,15 @@ CLOCK_WIRE_FORMATS = ("full", "delta", "truncated")
 #: figure is the single source of truth, so wire and storage accounting can
 #: never drift apart.
 BYTES_PER_ENTRY = DualClockRaceDetector.BYTES_PER_ENTRY
-#: One-byte frame tag discriminating sparse frames from resync frames.  The
+#: One-byte frame tag discriminating sparse frames from full frames.  The
 #: plain ``"full"`` format is untagged (the legacy wire layout), so choosing
 #: ``clock_wire="full"`` is byte-identical to the pre-compression accounting.
 WIRE_TAG_BYTES = 1
-#: One-byte changed-entry count in a sparse frame (worlds up to 255 ranks).
+#: One-byte changed-entry count in a sparse frame.
 WIRE_COUNT_BYTES = 1
+#: The most changed entries one sparse frame can count; a clock with more
+#: travels as a full frame.
+MAX_SPARSE_ENTRIES = 2 ** (8 * WIRE_COUNT_BYTES) - 1
 #: Bytes naming the rank of one sparse entry.
 WIRE_RANK_BYTES = 2
 #: Bytes for one delta increment (small by construction: the change since
@@ -121,36 +124,11 @@ def validate_clock_wire(wire_format: str) -> str:
     return wire_format
 
 
-#: Adaptive resync cadence bounds and starting point (messages per channel).
-ADAPTIVE_RESYNC_MIN = 8
-ADAPTIVE_RESYNC_MAX = 512
-ADAPTIVE_RESYNC_START = 64
-#: Realized sparse/full byte-ratio thresholds: below the low mark the
-#: channel is stable (stretch the cadence — resyncs are the dominant cost);
-#: above the high mark sparse frames are nearly full-sized anyway (tighten
-#: the cadence — a resync costs little extra and keeps the delta state
-#: fresh).
-ADAPTIVE_RATIO_LOW = 0.25
-ADAPTIVE_RATIO_HIGH = 0.75
-
-
-def validate_clock_wire_resync(value):
-    """Validate a resync cadence: a positive message count, or ``"adaptive"``."""
-    if value == "adaptive":
-        return value
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(
-            f"clock_wire_resync must be a positive integer or 'adaptive', "
-            f"got {value!r}"
-        )
-    return value
-
-
 @dataclass(frozen=True)
 class ClockWireFrame:
     """One encoded clock as it would travel on a directed channel.
 
-    ``entries`` is the absolute clock for full/resync frames and a tuple of
+    ``entries`` is the absolute clock for full frames and a tuple of
     ``(rank, increment)`` (delta) or ``(rank, value)`` (truncated) pairs for
     sparse frames.  ``wire_bytes`` is the modelled wire size, already
     including tag and count headers.
@@ -166,49 +144,21 @@ class ClockWireEncoder:
     """Sender half of one directed channel's clock compression.
 
     Tracks the last clock sent on the channel; :meth:`encode` emits either a
-    sparse frame covering the components that changed since then, or a full
-    resync frame — on the first message, every ``resync_period`` messages,
-    and whenever the sparse encoding would not beat the full one.
-
-    With ``adaptive=True`` the cadence tunes itself per channel from the
-    realized sparse/full byte ratio of each resync window: a channel whose
-    sparse frames are tiny (ratio ≤ :data:`ADAPTIVE_RATIO_LOW`) doubles its
-    period — the periodic full frames are its dominant clock cost — and a
-    channel whose sparse frames are nearly full-sized anyway (ratio ≥
-    :data:`ADAPTIVE_RATIO_HIGH`) halves it, within
-    [:data:`ADAPTIVE_RESYNC_MIN`, :data:`ADAPTIVE_RESYNC_MAX`].  A due
-    adaptive resync additionally consults *resync_decider* — the schedule
-    controller's hook — which may defer it by a few more sparse messages, a
-    logged, replayable decision (always sound: sparse frames decode to the
-    exact clock regardless of when the resync lands).
+    sparse frame covering the components that changed since then, or a
+    tagged full frame — on the channel's first message, and whenever the
+    sparse frame would not pay (it would cost at least a full one, or its
+    changed-entry count would not fit the :data:`WIRE_COUNT_BYTES` count).
+    No other frame is full: both halves advance in lockstep, so a periodic
+    full frame would leave the same state behind as the sparse one and only
+    cost more.
     """
 
-    def __init__(
-        self,
-        world_size: int,
-        wire_format: str,
-        resync_period: int = 64,
-        adaptive: bool = False,
-        resync_decider=None,
-    ) -> None:
+    def __init__(self, world_size: int, wire_format: str) -> None:
         if world_size <= 0:
             raise ValueError(f"world_size must be positive, got {world_size}")
-        if resync_period < 1:
-            raise ValueError(f"resync_period must be >= 1, got {resync_period}")
         self.world_size = world_size
         self.wire_format = validate_clock_wire(wire_format)
-        self.resync_period = resync_period
-        self.adaptive = adaptive
-        self._resync_decider = resync_decider
         self._last_sent: Optional[List[int]] = None
-        self._since_resync = 0
-        #: Realized sparse bytes and frame count of the current resync window.
-        self._window_sparse_bytes = 0
-        self._window_frames = 0
-        #: Adaptation history, for tests and benchmarks.
-        self.period_raises = 0
-        self.period_lowers = 0
-        self.resyncs_deferred = 0
 
     def _full_frame(self, clock: Tuple[int, ...], tagged: bool) -> ClockWireFrame:
         return ClockWireFrame(
@@ -228,29 +178,16 @@ class ClockWireEncoder:
                 f"{self.world_size} ranks"
             )
         if self.wire_format == "full":
-            # The legacy untagged layout: nothing to resync, nothing saved.
-            self._last_sent = list(entries)
+            # The legacy untagged layout.
             return self._full_frame(entries, tagged=False)
-        period_reached = (
-            self._last_sent is not None
-            and self._since_resync >= self.resync_period
-        )
-        if period_reached and self.adaptive and self._resync_decider is not None:
-            # A due adaptive resync is a controlled choice point: the
-            # controller may defer it by a few more sparse messages.
-            defer = self._resync_decider(self._since_resync, self.resync_period)
-            if defer > 0:
-                self.resyncs_deferred += 1
-                self._since_resync = max(0, self.resync_period - int(defer))
-                period_reached = False
-        resync_due = self._last_sent is None or period_reached
-        if not resync_due:
+        last_sent, self._last_sent = self._last_sent, list(entries)
+        if last_sent is not None:
             changed = [
-                (rank, value - self._last_sent[rank])
+                (rank, value - last_sent[rank])
                 if self.wire_format == "delta"
                 else (rank, value)
                 for rank, value in enumerate(entries)
-                if value != self._last_sent[rank]
+                if value != last_sent[rank]
             ]
             entry_cost = WIRE_RANK_BYTES + (
                 WIRE_DELTA_BYTES if self.wire_format == "delta" else BYTES_PER_ENTRY
@@ -259,42 +196,15 @@ class ClockWireEncoder:
                 WIRE_TAG_BYTES + WIRE_COUNT_BYTES + len(changed) * entry_cost
             )
             full_bytes = WIRE_TAG_BYTES + self.world_size * BYTES_PER_ENTRY
-            if sparse_bytes < full_bytes:
-                self._last_sent = list(entries)
-                self._since_resync += 1
-                self._window_sparse_bytes += sparse_bytes
-                self._window_frames += 1
+            if len(changed) <= MAX_SPARSE_ENTRIES and sparse_bytes < full_bytes:
                 return ClockWireFrame(
                     wire_format=self.wire_format,
                     full=False,
                     entries=tuple(changed),
                     wire_bytes=sparse_bytes,
                 )
-        # Resync: first message, period reached, or sparse would not pay.
-        if self.adaptive:
-            self._adapt_period()
-        self._last_sent = list(entries)
-        self._since_resync = 0
+        # First contact, or the sparse frame would not pay.
         return self._full_frame(entries, tagged=True)
-
-    def _adapt_period(self) -> None:
-        """Re-tune the cadence from the closing window's realized byte ratio."""
-        if not self._window_frames:
-            return
-        full_bytes = WIRE_TAG_BYTES + self.world_size * BYTES_PER_ENTRY
-        ratio = self._window_sparse_bytes / (self._window_frames * full_bytes)
-        self._window_sparse_bytes = 0
-        self._window_frames = 0
-        if ratio <= ADAPTIVE_RATIO_LOW:
-            raised = min(self.resync_period * 2, ADAPTIVE_RESYNC_MAX)
-            if raised != self.resync_period:
-                self.resync_period = raised
-                self.period_raises += 1
-        elif ratio >= ADAPTIVE_RATIO_HIGH:
-            lowered = max(self.resync_period // 2, ADAPTIVE_RESYNC_MIN)
-            if lowered != self.resync_period:
-                self.resync_period = lowered
-                self.period_lowers += 1
 
 
 class ClockWireDecoder:
@@ -303,7 +213,7 @@ class ClockWireDecoder:
     Reconstructs the exact clock from the frame stream: full frames replace
     the channel view, sparse frames patch it.  A sparse frame before any
     full frame is a protocol violation (the encoder always opens with a
-    resync) and raises.
+    full frame) and raises.
     """
 
     def __init__(self, world_size: int, wire_format: str) -> None:
@@ -322,7 +232,7 @@ class ClockWireDecoder:
             self._view = list(frame.entries)
         elif self._view is None:
             raise ValueError(
-                "sparse clock frame received before any full resync frame"
+                "sparse clock frame received before any full frame"
             )
         else:
             for rank, value in frame.entries:
@@ -339,7 +249,7 @@ class ClockWireDecoder:
 #: ``piggybacked_messages``/``piggybacked_bytes`` — data messages carrying a
 #: clock rider and the rider bytes; ``joins_performed``/``joins_elided`` —
 #: origin-side retirement joins done vs skipped thanks to batching;
-#: ``wire_frames_full``/``wire_frames_sparse`` — resync vs compressed clock
+#: ``wire_frames_full``/``wire_frames_sparse`` — full vs compressed clock
 #: frames; ``wire_bytes_saved`` — bytes the wire format saved vs full
 #: clocks; ``completion_events``/``completions_coalesced`` — CQEs delivered
 #: and completions that shared one; ``completion_clock_bytes`` — clock bytes
@@ -528,62 +438,15 @@ class ClockTransport:
 
     # -- wire format (per-destination codecs) ----------------------------------------
 
-    @property
-    def adaptive_resync(self) -> bool:
-        """True when the resync cadence self-tunes per channel."""
-        return self._nic.config.clock_wire_resync == "adaptive"
-
-    def _resync_decider(self, destination: int):
-        """The controller hook deciding whether a due resync is deferred."""
-
-        def decide(since_resync: int, period: int) -> int:
-            controller = self._nic._sim.controller
-            if controller is not None:
-                return controller.on_clock_resync(
-                    self._nic.rank, destination, since_resync, period
-                )
-            return 0
-
-        return decide
-
     def _codec(self, destination: int) -> Tuple[ClockWireEncoder, ClockWireDecoder]:
         encoder = self._encoders.get(destination)
-        adaptive = self.adaptive_resync
-        if (
-            encoder is None
-            or encoder.wire_format != self.wire_format
-            or encoder.adaptive != adaptive
-        ):
-            encoder = ClockWireEncoder(
-                self._nic.detector.world_size,
-                self.wire_format,
-                resync_period=(
-                    ADAPTIVE_RESYNC_START
-                    if adaptive
-                    else self._nic.config.clock_wire_resync
-                ),
-                adaptive=adaptive,
-                resync_decider=(
-                    self._resync_decider(destination) if adaptive else None
-                ),
-            )
+        if encoder is None or encoder.wire_format != self.wire_format:
+            encoder = ClockWireEncoder(self._nic.detector.world_size, self.wire_format)
             self._encoders[destination] = encoder
             self._decoders[destination] = ClockWireDecoder(
                 encoder.world_size, self.wire_format
             )
         return encoder, self._decoders[destination]
-
-    def wire_resync_state(self) -> Dict[int, Dict[str, int]]:
-        """Per-destination resync cadence state (tests and benchmarks)."""
-        return {
-            destination: {
-                "resync_period": encoder.resync_period,
-                "period_raises": encoder.period_raises,
-                "period_lowers": encoder.period_lowers,
-                "resyncs_deferred": encoder.resyncs_deferred,
-            }
-            for destination, encoder in sorted(self._encoders.items())
-        }
 
     def encode_frame(self, clock_entries, destination: int) -> ClockWireFrame:
         """Run one clock through *destination*'s channel codec; returns the frame.
@@ -627,8 +490,8 @@ class ClockTransport:
         and the frame's wire shape.  Under the piggyback transport the
         rider is encoded through the channel's wire-format codec — ``full``
         costs the whole vector, ``delta``/``truncated`` cost only the
-        components that changed since the channel's last clock (plus
-        periodic resyncs).  Under roundtrip, *request* messages add nothing
+        components that changed since the channel's last clock (or a full
+        frame when that would not pay).  Under roundtrip, *request* messages add nothing
         and data messages add the legacy ``charge_detection_messages=False``
         allowance.
 

@@ -25,7 +25,6 @@ from repro.net.clock_transport import (
     CLOCK_WIRE_FORMATS,
     validate_clock_transport,
     validate_clock_wire,
-    validate_clock_wire_resync,
 )
 from repro.net.flow_control import FLOW_CONTROL_MODES, validate_flow_control
 from repro.net.ud_transport import TRANSPORT_MODES, validate_transport
@@ -44,16 +43,13 @@ class Knob:
         The field on ``RuntimeConfig`` and ``CampaignConfig``; :attr:`flag`
         is derived from it.
     validate:
-        Returns the canonical value, or raises ``ValueError``.
+        Returns the canonical value of a value or its command-line spelling
+        (``"on"`` is ``True``), or raises ``ValueError``.
     cli:
-        ``argparse`` keywords of the campaign flag (help, and choices,
-        metavar or type).
+        ``argparse`` keywords of the campaign flag (help and choices).
     matrix_values:
         The command-line spellings CI's consistency matrix sweeps; the
         full-cartesian islands pin the knob to the first.
-    parse:
-        Converts command-line spellings that are not themselves legal values
-        (``"64"``); ``None`` if ``validate`` will do.
     inherit:
         Where a knob left ``None`` gets its value.
     apply:
@@ -69,7 +65,6 @@ class Knob:
     validate: Callable[[Any], Any]
     cli: Mapping[str, Any]
     matrix_values: Tuple[str, ...]
-    parse: Optional[Callable[[str], Any]] = None
     inherit: Optional[Callable[["RuntimeConfig"], Any]] = None
     apply: Optional[Callable[["DSMRuntime", Any], None]] = None
     extra_flags: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
@@ -79,10 +74,6 @@ class Knob:
         """The campaign command-line flag (``--clock-wire``)."""
         return "--" + self.name.replace("_", "-")
 
-    def from_text(self, text: Any) -> Any:
-        """The validated value of a command-line spelling (or a plain value)."""
-        return (self.parse or self.validate)(text)
-
     def resolve(self, config: "RuntimeConfig") -> Any:
         """The validated value a runtime built from *config* runs with."""
         value = getattr(config, self.name)
@@ -91,7 +82,7 @@ class Knob:
         return self.validate(value)
 
 
-# -- validators and parsers without a home module ------------------------------------
+# -- validators without a home module -----------------------------------------------
 
 
 #: The command-line spellings of the two on/off knobs.
@@ -114,20 +105,6 @@ def validate_detector_epochs(mode: Any) -> str:
     if mode not in ON_OFF:
         raise ValueError(f"detector_epochs must be 'on' or 'off', got {mode!r}")
     return mode
-
-
-def parse_clock_wire_resync(text: str):
-    """A decimal message count, or ``"adaptive"``."""
-    if text == "adaptive":
-        return text
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(
-            f"clock_wire_resync must be a decimal count or 'adaptive', "
-            f"got {text!r}"
-        ) from None
-    return validate_clock_wire_resync(value)
 
 
 # -- hooks -----------------------------------------------------------------------------
@@ -220,18 +197,6 @@ KNOBS: Tuple[Knob, ...] = (
             f"{_PATTERN_DEFAULT}",
         },
         matrix_values=("rnr", "credit"),
-    ),
-    Knob(
-        name="clock_wire_resync",
-        validate=validate_clock_wire_resync,
-        cli={
-            "metavar": "COUNT|adaptive",
-            "help": "sparse-wire full-clock resync cadence for every explored "
-            "runtime: a message count, or 'adaptive' for the per-channel "
-            f"self-tuning cadence {_PATTERN_DEFAULT}",
-        },
-        matrix_values=("64", "adaptive"),
-        parse=parse_clock_wire_resync,
     ),
     Knob(
         name="transport",

@@ -97,19 +97,11 @@ class RuntimeConfig:
         vector per rider (``world_size × 8`` bytes — linear in world size),
         ``"delta"`` ships per-channel increments of the components that
         changed since the last clock on that channel, ``"truncated"``
-        ships their absolute values; both sparse formats resync with a
-        full frame every ``clock_wire_resync`` messages.  Every format
-        decodes to the exact clock (verified on every frame), so detector
-        verdicts never depend on this knob — only bytes do.
-    clock_wire_resync:
-        Channel messages between full-clock resync frames under the sparse
-        wire formats: a positive count for a fixed cadence, or
-        ``"adaptive"`` to let each directed channel tune its own period
-        from the realized sparse/full byte ratio (doubling when sparse
-        frames stay cheap, halving when they bloat; see
-        :mod:`repro.net.clock_transport`).  Every format decodes to the
-        exact clock regardless of cadence, so verdicts never depend on
-        this knob.
+        ships their absolute values; both sparse formats send a full frame
+        on a channel's first message and whenever the sparse frame would not
+        pay.  Every format decodes to the exact clock (verified on every
+        frame), so detector verdicts never depend on this knob — only bytes
+        do.
     transport:
         The service level clock-carrying data messages ride on (see
         :mod:`repro.net.ud_transport`): ``"rc"`` (reliable connected —
@@ -199,7 +191,6 @@ class RuntimeConfig:
     cq_moderation: bool = False
     detector_epochs: Optional[str] = None
     flow_control: str = "rnr"
-    clock_wire_resync: Union[int, str] = 64
     transport: str = "rc"
     signal_policy: SignalPolicy = SignalPolicy.COLLECT
     trace_spans: bool = False

@@ -131,7 +131,7 @@ class Simulator:
 
         The *controller* must provide the whole protocol of
         :class:`~repro.explore.controller.ScheduleController`:
-        ``pick_next(first, queue)`` and its eight ``on_*`` entry points.
+        ``pick_next(first, queue)`` and its six ``on_*`` entry points.
         :meth:`step` pops the earliest ``(time, sequence, event)`` entry
         itself and calls ``pick_next`` only at a tie — when the live heap's
         next entry is due at the same time — with the popped entry as

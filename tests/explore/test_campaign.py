@@ -74,8 +74,15 @@ def test_campaign_rejects_bad_configuration():
         CampaignConfig(budget=0)
     with pytest.raises(ValueError):
         CampaignConfig(workers=-1)
-    # A fractional or boolean count fails here, not inside the explorer.
-    for name, value in [("budget", 2.5), ("budget", True), ("workers", 1.5)]:
+    # A fractional or boolean count fails here, not inside the explorer, and
+    # so does a switch that is not a bool (``bool("false")`` is true).
+    for name, value in [
+        ("budget", 2.5),
+        ("budget", True),
+        ("workers", 1.5),
+        ("treat_rmw_pairs_as_ordered", "false"),
+        ("treat_rmw_pairs_as_ordered", 1),
+    ]:
         with pytest.raises(TypeError, match=name):
             CampaignConfig(**{name: value})
     # Search parameters fail at the parent, by the strategies' own checks.

@@ -25,8 +25,8 @@ from repro.explore.campaign import main
 
 EXPECTED = {
     "json": (
-        788679,
-        "881ddf462d5ba047dc6ad5d1281ba52b48a2e7b1eb6f4108c1a24f59b928b8db",
+        788648,
+        "2e20f4f93546be15cd1eae6605af63e4b0583fd4e923c1a82b07ec01adca7958",
     ),
     "markdown": (
         2446,

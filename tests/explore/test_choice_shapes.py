@@ -31,13 +31,11 @@ NOT_A_NUMBER = [True, False, "0", None, [1], math.nan, math.inf, -math.inf, -1, 
 BAD_CHOICES = {
     "delay": NOT_A_NUMBER,
     "index": NOT_A_NUMBER + [1.5, 1.0],
-    "count": NOT_A_NUMBER + [1.5, 2.0],
 }
 
 GOOD_CHOICES = {
     "delay": [0, 0.0, 3, 2.25],
     "index": [0, 1, 2],
-    "count": [0, 1, 3],
 }
 
 
@@ -96,11 +94,9 @@ class TestTheStrategyRim:
             # NaN and infinity were logged once, and the log then refused to load.
             ("on_message_latency", (None, 0, 2, 1.0), math.nan, "latency:0->2#0"),
             ("on_message_latency", (None, 0, 2, 1.0), math.inf, "latency:0->2#0"),
-            ("on_clock_resync", (0, 1, 64, 64), -1, "resync:0->1#0"),
-            ("on_clock_resync", (0, 1, 64, 64), math.inf, "resync:0->1#0"),
-            ("on_clock_resync", (0, 1, 64, 64), math.nan, "resync:0->1#0"),
             ("on_barrier_release", (4, 3), 3, "barrier:g4#0"),
             ("on_barrier_release", (4, 3), -1, "barrier:g4#0"),
+            ("on_barrier_release", (4, 3), math.nan, "barrier:g4#0"),
             ("on_datagram_fate", (None, 1, 0), 3, "drop:1->0#0"),
             ("on_datagram_fate", (None, 1, 0), -1, "drop:1->0#0"),
         ],
@@ -122,9 +118,9 @@ class TestTheStrategyRim:
     def test_answers_are_logged_in_the_shape_s_type(self):
         controller = ScheduleController(Answering("latency", lambda bound: 2))
         assert controller.on_message_latency(None, 0, 1, 1.5) == 3.5
-        assert controller.on_clock_resync(0, 1, 64, 64) == 0
+        assert controller.on_barrier_release(4, 3) == 0
         assert [(d.kind, d.choice, type(d.choice)) for d in controller.log] == [
-            ("latency", 2.0, float), ("resync", 0, int),
+            ("latency", 2.0, float), ("barrier", 0, int),
         ]
 
 

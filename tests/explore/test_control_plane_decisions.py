@@ -1,11 +1,10 @@
 """Controller ownership of the adaptive control plane's choice points.
 
-The runtime control plane has two adaptive mechanisms — credit-based flow
-control and adaptive clock-wire resync — plus the barrier fan-out order, the
-last previously uncontrolled ordering.  Each adaptive decision (credit grant
-timing, resync deferral, release pick) routes through the schedule
-controller as a logged, replayable, fuzzable, systematically branchable
-decision point, exactly as delivery latencies and RNR backoffs already do.
+The runtime control plane's adaptive mechanism, credit-based flow control,
+and the barrier fan-out order are choice points too.  Each decision (credit
+grant timing, release pick) routes through the schedule controller as a
+logged, replayable, fuzzable, systematically branchable decision point,
+exactly as delivery latencies and RNR backoffs already do.
 """
 
 from repro.explore.controller import (
@@ -53,33 +52,6 @@ def credit_factory(seed):
     return runtime
 
 
-def resync_factory(seed):
-    """Enough sparse-wire traffic on one channel for an adaptive resync."""
-    runtime = DSMRuntime(
-        RuntimeConfig(
-            world_size=2,
-            seed=seed,
-            latency="constant",
-            clock_transport="piggyback",
-            clock_wire="delta",
-            clock_wire_resync="adaptive",
-        )
-    )
-    runtime.declare_array("cells", 4, owner=1, initial=0)
-
-    def writer(api):
-        # The adaptive cadence starts at 64 messages per channel; cross it.
-        for step in range(70):
-            yield from api.put("cells", step, index=step % 4)
-
-    def idle(api):
-        yield from api.compute(1.0)
-
-    runtime.set_program(0, writer)
-    runtime.set_program(1, idle)
-    return runtime
-
-
 def barrier_factory(seed):
     """Three ranks crossing two barriers: fan-out order is a choice point."""
     runtime = DSMRuntime(RuntimeConfig(world_size=3, seed=seed, latency="constant"))
@@ -96,9 +68,9 @@ def barrier_factory(seed):
 
 
 class TestDecisionKinds:
-    def test_all_eight_kinds_registered(self):
+    def test_all_seven_kinds_registered(self):
         assert DECISION_KINDS == (
-            "latency", "tie", "rnr", "credit", "resync", "barrier", "drop", "reorder",
+            "latency", "tie", "rnr", "credit", "barrier", "drop", "reorder",
         )
 
 
@@ -151,46 +123,6 @@ class TestCreditDecisions:
         strategy = SystematicStrategy({}, branch_factor=2, max_branch_points=32)
         run_schedule(credit_factory, 0, strategy)
         assert any(k.startswith("credit:") for k in strategy.branch_points)
-
-
-class TestResyncDecisions:
-    def test_passthrough_logs_every_due_resync(self):
-        outcome = run_schedule(resync_factory, 0, PassthroughStrategy())
-        resyncs = decisions_of(outcome.decisions, "resync")
-        assert resyncs, "a due adaptive resync must produce resync decisions"
-        assert all(d.choice == 0 for d in resyncs)
-        assert all(d.key.startswith("resync:0->1#") for d in resyncs)
-
-    def test_recorded_log_replays_byte_identically(self):
-        baseline = run_schedule(resync_factory, 0, PassthroughStrategy())
-        replayed = run_schedule(
-            resync_factory, 0, ReplayStrategy(baseline.decisions)
-        )
-        assert replayed.fingerprint == baseline.fingerprint
-        assert replayed.decisions == baseline.decisions
-
-    def test_deferring_a_resync_is_sound_and_logged(self):
-        # A resync comes due only after ~64 channel messages, far past the
-        # default branch-point cap — raise it so the late key registers.
-        baseline_strategy = SystematicStrategy({}, branch_factor=3,
-                                               max_branch_points=4096)
-        baseline = run_schedule(resync_factory, 0, baseline_strategy)
-        key = next(
-            k for k in baseline_strategy.branch_points if k.startswith("resync:")
-        )
-        forced = run_schedule(
-            resync_factory,
-            0,
-            SystematicStrategy({key: 2}, branch_factor=3, max_branch_points=4096),
-        )
-        deferred = decisions_of(forced.decisions, "resync")
-        assert any(d.choice > 0 for d in deferred), (
-            "forcing a resync slot must defer the full frame"
-        )
-        # Deferral is pure byte accounting: sparse frames decode exactly,
-        # so the observable run is unchanged.
-        assert forced.fingerprint == baseline.fingerprint
-        assert forced.final_values == baseline.final_values
 
 
 class TestBarrierDecisions:

@@ -11,11 +11,11 @@ ask them.
 A cell is program x knob set x strategy: every pattern of both corpora, three
 workloads and the four per-kind factories of the neighbouring test files;
 default knobs, the adaptive control plane (credit flow control, per-burst CQ
-moderation, piggybacked delta clocks with adaptive resync) and the UD
+moderation, piggybacked delta clocks) and the UD
 transport (on a fabric whose fuzzed schedules drop and duplicate datagrams);
 passthrough, three fuzz seeds, a hot fuzz, and a systematic root plus one
 child that forces slots on the root's first three branch points.  Together
-they log all eight kinds.  Every cell's log is also replayed and must
+they log all seven kinds.  Every cell's log is also replayed and must
 reproduce itself.
 
 Regenerate (only when what a schedule *logs* is meant to change) with::
@@ -43,11 +43,7 @@ from repro.workloads import (
     pattern_corpus,
 )
 from repro.workloads.racy_patterns import rmw_pattern_corpus
-from tests.explore.test_control_plane_decisions import (
-    barrier_factory,
-    credit_factory,
-    resync_factory,
-)
+from tests.explore.test_control_plane_decisions import barrier_factory, credit_factory
 from tests.explore.test_rnr_decisions import rnr_factory
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_decision_logs.json")
@@ -58,7 +54,6 @@ PROGRAMS = {
     "verbs-stencil": VerbsStencilWorkload(4, iterations=2).build,
     "rpc-echo-racy": RPCEchoWorkload(racy_buffer_reuse=True).build,
     "credit": credit_factory,
-    "resync": resync_factory,
     "barrier": barrier_factory,
     "rnr": rnr_factory,
 }
@@ -71,7 +66,6 @@ KNOB_SETS = {
         "flow_control": "credit",
         "cq_moderation": True,
         **_SPARSE_CLOCKS,
-        "clock_wire_resync": "adaptive",
     },
     "ud": {"transport": "ud", **_SPARSE_CLOCKS},
 }
@@ -148,7 +142,7 @@ def test_the_golden_file_covers_every_cell(golden):
     assert sorted(golden) == sorted(CELLS)
 
 
-def test_the_recording_holds_all_eight_kinds(golden):
+def test_the_recording_holds_all_seven_kinds(golden):
     totals = collections.Counter()
     for entries in golden.values():
         for entry in entries:

@@ -125,19 +125,6 @@ class TestWireFormatIsByteInvisible:
         assert delta.fabric_stats.detection_bytes < full.fabric_stats.detection_bytes
         assert delta.detection_clock_bytes < full.detection_clock_bytes
 
-    def test_resync_boundaries_in_a_live_run_change_nothing(self):
-        baseline = _racy_burst_runtime(
-            clock_transport="piggyback", clock_wire="delta"
-        ).run()
-        frequent = _racy_burst_runtime(
-            clock_transport="piggyback", clock_wire="delta", clock_wire_resync=2
-        ).run()
-        assert _full_verdict(frequent) == _full_verdict(baseline)
-        assert (
-            frequent.clock_transport_stats["wire_frames_full"]
-            > baseline.clock_transport_stats["wire_frames_full"]
-        )
-
 
 class TestCqModerationIsVerdictInvisible:
     @pytest.mark.parametrize("transport", TRANSPORTS)

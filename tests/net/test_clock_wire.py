@@ -1,7 +1,7 @@
 """The clock wire formats reconstruct the exact clock — always.
 
 Property acceptance for the wire-format layer: for *arbitrary* clock
-sequences (monotone or not, resync boundaries included), encoding through
+sequences (monotone or not, full-frame fallbacks included), encoding through
 ``delta``/``truncated`` and decoding on the other end of the channel yields
 the input clock bit for bit.  That identity is what makes the compressed
 formats verdict-identical to ``full`` by construction — the detector always
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.net.clock_transport import (
     BYTES_PER_ENTRY,
     CLOCK_WIRE_FORMATS,
+    MAX_SPARSE_ENTRIES,
     WIRE_COUNT_BYTES,
     WIRE_DELTA_BYTES,
     WIRE_RANK_BYTES,
@@ -45,12 +46,10 @@ def clock_sequences(max_world=12, max_len=30):
 class TestRoundTripProperty:
     @pytest.mark.parametrize("wire_format", SPARSE_FORMATS)
     @settings(max_examples=60, deadline=None)
-    @given(sequence=clock_sequences(), resync=st.integers(min_value=1, max_value=5))
-    def test_encode_decode_reconstructs_every_clock(
-        self, wire_format, sequence, resync
-    ):
+    @given(sequence=clock_sequences())
+    def test_encode_decode_reconstructs_every_clock(self, wire_format, sequence):
         world = len(sequence[0])
-        encoder = ClockWireEncoder(world, wire_format, resync_period=resync)
+        encoder = ClockWireEncoder(world, wire_format)
         decoder = ClockWireDecoder(world, wire_format)
         for clock in sequence:
             frame = encoder.encode(clock)
@@ -74,7 +73,7 @@ class TestRoundTripProperty:
         self, wire_format, sequence
     ):
         world = len(sequence[0])
-        encoder = ClockWireEncoder(world, wire_format, resync_period=1000)
+        encoder = ClockWireEncoder(world, wire_format)
         ceiling = WIRE_TAG_BYTES + world * BYTES_PER_ENTRY
         for clock in sequence:
             assert encoder.encode(clock).wire_bytes <= ceiling
@@ -82,22 +81,38 @@ class TestRoundTripProperty:
 
 class TestProtocolEdges:
     @pytest.mark.parametrize("wire_format", SPARSE_FORMATS)
-    def test_first_frame_is_always_a_full_resync(self, wire_format):
+    def test_first_frame_is_always_a_full_frame(self, wire_format):
         encoder = ClockWireEncoder(4, wire_format)
         assert encoder.encode((3, 0, 0, 9)).full
 
     @pytest.mark.parametrize("wire_format", SPARSE_FORMATS)
-    def test_resync_period_forces_periodic_full_frames(self, wire_format):
-        encoder = ClockWireEncoder(4, wire_format, resync_period=2)
-        frames = [encoder.encode((i, 0, 0, 0)) for i in range(1, 8)]
-        # full, sparse, sparse, full, sparse, sparse, full
-        assert [f.full for f in frames] == [
-            True, False, False, True, False, False, True
-        ]
+    @settings(max_examples=60, deadline=None)
+    @given(sequence=clock_sequences())
+    def test_a_frame_is_full_only_at_first_contact_or_when_sparse_would_not_pay(
+        self, wire_format, sequence
+    ):
+        world = len(sequence[0])
+        encoder = ClockWireEncoder(world, wire_format)
+        entry_cost = WIRE_RANK_BYTES + (
+            WIRE_DELTA_BYTES if wire_format == "delta" else BYTES_PER_ENTRY
+        )
+        full_bytes = WIRE_TAG_BYTES + world * BYTES_PER_ENTRY
+        previous = None
+        for clock in sequence:
+            frame = encoder.encode(clock)
+            if previous is None:
+                expect_full = True
+            else:
+                changed = sum(a != b for a, b in zip(clock, previous))
+                sparse_bytes = WIRE_TAG_BYTES + WIRE_COUNT_BYTES + changed * entry_cost
+                expect_full = sparse_bytes >= full_bytes
+            assert frame.full == expect_full
+            assert frame.wire_bytes == (full_bytes if expect_full else sparse_bytes)
+            previous = clock
 
     @pytest.mark.parametrize("wire_format", SPARSE_FORMATS)
     def test_unchanged_clock_costs_an_empty_sparse_frame(self, wire_format):
-        encoder = ClockWireEncoder(6, wire_format, resync_period=100)
+        encoder = ClockWireEncoder(6, wire_format)
         encoder.encode((1, 2, 3, 4, 5, 6))
         frame = encoder.encode((1, 2, 3, 4, 5, 6))
         assert not frame.full and frame.entries == ()
@@ -109,48 +124,52 @@ class TestProtocolEdges:
             ("delta", (2, 5)),        # 15 - 10
             ("truncated", (2, 15)),   # the new value itself
         ):
-            encoder = ClockWireEncoder(world, wire_format, resync_period=100)
+            encoder = ClockWireEncoder(world, wire_format)
             encoder.encode((0, 0, 10, 0))
             frame = encoder.encode((0, 0, 15, 0))
             assert frame.entries == (expected,)
 
     def test_sparse_entry_costs_match_the_documented_model(self):
-        encoder = ClockWireEncoder(8, "delta", resync_period=100)
+        encoder = ClockWireEncoder(8, "delta")
         encoder.encode((0,) * 8)
         frame = encoder.encode((1, 0, 0, 0, 0, 0, 0, 2))
         assert frame.wire_bytes == (
             WIRE_TAG_BYTES + WIRE_COUNT_BYTES + 2 * (WIRE_RANK_BYTES + WIRE_DELTA_BYTES)
         )
-        encoder = ClockWireEncoder(8, "truncated", resync_period=100)
+        encoder = ClockWireEncoder(8, "truncated")
         encoder.encode((0,) * 8)
         frame = encoder.encode((1, 0, 0, 0, 0, 0, 0, 2))
         assert frame.wire_bytes == (
             WIRE_TAG_BYTES + WIRE_COUNT_BYTES + 2 * (WIRE_RANK_BYTES + BYTES_PER_ENTRY)
         )
 
-    def test_truncated_whole_vector_change_falls_back_to_a_full_frame(self):
+    @pytest.mark.parametrize("world", [4, 300])
+    @pytest.mark.parametrize("wire_format", SPARSE_FORMATS)
+    def test_truncated_whole_vector_change_falls_back_to_a_full_frame(
+        self, wire_format, world
+    ):
         # A truncated entry (rank + absolute value) costs more than a full
-        # entry, so a whole-vector change is cheaper as a resync; a delta
+        # entry, so a whole-vector change is cheaper as a full frame; a delta
         # entry (rank + small increment) is always cheaper than a full
-        # entry, so delta never falls back on change count alone.
-        world = 4
-        encoder = ClockWireEncoder(world, "truncated", resync_period=100)
-        encoder.encode((0, 0, 0, 0))
-        frame = encoder.encode((7, 8, 9, 10))
-        assert frame.full
-        assert frame.wire_bytes == WIRE_TAG_BYTES + world * BYTES_PER_ENTRY
-        delta = ClockWireEncoder(world, "delta", resync_period=100)
-        delta.encode((0, 0, 0, 0))
-        assert not delta.encode((7, 8, 9, 10)).full
+        # entry, so delta falls back only when the changed count does not
+        # fit the one-byte count (more than 255 changed ranks).
+        encoder = ClockWireEncoder(world, wire_format)
+        encoder.encode((0,) * world)
+        frame = encoder.encode((1,) * world)
+        if wire_format == "delta" and world <= MAX_SPARSE_ENTRIES:
+            assert not frame.full
+        else:
+            assert frame.full
+            assert frame.wire_bytes == WIRE_TAG_BYTES + world * BYTES_PER_ENTRY
 
-    def test_sparse_before_resync_is_a_protocol_violation(self):
+    def test_sparse_before_any_full_frame_is_a_protocol_violation(self):
         from repro.net.clock_transport import ClockWireFrame
 
         decoder = ClockWireDecoder(3, "delta")
         rogue = ClockWireFrame(
             wire_format="delta", full=False, entries=((0, 1),), wire_bytes=8
         )
-        with pytest.raises(ValueError, match="before any full resync"):
+        with pytest.raises(ValueError, match="before any full frame"):
             decoder.decode(rogue)
 
     def test_format_mismatch_is_rejected(self):

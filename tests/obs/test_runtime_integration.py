@@ -167,13 +167,12 @@ class TestZeroFootprint:
 
 @pytest.mark.parametrize("flow_control", ["rnr", "credit"])
 @pytest.mark.parametrize("cq_moderation", [False, True])
-@pytest.mark.parametrize("resync", [16, "adaptive"])
 class TestControlPlaneZeroFootprint:
     """The adaptive control plane joins the zero-footprint matrix: span
     tracing cannot change verdicts, final values or the metric snapshot
-    under any flow-control × CQ-moderation × resync-cadence setting."""
+    under any flow-control × CQ-moderation setting."""
 
-    def test_tracing_never_changes_the_run(self, flow_control, cq_moderation, resync):
+    def test_tracing_never_changes_the_run(self, flow_control, cq_moderation):
         def build(trace_spans):
             workload = RPCEchoWorkload(
                 num_clients=2,
@@ -182,7 +181,6 @@ class TestControlPlaneZeroFootprint:
                 config=RuntimeConfig(
                     clock_transport="piggyback",
                     clock_wire="delta",
-                    clock_wire_resync=resync,
                     flow_control=flow_control,
                     cq_moderation=cq_moderation,
                     trace_spans=trace_spans,
@@ -204,11 +202,11 @@ class TestControlPlaneZeroFootprint:
         assert plain.runtime.sim.obs.spans.events() == []
 
     def test_default_mode_snapshot_untouched_by_knob_instruments(
-        self, flow_control, cq_moderation, resync
+        self, flow_control, cq_moderation
     ):
         """Lazy instruments: a default-mode run's metric snapshot carries no
         credit instruments, whatever this leg's knobs would add."""
-        del flow_control, cq_moderation, resync  # the default run ignores the leg
+        del flow_control, cq_moderation  # the default run ignores the leg
         workload = RPCEchoWorkload(
             num_clients=2, requests_per_client=2, racy_buffer_reuse=True
         )

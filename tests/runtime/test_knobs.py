@@ -68,16 +68,14 @@ CAMPAIGN_OTHER_FLAGS = {
     "--markdown", "--minimize-dir", "--expect-consistent",
 }
 
-#: One illegal value per knob: as a typed value (config field, ``set_knob``)
-#: and as a command-line spelling (``CampaignConfig``).
+#: One illegal value per knob (config field, ``set_knob``, ``CampaignConfig``).
 INVALID = {
-    "clock_transport": ("carrier-pigeon", "carrier-pigeon"),
-    "clock_wire": ("zip", "zip"),
-    "cq_moderation": ("maybe", "maybe"),
-    "detector_epochs": ("auto", "auto"),
-    "flow_control": ("nak", "nak"),
-    "clock_wire_resync": (0, "0"),
-    "transport": ("uc", "uc"),
+    "clock_transport": "carrier-pigeon",
+    "clock_wire": "zip",
+    "cq_moderation": "maybe",
+    "detector_epochs": "auto",
+    "flow_control": "nak",
+    "transport": "uc",
 }
 
 
@@ -154,7 +152,7 @@ class TestCoherence:
         monkeypatch.delenv("REPRO_DETECTOR_EPOCHS", raising=False)
         defaults = tiny_runtime().knobs()
         for knob in KNOBS:
-            values = [knob.from_text(text) for text in knob.matrix_values]
+            values = [knob.validate(text) for text in knob.matrix_values]
             assert values[0] == defaults[knob.name], "islands pin knobs to the default"
             assert set(knob.extra_flags) <= set(knob.matrix_values)
 
@@ -163,18 +161,18 @@ class TestCoherence:
 class TestValidation:
     def test_config_field_rejects_illegal_value(self, name):
         with pytest.raises(ValueError, match=name):
-            DSMRuntime(RuntimeConfig(world_size=2, **{name: INVALID[name][0]}))
+            DSMRuntime(RuntimeConfig(world_size=2, **{name: INVALID[name]}))
 
     def test_set_knob_rejects_illegal_value(self, name):
         runtime = tiny_runtime()
         before = runtime.knobs()
         with pytest.raises(ValueError, match=name):
-            runtime.set_knob(name, INVALID[name][0])
+            runtime.set_knob(name, INVALID[name])
         assert runtime.knobs() == before
 
     def test_campaign_config_rejects_illegal_spelling(self, name):
         with pytest.raises(ValueError, match=name):
-            CampaignConfig(**{name: INVALID[name][1]})
+            CampaignConfig(**{name: INVALID[name]})
 
     def test_set_knob_after_run_is_rejected(self, name):
         runtime = tiny_runtime()
@@ -232,7 +230,7 @@ class TestConfigOwnership:
         runtime = DSMRuntime(cfg)
         for name, value in [
             ("clock_transport", "piggyback"),
-            ("clock_wire_resync", "adaptive"),
+            ("flow_control", "credit"),
             ("detector_epochs", "off"),
         ]:
             runtime.set_knob(name, value)
