@@ -97,8 +97,11 @@ class TestTheStrategyRim:
             ("on_barrier_release", (4, 3), 3, "barrier:g4#0"),
             ("on_barrier_release", (4, 3), -1, "barrier:g4#0"),
             ("on_barrier_release", (4, 3), math.nan, "barrier:g4#0"),
+            ("on_barrier_release", (4, 3), math.inf, "barrier:g4#0"),
             ("on_datagram_fate", (None, 1, 0), 3, "drop:1->0#0"),
             ("on_datagram_fate", (None, 1, 0), -1, "drop:1->0#0"),
+            ("on_datagram_fate", (None, 1, 0), math.nan, "drop:1->0#0"),
+            ("on_datagram_fate", (None, 1, 0), math.inf, "drop:1->0#0"),
         ],
     )
     def test_an_answer_outside_the_shape_is_refused(self, entry, arguments, answer, key):

@@ -170,9 +170,12 @@ class TestZeroFootprint:
 class TestControlPlaneZeroFootprint:
     """The adaptive control plane joins the zero-footprint matrix: span
     tracing cannot change verdicts, final values or the metric snapshot
-    under any flow-control × CQ-moderation setting."""
+    under any flow-control × CQ-moderation × sparse-wire setting."""
 
-    def test_tracing_never_changes_the_run(self, flow_control, cq_moderation):
+    @pytest.mark.parametrize("clock_wire", ["delta", "truncated"])
+    def test_tracing_never_changes_the_run(
+        self, flow_control, cq_moderation, clock_wire
+    ):
         def build(trace_spans):
             workload = RPCEchoWorkload(
                 num_clients=2,
@@ -180,7 +183,7 @@ class TestControlPlaneZeroFootprint:
                 racy_buffer_reuse=True,
                 config=RuntimeConfig(
                     clock_transport="piggyback",
-                    clock_wire="delta",
+                    clock_wire=clock_wire,
                     flow_control=flow_control,
                     cq_moderation=cq_moderation,
                     trace_spans=trace_spans,

@@ -78,6 +78,17 @@ INVALID = {
     "transport": "uc",
 }
 
+#: One value of the wrong type per knob: refused, never coerced (a truthy
+#: ``1`` is not ``True``, ``True`` is not ``"on"``).
+WRONG_TYPE = {
+    "clock_transport": True,
+    "clock_wire": 8,
+    "cq_moderation": 1,
+    "detector_epochs": True,
+    "flow_control": ["rnr"],
+    "transport": 0,
+}
+
 
 def tiny_runtime(**overrides):
     runtime = DSMRuntime(RuntimeConfig(world_size=2, **overrides))
@@ -101,6 +112,7 @@ def knob_fields(config_class, other_fields):
 class TestCoherence:
     def test_invalid_table_covers_every_knob(self):
         assert list(INVALID) == NAMES
+        assert list(WRONG_TYPE) == NAMES
 
     def test_config_dataclasses_declare_exactly_the_registry(self):
         assert knob_fields(RuntimeConfig, RUNTIME_OTHER_FIELDS) == NAMES
@@ -173,6 +185,21 @@ class TestValidation:
     def test_campaign_config_rejects_illegal_spelling(self, name):
         with pytest.raises(ValueError, match=name):
             CampaignConfig(**{name: INVALID[name]})
+
+    def test_config_field_rejects_a_value_of_the_wrong_type(self, name):
+        with pytest.raises(ValueError, match=name):
+            DSMRuntime(RuntimeConfig(world_size=2, **{name: WRONG_TYPE[name]}))
+
+    def test_set_knob_rejects_a_value_of_the_wrong_type(self, name):
+        runtime = tiny_runtime()
+        before = runtime.knobs()
+        with pytest.raises(ValueError, match=name):
+            runtime.set_knob(name, WRONG_TYPE[name])
+        assert runtime.knobs() == before
+
+    def test_campaign_config_rejects_a_value_of_the_wrong_type(self, name):
+        with pytest.raises(ValueError, match=name):
+            CampaignConfig(**{name: WRONG_TYPE[name]})
 
     def test_set_knob_after_run_is_rejected(self, name):
         runtime = tiny_runtime()
