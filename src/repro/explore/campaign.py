@@ -57,7 +57,7 @@ class CampaignConfig:
     must hold for every combination (the CI knob-matrix gate) — including
     ``transport="ud"`` with nonzero ``drop_probability`` /
     ``duplicate_probability``, where the fuzzer drops, duplicates and
-    reorders the clock-carrying datagrams themselves.
+    delays the clock-carrying datagrams themselves.
     """
 
     strategy: str = "fuzz"

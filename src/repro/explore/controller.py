@@ -3,7 +3,7 @@
 A :class:`ScheduleController` is installed on a
 :class:`~repro.sim.engine.Simulator` before the run starts
 (:meth:`~repro.sim.engine.Simulator.install_controller`).  From then on it
-sits at every place where a run's interleaving is decided — seven kinds of
+sits at every place where a run's interleaving is decided — six kinds of
 choice point (:data:`~repro.explore.decisions.DECISION_SHAPES` is the table,
 ``docs/explore.md`` says who calls what), each reached through one entry
 point: :meth:`~ScheduleController.pick_next`, with which the engine's
@@ -25,13 +25,10 @@ schedule exactly — the property the minimizer and the campaign determinism
 guarantees rest on.
 
 One safety rule lives here rather than in any strategy: two deliveries on
-the same ordered channel are never reordered by the tie hook.  The channel
-layer guarantees FIFO per (source, destination) pair and the detectors rely
-on it; the controller therefore only offers the strategy the *earliest*
-pending delivery of each channel as a candidate.  UD datagrams
-(``message.ud_seq is not None``) are exempt — an unreliable channel makes
-no ordering promise, so same-time datagram deliveries are freely
-reorderable ties.
+the same channel are never reordered by the tie hook.  The channel layer
+guarantees FIFO per (source, destination) pair — UD datagrams included — and
+the detectors rely on it; the controller therefore only offers the strategy
+the *earliest* pending delivery of each channel as a candidate.
 """
 
 from __future__ import annotations
@@ -83,7 +80,7 @@ class ScheduleStrategy:
     :data:`~repro.explore.decisions.DECISION_SHAPES`, which says what the
     answer must look like) and its *key*; an index kind also states *bound*,
     the number of options (the answer is in ``range(bound)``), and
-    ``latency`` / ``drop`` / ``reorder`` pass the *message* being decided.
+    ``latency`` / ``drop`` pass the *message* being decided.
     """
 
     def choose(
@@ -269,34 +266,13 @@ class ScheduleController:
         key = f"drop:{source}->{destination}#{self._next_number['drop']()}"
         return self._decide("drop", key, 3, message)
 
-    def on_datagram_delay(
-        self, message: Message, source: int, destination: int
-    ) -> float:
-        """One UD datagram's extra flight time (``Channel.transmit(ordered=False)``).
-
-        Applied without the FIFO clamp ``on_message_latency``'s result gets,
-        which is how sparse clock frames arrive stale and exercise the
-        resync path.
-        """
-        key = f"reorder:{source}->{destination}#{self._next_number['reorder']()}"
-        return self._decide("reorder", key, None, message)
-
     # -- same-time scheduling (called by Simulator.step) --------------------------------
 
     @staticmethod
     def _delivery_channel(event: Any) -> Optional[Tuple[int, int]]:
-        """The (source, destination) pair of a delivery timeout, else ``None``.
-
-        UD datagrams report no channel: the unreliable service level makes
-        no FIFO promise, so their same-time deliveries stay eligible ties.
-        """
+        """The (source, destination) pair of a delivery timeout, else ``None``."""
         if isinstance(event, Timeout) and isinstance(event._value, Message):
             message = event._value
-            if message.ud_seq is not None or message.kind in (
-                MessageKind.UD_RESYNC_REQUEST,
-                MessageKind.UD_RESYNC_FULL,
-            ):
-                return None
             return (message.source, message.destination)
         return None
 

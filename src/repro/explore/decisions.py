@@ -1,7 +1,7 @@
 """The replayable decision log.
 
 Every nondeterministic choice point the schedule controller owns — a delivery
-stretched, a same-time tie or fan-out ordered, a datagram's fate; seven
+stretched, a same-time tie or fan-out ordered, a datagram's fate; six
 kinds, below — produces one :class:`Decision`.
 A run's log is therefore a complete recipe for the schedule: replaying the
 log through a fresh runtime (same program, same seed) reproduces the run
@@ -9,12 +9,13 @@ byte for byte, and *truncating* it replays a prefix with every later choice
 point falling back to its uncontrolled default.  That prefix property is
 what the racing-schedule minimizer delta-debugs over.
 
-Seven decision kinds exist:
+Six decision kinds exist:
 
 ``latency``
-    The controller stretched (or left alone) one message's flight time.
-    ``choice`` is the extra delay added on top of the latency model's draw;
-    ``0.0`` is the default (the model's timing, untouched).
+    The controller stretched (or left alone) one message's flight time — a
+    UD datagram's included.  ``choice`` is the extra delay added on top of the
+    latency model's draw; ``0.0`` is the default (the model's timing,
+    untouched).
 ``tie``
     Several events were ready at the same simulated time and the controller
     picked which runs first.  ``choice`` is the index into the eligible
@@ -44,12 +45,6 @@ Seven decision kinds exist:
     sequence number) or ``2`` (deliver *and* deliver a duplicate copy
     later).  Drops are where sequence gaps — and therefore receiver-driven
     clock resyncs — come from.
-``reorder``
-    Under the UD transport the controller stretched (or left alone) one
-    datagram's flight time — the UD twin of ``latency``, except the channel
-    applies **no FIFO clamp**, so a stretched datagram genuinely arrives
-    after later-sent ones.  ``choice`` is the extra delay; ``0.0`` is the
-    default.
 
 A log serializes to plain JSON (the artifact the minimizer emits), and a
 sparse log — entries replaced by ``None`` — replays those choice points at
@@ -76,7 +71,6 @@ DECISION_SHAPES = {
     "credit": "delay",
     "barrier": "index",
     "drop": "index",
-    "reorder": "delay",
 }
 
 #: The controlled choice-point kinds.

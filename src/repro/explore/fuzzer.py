@@ -13,7 +13,7 @@ Three groups of knobs shape the search:
   Delays *stretch* flight times only; shrinking could not reorder anything
   per-channel FIFO does not already forbid, and additive delays already
   reach every cross-channel arrival order.  Every other delay kind — RNR
-  backoff, credit grant, UD datagram flight — is stretched the same way
+  backoff, credit grant — is stretched the same way
   (:mod:`repro.explore.decisions` says what each stretch races);
 * ``tie_shuffle_probability`` — how often a same-time scheduling tie, or a
   barrier's fan-out order, is resolved against insertion order
@@ -21,8 +21,8 @@ Three groups of knobs shape the search:
 * ``drop_probability`` / ``duplicate_probability`` — under the UD
   transport, how often a datagram is dropped (forcing a sender
   retransmission and usually a receiver-driven clock resync) or delivered
-  twice.  Both default to 0 so RC runs spend no rolls on them; datagram
-  *delays* reuse ``reorder_probability``/``reorder_aggressiveness``.
+  twice.  Both default to 0 so RC runs spend no rolls on them; a delivered
+  datagram's flight is a ``latency`` decision like any message's.
 
 Only *reorderable* deliveries are perturbed — data messages and the lock
 requests that decide which conflicting access the target NIC serializes

@@ -7,9 +7,10 @@ clamped to be no earlier than the previous message on the same ordered pair.
 This mirrors the paper's model of "communication channels that interconnect"
 the processors (Section III-C) and keeps per-channel causality intact.
 
-The unreliable-datagram service level (:mod:`repro.net.ud_transport`) is the
-same class asked for no such promise (``transmit(..., ordered=False)``,
-:meth:`~Channel.drop`, :meth:`~Channel.duplicate`), on a channel of its own.
+Unreliable datagrams (:mod:`repro.net.ud_transport`) share the pair's one
+channel and its FIFO clamp; what sets them apart is only that the fabric may
+lose one (:meth:`~Channel.drop`) or deliver it twice
+(:meth:`~Channel.duplicate`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.util.validation import require_non_negative
 
 #: Delivery-event names, one constant per kind instead of a format per message.
 _DELIVER = {kind: f"deliver:{kind.value}" for kind in MessageKind}
-_UD_DELIVER = {kind: f"ud-deliver:{kind.value}" for kind in MessageKind}
 
 
 @dataclass
@@ -42,10 +42,6 @@ class ChannelStats:
     dropped: int = 0
     #: Datagrams delivered twice.
     duplicated: int = 0
-    #: Unordered deliveries that genuinely overtook an earlier send — the
-    #: events the FIFO clamp would have corrected (and counted as
-    #: ``reordering_clamps``).
-    reordered: int = 0
 
     @property
     def mean_latency(self) -> float:
@@ -54,7 +50,7 @@ class ChannelStats:
 
 
 class Channel:
-    """A channel from one rank to another: ordered and reliable unless asked."""
+    """A FIFO channel from one rank to another."""
 
     def __init__(
         self,
@@ -80,7 +76,7 @@ class Channel:
         return self._hops
 
     def transmit(
-        self, message: Message, _owned: bool = False, ordered: bool = True
+        self, message: Message, _owned: bool = False
     ) -> Tuple[Event, Message]:
         """Send *message*; returns ``(delivery_event, stamped_message)``.
 
@@ -89,12 +85,6 @@ class Channel:
         copy, so one *message* may be transmitted any number of times;
         ``_owned`` is the fabric's promise that it built *message* for this
         one transmission, which is then stamped in place.
-
-        ``ordered=False`` sends an unreliable datagram: delivery timing is the
-        ``reorder`` decision kind (extra delay on the model's draw, owned by
-        :meth:`ScheduleController.on_datagram_delay`), and there is **no FIFO
-        clamp** — a datagram that would arrive before its predecessor simply
-        does, which is what lets sparse clock frames arrive stale.
         """
         sim, stats = self._sim, self.stats
         now = sim._now
@@ -107,27 +97,20 @@ class Channel:
         if controller is not None:
             # The schedule controller owns delivery timing: it sees the
             # model's draw and may stretch it (a logged, replayable decision).
-            # The FIFO clamp below still applies to ordered traffic, so
-            # per-channel ordering is preserved in every controlled schedule.
-            if ordered:
-                flight = controller.on_message_latency(
-                    message, self.source, self.destination, flight
-                )
-            else:
-                flight += controller.on_datagram_delay(
-                    message, self.source, self.destination
-                )
+            # The FIFO clamp below still applies, so per-channel ordering is
+            # preserved in every controlled schedule.
+            flight = controller.on_message_latency(
+                message, self.source, self.destination, flight
+            )
             if not (type(flight) is float and flight >= 0.0):
                 require_non_negative(flight, "controlled latency")
         deliver_at = now + flight
         if deliver_at >= self._last_delivery:
             self._last_delivery = deliver_at
-        elif ordered:
+        else:
             # Preserve FIFO order on the pair.
             deliver_at = self._last_delivery
             stats.reordering_clamps += 1
-        else:
-            stats.reordered += 1
         stamped = message.stamped(now, deliver_at, in_place=_owned)
         stats.messages += 1
         stats.bytes += stamped.total_bytes
@@ -135,8 +118,7 @@ class Channel:
         # The delay needs no second check: ``deliver_at >= now`` by the sum
         # of non-negative terms and the clamp above.  It stays the difference
         # (the calendar then holds ``now + (deliver_at - now)``, as ever).
-        names = _DELIVER if ordered else _UD_DELIVER
-        return Timeout(sim, deliver_at - now, stamped, names[stamped.kind]), stamped
+        return Timeout(sim, deliver_at - now, stamped, _DELIVER[stamped.kind]), stamped
 
     def drop(
         self, message: Message, retransmit_timeout: float

@@ -260,9 +260,7 @@ class ClockWireDecoder:
 #: re-sends after a drop timer; ``ud_duplicates`` — spurious second
 #: arrivals absorbed idempotently; ``ud_resyncs`` — receiver-driven resync
 #: round trips completed; ``ud_resync_requests`` — UD_RESYNC_REQUEST
-#: messages issued (re-requests after a lost request/reply included);
-#: ``ud_stale_frames`` — sparse frames that arrived behind the receiver's
-#: view (a reorder across a resync boundary).
+#: messages issued (re-requests after a lost request/reply included).
 CLOCK_TRANSPORT_FIELDS = (
     "round_trips",
     "piggybacked_messages",
@@ -281,7 +279,6 @@ CLOCK_TRANSPORT_FIELDS = (
     "ud_duplicates",
     "ud_resyncs",
     "ud_resync_requests",
-    "ud_stale_frames",
 )
 
 #: The fields' counter names, in field order.
@@ -348,7 +345,6 @@ class ClockTransportStats:
     ud_duplicates = _transport_field("ud_duplicates")
     ud_resyncs = _transport_field("ud_resyncs")
     ud_resync_requests = _transport_field("ud_resync_requests")
-    ud_stale_frames = _transport_field("ud_stale_frames")
 
     def merge(self, other: "ClockTransportStats") -> "ClockTransportStats":
         """Accumulate *other* into this record (whole-machine totals)."""
@@ -498,8 +494,8 @@ class ClockTransport:
         The shape is ``"full"`` (self-contained frame), ``"sparse"``
         (sequence-dependent patch) or ``None`` (no frame rode).  The UD
         transport stamps it into :attr:`Message.ud_frame` so the receiver
-        can tell whether a gapped or stale datagram needs a resync before
-        its clock could have been reconstructed from the wire; RC ignores it.
+        can tell whether a gapped datagram needs a resync before its clock
+        could have been reconstructed from the wire; RC ignores it.
         """
         # No property chain here: the owner is fetched once and its config
         # and detector read directly (``_active``, ``mode``, ``piggyback``

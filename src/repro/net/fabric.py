@@ -188,7 +188,6 @@ class Fabric:
         self._topology = topology
         self._latency_model = latency_model
         self._channels: Dict[Tuple[int, int], Channel] = {}
-        self._ud_channels: Dict[Tuple[int, int], Channel] = {}
         self._next_id = itertools.count().__next__  # message ids, 0-based
         self.stats = FabricStats(registry=Observability.of(sim).metrics)
 
@@ -210,29 +209,16 @@ class Fabric:
         return self._latency_model
 
     def channel(self, source: int, destination: int) -> Channel:
-        """Return (creating lazily) the ordered channel for the pair."""
+        """Return (creating lazily) the pair's one channel."""
         channel = self._channels.get((source, destination))
         if channel is None or type(source) is not int or type(destination) is not int:
-            channel = self._open(self._channels, source, destination)
+            channel = self._open(source, destination)
         return channel
 
-    def ud_channel(self, source: int, destination: int) -> Channel:
-        """Return (creating lazily) the pair's channel for unreliable datagrams.
-
-        UD and RC channels for the same pair are distinct objects — real
-        fabrics multiplex service levels over the same link, but keeping the
-        FIFO clamp state separate means switching a message class to UD
-        never perturbs the ordering promise the remaining RC traffic keeps.
-        """
-        channel = self._ud_channels.get((source, destination))
-        if channel is None or type(source) is not int or type(destination) is not int:
-            channel = self._open(self._ud_channels, source, destination)
-        return channel
-
-    def _open(self, channels: dict, source: int, destination: int) -> Channel:
+    def _open(self, source: int, destination: int) -> Channel:
         """Validate the pair, then return (building on a miss) its channel.
 
-        The lookups above skip this for a cached pair — it was range-checked
+        The lookups skip this for a cached pair — it was range-checked
         when its channel was built — unless an argument is not an exact
         ``int``: keys that merely hash alike (``True``, ``1.0``, NumPy ints)
         must not alias a valid pair, so they come here for their ``TypeError``.
@@ -240,6 +226,7 @@ class Fabric:
         require_rank(source, self.world_size, "source")
         require_rank(destination, self.world_size, "destination")
         key = (source, destination)
+        channels = self._channels
         if key not in channels:
             channels[key] = Channel(
                 self._sim,
@@ -298,7 +285,7 @@ class Fabric:
         else:
             channel = self._channels.get((source, destination))
             if channel is None or type(source) is not int or type(destination) is not int:
-                channel = self._open(self._channels, source, destination)
+                channel = self._open(source, destination)
             # Built here and shared with nobody: stamped in place, not copied.
             event, message = channel.transmit(message, _owned=True)
         self.stats.record(message)
@@ -331,6 +318,8 @@ class Fabric:
         * ``"duplicate"`` — delivered, **and** *dup_event* fires a second
           arrival of the same stamped datagram one flight later.
 
+        A delivered datagram crosses the pair's one channel like any message
+        of :meth:`send` (FIFO clamp and controlled latency included).
         Self-datagrams never drop: loopback does not cross the fabric.
         """
         message = Message(
@@ -346,12 +335,12 @@ class Fabric:
         fate_code = 0
         if controller is not None:
             fate_code = controller.on_datagram_fate(message, source, destination)
-        channel = self.ud_channel(source, destination)
+        channel = self.channel(source, destination)
         if fate_code == 1:
             event, stamped = channel.drop(message, UD_RETRANSMIT_TIMEOUT)
             self.stats.record(stamped)
             return event, stamped, "drop", None
-        event, stamped = channel.transmit(message, _owned=True, ordered=False)
+        event, stamped = channel.transmit(message, _owned=True)
         self.stats.record(stamped)
         if fate_code == 2:
             return event, stamped, "duplicate", channel.duplicate(stamped)
@@ -368,10 +357,6 @@ class Fabric:
     def channels(self) -> Dict[Tuple[int, int], Channel]:
         """All channels created so far."""
         return dict(self._channels)
-
-    def ud_channels(self) -> Dict[Tuple[int, int], Channel]:
-        """All unreliable channels created so far."""
-        return dict(self._ud_channels)
 
     def reset_stats(self) -> None:
         """Zero the counters (channels and ids are preserved)."""

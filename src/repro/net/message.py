@@ -32,7 +32,7 @@ class MessageKind(enum.Enum):
     CLOCK_FETCH = "clock_fetch"    # detection: read a remote datum clock (Alg. 5)
     CLOCK_UPDATE = "clock_update"  # detection: write back a merged clock (Alg. 5)
     UD_RESYNC_REQUEST = "ud_resync_request"  # UD: receiver asks for a full frame
-    #                                          after a sequence gap / stale frame
+    #                                          after a sequence gap
     UD_RESYNC_FULL = "ud_resync_full"        # UD: sender answers with the tagged
     #                                          full clock frame for that sequence
     NOTIFY = "notify"              # runtime-level notification (barrier, join)
@@ -114,15 +114,12 @@ class Message:
     ud_seq:
         Under the ``"ud"`` transport, the per-(source, destination) sequence
         number of this datagram (1-based).  ``None`` on RC messages and on
-        out-of-band UD traffic (resync requests/replies), which is also how
-        the schedule controller recognises that a delivery makes no FIFO
-        promise.
+        out-of-band UD traffic (resync requests/replies).
     ud_frame:
         ``"full"`` or ``"sparse"`` — whether the datagram's clock rider is a
         self-contained full frame or a sequence-dependent sparse frame
         (``None`` when no frame rides).  Receivers use it to decide whether
-        a gapped or stale datagram needs a resync before its clock can be
-        trusted.
+        a gapped datagram needs a resync before its clock can be trusted.
     """
 
     message_id: int

@@ -367,9 +367,9 @@ class NIC:
         lost sequence is a permanent gap that exactly one receiver resync
         repairs); a delivered datagram is absorbed into the receiver's wire
         view, with the receiver-driven resync subprotocol
-        (:meth:`_ud_resync`) run inline when the frame arrived gapped or
-        stale.  The rider is *clock*; with *origin_clock* (an operation's
-        request) it is what :meth:`_wire_clock` makes of *clock*,
+        (:meth:`_ud_resync`) run inline when the frame arrived gapped.  The
+        rider is *clock*; with *origin_clock* (an operation's request) it
+        is what :meth:`_wire_clock` makes of *clock*,
         re-evaluated per transmission, mirroring the RNR re-ride idiom —
         under the sparse wire formats a retransmission of an unchanged
         clock costs only an empty sparse frame.  A flag, not a provider
@@ -434,9 +434,7 @@ class NIC:
                     )
                 )
             verdict = target_nic.ud.absorb(self.rank, seq, frame)
-            if verdict in ("gap", "stale"):
-                if verdict == "stale":
-                    target_nic.clock_transport.stats.ud_stale_frames += 1
+            if verdict == "gap":
                 yield from target_nic._ud_resync(self, seq, tag)
             return attempts
 
@@ -451,8 +449,7 @@ class NIC:
         """Receiver-driven clock resync: recover the full frame for *seq*.
 
         Runs on the receiving NIC after a sparse frame arrived gapped (its
-        predecessor was dropped or is still in flight) or stale (a reorder
-        across an earlier resync boundary): one UD_RESYNC_REQUEST naming
+        predecessor was dropped): one UD_RESYNC_REQUEST naming
         the sequence, answered by the sender with a tagged full clock frame
         — the *historical* clock that sequence carried, served from the
         sender's tx history, never its current clock (a newer clock would

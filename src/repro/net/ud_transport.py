@@ -3,29 +3,23 @@
 RC — everything this simulation modelled before — is the reliable connected
 transport: per-pair FIFO delivery, no loss.  The lockstep ``clock_wire``
 codecs lean on exactly that promise (a sparse frame is a patch against *the
-previous frame on the channel*); that assumption was the wire formats'
-standing limit.  This module models the transport a planet-scale
-deployment would actually run on: **unreliable datagrams** that the fabric
-may drop, duplicate or reorder, with no FIFO clamp.
+previous frame on the channel*).  This module models **unreliable
+datagrams**: messages the fabric may lose or deliver twice.
 
 The moving parts:
 
-* ``Channel.transmit(..., ordered=False)`` — the pair's datagram
-  :class:`~repro.net.channel.Channel` asked to make no ordering promise.
-  Delivery timing is a ``reorder`` decision
-  (:meth:`ScheduleController.on_datagram_delay`) applied *without* the FIFO
-  clamp; a delivery that genuinely overtakes an earlier one is counted, not
-  corrected.  Drops and duplicates are ``drop`` decisions resolved by
-  :meth:`Fabric.send_datagram` before the channel is even asked.
+* :meth:`Fabric.send_datagram` — a datagram's fate is a ``drop`` decision
+  (deliver, drop or duplicate).  A delivered datagram crosses the pair's one
+  :class:`~repro.net.channel.Channel` like any other message: the same
+  ``latency`` decision, FIFO clamp and same-time tie rule.
 
 * :class:`UdEndpoint` — per-NIC datagram state.  The transmit side assigns
   each clock-carrying datagram a per-destination sequence number and files
   the exact clock it carried (the resync history); the receive side tracks,
   per source, the highest sequence its wire view has absorbed and decides
   each arriving frame's verdict: ``"exact"`` (stampable as-is), ``"gap"``
-  (a sparse frame whose predecessor never arrived), ``"stale"`` (a sparse
-  frame from before the current view — a reorder across a resync boundary)
-  or ``"duplicate"`` (already absorbed; idempotent).
+  (a sparse frame that is not the view's successor) or ``"duplicate"``
+  (already absorbed; idempotent).
 
 * :exc:`UdDeliveryExceeded` — a datagram (or its resync subprotocol) burnt
   the whole retransmission budget; surfaces as a failed work completion in
@@ -124,17 +118,16 @@ class UdEndpoint:
         Returns the verdict: ``"exact"`` (absorbed — a full frame, a
         frame-less datagram, or the in-order next sparse frame),
         ``"duplicate"`` (this sequence was already absorbed; idempotent
-        no-op), ``"gap"`` (a sparse frame whose predecessor is missing) or
-        ``"stale"`` (a sparse frame from before the current view).  The
-        caller must run the resync subprotocol for ``"gap"``/``"stale"``
-        and then call :meth:`mark_resynced`.
+        no-op) or ``"gap"`` (a sparse frame that is not the view's
+        successor).  The caller must run the resync subprotocol for
+        ``"gap"`` and then call :meth:`mark_resynced`.
         """
         seen = self._absorbed.setdefault(source, set())
         if seq in seen:
             return "duplicate"
         view = self._view_seq.get(source, 0)
         if frame == "sparse" and seq != view + 1:
-            return "stale" if seq <= view else "gap"
+            return "gap"
         seen.add(seq)
         self._view_seq[source] = max(view, seq)
         return "exact"
@@ -142,9 +135,8 @@ class UdEndpoint:
     def mark_resynced(self, source: int, seq: int) -> None:
         """Record that a resync round trip recovered sequence *seq*.
 
-        The view only ever advances: recovering a stale sequence (reorder
-        across a resync boundary) must not rewind the in-order view later
-        sparse frames patch against.
+        The view only ever advances: recovering a sequence below it must not
+        rewind the in-order view later sparse frames patch against.
         """
         self._absorbed.setdefault(source, set()).add(seq)
         self._view_seq[source] = max(self._view_seq.get(source, 0), seq)

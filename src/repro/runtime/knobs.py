@@ -204,7 +204,7 @@ KNOBS: Tuple[Knob, ...] = (
         cli={
             "choices": TRANSPORT_MODES,
             "help": "data-message service level for every explored runtime: rc "
-            "(reliable connected) or ud (droppable/reorderable datagrams with "
+            "(reliable connected) or ud (droppable/duplicable datagrams with "
             f"receiver-driven clock resync) {_PATTERN_DEFAULT}",
         },
         matrix_values=("rc", "ud"),

@@ -107,8 +107,8 @@ class RuntimeConfig:
         :mod:`repro.net.ud_transport`): ``"rc"`` (reliable connected —
         per-pair FIFO delivery, no loss; the paper's implicit model) or
         ``"ud"`` (unreliable datagrams — each data message becomes a
-        sequence-numbered datagram the explored schedule may drop,
-        duplicate or reorder, with receiver-driven clock resync repairing
+        sequence-numbered datagram the explored schedule may drop or
+        duplicate, with receiver-driven clock resync repairing
         sequence gaps so a stale clock is never stamped).  Detector
         verdicts never depend on this knob — only traffic, latency and
         resync accounting do.  Lock and roundtrip clock control traffic

@@ -25,12 +25,12 @@ from repro.explore.campaign import main
 
 EXPECTED = {
     "json": (
-        788648,
-        "2e20f4f93546be15cd1eae6605af63e4b0583fd4e923c1a82b07ec01adca7958",
+        769856,
+        "042218aa4c6be372ee5fef75b459bc6c2bfe63d59c07e16e5389e8a05667c211",
     ),
     "markdown": (
         2446,
-        "82ff1de5bc6f0681f0cf422d46c47f58b2e0ee72bfebb2ddc47c582e9555cb9c",
+        "3c91071c34b4e606ee827e49a8b1e2efc56c716f9ed9e4f50b734d28a1e4f454",
     ),
 }
 

@@ -68,9 +68,9 @@ def barrier_factory(seed):
 
 
 class TestDecisionKinds:
-    def test_all_seven_kinds_registered(self):
+    def test_all_six_kinds_registered(self):
         assert DECISION_KINDS == (
-            "latency", "tie", "rnr", "credit", "barrier", "drop", "reorder",
+            "latency", "tie", "rnr", "credit", "barrier", "drop",
         )
 
 

@@ -1,12 +1,12 @@
 """UD datagram fates as first-class schedule decisions.
 
-The transport tentpole's exploration contract: every datagram's fate
-(deliver / drop / duplicate) and extra unclamped delay route through the
-schedule controller as ``drop`` and ``reorder`` decisions — logged,
-replayable from the log alone, fuzzable with seed-pure rates, and
-systematically branchable.  And across *every* explored drop/reorder
-schedule, the detector still flags the seeded race: recovery machinery
-never launders a race into silence.
+The transport's exploration contract: every datagram's fate (deliver /
+drop / duplicate) routes through the schedule controller as a ``drop``
+decision, and a delivered datagram's flight as the ``latency`` decision any
+message on its pair gets — logged, replayable from the log alone, fuzzable
+with seed-pure rates, and systematically branchable.  And across *every*
+explored drop schedule, the detector still flags the seeded race: recovery
+machinery never launders a race into silence.
 """
 
 from repro.explore.controller import (
@@ -33,16 +33,16 @@ def ud_factory(seed):
 class TestPassthrough:
     def test_every_datagram_logs_a_fate_and_a_delay(self):
         outcome = run_schedule(ud_factory, 0, PassthroughStrategy())
-        fates = decisions_of(outcome.decisions, "drop")
-        delays = decisions_of(outcome.decisions, "reorder")
+        entries = outcome.decisions.entries
+        fates = [i for i, d in enumerate(entries) if d.kind == "drop"]
         assert fates, "UD datagrams must produce drop decisions"
-        assert len(delays) == len(fates), (
-            "every delivered datagram draws exactly one reorder decision"
-        )
-        assert all(d.choice == 0 for d in fates)
-        assert all(d.choice == 0.0 for d in delays)
-        assert all(d.key.startswith("drop:") for d in fates)
-        assert all(d.key.startswith("reorder:") for d in delays)
+        for index in fates:
+            fate, delay = entries[index], entries[index + 1]
+            assert fate.choice == 0 and delay.choice == 0.0
+            # The delivered datagram's flight: the next decision, a latency
+            # decision on the same pair.
+            pair = fate.key[len("drop:"):].split("#")[0]
+            assert delay.key.startswith(f"latency:{pair}#"), (fate, delay)
 
     def test_rc_runs_never_consult_the_datagram_decisions(self):
         outcome = run_schedule(
@@ -51,7 +51,6 @@ class TestPassthrough:
             PassthroughStrategy(),
         )
         assert not decisions_of(outcome.decisions, "drop")
-        assert not decisions_of(outcome.decisions, "reorder")
 
 
 class TestFuzzing:
@@ -120,9 +119,10 @@ class TestSystematic:
 
 
 class TestEveryScheduleGuarantee:
-    def test_race_flagged_in_all_fuzzed_drop_reorder_schedules(self):
+    def test_race_flagged_in_all_fuzzed_drop_schedules(self):
         """The acceptance bar: 100% of explored schedules with nonzero
-        drop/duplicate/reorder rates still flag the seeded race."""
+        drop/duplicate rates and stretched flights still flag the seeded
+        race."""
         result = Explorer(ud_factory, seed=0).explore_fuzzed(
             8,
             reorder_probability=0.5,

@@ -1,4 +1,4 @@
-"""The UD service level: drops, duplicates, reorders — and sound verdicts.
+"""The UD service level: drops, duplicates — and sound verdicts.
 
 The transport knob's contracts:
 
@@ -7,14 +7,16 @@ The transport knob's contracts:
 * **Quiet-fabric equivalence** — UD under a fabric that drops nothing is
   byte-for-byte the RC execution: same verdicts, same final memory, same
   elapsed sim-time, on the whole labelled pattern corpus.
+* **FIFO per pair** — a datagram crosses the pair's one channel: in every
+  fuzzed schedule, each (source, destination) pair delivers first arrivals
+  in send order, RC messages and datagrams alike.
 * **Drop/retransmit** — a dropped datagram arms the retransmission timer
   and is re-sent with a fresh sequence number; the lost sequence is a
   permanent gap that exactly one receiver-driven resync repairs.
 * **Resync edge cases** — a dropped resync *request* is re-requested after
   the deadline; a dropped resync *reply* likewise; duplicated frames are
-  absorbed idempotently; a sparse frame reordered across a resync boundary
-  arrives stale and triggers its own recovery — and through all of it the
-  verdict matches the RC run of the same program.
+  absorbed idempotently — and through all of it the verdict matches the RC
+  run of the same program.
 * **Exhaustion** — burning the whole retransmission budget surfaces as a
   failed ``UD_DELIVERY_EXCEEDED`` work completion, and the failed
   operation gives back what it held: its cell lock (no quiescence leak)
@@ -25,6 +27,8 @@ The transport knob's contracts:
 import pytest
 
 from repro.explore.controller import PassthroughStrategy, ScheduleController
+from repro.explore.fuzzer import ScheduleFuzzer
+from repro.net.channel import Channel
 from repro.net.ud_transport import (
     TRANSPORT_MODES,
     UdEndpoint,
@@ -44,28 +48,20 @@ class ForcedFates(PassthroughStrategy):
     """Script datagram fates per message kind: ``{kind: {index: fate}}``.
 
     Indices count datagrams of that kind in fate-decision order; unlisted
-    datagrams deliver.  ``delays`` scripts the reorder decision the same
-    way (extra unclamped flight time).
+    datagrams deliver.
     """
 
-    def __init__(self, fates=None, delays=None):
+    def __init__(self, fates=None):
         self.fates = fates or {}
-        self.delays = delays or {}
-        self._fate_counts = {}
-        self._delay_counts = {}
-
-    def _scripted(self, table, counts, message, default):
-        kind = message.kind.value
-        index = counts.get(kind, 0)
-        counts[kind] = index + 1
-        return table.get(kind, {}).get(index, default)
+        self._counts = {}
 
     def choose(self, kind, key, bound=None, message=None):
-        if kind == "drop":
-            return self._scripted(self.fates, self._fate_counts, message, 0)
-        if kind == "reorder":
-            return self._scripted(self.delays, self._delay_counts, message, 0.0)
-        return 0
+        if kind != "drop":
+            return 0
+        name = message.kind.value
+        index = self._counts.get(name, 0)
+        self._counts[name] = index + 1
+        return self.fates.get(name, {}).get(index, 0)
 
     def describe(self):
         return "forced-fates"
@@ -83,7 +79,7 @@ def sparse_wire_factory(seed=0, transport="ud"):
     """Puts on a sparse clock wire, plus one guaranteed race.
 
     Rank 0's put storm on a delta-encoded clock wire means every datagram
-    carries a sparse frame, so a dropped or reordered datagram genuinely
+    carries a sparse frame, so a dropped datagram genuinely
     breaks the receiver's wire view and forces the resync subprotocol (not
     just byte shuffling).  The race: rank 0 reads ``shared[0]`` before the
     storm, rank 2 overwrites it afterwards — and since rank 2 receives no
@@ -135,31 +131,6 @@ def verdict(result):
     }
 
 
-# Compared runtime against runtime, a quiet UD fabric does not reproduce RC
-# on the two jittered-latency patterns marked below.  ``Fabric.ud_channel``
-# keeps its FIFO-clamp state apart from the pair's RC channel, so a data
-# message RC held behind earlier control traffic on the pair arrives on its
-# own latency instead (zero intra-UD overtakes).  Strict, so that closing the
-# gap (UD FIFO-clamp state, ROADMAP item 2b) XPASSes loudly and the marker goes
-# in the same change.
-UD_ESCAPES_RC_CLAMP = pytest.mark.xfail(
-    strict=True,
-    reason="a quiet UD fabric escapes the FIFO clamp RC applies across the "
-    "pair's control and data traffic: Fabric.ud_channel keeps separate clamp "
-    "state (the UD FIFO-clamp state gap, ROADMAP item 2b)",
-)
-
-
-def corpus_params(corpus, escapes_clamp):
-    """*corpus* as parametrize values, the named pattern a strict xfail."""
-    return [
-        pytest.param(pattern, marks=UD_ESCAPES_RC_CLAMP)
-        if pattern.name == escapes_clamp
-        else pattern
-        for pattern in corpus
-    ]
-
-
 # -- validation ----------------------------------------------------------------------
 
 
@@ -194,15 +165,10 @@ class TestValidation:
 
 
 class TestQuietFabricEquivalence:
-    """UD with nothing dropped/duplicated/reordered IS the RC execution."""
+    """UD with nothing dropped or duplicated IS the RC execution."""
 
     @pytest.mark.parametrize(
-        "pattern",
-        corpus_params(
-            pattern_corpus() + rmw_pattern_corpus(),
-            escapes_clamp="stencil-no-barriers",
-        ),
-        ids=lambda p: p.name,
+        "pattern", pattern_corpus() + rmw_pattern_corpus(), ids=lambda p: p.name
     )
     def test_corpus_verdicts_and_timing_match_rc(self, pattern):
         rc = pattern.build(0)
@@ -226,6 +192,47 @@ class TestQuietFabricEquivalence:
         runtime = sparse_wire_factory(transport="rc")
         runtime.run()
         assert runtime.clock_transport_stats().ud_datagrams == 0
+
+
+# -- FIFO per pair -------------------------------------------------------------------
+
+
+class TestFifoPerPair:
+    """A datagram crosses its pair's one channel, behind the pair's clamp."""
+
+    @pytest.mark.parametrize(
+        "pattern", pattern_corpus() + rmw_pattern_corpus(), ids=lambda p: p.name
+    )
+    def test_first_arrivals_keep_send_order_in_fuzzed_schedules(
+        self, pattern, monkeypatch
+    ):
+        """Drops, duplicates, stretched flights and tie shuffles never let a
+        later send on a pair arrive first.  Message ids count sends, so each
+        pair's arrivals must come in increasing id order; a duplicate is a
+        second arrival and a dropped datagram none, so neither is recorded."""
+        arrivals = {}
+        transmit = Channel.transmit
+
+        def recording(channel, message, *args, **kwargs):
+            event, stamped = transmit(channel, message, *args, **kwargs)
+            pair = arrivals.setdefault((channel.source, channel.destination), [])
+            event.callbacks.append(lambda _event: pair.append(stamped.message_id))
+            return event, stamped
+
+        monkeypatch.setattr(Channel, "transmit", recording)
+        for fuzz_seed in range(3):
+            arrivals.clear()
+            runtime = pattern.build(0)
+            runtime.set_knob("transport", "ud")
+            controlled(runtime, ScheduleFuzzer(
+                seed=fuzz_seed, reorder_probability=0.8,
+                tie_shuffle_probability=0.5,
+                drop_probability=0.2, duplicate_probability=0.1,
+            ))
+            runtime.run()
+            assert runtime.clock_transport_stats().ud_datagrams > 0
+            for pair, ids in arrivals.items():
+                assert ids == sorted(ids), (pattern.name, fuzz_seed, pair)
 
 
 # -- drop / retransmit / resync ------------------------------------------------------
@@ -253,8 +260,8 @@ class TestDropAndResync:
         )
         baseline = sparse_wire_factory()
         runtime.run(), baseline.run()
-        channel = runtime.fabric.ud_channels()[(0, 1)]
-        quiet = baseline.fabric.ud_channels()[(0, 1)]
+        channel = runtime.fabric.channels()[(0, 1)]
+        quiet = baseline.fabric.channels()[(0, 1)]
         assert channel.stats.dropped == 1
         # The lost datagram's bytes left the sender: the channel accounts
         # the extra retransmission plus the resync's full-frame reply
@@ -335,57 +342,9 @@ class TestResyncEdgeCases:
         stats = runtime.clock_transport_stats()
         assert stats.ud_duplicates == 2
         assert stats.ud_resyncs == 0, "a duplicate must not look like a gap"
-        channel = runtime.fabric.ud_channels()[(0, 1)]
+        channel = runtime.fabric.channels()[(0, 1)]
         assert channel.stats.duplicated == 2
         assert verdict(result) == verdict(sparse_wire_factory(transport="rc").run())
-
-    def test_reorder_across_a_resync_boundary_arrives_stale(self):
-        """Delay a sparse frame past a later frame's gap-resync: when the
-        laggard finally lands its sequence is *behind* the resynced view.
-        It must be recovered through its own round trip — never stamped as
-        a patch against the wrong base — and the verdict must hold."""
-
-        def factory(seed=0, transport="ud"):
-            runtime = DSMRuntime(
-                RuntimeConfig(
-                    world_size=2,
-                    seed=seed,
-                    latency="constant",
-                    clock_transport="piggyback",
-                    clock_wire="delta",
-                    transport=transport,
-                )
-            )
-            runtime.declare_array("cells", 4, owner=0, initial=0)
-            runtime.declare_array("mine", 2, owner=1, initial=7)
-
-            def reader(api):
-                yield from api.compute(3.0)
-                yield from api.get("mine", index=0)
-
-            def writer(api):
-                # Two puts on the P1->P0 channel: the first full frame
-                # lands, the second (sparse, seq 2) is delayed past the
-                # GET_REPLY (sparse, seq 3) the reader's get triggers.
-                yield from api.put("cells", 10, index=0)
-                yield from api.put("cells", 20, index=1)
-
-            runtime.set_program(0, reader)
-            runtime.set_program(1, writer)
-            return runtime
-
-        runtime = controlled(
-            factory(), ForcedFates(delays={"put_data": {1: 50.0}})
-        )
-        result = runtime.run()
-        stats = runtime.clock_transport_stats()
-        assert stats.ud_stale_frames == 1
-        # Two recoveries: the reply's gap (seq 3 over the in-flight seq 2),
-        # then the stale laggard itself.
-        assert stats.ud_resyncs == 2
-        channel = runtime.fabric.ud_channels()[(1, 0)]
-        assert channel.stats.reordered >= 1
-        assert verdict(result) == verdict(factory(transport="rc").run())
 
     def test_view_never_rewinds_below_a_resynced_sequence(self):
         endpoint = UdEndpoint(0)
@@ -393,9 +352,9 @@ class TestResyncEdgeCases:
         assert endpoint.absorb(1, 3, "sparse") == "gap"
         endpoint.mark_resynced(1, 3)
         assert endpoint.view_seq(1) == 3
-        # The reordered straggler from before the boundary: stale, and
-        # recovering it must not rewind the view later frames patch.
-        assert endpoint.absorb(1, 2, "sparse") == "stale"
+        # A sparse frame from before the boundary is a gap like any other,
+        # and recovering it must not rewind the view later frames patch.
+        assert endpoint.absorb(1, 2, "sparse") == "gap"
         endpoint.mark_resynced(1, 2)
         assert endpoint.view_seq(1) == 3
         assert endpoint.absorb(1, 4, "sparse") == "exact"

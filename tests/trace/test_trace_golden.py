@@ -125,14 +125,7 @@ def record(name):
         assert runtime.sim.all_finished()
         return {
             "trace_sha256": trace_sha256,
-            # Without the stale-frame counter, which is about to go.
-            "metrics_sha256": _sha256(json.dumps(
-                {
-                    key: value for key, value in result.metrics.items()
-                    if not key.startswith("clock_transport.ud_stale_frames")
-                },
-                sort_keys=True,
-            )),
+            "metrics_sha256": _sha256(json.dumps(result.metrics, sort_keys=True)),
             "spans_sha256": _sha256(runtime.sim.obs.spans.to_json()),
         }
     _, result, trace_sha256 = _run(RUNS[name])

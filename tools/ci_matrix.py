@@ -154,7 +154,7 @@ def row_command(row: Dict[str, str], knobs: Optional[Sequence[Knob]] = None) -> 
     """The one-line campaign invocation asserting a row's consistency.
 
     UD rows fuzz (drop/duplicate rates only apply to fuzzed schedules, and
-    the fuzzer's default reorder probability keeps reordering nonzero);
+    the fuzzer's default reorder probability keeps stretching flights);
     RC rows search systematically.
     """
     knobs = KNOBS if knobs is None else knobs
