@@ -59,12 +59,14 @@ class Barrier:
         self._recorder = recorder
         self._generation = 0
         self._arrived = 0
-        self._merged: Optional[VectorClock] = None
         self._release_events: Dict[int, Event] = {}
         self._crossings = 0
-        #: generation -> (last-arriving rank, open sim time): the fan-in
-        #: edge the critical-path analyzer hops across.
-        self._open_info: Dict[int, tuple] = {}
+        #: The latest open: (release clock, last-arriving rank, open sim
+        #: time).  The release clock is what every waiter merges; the rank
+        #: and time are the fan-in edge the critical-path analyzer hops
+        #: across.  One slot suffices: generation g+1 cannot open before
+        #: every waiter of g has resumed and read it.
+        self._opened: tuple = (None, None, None)
         self._obs = Observability.of(sim)
         #: rank -> its ``barrier.wait_time`` histogram, bound on first use.
         self._wait_times: Dict[int, object] = {}
@@ -98,13 +100,6 @@ class Barrier:
                 payload_bytes=8,
             )
             yield event
-        # Merge this rank's causal knowledge into the barrier.
-        if self._detector is not None:
-            snapshot = self._detector.current_clock(rank)
-            if self._merged is None:
-                self._merged = snapshot.copy()
-            else:
-                self._merged.merge_in_place(snapshot)
         release = self._release_events.setdefault(
             rank, self._sim.event(name=f"barrier-release-g{generation}-P{rank}")
         )
@@ -112,14 +107,15 @@ class Barrier:
         if self._arrived == self._world_size:
             self._open(generation, rank)
         yield release
-        # Every participant leaves knowing everything every participant knew.
-        if self._detector is not None and self._merged is not None:
-            self._detector.process_clock(rank).merge_in_place(self._merged)
+        # Every participant leaves knowing everything every participant knew
+        # when the barrier opened — and nothing a released rank did since.
+        merged, opener, opened_at = self._opened
+        if merged is not None:
+            self._detector.process_clock(rank).merge_in_place(merged)
         # The fan-in span: from this rank's arrival to its release — the
         # straggler's span is ~zero, the first arrival's spans the longest.
         # The opener args name the true fan-in edge: wait time before the
         # open was the last arriver's fault, time after it is release flight.
-        opener, opened_at = self._open_info.get(generation, (None, None))
         span_args: Dict[str, object] = {"generation": generation}
         if opener is not None:
             span_args["opener"] = f"P{opener}"
@@ -142,27 +138,29 @@ class Barrier:
     def _open(self, generation: int, opener: int) -> None:
         """Last arrival: release every waiter, after the release messages land.
 
-        The merged clock is recomputed from every participant's *current*
-        clock at release time rather than from the arrival-time snapshots:
-        while a process waits at the barrier its clock can still advance
-        (remote writes landing in its public memory count as reception
-        events), and all of those events precede the release, so folding them
-        in is sound and spares third-party readers a conservative report for
-        writes that demonstrably completed before the barrier opened.
+        The release clock is the join of every participant's *current* clock
+        at open time, not of arrival-time snapshots: while a process waits
+        at the barrier its clock can still advance (remote writes landing in
+        its public memory count as reception events), and all of those
+        events precede the release, so folding them in is sound and spares
+        third-party readers a conservative report for writes that
+        demonstrably completed before the barrier opened.  It is a fresh
+        object per open, so a rank released early that runs on (and
+        re-arrives) cannot leak its later events into a slower waiter's
+        release.
         """
+        merged: Optional[VectorClock] = None
         if self._detector is not None:
-            release_view = self._detector.current_clock(0).copy()
+            merged = self._detector.current_clock(0)
             for rank in range(1, self._world_size):
-                release_view.merge_in_place(self._detector.current_clock(rank))
-            self._merged = release_view
+                merged.merge_in_place(self._detector.process_clock(rank))
         if self._recorder is not None:
             # Synchronization events are part of the trace so that offline
             # (post-mortem) detection reconstructs the same happens-before.
             self._recorder.record_sync(
                 range(self._world_size), time=self._sim.now, kind="barrier"
             )
-        merged = self._merged
-        self._open_info[generation] = (opener, self._sim.now)
+        self._opened = (merged, opener, self._sim.now)
         releases = dict(self._release_events)
         # Reset state for the next generation before any waiter resumes.
         self._generation = generation + 1
@@ -192,8 +190,6 @@ class Barrier:
                 )
             else:
                 release.succeed(generation)
-        # Keep the merged clock available to late observers of this generation.
-        self._merged = merged.copy() if merged is not None else None
 
 
 def broadcast_via_puts(api: Any, symbol: str, value: Any, root: Optional[int] = None) -> Generator:

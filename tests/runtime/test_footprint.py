@@ -403,7 +403,6 @@ class TestAnAccessKeepsOnlyItsTrace:
         records_small = records_of(finished_small)
         owned_small = owned_by(records_small)
         processes_small = len(finished_small.runtime.sim.processes)
-        crossings_small = finished_small.runtime.barrier.crossings
         cells_small = {access.address for access in finished_small.runtime.recorder.accesses()}
         del finished_small
         added_large, finished_large = held_run(large)
@@ -413,18 +412,16 @@ class TestAnAccessKeepsOnlyItsTrace:
         runtime = finished_large.runtime
         # Same cells, so the detector's per-datum state is the same size.
         assert {access.address for access in runtime.recorder.accesses()} == cells_small
-        # Two things besides the trace are kept per *burst*, not per access: a
+        # One thing besides the trace is kept per *burst*, not per access: a
         # queue pair's drain is a process the simulator lists for good (itself,
-        # its generator, its callback list), and the barrier remembers who
-        # opened each generation, and when (one pair).
+        # its generator, its callback list).  The barrier keeps only its
+        # latest open, however many generations crossed.
         more_processes = len(runtime.sim.processes) - processes_small
-        more_crossings = runtime.barrier.crossings - crossings_small
         growth = sum(added_large.values()) - sum(added_small.values())
         unexplained = growth - (
             more_records * (1 + OBJECTS_PER_RECORD_BESIDES_ITSELF)
             + owned_by(records_large) - owned_small
             + 3 * more_processes
-            + more_crossings
         )
         # The detector's memory of a datum is up to three "last access" tuples
         # and three epochs, and which of them exist depends on how the run
