@@ -68,6 +68,7 @@ from repro.memory.address import GlobalAddress
 from repro.memory.consistency import AccessKind
 from repro.memory.public import MemoryCell
 from repro.obs.profiler import DetectionProfiler
+from repro.util.records import trusted_build
 from repro.util.validation import require_positive, require_rank
 
 _maximum = np.maximum
@@ -253,7 +254,8 @@ class DetectorConfig:
         return not self.compare(reference, event)
 
 
-@dataclass
+@trusted_build
+@dataclass(frozen=True, slots=True)
 class AccessCheckResult:
     """Outcome of one instrumented remote access."""
 
@@ -273,6 +275,14 @@ class AccessCheckResult:
         """True when this access was flagged."""
         return self.race is not None
 
+
+#: Detection disabled: no clocks, no checks, no overhead.
+_UNINSTRUMENTED = AccessCheckResult(None, (), (), None)
+
+#: A race record's explanation, per comparison mode.
+_DETAIL = {
+    mode: f"compare_clocks failed both ways ({mode.value})" for mode in ComparisonMode
+}
 
 #: What is fixed per kind of access: ``(kind, profiler bucket, advances W(x)
 #: too, counts as a plain — non-atomic — access)``.
@@ -356,6 +366,9 @@ class DualClockRaceDetector:
         # runtime binds the simulator-wide one (bind_observability).
         self._profiler = DetectionProfiler()
         self._spans = None
+        # The event clock of the latest acknowledged live put, as it was
+        # before the acknowledgement's join (see :meth:`_result`).
+        self._acknowledged_event: Optional[Tuple[int, ...]] = None
 
     def bind_observability(self, obs: object) -> None:
         """Route hot-path profiling and race instants into a shared bundle."""
@@ -495,11 +508,16 @@ class DualClockRaceDetector:
         ranks derived from them — is covered here, so the lookups below are
         unchecked (``ndarray.item``, ``VectorClock._entries``).
         """
-        require_rank(origin, self._world_size, "origin")
-        require_rank(address.rank, self._world_size, "address.rank")
-        if carried_clock is not None and carried_clock.size != self._world_size:
+        size = self._world_size
+        # ``require_rank``'s own test, inline: it runs only to raise.
+        if not (type(origin) is int and 0 <= origin < size):
+            require_rank(origin, size, "origin")
+        rank = address.rank
+        if not (type(rank) is int and 0 <= rank < size):
+            require_rank(rank, size, "address.rank")
+        if carried_clock is not None and carried_clock.size != size:
             raise ValueError(
-                f"carried clock has {carried_clock.size} entries, world size is {self._world_size}"
+                f"carried clock has {carried_clock.size} entries, world size is {size}"
             )
 
     def on_write(
@@ -544,18 +562,13 @@ class DualClockRaceDetector:
         self._validate_access(origin, address, carried_clock)
         config = self.config
         if not config.enabled:
-            return self._uninstrumented(origin, cell)
-        reference = (
-            _ACCESS if config.write_check is WriteCheckMode.ACCESS_CLOCK else _WRITE
+            return _UNINSTRUMENTED
+        race = self._check(
+            AccessKind.WRITE, origin, address, cell, symbol, time, operation,
+            carried_clock, wire_clock_bytes, owner_event,
         )
-        return self._instrument(
-            _WRITE_ACCESS, origin, address, cell, symbol, time, operation,
-            carried_clock, wire_clock_bytes,
-            reference,
-            # The writer fetched the datum clock for the check; it now knows it.
-            reference if config.origin_learns_on_put_check else None,
-            carried_clock is None if owner_event is None else owner_event,
-            False,
+        return self._result(
+            race, origin, cell, carried_clock, wire_clock_bytes,
             config.origin_learns_datum_after_write,
         )
 
@@ -590,19 +603,13 @@ class DualClockRaceDetector:
         servicing it ticks nobody (Figure 5b).
         """
         self._validate_access(origin, address, carried_clock)
-        config = self.config
-        if not config.enabled:
-            return self._uninstrumented(origin, cell)
-        return self._instrument(
-            _READ_ACCESS, origin, address, cell, symbol, time, operation,
+        if not self.config.enabled:
+            return _UNINSTRUMENTED
+        race = self._check(
+            AccessKind.READ, origin, address, cell, symbol, time, operation,
             carried_clock, wire_clock_bytes,
-            _WRITE,
-            # The data (and its causal history) flows back to the reader.
-            _ACCESS if config.origin_learns_on_get else None,
-            carried_clock is not None,
-            False,
-            False,
         )
+        return self._result(race, origin, cell, carried_clock, wire_clock_bytes)
 
     def on_rmw(
         self,
@@ -635,10 +642,65 @@ class DualClockRaceDetector:
         owner event (an RMW writes, exactly as a posted put does).
         """
         self._validate_access(origin, address, carried_clock)
+        if not self.config.enabled:
+            return _UNINSTRUMENTED
+        race = self._check(
+            AccessKind.RMW, origin, address, cell, symbol, time, operation,
+            carried_clock, wire_clock_bytes,
+        )
+        return self._result(race, origin, cell, carried_clock, wire_clock_bytes)
+
+    # -- per-kind resolution: what each kind of access asks of the kernel ------------
+
+    def _check(
+        self,
+        kind: AccessKind,
+        origin: int,
+        address: GlobalAddress,
+        cell: MemoryCell,
+        symbol: Optional[str],
+        time: float,
+        operation: str,
+        carried_clock: Optional[VectorClock],
+        wire_clock_bytes: Optional[int],
+        owner_event: Optional[bool] = None,
+    ) -> Optional[RaceRecord]:
+        """Check one access of *kind*; returns the race, if any.
+
+        Resolves what differs per kind from the (live) configuration and runs
+        the kernel.  The entry points come through here and then build their
+        result record; ``TraceReplayer.replay`` comes through here and builds
+        none.  The caller has validated the access (:meth:`_validate_access`)
+        and checked that detection is enabled.  *owner_event* is
+        :meth:`on_write`'s and is ignored for the other kinds.
+        """
         config = self.config
-        if not config.enabled:
-            return self._uninstrumented(origin, cell)
+        if kind is AccessKind.WRITE:
+            reference = (
+                _ACCESS if config.write_check is WriteCheckMode.ACCESS_CLOCK else _WRITE
+            )
+            return self._instrument(
+                _WRITE_ACCESS, origin, address, cell, symbol, time, operation,
+                carried_clock, wire_clock_bytes,
+                reference,
+                # The writer fetched the datum clock for the check; it now knows it.
+                reference if config.origin_learns_on_put_check else None,
+                carried_clock is None if owner_event is None else owner_event,
+                False,
+                config.origin_learns_datum_after_write,
+            )
         learns_on_get = config.origin_learns_on_get
+        if kind is AccessKind.READ:
+            return self._instrument(
+                _READ_ACCESS, origin, address, cell, symbol, time, operation,
+                carried_clock, wire_clock_bytes,
+                _WRITE,
+                # The data (and its causal history) flows back to the reader.
+                _ACCESS if learns_on_get else None,
+                carried_clock is not None,
+                False,
+                False,
+            )
         return self._instrument(
             _RMW_ACCESS, origin, address, cell, symbol, time, operation,
             carried_clock, wire_clock_bytes,
@@ -652,15 +714,42 @@ class DualClockRaceDetector:
             False,
         )
 
-    def _uninstrumented(self, origin: int, cell: MemoryCell) -> AccessCheckResult:
-        """Detection disabled: no clocks, no checks, no overhead."""
-        return AccessCheckResult(
-            race=None,
-            event_clock=(),
-            datum_access_clock=(),
-            datum_write_clock=None,
-            extra_control_messages=0,
-            extra_clock_bytes=0,
+    def _result(
+        self,
+        race: Optional[RaceRecord],
+        origin: int,
+        cell: MemoryCell,
+        carried_clock: Optional[VectorClock],
+        wire_clock_bytes: Optional[int],
+        acknowledged: bool = False,
+    ) -> AccessCheckResult:
+        """The record of the check just made, built from the state it left.
+
+        The event clock is the carried snapshot, or the origin's live clock —
+        which the kernel leaves as the check reported it, except after an
+        *acknowledged* put (``origin_learns_datum_after_write``), whose
+        pre-acknowledgement snapshot the kernel kept aside.  The datum
+        clocks and their access epoch are the cell's, as merged.
+        """
+        if carried_clock is not None:
+            event = tuple(carried_clock._entries.tolist())
+        elif acknowledged:
+            event = self._acknowledged_event
+        else:
+            event = tuple(self._process_clocks[origin]._entries.tolist())
+        messages = self.config.control_messages_per_check
+        return AccessCheckResult._build(
+            race,
+            event,
+            tuple(cell.access_clock._entries.tolist()),
+            tuple(cell.write_clock._entries.tolist()),
+            messages,
+            messages * (
+                wire_clock_bytes
+                if wire_clock_bytes is not None
+                else self._world_size * self.BYTES_PER_ENTRY
+            ),
+            cell.detector_state.access_epoch,
         )
 
     def _instrument(
@@ -679,7 +768,7 @@ class DualClockRaceDetector:
         owner_event: bool,
         reply_follows_owner_event: bool,
         acknowledged: bool,
-    ) -> AccessCheckResult:
+    ) -> Optional[RaceRecord]:
         """The check kernel behind :meth:`on_write`, :meth:`on_read`, :meth:`on_rmw`.
 
         What differs per kind arrives resolved: *reference_slot* names the
@@ -701,8 +790,9 @@ class DualClockRaceDetector:
         books the *algorithm's* operations in the profile (one join per
         Algorithm-4 merge, one or two compares per directional vector
         comparison), whatever the number of NumPy calls that took.  A live
-        event clock is the origin's principal row itself, read in place; the
-        three snapshots of the result are the only copies.
+        event clock is the origin's principal row itself, read in place.  The
+        kernel returns the race, if any, and builds no result record: the
+        entry points build theirs from the state it leaves (:meth:`_result`).
 
         **The check** (Corollary 1: signal a race when the clocks are
         incomparable).  A virgin datum (all-zero reference clock) has never
@@ -877,19 +967,25 @@ class DualClockRaceDetector:
                 )
 
         # Algorithm 5 (update_clock / update_clock_W): merge the event clock
-        # into the per-datum clocks.
-        _maximum(access, event, out=access)
-        joins += 1
-        if writes:
-            _maximum(write, event, out=write)
-            joins += 1
+        # into the per-datum clocks.  When the arrival is an owner event
+        # (below), the owner's row absorbs the event first and the datum
+        # clocks then absorb that row, which leaves the same content: the
+        # joins are booked, not made.
+        owner = address.rank
+        owner_ticks = (
+            owner_event and owner != origin and config.write_effect_ticks_owner
+        )
+        if not owner_ticks:
+            _maximum(access, event, out=access)
+            if writes:
+                _maximum(write, event, out=write)
+        joins += 2 if writes else 1
         if epochs:
             state.access_epoch = new_access_epoch
             if writes:
                 state.write_epoch = new_write_epoch
 
-        owner = address.rank
-        if owner_event and owner != origin and config.write_effect_ticks_owner:
+        if owner_ticks:
             # The arrival at the owner's memory is an event of the owning
             # process (this is how the paper's Figure 5 space-time diagrams
             # advance the target's clock on reception of a put): the owner
@@ -932,11 +1028,13 @@ class DualClockRaceDetector:
                 _maximum(event, access, out=event)
                 joins += 1
 
-        event_snapshot = tuple(event.tolist())
         if plain:
             self._note_plain_access(address, state, event, event_epoch, epochs)
             joins += 1
         if acknowledged and live:
+            # The one join after the reported event clock: :meth:`_result`
+            # reports the clock as it was before it.
+            self._acknowledged_event = tuple(event.tolist())
             _maximum(event, access, out=event)
             joins += 1
 
@@ -947,7 +1045,7 @@ class DualClockRaceDetector:
         if is_plain:
             state.last_plain = last
 
-        # Profile the check, book its overhead, freeze the clocks.  One
+        # Profile the check and book its overhead.  One
         # vector clock per booked control message (Algorithm 5's fetch +
         # update each move one).  *wire_clock_bytes* is the clock's measured
         # wire size under the active ``clock_wire`` format, passed in by the
@@ -970,15 +1068,7 @@ class DualClockRaceDetector:
         )
         self._control_messages += messages
         self._clock_bytes_on_wire += clock_bytes
-        return AccessCheckResult(
-            race,
-            event_snapshot,
-            tuple(access.tolist()),
-            tuple(write.tolist()),
-            messages,
-            clock_bytes,
-            state.access_epoch,
-        )
+        return race
 
     def _signal(
         self,
@@ -994,18 +1084,18 @@ class DualClockRaceDetector:
         operation: str,
     ) -> RaceRecord:
         """Record the race between the event and the reference's last access."""
-        record = RaceRecord(
-            address=address,
-            current_rank=origin,
-            current_kind=kind,
-            current_clock=tuple(event.tolist()),
-            previous_rank=previous_rank,
-            previous_kind=previous_kind,
-            previous_clock=tuple(reference.tolist()),
-            time=time,
-            symbol=symbol,
-            operation=operation,
-            detail=f"compare_clocks failed both ways ({self.config.comparison.value})",
+        record = RaceRecord._build(
+            address,
+            origin,
+            kind,
+            tuple(event.tolist()),
+            previous_rank,
+            previous_kind,
+            tuple(reference.tolist()),
+            time,
+            symbol,
+            operation,
+            _DETAIL[self.config.comparison],
         )
         self.report.signal(record)
         if self._spans is not None:

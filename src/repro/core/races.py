@@ -13,12 +13,12 @@ decides whether a record is printed, collected silently, or (for tests that
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.clocks import VectorClock
 from repro.memory.address import GlobalAddress
 from repro.memory.consistency import AccessKind
+from repro.util.records import trusted_build
 
 
 class RaceConditionSignal(RuntimeError):
@@ -37,9 +37,13 @@ class SignalPolicy(enum.Enum):
     ABORT = "abort"       # record and raise RaceConditionSignal (tests only)
 
 
-@dataclass(frozen=True)
+@trusted_build
+@dataclass(frozen=True, slots=True)
 class RaceRecord:
     """One detected race between a new access and a previous conflicting access.
+
+    The detector builds its records with ``RaceRecord._build`` (one value per
+    field, in field order; see :func:`~repro.util.records.trusted_build`).
 
     Attributes
     ----------

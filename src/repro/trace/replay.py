@@ -24,15 +24,19 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from operator import itemgetter
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.clocks import VectorClock
 from repro.core.detector import DetectorConfig, DualClockRaceDetector
 from repro.core.races import RaceRecord
-from repro.memory.address import GlobalAddress
 from repro.memory.consistency import AccessKind, MemoryAccess
 from repro.memory.public import MemoryCell
 from repro.trace.events import SyncEvent
+
+#: The operation an access recorded without one replays as (the entry points'
+#: defaults).
+_OPERATIONS = {AccessKind.WRITE: "put", AccessKind.READ: "get", AccessKind.RMW: "fetch_add"}
 
 
 @dataclass
@@ -76,7 +80,12 @@ class TraceReplayer:
         the order in which the online detector handled the same events.
         """
         detector = DualClockRaceDetector(self._world_size, config=self._config)
-        cells: Dict[GlobalAddress, MemoryCell] = {}
+        enabled = detector.config.enabled
+        validate = detector._validate_access
+        check = detector._check
+        # Stand-in cells, filed under ``(rank, offset)``: a tuple hashes and
+        # compares in C, a ``GlobalAddress`` in Python.
+        cells: Dict[Tuple[int, int], MemoryCell] = {}
         # Snapshot clock of the most recent SEND/RECV match per directed
         # (sender, receiver) pair: the scatter writes that follow a transfer
         # event replay with the clock the message carried, exactly as online.
@@ -88,68 +97,52 @@ class TraceReplayer:
         # sync is recorded immediately before the access it instruments
         # (adjacent trace ids), so the head entry always belongs to the next
         # matching access — which replays with the carried snapshot as its
-        # event clock, exactly as online.
+        # event clock, exactly as online.  A drained pair leaves the table,
+        # so an empty table means no access can be carried.
         wr_clocks: Dict[tuple, Deque[VectorClock]] = {}
         stream: List[tuple] = [
-            (access.time, access.access_id, "access", access) for access in accesses
+            (access.time, access.access_id, False, access) for access in accesses
         ]
         for sync in syncs or []:
-            stream.append((sync.time, sync.sync_id, "sync", sync))
-        stream.sort(key=lambda item: (item[0], item[1]))
+            stream.append((sync.time, sync.sync_id, True, sync))
+        stream.sort(key=itemgetter(0, 1))
         replayed = 0
-        for _time, _eid, kind, event in stream:
-            if kind == "sync":
+        for _time, _eid, is_sync, event in stream:
+            if is_sync:
                 self._apply_sync(detector, event, transfer_clocks, wr_clocks)
                 continue
             access = event
             replayed += 1
-            cell = cells.get(access.address)
+            origin = access.rank
+            address = access.address
+            carried = None
+            if wr_clocks:
+                pair = (origin, address.rank)
+                pending = wr_clocks.get(pair)
+                if pending:
+                    carried = pending.popleft()
+                    if not pending:
+                        del wr_clocks[pair]
+            kind = access.kind
+            is_send = kind is AccessKind.WRITE and access.operation == "send"
+            if is_send:
+                # Scatter writes replay with the matched message's clock.
+                carried = transfer_clocks.get((origin, address.rank))
+            key = (address.rank, address.offset)
+            cell = cells.get(key)
             if cell is None:
-                cell = cells[access.address] = MemoryCell()
-            pending = wr_clocks.get((access.rank, access.address.rank))
-            carried = pending.popleft() if pending else None
-            if access.kind is AccessKind.RMW:
-                detector.on_rmw(
-                    access.rank,
-                    access.address,
-                    cell,
-                    symbol=access.symbol,
-                    time=access.time,
-                    operation=access.operation or "fetch_add",
-                    carried_clock=carried,
-                )
-                cell.value = access.value
-            elif access.kind is AccessKind.WRITE:
-                is_send = access.operation == "send"
-                detector.on_write(
-                    access.rank,
-                    access.address,
-                    cell,
-                    symbol=access.symbol,
-                    time=access.time,
-                    operation=access.operation or "put",
-                    # Scatter writes replay with the matched message's clock
-                    # and keep the owner-tick exemption (owner_event=None
-                    # resolves to it whenever a carried clock is present);
-                    # every other write is an owner event, carried or live.
-                    carried_clock=(
-                        transfer_clocks.get((access.rank, access.address.rank))
-                        if is_send
-                        else carried
-                    ),
-                    owner_event=None if is_send else True,
-                )
-                cell.value = access.value
-            else:
-                detector.on_read(
-                    access.rank,
-                    access.address,
-                    cell,
-                    symbol=access.symbol,
-                    time=access.time,
-                    operation=access.operation or "get",
-                    carried_clock=carried,
-                )
+                cell = cells[key] = MemoryCell()
+            validate(origin, address, carried)
+            if not enabled:
+                continue
+            # A scatter write keeps the owner-tick exemption (None resolves
+            # to it whenever a carried clock is present); every other write
+            # is an owner event, carried or live.
+            check(
+                kind, origin, address, cell, access.symbol, access.time,
+                access.operation or _OPERATIONS[kind], carried, None,
+                None if is_send else True,
+            )
         return ReplayOutcome(
             races=detector.races(),
             accesses_replayed=replayed,

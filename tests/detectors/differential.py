@@ -263,7 +263,10 @@ ABLATIONS: Dict[str, Dict[str, object]] = {
     "no-program-order": {"same_origin_program_order": False},
 }
 
-_ENTRY_POINTS = ("on_write", "on_read", "on_rmw")
+#: The entry point that checks each kind of access.
+_ENTRY_POINTS = {
+    AccessKind.WRITE: "on_write", AccessKind.READ: "on_read", AccessKind.RMW: "on_rmw",
+}
 
 
 def _clock_list(clock) -> Optional[List[int]]:
@@ -271,11 +274,14 @@ def _clock_list(clock) -> Optional[List[int]]:
 
 
 class CheckStream:
-    """Records every instrumented access made through one detector.
+    """Records every check made through one detector.
 
-    The three entry points are shadowed on the *instance*, so whoever holds
-    the detector (the NICs, the queue pairs, the replayer) records without
-    knowing; the detector's own code runs unchanged underneath.
+    The check kernel is shadowed on the *instance*, so whoever drives the
+    detector — the NICs and queue pairs through the entry points, the
+    replayer through ``_check`` — records without knowing.  Each
+    record carries every ``AccessCheckResult`` field, derived by the
+    detector's own ``_result`` exactly as the entry points derive theirs
+    (the replayer builds no result; the stream builds it for the digest).
     """
 
     def __init__(self, detector: DualClockRaceDetector) -> None:
@@ -283,21 +289,32 @@ class CheckStream:
         self.accesses = 0
         self._hash = hashlib.sha256()
         self._cells: Dict[GlobalAddress, MemoryCell] = {}
-        for name in _ENTRY_POINTS:
-            setattr(detector, name, self._recording(name, getattr(detector, name)))
+        detector._instrument = self._recording(detector._instrument)
 
     def _feed(self, payload: object) -> None:
         self._hash.update(json.dumps(payload, sort_keys=True).encode())
 
-    def _recording(self, name: str, entry_point):
-        def record(origin, address, cell, **keywords):
-            result = entry_point(origin, address, cell, **keywords)
+    def _recording(self, kernel):
+        detector = self.detector
+
+        def record(
+            access_kind, origin, address, cell, symbol, time, operation,
+            carried_clock, wire_clock_bytes, *resolved,
+        ):
+            race = kernel(
+                access_kind, origin, address, cell, symbol, time, operation,
+                carried_clock, wire_clock_bytes, *resolved,
+            )
+            # The kernel's last resolved argument is ``acknowledged``.
+            result = detector._result(
+                race, origin, cell, carried_clock, wire_clock_bytes, resolved[-1]
+            )
             self.accesses += 1
             self._cells[address] = cell
             epoch = result.datum_epoch
             self._feed(
                 {
-                    "entry": name,
+                    "entry": _ENTRY_POINTS[access_kind[0]],
                     "origin": origin,
                     "address": str(address),
                     "race": None if result.race is None else race_digest(result.race),
@@ -313,7 +330,7 @@ class CheckStream:
                     "datum_epoch": None if epoch is None else [epoch.rank, epoch.scalar],
                 }
             )
-            return result
+            return race
 
         return record
 

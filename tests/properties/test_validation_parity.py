@@ -12,7 +12,8 @@ exception text.
 ``validate_clock_transport`` / ``validate_clock_wire``, which are unchanged
 and so serve as their own reference.
 
-The trace records and ``Decision`` have a second, unchecked constructor
+The trace records, ``Decision`` and the detector's ``RaceRecord`` and
+``AccessCheckResult`` have a second, unchecked constructor
 (``Cls._build``, :func:`repro.util.records.trusted_build`): it must hand out
 what the public one does, and the public ones must raise what they always
 raised.  ``SymbolDirectory.resolve`` remembers a located cell and must answer
@@ -29,6 +30,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import DSMRuntime, RuntimeConfig
+from repro.core.clocks import Epoch
+from repro.core.detector import _DETAIL, AccessCheckResult, ComparisonMode
+from repro.core.races import RaceRecord
 from repro.explore.decisions import DECISION_KINDS, Decision
 from repro.memory.address import GlobalAddress
 from repro.memory.consistency import AccessKind, MemoryAccess
@@ -229,6 +233,13 @@ times = st.floats(0, 1e6, allow_nan=False)
 addresses = st.builds(GlobalAddress, st.integers(0, 15), st.integers(0, 255))
 symbols = st.one_of(st.none(), st.sampled_from(["x", "halo", "flag"]))
 clocks = st.one_of(st.none(), st.lists(small_ints, max_size=6).map(tuple))
+vectors = st.lists(small_ints, max_size=6).map(tuple)
+kinds = st.sampled_from(list(AccessKind))
+race_values = st.tuples(
+    addresses, small_ints, kinds, vectors, st.one_of(st.none(), small_ints), kinds,
+    vectors, times, symbols, st.sampled_from(["put", "get", "fetch_add", "send"]),
+    st.sampled_from(sorted(_DETAIL.values())),
+)
 
 #: One strategy per field, in field order, and the name of a field to assign to.
 RECORDS = {
@@ -261,6 +272,15 @@ RECORDS = {
         ),
         "choice",
     ),
+    RaceRecord: (race_values, "detail"),
+    AccessCheckResult: (
+        st.tuples(
+            st.one_of(st.none(), race_values.map(lambda values: RaceRecord(*values))),
+            vectors, vectors, clocks, small_ints, small_ints,
+            st.one_of(st.none(), st.builds(Epoch, small_ints, small_ints)),
+        ),
+        "race",
+    ),
 }
 
 
@@ -277,6 +297,7 @@ class TestTrustedConstructors:
         assert built == public and public == built
         assert hash(built) == hash(public)
         assert repr(built) == repr(public)
+        assert str(built) == str(public)
         for field, value in zip(dataclasses.fields(cls), values):
             assert getattr(built, field.name) is value
         assert pickle.loads(pickle.dumps(built)) == public
@@ -301,6 +322,11 @@ class TestTrustedConstructors:
             with pytest.raises((AttributeError, TypeError)):
                 record.not_a_field = 1
             assert not hasattr(record, "__dict__")
+
+    def test_a_race_record_explains_itself_per_comparison_mode(self):
+        assert set(_DETAIL) == set(ComparisonMode)
+        for mode, detail in _DETAIL.items():
+            assert detail == f"compare_clocks failed both ways ({mode.value})"
 
     def test_build_takes_exactly_one_value_per_field(self):
         with pytest.raises(TypeError):
