@@ -20,6 +20,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappush
 from typing import Deque, Dict, Optional
 
 from repro.memory.address import GlobalAddress
@@ -35,6 +36,11 @@ class LockState(enum.Enum):
     QUEUED = "queued"
     GRANTED = "granted"
     RELEASED = "released"
+
+
+#: Read off the class once, as ``sim.process`` does its states (an ``Enum``
+#: member read is slow on Python 3.11).
+_QUEUED, _GRANTED, _RELEASED = LockState.QUEUED, LockState.GRANTED, LockState.RELEASED
 
 
 class _GrantEvent(Event):
@@ -143,43 +149,60 @@ class MemoryLockTable:
             raise ValueError(
                 f"lock table of rank {self._rank} cannot lock {address} owned by rank {address.rank}"
             )
-        request = LockRequest(
-            self._next_id(),
-            address,
-            requester,
-            purpose,
-            _GrantEvent(self._sim, address, requester),
-            queued_at=self._sim._now,
-        )
-        self._requests.inc()
-        if address.offset not in self._holders:
-            self._grant(request)
-        else:
+        sim = self._sim
+        now = sim._now
+        event = _GrantEvent(sim, address, requester)
+        self._requests.value += 1
+        offset = address.offset
+        # Every field positionally: a keyword argument costs the dataclass
+        # ``__init__`` more than its other eight stores together.
+        if offset in self._holders:
+            request = LockRequest(
+                self._next_id(), address, requester, purpose, event,
+                _QUEUED, None, None, now,
+            )
             self._contended_acquisitions += 1
             self._contended.inc()
-            self._queues.setdefault(address.offset, deque()).append(request)
+            self._queues.setdefault(offset, deque()).append(request)
+            return request
+        # Uncontended: granted in this frame — what ``_grant`` does, the
+        # request born holding the lock and its event triggered and pushed
+        # as ``Event.succeed`` would.
+        request = self._holders[offset] = LockRequest(
+            self._next_id(), address, requester, purpose, event,
+            _GRANTED, now, None, now,
+        )
+        event._triggered = event._ok = True
+        heappush(sim._queue, (now, sim._sequence, event))
+        sim._sequence += 1
+        self._wait_time.observe(0.0)
+        if self._obs.spans.enabled:
+            self._wait_span(request)
         return request
 
     def _grant(self, request: LockRequest) -> None:
+        """Grant a request that waited behind a released holder."""
         self._holders[request.address.offset] = request
-        request.state = LockState.GRANTED
+        request.state = _GRANTED
         request.granted_at = self._sim._now
         request.event.succeed()
         self._wait_time.observe(request.granted_at - request.queued_at)
+        if self._obs.spans.enabled:
+            self._wait_span(request)
+
+    def _wait_span(self, request: LockRequest) -> None:
         # The request→grant interval as a span on the owner's NIC track —
         # zero-length for uncontended grants, the Figure 3 serialization
         # otherwise.
-        spans = self._obs.spans
-        if spans.enabled:
-            spans.complete(
-                f"nic-P{self._rank}",
-                "lock_wait",
-                request.queued_at,
-                request.granted_at,
-                address=str(request.address),
-                requester=f"P{request.requester}",
-                purpose=request.purpose,
-            )
+        self._obs.spans.complete(
+            f"nic-P{self._rank}",
+            "lock_wait",
+            request.queued_at,
+            request.granted_at,
+            address=str(request.address),
+            requester=f"P{request.requester}",
+            purpose=request.purpose,
+        )
 
     # -- release ----------------------------------------------------------------
 
@@ -197,7 +220,7 @@ class MemoryLockTable:
                 f"but the lock is held by "
                 f"{'nobody' if holder is None else f'P{holder.requester}'}"
             )
-        request.state = LockState.RELEASED
+        request.state = _RELEASED
         request.released_at = self._sim._now
         del self._holders[offset]
         queue = self._queues.get(offset)
@@ -206,6 +229,14 @@ class MemoryLockTable:
             if not queue:
                 del self._queues[offset]
             self._grant(nxt)
+
+    def release_delivered(self, delivery: Event) -> None:
+        """Release the request an UNLOCK message carries, once it has landed.
+
+        The delivery event's callback, in place of a closure built per
+        remote unlock.
+        """
+        self.release(delivery._value.payload)
 
     # -- inspection ---------------------------------------------------------------
 

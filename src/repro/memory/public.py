@@ -151,7 +151,16 @@ class PublicMemory:
 
     def cell(self, address: GlobalAddress) -> MemoryCell:
         """Return the cell object at *address* (metadata included)."""
-        offset = self._check_address(address)
+        # An exact in-range address of this rank is checked inline; anything
+        # else goes through ``_check_address`` for its error.
+        if (
+            type(address) is GlobalAddress
+            and address.rank == self._rank
+            and 0 <= address.offset < self._size
+        ):
+            offset = address.offset
+        else:
+            offset = self._check_address(address)
         cell = self._cells.get(offset)
         if cell is None:
             cell = self._cells[offset] = MemoryCell()

@@ -115,6 +115,14 @@ _OPERATIONS = {
     "local_read": (AccessKind.READ, "local_reads", None, None, 0, False, None),
 }
 
+#: Read off their classes once, as ``sim.process`` does its states (an
+#: ``Enum`` member read is slow on Python 3.11): the kinds ``_perform``
+#: branches on and the lock protocol's three messages.
+_WRITE, _READ = AccessKind.WRITE, AccessKind.READ
+_LOCK_REQUEST, _LOCK_GRANT, _UNLOCK = (
+    MessageKind.LOCK_REQUEST, MessageKind.LOCK_GRANT, MessageKind.UNLOCK,
+)
+
 #: What a put or a get *is* when its target is the caller's own memory.  The
 #: atomics have no local flavour: an own-rank atomic keeps its name, tally
 #: and span and merely crosses no wire.
@@ -294,38 +302,45 @@ class NIC:
         A remote acquisition costs a LOCK_REQUEST / LOCK_GRANT round trip;
         the wait for a contended lock happens at the target, which is what
         delays a put behind an in-flight get on the same datum (Fig. 3).
+        An own-rank acquisition is the table's ``acquire`` and a wait on its
+        grant, which :meth:`_access` takes inline.
         """
-        remote = target_nic.rank != self.rank
-        if remote:
-            event, _ = self.fabric.send(
-                MessageKind.LOCK_REQUEST, self.rank, target_nic.rank,
-                payload_bytes=0, operation_tag=tag,
-            )
-            yield event
-        request = target_nic.locks.acquire(address, requester=self.rank, purpose=purpose)
+        if target_nic.rank == self.rank:
+            request = target_nic.locks.acquire(address, self.rank, purpose)
+            yield request.event
+            return request
+        event, _ = self.fabric.send(
+            _LOCK_REQUEST, self.rank, target_nic.rank,
+            payload_bytes=0, operation_tag=tag,
+        )
+        yield event
+        request = target_nic.locks.acquire(address, self.rank, purpose)
         yield request.event
-        if remote:
-            event, _ = self.fabric.send(
-                MessageKind.LOCK_GRANT, target_nic.rank, self.rank,
-                payload_bytes=0, operation_tag=tag,
-            )
-            yield event
+        event, _ = self.fabric.send(
+            _LOCK_GRANT, target_nic.rank, self.rank,
+            payload_bytes=0, operation_tag=tag,
+        )
+        yield event
         return request
 
     def _release_lock(
         self, target_nic: "NIC", request: Optional[LockRequest], tag: str
     ) -> None:
-        """Release a previously acquired lock (fire-and-forget for remote locks)."""
+        """Release a previously acquired lock (fire-and-forget for remote locks).
+
+        A remote release is an UNLOCK message carrying the request; the
+        target's table releases it when the message lands.
+        """
         if request is None:
             return
-        if target_nic.rank != self.rank:
-            event, _ = self.fabric.send(
-                MessageKind.UNLOCK, self.rank, target_nic.rank,
-                payload_bytes=0, operation_tag=tag,
-            )
-            event.callbacks.append(lambda _ev: target_nic.locks.release(request))
-        else:
+        if target_nic.rank == self.rank:
             target_nic.locks.release(request)
+            return
+        event, _ = self.fabric.send(
+            _UNLOCK, self.rank, target_nic.rank, request,
+            payload_bytes=0, operation_tag=tag,
+        )
+        event.callbacks.append(target_nic.locks.release_delivered)
 
     def _wire_clock(self, clock_snapshot: Optional[VectorClock]) -> Optional[VectorClock]:
         """The clock a data message leaving this rank would carry.
@@ -546,18 +561,18 @@ class NIC:
         the value the cell held before) and what an atomic deposited.
         """
         now = self._sim._now
-        memory = target_nic.memory
+        # One lookup: the check reads the cell the effect then lands on.
+        cell = target_nic.memory.cell(address)
         check: Optional[AccessCheckResult] = None
         detector = self.detector
         if detector is not None and detector.config.enabled:
-            cell = memory.cell(address)
-            if kind is AccessKind.WRITE:
+            if kind is _WRITE:
                 check = detector.on_write(
                     self.rank, address, cell, symbol=symbol, time=now,
                     operation=operation, carried_clock=carried_clock,
                     owner_event=owner_event, wire_clock_bytes=wire_clock_bytes,
                 )
-            elif kind is AccessKind.READ:
+            elif kind is _READ:
                 check = detector.on_read(
                     self.rank, address, cell, symbol=symbol, time=now,
                     operation=operation, carried_clock=carried_clock,
@@ -569,16 +584,21 @@ class NIC:
                     operation=operation, carried_clock=carried_clock,
                     wire_clock_bytes=wire_clock_bytes,
                 )
+        # The effect, with the counters ``PublicMemory.read`` / ``write`` keep.
         observed = new_value = None
-        if kind is AccessKind.WRITE:
-            memory.write(address, operand, writer=self.rank)
-            value = recorded = operand
-        elif kind is AccessKind.READ:
-            value = recorded = memory.read(address)
+        if kind is _WRITE:
+            value = recorded = cell.value = operand
+            cell.write_count += 1
+            cell.last_writer = self.rank
+        elif kind is _READ:
+            value = recorded = cell.value
+            cell.read_count += 1
         else:
-            value = observed = memory.read(address)
-            new_value = recorded = apply(observed, operand)
-            memory.write(address, new_value, writer=self.rank)
+            value = observed = cell.value
+            cell.read_count += 1
+            new_value = recorded = cell.value = apply(observed, operand)
+            cell.write_count += 1
+            cell.last_writer = self.rank
         if self.recorder is not None:
             self.recorder.record_access(
                 self.rank, address, kind, recorded, now, symbol, operation, observed
@@ -656,7 +676,13 @@ class NIC:
         data_messages = control_messages = 0
         update_clock_bytes = None
 
-        lock_request = yield from self._acquire_lock(target_nic, target, operation, tag)
+        if remote:
+            lock_request = yield from self._acquire_lock(target_nic, target, operation, tag)
+        else:
+            # What ``_acquire_lock`` / ``_release_lock`` do for an own-rank
+            # cell, without their frames: half a posted run's accesses.
+            lock_request = self.locks.acquire(target, self.rank, operation)
+            yield lock_request.event
         try:
             if remote:
                 control_messages, update_clock_bytes = (
@@ -685,7 +711,10 @@ class NIC:
         except UdDeliveryExceeded:
             self._abort(tag, target_nic, lock_request)
             raise
-        self._release_lock(target_nic, lock_request, tag)
+        if remote:
+            self._release_lock(target_nic, lock_request, tag)
+        else:
+            self.locks.release(lock_request)
 
         end = self._sim._now
         if spanned:
@@ -1009,7 +1038,7 @@ class NIC:
             )
             # No owner event: the receiver synchronizes at retirement.
             cell_check, _, _ = self._perform(
-                target_nic, AccessKind.WRITE, "send", address, value, None,
+                target_nic, _WRITE, "send", address, value, None,
                 symbol or recv_wr.symbol, effective_clock, None, update_clock_bytes,
             )
             # The result's single check slot keeps the first flagged

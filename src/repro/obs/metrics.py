@@ -28,6 +28,7 @@ the same spelling used as snapshot keys, e.g.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Version of the exported metrics-file layout (the ``export()`` wrapper).
@@ -179,12 +180,18 @@ class Histogram:
         self.total = 0.0
 
     def observe(self, value: float) -> None:
-        """Record one observation."""
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
+        """Record one observation.
+
+        It lands in the first bucket whose bound is ``>= value``; a value
+        above the last bound, or NaN, in the overflow bucket.
+        """
+        bounds = self.bounds
+        if value <= bounds[0]:
+            index = 0  # every uncontended lock wait
+        elif value <= bounds[-1]:
+            index = bisect_left(bounds, value)
+        else:
+            index = len(bounds)
         self.bucket_counts[index] += 1
         self.count += 1
         self.total += value

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import weakref
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.sim.events import Event, Interrupt, SimulationError
@@ -37,19 +38,35 @@ class ProcessState(enum.Enum):
 #: The two states a process never leaves.
 _ENDED = (ProcessState.FINISHED, ProcessState.FAILED)
 
+#: The two states every resumption stores, read off the class once: on
+#: Python 3.11 an ``Enum`` member read goes through ``EnumType.__getattr__``'s
+#: lookup hook, about ten times the cost of reading a global.
+_RUNNING = ProcessState.RUNNING
+_WAITING = ProcessState.WAITING
+
 
 class _Bounce(Event):
     """The hop that resumes a process which yielded an already-fired event.
 
-    One is made for every uncontended lock grant, so its label is built when
-    somebody asks for it.
+    It carries that event's outcome and the process's ``_resume`` as its one
+    callback, so the step that pops it resumes the process itself — no
+    closure, no frame in between.  One is made for every uncontended lock
+    grant, so its label is built when somebody asks for it.
     """
 
-    def __init__(self, sim: "Simulator", process: "Process") -> None:
-        # One frame: the rest is Event's class-level defaults.
+    _triggered = True
+
+    def __init__(self, process: "Process", fired: Event) -> None:
+        # One frame: the event's fields and the calendar push (as in
+        # ``Timeout.__init__``); the rest is Event's class-level defaults.
+        sim = process._sim()
         self.sim = sim
-        self.callbacks = []
+        self.callbacks = [process._resume]
         self._process = process
+        self._ok = fired._ok
+        self._value = fired._value
+        heappush(sim._queue, (sim._now, sim._sequence, self))
+        sim._sequence += 1
 
     def _default_name(self) -> str:
         return f"{self._process.name}:bounce"
@@ -126,8 +143,27 @@ class Process(Event):
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
         wakeup = Event(self.sim, name=f"{self.name}:interrupt")
-        wakeup.callbacks.append(lambda _ev: self._throw_in(Interrupt(cause)))
-        wakeup.succeed(None)
+        wakeup.callbacks.append(self._interrupted)
+        wakeup.fail(Interrupt(cause))
+
+    def _interrupted(self, wakeup: Event) -> None:
+        """Resume with the failed *wakeup*, its :class:`Interrupt` thrown in.
+
+        Whatever the process was parked on must not wake it a second time:
+        its ``_resume`` comes off that event's callbacks, or — when that
+        event had already fired — off the bounce still on the calendar.
+        """
+        waiting = self._waiting_on
+        if waiting is not None:
+            resume = self._resume
+            if resume in waiting.callbacks:
+                waiting.callbacks.remove(resume)
+            else:
+                for _, _, event in self._sim()._queue:
+                    if type(event) is _Bounce and resume in event.callbacks:
+                        event.callbacks.remove(resume)
+                        break
+        self._resume(wakeup)
 
     # -- stepping ------------------------------------------------------------
 
@@ -136,7 +172,7 @@ class Process(Event):
         if self._state in _ENDED:
             return
         self._waiting_on = None
-        self._state = ProcessState.RUNNING
+        self._state = _RUNNING
         try:
             if event._ok:
                 target = self._generator.send(event._value)
@@ -148,30 +184,6 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - propagate via the event
             self._fail(exc)
             return
-        if isinstance(target, Event) and not target._triggered:
-            # Parked on a pending event, in this frame: what nearly every
-            # resumption ends in.  The rest is ``_wait_for``'s.
-            self._state = ProcessState.WAITING
-            self._waiting_on = target
-            target.callbacks.append(self._resume)
-        else:
-            self._wait_for(target)
-
-    def _throw_in(self, exc: BaseException) -> None:
-        if not self.is_alive:
-            return
-        self._state = ProcessState.RUNNING
-        try:
-            target = self._generator.throw(exc)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        except BaseException as raised:  # noqa: BLE001
-            self._fail(raised)
-            return
-        self._wait_for(target)
-
-    def _wait_for(self, target: Any) -> None:
         if not isinstance(target, Event):
             self._fail(
                 SimulationError(
@@ -179,13 +191,13 @@ class Process(Event):
                 )
             )
             return
-        self._state = ProcessState.WAITING
+        # Parked, in this frame: on a pending event as its callback; on an
+        # already-fired one through a bounce that carries its outcome and
+        # resumes on the next step at the same time.
+        self._state = _WAITING
         self._waiting_on = target
         if target._triggered:
-            # Already fired: resume on the next simulator step at the same time.
-            bounce = _Bounce(self.sim, self)
-            bounce.callbacks.append(lambda _ev: self._resume(target))
-            bounce.succeed(None)
+            _Bounce(self, target)
         else:
             target.callbacks.append(self._resume)
 

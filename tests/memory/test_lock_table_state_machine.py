@@ -226,6 +226,6 @@ class LockTableMachine(RuleBasedStateMachine):
 
 
 TestLockTableStateMachine = LockTableMachine.TestCase
-TestLockTableStateMachine.settings = settings(
-    max_examples=80, stateful_step_count=40, deadline=None
-)
+# The example count is the active profile's: Hypothesis' default (100) in
+# tier-1, 500 under ``--hypothesis-profile=nightly`` (``tests/conftest.py``).
+TestLockTableStateMachine.settings = settings(stateful_step_count=40, deadline=None)

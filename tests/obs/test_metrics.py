@@ -1,8 +1,10 @@
 """Unit tests for the metrics registry: instruments, snapshots, diffs."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs.metrics import BUCKET_LAYOUTS, Counter, Gauge, Histogram, MetricsRegistry
 
@@ -59,6 +61,56 @@ class TestHistogram:
     def test_layouts_are_sorted(self):
         for name, bounds in BUCKET_LAYOUTS.items():
             assert list(bounds) == sorted(bounds), name
+
+
+def _scanned_bucket(bounds, value):
+    """The bucket the first-match linear scan picks (what ``observe`` did)."""
+    for index, bound in enumerate(bounds):
+        if value <= bound:
+            return index
+    return len(bounds)
+
+
+#: Every bound of every layout, exactly, and either side of it.
+_EDGES = sorted(
+    {
+        edge
+        for bounds in BUCKET_LAYOUTS.values()
+        for bound in bounds
+        for edge in (bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf))
+    }
+)
+_VALUES = st.one_of(
+    st.sampled_from(_EDGES),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10, 2000),
+)
+
+
+class TestHistogramBucketParity:
+    """``observe`` files every value where the first-match scan did."""
+
+    @settings(deadline=None)
+    @given(layout=st.sampled_from(sorted(BUCKET_LAYOUTS)), value=_VALUES)
+    def test_every_value_lands_where_the_scan_put_it(self, layout, value):
+        histogram = Histogram("h", layout=layout)
+        histogram.observe(value)
+        expected = [0] * (len(histogram.bounds) + 1)
+        expected[_scanned_bucket(histogram.bounds, value)] = 1
+        assert histogram.bucket_counts == expected
+
+    @pytest.mark.parametrize("layout", sorted(BUCKET_LAYOUTS))
+    def test_the_edges_pinned(self, layout):
+        bounds = BUCKET_LAYOUTS[layout]
+        for index, bound in enumerate(bounds):
+            histogram = Histogram("h", layout=layout)
+            histogram.observe(bound)  # a value on a bound belongs to it
+            assert histogram.bucket_counts[index] == 1
+        for value, index in ((-math.inf, 0), (math.inf, len(bounds)), (math.nan, len(bounds))):
+            histogram = Histogram("h", layout=layout)
+            histogram.observe(value)  # NaN compares false: the overflow bucket
+            assert histogram.bucket_counts[index] == 1
 
 
 class TestMetricsRegistry:

@@ -147,6 +147,39 @@ class CalendarMachine(RuleBasedStateMachine):
         self.observe(process, end)
         self.push(self.now, start, started)
 
+    @rule(fails=st.booleans())
+    def spawn_bouncing_process(self, fails):
+        """A process that yields an event which has already fired.
+
+        It resumes through a bounce — one more calendar entry, at the time
+        it yielded — with that event's value or exception.
+        """
+        fired = self.sim.event()
+        outcome = Boom() if fails else "v"
+        start, bounce, end = self.label(), self.label(), self.label()
+
+        def body():
+            self.fired.append((self.sim.now, start))
+            try:
+                value = yield fired
+            except Boom as exc:
+                value = exc
+            self.fired.append((self.sim.now, bounce))
+            assert value is outcome
+            return "done"
+
+        self.push(self.now, self.observe(fired, self.label()))
+        if fails:
+            fired.fail(outcome)
+        else:
+            fired.succeed(outcome)
+        process = self.sim.process(body(), name="bouncer")
+        self.observe(process, end)
+        self.push(
+            self.now, start,
+            lambda: self.push(self.now, bounce, lambda: self.push(self.now, end)),
+        )
+
     # -- execution rules --------------------------------------------------------------
 
     @precondition(lambda self: self.calendar)
@@ -217,6 +250,6 @@ class CalendarMachine(RuleBasedStateMachine):
 
 
 TestCalendarStateMachine = CalendarMachine.TestCase
-TestCalendarStateMachine.settings = settings(
-    max_examples=60, stateful_step_count=40, deadline=None
-)
+# The example count is the active profile's: Hypothesis' default (100) in
+# tier-1, 500 under ``--hypothesis-profile=nightly`` (``tests/conftest.py``).
+TestCalendarStateMachine.settings = settings(stateful_step_count=40, deadline=None)

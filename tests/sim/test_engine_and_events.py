@@ -274,27 +274,31 @@ class TestConstructorsBuildWholeEvents:
 
     def test_bounce(self):
         sim = Simulator()
+        gate, fired = sim.event(), sim.event()
+        seen = []
 
         def body():
-            yield sim.timeout(1.0)
+            seen.append((yield gate))
 
         process = sim.process(body(), name="rank-2")
-        bounce = _Bounce(sim, process)
-        assert bounce.sim is sim and bounce.callbacks == []
+        sim.step()  # the start event: the process parks on the gate
+        fired.succeed("v")
+        bounce = _Bounce(process, fired)
+        assert bounce.sim is sim and bounce.callbacks == [process._resume]
         assert fields_of(bounce, "_process") == {
-            "_name": None, "_triggered": False, "_processed": False,
-            "_ok": None, "_value": None, "_process": process,
+            "_name": None, "_triggered": True, "_processed": False,
+            "_ok": True, "_value": "v", "_process": process,
         }
+        assert sim._queue[-1] == (0.0, 2, bounce) and sim._sequence == 3
         assert bounce.name == "rank-2:bounce"
-        assert repr(bounce) == "<_Bounce 'rank-2:bounce' pending>"
-        bounce.succeed()
         assert repr(bounce) == "<_Bounce 'rank-2:bounce' triggered>"
         sim.run()
         assert fields_of(bounce, "_process") == {
             "_name": None, "_triggered": True, "_processed": True,
-            "_ok": True, "_value": None, "_process": process,
+            "_ok": True, "_value": "v", "_process": process,
         }
         assert repr(bounce) == "<_Bounce 'rank-2:bounce' processed>"
+        assert seen == ["v"]  # the bounce resumed the process with its outcome
 
     @pytest.mark.parametrize("condition_type", [AllOf, AnyOf])
     def test_conditions(self, condition_type):

@@ -7,30 +7,37 @@ budget is **one Python frame per layer per hop** (``docs/architecture.md``,
 "Frame budget of the per-event path"); this file counts the frames.
 
 One small run (``RandomAccessWorkload(world_size=4, operations_per_rank=20)``,
-seed 0: 181 messages over 10 channels, 424 events) is driven under
-``sys.setprofile`` and every Python ``call`` event whose code lives under
-``repro/sim``, ``repro/net`` or ``repro/util`` is counted.  The counts repeat
-exactly for a seed, so the ceilings carry no slack for noise: each is the
-finished change's own reading, and only a deliberate addition to the path
-should ever move one.
+seed 0: 181 messages over 10 channels, 424 events, 80 checked accesses) is
+driven under ``sys.setprofile``, and Python ``call`` events are counted: those
+inside ``Fabric.send`` whose code lives under ``repro/sim``, ``repro/net`` or
+``repro/util``, and every one under ``repro/sim`` and ``repro/memory``.  The counts repeat exactly for a seed, so the ceilings carry no
+slack for noise: each is the finished change's own reading, and only a
+deliberate addition to the path should ever move one.
 
-Readings (parent = the commit before the frame budget, PR 20):
+Readings: *first* is the commit before the frame budget was set, *grant* the
+commit before an uncontended lock grant and its bounce each became one frame
+and a checked access one cell lookup:
 
-========================================================  =============  =============
-count                                                            parent        ceiling
-========================================================  =============  =============
-(a) frames entered inside ``Fabric.send`` (per message)    3 048 (16.84)   1 419 (7.84)
-(b) ``sim`` frames (per processed event)                   3 729 (8.79)    1 777 (4.19)
+========================================================  =============  =============  =============
+count                                                             first          grant        ceiling
+========================================================  =============  =============  =============
+(a) frames entered inside ``Fabric.send`` (per message)    3 048 (16.84)   1 419 (7.84)   1 419 (7.84)
+(b) ``sim`` frames (per processed event)                   3 729 (8.79)    1 777 (4.19)   1 402 (3.31)
 (c) ``util.validation`` frames inside ``Fabric.send`` on
-    a pair whose channel already exists (per message)        342 (1.89)        0
-========================================================  =============  =============
+    a pair whose channel already exists (per message)        342 (1.89)        0              0
+(d) ``memory`` frames (per checked access)                          —      1 064 (13.3)     665 (8.31)
+========================================================  =============  =============  =============
 
-The parent fails all three.  What (a) still holds per message: ``transmit``,
-the model's ``latency``, its stream draw, ``stamped``, ``Timeout.__init__``,
-``ChannelStats``'s ``total_bytes`` read and ``FabricStats.record`` — seven —
-plus the ten channel constructions spread over the run.  What (b) holds per
-event: ``step``, and for most events one ``Process._resume``, one
-``Timeout.__init__`` and one stream draw (``sim/rng.py``).
+What (a) still holds per message: ``transmit``, the model's ``latency``, its
+stream draw, ``stamped``, ``Timeout.__init__``, ``ChannelStats``'s
+``total_bytes`` read and ``FabricStats.record`` — seven — plus the ten channel
+constructions spread over the run.  What (b) holds per event: ``step``, and
+for most events one ``Process._resume``, one ``Timeout.__init__`` or
+``_Bounce.__init__`` and one stream draw (``sim/rng.py``); an uncontended
+grant is no ``sim`` frame at all.  What (d) holds per access: the directory's
+``resolve``, ``PublicMemory.cell`` once, ``MemoryLockTable.acquire`` with its
+``_GrantEvent.__init__``, and ``release`` (through ``release_delivered`` for
+an UNLOCK message); the rest is private memory and end-of-run accounting.
 """
 
 import os
@@ -43,20 +50,24 @@ from repro.workloads import RandomAccessWorkload
 _PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _COUNTED = tuple(_PACKAGE + layer + os.sep for layer in ("sim", "net", "util"))
 _SIM = _PACKAGE + "sim" + os.sep
+_MEMORY = _PACKAGE + "memory" + os.sep
 _VALIDATION = _PACKAGE + os.path.join("util", "validation.py")
 
 #: The finished change's readings on this very run (see the table above).
 FRAMES_INSIDE_SEND_CEILING = 1419
-SIM_FRAMES_CEILING = 1777
+SIM_FRAMES_CEILING = 1402
+MEMORY_FRAMES_CEILING = 665
 
 
 class _FrameCounter:
-    """Counts Python frames entered, overall and inside ``Fabric.send``."""
+    """Counts Python frames entered: inside ``Fabric.send``, under ``sim``
+    and under ``memory``."""
 
     def __init__(self) -> None:
         self.sends = 0
         self.inside_send = 0
         self.sim_frames = 0
+        self.memory_frames = 0
         self.validation_on_known_pair = 0
         self._send_code = Fabric.send.__code__
         self._known_pairs = set()
@@ -83,6 +94,8 @@ class _FrameCounter:
                 self._known_pairs.add(pair)
             if filename.startswith(_SIM):
                 self.sim_frames += 1
+            elif filename.startswith(_MEMORY):
+                self.memory_frames += 1
         elif event == "return" and self._depth:
             self._depth -= 1
 
@@ -115,6 +128,9 @@ class TestFrameBudget:
 
     def test_an_event_enters_few_sim_frames(self):
         assert self.counter.sim_frames <= SIM_FRAMES_CEILING
+
+    def test_an_access_enters_few_memory_frames(self):
+        assert self.counter.memory_frames <= MEMORY_FRAMES_CEILING
 
     def test_no_validation_frame_on_a_pair_whose_channel_exists(self):
         assert self.counter.validation_on_known_pair == 0

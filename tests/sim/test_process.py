@@ -93,6 +93,41 @@ class TestProcessExecution:
         sim.run()
         assert seen == ["early", 1.0]
 
+    def test_an_already_fired_event_hands_its_value_through_the_bounce(self):
+        sim = Simulator()
+        fired = sim.event()
+        fired.succeed({"payload": 7})
+        seen = []
+
+        def program():
+            seen.append((yield fired))
+            seen.append((yield fired))  # and again, once it is processed too
+
+        proc = sim.process(program())
+        sim.run()
+        assert seen == [fired.value, fired.value] and seen[0] is fired.value
+        assert proc.state is ProcessState.FINISHED
+
+    def test_an_already_failed_event_throws_its_exception_through_the_bounce(self):
+        sim = Simulator()
+        failed = sim.event()
+        error = RuntimeError("failed before anyone waited")
+        failed.fail(error)
+        caught = []
+
+        def program():
+            try:
+                yield failed
+            except RuntimeError as exc:
+                caught.append(exc)
+            yield failed  # uncaught this time: the process fails with it
+
+        proc = sim.process(program(), name="rank-1")
+        with pytest.raises(SimulationError, match="rank-1") as info:
+            sim.run()
+        assert caught == [error] and info.value.__cause__ is error
+        assert proc.state is ProcessState.FAILED and proc.value is error
+
     def test_two_processes_interleave_by_time(self):
         sim = Simulator()
         order = []
@@ -186,6 +221,46 @@ class TestInterrupt:
         sim.call_after(3.0, lambda: proc.interrupt("wake up"))
         sim.run()
         assert outcome == [("interrupted", "wake up", 3.0)]
+
+    def test_an_interrupt_detaches_the_pending_event(self):
+        sim = Simulator()
+        seen = []
+
+        def sleeper():
+            try:
+                yield sim.timeout(5.0, value="first")
+            except Interrupt as interrupt:
+                seen.append(("interrupted", interrupt.cause, sim.now))
+            seen.append(((yield sim.timeout(10.0, value="second")), sim.now))
+
+        proc = sim.process(sleeper())
+        sim.call_at(1.0, lambda: proc.interrupt("now"))
+        sim.run()
+        # The first timeout still fires at 5.0, but wakes nobody.
+        assert seen == [("interrupted", "now", 1.0), ("second", 11.0)]
+        assert proc.state is ProcessState.FINISHED
+
+    def test_an_interrupt_detaches_the_pending_bounce(self):
+        sim = Simulator()
+        fired = sim.event()
+        fired.succeed("stale")
+        seen = []
+
+        def sleeper():
+            yield sim.timeout(1.0)
+            # Yielded at the instant of the interrupt, after its wake-up was
+            # queued: the process parks on a bounce the wake-up overtakes.
+            try:
+                seen.append((yield fired))
+            except Interrupt as interrupt:
+                seen.append(("interrupted", interrupt.cause, sim.now))
+            seen.append(((yield sim.timeout(10.0, value="second")), sim.now))
+
+        proc = sim.process(sleeper())
+        sim.call_at(1.0, lambda: proc.interrupt("now"))
+        sim.run()
+        assert seen == [("interrupted", "now", 1.0), ("second", 11.0)]
+        assert proc.state is ProcessState.FINISHED
 
     def test_interrupting_finished_process_is_error(self):
         sim = Simulator()
