@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.memory.address import GlobalAddress
 from repro.memory.consistency import AccessKind
+from repro.util.logging import SimLogger
 from repro.util.records import trusted_build
 
 
@@ -119,14 +120,16 @@ class RaceReport:
     its own), every signalled race is also routed through it as a
     ``warning``-severity record under the ``"race"`` category — so race
     reports flow through the same structured log as everything else, and
-    ``to_jsonl()`` exports them alongside the run's other records.  Under the
-    ``WARN`` policy the paper-prescribed stdout line is still printed.
+    ``to_jsonl()`` exports them alongside the run's other records.  The log
+    keeps the frozen record itself and formats its text when the log is
+    first read.  Under the ``WARN`` policy the paper-prescribed stdout line
+    is still printed at signal time.
     """
 
     def __init__(
         self,
         policy: SignalPolicy = SignalPolicy.COLLECT,
-        logger: Optional[object] = None,
+        logger: Optional[SimLogger] = None,
     ) -> None:
         self._policy = policy
         self._records: List[RaceRecord] = []
@@ -137,7 +140,7 @@ class RaceReport:
         """The active signalling policy."""
         return self._policy
 
-    def bind_logger(self, logger: object) -> None:
+    def bind_logger(self, logger: SimLogger) -> None:
         """Attach the structured logger race signals are routed through."""
         self._logger = logger
 
@@ -150,8 +153,9 @@ class RaceReport:
             )
         self._records.append(record)
         if self._logger is not None:
-            self._logger.log(
-                "race", str(record), rank=record.current_rank, level="warning"
+            # Formatted when the log is read, not here (see ``SimLogger.defer``).
+            self._logger.defer(
+                "race", record, rank=record.current_rank, level="warning"
             )
         if self._policy is SignalPolicy.WARN:
             print(str(record))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.net.latency import LatencyModel
-from repro.net.message import Message, MessageKind
+from repro.net.message import HEADER_BYTES, Message, MessageKind
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, Timeout
 from repro.util.validation import require_non_negative
@@ -111,9 +111,17 @@ class Channel:
             # Preserve FIFO order on the pair.
             deliver_at = self._last_delivery
             stats.reordering_clamps += 1
-        stamped = message.stamped(now, deliver_at, in_place=_owned)
+        if _owned:
+            fields = message.__dict__
+            fields["send_time"] = now
+            fields["deliver_time"] = deliver_at
+            stamped = message
+        else:
+            stamped = message.stamped(now, deliver_at)
         stats.messages += 1
-        stats.bytes += stamped.total_bytes
+        # ``stamped.total_bytes``, without the property's frame.
+        payload_bytes = stamped.payload_bytes
+        stats.bytes += HEADER_BYTES + (payload_bytes if payload_bytes > 0 else 0)
         stats.total_latency += deliver_at - now
         # The delay needs no second check: ``deliver_at >= now`` by the sum
         # of non-negative terms and the clamp above.  It stays the difference

@@ -253,35 +253,41 @@ class Fabric:
         """Send one message; returns ``(delivery_event, stamped_message)``.
 
         Self-messages (``source == destination``) are delivered after zero
-        simulated time but still pass through the accounting — a local access
-        to one's own public memory does not cross the wire, so callers should
-        avoid sending them; the NIC short-circuits that case.  *carried_clock*
-        is the piggybacked vector clock, stamped by the clock-transport layer
-        in ``"piggyback"`` mode; *clock_wire_bytes* is its exact share of
-        *payload_bytes* under the active ``clock_wire`` format.
+        simulated time, stamped ``(now, now)``, but still pass through the
+        accounting — a local access to one's own public memory does not cross
+        the wire, so callers should avoid sending them; the NIC short-circuits
+        that case.  *carried_clock* is the piggybacked vector clock, stamped
+        by the clock-transport layer in ``"piggyback"`` mode;
+        *clock_wire_bytes* is its exact share of *payload_bytes* under the
+        active ``clock_wire`` format.
         """
         # Frame budget: one message is three ``net`` frames — this one,
         # ``Channel.transmit`` and the latency model — plus the accounting.
-        # So the message is filled here — the object ``Message(**fields)``
-        # builds (omitted fields read their class default) without the frozen
-        # ``__init__``'s thirteen guarded assignments or a classmethod hop;
-        # the names are trusted — and the pair's channel looked up here (what
-        # :meth:`channel` does; a miss or a non-``int`` rank still goes
-        # through :meth:`_open` for its checks).
+        # So the message is filled here, from one dict — the object
+        # ``Message(**fields)`` builds (``ud_seq`` / ``ud_frame`` read their
+        # class default) without the frozen ``__init__``'s guarded
+        # assignments; the names are trusted — and stamped for loopback
+        # (a channel restamps a remote one).  The pair's channel is looked up
+        # here (what :meth:`channel` does; a miss or a non-``int`` rank still
+        # goes through :meth:`_open` for its checks).
+        sim = self._sim
+        now = sim._now
         message = object.__new__(Message)
-        message.__dict__.update(
-            message_id=self._next_id(),
-            kind=kind,
-            source=source,
-            destination=destination,
-            payload=payload,
-            payload_bytes=payload_bytes,
-            operation_tag=operation_tag,
-            carried_clock=carried_clock,
-            clock_wire_bytes=clock_wire_bytes,
-        )
+        message.__dict__.update({
+            "message_id": self._next_id(),
+            "kind": kind,
+            "source": source,
+            "destination": destination,
+            "payload": payload,
+            "payload_bytes": payload_bytes,
+            "send_time": now,
+            "deliver_time": now,
+            "operation_tag": operation_tag,
+            "carried_clock": carried_clock,
+            "clock_wire_bytes": clock_wire_bytes,
+        })
         if source == destination:
-            event = Timeout(self._sim, 0.0, message, _LOCAL[kind])
+            event = Timeout(sim, 0.0, message, _LOCAL[kind])
         else:
             channel = self._channels.get((source, destination))
             if channel is None or type(source) is not int or type(destination) is not int:
@@ -320,10 +326,13 @@ class Fabric:
 
         A delivered datagram crosses the pair's one channel like any message
         of :meth:`send` (FIFO clamp and controlled latency included).
-        Self-datagrams never drop: loopback does not cross the fabric.
+        Self-datagrams never drop: loopback does not cross the fabric, and
+        is stamped ``(now, now)`` like a self-message of :meth:`send`.
         """
+        now = self._sim.now
         message = Message(
             self._next_id(), kind, source, destination, payload, payload_bytes,
+            send_time=now, deliver_time=now,
             operation_tag=operation_tag, carried_clock=carried_clock,
             clock_wire_bytes=clock_wire_bytes, ud_seq=ud_seq, ud_frame=ud_frame,
         )

@@ -77,8 +77,12 @@ class UniformLatency(LatencyModel):
         self.high = high
 
     def latency(self, message: Message, hops: int = 1) -> float:
+        # One draw per hop, summed from 0.0; a single hop is its draw
+        # (``0.0 + x == x``), so only a multi-hop pair loops.
+        if hops <= 1:
+            return self._streams.uniform("net.latency", self.low, self.high)
         total = 0.0
-        for _ in range(max(1, hops)):
+        for _ in range(hops):
             total += self._streams.uniform("net.latency", self.low, self.high)
         return total
 

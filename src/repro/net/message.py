@@ -147,22 +147,19 @@ class Message:
         """Flight time of the message."""
         return self.deliver_time - self.send_time
 
-    def stamped(
-        self, send_time: float, deliver_time: float, in_place: bool = False
-    ) -> "Message":
-        """This message with its flight times filled in, every other field as is.
+    def stamped(self, send_time: float, deliver_time: float) -> "Message":
+        """A copy of this message with its flight times filled in.
 
-        The one stamping site of every channel (RC transmit, UD transmit, UD
-        drop): the fields travel as a whole, so a new one cannot be left
-        behind.  A copy by default — a ``Message`` stays immutable to whoever
-        holds it; ``in_place`` is for the fabric, stamping the message it has
-        just built and handed to nobody but the latency model and controller.
+        The one copying stamp of the channels (a transmission of a message
+        the fabric did not build for it, and the UD drop path): the fields
+        travel as a whole, so a new one cannot be left behind, and a
+        ``Message`` stays immutable to whoever holds it.  A message the
+        fabric has just built and handed to nobody is stamped in place by
+        :meth:`~repro.net.channel.Channel.transmit` instead.
         """
-        message = self
-        if not in_place:
-            message = object.__new__(type(self))
-            message.__dict__.update(self.__dict__)
+        message = object.__new__(type(self))
         fields = message.__dict__
+        fields.update(self.__dict__)
         fields["send_time"] = send_time
         fields["deliver_time"] = deliver_time
         return message

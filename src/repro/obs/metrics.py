@@ -12,7 +12,8 @@ Design constraints, in priority order:
   sorted keys and only int/float values; :meth:`MetricsRegistry.to_json` is
   ``json.dumps(..., sort_keys=True)``.  Two runs with equal seeds and knobs
   produce byte-identical snapshots.
-* **Cheapness.**  Instruments are memoized by ``(name, labels)``; the hot path
+* **Cheapness.**  Instruments are memoized by ``(name, labels)`` (counters
+  by its snapshot key text, whose hash a ``str`` caches); the hot path
   is one dict hit plus an integer add.  No wall-clock, no locks, no I/O.
   A stats view that owns a whole family of counters registers it in one pass
   (:func:`family_keys` + :meth:`MetricsRegistry.counter_family`), and the
@@ -235,7 +236,9 @@ class MetricsRegistry:
     """Memoizing factory and snapshot point for all instruments."""
 
     def __init__(self) -> None:
-        self._counters: Dict[InstrumentKey, Counter] = {}
+        #: Counters by snapshot key text: a ``str`` caches its hash, so a
+        #: lookup or store re-hashes no nested ``(name, labels)`` tuple.
+        self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[InstrumentKey, Gauge] = {}
         self._histograms: Dict[InstrumentKey, Histogram] = {}
 
@@ -246,23 +249,31 @@ class MetricsRegistry:
     def counter(self, name: str, **labels: object) -> Counter:
         """The counter for ``name`` + *labels*, created on first use."""
         key = self._key(name, labels)
-        instrument = self._counters.get(key)
+        text = _KEY_TEXT[key]
+        instrument = self._counters.get(text)
         if instrument is None:
-            instrument = self._counters[key] = Counter(name, key[1])
+            instrument = self._counters[text] = Counter(name, key[1])
         return instrument
 
     def counter_family(self, keys: Iterable[InstrumentKey]) -> List[Counter]:
         """The counters for *keys* (see :func:`family_keys`), in order.
 
         What ``[self.counter(name, **labels) for ...]`` returns — the very
-        same objects — without canonicalizing the labels per counter.
+        same objects — without canonicalizing the labels per counter: each
+        key's tuple is hashed once, for its text, and a new counter is
+        filled here rather than by ``Counter.__init__``, which would look
+        that text up again.
         """
         counters = self._counters
         family = []
         for key in keys:
-            instrument = counters.get(key)
+            text = _KEY_TEXT[key]
+            instrument = counters.get(text)
             if instrument is None:
-                instrument = counters[key] = Counter(*key)
+                instrument = counters[text] = object.__new__(Counter)
+                instrument.name, instrument.labels = key
+                instrument.key = text
+                instrument.value = 0
             family.append(instrument)
         return family
 

@@ -16,13 +16,29 @@ memoised process-wide (:func:`_derive_once`).  Two rules keep the memo
 invisible: a registry without a seed draws fresh entropy and never consults
 it, and no run is handed the memo's own sequence — ``Generator.spawn``
 advances the sequence it came from, so every stream starts from a copy.
+
+:meth:`RandomStreams.uniform` is the per-message draw of the latency model,
+so it serves its doubles from a block drawn ahead (``Generator.random(k)``
+yields exactly the doubles ``k`` scalar ``random()`` calls would).  The block
+is invisible to every other draw, by two rules:
+
+* **Rewind before a raw hand-out.**  :meth:`RandomStreams.stream` — and
+  through it ``integers``, ``exponential``, ``choice`` and every caller that
+  holds the generator itself — first puts the generator back exactly where
+  scalar draws would have left it: the state at block start, advanced by the
+  doubles consumed, with the buffered 32-bit half-draw ``integers`` keeps
+  restored (``advance`` drops it; ``random`` never touches it).
+* **Scalar after raw.**  A stream once handed out raw draws its uniforms one
+  scalar at a time for the rest of its life: its holder may draw at any
+  moment, and a stream that mixes kinds would otherwise rewind and refill at
+  every switch.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -41,6 +57,10 @@ def _derive(entropy: int, name: str) -> np.random.SeedSequence:
 _derive_once = functools.lru_cache(maxsize=1024, typed=True)(_derive)
 
 
+#: Doubles drawn ahead per block by :meth:`RandomStreams.uniform`.
+_BLOCK = 64
+
+
 class RandomStreams:
     """A registry of named, independently seeded NumPy generators."""
 
@@ -48,6 +68,13 @@ class RandomStreams:
         self._seed = seed
         self._root = np.random.SeedSequence(seed)
         self._streams: Dict[str, np.random.Generator] = {}
+        #: name -> the undrawn rest of its block, next double last.
+        self._blocks: Dict[str, List[float]] = {}
+        #: name -> its bit generator's state at the start of that block.
+        self._block_starts: Dict[str, dict] = {}
+        #: The streams handed out raw: their uniforms are scalar draws from
+        #: now on.
+        self._raw: Dict[str, np.random.Generator] = {}
 
     @property
     def seed(self) -> Optional[int]:
@@ -58,27 +85,69 @@ class RandomStreams:
         """Return (creating on first use) the generator for *name*.
 
         The generator for a given ``(root seed, name)`` pair is always the
-        same sequence, regardless of creation order of other streams.
+        same sequence, regardless of creation order of other streams.  It is
+        handed out exactly where scalar draws would have left it, and *name*
+        draws scalar uniforms from then on (see the module docstring).
         """
-        stream = self._streams.get(name)
+        stream = self._raw.get(name)
         if stream is None:
-            if not isinstance(name, str) or not name:
-                raise TypeError(f"stream name must be a non-empty string, got {name!r}")
-            if self._seed is None:
-                child = _derive(self._root.entropy, name)
-            else:
-                child = copy.copy(_derive_once(self._seed, name))
-            stream = self._streams[name] = np.random.default_rng(child)
+            stream = self._streams.get(name)
+            if stream is None:
+                if not isinstance(name, str) or not name:
+                    raise TypeError(f"stream name must be a non-empty string, got {name!r}")
+                if self._seed is None:
+                    child = _derive(self._root.entropy, name)
+                else:
+                    child = copy.copy(_derive_once(self._seed, name))
+                stream = self._streams[name] = np.random.default_rng(child)
+            elif name in self._block_starts:
+                self._rewind(name)
+            self._raw[name] = stream
         return stream
+
+    def _rewind(self, name: str) -> None:
+        """Put *name*'s generator where scalar draws would have left it."""
+        start = self._block_starts.pop(name)
+        consumed = _BLOCK - len(self._blocks.pop(name))
+        bit_generator = self._streams[name].bit_generator
+        bit_generator.state = start
+        bit_generator.advance(consumed)
+        # ``advance`` drops the buffered 32-bit half-draw of ``integers``,
+        # which the block's doubles never touched: put it back.  (Only a
+        # stream never handed out raw has a block, so the buffer is empty
+        # today; the rewind is exact without leaning on that.)
+        state = bit_generator.state
+        state["has_uint32"] = start["has_uint32"]
+        state["uinteger"] = start["uinteger"]
+        bit_generator.state = state
 
     def uniform(self, name: str, low: float, high: float) -> float:
         """Draw one uniform sample in ``[low, high)`` from stream *name*."""
         if high < low:
             raise ValueError(f"uniform bounds reversed: [{low}, {high})")
+        # A raw stream is asked first: it then costs what a scalar draw
+        # cost before blocks, and a block pop one lookup more.
+        stream = self._raw.get(name)
+        if stream is not None:
+            drawn = stream.random()
+        else:
+            block = self._blocks.get(name)
+            if block:
+                drawn = block.pop()
+            else:
+                # The next block, drawn here (no frame per refill).  A stream
+                # created for it was never handed out: it stays off ``_raw``.
+                stream = self._streams.get(name)
+                if stream is None:
+                    stream = self.stream(name)
+                    del self._raw[name]
+                self._block_starts[name] = stream.bit_generator.state
+                block = self._blocks[name] = stream.random(_BLOCK).tolist()
+                block.reverse()
+                drawn = block.pop()
         # The draw ``Generator.uniform(low, high)`` makes, bit for bit, without
         # its per-call scalar-argument handling.
-        stream = self._streams.get(name) or self.stream(name)
-        return float(low + (high - low) * stream.random())
+        return float(low + (high - low) * drawn)
 
     def exponential(self, name: str, mean: float) -> float:
         """Draw one exponential sample with the given *mean* from stream *name*."""

@@ -190,6 +190,20 @@ class TestStamping:
         assert dataclasses.replace(stamped, ud_seq=1).ud_seq == 1
         assert "notify #0 P0->P1" in str(stamped)
 
+    @pytest.mark.parametrize("send", ["send", "send_datagram"])
+    def test_loopback_is_stamped_at_now(self, send):
+        sim = Simulator()
+        fabric = Fabric(sim, Topology.complete(3), ConstantLatency(base=1.0))
+        sim.timeout(5.0)
+        sim.run()
+        event, loopback = getattr(fabric, send)(MessageKind.PUT_DATA, 2, 2)[:2]
+        assert (loopback.send_time, loopback.deliver_time) == (5.0, 5.0)
+        assert loopback.latency == 0.0
+        _event, remote = getattr(fabric, send)(MessageKind.PUT_DATA, 2, 1)[:2]
+        assert (remote.send_time, remote.deliver_time) == (5.0, 6.0)
+        sim.run()
+        assert event.processed and event.value is loopback
+
     def test_transmit_never_touches_the_callers_message(self):
         # The wall-clock micro pass transmits one message object repeatedly.
         sim = Simulator()
