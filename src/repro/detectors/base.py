@@ -13,6 +13,7 @@ expressed per cell/symbol.
 from __future__ import annotations
 
 import abc
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -70,6 +71,10 @@ class DetectionResult:
         return grouped
 
 
+#: The sort key of a trace's observation order.
+_OBSERVATION_ORDER = operator.attrgetter("time", "access_id")
+
+
 class BaselineDetector(abc.ABC):
     """Interface shared by every offline detector."""
 
@@ -92,14 +97,19 @@ class BaselineDetector(abc.ABC):
     @staticmethod
     def order_accesses(accesses: Sequence[MemoryAccess]) -> List[MemoryAccess]:
         """Sort accesses by ``(time, access_id)``, the trace's observation order."""
-        return sorted(accesses, key=lambda a: (a.time, a.access_id))
+        return sorted(accesses, key=_OBSERVATION_ORDER)
 
     @staticmethod
     def group_by_address(
         accesses: Sequence[MemoryAccess],
     ) -> Dict[GlobalAddress, List[MemoryAccess]]:
-        """Group accesses per cell, preserving observation order within a cell."""
-        grouped: Dict[GlobalAddress, List[MemoryAccess]] = {}
+        """Group accesses per cell, preserving observation order within a cell.
+
+        Cells are gathered by ``(rank, offset)`` — a ``GlobalAddress``'s hash
+        is a Python frame — and keyed by their first access's address.
+        """
+        cells: Dict[Tuple[int, int], List[MemoryAccess]] = {}
         for access in BaselineDetector.order_accesses(accesses):
-            grouped.setdefault(access.address, []).append(access)
-        return grouped
+            address = access.address
+            cells.setdefault((address.rank, address.offset), []).append(access)
+        return {cell[0].address: cell for cell in cells.values()}

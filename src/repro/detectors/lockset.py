@@ -23,7 +23,7 @@ warns) so that traces carrying *additional* application-level locks — the
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set
 
 from repro.detectors.base import BaselineDetector, DetectedRace, DetectionResult
 from repro.memory.address import GlobalAddress
@@ -33,6 +33,25 @@ from repro.memory.consistency import AccessKind, MemoryAccess
 def nic_lock_name(address: GlobalAddress) -> str:
     """Name of the NIC-provided lock covering *address*."""
     return f"nic-lock:{address.rank}:{address.offset}"
+
+
+def _lock_names(access_id: int, names: object) -> FrozenSet[str]:
+    """*names* as a lockset; refuses anything but an iterable of lock names.
+
+    A bare string is refused rather than read as its characters: ``"lockA"``
+    and ``"lockB"`` would share ``l``, ``o``, ``c`` and ``k``.
+    """
+    if not isinstance(names, str):
+        try:
+            locks = frozenset(names)  # type: ignore[arg-type]
+        except TypeError:
+            locks = None
+        if locks is not None and all(isinstance(name, str) for name in locks):
+            return locks
+    raise TypeError(
+        f"the locks of access {access_id} must be an iterable of lock names, "
+        f"got {names!r}"
+    )
 
 
 class LocksetDetector(BaselineDetector):
@@ -51,15 +70,11 @@ class LocksetDetector(BaselineDetector):
         #: to "flag every multi-rank datum with a write".
         self.model_nic_locks = model_nic_locks
         #: Optional map ``access_id -> iterable of user-level lock names`` for
-        #: traces of programs that use application locks.
-        self.extra_locks_by_access = dict(extra_locks_by_access or {})
-
-    def _held_locks(self, access: MemoryAccess) -> FrozenSet[str]:
-        held: Set[str] = set()
-        if self.model_nic_locks:
-            held.add(nic_lock_name(access.address))
-        held.update(self.extra_locks_by_access.get(access.access_id, ()))
-        return frozenset(held)
+        #: traces of programs that use application locks, kept as frozensets.
+        self.extra_locks_by_access: Dict[int, FrozenSet[str]] = {
+            access_id: _lock_names(access_id, names)
+            for access_id, names in (extra_locks_by_access or {}).items()
+        }
 
     def detect(
         self, accesses: Sequence[MemoryAccess], world_size: int, syncs: Sequence = ()
@@ -72,8 +87,12 @@ class LocksetDetector(BaselineDetector):
         if world_size <= 0:
             raise ValueError(f"world_size must be positive, got {world_size}")
         findings: List[DetectedRace] = []
-        grouped = self.group_by_address(accesses)
-        for address, cell_accesses in grouped.items():
+        extra_locks = self.extra_locks_by_access
+        for address, cell_accesses in self.group_by_address(accesses).items():
+            # The cell's NIC lock is in every access's held set: built once.
+            nic_locks: FrozenSet[str] = (
+                frozenset((nic_lock_name(address),)) if self.model_nic_locks else frozenset()
+            )
             candidate: Optional[FrozenSet[str]] = None
             writers: Set[int] = set()
             accessors: Set[int] = set()
@@ -83,7 +102,8 @@ class LocksetDetector(BaselineDetector):
                 accessors.add(access.rank)
                 if access.kind.is_write:
                     writers.add(access.rank)
-                held = self._held_locks(access)
+                extra = extra_locks.get(access.access_id)
+                held = nic_locks if extra is None else nic_locks | extra
                 candidate = held if candidate is None else candidate & held
                 # Eraser's refinement: only warn once the datum is shared
                 # (accessed by more than one rank) and written at least once.

@@ -15,12 +15,18 @@ produces.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from operator import itemgetter
+from typing import Dict, List, Sequence, Tuple
 
-from repro.core.clocks import Epoch, VectorClock
+import numpy as np
+
+from repro.core.clocks import VectorClock
 from repro.detectors.base import BaselineDetector, DetectedRace, DetectionResult
-from repro.memory.address import GlobalAddress
-from repro.memory.consistency import AccessKind, MemoryAccess
+from repro.memory.consistency import MemoryAccess
+
+
+#: The sort key of the merged access/sync stream: ``(time, id)``.
+_STREAM_ORDER = itemgetter(0, 1)
 
 
 class SingleClockDetector(BaselineDetector):
@@ -37,18 +43,21 @@ class SingleClockDetector(BaselineDetector):
         process_clocks: Dict[int, VectorClock] = {
             rank: VectorClock.zeros(world_size) for rank in range(world_size)
         }
-        datum_clocks: Dict[GlobalAddress, VectorClock] = {}
-        #: The accessing process merges the datum clock into its own after
-        #: each access (the dual-clock detector's convention), so a datum
-        #: clock's content always equals its last accessor's captured clock:
-        #: this is that accessor's ``(rank, tick)``.
-        datum_epochs: Dict[GlobalAddress, Epoch] = {}
-        last_access: Dict[GlobalAddress, MemoryAccess] = {}
+        #: Per cell, keyed by ``(rank, offset)``: the datum clock and the last
+        #: access.  The accessing process merges the datum clock into its own
+        #: after each access (the dual-clock detector's convention), so a
+        #: datum clock always equals its last accessor's clock as captured
+        #: then; it is kept as those captured entries, with that accessor's
+        #: ``(rank, tick)`` epoch.
+        cells: Dict[Tuple[int, int], Tuple[np.ndarray, int, int, MemoryAccess]] = {}
         findings: List[DetectedRace] = []
 
-        stream = [(a.time, a.access_id, "access", a) for a in self.order_accesses(accesses)]
+        # One stable sort: an access's key is its observation order
+        # ``(time, access_id)``, and a sync's ``(time, sync_id)`` ties after
+        # the accesses it equals.
+        stream = [(a.time, a.access_id, "access", a) for a in accesses]
         stream.extend((s.time, s.sync_id, "sync", s) for s in syncs)
-        stream.sort(key=lambda item: (item[0], item[1]))
+        stream.sort(key=_STREAM_ORDER)
 
         for _time, _eid, item_kind, event in stream:
             if item_kind == "sync":
@@ -62,54 +71,36 @@ class SingleClockDetector(BaselineDetector):
                 continue
             access = event
             rank = access.rank
-            clock = process_clocks[rank]
+            address = access.address
+            cell = (address.rank, address.offset)
             # The trusted rows of ``core`` (docs/architecture.md): *rank* just
             # indexed ``process_clocks``, and every array here is its own.
-            entries = clock._entries
+            entries = process_clocks[rank]._entries
             tick = entries.item(rank) + 1
             entries[rank] = tick
-            datum_clock = datum_clocks.get(access.address)
-            # A datum clock exists from its first access on and absorbed that
-            # access's ticked clock: it is never all-zero.
-            if datum_clock is not None:
-                # ``clock.concurrent_with(datum_clock)`` as one O(1) probe:
-                # the just-ticked ``clock[access.rank]`` appears in no other
-                # clock yet, so ``clock <= datum`` and equality are
-                # impossible and ``concurrent`` reduces to ``not (datum <=
-                # clock)`` — decided by the last accessor's component.
-                epoch = datum_epochs[access.address]
-                if entries.item(epoch[0]) < epoch[1]:
-                    previous = last_access.get(access.address)
+            state = cells.get(cell)
+            # ``clock.concurrent_with(datum_clock)`` as one O(1) probe: the
+            # just-ticked ``clock[rank]`` appears in no other clock yet, so
+            # ``clock <= datum`` and equality are impossible and
+            # ``concurrent`` reduces to ``not (datum <= clock)`` — decided by
+            # the last accessor's component.  Covered, the datum is ``<=``
+            # the clock and the access's join with it is the identity.
+            if state is not None:
+                datum, last_rank, last_tick, previous = state
+                if entries.item(last_rank) < last_tick:
                     findings.append(
                         DetectedRace(
-                            address=access.address,
+                            address=address,
                             symbol=access.symbol,
-                            ranks=(
-                                rank,
-                                previous.rank if previous is not None else -1,
-                            ),
-                            kinds=(
-                                access.kind.value,
-                                previous.kind.value
-                                if previous is not None
-                                else AccessKind.WRITE.value,
-                            ),
-                            first_access_id=(
-                                previous.access_id if previous is not None else None
-                            ),
+                            ranks=(rank, previous.rank),
+                            kinds=(access.kind.value, previous.kind.value),
+                            first_access_id=previous.access_id,
                             second_access_id=access.access_id,
                             detail="single-clock: unordered accesses (kind ignored)",
                         )
                     )
-            if datum_clock is None:
-                datum_clock = VectorClock.zeros(world_size)
-                datum_clocks[access.address] = datum_clock
-            # The access absorbs the datum clock first, so the merge below
-            # always leaves the datum equal to this clock.
-            clock.merge_in_place(datum_clock)
-            datum_clock.merge_in_place(clock)
-            datum_epochs[access.address] = Epoch(rank, tick)
-            last_access[access.address] = access
+                    np.maximum(entries, datum, out=entries)
+            cells[cell] = (entries.copy(), rank, tick, access)
 
         return DetectionResult(
             detector_name=self.name,

@@ -42,7 +42,6 @@ from repro.explore.decisions import (
     DECISION_KINDS,
     DECISION_SHAPES,
     Choice,
-    Decision,
     DecisionLog,
 )
 from repro.net.message import Message, MessageKind
@@ -170,6 +169,16 @@ _STORED_TYPE = {
     kind: float if shape == "delay" else int for kind, shape in DECISION_SHAPES.items()
 }
 
+
+def _refuse(kind: str, key: str, choice: object, bound: Optional[int]) -> None:
+    """Raise the error for a *choice* outside the shape of *kind* (or *bound*)."""
+    options = "" if bound is None else f" below {bound}"
+    raise ValueError(
+        f"strategy chose {choice!r} at {key}: "
+        f"a {DECISION_SHAPES[kind]} is a finite number >= 0{options}"
+    )
+
+
 #: Cap on how many same-time calendar entries are offered to the tie hook at
 #: once (the rest simply run on a later step).  Bounds the branching factor
 #: without losing any event.
@@ -182,7 +191,7 @@ class ScheduleController:
     def __init__(self, strategy: ScheduleStrategy) -> None:
         self.strategy = strategy
         self.log = DecisionLog()
-        self._record = self.log._entries.append
+        self._record = self.log._rows.append
         #: Per kind, the next choice point's number (the ``#n`` of its key).
         self._next_number = {kind: itertools.count().__next__ for kind in DECISION_KINDS}
 
@@ -201,16 +210,14 @@ class ScheduleController:
         outside ``range(bound)`` — and logs it in the shape's stored type.
         *key* is the point's identity, ``kind`` + subject + ``#n``, formatted
         by the entry point in one go with ``n`` from ``_next_number``.
+        (:meth:`on_message_latency`, a schedule's most frequent point, does
+        the same in its own frame.)
         """
         choice = self.strategy.choose(kind, key, bound, message)
         if not 0 <= choice < math.inf or (bound is not None and choice >= bound):
-            options = "" if bound is None else f" below {bound}"
-            raise ValueError(
-                f"strategy chose {choice!r} at {key}: "
-                f"a {DECISION_SHAPES[kind]} is a finite number >= 0{options}"
-            )
+            _refuse(kind, key, choice, bound)
         choice = _STORED_TYPE[kind](choice)
-        self._record(Decision._build(kind, key, choice))
+        self._record((kind, key, choice))
         return choice
 
     # The entry points.  What each kind's choice means and why it is worth
@@ -226,7 +233,12 @@ class ScheduleController:
         arrival order.
         """
         key = f"latency:{source}->{destination}#{self._next_number['latency']()}"
-        return model_flight + self._decide("latency", key, None, message)
+        choice = self.strategy.choose("latency", key, None, message)
+        if not 0 <= choice < math.inf:
+            _refuse("latency", key, choice, None)
+        choice = float(choice)
+        self._record(("latency", key, choice))
+        return model_flight + choice
 
     def on_rnr_backoff(
         self, origin: int, destination: int, attempt: int, base_backoff: float
@@ -268,14 +280,6 @@ class ScheduleController:
 
     # -- same-time scheduling (called by Simulator.step) --------------------------------
 
-    @staticmethod
-    def _delivery_channel(event: Any) -> Optional[Tuple[int, int]]:
-        """The (source, destination) pair of a delivery timeout, else ``None``."""
-        if isinstance(event, Timeout) and isinstance(event._value, Message):
-            message = event._value
-            return (message.source, message.destination)
-        return None
-
     def pick_next(
         self, first: Tuple[float, int, Any], queue: List[Tuple[float, int, Any]]
     ) -> Tuple[float, int, Any]:
@@ -289,8 +293,31 @@ class ScheduleController:
         earlier delivery in the set, so per-channel FIFO survives any
         choice — lets the strategy pick among those, and pushes the rest
         back.
+
+        Most ties have two entries: *first* and the heap's root, neither of
+        whose children is due at the tie time (no later entry is, then).
+        Such a tie is decided in place — the same eligibility, the same
+        decision — and only a choice of the root touches the heap, which
+        then swaps it for *first*.  The pop order is the gathering one's,
+        since every entry's ``(time, seq)`` is unique.
         """
         top_time = first[0]
+        size = len(queue)
+        if (size < 2 or queue[1][0] != top_time) and (size < 3 or queue[2][0] != top_time):
+            event, root_event = first[2], queue[0][2]
+            if type(event) is type(root_event) is Timeout:
+                message, root_message = event._value, root_event._value
+                if (
+                    type(message) is type(root_message) is Message
+                    and message.source == root_message.source
+                    and message.destination == root_message.destination
+                ):
+                    return first  # two deliveries on one channel: FIFO, no choice
+            key = f"tie#{self._next_number['tie']()}"
+            if self._decide("tie", key, 2):
+                return heapq.heapreplace(queue, first)
+            return first
+
         ready: List[Tuple[float, int, Any]] = [first]
         while queue and queue[0][0] == top_time and len(ready) < MAX_TIES:
             ready.append(heapq.heappop(queue))
@@ -298,8 +325,9 @@ class ScheduleController:
         seen_channels = set()
         eligible_positions: List[int] = []
         for position, (_, _, event) in enumerate(ready):
-            channel = self._delivery_channel(event)
-            if channel is not None:
+            if type(event) is Timeout and type(event._value) is Message:
+                message = event._value
+                channel = (message.source, message.destination)
                 if channel in seen_channels:
                     continue  # a later delivery on an already-represented channel
                 seen_channels.add(channel)

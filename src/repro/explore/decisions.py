@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.util.records import trusted_build
 
@@ -153,52 +153,74 @@ class DecisionLog:
     *replacing* a decision by its default leaves every subsequent choice
     point at the same position, whereas removing it would shift the whole
     tail and replay a different schedule entirely.
+
+    The controller that owns a log appends each resolution as a plain
+    ``(kind, key, choice)`` row; the rows become :class:`Decision` records
+    the first time a view reads the log.  A campaign reads only
+    :meth:`__len__` and :meth:`perturbations`, which count the rows as they
+    are, so most schedules never build a record at all.
     """
 
     def __init__(self, entries: Optional[List[Optional[Decision]]] = None) -> None:
-        #: Filled by the controller that owns the log, one append per
-        #: resolved choice point; every other use goes through the views.
         self._entries: List[Optional[Decision]] = list(entries or [])
+        #: Filled by the controller that owns the log, one ``(kind, key,
+        #: choice)`` row per resolved choice point, after ``_entries``;
+        #: every other use goes through the views.
+        self._rows: List[Tuple[str, str, Choice]] = []
+
+    def _built(self) -> List[Optional[Decision]]:
+        """Every entry, the pending rows built into records now."""
+        rows = self._rows
+        if rows:
+            build = Decision._build
+            self._entries.extend([build(*row) for row in rows])
+            rows.clear()
+        return self._entries
 
     # -- views --------------------------------------------------------------------
 
     @property
     def entries(self) -> List[Optional[Decision]]:
         """The raw entries, in choice-point order."""
-        return list(self._entries)
+        return list(self._built())
 
     def non_default(self) -> List[Decision]:
         """The decisions that actually perturbed the schedule."""
-        return [d for d in self._entries if d is not None and not d.is_default]
+        return [d for d in self._built() if d is not None and not d.is_default]
+
+    def perturbations(self) -> int:
+        """``len(self.non_default())``, counted without building a record."""
+        built = sum(1 for d in self._entries if d is not None and not d.is_default)
+        return built + sum(1 for row in self._rows if row[2])
 
     def prefix(self, length: int) -> "DecisionLog":
         """The first *length* entries (later choice points replay as default)."""
         if length < 0:
             raise ValueError(f"prefix length must be non-negative, got {length}")
-        return DecisionLog(self._entries[:length])
+        return DecisionLog(self._built()[:length])
 
     def with_default_at(self, index: int) -> "DecisionLog":
         """A copy with entry *index* replaced by the default marker."""
-        entries = list(self._entries)
+        entries = list(self._built())
         entries[index] = None
         return DecisionLog(entries)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries) + len(self._rows)
 
     def __iter__(self) -> Iterator[Optional[Decision]]:
-        return iter(list(self._entries))
+        return iter(list(self._built()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DecisionLog):
             return NotImplemented
-        return self._entries == other._entries
+        return self._built() == other._built()
 
     # -- serialization ---------------------------------------------------------------
 
     def to_jsonable(self) -> List[Optional[Dict[str, object]]]:
         """A JSON-safe list (the artifact format)."""
-        return [d.to_dict() if d is not None else None for d in self._entries]
+        return [d.to_dict() if d is not None else None for d in self._built()]
 
     @classmethod
     def from_jsonable(cls, data: List[Optional[Dict[str, object]]]) -> "DecisionLog":
@@ -209,6 +231,6 @@ class DecisionLog:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<DecisionLog {len(self._entries)} entries, "
-            f"{len(self.non_default())} non-default>"
+            f"<DecisionLog {len(self)} entries, "
+            f"{self.perturbations()} non-default>"
         )

@@ -38,7 +38,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.explore.controller import ScheduleStrategy, is_reorderable
+from repro.explore.controller import _REORDERABLE, ScheduleStrategy
 from repro.explore.decisions import DECISION_SHAPES, Choice
 from repro.net.message import Message
 
@@ -91,8 +91,8 @@ class ScheduleFuzzer(ScheduleStrategy):
         bound: Optional[int] = None,
         message: Optional[Message] = None,
     ) -> Choice:
-        if kind == "latency" and not is_reorderable(message):
-            return 0
+        if kind == "latency" and message.kind not in _REORDERABLE:
+            return 0  # not reorderable (``controller.is_reorderable``, inline)
         roll = self._rng.random()
         if kind == "drop":
             # The roll alone decides the fate: [0, drop) drops,

@@ -81,7 +81,7 @@ class MinimizedSchedule:
     @property
     def perturbations(self) -> int:
         """Non-default decisions surviving minimization."""
-        return len(self.decisions.non_default())
+        return self.decisions.perturbations()
 
 
 def _replay(

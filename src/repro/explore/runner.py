@@ -105,7 +105,7 @@ class ScheduleOutcome:
             "fingerprint": self.fingerprint,
             "flagged": {name: sorted(symbols) for name, symbols in self.flagged.items()},
             "decisions": len(self.decisions),
-            "perturbations": len(self.decisions.non_default()),
+            "perturbations": self.decisions.perturbations(),
             "elapsed_sim_time": self.elapsed_sim_time,
             "events_processed": self.events_processed,
             "total_messages": self.total_messages,

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.explore.controller import ScheduleStrategy, is_reorderable
 from repro.explore.decisions import Choice
@@ -56,17 +56,27 @@ def schedule_fingerprint(accesses: Sequence[MemoryAccess]) -> str:
     dropped: reordering commuting accesses does not change any detector's
     verdict, so schedules differing only there are equivalent.
     """
-    by_address: Dict[object, List[MemoryAccess]] = {}
+    read = AccessKind.READ
+    by_cell: Dict[Tuple[int, int], List[str]] = {}
+    written: Set[Tuple[int, int]] = set()
     for access in sorted(accesses, key=_OBSERVATION_ORDER):
-        by_address.setdefault(access.address, []).append(access)
-    parts: List[str] = []
-    for address in sorted(by_address, key=repr):
-        cell_accesses = by_address[address]
-        kinds = [access.kind for access in cell_accesses]
-        if len(kinds) < 2 or kinds.count(AccessKind.READ) == len(kinds):
-            continue  # one access, or reads only: no conflicting pair
-        order = ",".join([f"{a.rank}:{a.kind.value}" for a in cell_accesses])
-        parts.append(f"{address!r}:{order}")
+        address = access.address
+        cell = (address.rank, address.offset)
+        kind = access.kind
+        if kind is not read:
+            written.add(cell)
+        # ``kind.value``, without the enum descriptor's two frames.
+        by_cell.setdefault(cell, []).append(f"{access.rank}:{kind._value_}")
+    # One part per cell with a conflicting pair (two accesses, one writing),
+    # led by ``repr(address)``.  No such text is a prefix of another (each
+    # ends at its only ``)``), so sorting the parts sorts by that text.
+    parts = sorted(
+        [
+            f"GlobalAddress(rank={rank}, offset={offset}):" + ",".join(order)
+            for (rank, offset), order in by_cell.items()
+            if len(order) > 1 and (rank, offset) in written
+        ]
+    )
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 

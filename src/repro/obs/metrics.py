@@ -28,6 +28,7 @@ the same spelling used as snapshot keys, e.g.
 
 from __future__ import annotations
 
+import functools
 import json
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -71,15 +72,35 @@ def _label_key(labels: Dict[str, object]) -> LabelKey:
     return ()
 
 
+class _FamilyKeys(tuple):
+    """What :func:`family_keys` returns: the plain key tuple, plus its rows.
+
+    Equal to (and iterating as) the tuple of ``(name, labels)`` keys;
+    ``rows`` holds each key's ``(text, name, labels)``, so
+    :meth:`MetricsRegistry.counter_family` hashes no nested tuple.
+    """
+
+    rows: Tuple[Tuple[str, str, LabelKey], ...]
+
+
+@functools.lru_cache(maxsize=1024)
+def _family(names: Tuple[str, ...], label_key: LabelKey) -> _FamilyKeys:
+    """The keys of :func:`family_keys`, built once per process per argument pair."""
+    keys = _FamilyKeys([(name, label_key) for name in names])
+    keys.rows = tuple([(_KEY_TEXT[key], *key) for key in keys])
+    return keys
+
+
 def family_keys(names: Sequence[str], **labels: object) -> Tuple[InstrumentKey, ...]:
     """One registry key per name in *names*, all carrying *labels*.
 
-    For :meth:`MetricsRegistry.counter_family`.  A family whose labels are
-    fixed builds its keys once, at import; a per-rank family calls this per
-    instance and still canonicalizes its labels once, not once per counter.
+    For :meth:`MetricsRegistry.counter_family`.  Memoized per ``(names,
+    label key)``: every runtime of a campaign asks for the same few families
+    (a NIC's per rank), and the keys and their snapshot texts depend on
+    nothing else.  Sharing the result is safe: it is immutable, and holds
+    no counter — each registry still makes its own.
     """
-    label_key = _label_key(labels)
-    return tuple([(name, label_key) for name in names])
+    return _family(tuple(names), _label_key(labels))
 
 
 class _KeyText(dict):
@@ -259,19 +280,23 @@ class MetricsRegistry:
         """The counters for *keys* (see :func:`family_keys`), in order.
 
         What ``[self.counter(name, **labels) for ...]`` returns — the very
-        same objects — without canonicalizing the labels per counter: each
-        key's tuple is hashed once, for its text, and a new counter is
+        same objects — without canonicalizing the labels per counter: keys
+        from :func:`family_keys` carry their snapshot texts, a plain key
+        tuple has each key hashed once, for its text, and a new counter is
         filled here rather than by ``Counter.__init__``, which would look
         that text up again.
         """
+        rows = getattr(keys, "rows", None)
+        if rows is None:
+            rows = [(_KEY_TEXT[key], *key) for key in keys]
         counters = self._counters
         family = []
-        for key in keys:
-            text = _KEY_TEXT[key]
+        for text, name, labels in rows:
             instrument = counters.get(text)
             if instrument is None:
                 instrument = counters[text] = object.__new__(Counter)
-                instrument.name, instrument.labels = key
+                instrument.name = name
+                instrument.labels = labels
                 instrument.key = text
                 instrument.value = 0
             family.append(instrument)

@@ -2,7 +2,7 @@
 
 A fuzz campaign runs hundreds of short schedules, so whatever a schedule
 redoes although its inputs never change is paid hundreds of times
-(``docs/explore.md``, "What a schedule costs").  This file pins three counts
+(``docs/explore.md``, "What a schedule costs").  This file pins four counts
 of one pattern's first two schedules, exactly as
 :meth:`~repro.explore.runner.Explorer.explore_fuzzed` runs them at seed 0 —
 the uncontrolled baseline, then ``ScheduleFuzzer(seed=1)`` — driven under
@@ -11,33 +11,41 @@ carries no slack for noise: it is the finished change's own reading, and only
 a deliberate addition to a schedule's fixed cost should ever move it.
 
 Readings on ``unsynchronized-counter`` (62 events, 48 decisions in the
-second schedule; parent = the commit before this budget):
+second schedule: 39 ``latency``, 9 ``tie``).  "Before" is the commit before
+the row's ceiling was last set: (a) and (b) against a controller asked at
+every step and streams derived per runtime; (c) and (d) against decisions
+built as records at once, ties gathered off the heap whatever their size, and
+the offline detectors keyed by ``GlobalAddress``:
 
 ============================================================  ========  ==========
-count (the second schedule unless said)                          parent    ceiling
+count (the second schedule unless said)                          before    ceiling
 ============================================================  ========  ==========
 (a) ``pick_next`` calls / steps whose successor is due at
     the same time                                               62 / 12   12 / 12
 (b) stream seed sequences derived, first / second schedule        5 / 5     5 / 0
 (c) Python calls ``run_schedule`` makes outside
-    ``Simulator.run``                                                899       857
+    ``Simulator.run``                                                692       545
+(d) Python calls into ``repro/explore/`` inside
+    ``Simulator.run``                                                213       108
 ============================================================  ========  ==========
 
-(c) reads 856 by default and 857 under ``REPRO_DETECTOR_EPOCHS=off`` (CI's
+(c) reads 544 by default and 545 under ``REPRO_DETECTOR_EPOCHS=off`` (CI's
 slow-path leg: one more ``os.environ`` frame decodes the variable's value);
-the ceiling is the larger reading.
-
-The parent fails all three: it asked the controller at every step, derived
-every stream of every runtime afresh, and per result built a throwaway
-whole-machine ``ClockTransportStats`` (18 counters).  (c) counts what a
-schedule's fixed part enters — building the runtime, collecting its result,
-the offline detectors, the fingerprint — not its events.  To re-read the
-counts: ``PYTHONPATH=src python -m tests.explore.test_schedule_budget``.
+the ceiling is the larger reading.  It counts what a schedule's fixed part
+enters — building the runtime, collecting its result, the offline detectors,
+the fingerprint — not its events.  (d) is what the controller costs per
+choice point: the strategy's ``choose`` (48), ``on_message_latency`` (39),
+``pick_next`` (12) and the tie's ``_decide`` (9); it was 213 when every
+decision built its record, every latency went through ``_decide`` and every
+tie through ``_delivery_channel``.  To re-read the counts: ``PYTHONPATH=src
+python -m tests.explore.test_schedule_budget``.
 """
 
 import gc
+import os
 import sys
 
+import repro.explore
 from repro.explore.controller import PassthroughStrategy, ScheduleController
 from repro.explore.fuzzer import ScheduleFuzzer
 from repro.explore.runner import run_schedule
@@ -47,8 +55,9 @@ from repro.workloads.racy_patterns import pattern_corpus
 
 PATTERN = "unsynchronized-counter"
 
-#: The finished change's reading of (c) (see the table above).
-CALLS_OUTSIDE_THE_RUN_CEILING = 857
+#: The finished change's readings of (c) and (d) (see the table above).
+CALLS_OUTSIDE_THE_RUN_CEILING = 545
+EXPLORE_CALLS_IN_THE_RUN_CEILING = 108
 
 
 class _ScheduleCounter:
@@ -60,6 +69,9 @@ class _ScheduleCounter:
         self.pick_next_calls = 0
         self.derivations = 0
         self.calls_outside_the_run = 0
+        #: Calls into ``repro/explore/`` inside ``Simulator.run``: (d).
+        self.explore_calls_in_the_run = 0
+        self._explore_dir = os.path.dirname(repro.explore.__file__) + os.sep
         self._run_code = Simulator.run.__code__
         self._step_code = Simulator.step.__code__
         self._pick_next_code = ScheduleController.pick_next.__code__
@@ -75,6 +87,8 @@ class _ScheduleCounter:
                 self.derivations += 1
             if self._depth:
                 self._depth += 1
+                if code.co_filename.startswith(self._explore_dir):
+                    self.explore_calls_in_the_run += 1
                 if code is self._step_code:
                     self.steps += 1
                     # Before ``step`` pops the earliest entry: is another one
@@ -135,6 +149,9 @@ class TestScheduleBudget:
 
     def test_few_calls_outside_the_run(self):
         assert self.counter.calls_outside_the_run <= CALLS_OUTSIDE_THE_RUN_CEILING
+
+    def test_few_calls_into_the_controller_inside_the_run(self):
+        assert self.counter.explore_calls_in_the_run <= EXPLORE_CALLS_IN_THE_RUN_CEILING
 
 
 if __name__ == "__main__":  # print the readings
