@@ -85,8 +85,6 @@ class CampaignConfig:
     cq_moderation: Optional[bool] = None
     # detector epoch-fast-path sweep
     detector_epochs: Optional[str] = None
-    # two-sided admission-protocol sweep ("rnr" / "credit")
-    flow_control: Optional[str] = None
     # data-message service-level sweep ("rc" / "ud")
     transport: Optional[str] = None
     #: Record each schedule's critical-path summary (span tracing on for

@@ -3,7 +3,7 @@
 A :class:`ScheduleController` is installed on a
 :class:`~repro.sim.engine.Simulator` before the run starts
 (:meth:`~repro.sim.engine.Simulator.install_controller`).  From then on it
-sits at every place where a run's interleaving is decided — six kinds of
+sits at every place where a run's interleaving is decided — five kinds of
 choice point (:data:`~repro.explore.decisions.DECISION_SHAPES` is the table,
 ``docs/explore.md`` says who calls what), each reached through one entry
 point: :meth:`~ScheduleController.pick_next`, with which the engine's
@@ -240,18 +240,6 @@ class ScheduleController:
         self._record(("latency", key, choice))
         return model_flight + choice
 
-    def on_rnr_backoff(
-        self, origin: int, destination: int, attempt: int, base_backoff: float
-    ) -> float:
-        """One RNR retry's controlled backoff (``NIC.send_payload``).
-
-        *attempt* is the 1-based retransmission count of the failing SEND.
-        Stretched, never shrunk: additive delays already reach every
-        retransmission/repost order the timing model can express.
-        """
-        key = f"rnr:{origin}->{destination}#{self._next_number['rnr']()}"
-        return base_backoff + self._decide("rnr", key)
-
     def on_credit_grant(self, receiver: int, sender: int) -> float:
         """Extra delay before a credit grant wakes *sender* (``CreditGate``)."""
         key = f"credit:{receiver}->{sender}#{self._next_number['credit']()}"
@@ -272,7 +260,7 @@ class ScheduleController:
         """One UD datagram's fate: 0 deliver, 1 drop, 2 deliver and duplicate.
 
         A dropped datagram is re-sent with a fresh sequence number and a
-        freshly encoded clock frame (the RNR re-ride idiom); a duplicate is
+        freshly encoded clock frame; a duplicate is
         a second, later arrival the receiver must absorb idempotently.
         """
         key = f"drop:{source}->{destination}#{self._next_number['drop']()}"

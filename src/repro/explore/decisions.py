@@ -1,7 +1,7 @@
 """The replayable decision log.
 
 Every nondeterministic choice point the schedule controller owns — a delivery
-stretched, a same-time tie or fan-out ordered, a datagram's fate; six
+stretched, a same-time tie or fan-out ordered, a datagram's fate; five
 kinds, below — produces one :class:`Decision`.
 A run's log is therefore a complete recipe for the schedule: replaying the
 log through a fresh runtime (same program, same seed) reproduces the run
@@ -9,7 +9,7 @@ byte for byte, and *truncating* it replays a prefix with every later choice
 point falling back to its uncontrolled default.  That prefix property is
 what the racing-schedule minimizer delta-debugs over.
 
-Six decision kinds exist:
+Five decision kinds exist:
 
 ``latency``
     The controller stretched (or left alone) one message's flight time — a
@@ -20,16 +20,9 @@ Six decision kinds exist:
     Several events were ready at the same simulated time and the controller
     picked which runs first.  ``choice`` is the index into the eligible
     entries (insertion order); ``0`` is the default (the engine's tie rule).
-``rnr``
-    A two-sided SEND found the receiver not ready and backed off before
-    retransmitting; the controller stretched (or left alone) the RNR retry
-    timer.  ``choice`` is the extra delay on top of the configured backoff;
-    ``0.0`` is the default.  Owning this timer lets the searchers branch on
-    retry-storm interleavings — which retransmission lands before which
-    repost — that delivery latencies alone cannot reach.
 ``credit``
-    Under credit-based flow control a stalled sender was granted a credit by
-    a receive post; the controller stretched (or left alone) the grant's
+    A two-sided SEND stalled for a receive credit was granted one by a
+    receive post; the controller stretched (or left alone) the grant's
     wake-up.  ``choice`` is the extra delay before the sender resumes;
     ``0.0`` is the default (wake at the post).  Grant timing decides which
     of several stalled senders claims a contested buffer first.
@@ -67,7 +60,6 @@ from repro.util.records import trusted_build
 DECISION_SHAPES = {
     "latency": "delay",
     "tie": "index",
-    "rnr": "delay",
     "credit": "delay",
     "barrier": "index",
     "drop": "index",

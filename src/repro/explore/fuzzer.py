@@ -12,8 +12,8 @@ Three groups of knobs shape the search:
   which should be on the order of the fabric's typical one-hop latency).
   Delays *stretch* flight times only; shrinking could not reorder anything
   per-channel FIFO does not already forbid, and additive delays already
-  reach every cross-channel arrival order.  Every other delay kind — RNR
-  backoff, credit grant — is stretched the same way
+  reach every cross-channel arrival order.  The other delay kind, a
+  credit grant, is stretched the same way
   (:mod:`repro.explore.decisions` says what each stretch races);
 * ``tie_shuffle_probability`` — how often a same-time scheduling tie, or a
   barrier's fan-out order, is resolved against insertion order

@@ -55,10 +55,11 @@ from repro.trace.serialization import trace_to_json
 
 #: Artifact format marker (bumped on incompatible changes).
 ARTIFACT_FORMAT = "repro-racing-schedule"
-#: Version 2: decision logs gained the positional ``rnr`` choice-point kind
-#: (controller-owned RNR backoffs), so version-1 logs recorded from runs
-#: that hit an RNR retry do not align against current replays.
-ARTIFACT_VERSION = 2
+#: Version 3: every SEND claims a receive credit (there is no RNR retry
+#: protocol and no ``rnr`` kind), so a log recorded under version 2's default
+#: RNR flow control can misalign: a SEND that once retried now stalls, and
+#: its grant is a ``credit`` decision the old log never held.
+ARTIFACT_VERSION = 3
 
 
 @dataclass

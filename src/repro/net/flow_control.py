@@ -1,41 +1,35 @@
 """Credit-based flow control: receivers grant credits, senders stall locally.
 
-The RNR retry protocol (the default, ``flow_control="rnr"``) is
-*reactive*: a SEND that finds no posted receive is answered with a NAK, the
-sender backs off and retransmits, and a saturated receiver turns every
-sender into a retry storm — each retry is a full extra message on the
-fabric.  Credit-based flow control (``flow_control="credit"``) is
-*proactive*, the scheme real RC implementations layer on top of RNR as
-end-to-end flow control: every posted receive buffer is one **credit**, a
-sender **claims** a credit locally before transmitting, and a sender that
-finds no credit **stalls at home** — zero bytes on the wire — until the
-receiver's next post grants one.
+A two-sided SEND may only land in a receive buffer its target has posted.
+Every posted receive buffer is one **credit**; a sender **claims** a credit
+locally before transmitting, and a sender that finds no credit **stalls at
+home** — zero bytes on the wire — until the receiver's next post grants one.
 
-The accounting invariant that makes the two modes verdict-identical:
+The accounting invariant:
 
 * ``available = queue.depth - claims`` never goes negative;
 * a claim is taken *before* the SEND's first transmission and **settled**
   (released) when the send matches the buffer the claim reserved, so every
-  in-flight SEND has a buffer reserved for it and the match can never hit
-  the RNR condition; a SEND that dies before matching (its datagrams
-  exhausted the UD retransmission budget) **returns** its claim, and the
-  returned credit is granted like a freshly posted one;
+  in-flight SEND has a buffer reserved for it and the match always finds
+  one; a SEND that dies before matching (its datagrams exhausted the UD
+  retransmission budget) **returns** its claim, and the returned credit is
+  granted like a freshly posted one;
 * matching stays strictly FIFO — credits carry no addressing, they are
-  pure admission control, so the receive a send consumes is exactly the
-  one the RNR protocol would have matched.
+  pure admission control.
 
-Consequently credit mode transmits every payload exactly once (RNR mode
-transmits ``1 + retries`` times) and the schedule-space effects are
-confined to *when* a stalled sender resumes — which is why the grant
-wake-up routes through
+Consequently every payload is transmitted exactly once, and the
+schedule-space effects are confined to *when* a stalled sender resumes —
+which is why the grant wake-up routes through
 :meth:`~repro.explore.controller.ScheduleController.on_credit_grant` as a
-logged, replayable, fuzzable decision point.
+logged, replayable, fuzzable decision point.  A receiver that never posts
+leaves its sender parked on the gate; the run ends with that sender named in
+:attr:`~repro.runtime.runtime.RunResult.blocked`.
 
 One :class:`CreditGate` guards one receive queue.  A per-QP queue has one
 claiming sender; a shared receive queue's gate is shared by every attached
 peer, making the credit pool aggregate exactly like the SRQ buffer pool it
-mirrors.  All gate instruments are created lazily with the gate itself, so
-runs in RNR mode (the default) carry zero extra footprint.
+mirrors.  A gate and its instruments are created with the queue's first
+SEND, so a run without two-sided traffic carries none of them.
 """
 
 from __future__ import annotations
@@ -44,18 +38,6 @@ from collections import deque
 from typing import Deque, Tuple
 
 from repro.obs.observability import Observability
-
-#: The admission-control protocols a runtime can select.
-FLOW_CONTROL_MODES = ("rnr", "credit")
-
-
-def validate_flow_control(mode: str) -> str:
-    """Validate and return a flow-control mode name."""
-    if mode not in FLOW_CONTROL_MODES:
-        raise ValueError(
-            f"flow_control must be one of {FLOW_CONTROL_MODES}, got {mode!r}"
-        )
-    return mode
 
 
 class CreditGate:
@@ -69,9 +51,16 @@ class CreditGate:
     """
 
     def __init__(self, queue, sim) -> None:
-        self._queue = queue
+        # The gate keeps no reference to its queue: the queue holds the gate
+        # (its post listener), and a reference back would leave every
+        # finished run to the cyclic collector.
         self._sim = sim
         self.rank = queue.rank
+        #: Credits a sender could claim right now: buffers posted and
+        #: unconsumed (the queue's depth) less the claims reserving them.
+        #: Counted here — one per post, one per claim — since the claim
+        #: happens on every SEND.
+        self.available = queue.depth
         self._claims = 0
         self._waiters: Deque[Tuple[object, int]] = deque()
         metrics = Observability.of(sim).metrics
@@ -88,20 +77,17 @@ class CreditGate:
 
     # -- sender side --------------------------------------------------------------
 
-    @property
-    def available(self) -> int:
-        """Credits a sender could claim right now (posted minus reserved)."""
-        return self._queue.depth - self._claims
-
     def try_claim(self) -> bool:
         """Reserve one posted buffer; False when the pool is exhausted."""
         if self.available <= 0:
             return False
+        self.available -= 1
         self._claims += 1
         return True
 
     def settle(self) -> None:
-        """Release one claim (the claimed buffer was consumed by its match)."""
+        """Release one claim (the claimed buffer was consumed by its match,
+        so the pool of available credits is unchanged)."""
         if self._claims <= 0:
             raise RuntimeError(
                 f"credit gate for rank {self.rank}: settle without a claim"
@@ -137,13 +123,14 @@ class CreditGate:
         """One credit entered the pool: grant it to the oldest waiter.
 
         Called for every posted buffer, and by :meth:`release` for a claim
-        handed back.
+        handed back (its buffer is still posted).
 
         The wake-up delay is a controlled choice point — stretching a grant
         decides which of several stalled senders claims a contested buffer
         first.  A woken sender re-checks :meth:`try_claim`, so a grant
         "stolen" by a sender that never parked simply re-parks the waiter.
         """
+        self.available += 1
         if not self._waiters:
             return
         event, sender = self._waiters.popleft()
@@ -169,9 +156,8 @@ class CreditGate:
 
 def credit_gate_for(queue, sim) -> CreditGate:
     """The gate guarding *queue*, created (and wired to posts) on first use."""
-    gate = getattr(queue, "_credit_gate", None)
+    gate = queue.credit_gate
     if gate is None:
-        gate = CreditGate(queue, sim)
-        queue._credit_gate = gate
+        gate = queue.credit_gate = CreditGate(queue, sim)
         queue.set_post_listener(gate.on_posted)
     return gate

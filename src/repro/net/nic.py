@@ -78,7 +78,6 @@ NIC_COUNTER_FIELDS = (
     "local_reads",
     "local_writes",
     "remote_ops_serviced",
-    "rnr_retries",
 )
 
 _NIC_COUNTER_NAMES = tuple(f"nic.{name}" for name in NIC_COUNTER_FIELDS)
@@ -150,21 +149,12 @@ def _nic_counter(name: str) -> property:
 class ReceiverNotReady(RuntimeError):
     """A SEND arrived at a target whose receive queue holds no posted buffer.
 
-    This is the RNR (receiver-not-ready) condition of the verbs transport.
     The NIC does not see the receive queues themselves — the verbs layer hands
     it a *matching callable* that raises this (or a subclass, such as
-    :class:`repro.verbs.receive_queue.RecvQueueEmpty`) when nothing is posted,
-    and the NIC responds with the RC retry protocol: back off, retransmit,
-    and eventually give up (:class:`RnrRetryExceeded`).
-    """
-
-
-class RnrRetryExceeded(RuntimeError):
-    """A SEND exhausted its RNR retry budget without finding a posted receive.
-
-    The verbs analogue is ``IBV_WC_RNR_RETRY_EXC_ERR``; the initiator learns
-    through a failed work completion, never through an exception at the post
-    site.
+    :class:`repro.verbs.receive_queue.RecvQueueEmpty`) when nothing is posted.
+    A SEND claims a receive credit before it transmits, so the match always
+    finds the buffer the claim reserved: this error means that invariant
+    broke, and it propagates.
     """
 
 
@@ -273,7 +263,6 @@ class NIC:
     local_reads = _nic_counter("local_reads")
     local_writes = _nic_counter("local_writes")
     remote_ops_serviced = _nic_counter("remote_ops_serviced")
-    rnr_retries = _nic_counter("rnr_retries")
 
     # -- wiring ------------------------------------------------------------------
 
@@ -384,10 +373,9 @@ class NIC:
         view, with the receiver-driven resync subprotocol
         (:meth:`_ud_resync`) run inline when the frame arrived gapped.  The
         rider is *clock*; with *origin_clock* (an operation's request) it
-        is what :meth:`_wire_clock` makes of *clock*,
-        re-evaluated per transmission, mirroring the RNR re-ride idiom —
-        under the sparse wire formats a retransmission of an unchanged
-        clock costs only an empty sparse frame.  A flag, not a provider
+        is what :meth:`_wire_clock` makes of *clock*, re-evaluated per
+        transmission — under the sparse wire formats a retransmission of an
+        unchanged clock costs only an empty sparse frame.  A flag, not a provider
         closure: one built per operation would turn the caller's locals
         into cell variables for every access, the local ones included.
         Which service level is one branch here, on the live ``RuntimeConfig``
@@ -521,25 +509,6 @@ class NIC:
 
     # -- the access kernel ----------------------------------------------------------------
 
-    def _abort(
-        self, tag: str, target_nic: Optional["NIC"] = None,
-        lock_request: Optional[LockRequest] = None, credit_gate: Any = None,
-    ) -> None:
-        """The one abort path: a failed operation gives back what it holds.
-
-        A delivery failure (:class:`UdDeliveryExceeded` — a data datagram or
-        its resync subprotocol burnt the retransmission budget) ends the
-        operation mid-flight, wherever it was.  The target cell lock must
-        not stay held (quiescence; a lost request touched no memory, a lost
-        reply leaves the effect in place).  A SEND that had claimed a
-        receive credit returns it to the pool — the buffer it reserved is
-        still posted and this SEND will never consume it, so the oldest
-        sender parked on the gate is woken, as by a post.
-        """
-        self._release_lock(target_nic, lock_request, tag)
-        if credit_gate is not None:
-            credit_gate.release()
-
     def _perform(
         self, target_nic: "NIC", kind: AccessKind, operation: str,
         address: GlobalAddress, operand: Any,
@@ -652,8 +621,8 @@ class NIC:
         completion, where the queue pair uses it to replace — rather than
         re-join — its running service clock across a drain burst.
 
-        A delivery failure between lock and unlock leaves through
-        :meth:`_abort`.  Errors in the arguments are raised here, that is
+        A delivery failure between lock and unlock releases the cell lock
+        and propagates.  Errors in the arguments are raised here, that is
         when the generator is first driven, inside the calling process.
         """
         if type(target) is not GlobalAddress:  # inline: no call on the hot path
@@ -709,7 +678,11 @@ class NIC:
                     check.datum_access_clock if check is not None else None,
                 )
         except UdDeliveryExceeded:
-            self._abort(tag, target_nic, lock_request)
+            # A data datagram or its resync subprotocol burnt the
+            # retransmission budget: the operation ends mid-flight, and the
+            # cell lock must not stay held (a lost request touched no
+            # memory, a lost reply leaves the effect in place).
+            self._release_lock(target_nic, lock_request, tag)
             raise
         if remote:
             self._release_lock(target_nic, lock_request, tag)
@@ -848,18 +821,16 @@ class NIC:
 
     # -- two-sided send (matched against posted receives) --------------------------------
 
-    def _acquire_credit(self, gate: Any, destination: int, tag: str) -> Generator:
-        """Claim one receive credit, stalling locally until a post grants one.
+    def _credit_stall(self, gate: Any, destination: int, tag: str) -> Generator:
+        """Park on *gate* until a post grants this sender a receive credit.
 
-        The no-contention path claims without yielding (and without a
-        span); a stalled sender parks on the gate and renders the blocked
-        time as a ``credit_stall`` span on the engine track — the
-        credit-mode counterpart of ``rnr_backoff``, except it costs no
-        messages.  A woken sender re-checks the claim: a grant can be
-        "stolen" by a sender that never parked, in which case we re-park.
+        Entered only after a failed claim (:meth:`send_payload` claims
+        inline, so an uncontended SEND enters no frame here).  The blocked
+        time renders as a ``credit_stall`` span on the engine track — a
+        wait that costs no messages.  A woken sender re-checks the claim: a
+        grant can be "stolen" by a sender that never parked, in which case
+        we re-park.
         """
-        if gate.try_claim():
-            return
         stall_started = self._sim._now
         while True:
             wake = self._sim.event(name=f"credit-wait:{tag}")
@@ -880,7 +851,7 @@ class NIC:
         *,
         symbol: Optional[str] = None,
         clock_snapshot: Any = None,
-        credit_gate: Any = None,
+        credit_gate: Any,
     ) -> Generator:
         """Two-sided SEND of *values* to *destination* (``IBV_WR_SEND``).
 
@@ -892,21 +863,17 @@ class NIC:
         * one SEND_REQUEST message carries the whole gathered payload
           (``len(values) * DEFAULT_CELL_BYTES`` on the wire — the multi-cell payload
           the bandwidth-aware latency models care about);
+        * before transmitting, the NIC claims one receive credit from
+          *credit_gate* (the :class:`~repro.net.flow_control.CreditGate` of
+          the target's receive queue), stalling locally — zero bytes on the
+          wire, a ``credit_stall`` span on the engine track — until the
+          receiver's next post grants one; every payload is transmitted
+          exactly once, and a SEND whose delivery fails hands its credit
+          back;
         * on arrival, *match_receive* is called to consume the head of the
-          target's receive queue (FIFO, no tag matching — verbs semantics).
-          If it raises :class:`ReceiverNotReady`, the RC RNR protocol runs:
-          back off ``config.verbs_rnr_backoff``, retransmit (charged as a
-          fresh message), and after ``config.verbs_rnr_retry_limit`` retries
-          give up with :class:`RnrRetryExceeded` (``None`` retries forever, like the
-          InfiniBand ``rnr_retry=7`` encoding).  Under credit-based flow
-          control — a *credit_gate* is given; its presence *is* the mode,
-          one branch here rather than a flow-control object — the NIC
-          instead claims one receive credit *before* the first
-          transmission, stalling locally — zero bytes on the wire, a
-          ``credit_stall`` span on the engine track — until the receiver's
-          next post grants one, so the match never hits the RNR condition
-          and every payload is transmitted exactly once.  A SEND whose
-          delivery fails hands the credit back (:meth:`_abort`);
+          target's receive queue (FIFO, no tag matching — verbs semantics);
+          the claim reserved that buffer, so :class:`ReceiverNotReady` here
+          is a broken invariant and propagates;
         * a payload longer than the matched buffer consumes the receive but
           touches no memory — :class:`ReceiveLengthError` (``IBV_WC_LOC_LEN_ERR``);
         * the delivery carries the happens-before of message passing: the
@@ -936,62 +903,26 @@ class NIC:
         remote = destination != self.rank
         data_messages = 0
 
-        if credit_gate is not None:
-            # Proactive admission control: reserve the receive buffer this
-            # SEND will consume before spending any fabric bytes on it.
-            yield from self._acquire_credit(credit_gate, destination, tag)
-
-        retries = 0
-        while True:
-            if remote:
-                # Each transmission (including RNR retransmits) stamps its
-                # own rider: under the sparse wire formats a retransmission
-                # of an unchanged clock costs only an empty sparse frame.
-                try:
-                    data_messages += yield from self._transmit_clocked(
-                        MessageKind.SEND_REQUEST, destination, tuple(values),
-                        len(values) * DEFAULT_CELL_BYTES, tag, clock_snapshot,
-                    )
-                except UdDeliveryExceeded:
-                    self._abort(tag, credit_gate=credit_gate)
-                    raise
+        # Admission control: reserve the receive buffer this SEND will
+        # consume before spending any fabric bytes on it.
+        if not credit_gate.try_claim():
+            yield from self._credit_stall(credit_gate, destination, tag)
+        if remote:
             try:
-                recv_wr = match_receive()
-            except ReceiverNotReady as error:
-                rnr_retry_limit = self.config.verbs_rnr_retry_limit
-                if rnr_retry_limit is not None and retries >= rnr_retry_limit:
-                    raise RnrRetryExceeded(
-                        f"send P{self.rank}->P{destination}: receiver not ready "
-                        f"after {retries} retries ({error})"
-                    ) from error
-                retries += 1
-                self.rnr_retries += 1
-                self._obs.spans.instant(
-                    self.engine_track, "rnr_retry", self._sim._now,
-                    destination=f"P{destination}", retry=retries,
+                data_messages = yield from self._transmit_clocked(
+                    MessageKind.SEND_REQUEST, destination, tuple(values),
+                    len(values) * DEFAULT_CELL_BYTES, tag, clock_snapshot,
                 )
-                backoff = self.config.verbs_rnr_backoff
-                controller = self._sim.controller
-                if controller is not None:
-                    # The schedule controller owns RNR retry timing: the
-                    # systematic searcher can branch on how long a storm of
-                    # retransmissions backs off (a logged, replayable
-                    # decision), exactly as it owns delivery latencies.
-                    backoff = controller.on_rnr_backoff(
-                        self.rank, destination, retries, backoff
-                    )
-                backoff_started = self._sim._now
-                yield self._sim.timeout(backoff, name=f"rnr-backoff:{tag}")
-                self._obs.spans.complete(
-                    self.engine_track, "rnr_backoff", backoff_started,
-                    self._sim._now, destination=f"P{destination}", retry=retries,
-                )
-                continue
-            break
-        if credit_gate is not None:
-            # The match consumed the exact buffer the claim reserved; the
-            # claim and the buffer leave the pool together.
-            credit_gate.settle()
+            except UdDeliveryExceeded:
+                # The buffer the claim reserved is still posted and this
+                # SEND will never consume it: the credit goes back to the
+                # pool, waking the oldest sender parked on the gate.
+                credit_gate.release()
+                raise
+        recv_wr = match_receive()
+        # The match consumed the exact buffer the claim reserved; the claim
+        # and the buffer leave the pool together.
+        credit_gate.settle()
         if remote:
             target_nic.remote_ops_serviced += 1
 
@@ -1054,7 +985,7 @@ class NIC:
         if spans.enabled:
             spans.complete(
                 self.engine_track, "send", start, self._sim._now,
-                target=f"P{destination}", cells=len(values), retries=retries,
+                target=f"P{destination}", cells=len(values), retries=0,
             )
         result = RemoteOperationResult(
             operation="send",

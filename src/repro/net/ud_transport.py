@@ -23,7 +23,7 @@ The moving parts:
 
 * :exc:`UdDeliveryExceeded` — a datagram (or its resync subprotocol) burnt
   the whole retransmission budget; surfaces as a failed work completion in
-  the verbs layer, the UD twin of RNR-retry exhaustion.
+  the verbs layer.
 
 Soundness contract: the detector always stamps the *in-process* carried
 clock, and the UD machinery decides whether the receiver's wire view could
@@ -59,8 +59,7 @@ def validate_transport(mode: str) -> str:
 class UdDeliveryExceeded(RuntimeError):
     """A UD datagram exhausted its retransmission budget.
 
-    The UD analogue of :class:`~repro.net.nic.RnrRetryExceeded`: the verbs
-    layer reports it as a failed work completion
+    The verbs layer reports it as a failed work completion
     (``CompletionStatus.UD_DELIVERY_EXCEEDED``) instead of letting it
     propagate out of the queue pair.
     """

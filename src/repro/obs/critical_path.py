@@ -3,7 +3,7 @@
 The simulator already records the happens-before structure of a run as span
 events (:mod:`repro.obs.spans`): WR posts and retirements on the rank tracks,
 NIC service spans and drain bursts on the engine tracks, lock waits at the
-owner, barrier fan-in, RNR backoffs, CQ/event-channel waits, clock-transport
+owner, barrier fan-in, credit stalls, CQ/event-channel waits, clock-transport
 round trips, and cross-rank flow arrows.  This module turns that record into
 the two artefacts a perf investigation actually wants:
 
@@ -55,7 +55,6 @@ CATEGORIES = (
     "network",
     "nic_serialization",
     "lock_wait",
-    "rnr_backoff",
     "credit_stall",
     "resync_wait",
     "cq_wait",
@@ -79,7 +78,6 @@ SPAN_CATEGORY: Dict[str, str] = {
     "compare_and_swap": "network",
     "qp_drain": "nic_serialization",
     "lock_wait": "lock_wait",
-    "rnr_backoff": "rnr_backoff",
     "credit_stall": "credit_stall",
     "resync_wait": "resync_wait",
     "cq_wait": "cq_wait",
@@ -94,7 +92,6 @@ SPAN_CATEGORY: Dict[str, str] = {
 #: aggregate one.
 _CATEGORY_PRIORITY: Dict[str, int] = {
     "lock_wait": 6,
-    "rnr_backoff": 6,
     "credit_stall": 6,
     "resync_wait": 5,
     "clock_transport": 5,

@@ -1,7 +1,7 @@
 """A deterministic metrics registry: counters, gauges, histograms.
 
 The registry is the single place run-time accounting lives.  Subsystems either
-use it directly (``registry.counter("nic.rnr_retries", rank="0").inc()``) or
+use it directly (``registry.counter("nic.sends_issued", rank="0").inc()``) or
 through thin legacy views (``FabricStats``, ``ClockTransportStats``) whose
 fields are properties over registry instruments — one source of truth, two
 spellings.

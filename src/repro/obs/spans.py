@@ -10,7 +10,7 @@ Event kinds emitted (Chrome trace-event ``ph`` codes):
 * ``X`` — complete spans with explicit duration (the common case: a WR's
   service interval, a lock wait, a barrier wait, a drain burst);
 * ``B``/``E`` — open/close pairs for spans whose end is only known later;
-* ``i`` — instants (RNR retry, SRQ limit event, detector race signal);
+* ``i`` — instants (SRQ limit event, detector race signal);
 * ``s``/``f`` — flow events stitching a WR's post on the origin rank to its
   retirement, across tracks;
 * ``M`` — metadata naming the tracks.

@@ -26,7 +26,6 @@ from repro.net.clock_transport import (
     validate_clock_transport,
     validate_clock_wire,
 )
-from repro.net.flow_control import FLOW_CONTROL_MODES, validate_flow_control
 from repro.net.ud_transport import TRANSPORT_MODES, validate_transport
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,8 +47,8 @@ class Knob:
     cli:
         ``argparse`` keywords of the campaign flag (help and choices).
     matrix_values:
-        The command-line spellings CI's consistency matrix sweeps; the
-        full-cartesian islands pin the knob to the first.
+        The command-line spellings CI's consistency matrix sweeps; an
+        island row pins a high-risk knob outside its pair to the first.
     inherit:
         Where a knob left ``None`` gets its value.
     apply:
@@ -187,16 +186,6 @@ KNOBS: Tuple[Knob, ...] = (
         matrix_values=("on", "off"),
         inherit=_inherit_detector_epochs,
         apply=_apply_detector_epochs,
-    ),
-    Knob(
-        name="flow_control",
-        validate=validate_flow_control,
-        cli={
-            "choices": FLOW_CONTROL_MODES,
-            "help": "two-sided admission protocol for every explored runtime "
-            f"{_PATTERN_DEFAULT}",
-        },
-        matrix_values=("rnr", "credit"),
     ),
     Knob(
         name="transport",

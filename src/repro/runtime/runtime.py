@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import copy
 import functools
-import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.detector import DetectorConfig, DualClockRaceDetector
 from repro.core.races import RaceRecord, RaceReport, SignalPolicy
@@ -38,7 +37,6 @@ from repro.trace.events import TraceSummary
 from repro.trace.recorder import TraceRecorder
 from repro.util.logging import SimLogger
 from repro.util.validation import (
-    require,
     require_non_negative,
     require_positive,
     require_type,
@@ -134,16 +132,6 @@ class RuntimeConfig:
         Consumer semantics (wait/wait_all/poll, backpressure, event
         channels) are unchanged, so verdicts cannot depend on it; only the
         completion-traffic accounting and CQ visibility timing do.
-    flow_control:
-        Admission protocol for two-sided SENDs: ``"rnr"`` (the default RC
-        retry protocol — transmit, discover the empty receive queue, back
-        off, retransmit) or ``"credit"`` (claim a posted receive buffer
-        *before* transmitting and stall locally until one is granted, so
-        every payload crosses the wire exactly once and no RNR traffic
-        exists).  Both protocols admit sends in the same FIFO order, so
-        detector verdicts are byte-identical; only message counts, RNR
-        retries and stall accounting differ.  See
-        :mod:`repro.net.flow_control`.
     signal_policy:
         What to do when a race is signalled (collect / warn / abort).
     trace_spans:
@@ -168,13 +156,6 @@ class RuntimeConfig:
         Receive-queue depth of each queue pair and the default SRQ depth
         (posting beyond it raises
         :class:`~repro.verbs.receive_queue.ReceiveQueueFull`).
-    verbs_rnr_backoff:
-        Simulated time a SEND waits before retransmitting after finding the
-        target's receive queue empty (the RNR timer).
-    verbs_rnr_retry_limit:
-        RNR retries before a SEND fails with an RNR_RETRY_EXCEEDED
-        completion; ``None`` retries forever (the InfiniBand ``rnr_retry=7``
-        encoding).
     """
 
     world_size: int = 4
@@ -190,7 +171,6 @@ class RuntimeConfig:
     clock_wire: str = "full"
     cq_moderation: bool = False
     detector_epochs: Optional[str] = None
-    flow_control: str = "rnr"
     transport: str = "rc"
     signal_policy: SignalPolicy = SignalPolicy.COLLECT
     trace_spans: bool = False
@@ -198,8 +178,6 @@ class RuntimeConfig:
     verbs_cq_capacity: Optional[int] = None
     verbs_max_send_wr: int = 128
     verbs_max_recv_wr: int = 128
-    verbs_rnr_backoff: float = 1.0
-    verbs_rnr_retry_limit: Optional[int] = None
 
     def with_overrides(self, **kwargs: Any) -> "RuntimeConfig":
         """Return a copy with the given fields replaced."""
@@ -210,26 +188,20 @@ def _validate_settings(config: RuntimeConfig) -> None:
     """Reject an illegal non-knob setting the NICs or verbs contexts read.
 
     Checked once, at construction: the readers take these values on trust,
-    so a bad one would otherwise fail deep inside a run (at the first drop,
-    RNR or queue pair) or, like a truthy string, not fail at all.
+    so a bad one would otherwise fail deep inside a run (at the first drop
+    or queue pair) or, like a truthy string, not fail at all.
     """
     require_positive(config.world_size, "world_size")
     require_type(config.charge_detection_messages, bool, "charge_detection_messages")
-    for name in ("ud_max_retransmits", "verbs_rnr_retry_limit"):
-        value = getattr(config, name)
-        if value is not None or name == "ud_max_retransmits":
-            # only the RNR retry limit may be None (retry forever)
-            require_non_negative(require_type(value, int, name), name)
+    require_non_negative(
+        require_type(config.ud_max_retransmits, int, "ud_max_retransmits"),
+        "ud_max_retransmits",
+    )
     for name in ("verbs_cq_capacity", "verbs_max_send_wr", "verbs_max_recv_wr"):
         value = getattr(config, name)
         if value is not None or name != "verbs_cq_capacity":
             # only the CQ capacity may be None (unbounded)
             require_positive(require_type(value, int, name), name)
-    require_non_negative(config.verbs_rnr_backoff, "verbs_rnr_backoff")
-    require(
-        math.isfinite(config.verbs_rnr_backoff),
-        f"verbs_rnr_backoff must be finite, got {config.verbs_rnr_backoff!r}",
-    )
 
 
 @dataclass
@@ -260,6 +232,12 @@ class RunResult:
     #: Detection hot-path costs per check type (``read_live`` ... ``rmw_carried``),
     #: each with checks/compares/joins counts (``sim.obs.profiler``).
     detection_profile: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    #: ``(process name, awaited event name)`` of every process still alive
+    #: when the run ended — e.g. ``("qp-P1->P0", "credit-wait:op-P1-0")`` for
+    #: a SEND parked on a receiver that never posts.  Empty when every
+    #: process finished.  A report only: a run with blocked processes
+    #: returns normally.
+    blocked: Tuple[Tuple[str, Optional[str]], ...] = ()
 
     @property
     def race_count(self) -> int:
@@ -578,6 +556,7 @@ class DSMRuntime:
             ),
             metrics=self.sim.obs.metrics.snapshot(),
             detection_profile=self.sim.obs.profiler.snapshot(),
+            blocked=self.sim.blocked,
         )
 
     # -- post-run helpers -----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.obs.observability import Observability
 from repro.sim.events import AllOf, AnyOf, Event, SimulationError, Timeout
-from repro.sim.process import Process
+from repro.sim.process import _ENDED, Process
 from repro.sim.rng import RandomStreams
 from repro.util.logging import SimLogger
 from repro.util.validation import require_non_negative
@@ -53,6 +53,9 @@ class Simulator:
         #: Optional schedule controller owning nondeterministic choice points
         #: (see :meth:`install_controller`); ``None`` means default behaviour.
         self.controller = None
+        #: ``(process name, awaited event name)`` for every process alive
+        #: when :meth:`run` last returned.
+        self.blocked: Tuple[Tuple[str, Optional[str]], ...] = ()
         self.rng = RandomStreams(seed)
         # Note: an empty SimLogger is falsy (len == 0), so test for None explicitly.
         self.logger = logger if logger is not None else SimLogger()
@@ -131,7 +134,7 @@ class Simulator:
 
         The *controller* must provide the whole protocol of
         :class:`~repro.explore.controller.ScheduleController`:
-        ``pick_next(first, queue)`` and its six ``on_*`` entry points.
+        ``pick_next(first, queue)`` and its four ``on_*`` entry points.
         :meth:`step` pops the earliest ``(time, sequence, event)`` entry
         itself and calls ``pick_next`` only at a tie — when the live heap's
         next entry is due at the same time — with the popped entry as
@@ -217,6 +220,15 @@ class Simulator:
                 break
             step()
             processed += 1
+        # Every process still alive, with the event it waits on (after a
+        # drained calendar nothing can wake it).  Read from the fields behind
+        # ``is_alive`` / ``waiting_on`` in this frame, so the report costs no
+        # frame (tests/sim/test_frame_budget.py counts them).
+        blocked = []
+        for process in self._processes:
+            if process._state not in _ENDED:
+                blocked.append((process.name, getattr(process._waiting_on, "name", None)))
+        self.blocked = tuple(blocked)
         if raise_process_errors and self._failures:
             process, exc = self._failures[0]
             raise SimulationError(

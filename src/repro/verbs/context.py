@@ -52,9 +52,9 @@ class VerbsContext:
     """One rank's handle on the asynchronous (one- and two-sided) subsystem."""
 
     def __init__(self, sim: Simulator, nic: NIC) -> None:
-        # Queue depths, the RNR retry protocol, ``cq_moderation`` and
-        # ``flow_control`` are read from ``nic.config`` (the runtime's one
-        # config, which ``set_knob`` writes) where they are used.
+        # Queue depths and ``cq_moderation`` are read from ``nic.config``
+        # (the runtime's one config, which ``set_knob`` writes) where they
+        # are used.
         self.sim = sim
         self.nic = nic
         self.rank = nic.rank
@@ -180,10 +180,11 @@ class VerbsContext:
     def credit_gate(self, source: int):
         """The credit gate guarding the receive queue facing *source*.
 
-        Created (and wired to the queue's posts) on first use, so RNR-mode
-        runs never allocate one.  A queue pair draining from the SRQ shares
-        the SRQ's gate with every attached peer — the credit pool aggregates
-        exactly like the buffer pool it mirrors.
+        Created (and wired to the queue's posts) on the queue's first SEND,
+        so a run without two-sided traffic allocates none.  A queue pair
+        draining from the SRQ shares the SRQ's gate with every attached
+        peer — the credit pool aggregates exactly like the buffer pool it
+        mirrors.
         """
         return credit_gate_for(self.receive_queue_from(source), self.sim)
 

@@ -51,7 +51,8 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Deque, Generator, Optional
 
 from repro.core.clocks import VectorClock
-from repro.net.nic import ReceiveLengthError, RnrRetryExceeded
+from repro.net.flow_control import credit_gate_for
+from repro.net.nic import ReceiveLengthError
 from repro.net.ud_transport import UdDeliveryExceeded
 from repro.obs.observability import Observability
 from repro.verbs.memory_registration import RemoteAccessError
@@ -268,9 +269,9 @@ class QueuePair:
 
         A UD delivery failure anywhere inside the operation — the data
         datagram or its resync subprotocol burnt the retransmission budget
-        — surfaces as a failed UD_DELIVERY_EXCEEDED completion, exactly
-        like RNR-retry exhaustion: the initiator learns at retirement,
-        never through an exception at the post site.
+        — surfaces as a failed UD_DELIVERY_EXCEEDED completion: the
+        initiator learns at retirement, never through an exception at the
+        post site.
         """
         try:
             completion = yield from self._execute_op(request)
@@ -417,14 +418,9 @@ class QueuePair:
         consumed buffer must still be reported to its poster.
         """
         nic = self._context.nic
-        config = nic.config
         target_context = self._context.peer_context(self.peer)
         recv_queue = target_context.receive_queue_from(self.origin)
-        credit_gate = (
-            target_context.credit_gate(self.origin)
-            if config.flow_control == "credit"
-            else None
-        )
+        credit_gate = recv_queue.credit_gate or credit_gate_for(recv_queue, self._sim)
         values = list(request.payload or ())
         if request.gather_from:
             # The gather half of scatter/gather: read the local cells through
@@ -442,8 +438,6 @@ class QueuePair:
                 clock_snapshot=request.clock_snapshot,
                 credit_gate=credit_gate,
             )
-        except RnrRetryExceeded as error:
-            return self._failed(request, CompletionStatus.RNR_RETRY_EXCEEDED, error)
         except ReceiveLengthError as error:
             target_context.deliver_recv(
                 WorkCompletion(

@@ -7,10 +7,10 @@ The two-sided half of the verbs model inverts the one-sided contract: the
 *receiver* decides where incoming data lands by posting
 :class:`ReceiveWorkRequest` buffers — scatter lists of its own addresses —
 before the matching SEND arrives.  Matching is strictly FIFO (verbs has no
-tag matching: the first posted receive consumes the first arriving send), and
-a SEND that finds the queue empty hits the RNR (receiver-not-ready) condition
-(:class:`RecvQueueEmpty`), which the sending NIC answers with the RC retry
-protocol.
+tag matching: the first posted receive consumes the first arriving send).  A
+sender claims a posted buffer before it transmits
+(:class:`repro.net.flow_control.CreditGate`), so a match that finds the queue
+empty (:class:`RecvQueueEmpty`) means that admission control was bypassed.
 
 Two flavours:
 
@@ -45,9 +45,9 @@ class ReceiveQueueFull(RuntimeError):
 class RecvQueueEmpty(ReceiverNotReady):
     """A SEND arrived (or a match was attempted) with no receive posted.
 
-    Subclasses the NIC-level :class:`~repro.net.nic.ReceiverNotReady` so the
-    sending NIC's RNR retry protocol catches it without the net layer ever
-    importing the verbs package.
+    Subclasses the NIC-level :class:`~repro.net.nic.ReceiverNotReady`, the
+    net layer's name for the condition, so the net layer never imports the
+    verbs package.
     """
 
 
@@ -99,6 +99,9 @@ class ReceiveQueue:
         #: Buffers consumed per sending rank (who actually drained us).
         self.matched_by: Dict[int, int] = {}
         self._post_listener = None
+        #: The :class:`~repro.net.flow_control.CreditGate` guarding this
+        #: queue, created on its first SEND (``credit_gate_for``).
+        self.credit_gate = None
 
     def set_post_listener(self, listener) -> None:
         """Install a callback fired after every successful post.
@@ -139,8 +142,8 @@ class ReceiveQueue:
     def match(self, source: int) -> ReceiveWorkRequest:
         """Consume and return the head receive for a SEND from *source*.
 
-        Raises :class:`RecvQueueEmpty` when nothing is posted — the RNR
-        condition the sending NIC retries on.
+        Raises :class:`RecvQueueEmpty` when nothing is posted (a sender
+        that skipped its credit claim).
         """
         if not self._pending:
             raise RecvQueueEmpty(
@@ -173,7 +176,7 @@ class SharedReceiveQueue(ReceiveQueue):
     """An ``ibv_srq``: one receive pool drained by every attached queue pair.
 
     Mechanically identical to a :class:`ReceiveQueue` — FIFO consumption,
-    bounded posting, RNR on empty — but shared: the verbs layer points each
+    bounded posting, an error on empty — but shared: the verbs layer points each
     attached queue pair's receive side at this object, so sends from *any*
     attached peer consume from the common pool in arrival order.
     """

@@ -70,23 +70,19 @@ class CompletionStatus(enum.Enum):
     #: verbs equivalent of a protection fault, reported through the
     #: completion rather than raised at the post site.
     REMOTE_ACCESS_ERROR = "remote-access-error"
-    #: A SEND gave up after its RNR retry budget: the receiver never posted a
-    #: buffer (``IBV_WC_RNR_RETRY_EXC_ERR``).
-    RNR_RETRY_EXCEEDED = "rnr-retry-exceeded"
     #: A SEND's payload overran the matched receive buffer
     #: (``IBV_WC_LOC_LEN_ERR``); the receive was consumed, no memory written.
     LENGTH_ERROR = "length-error"
     #: A UD datagram (or its resync subprotocol) exhausted the
-    #: retransmission budget (``RuntimeConfig.ud_max_retransmits``) — the unreliable
-    #: transport's twin of RNR-retry exhaustion, reported through the
-    #: completion rather than raised at the post site.
+    #: retransmission budget (``RuntimeConfig.ud_max_retransmits``), reported
+    #: through the completion rather than raised at the post site.
     UD_DELIVERY_EXCEEDED = "ud-delivery-exceeded"
 
 
 class CompletionError(RuntimeError):
     """A waited-on work request retired with a non-success status.
 
-    Raised by the blocking helpers for transport-level failures (RNR retry
+    Raised by the blocking helpers for transport-level failures (UD delivery
     exhaustion, length errors); rkey protection faults keep raising the more
     specific :class:`~repro.verbs.memory_registration.RemoteAccessError`.
 

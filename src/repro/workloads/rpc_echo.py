@@ -98,8 +98,6 @@ class RPCEchoWorkload(WorkloadScenario):
                 seed,
                 world_size=self.world_size,
                 latency="uniform",
-                # A small RNR backoff keeps a late-posted reply buffer cheap.
-                verbs_rnr_backoff=0.25,
             )
         )
         # One request slot per client is enough: each consumed slot is
@@ -139,7 +137,8 @@ class RPCEchoWorkload(WorkloadScenario):
                     if bulk:
                         # Park the consumed slot; the SRQ limit event is the
                         # replenish trigger.  A drained pool in the meantime
-                        # is absorbed by the senders' RNR retry protocol.
+                        # stalls the clients' SENDs on the SRQ's credit gate
+                        # until the bulk repost grants them credits.
                         free_slots.append(completion.addresses)
                         if api.take_srq_limit_event():
                             for addresses in free_slots:
@@ -150,8 +149,8 @@ class RPCEchoWorkload(WorkloadScenario):
                             progress["bulk_replenishes"] += 1
                             api.arm_srq_limit(workload.srq_limit)
                     else:
-                        # Replenish the consumed slot first: the next request
-                        # may already be in flight (RNR otherwise).
+                        # Replenish the consumed slot first: it is the credit
+                        # a client's next request may already be waiting on.
                         api.verbs.post_srq_recv(
                             completion.addresses, symbol="rpc_slots"
                         )

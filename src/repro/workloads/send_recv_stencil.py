@@ -79,8 +79,8 @@ class SendRecvStencilWorkload(WorkloadScenario):
                 world_size=self.world_size,
                 # Constant latency keeps the two transports byte-comparable:
                 # every receive is posted at the barrier instant, strictly
-                # before any same-iteration send can arrive, so no RNR
-                # retransmissions inflate the send mode's message count.
+                # before any same-iteration send claims it, so no SEND
+                # stalls on a receive credit.
                 latency="constant",
                 public_memory_cells=max(64, 4 * self.plane_width + 8),
             )
@@ -116,8 +116,8 @@ class SendRecvStencilWorkload(WorkloadScenario):
 
             if workload.transport == "send":
                 # Pre-post the first iteration's receives: a buffer is always
-                # in place before the matching send can arrive, so the
-                # exchange never pays an RNR retransmission.
+                # in place before the matching send claims it, so the
+                # exchange never stalls on a receive credit.
                 post_ghost_recvs()
             for iteration in range(workload.iterations):
                 posted = []

@@ -25,12 +25,12 @@ from repro.explore.campaign import main
 
 EXPECTED = {
     "json": (
-        769856,
-        "042218aa4c6be372ee5fef75b459bc6c2bfe63d59c07e16e5389e8a05667c211",
+        756222,
+        "28582a1f28d146dc4ed0cbb143ab7a0cfb273bf15e9b69b46d836bd9ab4f798b",
     ),
     "markdown": (
-        2446,
-        "3c91071c34b4e606ee827e49a8b1e2efc56c716f9ed9e4f50b734d28a1e4f454",
+        2443,
+        "4030e54fa5e0b3cf6d6dfb4c77bc1a2b4db45373f05489d256a4b1be8de75390",
     ),
 }
 

@@ -4,7 +4,7 @@ The runtime control plane's adaptive mechanism, credit-based flow control,
 and the barrier fan-out order are choice points too.  Each decision (credit
 grant timing, release pick) routes through the schedule controller as a
 logged, replayable, fuzzable, systematically branchable decision point,
-exactly as delivery latencies and RNR backoffs already do.
+exactly as delivery latencies already do.
 """
 
 from repro.explore.controller import (
@@ -24,13 +24,12 @@ def decisions_of(log, kind):
 
 
 def credit_factory(seed):
-    """Credit-mode SENDs that must stall: the receiver posts buffers late."""
+    """SENDs that must stall for credits: the receiver posts buffers late."""
     runtime = DSMRuntime(
         RuntimeConfig(
             world_size=2,
             seed=seed,
             latency="constant",
-            flow_control="credit",
         )
     )
     runtime.declare_array("inbox", 4, owner=1, initial=0)
@@ -68,10 +67,8 @@ def barrier_factory(seed):
 
 
 class TestDecisionKinds:
-    def test_all_six_kinds_registered(self):
-        assert DECISION_KINDS == (
-            "latency", "tie", "rnr", "credit", "barrier", "drop",
-        )
+    def test_the_registered_kinds(self):
+        assert DECISION_KINDS == ("latency", "tie", "credit", "barrier", "drop")
 
 
 class TestCreditDecisions:

@@ -94,3 +94,13 @@ def test_load_artifact_rejects_foreign_json(tmp_path):
     path.write_text(json.dumps({"format": "something-else"}))
     with pytest.raises(ValueError):
         load_artifact(str(path))
+
+
+def test_load_artifact_refuses_a_version_2_log(tmp_path):
+    """Version 2 logs were recorded under RNR flow control; a SEND that
+    retried then would log a ``credit`` decision now, so they can misalign."""
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"format": "repro-racing-schedule", "version": 2}))
+    refusal = r"unsupported racing-schedule artifact version 2 \(supported: 3\)"
+    with pytest.raises(ValueError, match=refusal):
+        load_artifact(str(path))

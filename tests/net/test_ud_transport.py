@@ -429,7 +429,7 @@ class TestExhaustion:
 
     # -- a doomed SEND gives its credit back ------------------------------------------
 
-    def _doomed_send_runtime(self, flow_control, senders=1):
+    def _doomed_send_runtime(self, senders=1):
         """SENDs to one posted buffer; the fabric eats the first one whole."""
         receiver = senders
         runtime = DSMRuntime(
@@ -438,7 +438,6 @@ class TestExhaustion:
                 seed=0,
                 latency="constant",
                 transport="ud",
-                flow_control=flow_control,
             )
         )
         runtime.config.ud_max_retransmits = 2
@@ -483,10 +482,9 @@ class TestExhaustion:
         assert gate.available == context.receive_queue_from(0).depth == 0, "a claim leaked"
         assert gate.waiting == 0
 
-    @pytest.mark.parametrize("flow_control", ["rnr", "credit"])
-    def test_a_send_that_exhausts_its_budget_returns_its_credit(self, flow_control):
+    def test_a_send_that_exhausts_its_budget_returns_its_credit(self):
         """The doomed SEND claimed the only buffer; the next SEND must get it."""
-        runtime = self._doomed_send_runtime(flow_control)
+        runtime = self._doomed_send_runtime()
         runtime.run()
         self._assert_second_send_landed(runtime, second_sender=0)
 
@@ -494,7 +492,7 @@ class TestExhaustion:
         """An SRQ gate is shared: rank 1 parks while rank 0's doomed SEND
         holds the one credit, and only the return of that credit can wake it
         (the server posts nothing more)."""
-        runtime = self._doomed_send_runtime("credit", senders=2)
+        runtime = self._doomed_send_runtime(senders=2)
         runtime.run()
         self._assert_second_send_landed(runtime, second_sender=1)
         gate = runtime.verbs_contexts[2].credit_gate(0)

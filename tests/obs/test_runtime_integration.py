@@ -165,26 +165,24 @@ class TestZeroFootprint:
             last_finish[track] = max(last_finish.get(track, 0.0), finish)
 
 
-@pytest.mark.parametrize("flow_control", ["rnr", "credit"])
+@pytest.mark.parametrize("transport", ["rc", "ud"])
 @pytest.mark.parametrize("cq_moderation", [False, True])
 class TestControlPlaneZeroFootprint:
     """The adaptive control plane joins the zero-footprint matrix: span
     tracing cannot change verdicts, final values or the metric snapshot
-    under any flow-control × CQ-moderation × sparse-wire setting."""
+    under any transport × CQ-moderation × sparse-wire setting."""
 
     @pytest.mark.parametrize("clock_wire", ["delta", "truncated"])
-    def test_tracing_never_changes_the_run(
-        self, flow_control, cq_moderation, clock_wire
-    ):
+    def test_tracing_never_changes_the_run(self, transport, cq_moderation, clock_wire):
         def build(trace_spans):
             workload = RPCEchoWorkload(
                 num_clients=2,
                 requests_per_client=2,
                 racy_buffer_reuse=True,
                 config=RuntimeConfig(
+                    transport=transport,
                     clock_transport="piggyback",
                     clock_wire=clock_wire,
-                    flow_control=flow_control,
                     cq_moderation=cq_moderation,
                     trace_spans=trace_spans,
                 ),
@@ -203,15 +201,3 @@ class TestControlPlaneZeroFootprint:
             traced.runtime.sim.obs.spans.to_chrome_trace()
         ) == []
         assert plain.runtime.sim.obs.spans.events() == []
-
-    def test_default_mode_snapshot_untouched_by_knob_instruments(
-        self, flow_control, cq_moderation
-    ):
-        """Lazy instruments: a default-mode run's metric snapshot carries no
-        credit instruments, whatever this leg's knobs would add."""
-        del flow_control, cq_moderation  # the default run ignores the leg
-        workload = RPCEchoWorkload(
-            num_clients=2, requests_per_client=2, racy_buffer_reuse=True
-        )
-        snapshot = workload.run(seed=0).run.metrics
-        assert not any("credit" in key for key in snapshot)

@@ -51,8 +51,6 @@ RUNTIME_OTHER_FIELDS = {
     "verbs_cq_capacity": "docs/verbs.md",
     "verbs_max_send_wr": "docs/verbs.md",
     "verbs_max_recv_wr": "docs/verbs.md",
-    "verbs_rnr_backoff": "src/repro/workloads/rpc_echo.py",
-    "verbs_rnr_retry_limit": "docs/verbs.md",
 }
 CAMPAIGN_OTHER_FIELDS = {
     "strategy", "budget", "seed", "workers", "reorder_probability",
@@ -74,7 +72,6 @@ INVALID = {
     "clock_wire": "zip",
     "cq_moderation": "maybe",
     "detector_epochs": "auto",
-    "flow_control": "nak",
     "transport": "uc",
 }
 
@@ -85,7 +82,6 @@ WRONG_TYPE = {
     "clock_wire": 8,
     "cq_moderation": 1,
     "detector_epochs": True,
-    "flow_control": ["rnr"],
     "transport": 0,
 }
 
@@ -257,7 +253,7 @@ class TestConfigOwnership:
         runtime = DSMRuntime(cfg)
         for name, value in [
             ("clock_transport", "piggyback"),
-            ("flow_control", "credit"),
+            ("clock_wire", "delta"),
             ("detector_epochs", "off"),
         ]:
             runtime.set_knob(name, value)

@@ -58,11 +58,6 @@ class TestConstruction:
             ("ud_max_retransmits", -1),
             ("ud_max_retransmits", "x"),
             ("ud_max_retransmits", True),
-            ("verbs_rnr_backoff", -1.0),
-            ("verbs_rnr_backoff", float("nan")),
-            ("verbs_rnr_backoff", float("inf")),
-            ("verbs_rnr_retry_limit", -3),
-            ("verbs_rnr_retry_limit", 1.5),
             ("verbs_max_send_wr", 0),
             ("verbs_max_recv_wr", 0),
             ("verbs_cq_capacity", 2.5),

@@ -86,7 +86,6 @@ def test_throttled_send_blocks_too():
             world_size=2,
             seed=0,
             verbs_max_send_wr=DEPTH,
-            verbs_rnr_backoff=0.25,
         )
     )
     runtime.declare_array("inbox", POSTS, owner=1, initial=None)

@@ -26,7 +26,6 @@ def build_shared_channel_server(seed: int) -> DSMRuntime:
             world_size=NUM_CLIENTS + 1,
             seed=seed,
             latency="uniform",
-            verbs_rnr_backoff=0.25,
         )
     )
     total = NUM_CLIENTS * REQUESTS_PER_CLIENT

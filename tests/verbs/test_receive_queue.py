@@ -33,9 +33,9 @@ class TestReceiveQueue:
         with pytest.raises(RecvQueueEmpty):
             queue.match(source=0)
 
-    def test_recv_queue_empty_is_the_nic_rnr_condition(self):
-        # The sending NIC catches ReceiverNotReady; the verbs-level exception
-        # must be a subclass or the RNR protocol would never trigger.
+    def test_recv_queue_empty_is_the_nic_receiver_not_ready_condition(self):
+        # The net layer names the condition without importing the verbs
+        # package; the verbs-level exception must be its subclass.
         assert issubclass(RecvQueueEmpty, ReceiverNotReady)
 
     def test_bounded_posting(self):

@@ -1,4 +1,4 @@
-"""Two-sided SEND/RECV semantics: matching, SRQ, scatter/gather, RNR, errors."""
+"""Two-sided SEND/RECV semantics: matching, SRQ, scatter/gather, admission, errors."""
 
 import pytest
 
@@ -173,15 +173,13 @@ class TestSharedReceiveQueueEndToEnd:
             context.create_srq()
 
 
-class TestRnrBehaviour:
-    def test_finite_retry_budget_fails_with_rnr_status(self):
-        runtime = make_runtime(verbs_rnr_retry_limit=2, verbs_rnr_backoff=0.5)
+class TestReceiverNotReady:
+    def test_a_receiver_that_never_posts_parks_the_sender(self):
+        runtime = make_runtime()
         runtime.declare_array("inbox", 1, owner=1, initial=0)
 
         def sender(api):
-            request = api.isend(1, 5, symbol="inbox")
-            (completion,) = yield from api.wait(request, raise_on_error=False)
-            api.private.write("status", completion.status.value)
+            yield from api.wait(api.isend(1, 5, symbol="inbox"))
 
         def receiver(api):
             yield from api.compute(50.0)  # never posts a receive
@@ -189,27 +187,17 @@ class TestRnrBehaviour:
         runtime.set_program(0, sender)
         runtime.set_program(1, receiver)
         result = runtime.run()
-        assert result.per_rank_private[0]["status"] == "rnr-retry-exceeded"
-        assert result.final_shared_values["inbox"] == [0]  # nothing landed
+        # The SEND stalls at home on its credit: nothing crossed the wire,
+        # nothing landed, and the run ends naming who is left waiting on what.
+        assert result.blocked == (
+            ("rank-0", "cq-P0:wait"),
+            ("qp-P0->P1", "credit-wait:op-P0-0"),
+        )
+        assert result.final_shared_values["inbox"] == [0]
+        assert runtime.recorder.operations("send") == []
 
-    def test_rnr_failure_raises_completion_error_when_waited_strictly(self):
-        runtime = make_runtime(verbs_rnr_retry_limit=0)
-        runtime.declare_array("inbox", 1, owner=1, initial=0)
-
-        def sender(api):
-            request = api.isend(1, 5)
-            with pytest.raises(CompletionError, match="receiver not ready"):
-                yield from api.wait(request)
-
-        def receiver(api):
-            yield from api.compute(50.0)
-
-        runtime.set_program(0, sender)
-        runtime.set_program(1, receiver)
-        runtime.run()
-
-    def test_infinite_retry_waits_for_a_late_receive(self):
-        runtime = make_runtime(verbs_rnr_backoff=0.5)  # default: retry forever
+    def test_a_late_receive_releases_the_stalled_sender(self):
+        runtime = make_runtime()
         runtime.declare_array("inbox", 1, owner=1, initial=0)
 
         def sender(api):
@@ -225,10 +213,11 @@ class TestRnrBehaviour:
         runtime.set_program(0, sender)
         runtime.set_program(1, receiver)
         result = runtime.run()
+        assert result.blocked == ()
         assert result.per_rank_private[1]["value"] == (5,)
         assert result.per_rank_private[0]["done_at"] >= 7.0
-        send_op = runtime.recorder.operations("send")[0]
-        assert send_op.data_messages > 1, "retransmissions must be charged as messages"
+        (send_op,) = runtime.recorder.operations("send")
+        assert send_op.data_messages == 1, "a stalled SEND is transmitted once"
 
 
 class TestLengthError:

@@ -6,13 +6,15 @@ Every consistency-relevant runtime knob is declared ONCE, in
 value requires).  From that registry this script derives the campaign
 invocations CI runs:
 
-* a deterministic greedy **pairwise covering array** — every value of every
-  knob meets every value of every other knob in at least one row, at a
-  fraction of the full cartesian product's cost;
 * **full-cartesian islands** for the knob pairs with known interaction
   risk (:data:`HIGH_RISK_PAIRS`) — e.g. the UD service level must repair
   *every* clock wire format, not just the one a covering row happened to
-  pair it with — with all other knobs pinned to their defaults.
+  pair it with — with the other high-risk knobs pinned to their defaults;
+* a deterministic greedy **pairwise covering array** built on top of the
+  islands — every value of every knob meets every value of every other
+  knob in at least one row, at a fraction of the full cartesian product's
+  cost.  The knobs no high-risk pair names are chosen greedily inside the
+  island rows too, so the islands do most of the covering.
 
 The generated block lives between the ``ci-matrix:begin`` / ``ci-matrix:end``
 markers inside ``.github/workflows/ci.yml``.  CI regenerates it and fails on
@@ -77,20 +79,30 @@ def all_pairs(knobs: Sequence[Knob]) -> set:
     return pairs
 
 
-def covering_rows(knobs: Optional[Sequence[Knob]] = None) -> List[Dict[str, str]]:
+def covering_rows(
+    knobs: Optional[Sequence[Knob]] = None,
+    pinned: Sequence[Dict[str, str]] = (),
+) -> List[Dict[str, str]]:
     """Greedy deterministic pairwise covering array (AETG-style).
 
-    Rows are built knob by knob in registry order, each value chosen to
-    cover the most still-uncovered pairs against the values already placed
-    in the row (ties broken by registry value order, so the output is a
-    pure function of the registry).
+    One row per *pinned* cell comes first: the cell's values are kept and
+    the knobs it leaves open are chosen like any other row's.  Rows follow
+    until every pair is covered.  Each open knob is filled in registry
+    order, choosing the value that covers the most still-uncovered pairs
+    against the values already placed in the row (ties broken by registry
+    value order, so the output is a pure function of the registry).
     """
     knobs = KNOBS if knobs is None else knobs
+    index = {knob.name: i for i, knob in enumerate(knobs)}
+    cells = [{index[name]: value for name, value in cell.items()} for cell in pinned]
     uncovered = all_pairs(knobs)
     rows: List[Dict[str, str]] = []
-    while uncovered:
-        row: Dict[int, str] = {}
+    while cells or uncovered:
+        fixed = cells.pop(0) if cells else {}
+        row: Dict[int, str] = dict(fixed)
         for i, knob in enumerate(knobs):
+            if i in row:
+                continue
             best_value, best_gain = knob.matrix_values[0], -1
             for value in knob.matrix_values:
                 gain = sum(
@@ -114,7 +126,7 @@ def covering_rows(knobs: Optional[Sequence[Knob]] = None) -> List[Dict[str, str]
             for j in row
             if i < j
         }
-        if not (newly & uncovered):  # pragma: no cover - greedy always gains
+        if not fixed and not (newly & uncovered):  # pragma: no cover - greedy always gains
             break
         uncovered -= newly
         rows.append({knobs[i].name: row[i] for i in sorted(row)})
@@ -122,32 +134,36 @@ def covering_rows(knobs: Optional[Sequence[Knob]] = None) -> List[Dict[str, str]
 
 
 def island_rows(knobs: Optional[Sequence[Knob]] = None) -> List[Dict[str, str]]:
-    """Full cartesian product for each high-risk pair, defaults elsewhere."""
+    """Full cartesian product for each high-risk pair, as pinned cells.
+
+    A cell sets its pair and pins every other knob some high-risk pair
+    names to its default; the knobs no high-risk pair names stay open.
+    Duplicates are removed in order.
+    """
     knobs = KNOBS if knobs is None else knobs
     by_name = {knob.name: knob for knob in knobs}
+    risky = [
+        knob.name
+        for knob in knobs
+        if any(knob.name in pair for pair in HIGH_RISK_PAIRS)
+    ]
     rows: List[Dict[str, str]] = []
     for a_name, b_name in HIGH_RISK_PAIRS:
         a, b = by_name[a_name], by_name[b_name]
         for va in a.matrix_values:
             for vb in b.matrix_values:
-                row = {knob.name: knob.matrix_values[0] for knob in knobs}
+                row = {name: by_name[name].matrix_values[0] for name in risky}
                 row[a.name] = va
                 row[b.name] = vb
-                rows.append(row)
+                if row not in rows:
+                    rows.append(row)
     return rows
 
 
 def matrix_rows(knobs: Optional[Sequence[Knob]] = None) -> List[Dict[str, str]]:
-    """Covering array first, then islands, duplicates removed in order."""
+    """The island rows, then covering rows for the pairs they leave."""
     knobs = KNOBS if knobs is None else knobs
-    seen = set()
-    rows = []
-    for row in covering_rows(knobs) + island_rows(knobs):
-        key = tuple(sorted(row.items()))
-        if key not in seen:
-            seen.add(key)
-            rows.append(row)
-    return rows
+    return covering_rows(knobs, pinned=island_rows(knobs))
 
 
 def row_command(row: Dict[str, str], knobs: Optional[Sequence[Knob]] = None) -> str:
@@ -175,12 +191,11 @@ def render_block(knobs: Optional[Sequence[Knob]] = None) -> List[str]:
     """The generated command lines (no indentation, no markers)."""
     knobs = KNOBS if knobs is None else knobs
     rows = matrix_rows(knobs)
-    pairwise = len(covering_rows(knobs))
+    islands = len(island_rows(knobs))
     lines = [
-        f"# {len(rows)} rows: {pairwise}-row pairwise covering array over "
-        f"{len(knobs)} knobs,",
-        "# then full-cartesian islands for the high-risk pairs "
-        "(duplicates pruned).",
+        f"# {len(rows)} rows over {len(knobs)} knobs: {islands} island rows "
+        "(full cartesian of the high-risk pairs),",
+        f"# then {len(rows) - islands} more until every pair of values has met.",
     ]
     lines.extend(row_command(row, knobs) for row in rows)
     return lines
@@ -240,8 +255,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             cartesian *= len(knob.matrix_values)
         print(f"knobs:            {len(KNOBS)}")
         print(f"full cartesian:   {cartesian} rows")
-        print(f"pairwise rows:    {len(covering_rows())}")
-        print(f"island rows:      {len(island_rows())} (pre-dedup)")
+        print(f"island rows:      {len(island_rows())}")
+        print(f"pairwise alone:   {len(covering_rows())} rows")
         print(f"generated rows:   {len(rows)}")
         covered = set()
         index = {knob.name: i for i, knob in enumerate(KNOBS)}
