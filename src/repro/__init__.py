@@ -34,7 +34,6 @@ from repro.core import (
     RaceReport,
     SignalPolicy,
     VectorClock,
-    WriteCheckMode,
     compare_clocks,
     concurrent,
     happens_before,
@@ -62,7 +61,6 @@ __all__ = [
     "RaceReport",
     "SignalPolicy",
     "VectorClock",
-    "WriteCheckMode",
     "compare_clocks",
     "concurrent",
     "happens_before",

@@ -26,11 +26,7 @@ from repro.core.comparator import (
     ordering,
 )
 from repro.core.races import RaceRecord, RaceReport, SignalPolicy, RaceConditionSignal
-from repro.core.detector import (
-    DetectorConfig,
-    DualClockRaceDetector,
-    WriteCheckMode,
-)
+from repro.core.detector import DetectorConfig, DualClockRaceDetector
 
 __all__ = [
     "VectorClock",
@@ -47,5 +43,4 @@ __all__ = [
     "RaceConditionSignal",
     "DetectorConfig",
     "DualClockRaceDetector",
-    "WriteCheckMode",
 ]

@@ -16,17 +16,17 @@ end of Section IV-B), the detector compares the event's clock with the
 datum's clock:
 
 * a **write** (``put``) is compared against the datum's access clock ``V(x)``
-  by default — a write races with *any* unordered earlier access;
+  — a write races with *any* unordered earlier access;
 * a **read** (``get``) is compared against the datum's write clock ``W(x)`` —
   a read races only with an unordered earlier *write*, so concurrent reads are
   never flagged (Figure 4, Section IV-D).
 
 If the two clocks are incomparable (Corollary 1) a :class:`RaceRecord` is
 emitted through the configured :class:`~repro.core.races.RaceReport`.  After
-the check the datum's clocks are merged with the event clock (Algorithm 5 /
-``max_clock``) and, for a ``get``, the origin process's clock merges the
-datum's clock (the data — and therefore its causal history — flowed back to
-the origin).
+the check the origin process's clock merges the datum's access clock ``V(x)``
+(a writer fetched it for the check; a reader's data — and therefore its
+causal history — flowed back with it) and the datum's clocks are merged with
+the event clock (Algorithm 5 / ``max_clock``).
 
 Clock-update conventions (calibrated against the clock values printed in
 Figures 4 and 5a–5c; see DESIGN.md "Interpretation notes"):
@@ -42,11 +42,13 @@ Figures 4 and 5a–5c; see DESIGN.md "Interpretation notes"):
 * servicing a ``get`` ticks nothing (Figure 5b shows ``P0`` merely merging
   ``010``); the reader learns the datum's access clock from the reply;
 * a process never races with its own immediately preceding access to the same
-  datum (program order plus FIFO delivery, ``same_origin_program_order``) —
-  this is what keeps Figure 2's put-then-get by P2 silent;
-* a writer does not otherwise learn the owner's new tick from its own put
-  (one-sided writes are fire-and-forget); the optional
-  ``origin_learns_datum_after_write`` knob models acknowledged puts instead.
+  datum (program order plus FIFO delivery) — this is what keeps Figure 2's
+  put-then-get by P2 silent;
+* a writer learns the datum clock it fetched for the check, but not the
+  owner's new tick: one-sided writes are fire-and-forget, and treating put
+  completion as a synchronization would hide Figure 5c's arrival race.  An
+  atomic's reply leaves the owner after the reception event, so its origin
+  learns that tick too.
 
 The paper's pseudo-code also admits a stricter comparison that we keep for
 ablations (benchmark E9): ``comparison = STRICT`` uses the literal Algorithm 3
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from time import perf_counter_ns as _perf_counter_ns
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -72,6 +75,14 @@ from repro.util.records import trusted_build
 from repro.util.validation import require_positive, require_rank
 
 _maximum = np.maximum
+_zeros = np.zeros
+_int64 = np.int64
+#: ``Epoch`` built in C: a NamedTuple's own ``__new__`` is a Python frame.
+_tuple_new = tuple.__new__
+
+#: Enum members the hot path compares against, read once (a module global is
+#: one dict probe; an ``AccessKind.WRITE`` attribute read costs ~15×).
+_WRITE_KIND, _READ_KIND, _RMW_KIND = AccessKind.WRITE, AccessKind.READ, AccessKind.RMW
 
 #: The three per-datum clocks a check can take as its reference.
 _ACCESS, _WRITE, _PLAIN = "V(x)", "W(x)", "plain"
@@ -109,28 +120,14 @@ def _merged_annotation(
     return None
 
 
-class WriteCheckMode(enum.Enum):
-    """Which per-datum clock a *write* is checked against.
-
-    ``ACCESS_CLOCK`` (default) — check against ``V(x)``: a write races with any
-    unordered earlier access, read or write.  This is the reading implied by
-    Section IV-A ("causally ordered with the latest write on this data" for
-    reads, and symmetric protection for writes).
-
-    ``WRITE_CLOCK`` — check against ``W(x)`` only, the literal text of
-    Algorithm 1: unordered write/read pairs where the read came first are then
-    missed; kept for the fidelity ablation.
-    """
-
-    ACCESS_CLOCK = "access-clock"
-    WRITE_CLOCK = "write-clock"
-
-
 class ComparisonMode(enum.Enum):
     """Which clock comparison implements ``compare_clocks``."""
 
     MATTERN = "mattern"   # component-wise <= with at least one <  (Lemma 1)
     STRICT = "strict"     # component-wise <  in every entry       (Algorithm 3, literal)
+
+
+_MATTERN = ComparisonMode.MATTERN
 
 
 @dataclass
@@ -143,8 +140,6 @@ class DetectorConfig:
         When false, no checks are performed and no clocks or clock traffic are
         maintained — modelling a production run with detection off (used by
         the overhead benchmark E11 as the baseline).
-    write_check:
-        See :class:`WriteCheckMode`.
     comparison:
         See :class:`ComparisonMode`.
     write_effect_ticks_owner:
@@ -155,24 +150,6 @@ class DetectorConfig:
         after ``m1(100)``).  Default on; turning it off reduces detection to
         pure issuing-side happens-before, which misses the arrival-order race
         of Figure 5c (ablation benchmark).
-    same_origin_program_order:
-        Consecutive accesses by the *same* process to the same datum are
-        ordered by program order plus the FIFO delivery of the fabric, so a
-        process can never race with its own immediately preceding access
-        (e.g. Figure 2's put-then-get by P2).  Default on; the check is only
-        skipped when the last conflicting access was by the same origin.
-    origin_learns_on_get:
-        Merge the datum's clock into the reading process's clock (data flowed
-        back, so causality follows the data).  Default on.
-    origin_learns_on_put_check:
-        Merge the clock fetched for the pre-write check into the writer's
-        clock.  Default on (the writer did observe that clock value).
-    origin_learns_datum_after_write:
-        Additionally merge the datum clock *including the owner's new tick*
-        into the writer's clock when the put completes.  Default off
-        (paper-faithful); turning it on treats put completion as a
-        synchronization, which silences reports on repeated unsynchronized
-        puts from one origin but misses Figure 5c.
     treat_rmw_pairs_as_ordered:
         One-sided atomics (``fetch_add``, ``compare_and_swap``) are serviced
         atomically by the target NIC, so two RMW operations on the same cell
@@ -204,13 +181,8 @@ class DetectorConfig:
     """
 
     enabled: bool = True
-    write_check: WriteCheckMode = WriteCheckMode.ACCESS_CLOCK
     comparison: ComparisonMode = ComparisonMode.MATTERN
     write_effect_ticks_owner: bool = True
-    same_origin_program_order: bool = True
-    origin_learns_on_get: bool = True
-    origin_learns_on_put_check: bool = True
-    origin_learns_datum_after_write: bool = False
     treat_rmw_pairs_as_ordered: bool = False
     control_messages_per_check: int = 2
     epochs: bool = True
@@ -229,7 +201,7 @@ class DetectorConfig:
         strict comparison equality is *not* an ordering, exactly as the
         paper's Algorithm 3 would compute.
         """
-        if self.comparison is ComparisonMode.MATTERN:
+        if self.comparison is _MATTERN:
             return first.concurrent_with(second)
         return not self.compare(first, second) and not self.compare(second, first)
 
@@ -248,7 +220,7 @@ class DetectorConfig:
         dominated by the datum clock), which is why
         :meth:`clocks_unordered` is stated symmetrically in the paper.
         """
-        if self.comparison is ComparisonMode.MATTERN:
+        if self.comparison is _MATTERN:
             # Equal or strictly before: one ``reference <= event`` pass.
             return not event.dominates(reference)
         return not self.compare(reference, event)
@@ -283,15 +255,18 @@ _UNINSTRUMENTED = AccessCheckResult(None, (), (), None)
 _DETAIL = {
     mode: f"compare_clocks failed both ways ({mode.value})" for mode in ComparisonMode
 }
+#: ``_signal`` picks between these by identity: an Enum hashes in Python.
+_MATTERN_DETAIL, _STRICT_DETAIL = _DETAIL[_MATTERN], _DETAIL[ComparisonMode.STRICT]
 
-#: What is fixed per kind of access: ``(kind, profiler bucket, advances W(x)
-#: too, counts as a plain — non-atomic — access)``.
-_WRITE_ACCESS = (AccessKind.WRITE, "write", True, True)
-_READ_ACCESS = (AccessKind.READ, "read", False, True)
-_RMW_ACCESS = (AccessKind.RMW, "rmw", True, False)
+#: What is fixed per kind of access: ``(kind, profiler bucket of a live and of
+#: a carried check, advances W(x) too, counts as a plain — non-atomic —
+#: access)``.
+_WRITE_ACCESS = (_WRITE_KIND, ("write", "live"), ("write", "carried"), True, True)
+_READ_ACCESS = (_READ_KIND, ("read", "live"), ("read", "carried"), False, True)
+_RMW_ACCESS = (_RMW_KIND, ("rmw", "live"), ("rmw", "carried"), True, False)
 
 #: ``(rank, kind, live, origin component)`` of an access that never happened.
-_UNTOUCHED = (None, AccessKind.WRITE, True, 0)
+_UNTOUCHED = (None, _WRITE_KIND, True, 0)
 
 
 class _DatumState:
@@ -303,11 +278,11 @@ class _DatumState:
     clock ticked at the access — blocking operations) or *carried* (the NIC
     engine acted from a post-time snapshot the message physically carried —
     posted one-sided work and two-sided scatter writes), plus the
-    origin-component of its event clock.  The refined
-    ``same_origin_program_order`` guard needs both: program order only orders
-    same-origin pairs whose issue-to-effect paths are themselves ordered
-    (live/live, carried/carried on one queue pair, or live-then-post where
-    the snapshot proves the post came after the blocking access returned) —
+    origin-component of its event clock.  The program-order guard needs
+    both: program order only orders same-origin pairs whose issue-to-effect
+    paths are themselves ordered (live/live, carried/carried on one queue
+    pair, or live-then-post where the snapshot proves the post came after
+    the blocking access returned) —
     a posted-but-unwaited operation and a later live access by the same rank
     are NOT ordered, which is exactly the async blind spot the
     clock-transport refactor closes.
@@ -366,9 +341,6 @@ class DualClockRaceDetector:
         # runtime binds the simulator-wide one (bind_observability).
         self._profiler = DetectionProfiler()
         self._spans = None
-        # The event clock of the latest acknowledged live put, as it was
-        # before the acknowledgement's join (see :meth:`_result`).
-        self._acknowledged_event: Optional[Tuple[int, ...]] = None
 
     def bind_observability(self, obs: object) -> None:
         """Route hot-path profiling and race instants into a shared bundle."""
@@ -472,8 +444,7 @@ class DualClockRaceDetector:
         """Clock covering only the non-RMW accesses to *address* (lazy)."""
         clock = self._plain_clocks.get(address)
         if clock is None:
-            clock = VectorClock.zeros(self._world_size)
-            self._plain_clocks[address] = clock
+            clock = self._plain_clocks[address] = _adopt(_zeros(self._world_size, _int64))
         return clock
 
     def _note_plain_access(
@@ -560,17 +531,13 @@ class DualClockRaceDetector:
         event iff no carried clock", the pre-existing behaviour.
         """
         self._validate_access(origin, address, carried_clock)
-        config = self.config
-        if not config.enabled:
+        if not self.config.enabled:
             return _UNINSTRUMENTED
         race = self._check(
-            AccessKind.WRITE, origin, address, cell, symbol, time, operation,
+            _WRITE_KIND, origin, address, cell, symbol, time, operation,
             carried_clock, wire_clock_bytes, owner_event,
         )
-        return self._result(
-            race, origin, cell, carried_clock, wire_clock_bytes,
-            config.origin_learns_datum_after_write,
-        )
+        return self._result(race, origin, cell, carried_clock, wire_clock_bytes)
 
     def on_read(
         self,
@@ -606,7 +573,7 @@ class DualClockRaceDetector:
         if not self.config.enabled:
             return _UNINSTRUMENTED
         race = self._check(
-            AccessKind.READ, origin, address, cell, symbol, time, operation,
+            _READ_KIND, origin, address, cell, symbol, time, operation,
             carried_clock, wire_clock_bytes,
         )
         return self._result(race, origin, cell, carried_clock, wire_clock_bytes)
@@ -645,7 +612,7 @@ class DualClockRaceDetector:
         if not self.config.enabled:
             return _UNINSTRUMENTED
         race = self._check(
-            AccessKind.RMW, origin, address, cell, symbol, time, operation,
+            _RMW_KIND, origin, address, cell, symbol, time, operation,
             carried_clock, wire_clock_bytes,
         )
         return self._result(race, origin, cell, carried_clock, wire_clock_bytes)
@@ -667,51 +634,33 @@ class DualClockRaceDetector:
     ) -> Optional[RaceRecord]:
         """Check one access of *kind*; returns the race, if any.
 
-        Resolves what differs per kind from the (live) configuration and runs
-        the kernel.  The entry points come through here and then build their
-        result record; ``TraceReplayer.replay`` comes through here and builds
-        none.  The caller has validated the access (:meth:`_validate_access`)
-        and checked that detection is enabled.  *owner_event* is
+        Resolves what differs per kind — the reference clock and whether the
+        effect is an owner event — and runs the kernel.  The entry points
+        come through here and then build their result record;
+        ``TraceReplayer.replay`` comes through here and builds none.  The
+        caller has validated the access (:meth:`_validate_access`) and
+        checked that detection is enabled.  *owner_event* is
         :meth:`on_write`'s and is ignored for the other kinds.
         """
-        config = self.config
-        if kind is AccessKind.WRITE:
-            reference = (
-                _ACCESS if config.write_check is WriteCheckMode.ACCESS_CLOCK else _WRITE
-            )
+        if kind is _WRITE_KIND:
             return self._instrument(
                 _WRITE_ACCESS, origin, address, cell, symbol, time, operation,
                 carried_clock, wire_clock_bytes,
-                reference,
-                # The writer fetched the datum clock for the check; it now knows it.
-                reference if config.origin_learns_on_put_check else None,
+                _ACCESS,
                 carried_clock is None if owner_event is None else owner_event,
-                False,
-                config.origin_learns_datum_after_write,
             )
-        learns_on_get = config.origin_learns_on_get
-        if kind is AccessKind.READ:
+        if kind is _READ_KIND:
             return self._instrument(
                 _READ_ACCESS, origin, address, cell, symbol, time, operation,
                 carried_clock, wire_clock_bytes,
                 _WRITE,
-                # The data (and its causal history) flows back to the reader.
-                _ACCESS if learns_on_get else None,
                 carried_clock is not None,
-                False,
-                False,
             )
         return self._instrument(
             _RMW_ACCESS, origin, address, cell, symbol, time, operation,
             carried_clock, wire_clock_bytes,
-            _PLAIN if config.treat_rmw_pairs_as_ordered else _ACCESS,
-            # The old value flows back in the ATOMIC_REPLY, and with it the
-            # datum's causal history (same rule as a get) ...
-            _ACCESS if learns_on_get else None,
+            _PLAIN if self.config.treat_rmw_pairs_as_ordered else _ACCESS,
             True,
-            # ... and the reply leaves the owner after the reception event.
-            learns_on_get,
-            False,
         )
 
     def _result(
@@ -721,20 +670,15 @@ class DualClockRaceDetector:
         cell: MemoryCell,
         carried_clock: Optional[VectorClock],
         wire_clock_bytes: Optional[int],
-        acknowledged: bool = False,
     ) -> AccessCheckResult:
         """The record of the check just made, built from the state it left.
 
-        The event clock is the carried snapshot, or the origin's live clock —
-        which the kernel leaves as the check reported it, except after an
-        *acknowledged* put (``origin_learns_datum_after_write``), whose
-        pre-acknowledgement snapshot the kernel kept aside.  The datum
-        clocks and their access epoch are the cell's, as merged.
+        The event clock is the carried snapshot, or the origin's live clock
+        as the kernel left it.  The datum clocks and their access epoch are
+        the cell's, as merged.
         """
         if carried_clock is not None:
             event = tuple(carried_clock._entries.tolist())
-        elif acknowledged:
-            event = self._acknowledged_event
         else:
             event = tuple(self._process_clocks[origin]._entries.tolist())
         messages = self.config.control_messages_per_check
@@ -754,7 +698,7 @@ class DualClockRaceDetector:
 
     def _instrument(
         self,
-        access_kind: Tuple[AccessKind, str, bool, bool],
+        access_kind: Tuple[AccessKind, Tuple[str, str], Tuple[str, str], bool, bool],
         origin: int,
         address: GlobalAddress,
         cell: MemoryCell,
@@ -764,26 +708,20 @@ class DualClockRaceDetector:
         carried_clock: Optional[VectorClock],
         wire_clock_bytes: Optional[int],
         reference_slot: str,
-        learns: Optional[str],
         owner_event: bool,
-        reply_follows_owner_event: bool,
-        acknowledged: bool,
     ) -> Optional[RaceRecord]:
         """The check kernel behind :meth:`on_write`, :meth:`on_read`, :meth:`on_rmw`.
 
         What differs per kind arrives resolved: *reference_slot* names the
         datum clock the event is compared against (its "previous access"
-        fields and epoch go with it); *learns* the datum clock a live origin
-        absorbs with the check's reply (``None``: nothing);
-        *owner_event* whether the effect at the owner's memory is an event
-        of the owning process; *reply_follows_owner_event* whether a live
-        origin absorbs ``V(x)`` once more after that event (an atomic's
-        reply); *acknowledged* whether it does so when the operation
-        completes, outside the reported event clock (an acknowledged put).
-        *access_kind* (one of the three module constants) carries what the
-        kind itself fixes — which datum clocks advance: every access joins
-        ``V(x)``, writes and RMWs ``W(x)`` too, reads and writes the plain
-        clock.
+        fields and epoch go with it); *owner_event* whether the effect at the
+        owner's memory is an event of the owning process.  *access_kind*
+        (one of the three module constants) carries what the kind itself
+        fixes — its profile buckets and which datum clocks advance: every
+        access joins ``V(x)``, writes and RMWs ``W(x)`` too, reads and writes
+        the plain clock.  A live origin absorbs ``V(x)`` with the check's
+        reply, and an atomic's origin once more after the owner event its
+        reply follows.
 
         The kernel works on the ``int64`` rows directly — ranks were
         validated on entry and every array here was built by ``core`` — and
@@ -801,8 +739,7 @@ class DualClockRaceDetector:
         component recorded for the reference's last access witnesses a
         non-zero clock without a reduction.  When the last conflicting
         access was made by the same process AND the pair is ordered by an
-        issue-to-effect path, the check is skipped
-        (``same_origin_program_order``):
+        issue-to-effect path, the check is skipped (program order):
 
         * live → live: program order — the process issued both and the first
           completed before the second was issued;
@@ -828,23 +765,24 @@ class DualClockRaceDetector:
         compare.
         """
         config = self.config
-        profile_started = self._profiler.start()
-        kind, check_type, writes, is_plain = access_kind
+        profiler = self._profiler
+        started = _perf_counter_ns() if profiler.wall_clock else None
+        kind, live_bucket, carried_bucket, writes, is_plain = access_kind
         plain = is_plain and config.treat_rmw_pairs_as_ordered
         # Epoch annotations presume Mattern semantics (equality is ordered,
         # and the O(1) probe is exact for ``<=``); the STRICT ablation always
         # runs the full-vector path.
-        epochs = config.epochs and config.comparison is ComparisonMode.MATTERN
+        epochs = config.epochs and config.comparison is _MATTERN
 
         state = cell.detector_state
         if state is None:
             state = cell.detector_state = _DatumState()
         access_clock = cell.access_clock
         if access_clock is None:
-            access_clock = cell.access_clock = VectorClock.zeros(self._world_size)
+            access_clock = cell.access_clock = _adopt(_zeros(self._world_size, _int64))
         write_clock = cell.write_clock
         if write_clock is None:
-            write_clock = cell.write_clock = VectorClock.zeros(self._world_size)
+            write_clock = cell.write_clock = _adopt(_zeros(self._world_size, _int64))
         access = access_clock._entries
         write = write_clock._entries
 
@@ -868,7 +806,7 @@ class DualClockRaceDetector:
             reference_clock, reference_epoch = write_clock, pre_write_epoch
             # Whatever advanced W(x) — an RMW included — is reported as a write.
             previous_rank, _, previous_live, previous_component = state.last_write
-            previous_kind = AccessKind.WRITE
+            previous_kind = _WRITE_KIND
         else:
             reference_clock = self._plain_clock(address)
             reference_epoch = state.plain_epoch if epochs else None
@@ -892,7 +830,6 @@ class DualClockRaceDetector:
             covered = True
         elif not (
             previous_rank == origin
-            and config.same_origin_program_order
             and (
                 (live or component > previous_component)
                 if previous_live
@@ -923,48 +860,19 @@ class DualClockRaceDetector:
                 )
 
         joins = 0
-        if not live:
-            # The origin is not there to learn; it synchronizes at retirement.
-            learns = None
-        elif learns is not None:
-            _maximum(event, access if learns is _ACCESS else write, out=event)
-            joins = 1
-
-        # Epoch annotations of the merged datum clocks, decided before the
-        # merges.  A datum clock is covered by the event when the origin just
-        # absorbed it, when it was the reference of a check that said so, or
-        # by an O(1) probe of its annotation; W(x) <= V(x) always (every
-        # write also advanced V), so access coverage implies write coverage.
-        # No witness: the annotation drops — the read-share promotion to a
-        # full vector.
         event_epoch: Optional[Epoch] = None
-        access_covered = write_covered = False
-        new_access_epoch: Optional[Epoch] = None
-        new_write_epoch: Optional[Epoch] = None
-        if epochs:
-            if live:
-                # A freshly ticked (and possibly datum-enriched) live event
-                # clock IS the origin's principal at its current tick.
-                event_epoch = Epoch(origin, component)
-            if learns is _ACCESS:
-                access_covered = True
-            elif reference_slot is _ACCESS and covered is not None:
-                access_covered = covered
-            else:
-                access_covered = _covers(event, pre_access_epoch)
-            new_access_epoch = _merged_annotation(
-                pre_access_epoch, access_covered, event_epoch, access
-            )
-            if writes:
-                if access_covered or learns is _WRITE:
-                    write_covered = True
-                elif reference_slot is _WRITE and covered is not None:
-                    write_covered = covered
-                else:
-                    write_covered = _covers(event, pre_write_epoch)
-                new_write_epoch = _merged_annotation(
-                    pre_write_epoch, write_covered, event_epoch, write
-                )
+        if live:
+            # The check's reply carries V(x) back: a writer fetched it for the
+            # check, a reader's data (and its causal history) flows back.
+            _maximum(event, access, out=event)
+            joins = 1
+            if epochs:
+                # The event now covers V(x) ⊇ W(x), so both merged datum
+                # clocks equal it, and a freshly ticked, datum-enriched live
+                # event clock IS the origin's principal at its current tick.
+                event_epoch = _tuple_new(Epoch, (origin, component))
+        # A carried event learns nothing, so the merge below is a genuine
+        # join with no O(1) witness: the annotation drops (None).
 
         # Algorithm 5 (update_clock / update_clock_W): merge the event clock
         # into the per-datum clocks.  When the arrival is an owner event
@@ -975,17 +883,16 @@ class DualClockRaceDetector:
         owner_ticks = (
             owner_event and owner != origin and config.write_effect_ticks_owner
         )
+        joins += 2 if writes else 1
         if not owner_ticks:
             _maximum(access, event, out=access)
             if writes:
                 _maximum(write, event, out=write)
-        joins += 2 if writes else 1
-        if epochs:
-            state.access_epoch = new_access_epoch
-            if writes:
-                state.write_epoch = new_write_epoch
-
-        if owner_ticks:
+            if epochs:
+                state.access_epoch = event_epoch
+                if writes:
+                    state.write_epoch = event_epoch
+        else:
             # The arrival at the owner's memory is an event of the owning
             # process (this is how the paper's Figure 5 space-time diagrams
             # advance the target's clock on reception of a put): the owner
@@ -1002,40 +909,50 @@ class DualClockRaceDetector:
             if writes:
                 _maximum(write, owner_view, out=write)
                 joins += 1
-            owner_epoch = Epoch(owner, owner_component) if epochs else None
+            owner_epoch = _tuple_new(Epoch, (owner, owner_component)) if epochs else None
             if plain:
                 self._note_plain_access(address, state, owner_view, owner_epoch, epochs)
                 joins += 1
             if epochs:
                 # The owner view dominates the event clock, so the datum
-                # clocks now hold exactly ``owner_view`` whenever the
-                # pre-tick content was covered — by the event (covered
-                # flags) or by the owner view itself (O(1) probe of the
-                # post-event annotation).  This is the demotion back to an
+                # clocks now hold exactly ``owner_view`` whenever their
+                # pre-tick content was covered by the event: always for a
+                # live event (it absorbed V(x) ⊇ W(x)); for a carried one
+                # when the check said so, or by an O(1) probe of the
+                # standing annotation.  This is the demotion back to an
                 # epoch after a read-share.
-                state.access_epoch = (
-                    owner_epoch
-                    if access_covered or _covers(owner_view, new_access_epoch)
-                    else None
-                )
-                if writes:
-                    state.write_epoch = (
-                        owner_epoch
-                        if write_covered or _covers(owner_view, new_write_epoch)
-                        else None
-                    )
-            if reply_follows_owner_event and live:
+                if live:
+                    state.access_epoch = owner_epoch
+                    if writes:
+                        state.write_epoch = owner_epoch
+                else:
+                    if reference_slot is _ACCESS and covered is not None:
+                        access_covered = covered
+                    else:
+                        access_covered = (
+                            pre_access_epoch is not None
+                            and event.item(pre_access_epoch[0]) >= pre_access_epoch[1]
+                        )
+                    state.access_epoch = owner_epoch if access_covered else None
+                    if writes:
+                        if access_covered:
+                            write_covered = True
+                        elif reference_slot is _WRITE and covered is not None:
+                            write_covered = covered
+                        else:
+                            write_covered = (
+                                pre_write_epoch is not None
+                                and event.item(pre_write_epoch[0]) >= pre_write_epoch[1]
+                            )
+                        state.write_epoch = owner_epoch if write_covered else None
+            if kind is _RMW_KIND and live:
+                # The atomic's reply leaves the owner after the reception
+                # event, and carries V(x) back with it.
                 _maximum(event, access, out=event)
                 joins += 1
 
         if plain:
             self._note_plain_access(address, state, event, event_epoch, epochs)
-            joins += 1
-        if acknowledged and live:
-            # The one join after the reported event clock: :meth:`_result`
-            # reports the clock as it was before it.
-            self._acknowledged_event = tuple(event.tolist())
-            _maximum(event, access, out=event)
             joins += 1
 
         last = (origin, kind, live, component)
@@ -1057,9 +974,13 @@ class DualClockRaceDetector:
         # (``RunResult.clock_transport_stats``), so the two figures never
         # contradict each other for the same run.
         self._checks_performed += 1
-        self._profiler.record(
-            check_type, live, profile_started, compares, joins, epoch_hits
-        )
+        bucket = profiler._buckets[live_bucket if live else carried_bucket]
+        bucket.checks += 1
+        bucket.compares += compares
+        bucket.joins += joins
+        bucket.epoch_hits += epoch_hits
+        if started is not None:
+            bucket.wall_ns += _perf_counter_ns() - started
         messages = config.control_messages_per_check
         clock_bytes = messages * (
             wire_clock_bytes
@@ -1095,7 +1016,7 @@ class DualClockRaceDetector:
             time,
             symbol,
             operation,
-            _DETAIL[self.config.comparison],
+            _MATTERN_DETAIL if self.config.comparison is _MATTERN else _STRICT_DETAIL,
         )
         self.report.signal(record)
         if self._spans is not None:

