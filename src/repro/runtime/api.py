@@ -59,7 +59,7 @@ from repro.sim.engine import Simulator
 from repro.util.validation import require_non_negative
 from repro.verbs.context import VerbsContext
 from repro.verbs.memory_registration import RemoteAccessError
-from repro.verbs.receive_queue import ReceiveWorkRequest, SharedReceiveQueue
+from repro.verbs.receive_queue import ReceiveWorkRequest
 from repro.verbs.work import (
     CompletionError,
     CompletionStatus,
@@ -394,16 +394,12 @@ class ProcessAPI:
     ) -> ReceiveWorkRequest:
         """Post a receive buffer to this rank's shared receive queue.
 
-        Requires :meth:`create_srq` first.  SRQ buffers are consumed, in
-        posting order, by sends from *any* peer — the server-side pattern
-        that sizes buffering for aggregate load.
+        The SRQ is declared at build (``DSMRuntime.declare_srq``).  SRQ
+        buffers are consumed, in posting order, by sends from *any* peer —
+        the server-side pattern that sizes buffering for aggregate load.
         """
         addresses = self._resolve_local_scatter(symbol, indices, index)
         return self.verbs.post_srq_recv(addresses, symbol=symbol)
-
-    def create_srq(self, max_wr: Optional[int] = None) -> SharedReceiveQueue:
-        """Create this rank's shared receive queue (before any traffic arrives)."""
-        return self.verbs.create_srq(max_wr=max_wr)
 
     def arm_srq_limit(self, threshold: int) -> None:
         """Arm the SRQ low-watermark event (fires once below *threshold*)."""

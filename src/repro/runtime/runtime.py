@@ -42,6 +42,7 @@ from repro.util.validation import (
     require_type,
 )
 from repro.verbs.context import VerbsContext
+from repro.verbs.receive_queue import SharedReceiveQueue
 
 
 @dataclass
@@ -460,6 +461,29 @@ class DSMRuntime:
             for index in range(length):
                 self._initial_values[self.directory.resolve(name, index)] = initial
         return symbol
+
+    def declare_srq(self, rank: int, max_wr: Optional[int] = None) -> SharedReceiveQueue:
+        """Declare *rank*'s shared receive queue (an ``ibv_srq``).
+
+        Every queue pair of the rank drains its receives from it from
+        creation, as ``ibv_create_qp`` names the SRQ in its init attributes;
+        so it is declared before the run, while the rank has no queue pair.
+        *max_wr* defaults to ``verbs_max_recv_wr``.
+        """
+        if not (0 <= rank < self.config.world_size):
+            raise ValueError(f"rank {rank} outside world of size {self.config.world_size}")
+        context = self.verbs_contexts[rank]
+        if context.srq is not None:
+            raise RuntimeError(f"rank {rank} already has a shared receive queue")
+        if self._ran or context.queue_pairs:
+            raise RuntimeError(
+                f"declare_srq({rank}) must come before run() and before the "
+                f"rank's first queue pair"
+            )
+        context.srq = SharedReceiveQueue(
+            rank, max_wr=self.config.verbs_max_recv_wr if max_wr is None else max_wr
+        )
+        return context.srq
 
     # -- program registration ------------------------------------------------------------
 

@@ -21,6 +21,7 @@ classic arm/poll race window.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.obs.observability import Observability
@@ -54,7 +55,10 @@ class CompletionQueue:
         self._armed: List[Event] = []
         self._total_pushed = 0
         self._events = 0
-        self._channel: Optional["EventChannel"] = None
+        #: The attached channel, held weakly: the channel holds its CQs, and
+        #: a strong reference back would leave every run that uses one to
+        #: the cyclic collector.
+        self._channel: Optional["weakref.ref[EventChannel]"] = None
         self._notify_armed = False
 
     # -- producer side (queue pairs) -----------------------------------------------
@@ -98,16 +102,17 @@ class CompletionQueue:
         A CQ belongs to at most one channel for its lifetime, as in verbs
         (``ibv_create_cq`` takes the channel at creation).
         """
-        if self._channel is not None and self._channel is not channel:
+        attached = self.channel
+        if attached is not None and attached is not channel:
             raise ValueError(
-                f"{self.name} is already attached to channel {self._channel.name}"
+                f"{self.name} is already attached to channel {attached.name}"
             )
-        self._channel = channel
+        self._channel = weakref.ref(channel)
 
     @property
     def channel(self) -> Optional["EventChannel"]:
         """The event channel this CQ notifies, if any."""
-        return self._channel
+        return None if self._channel is None else self._channel()
 
     def arm(self) -> None:
         """Request one notification on the attached channel (``ibv_req_notify_cq``).
@@ -117,15 +122,17 @@ class CompletionQueue:
         that already holds unretired completions notifies immediately — the
         guard against the lost-wakeup race between polling and arming.
         """
-        if self._channel is None:
+        if self.channel is None:
             raise RuntimeError(f"{self.name} is not attached to an event channel")
         self._notify_armed = True
         self._maybe_notify()
 
     def _maybe_notify(self) -> None:
-        if self._notify_armed and self._channel is not None and self._ready:
-            self._notify_armed = False
-            self._channel._notify(self)
+        if self._notify_armed and self._ready:
+            channel = self.channel
+            if channel is not None:
+                self._notify_armed = False
+                channel._notify(self)
 
     # -- consumer side --------------------------------------------------------------
 

@@ -1,19 +1,20 @@
 """Per-rank verbs context: registration, queue pairs and completion handling.
 
 Real-verbs analogue: ``ibv_context`` plus its protection domain
-(``ibv_alloc_pd``), and the per-device factories ``ibv_create_srq`` /
-``ibv_create_comp_channel``.
+(``ibv_alloc_pd``), and the per-device factory ``ibv_create_comp_channel``.
 
 :class:`VerbsContext` is the per-rank root object of the verbs layer.  It
 owns the rank's :class:`~repro.verbs.memory_registration.MemoryRegistry`,
 creates one :class:`~repro.verbs.queue_pair.QueuePair` per peer on demand
 (all feeding a single default *send* completion queue, with two-sided receive
 completions landing on a separate *receive* CQ), optionally owns one
-:class:`~repro.verbs.receive_queue.SharedReceiveQueue` that queue pairs
-created after it drain from, and offers the bookkeeping the runtime API
-builds on: post helpers for every opcode — including two-sided
-``post_send`` / ``post_recv`` / ``post_srq_recv`` — and ``wait``/``wait_all``
-generators that retire completions and match them back to work requests.
+:class:`~repro.verbs.receive_queue.SharedReceiveQueue` that every one of its
+queue pairs drains from (declared at build with ``DSMRuntime.declare_srq``,
+as ``ibv_create_qp`` names its SRQ at creation), and offers the bookkeeping
+the runtime API builds on: post helpers for every opcode — including two-sided
+``post_send`` / ``post_recv`` / ``post_srq_recv`` — and
+``wait``/``wait_all`` generators that retire completions and match them back
+to work requests.
 
 The context helpers consume the default completion queues; programs that
 poll a CQ directly (or drive it through an event channel) should not mix the
@@ -73,17 +74,16 @@ class VerbsContext:
             sim, capacity=cq_capacity, name=f"recv-cq-P{self.rank}"
         )
         self._wr_ids = IdAllocator(f"wr-P{self.rank}")
-        self._queue_pairs: Dict[int, QueuePair] = {}
+        #: peer -> queue pair, created on first use.
+        self.queue_pairs: Dict[int, QueuePair] = {}
         #: rank -> weak reference, for the reason ``NIC._peers`` gives; the
         #: runtime's ``verbs_contexts`` list keeps the contexts alive.
         self._peers: Dict[int, "weakref.ref[VerbsContext]"] = {
             self.rank: weakref.ref(self)
         }
-        self._srq: Optional[SharedReceiveQueue] = None
-        #: SRQ low-watermark limit events (``IBV_EVENT_SRQ_LIMIT_REACHED``
-        #: analogue), as ``(time, depth_at_firing)`` pairs, in firing order.
-        self.srq_limit_events: List[tuple] = []
-        self._srq_limit_pending = 0
+        #: This rank's shared receive queue, set by ``DSMRuntime.declare_srq``
+        #: before any queue pair exists; every queue pair drains from it.
+        self.srq: Optional[SharedReceiveQueue] = None
         #: Receiver-side asynchronous errors, as ``(time, detail)`` pairs —
         #: the ``ibv_async_event`` channel in miniature (currently: receive
         #: CQ overflows, which lose the completion but not the payload).
@@ -109,57 +109,28 @@ class VerbsContext:
         return self._peers[rank]()
 
     def queue_pair(self, peer: int) -> QueuePair:
-        """Return (creating lazily) the queue pair to *peer*.
-
-        Queue pairs created after :meth:`create_srq` attach their receive
-        side to the SRQ (the verbs rule: the SRQ is named at QP creation);
-        earlier ones keep their private receive queues.
-        """
-        if peer not in self._queue_pairs:
+        """Return (creating lazily) the queue pair to *peer*."""
+        if peer not in self.queue_pairs:
             if peer != self.rank and peer not in self._peers:
                 raise KeyError(f"rank {peer} has no registered verbs context")
-            self._queue_pairs[peer] = QueuePair(self, peer, recv_queue=self._srq)
-        return self._queue_pairs[peer]
+            self.queue_pairs[peer] = QueuePair(self, peer)
+        return self.queue_pairs[peer]
 
     # -- two-sided receive side -------------------------------------------------------
 
-    def create_srq(self, max_wr: Optional[int] = None) -> SharedReceiveQueue:
-        """Create this rank's shared receive queue (``ibv_create_srq``).
-
-        Every queue pair created *afterwards* drains its receives from the
-        SRQ; at most one SRQ per context (call it before any traffic, as a
-        server would).
-        """
-        if self._srq is not None:
-            raise RuntimeError(f"rank {self.rank} already has a shared receive queue")
-        self._srq = SharedReceiveQueue(
-            self.rank,
-            max_wr=self.nic.config.verbs_max_recv_wr if max_wr is None else max_wr,
-        )
-        self._srq.set_limit_listener(self._on_srq_limit)
-        return self._srq
-
-    @property
-    def srq(self) -> Optional[SharedReceiveQueue]:
-        """This rank's shared receive queue, if one was created."""
-        return self._srq
+    def _declared_srq(self) -> SharedReceiveQueue:
+        if self.srq is None:
+            raise RuntimeError(f"rank {self.rank} declared no shared receive queue")
+        return self.srq
 
     # -- SRQ limit events (IBV_EVENT_SRQ_LIMIT_REACHED analogue) -----------------------
-
-    def _on_srq_limit(self, depth: int) -> None:
-        self.srq_limit_events.append((self.sim.now, depth))
-        self._srq_limit_pending += 1
 
     def arm_srq_limit(self, threshold: int) -> None:
         """Arm the SRQ's low-watermark event (``ibv_modify_srq`` with
         ``IBV_SRQ_LIMIT``): one event fires when the posted-buffer count
         drops below *threshold*, then the limit disarms until re-armed.
         """
-        if self._srq is None:
-            raise RuntimeError(
-                f"rank {self.rank} has no shared receive queue; call create_srq first"
-            )
-        self._srq.arm_limit(threshold)
+        self._declared_srq().arm_limit(threshold)
 
     def take_srq_limit_event(self) -> bool:
         """Consume one pending SRQ limit event, if any fired since last taken.
@@ -168,10 +139,7 @@ class VerbsContext:
         from its completion handler and replenishes receives in bulk when it
         returns true.
         """
-        if self._srq_limit_pending:
-            self._srq_limit_pending -= 1
-            return True
-        return False
+        return self._declared_srq().take_limit_event()
 
     def receive_queue_from(self, source: int) -> ReceiveQueue:
         """The queue incoming SENDs from *source* consume posted buffers from."""
@@ -182,8 +150,8 @@ class VerbsContext:
 
         Created (and wired to the queue's posts) on the queue's first SEND,
         so a run without two-sided traffic allocates none.  A queue pair
-        draining from the SRQ shares the SRQ's gate with every attached
-        peer — the credit pool aggregates exactly like the buffer pool it
+        draining from the SRQ shares the SRQ's gate with every other peer
+        — the credit pool aggregates exactly like the buffer pool it
         mirrors.
         """
         return credit_gate_for(self.receive_queue_from(source), self.sim)
@@ -235,11 +203,7 @@ class VerbsContext:
         symbol: Optional[str] = None,
     ) -> ReceiveWorkRequest:
         """Post a receive buffer to the SRQ (``ibv_post_srq_recv``)."""
-        if self._srq is None:
-            raise RuntimeError(
-                f"rank {self.rank} has no shared receive queue; call create_srq first"
-            )
-        return self._srq.post(self._make_recv_wr(addresses, symbol))
+        return self._declared_srq().post(self._make_recv_wr(addresses, symbol))
 
     # The context's per-operation instruments, each bound on first use as the
     # lock table's are: no label-sorting registry lookup per post, delivery
@@ -719,6 +683,6 @@ class VerbsContext:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<VerbsContext P{self.rank} qps={len(self._queue_pairs)} "
+            f"<VerbsContext P{self.rank} qps={len(self.queue_pairs)} "
             f"outstanding={len(self._outstanding)}>"
         )

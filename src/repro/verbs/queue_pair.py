@@ -10,10 +10,10 @@ process executes the queued requests *in order* against the existing
 simulated fabric (locks, latency, detection, tracing all apply unchanged)
 and delivers a completion to the associated completion queue after each one.
 
-Each queue pair also has a *receive side*: either a private
-:class:`~repro.verbs.receive_queue.ReceiveQueue` or an attached
-:class:`~repro.verbs.receive_queue.SharedReceiveQueue`, from which incoming
-two-sided SENDs from this QP's peer consume posted buffers (FIFO matching).
+Each queue pair also has a *receive side*, from which incoming two-sided
+SENDs from this QP's peer consume posted buffers (FIFO matching): the rank's
+:class:`~repro.verbs.receive_queue.SharedReceiveQueue` when it declared one,
+else a private :class:`~repro.verbs.receive_queue.ReceiveQueue`.
 
 Two properties matter for the workloads built on top:
 
@@ -70,12 +70,7 @@ class SendQueueFull(RuntimeError):
 class QueuePair:
     """One rank-pair's send queue plus the NIC process that drains it."""
 
-    def __init__(
-        self,
-        context: "VerbsContext",
-        peer: int,
-        recv_queue: Optional[ReceiveQueue] = None,
-    ) -> None:
+    def __init__(self, context: "VerbsContext", peer: int) -> None:
         # Held weakly: the context owns its queue pairs, and a strong
         # reference back would leave every finished run to the cyclic
         # collector.
@@ -85,21 +80,16 @@ class QueuePair:
         self.origin = context.rank
         self.peer = peer
         self.max_send_wr = context.nic.config.verbs_max_send_wr
-        #: Where incoming SENDs *from the peer* consume posted buffers: a
-        #: private receive queue, or the context's SRQ when one was created
-        #: before this queue pair (the verbs rule: the SRQ is named at QP
-        #: creation and the pairing is permanent).
-        self.recv_queue: ReceiveQueue = (
-            recv_queue
-            if recv_queue is not None
-            else ReceiveQueue(
+        #: Where incoming SENDs *from the peer* consume posted buffers: the
+        #: context's SRQ (declared before any queue pair exists), else a
+        #: private receive queue.
+        self.recv_queue: ReceiveQueue = context.srq
+        if self.recv_queue is None:
+            self.recv_queue = ReceiveQueue(
                 context.rank,
                 max_wr=context.nic.config.verbs_max_recv_wr,
                 name=f"rq-P{context.rank}<-P{peer}",
             )
-        )
-        if isinstance(self.recv_queue, SharedReceiveQueue):
-            self.recv_queue.attach(peer)
         self._pending: Deque[WorkRequest] = deque()
         self._in_service: Optional[WorkRequest] = None
         self._draining = False

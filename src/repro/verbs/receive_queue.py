@@ -1,7 +1,7 @@
 """Posted receive buffers: per-QP receive queues and shared receive queues.
 
 Real-verbs analogue: ``ibv_post_recv``, ``ibv_recv_wr`` and ``ibv_srq`` /
-``ibv_create_srq`` / ``ibv_post_srq_recv``.
+``ibv_post_srq_recv``.
 
 The two-sided half of the verbs model inverts the one-sided contract: the
 *receiver* decides where incoming data lands by posting
@@ -17,21 +17,22 @@ Two flavours:
 * :class:`ReceiveQueue` — one queue pair's private receive queue: only sends
   from that QP's peer consume from it;
 * :class:`SharedReceiveQueue` — the ``ibv_srq`` analogue: one pool of posted
-  buffers that *every* attached queue pair drains from, so a server sizes its
-  buffering for aggregate load instead of per-client worst case.  Per-source
-  match counters record which peers actually consumed buffers.  An SRQ also
-  carries the low-watermark *limit* event of real hardware
-  (``IBV_EVENT_SRQ_LIMIT_REACHED`` via ``ibv_modify_srq``/``IBV_SRQ_LIMIT``):
-  arm a threshold and one asynchronous event fires when the pool drops below
-  it — the hook servers use to replenish receives in bulk instead of one per
-  completion.
+  buffers that *every* queue pair of its rank drains from, so a server sizes
+  its buffering for aggregate load instead of per-client worst case.  It is
+  declared at build (``DSMRuntime.declare_srq``), before any queue pair
+  exists.  Per-source match counters record which peers actually consumed
+  buffers.  An SRQ also carries the low-watermark *limit* event of real
+  hardware (``IBV_EVENT_SRQ_LIMIT_REACHED`` via
+  ``ibv_modify_srq``/``IBV_SRQ_LIMIT``): arm a threshold and one asynchronous
+  event fires when the pool drops below it — the hook servers use to
+  replenish receives in bulk instead of one per completion.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, Optional, Tuple
 
 from repro.memory.address import GlobalAddress
 from repro.net.nic import ReceiverNotReady
@@ -173,30 +174,21 @@ class ReceiveQueue:
 
 
 class SharedReceiveQueue(ReceiveQueue):
-    """An ``ibv_srq``: one receive pool drained by every attached queue pair.
+    """An ``ibv_srq``: one receive pool drained by every queue pair of its rank.
 
     Mechanically identical to a :class:`ReceiveQueue` — FIFO consumption,
-    bounded posting, an error on empty — but shared: the verbs layer points each
-    attached queue pair's receive side at this object, so sends from *any*
-    attached peer consume from the common pool in arrival order.
+    bounded posting, an error on empty — but shared: each queue pair of the
+    rank takes this object as its receive side when it is created, so sends
+    from *any* peer consume from the common pool in arrival order.
     """
 
     def __init__(self, rank: int, max_wr: int = 128, name: Optional[str] = None) -> None:
         super().__init__(rank, max_wr=max_wr, name=name or f"srq-P{rank}")
-        self._attached: Set[int] = set()
         self._limit = 0
-        self._limit_listener = None
-        #: Low-watermark events fired over this SRQ's lifetime.
+        #: Low-watermark events fired over this SRQ's lifetime, and those
+        #: not yet taken by :meth:`take_limit_event`.
         self.limit_events_fired = 0
-
-    def attach(self, peer: int) -> None:
-        """Record that the queue pair facing *peer* drains from this SRQ."""
-        self._attached.add(peer)
-
-    @property
-    def attached_peers(self) -> Tuple[int, ...]:
-        """Ranks whose queue pairs share this SRQ, in sorted order."""
-        return tuple(sorted(self._attached))
+        self.limit_events_pending = 0
 
     # -- limit events (IBV_EVENT_SRQ_LIMIT_REACHED) -----------------------------------
 
@@ -204,10 +196,6 @@ class SharedReceiveQueue(ReceiveQueue):
     def limit(self) -> int:
         """The armed low watermark (0 when disarmed)."""
         return self._limit
-
-    def set_limit_listener(self, listener) -> None:
-        """Install the callback fired (with the depth) when the limit trips."""
-        self._limit_listener = listener
 
     def arm_limit(self, threshold: int) -> None:
         """Arm a one-shot low-watermark event at *threshold* posted buffers.
@@ -224,11 +212,17 @@ class SharedReceiveQueue(ReceiveQueue):
             )
         self._limit = threshold
 
+    def take_limit_event(self) -> bool:
+        """Consume one pending limit event, if any fired since last taken."""
+        if self.limit_events_pending:
+            self.limit_events_pending -= 1
+            return True
+        return False
+
     def match(self, source: int) -> ReceiveWorkRequest:
         request = super().match(source)
         if self._limit and len(self._pending) < self._limit:
             self._limit = 0
             self.limit_events_fired += 1
-            if self._limit_listener is not None:
-                self._limit_listener(len(self._pending))
+            self.limit_events_pending += 1
         return request

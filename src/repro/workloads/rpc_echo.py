@@ -111,10 +111,10 @@ class RPCEchoWorkload(WorkloadScenario):
             runtime.declare_array(
                 f"reply{rank}", self.payload_cells, owner=rank, initial=0
             )
+        runtime.declare_srq(0)
         workload = self
 
         def server(api):
-            api.create_srq()
             for slot in range(slots):
                 api.post_srq_recv(
                     "rpc_slots",

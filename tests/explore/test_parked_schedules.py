@@ -1,31 +1,28 @@
-"""A schedule that parks a rank ends, and its run names who waits on what.
+"""A schedule parks a rank only when its program does, and its run says who.
 
-ROADMAP item 1b's reproducer: the racy RPC echo under a hot fuzz.  A tie
-shuffle runs client 1's first request SEND before the server has created its
-shared receive queue, so the server's queue pair facing rank 1 gets a private
-receive queue that nobody ever posts to.  The SEND parks on that queue's
-credit gate, the client waits on its completion queue and the server on its
-event channel.  The run returns, and ``RunResult.blocked`` names the three.
+The RPC echoes, racy and race-free, finish under every hot fuzz: the server's
+shared receive queue is declared at build, so each of its queue pairs drains
+from it from creation, and no tie shuffle can run a client's request SEND
+into a private receive queue that nobody posts to.  Fuzz seeds 3, 11, 16, 28
+and 29 are pinned: they parked both echoes when the server created its SRQ
+from inside its program.  Tier-1 runs the property at Hypothesis' default
+example count; the nightly job runs this file with
+``--hypothesis-profile=nightly``.
 
-Whatever the schedule, the report names exactly the processes still alive
-when the calendar ran dry, each with the event it waits on: across every
-corpus pattern under a hot fuzz, and for a rank stuck at a barrier or on a
-receive nobody sends to.
+A run that does park ends, and ``RunResult.blocked`` names exactly the
+processes still alive when the calendar ran dry, each with the event it waits
+on: across every corpus pattern under a hot fuzz, and for a rank stuck at a
+barrier or on a receive nobody sends to.
 """
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.explore.controller import ScheduleController
 from repro.explore.fuzzer import ScheduleFuzzer
 from repro.runtime.runtime import DSMRuntime, RuntimeConfig
 from repro.workloads import RPCEchoWorkload, pattern_corpus
 from repro.workloads.racy_patterns import rmw_pattern_corpus
-
-PARKED = {
-    ("qp-P1->P0", "credit-wait:op-P1-0"),
-    ("rank-0", "comp-channel-P0:wait"),
-    ("rank-1", "cq-P1:wait"),
-}
 
 
 def _hot(runtime, fuzz_seed):
@@ -35,23 +32,26 @@ def _hot(runtime, fuzz_seed):
     return runtime
 
 
-def _run(fuzz_seed):
-    return _hot(RPCEchoWorkload(racy_buffer_reuse=True).build(0), fuzz_seed).run()
-
-
 def _assert_report_names_the_living(runtime, result):
     alive = [process.name for process in runtime.sim.processes if process.is_alive]
     assert [name for name, _ in result.blocked] == alive
     assert all(event is not None for _, event in result.blocked)
 
 
-@pytest.mark.parametrize("fuzz_seed", [3, 11, 16])
-def test_a_parked_send_is_named_when_the_run_ends(fuzz_seed):
-    assert set(_run(fuzz_seed).blocked) == PARKED
-
-
-def test_a_schedule_that_finishes_reports_nobody():
-    assert _run(0).blocked == ()
+@given(fuzz_seed=st.integers(min_value=0, max_value=2**32 - 1), racy=st.booleans())
+@example(fuzz_seed=3, racy=False)
+@example(fuzz_seed=3, racy=True)
+@example(fuzz_seed=11, racy=False)
+@example(fuzz_seed=11, racy=True)
+@example(fuzz_seed=16, racy=False)
+@example(fuzz_seed=16, racy=True)
+@example(fuzz_seed=28, racy=False)
+@example(fuzz_seed=28, racy=True)
+@example(fuzz_seed=29, racy=False)
+@example(fuzz_seed=29, racy=True)
+def test_an_rpc_echo_finishes_under_a_hot_fuzz(fuzz_seed, racy):
+    runtime = _hot(RPCEchoWorkload(racy_buffer_reuse=racy).build(0), fuzz_seed)
+    assert runtime.run().blocked == ()
 
 
 @pytest.mark.parametrize(

@@ -198,6 +198,22 @@ class TestCreditGateAccounting:
             gate.release()
 
 
+def never_posting_runtime(seed):
+    """A SEND to a receiver that never posts: the sender parks for good."""
+    runtime = DSMRuntime(RuntimeConfig(world_size=2, seed=seed, latency="constant"))
+    runtime.declare_array("inbox", 1, owner=1, initial=0)
+
+    def sender(api):
+        yield from api.wait(api.isend(1, 5, symbol="inbox"))
+
+    def receiver(api):
+        yield from api.compute(50.0)
+
+    runtime.set_program(0, sender)
+    runtime.set_program(1, receiver)
+    return runtime
+
+
 TWO_SIDED = {
     "saturating": lambda seed: saturating_runtime(),
     "saturating-racy": racy_saturating_factory,
@@ -205,6 +221,7 @@ TWO_SIDED = {
     "send-recv-stencil": SendRecvStencilWorkload(4, iterations=3).build,
     "rpc-echo": RPCEchoWorkload().build,
     "rpc-echo-racy": RPCEchoWorkload(racy_buffer_reuse=True).build,
+    "never-posts": never_posting_runtime,
 }
 
 
@@ -227,7 +244,9 @@ class TestTheClaim:
         runtime.set_knob("transport", transport)
         runtime.sim.obs.configure(trace_spans=True)
         if fuzz_seed is not None:
-            # Fuzz seed 3 also parks both RPC echoes (ROADMAP item 1b).
+            # Fuzz seed 3 runs a SEND of the stencil and of both RPC echoes
+            # ahead of its receiver's post, which none of them does
+            # uncontrolled: their stall frames are entered and later granted.
             runtime.sim.install_controller(ScheduleController(ScheduleFuzzer(
                 seed=fuzz_seed, reorder_probability=0.8, tie_shuffle_probability=0.6
             )))
@@ -245,6 +264,8 @@ class TestTheClaim:
         )
         assert len(entered) == len(set(entered)), "one stall frame per SEND"
         assert len(entered) == len(spans) + len(parked)
+        # One program parks on purpose, so the identity's last term is live.
+        assert bool(parked) == (program == "never-posts")
         assert len(entered) <= stalls
         assert bool(entered) == bool(stalls), "an uncontended SEND never stalls"
 
@@ -315,13 +336,13 @@ class TestSrqSharedGate:
         runtime.declare_array(
             "inbox", 8, policy=PlacementPolicy.OWNER, owner=2, initial=0
         )
+        runtime.declare_srq(2)
 
         def sender(api):
             request = api.isend(2, 10 + api.rank, symbol="inbox")
             yield from api.wait(request)
 
         def server(api):
-            api.create_srq()
             for slot in range(2):
                 api.post_srq_recv("inbox", index=slot)
             done = 0

@@ -442,6 +442,8 @@ class TestExhaustion:
         )
         runtime.config.ud_max_retransmits = 2
         runtime.declare_array("inbox", 1, owner=receiver, initial=0)
+        if senders > 1:
+            runtime.declare_srq(receiver)
 
         def sender(api):
             yield from api.compute(float(api.rank))  # rank 0's SEND goes first
@@ -453,7 +455,6 @@ class TestExhaustion:
 
         def server(api):
             if senders > 1:
-                api.create_srq()
                 api.post_srq_recv("inbox")
             else:
                 api.irecv(0, "inbox")

@@ -30,7 +30,12 @@ from repro.net.message import MessageKind
 from repro.net.nic import NIC_COUNTER_FIELDS
 from repro.net.topology import Topology
 from repro.obs.metrics import MetricsRegistry, family_keys
-from repro.workloads import RandomAccessWorkload, SendRecvStencilWorkload, pattern_corpus
+from repro.workloads import (
+    RandomAccessWorkload,
+    RPCEchoWorkload,
+    SendRecvStencilWorkload,
+    pattern_corpus,
+)
 from repro.workloads.racy_patterns import rmw_pattern_corpus
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_metric_keys.json")
@@ -225,6 +230,10 @@ FINISHED_RUNS = {
     **{pattern.name: pattern.build for pattern in pattern_corpus() + rmw_pattern_corpus()},
     "send-recv-stencil": _stencil(3).build,
     "random-access": RandomAccessWorkload(world_size=4, operations_per_rank=20).build,
+    # An SRQ and an event channel: the CQ holds its channel weakly.
+    "rpc-echo": RPCEchoWorkload().build,
+    "rpc-echo-racy": RPCEchoWorkload(racy_buffer_reuse=True).build,
+    "rpc-echo-bulk": RPCEchoWorkload(srq_replenish="bulk").build,
 }
 
 

@@ -31,9 +31,9 @@ def build_shared_channel_server(seed: int) -> DSMRuntime:
     total = NUM_CLIENTS * REQUESTS_PER_CLIENT
     slots = NUM_CLIENTS + 1
     runtime.declare_array("slots", slots, owner=0, initial=0)
+    runtime.declare_srq(0)
 
     def server(api):
-        api.create_srq()
         for slot in range(slots):
             api.post_srq_recv("slots", indices=[slot])
         channel = api.verbs.create_event_channel()

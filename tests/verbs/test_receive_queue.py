@@ -70,10 +70,3 @@ class TestSharedReceiveQueue:
         assert srq.match(source=2) is first
         assert srq.match(source=1) is second
         assert srq.matched_by == {1: 1, 2: 1}
-
-    def test_attachment_bookkeeping(self):
-        srq = SharedReceiveQueue(rank=0)
-        srq.attach(3)
-        srq.attach(1)
-        srq.attach(3)
-        assert srq.attached_peers == (1, 3)

@@ -129,9 +129,9 @@ class TestSharedReceiveQueueEndToEnd:
     def test_sends_from_several_peers_drain_one_srq(self):
         runtime = make_runtime(world_size=3, latency="uniform")
         runtime.declare_array("slots", 2, owner=0, initial=0)
+        runtime.declare_srq(0)
 
         def server(api):
-            api.create_srq()
             api.post_srq_recv("slots", index=0)
             api.post_srq_recv("slots", index=1)
             completions = yield from api.wait_recv(2)
@@ -151,9 +151,9 @@ class TestSharedReceiveQueueEndToEnd:
     def test_post_recv_rejected_on_srq_backed_queue_pair(self):
         runtime = make_runtime()
         runtime.declare_array("slots", 1, owner=1, initial=0)
+        runtime.declare_srq(1)
 
         def receiver(api):
-            api.create_srq()
             with pytest.raises(ValueError, match="post_srq_recv"):
                 api.irecv(0, "slots", index=0)
             yield from api.compute(0.0)
@@ -167,10 +167,44 @@ class TestSharedReceiveQueueEndToEnd:
 
     def test_one_srq_per_context(self):
         runtime = make_runtime()
-        context = runtime.verbs_contexts[0]
-        context.create_srq()
+        runtime.declare_srq(0)
         with pytest.raises(RuntimeError, match="already has"):
-            context.create_srq()
+            runtime.declare_srq(0)
+
+    def test_every_queue_pair_of_a_declared_rank_drains_the_srq(self):
+        runtime = make_runtime(world_size=3)
+        srq = runtime.declare_srq(0, max_wr=4)
+        context = runtime.verbs_contexts[0]
+        assert srq is context.srq and srq.max_wr == 4
+        assert all(context.queue_pair(peer).recv_queue is srq for peer in range(3))
+        other = runtime.verbs_contexts[1]
+        assert not other.queue_pair(0).uses_srq
+
+    def test_declare_srq_validates_at_build(self):
+        runtime = make_runtime()
+        with pytest.raises(ValueError, match="outside world"):
+            runtime.declare_srq(2)
+        runtime.verbs_contexts[1].queue_pair(0)
+        with pytest.raises(RuntimeError, match="first queue pair"):
+            runtime.declare_srq(1)
+
+        def idle(api):
+            yield from api.compute(0.0)
+
+        runtime.set_spmd_program(idle)
+        runtime.run()
+        with pytest.raises(RuntimeError, match="before run"):
+            runtime.declare_srq(0)
+
+    def test_srq_verbs_on_a_rank_without_one_are_rejected(self):
+        context = make_runtime().verbs_contexts[0]
+        for call in (
+            lambda: context.post_srq_recv([]),
+            lambda: context.arm_srq_limit(1),
+            context.take_srq_limit_event,
+        ):
+            with pytest.raises(RuntimeError, match="declared no shared receive queue"):
+                call()
 
 
 class TestReceiverNotReady:
@@ -420,9 +454,9 @@ class TestMatchingHappensBefore:
         # permission point, so no race despite the clients never syncing.
         runtime = make_runtime(world_size=3, latency="uniform")
         runtime.declare_array("slot", 1, owner=0, initial=0)
+        runtime.declare_srq(0)
 
         def server(api):
-            api.create_srq()
             api.post_srq_recv("slot", index=0)
             (first,) = yield from api.wait_recv(1)
             api.verbs.post_srq_recv(first.addresses, symbol="slot")

@@ -15,8 +15,6 @@ from repro.workloads.rpc_echo import RPCEchoWorkload
 
 def test_limit_fires_once_below_threshold_then_disarms():
     srq = SharedReceiveQueue(0, max_wr=8)
-    fired = []
-    srq.set_limit_listener(fired.append)
 
     class _WR:
         def __init__(self, wr_id):
@@ -27,14 +25,19 @@ def test_limit_fires_once_below_threshold_then_disarms():
         srq._pending.append(_WR(wr_id))  # bypass address checks: unit scope
     srq.arm_limit(3)
     srq.match(1)  # depth 3: not strictly below the limit yet
-    assert fired == [] and srq.limit == 3
+    assert srq.limit_events_fired == 0 and srq.limit == 3
     srq.match(1)  # depth 2 < 3: fires and disarms
-    assert fired == [2] and srq.limit == 0 and srq.limit_events_fired == 1
+    assert srq.depth == 2 and srq.limit == 0
+    assert srq.limit_events_fired == srq.limit_events_pending == 1
     srq.match(1)  # disarmed: silent
-    assert fired == [2]
+    assert srq.limit_events_fired == 1
     srq.arm_limit(2)
     srq.match(1)  # depth 0 < 2: fires again after re-arm
-    assert fired == [2, 0] and srq.limit_events_fired == 2
+    assert srq.depth == 0 and srq.limit_events_fired == srq.limit_events_pending == 2
+    # Taking an event consumes one pending count; the fired count stays.
+    assert srq.take_limit_event() and srq.take_limit_event()
+    assert not srq.take_limit_event()
+    assert srq.limit_events_pending == 0 and srq.limit_events_fired == 2
 
 
 def test_arm_limit_validates_threshold():
@@ -59,7 +62,10 @@ def test_rpc_echo_bulk_replenish_end_to_end():
     # The limit tripped and drove at least one bulk repost burst.
     assert srq.limit_events_fired >= 1
     assert server_private["bulk_replenishes"] >= 1
-    assert runtime.verbs_contexts[0].srq_limit_events  # (time, depth) pairs
+    # Each replenish took one fired event; an untaken one stays pending.
+    assert srq.limit_events_fired == (
+        server_private["bulk_replenishes"] + srq.limit_events_pending
+    )
     assert server_private["served"] == workload.total_requests
 
 

@@ -42,7 +42,8 @@ class TestRPCEchoCorrect:
         assert srq is not None
         assert srq.matched == 6
         assert set(srq.matched_by) == {1, 2, 3}
-        assert srq.attached_peers == (1, 2, 3)
+        server = result.runtime.verbs_contexts[0]
+        assert all(server.queue_pair(peer).recv_queue is srq for peer in (1, 2, 3))
         # Every exchange really went over the wire as a SEND.
         assert result.run.trace_summary.sends == 12  # 6 requests + 6 echoes
 
