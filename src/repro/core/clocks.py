@@ -22,7 +22,10 @@ snapshot that may be older than that minimum.
 Clock entries are stored as NumPy ``int64`` arrays: merges (component-wise
 max, Algorithm 4) and comparisons are then single vectorized operations, which
 matters because the detector performs one merge and up to two comparisons per
-remote memory access.
+remote memory access.  An order test reduces its comparison mask by searching
+the mask's bytes (``b"\x01" in mask.tobytes()``: is any component true?), not
+with ``ndarray.all()`` / ``ndarray.any()``, which NumPy routes through a
+Python-level wrapper (``numpy/_core/_methods.py``) on every call.
 
 Validation boundary (docs/architecture.md): public constructors and methods
 validate every rank and foreign :data:`ClockLike`; arrays this module produced
@@ -74,6 +77,10 @@ class Epoch(NamedTuple):
 
 
 _new = object.__new__
+
+#: The bytes of a true and a false component in a comparison ufunc's boolean
+#: mask: ``_TRUE in mask.tobytes()`` is ``mask.any()`` without its Python frame.
+_TRUE, _FALSE = b"\x01", b"\x00"
 
 
 def _adopt(entries: np.ndarray) -> "VectorClock":
@@ -200,32 +207,35 @@ class VectorClock:
         return entries
 
     def dominates(self, other: ClockLike) -> bool:
-        """True when ``self >= other`` component-wise (reflexive)."""
-        return bool((self._entries >= self._coerce(other)).all())
+        """True when ``self >= other`` component-wise (reflexive): no entry is below."""
+        return _TRUE not in (self._entries < self._coerce(other)).tobytes()
 
     def happens_before(self, other: ClockLike) -> bool:
-        """Mattern's strict order: ``self <= other`` everywhere and ``!=`` somewhere."""
+        """Mattern's strict order: ``self <= other`` everywhere and ``!=`` somewhere.
+
+        No entry is above *other*'s and some entry is below it.
+        """
         other_entries = self._coerce(other)
-        return bool(
-            (self._entries <= other_entries).all()
-            and (self._entries < other_entries).any()
+        return (
+            _TRUE not in (self._entries > other_entries).tobytes()
+            and _TRUE in (self._entries < other_entries).tobytes()
         )
 
     def strictly_less(self, other: ClockLike) -> bool:
         """The paper's literal Algorithm 3: strictly less in *every* component."""
-        return bool((self._entries < self._coerce(other)).all())
+        return _FALSE not in (self._entries < self._coerce(other)).tobytes()
 
     def concurrent_with(self, other: ClockLike) -> bool:
         """True when neither clock happens-before the other and they differ.
 
-        One ``<=`` and one ``>=`` pass decide it: ``self <= other`` everywhere
-        covers "before" and "equal", ``self >= other`` everywhere "after" and
-        "equal"; failing both is exactly Mattern's incomparability.
+        One ``>`` and one ``<`` pass decide it: some entry above *other*'s
+        rules out "before" and "equal", some entry below it "after" and
+        "equal"; both at once is exactly Mattern's incomparability.
         """
         other_entries = self._coerce(other)
         return (
-            not (self._entries <= other_entries).all()
-            and not (self._entries >= other_entries).all()
+            _TRUE in (self._entries > other_entries).tobytes()
+            and _TRUE in (self._entries < other_entries).tobytes()
         )
 
     # -- dunder ---------------------------------------------------------------------

@@ -458,7 +458,7 @@ class DualClockRaceDetector:
         """Fold a plain access into the per-datum non-RMW clock (one join)."""
         plain = self._plain_clock(address)._entries
         if epochs:
-            covered = not plain.any() or _covers(event, state.plain_epoch)
+            covered = not any(plain.tolist()) or _covers(event, state.plain_epoch)
             state.plain_epoch = _merged_annotation(
                 state.plain_epoch, covered, event_epoch, plain
             )
@@ -826,7 +826,7 @@ class DualClockRaceDetector:
         # the plain clock only advances while its knob is on.
         if (
             previous_component == 0 or reference_slot is _PLAIN
-        ) and not reference.any():
+        ) and not any(reference.tolist()):
             covered = True
         elif not (
             previous_rank == origin

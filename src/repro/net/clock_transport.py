@@ -162,16 +162,21 @@ class ClockWireEncoder:
 
     def _full_frame(self, clock: Tuple[int, ...], tagged: bool) -> ClockWireFrame:
         return ClockWireFrame(
-            wire_format=self.wire_format,
-            full=True,
-            entries=tuple(clock),
-            wire_bytes=(WIRE_TAG_BYTES if tagged else 0)
-            + self.world_size * BYTES_PER_ENTRY,
+            self.wire_format,
+            True,
+            clock,
+            (WIRE_TAG_BYTES if tagged else 0) + self.world_size * BYTES_PER_ENTRY,
         )
 
     def encode(self, clock) -> ClockWireFrame:
-        """Encode one clock (any int sequence of length ``world_size``)."""
-        entries = tuple(int(value) for value in clock)
+        """Encode one clock (any int sequence of length ``world_size``).
+
+        The entries are normalised to a tuple of Python ints first, so a
+        list, a NumPy array or a tuple of NumPy integers all encode alike;
+        ``map(int, ...)`` enters no Python frame, so the transport's rider,
+        already frozen to Python ints, costs one C-level pass here.
+        """
+        entries = tuple(map(int, clock))
         if len(entries) != self.world_size:
             raise ValueError(
                 f"clock has {len(entries)} entries, channel covers "
@@ -198,10 +203,7 @@ class ClockWireEncoder:
             full_bytes = WIRE_TAG_BYTES + self.world_size * BYTES_PER_ENTRY
             if len(changed) <= MAX_SPARSE_ENTRIES and sparse_bytes < full_bytes:
                 return ClockWireFrame(
-                    wire_format=self.wire_format,
-                    full=False,
-                    entries=tuple(changed),
-                    wire_bytes=sparse_bytes,
+                    self.wire_format, False, tuple(changed), sparse_bytes
                 )
         # First contact, or the sparse frame would not pay.
         return self._full_frame(entries, tagged=True)
@@ -284,12 +286,36 @@ CLOCK_TRANSPORT_FIELDS = (
 #: The fields' counter names, in field order.
 _COUNTER_NAMES = tuple(f"clock_transport.{name}" for name in CLOCK_TRANSPORT_FIELDS)
 
+#: Each field's index into ``ClockTransportStats._counters``.  Every write
+#: in the package increments ``stats._counters[INDEX].value`` in place (the
+#: transport here, the UD datagram path in :mod:`repro.net.nic`); the views
+#: are the read API and enter a Python frame per access.
+ROUND_TRIPS = CLOCK_TRANSPORT_FIELDS.index("round_trips")
+PIGGYBACKED_MESSAGES = CLOCK_TRANSPORT_FIELDS.index("piggybacked_messages")
+PIGGYBACKED_BYTES = CLOCK_TRANSPORT_FIELDS.index("piggybacked_bytes")
+JOINS_PERFORMED = CLOCK_TRANSPORT_FIELDS.index("joins_performed")
+JOINS_ELIDED = CLOCK_TRANSPORT_FIELDS.index("joins_elided")
+WIRE_FRAMES_FULL = CLOCK_TRANSPORT_FIELDS.index("wire_frames_full")
+WIRE_FRAMES_SPARSE = CLOCK_TRANSPORT_FIELDS.index("wire_frames_sparse")
+WIRE_BYTES_SAVED = CLOCK_TRANSPORT_FIELDS.index("wire_bytes_saved")
+COMPLETION_EVENTS = CLOCK_TRANSPORT_FIELDS.index("completion_events")
+COMPLETIONS_COALESCED = CLOCK_TRANSPORT_FIELDS.index("completions_coalesced")
+COMPLETION_CLOCK_BYTES = CLOCK_TRANSPORT_FIELDS.index("completion_clock_bytes")
+UD_DATAGRAMS = CLOCK_TRANSPORT_FIELDS.index("ud_datagrams")
+UD_DROPPED = CLOCK_TRANSPORT_FIELDS.index("ud_dropped")
+UD_RETRANSMITS = CLOCK_TRANSPORT_FIELDS.index("ud_retransmits")
+UD_DUPLICATES = CLOCK_TRANSPORT_FIELDS.index("ud_duplicates")
+UD_RESYNCS = CLOCK_TRANSPORT_FIELDS.index("ud_resyncs")
+UD_RESYNC_REQUESTS = CLOCK_TRANSPORT_FIELDS.index("ud_resync_requests")
+
 
 def _transport_field(name: str) -> property:
     """A field of :class:`ClockTransportStats` backed by a registry counter.
 
-    Call sites *increment* fields in place (``stats.round_trips += 1``), so
-    each field is a getter/setter pair over the counter's value.
+    Each field is a getter/setter pair over the counter's value: the read
+    API, which a bare total (or a test) may also write through
+    (``total.round_trips += 1``).  The package's own tallies increment the
+    counter by index instead (:data:`ROUND_TRIPS`, ...).
     """
     index = CLOCK_TRANSPORT_FIELDS.index(name)
 
@@ -375,6 +401,14 @@ class ClockTransportStats:
         return f"ClockTransportStats({nonzero})"
 
 
+def _live_clock_wire(config) -> str:
+    """*config*'s ``clock_wire``; a bare illegal assignment raises here."""
+    wire_format = config.clock_wire
+    if wire_format in CLOCK_WIRE_FORMATS:
+        return wire_format
+    return validate_clock_wire(wire_format)
+
+
 class ClockTransport:
     """One rank's clock-movement policy, consulted by NIC and verbs layers.
 
@@ -423,54 +457,52 @@ class ClockTransport:
     @property
     def wire_format(self) -> str:
         """The active clock wire format (``full``/``delta``/``truncated``)."""
-        wire_format = self._nic.config.clock_wire
-        if wire_format in CLOCK_WIRE_FORMATS:
-            return wire_format
-        return validate_clock_wire(wire_format)
-
-    def clock_bytes(self) -> int:
-        """Wire size of one *full* vector clock for this world."""
-        return self._nic._clock_bytes()
+        return _live_clock_wire(self._owner().config)
 
     # -- wire format (per-destination codecs) ----------------------------------------
 
-    def _codec(self, destination: int) -> Tuple[ClockWireEncoder, ClockWireDecoder]:
+    def _codec(
+        self, nic: "NIC", destination: int
+    ) -> Tuple[ClockWireEncoder, ClockWireDecoder]:
+        wire_format = _live_clock_wire(nic.config)
         encoder = self._encoders.get(destination)
-        if encoder is None or encoder.wire_format != self.wire_format:
-            encoder = ClockWireEncoder(self._nic.detector.world_size, self.wire_format)
+        if encoder is None or encoder.wire_format != wire_format:
+            encoder = ClockWireEncoder(nic.detector.world_size, wire_format)
             self._encoders[destination] = encoder
             self._decoders[destination] = ClockWireDecoder(
-                encoder.world_size, self.wire_format
+                encoder.world_size, wire_format
             )
         return encoder, self._decoders[destination]
 
-    def encode_frame(self, clock_entries, destination: int) -> ClockWireFrame:
+    def encode_frame(self, frozen: Tuple[int, ...], destination: int) -> ClockWireFrame:
         """Run one clock through *destination*'s channel codec; returns the frame.
 
-        The frame is immediately decoded and verified against the input —
-        the "verdict-identical by construction" guarantee: whatever the wire
+        *frozen* is the clock as a tuple of ``world_size`` Python ints
+        (:meth:`VectorClock.frozen`), normalised once by the caller.  The
+        frame is immediately decoded and verified against it — the
+        "verdict-identical by construction" guarantee: whatever the wire
         format, the clock the receiver reconstructs is the exact snapshot
         the detector checks with.
         """
-        encoder, decoder = self._codec(destination)
-        frame = encoder.encode(clock_entries)
+        nic = self._owner()
+        encoder, decoder = self._codec(nic, destination)
+        frame = encoder.encode(frozen)
         decoded = decoder.decode(frame)
-        if decoded != tuple(int(v) for v in clock_entries):
+        if decoded != frozen:
             raise RuntimeError(
                 f"clock wire codec corrupted a clock on channel "
-                f"P{self._nic.rank}->P{destination}: {clock_entries} "
-                f"decoded as {decoded}"
+                f"P{nic.rank}->P{destination}: {frozen} decoded as {decoded}"
             )
-        if frame.full:
-            self.stats.wire_frames_full += 1
-        else:
-            self.stats.wire_frames_sparse += 1
-        self.stats.wire_bytes_saved += max(0, self.clock_bytes() - frame.wire_bytes)
+        counters = self.stats._counters
+        counters[WIRE_FRAMES_FULL if frame.full else WIRE_FRAMES_SPARSE].value += 1
+        counters[WIRE_BYTES_SAVED].value += max(
+            0, nic._clock_bytes() - frame.wire_bytes
+        )
         return frame
 
-    def encode_clock(self, clock_entries, destination: int) -> int:
+    def encode_clock(self, frozen: Tuple[int, ...], destination: int) -> int:
         """Like :meth:`encode_frame`, returning only the wire byte count."""
-        return self.encode_frame(clock_entries, destination).wire_bytes
+        return self.encode_frame(frozen, destination).wire_bytes
 
     # -- wire traffic --------------------------------------------------------------
 
@@ -512,14 +544,15 @@ class ClockTransport:
         if mode == "piggyback":
             if clock is None:
                 return None, 0, None
+            # The one normalisation of this rider: the verification
+            # compares the decoded clock with the frozen tuple as is.
             frozen = (
-                clock.frozen()
-                if hasattr(clock, "frozen")
-                else tuple(int(entry) for entry in clock)
+                clock.frozen() if hasattr(clock, "frozen") else tuple(map(int, clock))
             )
             frame = self.encode_frame(frozen, destination)
-            self.stats.piggybacked_messages += 1
-            self.stats.piggybacked_bytes += frame.wire_bytes
+            counters = self.stats._counters
+            counters[PIGGYBACKED_MESSAGES].value += 1
+            counters[PIGGYBACKED_BYTES].value += frame.wire_bytes
             return frozen, frame.wire_bytes, ("full" if frame.full else "sparse")
         if request or nic.config.charge_detection_messages:
             return None, 0, None
@@ -558,8 +591,8 @@ class ClockTransport:
             payload_bytes=0, operation_tag=tag,
         )
         yield fetch
-        if self.wire_format == "full":
-            update_bytes = self.clock_bytes()
+        if _live_clock_wire(config) == "full":
+            update_bytes = nic._clock_bytes()
         else:
             target_transport = nic.peer(target_rank).clock_transport
             update_bytes = target_transport.encode_clock(
@@ -571,7 +604,7 @@ class ClockTransport:
             payload_bytes=update_bytes, operation_tag=tag,
         )
         yield reply
-        self.stats.round_trips += 1
+        self.stats._counters[ROUND_TRIPS].value += 1
         spans = nic._obs.spans
         if spans.enabled:
             spans.complete(
@@ -585,10 +618,9 @@ class ClockTransport:
 
     def note_join(self, performed: bool) -> None:
         """Book one completion retirement: a join done, or elided by batching."""
-        if performed:
-            self.stats.joins_performed += 1
-        else:
-            self.stats.joins_elided += 1
+        self.stats._counters[
+            JOINS_PERFORMED if performed else JOINS_ELIDED
+        ].value += 1
 
     def note_completion_event(self, completions: int, carries_clock: bool) -> None:
         """Book one CQE delivery covering *completions* work completions.
@@ -598,10 +630,11 @@ class ClockTransport:
         batched retirement join, charged here at full vector size — is paid
         once per burst instead of once per completion.
         """
-        self.stats.completion_events += 1
-        self.stats.completions_coalesced += max(0, completions - 1)
+        counters = self.stats._counters
+        counters[COMPLETION_EVENTS].value += 1
+        counters[COMPLETIONS_COALESCED].value += max(0, completions - 1)
         if carries_clock:
-            self.stats.completion_clock_bytes += self.clock_bytes()
+            counters[COMPLETION_CLOCK_BYTES].value += self._owner()._clock_bytes()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ClockTransport P{self._nic.rank} mode={self.mode}>"

@@ -53,7 +53,16 @@ from repro.memory.address import GlobalAddress
 from repro.memory.consistency import AccessKind, MemoryAccess
 from repro.memory.locks import LockRequest, MemoryLockTable
 from repro.memory.public import PublicMemory
-from repro.net.clock_transport import WIRE_TAG_BYTES, ClockTransport
+from repro.net.clock_transport import (
+    UD_DATAGRAMS,
+    UD_DROPPED,
+    UD_DUPLICATES,
+    UD_RESYNC_REQUESTS,
+    UD_RESYNCS,
+    UD_RETRANSMITS,
+    WIRE_TAG_BYTES,
+    ClockTransport,
+)
 from repro.net.fabric import Fabric
 from repro.net.message import DEFAULT_CELL_BYTES, MessageKind
 from repro.net.ud_transport import UdDeliveryExceeded, UdEndpoint
@@ -132,9 +141,9 @@ _REMOTE_FLAVOUR = {local: remote for remote, local in _LOCAL_FLAVOUR.items()}
 def _nic_counter(name: str) -> property:
     """A NIC tally backed by a registry counter.
 
-    Call sites increment in place (``nic.puts_issued += 1``, including
-    cross-object ``target_nic.remote_ops_serviced += 1``), so each field is
-    a getter/setter pair over the counter's value.
+    Each field is a getter/setter pair over the counter's value, the read
+    API; the NIC's own operations increment the counter in place
+    (``self._counters[tally].value += 1``) and enter no property.
     """
 
     def getter(self: "NIC") -> int:
@@ -399,7 +408,7 @@ class NIC:
             return 1
 
         target_nic = self.peer(destination)
-        stats = self.clock_transport.stats
+        counters = self.clock_transport.stats._counters
         attempts = 0
         while True:
             carried, clock_wire_bytes, frame = self.clock_transport.ride_frame(
@@ -407,7 +416,7 @@ class NIC:
                 destination, request=request,
             )
             seq = self.ud.assign_seq(destination, carried)
-            stats.ud_datagrams += 1
+            counters[UD_DATAGRAMS].value += 1
             event, _, fate, dup_event = self.fabric.send_datagram(
                 kind, self.rank, destination,
                 payload=payload,
@@ -419,14 +428,14 @@ class NIC:
             attempts += 1
             yield event
             if fate == "drop":
-                stats.ud_dropped += 1
+                counters[UD_DROPPED].value += 1
                 if attempts > self.config.ud_max_retransmits:
                     raise UdDeliveryExceeded(
                         f"{kind.value} P{self.rank}->P{destination}: datagram "
                         f"dropped {attempts} times (retransmission budget "
                         f"{self.config.ud_max_retransmits})"
                     )
-                stats.ud_retransmits += 1
+                counters[UD_RETRANSMITS].value += 1
                 continue
             if dup_event is not None:
                 # The copy may land while the resync below is still in
@@ -446,7 +455,7 @@ class NIC:
     ) -> None:
         """Second arrival of a duplicated datagram: an idempotent absorb."""
         target_nic.ud.absorb(self.rank, seq, frame)
-        target_nic.clock_transport.stats.ud_duplicates += 1
+        target_nic.clock_transport.stats._counters[UD_DUPLICATES].value += 1
 
     def _ud_resync(self, sender_nic: "NIC", seq: int, tag: str) -> Generator:
         """Receiver-driven clock resync: recover the full frame for *seq*.
@@ -463,7 +472,7 @@ class NIC:
         as a ``resync_wait`` span on this NIC's engine track.
         """
         started = self._sim._now
-        stats = self.clock_transport.stats
+        counters = self.clock_transport.stats._counters
         attempts = 0
         while True:
             attempts += 1
@@ -473,7 +482,7 @@ class NIC:
                     f"full frame after {attempts - 1} requests (budget "
                     f"{self.config.ud_max_retransmits})"
                 )
-            stats.ud_resync_requests += 1
+            counters[UD_RESYNC_REQUESTS].value += 1
             event, _, fate, _ = self.fabric.send_datagram(
                 MessageKind.UD_RESYNC_REQUEST, self.rank, sender_nic.rank,
                 payload=seq, payload_bytes=8, operation_tag=tag,
@@ -501,7 +510,7 @@ class NIC:
             # The reply was lost: the receiver cannot tell a lost request
             # from a lost reply, so it simply re-requests.
         self.ud.mark_resynced(sender_nic.rank, seq)
-        stats.ud_resyncs += 1
+        counters[UD_RESYNCS].value += 1
         self._obs.spans.complete(
             self.engine_track, "resync_wait", started, self._sim._now,
             source=f"P{sender_nic.rank}", seq=seq,
@@ -899,7 +908,7 @@ class NIC:
         start = self._sim._now
         tag = self._tags.next_str()
         target_nic = self.peer(destination)
-        self.sends_issued += 1
+        self._counters["sends_issued"].value += 1
         remote = destination != self.rank
         data_messages = 0
 
@@ -924,7 +933,7 @@ class NIC:
         # and the buffer leave the pool together.
         credit_gate.settle()
         if remote:
-            target_nic.remote_ops_serviced += 1
+            target_nic._counters["remote_ops_serviced"].value += 1
 
         if len(values) > len(recv_wr.addresses):
             raise ReceiveLengthError(

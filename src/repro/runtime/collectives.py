@@ -92,7 +92,7 @@ class Barrier:
             self._crossings += 1
             return self._generation
         generation = self._generation
-        arrived_at = self._sim.now
+        arrived_at = self._sim._now
         # Arrival notification to the root (charged as a message for non-root ranks).
         if rank != self._root:
             event, _ = self._fabric.send(
@@ -124,7 +124,7 @@ class Barrier:
             f"rank-P{rank}",
             "barrier_wait",
             arrived_at,
-            self._sim.now,
+            self._sim._now,
             **span_args,
         )
         wait_time = self._wait_times.get(rank)
@@ -132,7 +132,7 @@ class Barrier:
             wait_time = self._wait_times[rank] = self._obs.metrics.histogram(
                 "barrier.wait_time", layout="sim_time", rank=rank
             )
-        wait_time.observe(self._sim.now - arrived_at)
+        wait_time.observe(self._sim._now - arrived_at)
         return generation
 
     def _open(self, generation: int, opener: int) -> None:
@@ -158,9 +158,9 @@ class Barrier:
             # Synchronization events are part of the trace so that offline
             # (post-mortem) detection reconstructs the same happens-before.
             self._recorder.record_sync(
-                range(self._world_size), time=self._sim.now, kind="barrier"
+                range(self._world_size), time=self._sim._now, kind="barrier"
             )
-        self._opened = (merged, opener, self._sim.now)
+        self._opened = (merged, opener, self._sim._now)
         releases = dict(self._release_events)
         # Reset state for the next generation before any waiter resumes.
         self._generation = generation + 1

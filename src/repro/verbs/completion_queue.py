@@ -178,13 +178,13 @@ class CompletionQueue:
                 continue
             gate = self._sim.event(name=f"{self.name}:wait")
             self._armed.append(gate)
-            wait_started = self._sim.now
+            wait_started = self._sim._now
             yield gate
             # Blocked time on the process's own track: the critical-path
             # analyzer treats this as elastic wait ending at the delivery
             # that woke us.
             spans.complete(
-                self._wait_track(), "cq_wait", wait_started, self._sim.now,
+                self._wait_track(), "cq_wait", wait_started, self._sim._now,
                 cq=self.name,
             )
         return self._retire(retired)

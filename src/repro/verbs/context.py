@@ -166,7 +166,7 @@ class VerbsContext:
             wr_id=self._wr_ids.next_int(),
             addresses=tuple(addresses),
             symbol=symbol,
-            posted_at=self.sim.now,
+            posted_at=self.sim._now,
         )
         # Posting a receive is the permission point for the buffer: the
         # snapshot joins the matching send's clock at delivery, ordering the
@@ -255,7 +255,7 @@ class VerbsContext:
         try:
             self.recv_cq.push(completion)
         except CompletionQueueOverflow as error:
-            self.async_errors.append((self.sim.now, str(error)))
+            self.async_errors.append((self.sim._now, str(error)))
             # An error event, not a per-operation one: looked up, not bound.
             self._obs.metrics.counter("verbs.cq_overflows", rank=self.rank).inc()
         else:
@@ -273,7 +273,7 @@ class VerbsContext:
             self.nic.recorder.record_transfer(
                 self.rank,
                 completion.peer,
-                time=self.sim.now,
+                time=self.sim._now,
                 kind="recv_complete",
                 clock=completion.sync_clock.frozen(),
             )
@@ -295,7 +295,7 @@ class VerbsContext:
 
     def register_memory(self, region) -> RegisteredMemoryRegion:
         """Register one of this rank's memory regions for remote access."""
-        return self.registry.register(region, registered_at=self.sim.now)
+        return self.registry.register(region, registered_at=self.sim._now)
 
     def ensure_registered(self, address: GlobalAddress) -> int:
         """Return the rkey covering this rank's *address*, registering lazily.
@@ -362,7 +362,7 @@ class VerbsContext:
             request.clock_snapshot = detector.current_clock(self.rank)
         if self.nic.recorder is not None:
             self.nic.recorder.record_transfer(
-                self.rank, peer, time=self.sim.now, kind=kind
+                self.rank, peer, time=self.sim._now, kind=kind
             )
 
     def _accept(self, request: WorkRequest, peer: int, kind: str) -> WorkRequest:
@@ -386,7 +386,7 @@ class VerbsContext:
         spans.instant(
             self.track,
             "wr_post",
-            self.sim.now,
+            self.sim._now,
             wr_id=request.wr_id,
             opcode=request.opcode.value,
             destination=f"P{peer}",
@@ -394,7 +394,7 @@ class VerbsContext:
         # The flow is closed at retirement (same key, this rank's track) and,
         # for two-sided sends, at the receiver's delivery (cross-rank track).
         spans.flow_start(
-            self.track, "wr", self.sim.now, key=("wr", self.rank, request.wr_id)
+            self.track, "wr", self.sim._now, key=("wr", self.rank, request.wr_id)
         )
         return request
 
@@ -584,7 +584,7 @@ class VerbsContext:
             self.nic.recorder.record_transfer(
                 self.rank,
                 completion.peer,
-                time=self.sim.now,
+                time=self.sim._now,
                 kind="wr_retire",
                 clock=completion.sync_clock.frozen(),
             )
@@ -604,17 +604,17 @@ class VerbsContext:
                     for name in ("verbs.latency.service", "verbs.latency.retire")
                 )
             latency[0].observe(completion.completed_at - completion.posted_at)
-            latency[1].observe(self.sim.now - completion.completed_at)
+            latency[1].observe(self.sim._now - completion.completed_at)
             self._obs.spans.flow_end(
                 self.track,
                 "wr",
-                self.sim.now,
+                self.sim._now,
                 key=("wr", self.rank, completion.wr_id),
             )
             self._obs.spans.instant(
                 self.track,
                 "wr_retire",
-                self.sim.now,
+                self.sim._now,
                 wr_id=completion.wr_id,
                 opcode=completion.opcode.value,
                 status=completion.status.value,

@@ -89,10 +89,10 @@ class EventChannel:
             return self._pending.pop(0)
         gate = self._sim.event(name=f"{self.name}:wait")
         self._waiters.append(gate)
-        wait_started = self._sim.now
+        wait_started = self._sim._now
         yield gate
         Observability.of(self._sim).spans.complete(
-            self._wait_track(), "evch_wait", wait_started, self._sim.now,
+            self._wait_track(), "evch_wait", wait_started, self._sim._now,
             channel=self.name,
         )
         return gate.value

@@ -62,6 +62,10 @@ from repro.verbs.work import CompletionStatus, Opcode, WorkCompletion, WorkReque
 if TYPE_CHECKING:  # pragma: no cover
     from repro.verbs.context import VerbsContext
 
+#: Read off their classes once (an ``Enum`` member read is slow on Python
+#: 3.11): what a delivered SEND's two completions are stamped with.
+_RECV, _SUCCESS = Opcode.RECV, CompletionStatus.SUCCESS
+
 
 class SendQueueFull(RuntimeError):
     """Raised when posting to a queue pair whose send queue is at capacity."""
@@ -168,7 +172,7 @@ class QueuePair:
                 f"queue pair P{self.origin}->P{self.peer}: "
                 f"{self.outstanding} outstanding requests (max {self.max_send_wr})"
             )
-        request.posted_at = self._sim.now
+        request.posted_at = self._sim._now
         self.posted += 1
         self._pending.append(request)
         self._send_queue_depth.set(self.outstanding)
@@ -212,7 +216,7 @@ class QueuePair:
         would have kept within capacity.
         """
         burst: Optional[list] = [] if self._context.nic.config.cq_moderation else None
-        drain_started = self._sim.now
+        drain_started = self._sim._now
         serviced = 0
         while self._pending:
             request = self._pending.popleft()
@@ -249,7 +253,7 @@ class QueuePair:
             self._context.nic.engine_track,
             "qp_drain",
             drain_started,
-            self._sim.now,
+            self._sim._now,
             peer=f"P{self.peer}",
             serviced=serviced,
         )
@@ -285,7 +289,7 @@ class QueuePair:
             origin=self.origin,
             peer=self.peer,
             posted_at=request.posted_at,
-            completed_at=self._sim.now,
+            completed_at=self._sim._now,
             detail=str(error),
         )
 
@@ -340,7 +344,7 @@ class QueuePair:
             value=None if request.opcode is Opcode.PUT else result.value,
             result=result,
             posted_at=request.posted_at,
-            completed_at=self._sim.now,
+            completed_at=self._sim._now,
         )
         self._attach_sync_clock(completion, result, snapshot)
         return completion
@@ -438,7 +442,7 @@ class QueuePair:
                     peer=self.origin,
                     addresses=error.recv_wr.addresses,
                     posted_at=error.recv_wr.posted_at,
-                    completed_at=self._sim.now,
+                    completed_at=self._sim._now,
                     detail=str(error),
                 )
             )
@@ -447,45 +451,32 @@ class QueuePair:
             nic.recorder.record_operation(
                 result, symbol=request.symbol, posted_time=request.posted_at
             )
+        now = self._sim._now
+        # Positional, in field order: wr_id, opcode, status, origin, peer,
+        # value, result, addresses, posted_at, completed_at, detail,
+        # sync_clock.
         target_context.deliver_recv(
             WorkCompletion(
-                wr_id=recv_wr.wr_id,
-                opcode=Opcode.RECV,
-                status=CompletionStatus.SUCCESS,
-                origin=self.peer,
-                peer=self.origin,
-                value=tuple(values),
-                result=result,
-                addresses=recv_wr.addresses,
-                posted_at=recv_wr.posted_at,
-                completed_at=self._sim.now,
-                sync_clock=carried_clock,
+                recv_wr.wr_id, _RECV, _SUCCESS, self.peer, self.origin,
+                tuple(values), result, recv_wr.addresses, recv_wr.posted_at,
+                now, "", carried_clock,
             )
         )
-        # The cross-rank half of the WR's flow: the sender's post (flow
-        # start on rank-P{origin}) links to the delivery at the receiver.
-        self._obs.spans.flow_end(
-            target_context.track,
-            "wr",
-            self._sim.now,
-            key=("wr", self.origin, request.wr_id),
-        )
-        self._obs.spans.instant(
-            target_context.track,
-            "send_delivered",
-            self._sim.now,
-            source=f"P{self.origin}",
-            cells=len(values),
-        )
+        spans = self._obs.spans
+        if spans.enabled:
+            # The cross-rank half of the WR's flow: the sender's post (flow
+            # start on rank-P{origin}) links to the delivery at the receiver.
+            spans.flow_end(
+                target_context.track, "wr", now,
+                key=("wr", self.origin, request.wr_id),
+            )
+            spans.instant(
+                target_context.track, "send_delivered", now,
+                source=f"P{self.origin}", cells=len(values),
+            )
         return WorkCompletion(
-            wr_id=request.wr_id,
-            opcode=request.opcode,
-            status=CompletionStatus.SUCCESS,
-            origin=self.origin,
-            peer=self.peer,
-            result=result,
-            posted_at=request.posted_at,
-            completed_at=self._sim.now,
+            request.wr_id, request.opcode, _SUCCESS, self.origin, self.peer,
+            None, result, None, request.posted_at, now,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -8,10 +8,12 @@ formats verdict-identical to ``full`` by construction — the detector always
 checks with the clock the receiver would reconstruct.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import DSMRuntime, RuntimeConfig
 from repro.net.clock_transport import (
     BYTES_PER_ENTRY,
     CLOCK_WIRE_FORMATS,
@@ -187,3 +189,46 @@ class TestProtocolEdges:
             assert validate_clock_wire(wire_format) == wire_format
         with pytest.raises(ValueError, match="clock_wire"):
             validate_clock_wire("zstd")
+
+
+class TestCodecVerificationAndNormalisation:
+    @pytest.mark.parametrize("wire_format", CLOCK_WIRE_FORMATS)
+    def test_a_corrupting_decoder_is_caught_on_every_frame(
+        self, wire_format, monkeypatch
+    ):
+        """The transport decodes every frame it encodes and compares."""
+        runtime = DSMRuntime(
+            RuntimeConfig(world_size=3, clock_transport="piggyback", clock_wire=wire_format)
+        )
+        transport = runtime.nics[0].clock_transport
+        assert transport.encode_frame((1, 2, 3), 1).full
+        decode = ClockWireDecoder.decode
+
+        def corrupting(self, frame):
+            clock = decode(self, frame)
+            return (clock[0] + 1,) + clock[1:]
+
+        monkeypatch.setattr(ClockWireDecoder, "decode", corrupting)
+        with pytest.raises(RuntimeError, match="clock wire codec corrupted a clock"):
+            transport.encode_frame((1, 2, 4), 1)
+
+    @pytest.mark.parametrize("wire_format", CLOCK_WIRE_FORMATS)
+    def test_the_public_encoder_normalises_whatever_it_is_given(self, wire_format):
+        clocks = (
+            [3, 0, 7],
+            np.array([3, 1, 7], dtype=np.int64),
+            (np.int64(4), np.int32(1), np.uint8(7)),
+        )
+        encoder = ClockWireEncoder(3, wire_format)
+        decoder = ClockWireDecoder(3, wire_format)
+        for clock in clocks:
+            frame = encoder.encode(clock)
+            flat = [
+                value
+                for entry in frame.entries
+                for value in (entry if isinstance(entry, tuple) else (entry,))
+            ]
+            assert all(type(value) is int for value in flat), frame
+            decoded = decoder.decode(frame)
+            assert decoded == tuple(int(value) for value in clock)
+            assert all(type(value) is int for value in decoded)

@@ -414,3 +414,77 @@ class TestFusedRaceTests:
                 config.reference_unknown(first, second)
             with pytest.raises(ValueError):
                 first.concurrent_with(second)
+
+
+#: Entries up to 2**62.  A pair's entries are all small or all within a few
+#: thousand of the top, where float64 cannot tell neighbours apart, so an
+#: order test rewritten through a float subtraction (or cast) fails.
+BIG = 2 ** 62
+
+
+def big_order_pairs():
+    """Equal, dominated either way, and concurrent pairs of 1-64 big entries."""
+
+    def shape(drawn):
+        first, steps, relation = drawn
+        raised = [a + abs(s) for a, s in zip(first, steps)]
+        if relation == "equal":
+            return first, list(first)
+        if relation == "before":
+            return first, raised
+        if relation == "after":
+            return raised, first
+        # Concurrent whenever one step is up and another down.
+        return first, [max(0, a + s) for a, s in zip(first, steps)]
+
+    def draw(size_and_base):
+        n, base = size_and_base
+        return st.tuples(
+            st.lists(st.integers(base, base + 4093), min_size=n, max_size=n),
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            st.sampled_from(["equal", "before", "after", "concurrent"]),
+        )
+
+    return (
+        st.tuples(st.integers(1, 64), st.sampled_from([0, BIG - 4096]))
+        .flatmap(draw)
+        .map(shape)
+    )
+
+
+class TestOrderTestsAgainstPythonReference:
+    """The vectorized order tests against ``all(x <= y ...)`` on Python ints."""
+
+    @given(big_order_pairs())
+    def test_each_order_test_matches_its_pure_python_reference(self, pair):
+        first, second = pair
+        le = all(x <= y for x, y in zip(first, second))
+        ge = all(x >= y for x, y in zip(first, second))
+        a, b = VectorClock(first), VectorClock(second)
+        assert a.dominates(b) is ge
+        assert a.happens_before(b) is (le and any(x < y for x, y in zip(first, second)))
+        assert a.strictly_less(b) is all(x < y for x, y in zip(first, second))
+        assert a.concurrent_with(b) is (not le and not ge)
+        assert b.concurrent_with(a) is (not le and not ge)
+
+    def test_the_virgin_test_sees_one_nonzero_entry_at_any_position(self):
+        """An all-zero reference is virgin (no compare); one non-zero entry
+        anywhere is not, and the concurrent pair it leaves is a race."""
+        world, address = 5, GlobalAddress(0, 3)
+        detector = DualClockRaceDetector(world)
+        assert detector.on_write(1, address, MemoryCell()).race is None
+        assert detector.on_read(2, address, MemoryCell()).race is None
+        profile = detector.profiler.snapshot()
+        assert profile["write_live"]["compares"] == profile["read_live"]["compares"] == 0
+        for position in range(world):
+            entries = [0] * world
+            entries[position] = BIG
+            for kind in ("write_live", "read_live"):
+                detector = DualClockRaceDetector(world)
+                cell = MemoryCell()
+                cell.access_clock = VectorClock(entries)
+                cell.write_clock = VectorClock(entries)
+                access = detector.on_write if kind == "write_live" else detector.on_read
+                result = access((position + 1) % world, address, cell)
+                assert result.race is not None, (position, kind)
+                assert detector.profiler.snapshot()[kind]["compares"] == 2
