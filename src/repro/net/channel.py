@@ -15,11 +15,10 @@ lose one (:meth:`~Channel.drop`) or deliver it twice
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from repro.net.latency import LatencyModel
-from repro.net.message import HEADER_BYTES, Message, MessageKind
+from repro.net.message import Message, MessageKind
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, Timeout
 from repro.util.validation import require_non_negative
@@ -27,26 +26,6 @@ from repro.util.validation import require_non_negative
 
 #: Delivery-event names, one constant per kind instead of a format per message.
 _DELIVER = {kind: f"deliver:{kind.value}" for kind in MessageKind}
-
-
-@dataclass
-class ChannelStats:
-    """Per-channel accounting."""
-
-    messages: int = 0
-    bytes: int = 0
-    total_latency: float = 0.0
-    reordering_clamps: int = 0
-    #: Datagrams the fabric dropped on this channel (each one armed the
-    #: sender's retransmission timer).
-    dropped: int = 0
-    #: Datagrams delivered twice.
-    duplicated: int = 0
-
-    @property
-    def mean_latency(self) -> float:
-        """Average observed flight time."""
-        return self.total_latency / self.messages if self.messages else 0.0
 
 
 class Channel:
@@ -68,7 +47,6 @@ class Channel:
         require_non_negative(hops, "hops")
         self._hops = max(1, hops) if source != destination else 0
         self._last_delivery = 0.0
-        self.stats = ChannelStats()
 
     @property
     def hops(self) -> int:
@@ -86,7 +64,7 @@ class Channel:
         ``_owned`` is the fabric's promise that it built *message* for this
         one transmission, which is then stamped in place.
         """
-        sim, stats = self._sim, self.stats
+        sim = self._sim
         now = sim._now
         flight = self._latency_model.latency(message, hops=self._hops)
         # A flight is checked where it enters: inline when it is the exact
@@ -110,7 +88,6 @@ class Channel:
         else:
             # Preserve FIFO order on the pair.
             deliver_at = self._last_delivery
-            stats.reordering_clamps += 1
         if _owned:
             fields = message.__dict__
             fields["send_time"] = now
@@ -118,11 +95,6 @@ class Channel:
             stamped = message
         else:
             stamped = message.stamped(now, deliver_at)
-        stats.messages += 1
-        # ``stamped.total_bytes``, without the property's frame.
-        payload_bytes = stamped.payload_bytes
-        stats.bytes += HEADER_BYTES + (payload_bytes if payload_bytes > 0 else 0)
-        stats.total_latency += deliver_at - now
         # The delay needs no second check: ``deliver_at >= now`` by the sum
         # of non-negative terms and the clamp above.  It stays the difference
         # (the calendar then holds ``now + (deliver_at - now)``, as ever).
@@ -133,16 +105,13 @@ class Channel:
     ) -> Tuple[Event, Message]:
         """Lose *message*; returns ``(retransmit_timer_event, stamped)``.
 
-        The datagram's bytes left the sender (it is accounted like any
-        transmission) but no delivery event exists; the returned event is
+        The datagram's bytes left the sender (the fabric accounts it like
+        any transmission) but no delivery event exists; the returned event is
         the sender's retransmission timer.
         """
         require_non_negative(retransmit_timeout, "retransmit_timeout")
         now = self._sim.now
         stamped = message.stamped(now, now + retransmit_timeout)
-        self.stats.messages += 1
-        self.stats.bytes += stamped.total_bytes
-        self.stats.dropped += 1
         event = self._sim.timeout(
             retransmit_timeout,
             value=stamped,
@@ -157,7 +126,6 @@ class Channel:
         after the primary delivery — deterministically, with no extra
         latency-model draw, which keeps replays byte-identical.
         """
-        self.stats.duplicated += 1
         flight = max(0.0, stamped.deliver_time - stamped.send_time)
         delay = (stamped.deliver_time - self._sim.now) + flight
         return self._sim.timeout(
@@ -167,7 +135,4 @@ class Channel:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Channel P{self.source}->P{self.destination} hops={self._hops} "
-            f"messages={self.stats.messages}>"
-        )
+        return f"<Channel P{self.source}->P{self.destination} hops={self._hops}>"

@@ -22,7 +22,6 @@ from repro.obs.metrics import Counter, MetricsRegistry, family_keys
 from repro.obs.observability import Observability
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, Timeout
-from repro.util.validation import require_rank
 
 #: The traffic categories FabricStats splits counts by.
 _CATEGORIES = ("data", "lock", "detection", "other")
@@ -76,7 +75,11 @@ class FabricStats:
         self._messages = dict(zip(_CATEGORIES, family[:n]))
         self._bytes = dict(zip(_CATEGORIES, family[n : 2 * n]))
         self._by_kind = dict(zip(MessageKind, family[2 * n :]))
-        #: kind -> the three counters one message of that kind increments.
+        #: kind -> the three counters one message of that kind increments:
+        #: the fabric's one accounting rule.  ``Fabric.send`` and
+        #: ``send_datagram`` book a message in their own frame — the
+        #: category's messages by one, its bytes by ``total_bytes``, the
+        #: kind's messages by one.
         self._rows = {
             kind: (self._messages[category], self._bytes[category], self._by_kind[kind])
             for kind, category in _CATEGORY_OF.items()
@@ -125,15 +128,6 @@ class FabricStats:
     def total_bytes(self) -> int:
         """All bytes that crossed the fabric."""
         return sum(counter.value for counter in self._bytes.values())
-
-    def record(self, message: Message) -> None:
-        """Account one message into the appropriate category."""
-        messages, byte_count, by_kind = self._rows[message.kind]
-        messages.value += 1
-        # ``message.total_bytes``, without the property's frame.
-        payload_bytes = message.payload_bytes
-        byte_count.value += HEADER_BYTES + (payload_bytes if payload_bytes > 0 else 0)
-        by_kind.value += 1
 
     def message_count_for_kind(self, kind: MessageKind) -> int:
         """Messages sent with exactly *kind* (finer than the categories)."""
@@ -186,6 +180,8 @@ class Fabric:
     ) -> None:
         self._sim = sim
         self._topology = topology
+        #: Fixed by the topology once; read here without its property frame.
+        self._world_size = topology.world_size
         self._latency_model = latency_model
         self._channels: Dict[Tuple[int, int], Channel] = {}
         self._next_id = itertools.count().__next__  # message ids, 0-based
@@ -201,7 +197,7 @@ class Fabric:
     @property
     def world_size(self) -> int:
         """Number of ranks on the fabric."""
-        return self._topology.world_size
+        return self._world_size
 
     @property
     def latency_model(self) -> LatencyModel:
@@ -222,20 +218,16 @@ class Fabric:
         when its channel was built — unless an argument is not an exact
         ``int``: keys that merely hash alike (``True``, ``1.0``, NumPy ints)
         must not alias a valid pair, so they come here for their ``TypeError``.
+        :meth:`Topology.hops` is the pair's one check.
         """
-        require_rank(source, self.world_size, "source")
-        require_rank(destination, self.world_size, "destination")
+        hops = self._topology.hops(source, destination)
         key = (source, destination)
-        channels = self._channels
-        if key not in channels:
-            channels[key] = Channel(
-                self._sim,
-                source,
-                destination,
-                self._latency_model,
-                hops=self._topology.hops(source, destination),
+        channel = self._channels.get(key)
+        if channel is None:
+            channel = self._channels[key] = Channel(
+                self._sim, source, destination, self._latency_model, hops=hops
             )
-        return channels[key]
+        return channel
 
     # -- sending -----------------------------------------------------------------
 
@@ -262,31 +254,37 @@ class Fabric:
         active ``clock_wire`` format.
         """
         # Frame budget: one message is three ``net`` frames — this one,
-        # ``Channel.transmit`` and the latency model — plus the accounting.
-        # So the message is filled here, from one dict — the object
-        # ``Message(**fields)`` builds (``ud_seq`` / ``ud_frame`` read their
-        # class default) without the frozen ``__init__``'s guarded
-        # assignments; the names are trusted — and stamped for loopback
-        # (a channel restamps a remote one).  The pair's channel is looked up
-        # here (what :meth:`channel` does; a miss or a non-``int`` rank still
-        # goes through :meth:`_open` for its checks).
+        # ``Channel.transmit`` and the latency model — and its accounting is
+        # booked here.  So the message is filled here — the object
+        # ``Message(**fields)`` builds, without the frozen ``__init__``'s
+        # guarded assignments; the names are trusted — holding only the
+        # fields that differ from their class default (the others read it),
+        # and stamped for loopback (a channel restamps a remote one).  The
+        # pair's channel is looked up here (what :meth:`channel` does; a miss
+        # or a non-``int`` rank still goes through :meth:`_open` for its
+        # checks, and a loopback pair is checked every time).
         sim = self._sim
         now = sim._now
         message = object.__new__(Message)
-        message.__dict__.update({
+        fields = message.__dict__
+        fields.update({
             "message_id": self._next_id(),
             "kind": kind,
             "source": source,
             "destination": destination,
-            "payload": payload,
             "payload_bytes": payload_bytes,
             "send_time": now,
             "deliver_time": now,
             "operation_tag": operation_tag,
-            "carried_clock": carried_clock,
-            "clock_wire_bytes": clock_wire_bytes,
         })
+        if payload is not None:
+            fields["payload"] = payload
+        if carried_clock is not None:
+            fields["carried_clock"] = carried_clock
+        if clock_wire_bytes:
+            fields["clock_wire_bytes"] = clock_wire_bytes
         if source == destination:
+            self._topology.hops(source, destination)  # the pair's checks
             event = Timeout(sim, 0.0, message, _LOCAL[kind])
         else:
             channel = self._channels.get((source, destination))
@@ -294,7 +292,10 @@ class Fabric:
                 channel = self._open(source, destination)
             # Built here and shared with nobody: stamped in place, not copied.
             event, message = channel.transmit(message, _owned=True)
-        self.stats.record(message)
+        messages, byte_count, by_kind = self.stats._rows[kind]
+        messages.value += 1
+        byte_count.value += HEADER_BYTES + (payload_bytes if payload_bytes > 0 else 0)
+        by_kind.value += 1
         return event, message
 
     def send_datagram(
@@ -336,24 +337,32 @@ class Fabric:
             operation_tag=operation_tag, carried_clock=carried_clock,
             clock_wire_bytes=clock_wire_bytes, ud_seq=ud_seq, ud_frame=ud_frame,
         )
+        duplicate = None
         if source == destination:
+            self._topology.hops(source, destination)  # the pair's checks
             event = self._sim.timeout(0.0, value=message, name=_LOCAL[kind])
-            self.stats.record(message)
-            return event, message, "deliver", None
-        controller = self._sim.controller
-        fate_code = 0
-        if controller is not None:
-            fate_code = controller.on_datagram_fate(message, source, destination)
-        channel = self.channel(source, destination)
-        if fate_code == 1:
-            event, stamped = channel.drop(message, UD_RETRANSMIT_TIMEOUT)
-            self.stats.record(stamped)
-            return event, stamped, "drop", None
-        event, stamped = channel.transmit(message, _owned=True)
-        self.stats.record(stamped)
-        if fate_code == 2:
-            return event, stamped, "duplicate", channel.duplicate(stamped)
-        return event, stamped, "deliver", None
+            fate = "deliver"
+        else:
+            controller = self._sim.controller
+            fate_code = 0
+            if controller is not None:
+                fate_code = controller.on_datagram_fate(message, source, destination)
+            channel = self.channel(source, destination)
+            if fate_code == 1:
+                event, message = channel.drop(message, UD_RETRANSMIT_TIMEOUT)
+                fate = "drop"
+            else:
+                event, message = channel.transmit(message, _owned=True)
+                fate = "deliver"
+                if fate_code == 2:
+                    fate = "duplicate"
+                    duplicate = channel.duplicate(message)
+        # Booked as :meth:`send` books it; a dropped datagram's bytes left too.
+        messages, byte_count, by_kind = self.stats._rows[kind]
+        messages.value += 1
+        byte_count.value += message.total_bytes
+        by_kind.value += 1
+        return event, message, fate, duplicate
 
     # -- accounting ----------------------------------------------------------------
 

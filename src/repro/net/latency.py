@@ -73,13 +73,21 @@ class UniformLatency(LatencyModel):
             raise ValueError(f"latency bounds reversed: [{low}, {high}]")
         require_non_negative(low, "low")
         self._streams = streams
+        #: The stream's live block: a one-hop draw pops its double here.
+        self._block = streams.uniform_block("net.latency")
         self.low = low
         self.high = high
 
     def latency(self, message: Message, hops: int = 1) -> float:
         # One draw per hop, summed from 0.0; a single hop is its draw
-        # (``0.0 + x == x``), so only a multi-hop pair loops.
+        # (``0.0 + x == x``), so only a multi-hop pair loops.  A one-hop draw
+        # is ``RandomStreams.uniform``'s own arithmetic on the next block
+        # double, in this frame; an empty block asks ``uniform`` to refill.
         if hops <= 1:
+            block = self._block
+            if block:
+                low = self.low
+                return float(low + (self.high - low) * block.pop())
             return self._streams.uniform("net.latency", self.low, self.high)
         total = 0.0
         for _ in range(hops):

@@ -148,9 +148,13 @@ class Topology:
         return distances
 
     def hops(self, source: int, destination: int) -> int:
-        """Shortest-path hop count between two ranks (0 for self-messages)."""
-        require_rank(source, self.world_size, "source")
-        require_rank(destination, self.world_size, "destination")
+        """Shortest-path hop count between two ranks (0 for self-messages).
+
+        The fabric's one check of a pair: range and type, both ranks.
+        """
+        world_size = self._world_size
+        require_rank(source, world_size, "source")
+        require_rank(destination, world_size, "destination")
         return self._hops_from(source)[destination]
 
     def diameter(self) -> int:

@@ -56,6 +56,7 @@ from repro.memory.private import PrivateMemory
 from repro.net.nic import NIC, RemoteOperationResult
 from repro.runtime.collectives import Barrier, one_sided_reduction
 from repro.sim.engine import Simulator
+from repro.sim.events import Timeout
 from repro.util.validation import require_non_negative
 from repro.verbs.context import VerbsContext
 from repro.verbs.memory_registration import RemoteAccessError
@@ -475,8 +476,11 @@ class ProcessAPI:
 
     def compute(self, duration: float) -> Generator:
         """Model *duration* units of purely local computation."""
-        require_non_negative(duration, "duration")
-        yield self._sim.timeout(duration, name=self._compute_label)
+        # Checked once, here where it is admitted (inline for the exact
+        # non-negative float), so the ``Timeout`` is built directly.
+        if not (type(duration) is float and duration >= 0.0):
+            require_non_negative(duration, "duration")
+        yield Timeout(self._sim, duration, None, self._compute_label)
         return duration
 
     def barrier(self) -> Generator:

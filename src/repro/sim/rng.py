@@ -19,15 +19,19 @@ advances the sequence it came from, so every stream starts from a copy.
 
 :meth:`RandomStreams.uniform` is the per-message draw of the latency model,
 so it serves its doubles from a block drawn ahead (``Generator.random(k)``
-yields exactly the doubles ``k`` scalar ``random()`` calls would).  The block
-is invisible to every other draw, by two rules:
+yields exactly the doubles ``k`` scalar ``random()`` calls would).  A stream
+has one block list for its whole life, refilled and emptied in place, so a
+hot caller may hold it (:meth:`RandomStreams.uniform_block`) and pop the next
+double in its own frame, asking ``uniform`` only when the list is empty.  The
+block is invisible to every other draw, by two rules:
 
 * **Rewind before a raw hand-out.**  :meth:`RandomStreams.stream` — and
   through it ``integers``, ``exponential``, ``choice`` and every caller that
   holds the generator itself — first puts the generator back exactly where
   scalar draws would have left it: the state at block start, advanced by the
   doubles consumed, with the buffered 32-bit half-draw ``integers`` keeps
-  restored (``advance`` drops it; ``random`` never touches it).
+  restored (``advance`` drops it; ``random`` never touches it).  The block
+  list is emptied.
 * **Scalar after raw.**  A stream once handed out raw draws its uniforms one
   scalar at a time for the rest of its life: its holder may draw at any
   moment, and a stream that mixes kinds would otherwise rewind and refill at
@@ -68,7 +72,8 @@ class RandomStreams:
         self._seed = seed
         self._root = np.random.SeedSequence(seed)
         self._streams: Dict[str, np.random.Generator] = {}
-        #: name -> the undrawn rest of its block, next double last.
+        #: name -> the undrawn rest of its block, next double last; one list
+        #: per name, refilled and emptied in place.
         self._blocks: Dict[str, List[float]] = {}
         #: name -> its bit generator's state at the start of that block.
         self._block_starts: Dict[str, dict] = {}
@@ -108,7 +113,9 @@ class RandomStreams:
     def _rewind(self, name: str) -> None:
         """Put *name*'s generator where scalar draws would have left it."""
         start = self._block_starts.pop(name)
-        consumed = _BLOCK - len(self._blocks.pop(name))
+        block = self._blocks[name]
+        consumed = _BLOCK - len(block)
+        block.clear()
         bit_generator = self._streams[name].bit_generator
         bit_generator.state = start
         bit_generator.advance(consumed)
@@ -120,6 +127,20 @@ class RandomStreams:
         state["has_uint32"] = start["has_uint32"]
         state["uinteger"] = start["uinteger"]
         bit_generator.state = state
+
+    def uniform_block(self, name: str) -> List[float]:
+        """The live list of *name*'s undrawn block doubles, next double last.
+
+        A holder may pop the next double off it and make
+        :meth:`uniform`'s arithmetic, ``float(low + (high - low) * drawn)``,
+        itself; when the list is empty it asks :meth:`uniform`, which
+        refills the list (or, once *name* was handed out raw and the list
+        stays empty, draws a scalar).
+        """
+        block = self._blocks.get(name)
+        if block is None:
+            block = self._blocks[name] = []
+        return block
 
     def uniform(self, name: str, low: float, high: float) -> float:
         """Draw one uniform sample in ``[low, high)`` from stream *name*."""
@@ -142,8 +163,12 @@ class RandomStreams:
                     stream = self.stream(name)
                     del self._raw[name]
                 self._block_starts[name] = stream.bit_generator.state
-                block = self._blocks[name] = stream.random(_BLOCK).tolist()
-                block.reverse()
+                fresh = stream.random(_BLOCK).tolist()
+                fresh.reverse()
+                if block is None:
+                    block = self._blocks[name] = fresh
+                else:
+                    block.extend(fresh)
                 drawn = block.pop()
         # The draw ``Generator.uniform(low, high)`` makes, bit for bit, without
         # its per-call scalar-argument handling.

@@ -120,6 +120,8 @@ class TraceRecorder:
         the simulated time the work request entered its queue pair, which
         precedes ``start_time`` (when the NIC began servicing it).
         """
+        # ``result.raced``, without its two property frames.
+        check = result.check
         record = OperationRecord._build(
             result.operation,
             result.origin,
@@ -129,7 +131,7 @@ class TraceRecorder:
             result.end_time,
             result.data_messages,
             result.control_messages,
-            result.raced,
+            check is not None and check.race is not None,
             posted_time,
         )
         self._operations.append(record)

@@ -37,7 +37,7 @@ class IdAllocator:
 
     def next_str(self) -> str:
         """Return the next id formatted as ``"<prefix>-<n>"``."""
-        return f"{self._prefix}-{self.next_int()}"
+        return f"{self._prefix}-{next(self._counter)}"
 
     def peek(self) -> int:
         """Return the id that the *next* call to :meth:`next_int` would produce.

@@ -27,34 +27,38 @@ def trusted_build(cls: Type[T]) -> Type[T]:
     public constructor stays the place where outside values are checked.
 
     The record is born as an instance of a private subclass that adds no slot
-    and stores attributes the ordinary way, filled by the plain (non-frozen)
-    dataclass ``__init__`` for the same field names, and is then handed over
-    to *cls* by assigning its ``__class__`` — legal because the two layouts
-    are identical.  This needs ``slots=True``: on a ``__dict__``-backed class
-    CPython >= 3.11 answers both this assignment and the shorter
-    ``__dict__.update(...)`` by materialising the instance dictionary it
-    otherwise never builds, one more tracked object per record kept.
+    and stores attributes the ordinary way, filled field by field, and is then
+    handed over to *cls* by assigning its ``__class__`` — legal because the
+    two layouts are identical.  ``_build`` is generated, the way
+    ``dataclasses`` generates ``__init__``: one function with one parameter
+    per field, so a record costs one Python frame.  This needs
+    ``slots=True``: on a ``__dict__``-backed class CPython >= 3.11 answers
+    both this assignment and the shorter ``__dict__.update(...)`` by
+    materialising the instance dictionary it otherwise never builds, one more
+    tracked object per record kept.
     """
     if "__slots__" not in vars(cls) or not cls.__dataclass_params__.frozen:
         raise TypeError(f"{cls.__name__} must be a frozen dataclass with slots=True")
     names = [field.name for field in dataclasses.fields(cls)]
-    store = dataclasses.make_dataclass(f"_{cls.__name__}Fields", names).__init__
     unfrozen = type(
         f"_Unfrozen{cls.__name__}",
         (cls,),
         {
             "__slots__": (),
-            "__init__": store,
             # Both, or the type keeps the frozen pair's slow slot.
             "__setattr__": object.__setattr__,
             "__delattr__": object.__delattr__,
         },
     )
-
-    def _build(*values: object) -> T:
-        record = unfrozen(*values)
-        record.__class__ = cls
-        return record
-
-    cls._build = staticmethod(_build)
+    stores = "".join(f"    __record__.{name} = {name}\n" for name in names)
+    source = (
+        f"def _build({', '.join(names)}):\n"
+        "    __record__ = __new__(__unfrozen__)\n"
+        f"{stores}"
+        "    __record__.__class__ = __cls__\n"
+        "    return __record__\n"
+    )
+    namespace = {"__new__": object.__new__, "__unfrozen__": unfrozen, "__cls__": cls}
+    exec(source, namespace)
+    cls._build = staticmethod(namespace["_build"])
     return cls

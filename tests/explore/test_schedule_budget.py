@@ -13,8 +13,10 @@ a deliberate addition to a schedule's fixed cost should ever move it.
 Readings on ``unsynchronized-counter`` (62 events, 48 decisions in the
 second schedule: 39 ``latency``, 9 ``tie``).  "Before" is the commit before
 the row's ceiling was last set: (a) and (b) against a controller asked at
-every step and streams derived per runtime; (c) against a sixth knob and the
-RNR retry settings checked at construction; (d) against decisions built as
+every step and streams derived per runtime; (c) against a fabric whose world
+size was read through the topology's property for every NIC built (545
+before that, against a sixth knob and the RNR retry settings checked at
+construction); (d) against decisions built as
 records at once, ties gathered off the heap whatever their size, and the
 offline detectors keyed by ``GlobalAddress``:
 
@@ -25,16 +27,18 @@ count (the second schedule unless said)                          before    ceili
     the same time                                               62 / 12   12 / 12
 (b) stream seed sequences derived, first / second schedule        5 / 5     5 / 0
 (c) Python calls ``run_schedule`` makes outside
-    ``Simulator.run``                                                545       540
+    ``Simulator.run``                                                540       538
 (d) Python calls into ``repro/explore/`` inside
     ``Simulator.run``                                                213       108
 ============================================================  ========  ==========
 
-(c) reads 539 by default and 540 under ``REPRO_DETECTOR_EPOCHS=off`` (CI's
+(c) reads 537 by default and 538 under ``REPRO_DETECTOR_EPOCHS=off`` (CI's
 slow-path leg: one more ``os.environ`` frame decodes the variable's value);
 the ceiling is the larger reading.  It counts what a schedule's fixed part
-enters — building the runtime, collecting its result, the offline detectors,
-the fingerprint — not its events.  (d) is what the controller costs per
+enters — building the runtime (a latency model asking its stream for the
+live block list, ``RandomStreams.uniform_block``, is one call of it),
+collecting its result, the offline detectors, the fingerprint — not its
+events.  (d) is what the controller costs per
 choice point: the strategy's ``choose`` (48), ``on_message_latency`` (39),
 ``pick_next`` (12) and the tie's ``_decide`` (9); it was 213 when every
 decision built its record, every latency went through ``_decide`` and every
@@ -57,7 +61,7 @@ from repro.workloads.racy_patterns import pattern_corpus
 PATTERN = "unsynchronized-counter"
 
 #: The finished change's readings of (c) and (d) (see the table above).
-CALLS_OUTSIDE_THE_RUN_CEILING = 540
+CALLS_OUTSIDE_THE_RUN_CEILING = 538
 EXPLORE_CALLS_IN_THE_RUN_CEILING = 108
 
 

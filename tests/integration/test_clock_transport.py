@@ -85,8 +85,7 @@ class TestPiggybackVsRoundtrip:
         runtime.set_program(0, writer)
         runtime.set_program(1, idle)
         runtime.run()
-        channel = runtime.fabric.channels()[(0, 1)]
-        assert channel.stats.messages > 0
+        assert runtime.fabric.message_count(MessageKind.PUT_DATA) > 0
         assert runtime.fabric.message_count(MessageKind.CLOCK_FETCH) == 0
         assert runtime.fabric.message_count(MessageKind.CLOCK_UPDATE) == 0
 

@@ -39,15 +39,6 @@ class TestChannel:
             deliveries.append(stamped.deliver_time)
         assert deliveries == sorted(deliveries)
 
-    def test_stats_accumulate(self):
-        sim = Simulator()
-        channel = Channel(sim, 0, 1, ConstantLatency(base=1.0))
-        channel.transmit(make_message())
-        channel.transmit(make_message())
-        assert channel.stats.messages == 2
-        assert channel.stats.bytes == 2 * make_message().total_bytes
-        assert channel.stats.mean_latency == 1.0
-
 
 class TestFabric:
     def make_fabric(self, world_size=3, topology=None):
@@ -281,6 +272,31 @@ class TestValidationRim:
         assert str(caught.value) == text
         assert fabric.stats.total_messages == sent
 
+    @pytest.mark.parametrize("send", ["send", "send_datagram"])
+    @pytest.mark.parametrize(
+        "source, destination, error, text",
+        [
+            (99, 99, ValueError, "source must be in [0, 2), got 99"),
+            (-1, -1, ValueError, "source must be in [0, 2), got -1"),
+            (True, True, TypeError, "source must be an int, got bool"),
+            (1, True, TypeError, "destination must be an int, got bool"),
+            (1.0, 1.0, TypeError, "source must be int, got float: 1.0"),
+            (1, 1.0, TypeError, "destination must be int, got float: 1.0"),
+            (
+                np.int64(1), np.int64(1), TypeError,
+                f"source must be int, got int64: {np.int64(1)!r}",
+            ),
+        ],
+    )
+    def test_a_bad_loopback_pair_is_rejected_with_the_same_words(
+        self, send, source, destination, error, text
+    ):
+        fabric = self.make_fabric()
+        with pytest.raises(error) as caught:
+            getattr(fabric, send)(MessageKind.PUT_DATA, source, destination)
+        assert str(caught.value) == text
+        assert fabric.stats.total_messages == 0
+
     @pytest.mark.parametrize(
         "flight, error, text",
         [
@@ -361,7 +377,6 @@ class TestValidationRim:
         sim.step()
         assert sim.now == now
         event, stamped = channel.transmit(make_message())
-        assert channel.stats.reordering_clamps == 1
         assert stamped.deliver_time == deliver_at
         assert event.delay == deliver_at - now
         assert [entry for entry in sim._queue if entry[2] is event] == [

@@ -29,6 +29,7 @@ import pytest
 from repro.explore.controller import PassthroughStrategy, ScheduleController
 from repro.explore.fuzzer import ScheduleFuzzer
 from repro.net.channel import Channel
+from repro.net.message import MessageKind
 from repro.net.ud_transport import (
     TRANSPORT_MODES,
     UdEndpoint,
@@ -260,14 +261,18 @@ class TestDropAndResync:
         )
         baseline = sparse_wire_factory()
         runtime.run(), baseline.run()
-        channel = runtime.fabric.channels()[(0, 1)]
-        quiet = baseline.fabric.channels()[(0, 1)]
-        assert channel.stats.dropped == 1
-        # The lost datagram's bytes left the sender: the channel accounts
-        # the extra retransmission plus the resync's full-frame reply
-        # (the request travels the reverse channel).
-        assert channel.stats.messages == quiet.stats.messages + 2
-        assert channel.stats.bytes > quiet.stats.bytes
+        assert runtime.clock_transport_stats().ud_dropped == 1
+        # The lost datagram's bytes left the sender: the fabric accounts the
+        # dropped PUT_DATA beside its retransmission, plus one resync round
+        # trip (request and full-frame reply).
+        fabric, quiet = runtime.fabric, baseline.fabric
+        assert fabric.message_count(MessageKind.PUT_DATA) == (
+            quiet.message_count(MessageKind.PUT_DATA) + 1
+        )
+        assert fabric.message_count(MessageKind.UD_RESYNC_REQUEST) == 1
+        assert fabric.message_count(MessageKind.UD_RESYNC_FULL) == 1
+        assert fabric.message_count() == quiet.message_count() + 3
+        assert fabric.stats.data_bytes > quiet.stats.data_bytes
 
     def test_resync_stamps_the_historical_clock_not_the_current_one(self):
         """The verdict on the racy cell must survive the recovery: a resync
@@ -342,8 +347,6 @@ class TestResyncEdgeCases:
         stats = runtime.clock_transport_stats()
         assert stats.ud_duplicates == 2
         assert stats.ud_resyncs == 0, "a duplicate must not look like a gap"
-        channel = runtime.fabric.channels()[(0, 1)]
-        assert channel.stats.duplicated == 2
         assert verdict(result) == verdict(sparse_wire_factory(transport="rc").run())
 
     def test_view_never_rewinds_below_a_resynced_sequence(self):

@@ -65,16 +65,19 @@ class TestChannelProperties:
         channel = Channel(sim, 0, 1, UniformLatency(sim.rng, low=0.01, high=5.0))
         deliveries = []
         for index, size in enumerate(sizes):
-            _event, stamped = channel.transmit(
+            event, stamped = channel.transmit(
                 Message(
                     message_id=index, kind=MessageKind.PUT_DATA, source=0,
                     destination=1, payload_bytes=size,
                 )
             )
-            deliveries.append(stamped.deliver_time)
-        assert deliveries == sorted(deliveries)
-        assert all(d >= 0 for d in deliveries)
-        assert channel.stats.messages == len(sizes)
+            event.callbacks.append(lambda fired: deliveries.append(fired.value))
+        sim.run()
+        # Every transmission arrives once, in send order, at its stamped time.
+        assert [message.message_id for message in deliveries] == list(range(len(sizes)))
+        times = [message.deliver_time for message in deliveries]
+        assert times == sorted(times)
+        assert all(t >= 0 for t in times)
 
 
 class TestTraceSerializationProperties:

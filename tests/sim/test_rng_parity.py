@@ -16,6 +16,7 @@ job runs it with ``--hypothesis-profile=nightly``.
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from repro.net.latency import UniformLatency
 from repro.sim import rng
 from repro.sim.rng import RandomStreams
 
@@ -38,7 +39,8 @@ def reference(seed, name):
 
 
 def has_no_block(streams, name):
-    return name not in streams._blocks and name not in streams._block_starts
+    """No outstanding block: the stream's one block list, if any, is empty."""
+    return not streams._blocks.get(name) and name not in streams._block_starts
 
 
 def replay(seed, ops):
@@ -114,3 +116,24 @@ def test_a_stream_handed_out_raw_draws_scalar_uniforms_from_then_on():
         assert streams.uniform("mixed", 0.0, 1.0) == ref.random()
         assert has_no_block(streams, "mixed")
         assert held.random() == ref.random()
+
+
+def test_a_latency_model_holding_the_block_draws_what_scalar_draws_draw():
+    # ``UniformLatency`` pops one-hop draws off the stream's live block list
+    # itself; across a refill and a raw hand-out it still draws, call for
+    # call, what scalar ``Generator.uniform`` draws do.
+    streams = RandomStreams(3)
+    model = UniformLatency(streams, low=0.5, high=1.5)
+    ref = reference(3, "net.latency")
+    for _ in range(rng._BLOCK + 7):  # one refill
+        assert model.latency(None) == float(ref.uniform(0.5, 1.5))
+    assert model.latency(None, hops=2) == float(ref.uniform(0.5, 1.5)) + float(
+        ref.uniform(0.5, 1.5)
+    )
+    held = streams.stream("net.latency")  # a raw hand-out empties the block
+    assert has_no_block(streams, "net.latency")
+    assert held.random() == ref.random()
+    for _ in range(3):
+        assert model.latency(None) == float(ref.uniform(0.5, 1.5))
+        assert held.random() == ref.random()
+    assert has_no_block(streams, "net.latency")
