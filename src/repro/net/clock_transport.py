@@ -69,11 +69,12 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from operator import add
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.detector import DualClockRaceDetector
 from repro.net.message import MessageKind
-from repro.obs.metrics import Counter, MetricsRegistry, family_keys
+from repro.obs.metrics import MetricsRegistry, family_keys
 from repro.obs.observability import Observability
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -286,10 +287,10 @@ CLOCK_TRANSPORT_FIELDS = (
 #: The fields' counter names, in field order.
 _COUNTER_NAMES = tuple(f"clock_transport.{name}" for name in CLOCK_TRANSPORT_FIELDS)
 
-#: Each field's index into ``ClockTransportStats._counters``.  Every write
-#: in the package increments ``stats._counters[INDEX].value`` in place (the
-#: transport here, the UD datagram path in :mod:`repro.net.nic`); the views
-#: are the read API and enter a Python frame per access.
+#: Each field's index into ``ClockTransportStats._row``.  Every write in
+#: the package increments ``stats._row[INDEX]`` in place (the transport
+#: here, the UD datagram path in :mod:`repro.net.nic`); the views are the
+#: read API and enter a Python frame per access.
 ROUND_TRIPS = CLOCK_TRANSPORT_FIELDS.index("round_trips")
 PIGGYBACKED_MESSAGES = CLOCK_TRANSPORT_FIELDS.index("piggybacked_messages")
 PIGGYBACKED_BYTES = CLOCK_TRANSPORT_FIELDS.index("piggybacked_bytes")
@@ -310,20 +311,20 @@ UD_RESYNC_REQUESTS = CLOCK_TRANSPORT_FIELDS.index("ud_resync_requests")
 
 
 def _transport_field(name: str) -> property:
-    """A field of :class:`ClockTransportStats` backed by a registry counter.
+    """A field of :class:`ClockTransportStats`: one slot of its row.
 
-    Each field is a getter/setter pair over the counter's value: the read
-    API, which a bare total (or a test) may also write through
-    (``total.round_trips += 1``).  The package's own tallies increment the
-    counter by index instead (:data:`ROUND_TRIPS`, ...).
+    Each field is a getter/setter pair over the slot: the read API, which a
+    bare total (or a test) may also write through (``total.round_trips +=
+    1``).  The package's own tallies increment the slot by index instead
+    (:data:`ROUND_TRIPS`, ...).
     """
     index = CLOCK_TRANSPORT_FIELDS.index(name)
 
     def getter(self: "ClockTransportStats") -> int:
-        return self._counters[index].value
+        return self._row[index]
 
     def setter(self: "ClockTransportStats", value: int) -> None:
-        self._counters[index].value = value
+        self._row[index] = value
 
     return property(getter, setter, doc=f"Registry-backed ``{name}`` count.")
 
@@ -331,28 +332,27 @@ def _transport_field(name: str) -> property:
 class ClockTransportStats:
     """Per-rank accounting of how clocks moved during one run.
 
-    A *view* over the metrics registry: every field is a
-    ``clock_transport.<field>`` counter (labelled ``rank=<rank>`` when owned
-    by a NIC's transport), so ``RunResult.metrics`` and this object can never
-    disagree.  Constructed bare — e.g. for whole-machine totals built with
-    :meth:`merge` — its counters belong to no registry.
+    A *view* over the metrics registry: every field is a slot of the
+    ``clock_transport.<field>`` counter family's row (labelled
+    ``rank=<rank>`` when owned by a NIC's transport), so
+    ``RunResult.metrics`` and this object can never disagree.  Constructed
+    bare — e.g. for whole-machine totals built with :meth:`merge` — it owns
+    a private row.
     """
 
-    __slots__ = ("_counters",)
+    __slots__ = ("_row",)
 
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
         rank: Optional[int] = None,
     ) -> None:
-        labels = {} if rank is None else {"rank": rank}
-        keys = family_keys(_COUNTER_NAMES, **labels)
-        #: One counter per field, in :data:`CLOCK_TRANSPORT_FIELDS` order.
-        self._counters = (
-            [Counter(*key) for key in keys]
-            if registry is None
-            else registry.counter_family(keys)
-        )
+        #: One count per field, in :data:`CLOCK_TRANSPORT_FIELDS` order.
+        if registry is None:
+            self._row = [0] * len(CLOCK_TRANSPORT_FIELDS)
+        else:
+            labels = {} if rank is None else {"rank": rank}
+            self._row = registry.counter_family(family_keys(_COUNTER_NAMES, **labels))
 
     round_trips = _transport_field("round_trips")
     piggybacked_messages = _transport_field("piggybacked_messages")
@@ -374,21 +374,17 @@ class ClockTransportStats:
 
     def merge(self, other: "ClockTransportStats") -> "ClockTransportStats":
         """Accumulate *other* into this record (whole-machine totals)."""
-        for mine, theirs in zip(self._counters, other._counters):
-            mine.value += theirs.value
+        self._row[:] = map(add, self._row, other._row)
         return self
 
     def as_dict(self) -> Dict[str, int]:
         """Flat dictionary for reports and the benchmark JSON."""
-        return {
-            name: counter.value
-            for name, counter in zip(CLOCK_TRANSPORT_FIELDS, self._counters)
-        }
+        return dict(zip(CLOCK_TRANSPORT_FIELDS, self._row))
 
     @staticmethod
     def summed(views: Sequence["ClockTransportStats"]) -> Dict[str, int]:
         """:meth:`as_dict` of *views* merged, without building the merged record."""
-        rows = [[counter.value for counter in view._counters] for view in views]
+        rows = [view._row for view in views]
         return dict(zip(CLOCK_TRANSPORT_FIELDS, map(sum, zip(*rows))))
 
     def __eq__(self, other: object) -> bool:
@@ -493,9 +489,9 @@ class ClockTransport:
                 f"clock wire codec corrupted a clock on channel "
                 f"P{nic.rank}->P{destination}: {frozen} decoded as {decoded}"
             )
-        counters = self.stats._counters
-        counters[WIRE_FRAMES_FULL if frame.full else WIRE_FRAMES_SPARSE].value += 1
-        counters[WIRE_BYTES_SAVED].value += max(
+        row = self.stats._row
+        row[WIRE_FRAMES_FULL if frame.full else WIRE_FRAMES_SPARSE] += 1
+        row[WIRE_BYTES_SAVED] += max(
             0, nic._clock_bytes() - frame.wire_bytes
         )
         return frame
@@ -550,9 +546,9 @@ class ClockTransport:
                 clock.frozen() if hasattr(clock, "frozen") else tuple(map(int, clock))
             )
             frame = self.encode_frame(frozen, destination)
-            counters = self.stats._counters
-            counters[PIGGYBACKED_MESSAGES].value += 1
-            counters[PIGGYBACKED_BYTES].value += frame.wire_bytes
+            row = self.stats._row
+            row[PIGGYBACKED_MESSAGES] += 1
+            row[PIGGYBACKED_BYTES] += frame.wire_bytes
             return frozen, frame.wire_bytes, ("full" if frame.full else "sparse")
         if request or nic.config.charge_detection_messages:
             return None, 0, None
@@ -604,7 +600,7 @@ class ClockTransport:
             payload_bytes=update_bytes, operation_tag=tag,
         )
         yield reply
-        self.stats._counters[ROUND_TRIPS].value += 1
+        self.stats._row[ROUND_TRIPS] += 1
         spans = nic._obs.spans
         if spans.enabled:
             spans.complete(
@@ -618,9 +614,7 @@ class ClockTransport:
 
     def note_join(self, performed: bool) -> None:
         """Book one completion retirement: a join done, or elided by batching."""
-        self.stats._counters[
-            JOINS_PERFORMED if performed else JOINS_ELIDED
-        ].value += 1
+        self.stats._row[JOINS_PERFORMED if performed else JOINS_ELIDED] += 1
 
     def note_completion_event(self, completions: int, carries_clock: bool) -> None:
         """Book one CQE delivery covering *completions* work completions.
@@ -630,11 +624,11 @@ class ClockTransport:
         batched retirement join, charged here at full vector size — is paid
         once per burst instead of once per completion.
         """
-        counters = self.stats._counters
-        counters[COMPLETION_EVENTS].value += 1
-        counters[COMPLETIONS_COALESCED].value += max(0, completions - 1)
+        row = self.stats._row
+        row[COMPLETION_EVENTS] += 1
+        row[COMPLETIONS_COALESCED] += max(0, completions - 1)
         if carries_clock:
-            counters[COMPLETION_CLOCK_BYTES].value += self._owner()._clock_bytes()
+            row[COMPLETION_CLOCK_BYTES] += self._owner()._clock_bytes()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ClockTransport P{self._nic.rank} mode={self.mode}>"

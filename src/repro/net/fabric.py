@@ -18,7 +18,7 @@ from repro.net.latency import LatencyModel
 from repro.net.message import HEADER_BYTES, Message, MessageKind
 from repro.net.topology import Topology
 from repro.net.ud_transport import UD_RETRANSMIT_TIMEOUT
-from repro.obs.metrics import Counter, MetricsRegistry, family_keys
+from repro.obs.metrics import MetricsRegistry, define_family
 from repro.obs.observability import Observability
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, Timeout
@@ -37,16 +37,37 @@ _CATEGORY_OF = {
 
 #: The registry keys of FabricStats' counter family: messages per category,
 #: bytes per category, messages per kind.
-_FAMILY = tuple(
-    key
+_FAMILY = define_family(
+    (name, ((label, value),))
     for name, label, values in (
         ("fabric.messages", "category", _CATEGORIES),
         ("fabric.bytes", "category", _CATEGORIES),
         ("fabric.messages_by_kind", "kind", [kind.value for kind in MessageKind]),
     )
     for value in values
-    for key in family_keys((name,), **{label: value})
 )
+
+#: Where each block of the family starts in a FabricStats row.
+_MESSAGES, _BYTES, _BY_KIND = 0, len(_CATEGORIES), 2 * len(_CATEGORIES)
+
+#: kind -> the row indices one message of that kind increments: the
+#: fabric's one accounting rule.  ``Fabric.send`` and ``send_datagram`` book
+#: a message in their own frame — its category's messages by one, its
+#: category's bytes by ``total_bytes``, its kind's messages by one.
+_INDICES = {
+    kind: (
+        _MESSAGES + _CATEGORIES.index(category),
+        _BYTES + _CATEGORIES.index(category),
+        _BY_KIND + position,
+    )
+    for position, (kind, category) in enumerate(_CATEGORY_OF.items())
+}
+
+
+def _stat(index: int) -> property:
+    """A read-only FabricStats field: one slot of its row."""
+    return property(lambda self: self._row[index])
+
 
 #: Loopback delivery-event names, one constant per kind.
 _LOCAL = {kind: f"local:{kind.value}" for kind in MessageKind}
@@ -55,92 +76,50 @@ _LOCAL = {kind: f"local:{kind.value}" for kind in MessageKind}
 class FabricStats:
     """Message/byte counters split by traffic category.
 
-    A *view* over the metrics registry: the numbers live in
-    ``fabric.messages{category=...}`` / ``fabric.bytes{category=...}``
-    counters, and the historical attribute surface (``data_messages``,
-    ``detection_bytes``, ...) reads straight through to them — one source of
-    truth whichever spelling a caller uses.  Constructed without a registry
-    (tests, ad-hoc accounting) its counters belong to none.
+    A *view* over the metrics registry: the numbers live in the row of the
+    ``fabric.messages{category=...}`` / ``fabric.bytes{category=...}`` /
+    ``fabric.messages_by_kind{kind=...}`` counter family, and the historical
+    attribute surface (``data_messages``, ``detection_bytes``, ...) reads
+    straight through to it — one source of truth whichever spelling a caller
+    uses.  Constructed without a registry (tests, ad-hoc accounting) it owns
+    a private row.
     """
 
-    __slots__ = ("_messages", "_bytes", "_by_kind", "_rows")
+    __slots__ = ("_row",)
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        family = (
-            [Counter(*key) for key in _FAMILY]
-            if registry is None
-            else registry.counter_family(_FAMILY)
+        self._row = (
+            [0] * len(_FAMILY) if registry is None else registry.counter_family(_FAMILY)
         )
-        n = len(_CATEGORIES)
-        self._messages = dict(zip(_CATEGORIES, family[:n]))
-        self._bytes = dict(zip(_CATEGORIES, family[n : 2 * n]))
-        self._by_kind = dict(zip(MessageKind, family[2 * n :]))
-        #: kind -> the three counters one message of that kind increments:
-        #: the fabric's one accounting rule.  ``Fabric.send`` and
-        #: ``send_datagram`` book a message in their own frame — the
-        #: category's messages by one, its bytes by ``total_bytes``, the
-        #: kind's messages by one.
-        self._rows = {
-            kind: (self._messages[category], self._bytes[category], self._by_kind[kind])
-            for kind, category in _CATEGORY_OF.items()
-        }
 
     # -- the historical attribute surface ------------------------------------------
 
-    @property
-    def data_messages(self) -> int:
-        return self._messages["data"].value
-
-    @property
-    def lock_messages(self) -> int:
-        return self._messages["lock"].value
-
-    @property
-    def detection_messages(self) -> int:
-        return self._messages["detection"].value
-
-    @property
-    def other_messages(self) -> int:
-        return self._messages["other"].value
-
-    @property
-    def data_bytes(self) -> int:
-        return self._bytes["data"].value
-
-    @property
-    def lock_bytes(self) -> int:
-        return self._bytes["lock"].value
-
-    @property
-    def detection_bytes(self) -> int:
-        return self._bytes["detection"].value
-
-    @property
-    def other_bytes(self) -> int:
-        return self._bytes["other"].value
+    data_messages = _stat(_MESSAGES + _CATEGORIES.index("data"))
+    lock_messages = _stat(_MESSAGES + _CATEGORIES.index("lock"))
+    detection_messages = _stat(_MESSAGES + _CATEGORIES.index("detection"))
+    other_messages = _stat(_MESSAGES + _CATEGORIES.index("other"))
+    data_bytes = _stat(_BYTES + _CATEGORIES.index("data"))
+    lock_bytes = _stat(_BYTES + _CATEGORIES.index("lock"))
+    detection_bytes = _stat(_BYTES + _CATEGORIES.index("detection"))
+    other_bytes = _stat(_BYTES + _CATEGORIES.index("other"))
 
     @property
     def total_messages(self) -> int:
         """All messages that crossed the fabric."""
-        return sum(counter.value for counter in self._messages.values())
+        return sum(self._row[_MESSAGES:_BYTES])
 
     @property
     def total_bytes(self) -> int:
         """All bytes that crossed the fabric."""
-        return sum(counter.value for counter in self._bytes.values())
+        return sum(self._row[_BYTES:_BY_KIND])
 
     def message_count_for_kind(self, kind: MessageKind) -> int:
         """Messages sent with exactly *kind* (finer than the categories)."""
-        return self._by_kind[kind].value
+        return self._row[_INDICES[kind][2]]
 
     def reset(self) -> None:
-        """Zero every counter in place (instrument identities survive)."""
-        for counter in self._messages.values():
-            counter.value = 0
-        for counter in self._bytes.values():
-            counter.value = 0
-        for counter in self._by_kind.values():
-            counter.value = 0
+        """Zero every counter in place (the row's identity survives)."""
+        self._row[:] = [0] * len(self._row)
 
     def as_dict(self) -> Dict[str, int]:
         """Flat dictionary used by the reporting helpers."""
@@ -260,9 +239,17 @@ class Fabric:
         # guarded assignments; the names are trusted — holding only the
         # fields that differ from their class default (the others read it),
         # and stamped for loopback (a channel restamps a remote one).  The
-        # pair's channel is looked up here (what :meth:`channel` does; a miss
+        # pair's channel is looked up first (what :meth:`channel` does; a miss
         # or a non-``int`` rank still goes through :meth:`_open` for its
-        # checks, and a loopback pair is checked every time).
+        # checks, and a loopback pair is checked every time), so a rejected
+        # pair draws no message id.
+        if source == destination:
+            self._topology.hops(source, destination)  # the pair's checks
+            channel = None
+        else:
+            channel = self._channels.get((source, destination))
+            if channel is None or type(source) is not int or type(destination) is not int:
+                channel = self._open(source, destination)
         sim = self._sim
         now = sim._now
         message = object.__new__(Message)
@@ -283,19 +270,16 @@ class Fabric:
             fields["carried_clock"] = carried_clock
         if clock_wire_bytes:
             fields["clock_wire_bytes"] = clock_wire_bytes
-        if source == destination:
-            self._topology.hops(source, destination)  # the pair's checks
+        if channel is None:
             event = Timeout(sim, 0.0, message, _LOCAL[kind])
         else:
-            channel = self._channels.get((source, destination))
-            if channel is None or type(source) is not int or type(destination) is not int:
-                channel = self._open(source, destination)
             # Built here and shared with nobody: stamped in place, not copied.
             event, message = channel.transmit(message, _owned=True)
-        messages, byte_count, by_kind = self.stats._rows[kind]
-        messages.value += 1
-        byte_count.value += HEADER_BYTES + (payload_bytes if payload_bytes > 0 else 0)
-        by_kind.value += 1
+        messages, byte_count, by_kind = _INDICES[kind]
+        row = self.stats._row
+        row[messages] += 1
+        row[byte_count] += HEADER_BYTES + (payload_bytes if payload_bytes > 0 else 0)
+        row[by_kind] += 1
         return event, message
 
     def send_datagram(
@@ -328,8 +312,14 @@ class Fabric:
         A delivered datagram crosses the pair's one channel like any message
         of :meth:`send` (FIFO clamp and controlled latency included).
         Self-datagrams never drop: loopback does not cross the fabric, and
-        is stamped ``(now, now)`` like a self-message of :meth:`send`.
+        is stamped ``(now, now)`` like a self-message of :meth:`send`.  As
+        there, the pair is checked before the datagram draws its id.
         """
+        if source == destination:
+            self._topology.hops(source, destination)  # the pair's checks
+            channel = None
+        else:
+            channel = self.channel(source, destination)
         now = self._sim.now
         message = Message(
             self._next_id(), kind, source, destination, payload, payload_bytes,
@@ -338,8 +328,7 @@ class Fabric:
             clock_wire_bytes=clock_wire_bytes, ud_seq=ud_seq, ud_frame=ud_frame,
         )
         duplicate = None
-        if source == destination:
-            self._topology.hops(source, destination)  # the pair's checks
+        if channel is None:
             event = self._sim.timeout(0.0, value=message, name=_LOCAL[kind])
             fate = "deliver"
         else:
@@ -347,7 +336,6 @@ class Fabric:
             fate_code = 0
             if controller is not None:
                 fate_code = controller.on_datagram_fate(message, source, destination)
-            channel = self.channel(source, destination)
             if fate_code == 1:
                 event, message = channel.drop(message, UD_RETRANSMIT_TIMEOUT)
                 fate = "drop"
@@ -358,10 +346,11 @@ class Fabric:
                     fate = "duplicate"
                     duplicate = channel.duplicate(message)
         # Booked as :meth:`send` books it; a dropped datagram's bytes left too.
-        messages, byte_count, by_kind = self.stats._rows[kind]
-        messages.value += 1
-        byte_count.value += message.total_bytes
-        by_kind.value += 1
+        messages, byte_count, by_kind = _INDICES[kind]
+        row = self.stats._row
+        row[messages] += 1
+        row[byte_count] += message.total_bytes
+        row[by_kind] += 1
         return event, message, fate, duplicate
 
     # -- accounting ----------------------------------------------------------------

@@ -91,9 +91,20 @@ NIC_COUNTER_FIELDS = (
 
 _NIC_COUNTER_NAMES = tuple(f"nic.{name}" for name in NIC_COUNTER_FIELDS)
 
+#: Each tally's index into ``NIC._tallies``, the family's registry row.  The
+#: NIC's own operations increment ``self._tallies[INDEX]`` in place; the
+#: attribute surface below is the read API.
+PUTS_ISSUED = NIC_COUNTER_FIELDS.index("puts_issued")
+GETS_ISSUED = NIC_COUNTER_FIELDS.index("gets_issued")
+ATOMICS_ISSUED = NIC_COUNTER_FIELDS.index("atomics_issued")
+SENDS_ISSUED = NIC_COUNTER_FIELDS.index("sends_issued")
+LOCAL_READS = NIC_COUNTER_FIELDS.index("local_reads")
+LOCAL_WRITES = NIC_COUNTER_FIELDS.index("local_writes")
+REMOTE_OPS_SERVICED = NIC_COUNTER_FIELDS.index("remote_ops_serviced")
+
 #: Everything that differs between the NIC's one-sided operations, declared
 #: once for the one kernel (:meth:`NIC._access`) that performs them all:
-#: operation -> (access kind, issue tally, request message, reply message,
+#: operation -> (access kind, issue tally's index, request message, reply message,
 #: cells the request carries, whether the engine track gets a span, and for
 #: the atomics what ``(old value, operand)`` deposits).  The message columns
 #: are Figure 2's decomposition — a put is one data message, a get (and an
@@ -103,24 +114,24 @@ _NIC_COUNTER_NAMES = tuple(f"nic.{name}" for name in NIC_COUNTER_FIELDS)
 #: fetch-and-add counts an uninitialized cell (``None``) as zero.
 _OPERATIONS = {
     "put": (
-        AccessKind.WRITE, "puts_issued", MessageKind.PUT_DATA, None, 1, True, None,
+        AccessKind.WRITE, PUTS_ISSUED, MessageKind.PUT_DATA, None, 1, True, None,
     ),
     "get": (
-        AccessKind.READ, "gets_issued",
+        AccessKind.READ, GETS_ISSUED,
         MessageKind.GET_REQUEST, MessageKind.GET_REPLY, 0, True, None,
     ),
     "fetch_add": (
-        AccessKind.RMW, "atomics_issued",
+        AccessKind.RMW, ATOMICS_ISSUED,
         MessageKind.ATOMIC_REQUEST, MessageKind.ATOMIC_REPLY, 1, True,
         lambda old, amount: (0 if old is None else old) + amount,
     ),
     "compare_and_swap": (
-        AccessKind.RMW, "atomics_issued",
+        AccessKind.RMW, ATOMICS_ISSUED,
         MessageKind.ATOMIC_REQUEST, MessageKind.ATOMIC_REPLY, 2, True,
         lambda old, operand: operand[1] if old == operand[0] else old,
     ),
-    "local_write": (AccessKind.WRITE, "local_writes", None, None, 0, False, None),
-    "local_read": (AccessKind.READ, "local_reads", None, None, 0, False, None),
+    "local_write": (AccessKind.WRITE, LOCAL_WRITES, None, None, 0, False, None),
+    "local_read": (AccessKind.READ, LOCAL_READS, None, None, 0, False, None),
 }
 
 #: Read off their classes once, as ``sim.process`` does its states (an
@@ -139,18 +150,19 @@ _REMOTE_FLAVOUR = {local: remote for remote, local in _LOCAL_FLAVOUR.items()}
 
 
 def _nic_counter(name: str) -> property:
-    """A NIC tally backed by a registry counter.
+    """A NIC tally: one slot of the NIC's registry row.
 
-    Each field is a getter/setter pair over the counter's value, the read
-    API; the NIC's own operations increment the counter in place
-    (``self._counters[tally].value += 1``) and enter no property.
+    Each field is a getter/setter pair over the slot, the read API; the
+    NIC's own operations increment the slot in place
+    (``self._tallies[INDEX] += 1``) and enter no property.
     """
+    index = NIC_COUNTER_FIELDS.index(name)
 
     def getter(self: "NIC") -> int:
-        return self._counters[name].value
+        return self._tallies[index]
 
     def setter(self: "NIC", value: int) -> None:
-        self._counters[name].value = value
+        self._tallies[index] = value
 
     return property(getter, setter, doc=f"Registry-backed ``{name}`` tally.")
 
@@ -246,10 +258,10 @@ class NIC:
         #: Observability bundle shared by everything on this simulator; the
         #: issue/service tallies live in its metrics registry.
         self._obs = Observability.of(sim)
-        tallies = self._obs.metrics.counter_family(
+        #: One count per tally, in :data:`NIC_COUNTER_FIELDS` order.
+        self._tallies = self._obs.metrics.counter_family(
             family_keys(_NIC_COUNTER_NAMES, rank=rank)
         )
-        self._counters = dict(zip(NIC_COUNTER_FIELDS, tallies))
         #: The clock-transport policy (roundtrip vs piggyback) shared by every
         #: instrumented path through this NIC.
         self.clock_transport = ClockTransport(self)
@@ -408,7 +420,7 @@ class NIC:
             return 1
 
         target_nic = self.peer(destination)
-        counters = self.clock_transport.stats._counters
+        transport_row = self.clock_transport.stats._row
         attempts = 0
         while True:
             carried, clock_wire_bytes, frame = self.clock_transport.ride_frame(
@@ -416,7 +428,7 @@ class NIC:
                 destination, request=request,
             )
             seq = self.ud.assign_seq(destination, carried)
-            counters[UD_DATAGRAMS].value += 1
+            transport_row[UD_DATAGRAMS] += 1
             event, _, fate, dup_event = self.fabric.send_datagram(
                 kind, self.rank, destination,
                 payload=payload,
@@ -428,14 +440,14 @@ class NIC:
             attempts += 1
             yield event
             if fate == "drop":
-                counters[UD_DROPPED].value += 1
+                transport_row[UD_DROPPED] += 1
                 if attempts > self.config.ud_max_retransmits:
                     raise UdDeliveryExceeded(
                         f"{kind.value} P{self.rank}->P{destination}: datagram "
                         f"dropped {attempts} times (retransmission budget "
                         f"{self.config.ud_max_retransmits})"
                     )
-                counters[UD_RETRANSMITS].value += 1
+                transport_row[UD_RETRANSMITS] += 1
                 continue
             if dup_event is not None:
                 # The copy may land while the resync below is still in
@@ -455,7 +467,7 @@ class NIC:
     ) -> None:
         """Second arrival of a duplicated datagram: an idempotent absorb."""
         target_nic.ud.absorb(self.rank, seq, frame)
-        target_nic.clock_transport.stats._counters[UD_DUPLICATES].value += 1
+        target_nic.clock_transport.stats._row[UD_DUPLICATES] += 1
 
     def _ud_resync(self, sender_nic: "NIC", seq: int, tag: str) -> Generator:
         """Receiver-driven clock resync: recover the full frame for *seq*.
@@ -472,7 +484,7 @@ class NIC:
         as a ``resync_wait`` span on this NIC's engine track.
         """
         started = self._sim._now
-        counters = self.clock_transport.stats._counters
+        transport_row = self.clock_transport.stats._row
         attempts = 0
         while True:
             attempts += 1
@@ -482,7 +494,7 @@ class NIC:
                     f"full frame after {attempts - 1} requests (budget "
                     f"{self.config.ud_max_retransmits})"
                 )
-            counters[UD_RESYNC_REQUESTS].value += 1
+            transport_row[UD_RESYNC_REQUESTS] += 1
             event, _, fate, _ = self.fabric.send_datagram(
                 MessageKind.UD_RESYNC_REQUEST, self.rank, sender_nic.rank,
                 payload=seq, payload_bytes=8, operation_tag=tag,
@@ -510,7 +522,7 @@ class NIC:
             # The reply was lost: the receiver cannot tell a lost request
             # from a lost reply, so it simply re-requests.
         self.ud.mark_resynced(sender_nic.rank, seq)
-        counters[UD_RESYNCS].value += 1
+        transport_row[UD_RESYNCS] += 1
         self._obs.spans.complete(
             self.engine_track, "resync_wait", started, self._sim._now,
             source=f"P{sender_nic.rank}", seq=seq,
@@ -649,7 +661,7 @@ class NIC:
             )
         start = self._sim._now
         tag = self._tags.next_str()
-        self._counters[tally].value += 1
+        self._tallies[tally] += 1
         target_nic = self._peers[target.rank]() if remote else self
         data_messages = control_messages = 0
         update_clock_bytes = None
@@ -671,7 +683,7 @@ class NIC:
                     request_cells * DEFAULT_CELL_BYTES, tag,
                     clock_snapshot, True, reply_kind is not None,
                 )
-                target_nic._counters["remote_ops_serviced"].value += 1
+                target_nic._tallies[REMOTE_OPS_SERVICED] += 1
             if clock_snapshot is not None and self.recorder is not None:
                 self.recorder.record_transfer(
                     self.rank, target.rank, time=self._sim._now,
@@ -908,7 +920,7 @@ class NIC:
         start = self._sim._now
         tag = self._tags.next_str()
         target_nic = self.peer(destination)
-        self._counters["sends_issued"].value += 1
+        self._tallies[SENDS_ISSUED] += 1
         remote = destination != self.rank
         data_messages = 0
 
@@ -933,7 +945,7 @@ class NIC:
         # and the buffer leave the pool together.
         credit_gate.settle()
         if remote:
-            target_nic._counters["remote_ops_serviced"].value += 1
+            target_nic._tallies[REMOTE_OPS_SERVICED] += 1
 
         if len(values) > len(recv_wr.addresses):
             raise ReceiveLengthError(

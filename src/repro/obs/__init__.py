@@ -30,7 +30,15 @@ byte-identical with it on or off.
 """
 
 from repro.obs.critical_path import CriticalPath, CriticalPathAnalyzer, PathSegment
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, family_keys
+from repro.obs.metrics import (
+    Counter,
+    CounterSlot,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    define_family,
+    family_keys,
+)
 from repro.obs.observability import Observability
 from repro.obs.profiler import DetectionProfiler
 from repro.obs.spans import SpanTracer
@@ -38,6 +46,7 @@ from repro.obs.whatif import WhatIfEngine
 
 __all__ = [
     "Counter",
+    "CounterSlot",
     "CriticalPath",
     "CriticalPathAnalyzer",
     "Gauge",
@@ -48,5 +57,6 @@ __all__ = [
     "PathSegment",
     "SpanTracer",
     "WhatIfEngine",
+    "define_family",
     "family_keys",
 ]

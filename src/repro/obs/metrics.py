@@ -6,6 +6,19 @@ through thin legacy views (``FabricStats``, ``ClockTransportStats``) whose
 fields are properties over registry instruments — one source of truth, two
 spellings.
 
+A counter lives in one of two forms:
+
+* a **singleton** — a :class:`Counter` object, created the first time
+  :meth:`MetricsRegistry.counter` is asked for its key;
+* a slot of a **family row** — a stats view's counters are one registered
+  family (:func:`family_keys` or :func:`define_family`, each a constant of
+  the process), and :meth:`MetricsRegistry.counter_family` hands back the
+  family's *row*: a plain ``list`` of ints, one slot per key in key order.
+  The view writes ``row[INDEX] += n``; :meth:`MetricsRegistry.counter` on a
+  key of a registered family returns a :class:`CounterSlot` that aliases the
+  slot.  A key is one or the other, never both (:meth:`counter_family`
+  raises on a key that already is a singleton).
+
 Design constraints, in priority order:
 
 * **Determinism.**  :meth:`MetricsRegistry.snapshot` returns a plain dict with
@@ -14,10 +27,11 @@ Design constraints, in priority order:
   produce byte-identical snapshots.
 * **Cheapness.**  Instruments are memoized by ``(name, labels)`` (counters
   by its snapshot key text, whose hash a ``str`` caches); the hot path
-  is one dict hit plus an integer add.  No wall-clock, no locks, no I/O.
-  A stats view that owns a whole family of counters registers it in one pass
-  (:func:`family_keys` + :meth:`MetricsRegistry.counter_family`), and the
-  snapshot key text of an instrument is formatted once per process.
+  is one dict hit plus an integer add, or for a view one list-slot add.  No
+  wall-clock, no locks, no I/O.  A family's keys and their snapshot texts
+  are built once per process, so registering one is one ``[0] * n``; the
+  snapshot key text of an instrument is formatted once per process, and the
+  snapshot's sorted order once per instrument layout (:data:`_LAYOUTS`).
 * **Zero behavioural footprint.**  Nothing in here touches simulation clocks,
   scheduling order, or randomness — metrics on/off cannot change verdicts.
 
@@ -31,7 +45,8 @@ from __future__ import annotations
 import functools
 import json
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 #: Version of the exported metrics-file layout (the ``export()`` wrapper).
 #: Bumped on incompatible changes so loaders fail loudly instead of
@@ -73,32 +88,65 @@ def _label_key(labels: Dict[str, object]) -> LabelKey:
 
 
 class _FamilyKeys(tuple):
-    """What :func:`family_keys` returns: the plain key tuple, plus its rows.
+    """A counter family: the plain key tuple, plus what a registry needs of it.
 
-    Equal to (and iterating as) the tuple of ``(name, labels)`` keys;
-    ``rows`` holds each key's ``(text, name, labels)``, so
-    :meth:`MetricsRegistry.counter_family` hashes no nested tuple.
+    Equal to (and iterating as) the tuple of ``(name, labels)`` keys.  Built
+    once per process by :func:`define_family`; a registry tells families
+    apart by identity, so the same object must be passed every time.
     """
 
-    rows: Tuple[Tuple[str, str, LabelKey], ...]
+    #: Each key's ``(text, name, labels)``, in key order.
+    entries: Tuple[Tuple[str, str, LabelKey], ...]
+    #: The keys' snapshot texts, for the registry's overlap check.
+    texts: frozenset
+    #: True once another family of the process names one of these keys.
+    shared: bool
 
 
-@functools.lru_cache(maxsize=1024)
+#: Snapshot key text -> every ``(family, index)`` defined with that key.
+#: Process-wide, like the families themselves (which it keeps alive): what
+#: :meth:`MetricsRegistry.counter` consults to find a key's row slot.
+_KEY_FAMILIES: Dict[str, List[Tuple[_FamilyKeys, int]]] = {}
+
+
+def define_family(keys: Iterable[InstrumentKey]) -> _FamilyKeys:
+    """A counter family of explicit ``(name, labels)`` *keys*, in order.
+
+    For a family whose keys do not share one label set (``FabricStats``'
+    per-category and per-kind counters); :func:`family_keys` builds the
+    common kind.  Call it once per process — at import — and keep the
+    result: :meth:`MetricsRegistry.counter_family` knows a family by its
+    identity.
+    """
+    family = _FamilyKeys(keys)
+    family.entries = tuple([(_KEY_TEXT[key], *key) for key in family])
+    family.texts = frozenset([text for text, _, _ in family.entries])
+    if len(family.texts) != len(family):
+        raise ValueError(f"a counter family names a key twice: {family!r}")
+    family.shared = False
+    for index, (text, _, _) in enumerate(family.entries):
+        owners = _KEY_FAMILIES.setdefault(text, [])
+        for other, _ in owners:
+            other.shared = family.shared = True
+        owners.append((family, index))
+    return family
+
+
+@functools.cache
 def _family(names: Tuple[str, ...], label_key: LabelKey) -> _FamilyKeys:
-    """The keys of :func:`family_keys`, built once per process per argument pair."""
-    keys = _FamilyKeys([(name, label_key) for name in names])
-    keys.rows = tuple([(_KEY_TEXT[key], *key) for key in keys])
-    return keys
+    """The family of :func:`family_keys`, built once per process per argument pair."""
+    return define_family([(name, label_key) for name in names])
 
 
-def family_keys(names: Sequence[str], **labels: object) -> Tuple[InstrumentKey, ...]:
-    """One registry key per name in *names*, all carrying *labels*.
+def family_keys(names: Sequence[str], **labels: object) -> _FamilyKeys:
+    """The counter family of one registry key per name in *names*, all carrying *labels*.
 
     For :meth:`MetricsRegistry.counter_family`.  Memoized per ``(names,
-    label key)``: every runtime of a campaign asks for the same few families
-    (a NIC's per rank), and the keys and their snapshot texts depend on
-    nothing else.  Sharing the result is safe: it is immutable, and holds
-    no counter — each registry still makes its own.
+    label key)``, without bound: every runtime of a campaign asks for the
+    same few families (a NIC's per rank), the keys and their snapshot texts
+    depend on nothing else, and a registry knows a family by identity.
+    Sharing the result is safe: it is immutable, and holds no value — each
+    registry makes its own row.
     """
     return _family(tuple(names), _label_key(labels))
 
@@ -145,6 +193,39 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Counter {self.key}={self.value}>"
+
+
+class CounterSlot:
+    """One key of a registered counter family, read and written in its row.
+
+    What :meth:`MetricsRegistry.counter` returns for a family's key: the
+    :class:`Counter` surface (``value``, :meth:`inc`, ``name`` / ``labels``
+    / ``key``) over ``row[index]``, so a write through either spelling is
+    seen through the other.  It is not an instrument of its own: the
+    snapshot reads the row.
+    """
+
+    __slots__ = ("_row", "_index", "name", "labels", "key")
+
+    def __init__(self, row: List[int], index: int, family: _FamilyKeys) -> None:
+        self._row = row
+        self._index = index
+        self.key, self.name, self.labels = family.entries[index]
+
+    @property
+    def value(self) -> int:
+        return self._row[self._index]
+
+    @value.setter
+    def value(self, value: int) -> None:
+        self._row[self._index] = value
+
+    def inc(self, amount: int = 1) -> None:
+        """Add *amount* (default 1)."""
+        self._row[self._index] += amount
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<CounterSlot {self.key}={self.value}>"
 
 
 class Gauge:
@@ -253,13 +334,30 @@ class Histogram:
         return f"<Histogram {self.key} count={self.count} sum={self.total:g}>"
 
 
+#: Snapshot layouts: ``(prefix, family ids, counter keys, gauge keys,
+#: histogram keys)`` -> ``(sorted snapshot keys, getter, families)``.  The
+#: getter picks, out of a registry's values gathered in instrument order,
+#: the snapshot's values in key order; *families* keeps the families whose
+#: ``id`` the key names alive, so no id is reused while its entry exists.
+#: Process-wide and bounded: the runtimes of a campaign share a handful of
+#: layouts, and each is sorted once.
+_LAYOUTS: Dict[tuple, Tuple[Tuple[str, ...], Optional[itemgetter], tuple]] = {}
+_LAYOUT_LIMIT = 512
+
+
 class MetricsRegistry:
     """Memoizing factory and snapshot point for all instruments."""
 
     def __init__(self) -> None:
-        #: Counters by snapshot key text: a ``str`` caches its hash, so a
-        #: lookup or store re-hashes no nested ``(name, labels)`` tuple.
+        #: Singleton counters by snapshot key text: a ``str`` caches its
+        #: hash, so a lookup or store re-hashes no nested tuple.
         self._counters: Dict[str, Counter] = {}
+        #: Registered counter families, in registration order, and each
+        #: one's row by the family's ``id`` (``_families`` keeps it alive).
+        self._families: List[_FamilyKeys] = []
+        self._rows: Dict[int, List[int]] = {}
+        #: The slot views :meth:`counter` handed out, by key text.
+        self._slots: Dict[str, CounterSlot] = {}
         self._gauges: Dict[InstrumentKey, Gauge] = {}
         self._histograms: Dict[InstrumentKey, Histogram] = {}
 
@@ -267,40 +365,61 @@ class MetricsRegistry:
     def _key(name: str, labels: Dict[str, object]) -> InstrumentKey:
         return name, _label_key(labels)
 
-    def counter(self, name: str, **labels: object) -> Counter:
-        """The counter for ``name`` + *labels*, created on first use."""
+    def counter(self, name: str, **labels: object) -> Union[Counter, CounterSlot]:
+        """The counter for ``name`` + *labels*, created on first use.
+
+        For a key of a registered family, the :class:`CounterSlot` over its
+        row slot (the same one on every call); it adds no snapshot key.
+        """
         key = self._key(name, labels)
         text = _KEY_TEXT[key]
         instrument = self._counters.get(text)
         if instrument is None:
-            instrument = self._counters[text] = Counter(name, key[1])
+            instrument = self._slots.get(text)
+            if instrument is None:
+                for family, index in _KEY_FAMILIES.get(text, ()):
+                    row = self._rows.get(id(family))
+                    if row is not None:
+                        instrument = self._slots[text] = CounterSlot(row, index, family)
+                        break
+                else:
+                    instrument = self._counters[text] = Counter(name, key[1])
         return instrument
 
-    def counter_family(self, keys: Iterable[InstrumentKey]) -> List[Counter]:
-        """The counters for *keys* (see :func:`family_keys`), in order.
+    def counter_family(self, keys: _FamilyKeys) -> List[int]:
+        """The row of the counter family *keys*, registered on first use.
 
-        What ``[self.counter(name, **labels) for ...]`` returns — the very
-        same objects — without canonicalizing the labels per counter: keys
-        from :func:`family_keys` carry their snapshot texts, a plain key
-        tuple has each key hashed once, for its text, and a new counter is
-        filled here rather than by ``Counter.__init__``, which would look
-        that text up again.
+        *keys* comes from :func:`family_keys` or :func:`define_family`.  The
+        row is a ``list`` of ints, one slot per key in key order, and the
+        same list every time the family is registered again; :meth:`reset`
+        zeroes it in place.  A key already in use as a singleton counter, or
+        by another registered family, is a ``ValueError``: the registry holds
+        one value per key.
         """
-        rows = getattr(keys, "rows", None)
-        if rows is None:
-            rows = [(_KEY_TEXT[key], *key) for key in keys]
-        counters = self._counters
-        family = []
-        for text, name, labels in rows:
-            instrument = counters.get(text)
-            if instrument is None:
-                instrument = counters[text] = object.__new__(Counter)
-                instrument.name = name
-                instrument.labels = labels
-                instrument.key = text
-                instrument.value = 0
-            family.append(instrument)
-        return family
+        row = self._rows.get(id(keys))
+        if row is None:
+            if type(keys) is not _FamilyKeys:
+                raise TypeError(
+                    "counter_family takes a family from family_keys() or "
+                    f"define_family(), got {type(keys).__name__}"
+                )
+            if self._counters and not self._counters.keys().isdisjoint(keys.texts):
+                taken = sorted(keys.texts.intersection(self._counters))
+                raise ValueError(
+                    f"counter {taken[0]} already exists as a singleton: register "
+                    "its family before asking the registry for any of its keys"
+                )
+            if keys.shared:
+                for other in self._families:
+                    if not other.texts.isdisjoint(keys.texts):
+                        taken = sorted(other.texts & keys.texts)
+                        raise ValueError(
+                            f"counter {taken[0]} already belongs to another "
+                            "registered family"
+                        )
+            row = self._rows[id(keys)] = [0] * len(keys)
+            self._families.append(keys)
+        return row
 
     def gauge(self, name: str, **labels: object) -> Gauge:
         """The gauge for ``name`` + *labels*, created on first use."""
@@ -327,28 +446,60 @@ class MetricsRegistry:
 
         Counters map to their value; gauges to ``{"value", "high_watermark"}``;
         histograms to ``{"buckets", "count", "sum"}``.  Zero-valued counters
-        that were merely *created* (e.g. by a stats view's property getters)
-        are included — creation order does not matter because keys are sorted.
-        With *prefix*, only instruments whose name starts with it are
-        included (e.g. ``"nic."`` for one subsystem).
+        that were merely *created* (a family's whole row, say) are included —
+        creation order does not matter because keys are sorted.  With
+        *prefix*, only instruments whose name starts with it are included
+        (e.g. ``"nic."`` for one subsystem).
+
+        The values are gathered in instrument order and put in key order by
+        the layout's memoised getter (:data:`_LAYOUTS`): a registry whose
+        instruments match one seen before sorts nothing.
         """
-        out: Dict[str, object] = {}
+        layout_key = (
+            prefix, tuple(self._rows), tuple(self._counters),
+            tuple(self._gauges), tuple(self._histograms),
+        )
+        layout = _LAYOUTS.get(layout_key)
+        if layout is None:
+            layout = self._layout(layout_key)
+        keys, pick, _ = layout
+        if pick is None:
+            return {}
+        values: List[object] = []
+        for row in self._rows.values():
+            values += row
         for counter in self._counters.values():
-            if prefix is not None and not counter.name.startswith(prefix):
-                continue
-            out[counter.key] = counter.value
+            values.append(counter.value)
         for gauge in self._gauges.values():
-            if prefix is not None and not gauge.name.startswith(prefix):
-                continue
-            out[gauge.key] = {
-                "high_watermark": gauge.high_watermark,
-                "value": gauge.value,
-            }
+            values.append({"high_watermark": gauge.high_watermark, "value": gauge.value})
         for histogram in self._histograms.values():
-            if prefix is not None and not histogram.name.startswith(prefix):
-                continue
-            out[histogram.key] = histogram.as_dict()
-        return {key: out[key] for key in sorted(out)}
+            values.append(histogram.as_dict())
+        return dict(zip(keys, pick(values)))
+
+    def _layout(self, layout_key: tuple) -> tuple:
+        """Sort this registry's instruments once for their layout, and memoise it."""
+        prefix = layout_key[0]
+        #: Key text -> the index of its value in gathering order; a later
+        #: instrument of the same text wins, as it would assigning a dict.
+        position: Dict[str, int] = {}
+        index = 0
+        for family in self._families:
+            for text, name, _ in family.entries:
+                if prefix is None or name.startswith(prefix):
+                    position[text] = index
+                index += 1
+        for instruments in (self._counters, self._gauges, self._histograms):
+            for instrument in instruments.values():
+                if prefix is None or instrument.name.startswith(prefix):
+                    position[instrument.key] = index
+                index += 1
+        keys = tuple(sorted(position))
+        # One extra index keeps the getter returning a tuple for one key.
+        pick = itemgetter(*map(position.__getitem__, keys), 0) if keys else None
+        if len(_LAYOUTS) >= _LAYOUT_LIMIT:
+            del _LAYOUTS[next(iter(_LAYOUTS))]
+        layout = _LAYOUTS[layout_key] = (keys, pick, tuple(self._families))
+        return layout
 
     def snapshot_for_rank(self, rank: int) -> Dict[str, object]:
         """The slice of the snapshot labelled with ``rank=<rank>``."""
@@ -397,6 +548,8 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Zero every instrument in place (identities survive, so views keep
         working after e.g. ``Fabric.reset_stats``)."""
+        for row in self._rows.values():
+            row[:] = [0] * len(row)
         for counter in self._counters.values():
             counter.value = 0
         for gauge in self._gauges.values():
@@ -408,8 +561,14 @@ class MetricsRegistry:
             histogram.total = 0.0
 
     def instruments(self) -> Iterable[object]:
-        """All instruments (tests use this for well-formedness checks)."""
+        """All instruments (tests use this for well-formedness checks).
+
+        A family's keys come as their :class:`CounterSlot` views.
+        """
         yield from self._counters.values()
+        for family in self._families:
+            for _, name, labels in family.entries:
+                yield self.counter(name, **dict(labels))
         yield from self._gauges.values()
         yield from self._histograms.values()
 

@@ -297,6 +297,24 @@ class TestValidationRim:
         assert str(caught.value) == text
         assert fabric.stats.total_messages == 0
 
+    @pytest.mark.parametrize("send", ["send", "send_datagram"])
+    @pytest.mark.parametrize(
+        "source, destination",
+        [(0, 5), (5, 0), (5, 5), (-1, -1), (True, 0), (0, True), (True, True)],
+        ids=["remote-5", "remote-from-5", "loopback-5", "loopback-neg", "bool-source",
+             "bool-destination", "bool-loopback"],
+    )
+    def test_a_rejected_pair_draws_no_message_id(self, send, source, destination):
+        fabric = Fabric(Simulator(), Topology({0: [1], 1: [0]}), ConstantLatency(1.0))
+        sender = getattr(fabric, send)
+        with pytest.raises((TypeError, ValueError)):
+            sender(MessageKind.PUT_DATA, source, destination)
+        assert sender(MessageKind.PUT_DATA, 0, 1)[1].message_id == 0
+        with pytest.raises((TypeError, ValueError)):
+            sender(MessageKind.PUT_DATA, source, destination)
+        assert sender(MessageKind.PUT_DATA, 1, 1)[1].message_id == 1
+        assert fabric.stats.total_messages == 2
+
     @pytest.mark.parametrize(
         "flight, error, text",
         [

@@ -6,7 +6,17 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.metrics import BUCKET_LAYOUTS, Counter, Gauge, Histogram, MetricsRegistry
+import repro.obs.metrics as metrics_module
+from repro.net.clock_transport import _COUNTER_NAMES, CLOCK_TRANSPORT_FIELDS, ClockTransportStats
+from repro.obs.metrics import (
+    BUCKET_LAYOUTS,
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    define_family,
+    family_keys,
+)
 
 
 class TestCounter:
@@ -239,3 +249,251 @@ class TestVersionedExport:
             load_snapshot({"schema_version": 99, "metrics": {}})
         with pytest.raises(ValueError, match="metrics"):
             load_snapshot({"schema_version": 1})
+
+
+# -- the registry against a naive model -------------------------------------------------
+
+#: The families the property draws from: process constants, as every family
+#: a registry takes must be.  ``q.x`` is in two of them, so registering both
+#: in one registry must fail; the last is what a clock transport's view
+#: registers.
+FAMILIES = (
+    family_keys(("p.a", "p.b", "p.c"), rank=0),
+    family_keys(("p.a", "p.b", "p.c"), rank=1),
+    family_keys(("q.x",)),
+    define_family([("q.y", (("kind", "k1"),)), ("q.y", (("kind", "k2"),)), ("q.x", ())]),
+    family_keys(_COUNTER_NAMES, rank=0),
+)
+#: Counter keys a singleton lookup draws: some are family keys.
+COUNTER_KEYS = (
+    ("p.a", {"rank": 0}), ("p.c", {"rank": 1}), ("q.x", {}), ("q.y", {"kind": "k2"}),
+    ("s.one", {"rank": 0}), ("s.two", {}), ("clock_transport.round_trips", {"rank": 0}),
+)
+#: ``s.one{rank=0}`` also names a counter: the gauge wins the snapshot key.
+GAUGE_KEYS = (("g.depth", {"rank": 0}), ("g.depth", {"rank": 1}), ("s.one", {"rank": 0}))
+HISTOGRAM_KEYS = (("h.wait", {"rank": 1}), ("h.wait", {}))
+PREFIXES = (None, "", "p.", "q.", "s.", "g.", "h.", "clock_transport.", "nothing.")
+
+
+class _Model:
+    """What a registry should hold, kept the naive way."""
+
+    def __init__(self):
+        self.families = []  # registered, in order, with each one's values
+        self.singletons = {}  # text -> [name, labels, value]
+        self.gauges = {}  # text -> [name, labels, value, high watermark]
+        self.histograms = {}  # text -> (labels, a Histogram fed the same values)
+
+    def row(self, family):
+        for registered, values in self.families:
+            if registered is family:
+                return values
+        return None
+
+    def register(self, family):
+        """The row, or the ``ValueError`` the registry must raise."""
+        if self.row(family) is not None:
+            return self.row(family)
+        texts = {text for text, _, _ in family.entries}
+        if texts & set(self.singletons) or any(
+            texts & {text for text, _, _ in other.entries} for other, _ in self.families
+        ):
+            return ValueError
+        self.families.append((family, [0] * len(family)))
+        return self.families[-1][1]
+
+    def inc(self, name, labels, amount):
+        text = metrics_module._KEY_TEXT[name, metrics_module._label_key(labels)]
+        for family, values in self.families:
+            for index, (key, _, _) in enumerate(family.entries):
+                if key == text:
+                    values[index] += amount
+                    return
+        entry = self.singletons.setdefault(
+            text, [name, metrics_module._label_key(labels), 0]
+        )
+        entry[2] += amount
+
+    def reset(self):
+        for _, values in self.families:
+            values[:] = [0] * len(values)
+        for entry in self.singletons.values():
+            entry[2] = 0
+        for entry in self.gauges.values():
+            entry[2] = entry[3] = 0
+        for text, (labels, histogram) in self.histograms.items():
+            self.histograms[text] = (labels, Histogram(histogram.name, labels))
+
+    def entries(self):
+        """``(text, name, labels, value)`` in the order a dict would be assigned."""
+        for family, values in self.families:
+            for (text, name, labels), value in zip(family.entries, values):
+                yield text, name, labels, value
+        for text, (name, labels, value) in self.singletons.items():
+            yield text, name, labels, value
+        for text, (name, labels, value, high) in self.gauges.items():
+            yield text, name, labels, {"high_watermark": high, "value": value}
+        for text, (labels, histogram) in self.histograms.items():
+            yield text, histogram.name, labels, histogram.as_dict()
+
+    def snapshot(self, prefix=None, rank=None):
+        out, labelled = {}, {}
+        for text, name, labels, value in self.entries():
+            if prefix is None or name.startswith(prefix):
+                out[text] = value
+                labelled[text] = labels
+        if rank is not None:
+            out = {k: v for k, v in out.items() if ("rank", str(rank)) in labelled[k]}
+        return {key: out[key] for key in sorted(out)}
+
+
+def _from_instruments(registry):
+    """The snapshot rebuilt from ``instruments()``, one instrument at a time."""
+    out = {}
+    for instrument in registry.instruments():
+        if isinstance(instrument, Gauge):
+            value = {"high_watermark": instrument.high_watermark, "value": instrument.value}
+        elif isinstance(instrument, Histogram):
+            value = instrument.as_dict()
+        else:
+            value = instrument.value
+        out[instrument.key] = value
+    return {key: out[key] for key in sorted(out)}
+
+
+_OPERATIONS = st.one_of(
+    st.tuples(st.just("register"), st.integers(0, len(FAMILIES) - 1)),
+    st.tuples(st.just("counter"), st.integers(0, len(COUNTER_KEYS) - 1), st.integers(0, 5)),
+    st.tuples(
+        st.just("row"), st.integers(0, len(FAMILIES) - 1), st.integers(0, 20), st.integers(0, 5)
+    ),
+    st.tuples(
+        st.just("view"), st.integers(0, len(CLOCK_TRANSPORT_FIELDS) - 1), st.integers(0, 5)
+    ),
+    st.tuples(st.just("gauge"), st.integers(0, len(GAUGE_KEYS) - 1), st.integers(0, 9)),
+    st.tuples(
+        st.just("histogram"), st.integers(0, len(HISTOGRAM_KEYS) - 1),
+        st.floats(0.0, 300.0, allow_nan=False),
+    ),
+    st.tuples(st.just("reset")),
+    st.tuples(st.just("snapshot"), st.integers(0, len(PREFIXES) - 1)),
+    st.tuples(st.just("rank"), st.integers(0, 2)),
+)
+
+
+class TestRegistryAgainstANaiveModel:
+    """Random interleavings on two registries of one layout and different values."""
+
+    @given(st.lists(_OPERATIONS, max_size=40))
+    @settings(deadline=None)
+    def test_every_snapshot_equals_the_naive_sorted_reference(self, operations):
+        # The second registry sees every structural step the first does, with
+        # other amounts: one layout, two sets of values.
+        pairs = [(MetricsRegistry(), _Model(), 1), (MetricsRegistry(), _Model(), 3)]
+        rows = [{}, {}]
+        for operation in operations:
+            kind = operation[0]
+            for (registry, model, scale), held in zip(pairs, rows):
+                if kind == "register":
+                    family = FAMILIES[operation[1]]
+                    expected = model.register(family)
+                    if expected is ValueError:
+                        with pytest.raises(ValueError):
+                            registry.counter_family(family)
+                    else:
+                        held[operation[1]] = registry.counter_family(family)
+                        assert held[operation[1]] == expected
+                elif kind == "counter":
+                    name, labels = COUNTER_KEYS[operation[1]]
+                    counter = registry.counter(name, **labels)
+                    assert registry.counter(name, **labels) is counter
+                    counter.inc(operation[2] * scale)
+                    model.inc(name, labels, operation[2] * scale)
+                elif kind == "row" and operation[1] in held:
+                    family = FAMILIES[operation[1]]
+                    index = operation[2] % len(family)
+                    held[operation[1]][index] += operation[3] * scale
+                    model.row(family)[index] += operation[3] * scale
+                elif kind == "view":
+                    family = FAMILIES[-1]
+                    if model.register(family) is ValueError:
+                        with pytest.raises(ValueError):
+                            ClockTransportStats(registry, rank=0)
+                        continue
+                    view = ClockTransportStats(registry, rank=0)
+                    field = CLOCK_TRANSPORT_FIELDS[operation[1]]
+                    setattr(view, field, getattr(view, field) + operation[2] * scale)
+                    model.row(family)[operation[1]] += operation[2] * scale
+                elif kind == "gauge":
+                    name, labels = GAUGE_KEYS[operation[1]]
+                    value = operation[2] * scale
+                    registry.gauge(name, **labels).set(value)
+                    text = metrics_module._KEY_TEXT[name, metrics_module._label_key(labels)]
+                    entry = model.gauges.setdefault(
+                        text, [name, metrics_module._label_key(labels), 0, 0]
+                    )
+                    entry[2], entry[3] = value, max(entry[3], value)
+                elif kind == "histogram":
+                    name, labels = HISTOGRAM_KEYS[operation[1]]
+                    registry.histogram(name, **labels).observe(operation[2] * scale)
+                    key = metrics_module._label_key(labels)
+                    text = metrics_module._KEY_TEXT[name, key]
+                    _, histogram = model.histograms.setdefault(text, (key, Histogram(name, key)))
+                    histogram.observe(operation[2] * scale)
+                elif kind == "reset":
+                    registry.reset()
+                    model.reset()
+                elif kind == "snapshot":
+                    prefix = PREFIXES[operation[1]]
+                    assert registry.snapshot(prefix) == model.snapshot(prefix)
+                    assert list(registry.snapshot(prefix)) == list(model.snapshot(prefix))
+                elif kind == "rank":
+                    assert registry.snapshot_for_rank(operation[1]) == model.snapshot(
+                        rank=operation[1]
+                    )
+        for registry, model, _ in pairs:
+            assert registry.snapshot() == model.snapshot() == _from_instruments(registry)
+            assert list(registry.snapshot()) == list(model.snapshot())
+            assert registry.to_json() == json.dumps(model.snapshot(), sort_keys=True)
+
+
+class TestSnapshotLayouts:
+    def test_two_registries_of_one_layout_share_it_and_keep_their_values(self):
+        first, second = MetricsRegistry(), MetricsRegistry()
+        for registry, amount in ((first, 1), (second, 7)):
+            row = registry.counter_family(FAMILIES[0])
+            row[2] += amount
+            registry.counter("s.two").inc(amount)
+            registry.gauge("g.depth", rank=1).set(amount)
+        before = len(metrics_module._LAYOUTS)
+        assert first.snapshot() == {
+            "g.depth{rank=1}": {"high_watermark": 1, "value": 1},
+            "p.a{rank=0}": 0, "p.b{rank=0}": 0, "p.c{rank=0}": 1, "s.two": 1,
+        }
+        assert second.snapshot() == {
+            "g.depth{rank=1}": {"high_watermark": 7, "value": 7},
+            "p.a{rank=0}": 0, "p.b{rank=0}": 0, "p.c{rank=0}": 7, "s.two": 7,
+        }
+        # One layout, sorted once, whichever registry asked first.
+        assert len(metrics_module._LAYOUTS) - before <= 1
+
+    def test_an_instrument_added_after_a_memoised_snapshot_is_in_the_next(self):
+        registry = MetricsRegistry()
+        registry.counter_family(FAMILIES[1])[0] = 4
+        assert registry.snapshot() == {"p.a{rank=1}": 4, "p.b{rank=1}": 0, "p.c{rank=1}": 0}
+        assert registry.snapshot() == registry.snapshot()
+        registry.counter("a.first").inc()
+        registry.histogram("h.wait").observe(1.0)
+        snapshot = registry.snapshot()
+        assert list(snapshot) == ["a.first", "h.wait", "p.a{rank=1}", "p.b{rank=1}", "p.c{rank=1}"]
+        assert snapshot["a.first"] == 1 and snapshot["h.wait"]["count"] == 1
+        registry.counter_family(FAMILIES[2])[0] = 2
+        assert registry.snapshot()["q.x"] == 2
+        assert registry.snapshot(prefix="q.") == {"q.x": 2}
+
+    def test_an_empty_registry_and_a_prefix_that_matches_nothing(self):
+        registry = MetricsRegistry()
+        assert registry.snapshot() == {}
+        registry.counter("only").inc(3)
+        assert registry.snapshot() == {"only": 3}
+        assert registry.snapshot(prefix="none.") == {}

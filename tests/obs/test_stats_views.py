@@ -1,8 +1,12 @@
 """Legacy stats objects are views over the registry: one truth, two spellings."""
 
 from repro.net.clock_transport import CLOCK_TRANSPORT_FIELDS, ClockTransportStats
-from repro.net.fabric import FabricStats
+from repro.net.fabric import Fabric, FabricStats
+from repro.net.latency import ConstantLatency
+from repro.net.message import MessageKind
+from repro.net.topology import Topology
 from repro.obs.metrics import MetricsRegistry
+from repro.sim.engine import Simulator
 from repro.workloads.stencil import StencilWorkload
 
 
@@ -10,10 +14,15 @@ class TestFabricStatsView:
     def test_bare_construction_owns_a_private_registry(self):
         first = FabricStats()
         second = FabricStats()
-        first._messages["data"].inc(2)
+        # Book two data messages into *first* as the fabric books a message.
+        fabric = Fabric(Simulator(), Topology.complete(2), ConstantLatency(1.0))
+        fabric.stats = first
+        fabric.send(MessageKind.PUT_DATA, 0, 1)
+        fabric.send(MessageKind.PUT_DATA, 1, 0)
         assert first.data_messages == 2
-        # Two bare instances never share counters.
+        # Two bare instances never share a row, and neither is the registry's.
         assert second.data_messages == 0
+        assert fabric._sim.obs.metrics.snapshot()["fabric.messages{category=data}"] == 0
 
     def test_view_reads_through_to_the_shared_registry(self):
         registry = MetricsRegistry()

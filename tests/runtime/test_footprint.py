@@ -29,7 +29,7 @@ from repro.net.fabric import FabricStats
 from repro.net.message import MessageKind
 from repro.net.nic import NIC_COUNTER_FIELDS
 from repro.net.topology import Topology
-from repro.obs.metrics import MetricsRegistry, family_keys
+from repro.obs.metrics import Counter, MetricsRegistry, define_family, family_keys
 from repro.workloads import (
     RandomAccessWorkload,
     RPCEchoWorkload,
@@ -123,48 +123,101 @@ class TestSnapshotKeySet:
     def test_a_family_registration_returns_the_registrys_own_counters(self):
         registry = MetricsRegistry()
         names = ("nic.puts_issued", "nic.gets_issued")
-        family = registry.counter_family(family_keys(names, rank=3))
-        assert [counter.key for counter in family] == [
+        row = registry.counter_family(family_keys(names, rank=3))
+        assert row == [0, 0]
+        assert registry.counter_family(family_keys(names, rank=3)) is row
+        slots = [registry.counter(name, rank=3) for name in names]
+        assert [slot.key for slot in slots] == [
             "nic.puts_issued{rank=3}", "nic.gets_issued{rank=3}",
         ]
-        for name, counter in zip(names, family):
-            assert counter is registry.counter(name, rank=3)
-        assert registry.counter_family(family_keys(names, rank=3)) == family
+        assert [registry.counter(name, rank=3) for name in names] == slots
+        # A slot view aliases the row: a write through either is seen
+        # through the other.
+        row[1] += 4
+        slots[0].inc(2)
+        assert [slot.value for slot in slots] == row == [2, 4]
         # Labels are canonical however they are spelled.
         assert family_keys(("x",), b=1, a="2") == (("x", (("a", "2"), ("b", "1"))),)
-        assert registry.counter_family(family_keys(("x",), b=1, a="2")) == [
-            registry.counter("x", a=2, b="1")
-        ]
+        x = registry.counter_family(family_keys(("x",), b=1, a="2"))
+        registry.counter("x", a=2, b="1").inc()
+        assert x == [1]
         assert family_keys(("x",)) == (("x", ()),)
+        assert registry.snapshot() == {
+            "nic.gets_issued{rank=3}": 4, "nic.puts_issued{rank=3}": 2, "x{a=2,b=1}": 1,
+        }
 
     def test_the_three_stats_views_hold_the_registrys_own_counters(self):
         runtime = DSMRuntime(RuntimeConfig(world_size=3))
         registry = runtime.sim.obs.metrics
         before = len(list(registry.instruments()))
+        keys = list(registry.snapshot())
         stats = runtime.fabric.stats
-        for category in ("data", "lock", "detection", "other"):
-            assert stats._messages[category] is registry.counter(
-                "fabric.messages", category=category
-            )
-            assert stats._bytes[category] is registry.counter(
-                "fabric.bytes", category=category
-            )
+        for amount, category in enumerate(("data", "lock", "detection", "other"), 1):
+            registry.counter("fabric.messages", category=category).inc(amount)
+            registry.counter("fabric.bytes", category=category).inc(10 * amount)
+            assert getattr(stats, f"{category}_messages") == amount
+            assert getattr(stats, f"{category}_bytes") == 10 * amount
+        runtime.fabric.send(MessageKind.LOCK_REQUEST, 0, 1)
         for kind in MessageKind:
-            assert stats._by_kind[kind] is registry.counter(
-                "fabric.messages_by_kind", kind=kind.value
-            )
+            by_kind = registry.counter("fabric.messages_by_kind", kind=kind.value)
+            assert by_kind.value == stats.message_count_for_kind(kind)
+            assert by_kind.value == (kind is MessageKind.LOCK_REQUEST)
         for nic in runtime.nics:
-            for field in NIC_COUNTER_FIELDS:
-                assert nic._counters[field] is registry.counter(
-                    f"nic.{field}", rank=nic.rank
-                )
             transport = nic.clock_transport.stats
-            for field, counter in zip(CLOCK_TRANSPORT_FIELDS, transport._counters):
-                assert counter is registry.counter(
-                    f"clock_transport.{field}", rank=nic.rank
-                )
+            for view, prefix, fields in (
+                (nic, "nic", NIC_COUNTER_FIELDS),
+                (transport, "clock_transport", CLOCK_TRANSPORT_FIELDS),
+            ):
+                for amount, field in enumerate(fields, 10 * nic.rank):
+                    slot = registry.counter(f"{prefix}.{field}", rank=nic.rank)
+                    setattr(view, field, amount)
+                    assert slot.value == amount
+                    slot.inc()
+                    assert getattr(view, field) == amount + 1
         # Every lookup above found its instrument: none was created by asking.
         assert len(list(registry.instruments())) == before
+        assert list(registry.snapshot()) == keys
+
+    def test_a_singleton_with_a_familys_key_refuses_the_family(self):
+        registry = MetricsRegistry()
+        names = ("nic.puts_issued", "nic.gets_issued")
+        registry.counter("nic.gets_issued", rank=5).inc()
+        with pytest.raises(ValueError, match=r"nic.gets_issued\{rank=5\} already exists"):
+            registry.counter_family(family_keys(names, rank=5))
+        # Nothing was registered: the singleton is still the key's one value.
+        assert registry.snapshot() == {"nic.gets_issued{rank=5}": 1}
+        assert registry.counter_family(family_keys(names, rank=6)) == [0, 0]
+
+    def test_a_family_must_be_a_process_constant_and_may_not_overlap(self):
+        registry = MetricsRegistry()
+        with pytest.raises(TypeError, match="family_keys"):
+            registry.counter_family((("a", ()), ("b", ())))
+        row = registry.counter_family(define_family([("ov.a", ()), ("ov.b", ())]))
+        with pytest.raises(ValueError, match=r"ov.b already belongs to another"):
+            registry.counter_family(define_family([("ov.b", ()), ("ov.c", ())]))
+        with pytest.raises(ValueError, match="names a key twice"):
+            define_family([("ov.d", ()), ("ov.d", ())])
+        row[1] = 3
+        assert registry.snapshot() == {"ov.a": 0, "ov.b": 3}
+
+    def test_a_bare_build_creates_no_counter_object_and_one_row_per_family(self):
+        gc.collect()
+        counters_before = sum(type(o) is Counter for o in gc.get_objects())
+        runtime = DSMRuntime(RuntimeConfig(world_size=4))
+        gc.collect()
+        counters_after = sum(type(o) is Counter for o in gc.get_objects())
+        registry = runtime.sim.obs.metrics
+        # 0 counter objects (118 when each key was a ``Counter``): a row per
+        # NIC, one per NIC's clock transport, one for the fabric: 2n + 1.
+        assert counters_after == counters_before
+        assert not any(type(i) is Counter for i in registry.instruments())
+        assert len(registry._rows) == 2 * 4 + 1
+        assert [len(row) for row in registry._rows.values()].count(len(NIC_COUNTER_FIELDS)) == 4
+        snapshot = registry.snapshot()
+        assert len(snapshot) == 118 == 4 * len(NIC_COUNTER_FIELDS) + 4 * len(
+            CLOCK_TRANSPORT_FIELDS
+        ) + 2 * 4 + len(MessageKind)
+        assert set(snapshot.values()) == {0}
 
     def test_bare_views_and_run_totals_touch_no_registry(self):
         runtime = DSMRuntime(RuntimeConfig(world_size=3))
