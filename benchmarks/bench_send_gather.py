@@ -30,7 +30,8 @@ from repro.workloads import SendRecvStencilWorkload
 WORLD, CELLS, PLANE, ITERS, COST = 4, 6, 4, 3, 1.0
 #: The CI clock-transport smoke job re-runs this whole file with
 #: ``REPRO_CLOCK_TRANSPORT=piggyback``: every claim must hold under both
-#: transports (they are verdict- and numerics-identical by construction).
+#: transports (on this race-free workload they give the same verdicts and
+#: numerics; a transport changes timing, never the check).
 CLOCK_TRANSPORT = os.environ.get("REPRO_CLOCK_TRANSPORT", "roundtrip")
 
 

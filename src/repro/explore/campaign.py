@@ -53,11 +53,13 @@ class CampaignConfig:
     :data:`repro.runtime.knobs.KNOBS`, described on
     :class:`~repro.runtime.runtime.RuntimeConfig`) — when not ``None``,
     set that knob on every built runtime.  A knob moves traffic, bytes or
-    timing and never a verdict, so ``--expect-consistent``
-    must hold for every combination (the CI knob-matrix gate) — including
-    ``transport="ud"`` with nonzero ``drop_probability`` /
-    ``duplicate_probability``, where the fuzzer drops, duplicates and
-    delays the clock-carrying datagrams themselves.
+    timing and never the verdict of a given execution; a timing knob
+    (``clock_transport``, ``cq_moderation``) changes which execution
+    happens, and so may change which timing-dependent races a schedule
+    shows.  ``tests/detectors/test_knob_promise.py`` checks the promise over
+    the knob product, ``transport="ud"`` with nonzero ``drop_probability`` /
+    ``duplicate_probability`` included (the fuzzer then drops, duplicates
+    and delays the clock-carrying datagrams themselves).
     """
 
     strategy: str = "fuzz"

@@ -25,13 +25,15 @@ SEND/RECV alike — instead of a per-call-site accident:
     (the RC guarantee): retiring a later completion proves every earlier
     operation on that queue pair has taken effect.
 
-The two modes are *verdict-identical by construction*: they share the same
-post-time snapshots, the same carried-clock detector checks and the same
-retirement joins, and differ only in what traffic the fabric sees and how
-many joins the origin performs.  The benchmarks
-(``benchmarks/bench_clock_transport.py``) pin down the strictly-fewer-
-messages claim; the exploration campaign pins down verdict identity across
-schedules.
+The two modes share the same post-time snapshots, the same carried-clock
+detector checks and the same retirement joins, and differ in what traffic
+the fabric sees and how many joins the origin performs.  Fewer messages
+means different timing, so the two modes may run different executions of a
+timing-dependent program: uncontrolled, ``stencil-no-barriers`` flags
+``halo2`` only under piggyback.  Each execution is judged by the same check,
+which ``tests/detectors/test_knob_promise.py`` holds online against
+post-mortem replay.  The benchmarks (``benchmarks/bench_clock_transport.py``)
+pin down the strictly-fewer-messages claim.
 
 Orthogonal to *how* clocks travel is *what they cost on the wire* — the
 ``clock_wire`` knob.  A full vector clock is ``world_size × 8`` bytes, which
@@ -59,8 +61,10 @@ compresses each directed channel's clock stream:
 
 All three formats decode to the *exact* clock — the transport round-trips
 every frame through the decoder and verifies it against the frozen snapshot
-before stamping, so compressed runs are verdict-identical to ``"full"`` by
-construction (property-tested in ``tests/net/test_clock_wire.py``).  Both
+before stamping, so a compressed run reports exactly the races of its
+``"full"`` twin (property-tested in ``tests/net/test_clock_wire.py``; the
+knob promise's P4).  The exception is a lossy UD fabric under piggyback: a
+dropped sparse frame costs a resync round trip, which moves timing.  Both
 ends of a channel's codec state advance in lockstep at send time, which is
 sound here because the per-queue-pair RC transport delivers in order.
 """
@@ -476,9 +480,9 @@ class ClockTransport:
         *frozen* is the clock as a tuple of ``world_size`` Python ints
         (:meth:`VectorClock.frozen`), normalised once by the caller.  The
         frame is immediately decoded and verified against it — the
-        "verdict-identical by construction" guarantee: whatever the wire
-        format, the clock the receiver reconstructs is the exact snapshot
-        the detector checks with.
+        exact-clock guarantee: whatever the wire format, the clock the
+        receiver reconstructs is the exact snapshot the detector checks
+        with.
         """
         nic = self._owner()
         encoder, decoder = self._codec(nic, destination)

@@ -241,8 +241,9 @@ class Fabric:
         # and stamped for loopback (a channel restamps a remote one).  The
         # pair's channel is looked up first (what :meth:`channel` does; a miss
         # or a non-``int`` rank still goes through :meth:`_open` for its
-        # checks, and a loopback pair is checked every time), so a rejected
-        # pair draws no message id.
+        # checks, and a loopback pair is checked every time).  The message id
+        # is drawn last, once the channel has accepted the flight, so neither
+        # a rejected pair nor a rejected flight consumes one.
         if source == destination:
             self._topology.hops(source, destination)  # the pair's checks
             channel = None
@@ -255,7 +256,7 @@ class Fabric:
         message = object.__new__(Message)
         fields = message.__dict__
         fields.update({
-            "message_id": self._next_id(),
+            "message_id": None,  # drawn once the flight is accepted
             "kind": kind,
             "source": source,
             "destination": destination,
@@ -275,6 +276,7 @@ class Fabric:
         else:
             # Built here and shared with nobody: stamped in place, not copied.
             event, message = channel.transmit(message, _owned=True)
+        fields["message_id"] = self._next_id()
         messages, byte_count, by_kind = _INDICES[kind]
         row = self.stats._row
         row[messages] += 1
@@ -313,7 +315,8 @@ class Fabric:
         of :meth:`send` (FIFO clamp and controlled latency included).
         Self-datagrams never drop: loopback does not cross the fabric, and
         is stamped ``(now, now)`` like a self-message of :meth:`send`.  As
-        there, the pair is checked before the datagram draws its id.
+        there, the datagram draws its id only once its pair and its flight
+        have been accepted.
         """
         if source == destination:
             self._topology.hops(source, destination)  # the pair's checks
@@ -322,7 +325,7 @@ class Fabric:
             channel = self.channel(source, destination)
         now = self._sim.now
         message = Message(
-            self._next_id(), kind, source, destination, payload, payload_bytes,
+            None, kind, source, destination, payload, payload_bytes,
             send_time=now, deliver_time=now,
             operation_tag=operation_tag, carried_clock=carried_clock,
             clock_wire_bytes=clock_wire_bytes, ud_seq=ud_seq, ud_frame=ud_frame,
@@ -345,6 +348,7 @@ class Fabric:
                 if fate_code == 2:
                     fate = "duplicate"
                     duplicate = channel.duplicate(message)
+        message.__dict__["message_id"] = self._next_id()
         # Booked as :meth:`send` books it; a dropped datagram's bytes left too.
         messages, byte_count, by_kind = _INDICES[kind]
         row = self.stats._row

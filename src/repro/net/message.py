@@ -84,7 +84,9 @@ class Message:
     Attributes
     ----------
     message_id:
-        Unique id assigned by the fabric.
+        Unique id assigned by the fabric once a channel has accepted the
+        message's flight (``None`` while a latency model or a schedule
+        controller is still deciding it), so a rejected send consumes none.
     kind:
         Role of the message (see :class:`MessageKind`).
     source / destination:
@@ -122,7 +124,7 @@ class Message:
         a gapped datagram needs a resync before its clock can be trusted.
     """
 
-    message_id: int
+    message_id: Optional[int]
     kind: MessageKind
     source: int
     destination: int

@@ -1,23 +1,32 @@
-"""The consistency-knob registry: every verdict-neutral knob, declared once.
+"""The consistency-knob registry: every consistency knob, declared once.
 
-The paper's claim is that verdicts depend only on the logical clocks, never
-on how they travel; these knobs change traffic, bytes or timing and must
-never change a verdict.  Everything else is a loop over :data:`KNOBS`:
-``DSMRuntime`` resolves each knob at construction (:meth:`Knob.resolve`),
-changes it through ``set_knob`` and reports it on ``RunResult.knobs`` and in
-the trace's ``run_info``; :mod:`repro.explore.campaign` derives its override
-validation, command-line flags and configure hook; ``tools/ci_matrix.py``
-sweeps :attr:`Knob.matrix_values`.
+The paper detects races "only based on logical clocks", so these knobs may
+change traffic, bytes and timing.  What they promise is narrower than "never
+a different verdict": a knob never changes the verdict *of a given
+execution*.  Online detection equals post-mortem replay under every knob
+vector; ``clock_wire``, ``detector_epochs`` and (on a fabric that drops
+nothing) ``transport`` leave the race records of the run itself unchanged.
+``clock_transport`` and ``cq_moderation`` change timing, so they change
+which execution happens: on ``stencil-no-barriers``, roundtrip flags three
+halos and piggyback all four.  ``tests/detectors/test_knob_promise.py``
+states the promise as P1-P4 and checks it over the product of
+:attr:`Knob.matrix_values`.
+
+Everything else is a loop over :data:`KNOBS`: ``DSMRuntime`` resolves each
+knob at construction (:meth:`Knob.resolve`), changes it through ``set_knob``
+and reports it on ``RunResult.knobs`` and in the trace's ``run_info``;
+:mod:`repro.explore.campaign` derives its override validation, command-line
+flags and configure hook.
 
 Adding a knob is one entry here plus one typed field on ``RuntimeConfig``
 and on ``CampaignConfig`` ("Adding a knob" in ``docs/architecture.md``).
-Registry order is the order of the provenance keys and fixes the CI matrix.
+Registry order is the order of the provenance keys.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Tuple
 
 from repro.net.clock_transport import (
@@ -47,8 +56,8 @@ class Knob:
     cli:
         ``argparse`` keywords of the campaign flag (help and choices).
     matrix_values:
-        The command-line spellings CI's consistency matrix sweeps; an
-        island row pins a high-risk knob outside its pair to the first.
+        The command-line spellings the knob promise draws from; the first
+        is the reference value a twin run compares against.
     inherit:
         Where a knob left ``None`` gets its value.
     apply:
@@ -56,8 +65,6 @@ class Knob:
         ``DetectorConfig`` a standalone detector also reads.  Everything
         else (the NICs, the verbs contexts) reads the runtime's ``config``
         directly.
-    extra_flags:
-        Additional command-line tokens a matrix value requires.
     """
 
     name: str
@@ -66,7 +73,6 @@ class Knob:
     matrix_values: Tuple[str, ...]
     inherit: Optional[Callable[["RuntimeConfig"], Any]] = None
     apply: Optional[Callable[["DSMRuntime", Any], None]] = None
-    extra_flags: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
 
     @property
     def flag(self) -> str:
@@ -197,9 +203,6 @@ KNOBS: Tuple[Knob, ...] = (
             f"receiver-driven clock resync) {_PATTERN_DEFAULT}",
         },
         matrix_values=("rc", "ud"),
-        # UD rows carry nonzero drop/duplicate rates so the matrix exercises
-        # loss recovery, not just the datagram happy path.
-        extra_flags={"ud": ("--drop-rate", "0.25", "--duplicate-rate", "0.1")},
     ),
 )
 

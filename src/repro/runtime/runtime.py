@@ -351,9 +351,12 @@ class DSMRuntime:
 
         *name* is an entry of :data:`repro.runtime.knobs.KNOBS`; the value is
         validated, written to ``self.config`` (which the NICs and verbs
-        contexts read) and pushed to whatever keeps its own state for it.  None of the knobs can change a
-        verdict — only traffic, bytes and timing.  The campaign runner's
-        configure hook uses this to sweep the knobs on already-built runtimes.
+        contexts read) and pushed to whatever keeps its own state for it.  A
+        knob changes traffic, bytes and timing, never the verdict of a given
+        execution; a timing knob (``clock_transport``, ``cq_moderation``)
+        changes which execution happens (:mod:`repro.runtime.knobs`).  The
+        campaign runner's configure hook uses this to set the knobs on
+        already-built runtimes.
         """
         knob = KNOBS_BY_NAME.get(name)
         if knob is None:

@@ -1,32 +1,24 @@
-"""Differential-testing harness for the epoch fast path.
+"""Digests that make a behaviour-preserving rewrite cheap to prove.
 
 The epoch fast path (``DetectorConfig.epochs`` / ``RuntimeConfig.
-detector_epochs``) is an *exact* shortcut: by construction it changes which
-code path decides a check, never what the check decides or which clock
-contents the merges produce.  This module is the machinery that proves the
-claim instead of asserting it — every helper runs the same program through
-both modes and diffs what must be byte-identical:
+detector_epochs``) is an *exact* shortcut: it changes which code path
+decides a check, never what the check decides or which clock contents the
+merges produce.  The digests here pin what must then be byte-identical:
 
-* **verdicts** — the full race-record list, every field including the
-  clock snapshots and the detail string;
-* **decision logs** — the schedule-replay recipe of every explored
-  schedule, entry for entry;
-* **``RunResult.metrics``** — the canonical metrics-registry snapshot
-  (the epoch path books no registry counters, so even the observability
-  payload cannot drift);
-* clock *contents* — per-cell access/write clocks and per-rank process
-  clocks at end of run;
-* the detection profile's ``checks``, ``joins`` and race counts (only
-  ``compares`` may drop, traded for ``epoch_hits``).
+* :func:`run_result_digest` — one run: every race record (clocks and
+  detail string included), ``RunResult.metrics``, final memory, elapsed
+  sim-time and the detection profile's ``checks`` / ``joins`` (only
+  ``compares`` may drop, traded for ``epoch_hits``).  The knob promise
+  (``test_knob_promise.py``, P4) compares it across epoch modes;
+* :func:`detector_state_digest` — a raw detector's end state, for the
+  property tests that drive two detectors directly;
+* :class:`CheckStream` — every check one detector makes, against the
+  golden recording of a reference commit.
 
 Byte-for-byte means exactly that: digests are compared as
 ``json.dumps(..., sort_keys=True)`` strings, so an ordering difference or
 a numpy scalar leaking into a payload fails just as loudly as a wrong
 verdict.
-
-Every helper builds a fresh runtime per mode (``build(seed)``) and flips the
-knob on that runtime alone; each runtime owns its copy of the configuration,
-so runtimes derived from one config object never see each other's mode.
 """
 
 from __future__ import annotations
@@ -41,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.detector import ComparisonMode, DetectorConfig, DualClockRaceDetector
 from repro.core.races import RaceRecord
-from repro.explore.runner import Explorer, ExplorationResult
 from repro.memory.address import GlobalAddress
 from repro.memory.consistency import AccessKind, MemoryAccess
 from repro.memory.public import MemoryCell
@@ -124,111 +115,6 @@ def detector_state_digest(detector: DualClockRaceDetector) -> str:
         "race_counts": len(detector.report),
     }
     return json.dumps(payload, sort_keys=True)
-
-
-def exploration_digest(result: ExplorationResult) -> str:
-    """Byte-for-byte view of a whole exploration, decision logs included.
-
-    ``ExplorationResult.as_dict()`` already carries verdicts, fingerprints
-    and per-schedule ``metrics``; the decision logs and observable
-    behaviour are appended explicitly because the campaign payload only
-    summarizes them.
-    """
-    payload = result.as_dict()
-    payload["decision_logs"] = [o.decisions.to_jsonable() for o in result.outcomes]
-    payload["final_values"] = [
-        {s: [repr(v) for v in vals] for s, vals in sorted(o.final_values.items())}
-        for o in result.outcomes
-    ]
-    payload["read_values"] = [
-        {f"{sym}[{off}]": list(vals) for (sym, off), vals in sorted(o.read_values.items())}
-        for o in result.outcomes
-    ]
-    return json.dumps(payload, sort_keys=True)
-
-
-# -- runners -------------------------------------------------------------------------
-
-
-def run_in_mode(
-    build: Callable[[int], DSMRuntime], seed: int, mode: str
-) -> RunResult:
-    """Build a fresh runtime, pin the epoch mode, run it."""
-    runtime = build(seed)
-    runtime.set_knob("detector_epochs", mode)
-    return runtime.run()
-
-
-def run_differential(
-    build: Callable[[int], DSMRuntime], seed: int = 0
-) -> Tuple[RunResult, RunResult]:
-    """One run per mode; asserts the byte-identical contract, returns both."""
-    on = run_in_mode(build, seed, "on")
-    off = run_in_mode(build, seed, "off")
-    assert run_result_digest(on) == run_result_digest(off), (
-        f"epoch fast path changed an observable (seed={seed})"
-    )
-    return on, off
-
-
-def explore_in_mode(
-    build: Callable[[int], DSMRuntime],
-    mode: str,
-    seed: int = 0,
-    budget: int = 4,
-    offline_detectors=None,
-) -> ExplorationResult:
-    """Explore the schedule space with every runtime pinned to *mode*."""
-    explorer = Explorer(
-        build,
-        seed=seed,
-        offline_detectors=offline_detectors,
-        configure=lambda runtime: runtime.set_knob("detector_epochs", mode),
-    )
-    return explorer.explore_fuzzed(budget)
-
-
-def explore_differential(
-    build: Callable[[int], DSMRuntime],
-    seed: int = 0,
-    budget: int = 4,
-    offline_detectors=None,
-) -> Tuple[ExplorationResult, ExplorationResult]:
-    """The schedule-space differential: every schedule through both modes.
-
-    Fuzz seeds derive deterministically from the exploration seed, so both
-    explorations replay the *same* schedules; the assertion then covers
-    verdicts, decision logs, fingerprints, metrics, final values and read
-    multisets of every schedule at once.
-    """
-    on = explore_in_mode(build, "on", seed=seed, budget=budget,
-                         offline_detectors=offline_detectors)
-    off = explore_in_mode(build, "off", seed=seed, budget=budget,
-                          offline_detectors=offline_detectors)
-    assert exploration_digest(on) == exploration_digest(off), (
-        f"epoch fast path changed an explored schedule (seed={seed})"
-    )
-    return on, off
-
-
-def profile_compares(result: RunResult) -> Dict[str, int]:
-    """Per-bucket full-vector compare counts of one run."""
-    return {
-        bucket: counts["compares"]
-        for bucket, counts in result.detection_profile.items()
-    }
-
-
-def total_compares(result: RunResult) -> int:
-    """Full-vector compares summed over every check type."""
-    return sum(profile_compares(result).values())
-
-
-def total_epoch_hits(result: RunResult) -> int:
-    """O(1) epoch probes summed over every check type."""
-    return sum(
-        counts["epoch_hits"] for counts in result.detection_profile.values()
-    )
 
 
 # -- the check-stream digest ---------------------------------------------------------

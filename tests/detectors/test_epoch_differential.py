@@ -1,42 +1,26 @@
-"""Property-based differential tests for the epoch fast path (satellite of
-the FastTrack-style optimisation).
+"""Property-based differential tests for the epoch fast path.
 
-Two layers of evidence that ``DetectorConfig.epochs`` is an exact shortcut:
+``DetectorConfig.epochs`` must be an exact shortcut.  Hypothesis-generated
+access sequences (read/write/rmw × live/carried × owner-tick × explicit
+sync) are replayed through two ``DualClockRaceDetector`` instances that
+differ only in the knob.  The end states must agree on every observable:
+race records field-for-field, per-cell access/write clock contents,
+per-rank process clocks, and the detection profile's ``checks``/``joins``/
+race counts.  Only ``compares`` may differ — and then only downward, traded
+one-for-one against ``epoch_hits``.
 
-* **raw detectors** — hypothesis-generated access sequences (read/write/rmw
-  × live/carried × owner-tick × explicit sync) are replayed through two
-  ``DualClockRaceDetector`` instances that differ only in the knob.  The
-  end states must agree on every observable: race records field-for-field,
-  per-cell access/write clock contents, per-rank process clocks, and the
-  detection profile's ``checks``/``joins``/race counts.  Only ``compares``
-  may differ — and then only downward, traded one-for-one against
-  ``epoch_hits``.
-
-* **whole runtimes** — the labelled pattern corpus runs through the
-  runtime-level harness (``tests/detectors/differential.py``), whose digest
-  covers ``RunResult.metrics`` byte-for-byte, and through schedule-space
-  exploration so verdicts and decision logs are diffed across many
-  interleavings, not just the uncontrolled one.  A knob-matrix test crosses
-  the epoch modes with clock transports, wire formats and CQ moderation —
-  the fast path must be invisible under every combination.
+Whole runtimes are the knob promise's (``test_knob_promise.py``, P4): the
+epoch modes give identical ``run_result_digest``s and decision logs on every
+drawn program, knob vector and schedule.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.detector import ComparisonMode, DetectorConfig, DualClockRaceDetector
 from repro.memory.address import GlobalAddress
 from repro.memory.public import MemoryCell
-from repro.workloads.racy_patterns import pattern_corpus, rmw_pattern_corpus
 
-from tests.detectors.differential import (
-    detector_state_digest,
-    explore_differential,
-    run_differential,
-    run_in_mode,
-    total_compares,
-    total_epoch_hits,
-)
+from tests.detectors.differential import detector_state_digest
 
 WORLD = 3
 ADDRESSES = (GlobalAddress(0, 0), GlobalAddress(0, 1), GlobalAddress(1, 0))
@@ -158,68 +142,3 @@ class TestRawDetectorDifferential:
         fast, slow = assert_differential(ops, comparison=ComparisonMode.STRICT)
         assert fast.profiler.totals() == slow.profiler.totals()
         assert fast.profiler.totals()["epoch_hits"] == 0
-
-
-class TestPatternCorpusDifferential:
-    """Whole-runtime differential over the labelled corpus (satellite 1)."""
-
-    @pytest.mark.parametrize(
-        "pattern", pattern_corpus(), ids=lambda p: p.name
-    )
-    def test_verdicts_and_metrics_identical(self, pattern):
-        run_differential(pattern.build, seed=0)
-
-    @pytest.mark.parametrize(
-        "pattern", rmw_pattern_corpus(), ids=lambda p: p.name
-    )
-    def test_rmw_corpus_identical(self, pattern):
-        run_differential(pattern.build, seed=0)
-
-    def test_epoch_mode_actually_probes_on_the_corpus(self):
-        """Anti-vacuity: across the corpus the fast path must fire — a
-        differential test of a path that never executes proves nothing."""
-        hits = 0
-        saved = 0
-        for pattern in pattern_corpus():
-            on = run_in_mode(pattern.build, 0, "on")
-            off = run_in_mode(pattern.build, 0, "off")
-            hits += total_epoch_hits(on)
-            saved += total_compares(off) - total_compares(on)
-        assert hits > 0
-        assert saved > 0
-
-
-class TestScheduleSpaceDifferential:
-    """Exploration-level differential: many interleavings, decision logs
-    and per-schedule metrics included in the byte-compare."""
-
-    @pytest.mark.parametrize(
-        "name", ["fig5a-concurrent-puts", "fig5c-arrival-race",
-                 "unsynchronized-counter", "producer-consumer-barrier"]
-    )
-    def test_explored_schedules_identical(self, name):
-        pattern = next(p for p in pattern_corpus() if p.name == name)
-        explore_differential(pattern.build, seed=0, budget=4)
-
-
-class TestKnobMatrixDifferential:
-    """Epoch modes crossed with the transport/wire/moderation knobs: the
-    fast path must be invisible under every combination (acceptance
-    criterion; the CI campaign loop runs the full-size version)."""
-
-    @pytest.mark.parametrize("transport", ["roundtrip", "piggyback"])
-    @pytest.mark.parametrize("wire", ["full", "delta", "truncated"])
-    @pytest.mark.parametrize("moderation", [False, True])
-    def test_matrix(self, transport, wire, moderation):
-        pattern = next(
-            p for p in pattern_corpus() if p.name == "fig5a-concurrent-puts"
-        )
-
-        def build(seed):
-            runtime = pattern.build(seed)
-            runtime.set_knob("clock_transport", transport)
-            runtime.set_knob("clock_wire", wire)
-            runtime.set_knob("cq_moderation", moderation)
-            return runtime
-
-        run_differential(build, seed=0)

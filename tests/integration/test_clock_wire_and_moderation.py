@@ -1,58 +1,27 @@
-"""Acceptance of the clock wire-format layer and completion coalescing.
-
-The two new knobs must be invisible to the detector:
+"""What the clock wire format and completion coalescing save, on the CQ burst.
 
 * ``clock_wire`` (``full``/``delta``/``truncated``) only changes how many
   bytes a clock rider costs — every frame decodes to the exact clock, so a
   compressed run's race report is **byte-identical** to the full-format run
   (clocks included), its messages the same, only its wire bytes smaller;
-* ``cq_moderation`` only coalesces completion delivery (one CQE per drain
-  burst) — every completion still retires with its batched clock, so the
-  verdict set cannot change; only completion-event counts and clock-byte
-  charges shrink.
+* ``cq_moderation`` coalesces completion delivery (one CQE per drain burst):
+  completion-event counts and clock-byte charges shrink, and every
+  completion still retires.
 
-And the trace stays the ground truth: offline replay of a
-piggyback+delta(+moderation) run reproduces the online race report
-byte-identically, because recorded clocks are knob-independent.
+That neither knob changes the verdict of a given execution, and that replay
+of a piggyback + delta + moderated run reproduces the online report, is the
+knob promise (``tests/detectors/test_knob_promise.py``, P1 and P4).
 """
 
 import pytest
 
-from repro.explore.campaign import CampaignConfig, main as campaign_main, run_campaign
 from repro.runtime.runtime import DSMRuntime, RuntimeConfig
-from repro.trace.replay import TraceReplayer
 from repro.workloads import RPCEchoWorkload, VerbsStencilWorkload
+
+from tests.detectors.test_knob_promise import racy_burst_runtime
 
 WIRE_FORMATS = ("full", "delta", "truncated")
 TRANSPORTS = ("roundtrip", "piggyback")
-
-
-def _racy_burst_runtime(**knobs):
-    """Three ranks; 0 posts a burst then reads unwaited (a real async race),
-    while 2 also writes the cell — plenty of verdicts to compare."""
-    runtime = DSMRuntime(
-        RuntimeConfig(world_size=3, **knobs)
-    )
-    runtime.declare_array("cells", 4, owner=1, initial=0)
-
-    def poster(api):
-        for index in range(4):
-            api.iput("cells", 10 + index, index=index)
-        value = yield from api.get("cells", index=0)  # unwaited: races
-        api.private.write("seen", value)
-        yield from api.wait_all()
-
-    def other_writer(api):
-        yield from api.put("cells", 99, index=0)
-        yield from api.compute(1.0)
-
-    def idle(api):
-        yield from api.compute(0.0)
-
-    runtime.set_program(0, poster)
-    runtime.set_program(1, idle)
-    runtime.set_program(2, other_writer)
-    return runtime
 
 
 def _full_verdict(run):
@@ -71,7 +40,7 @@ class TestWireFormatIsByteInvisible:
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_byte_identical_verdicts_same_messages_fewer_bytes(self, transport):
         runs = {
-            wire: _racy_burst_runtime(
+            wire: racy_burst_runtime(
                 clock_transport=transport, clock_wire=wire
             ).run()
             for wire in WIRE_FORMATS
@@ -96,10 +65,10 @@ class TestWireFormatIsByteInvisible:
             assert compressed.clock_transport_stats["wire_frames_sparse"] > 0
 
     def test_piggyback_riders_are_sized_by_the_format(self):
-        full = _racy_burst_runtime(
+        full = racy_burst_runtime(
             clock_transport="piggyback", clock_wire="full"
         ).run()
-        delta = _racy_burst_runtime(
+        delta = racy_burst_runtime(
             clock_transport="piggyback", clock_wire="delta"
         ).run()
         assert (
@@ -112,10 +81,10 @@ class TestWireFormatIsByteInvisible:
         )
 
     def test_roundtrip_clock_update_payload_shrinks_too(self):
-        full = _racy_burst_runtime(
+        full = racy_burst_runtime(
             clock_transport="roundtrip", clock_wire="full"
         ).run()
-        delta = _racy_burst_runtime(
+        delta = racy_burst_runtime(
             clock_transport="roundtrip", clock_wire="delta"
         ).run()
         assert (
@@ -129,10 +98,10 @@ class TestWireFormatIsByteInvisible:
 class TestCqModerationIsVerdictInvisible:
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_same_verdicts_fewer_completion_events(self, transport):
-        off = _racy_burst_runtime(
+        off = racy_burst_runtime(
             clock_transport=transport, cq_moderation=False
         ).run()
-        on = _racy_burst_runtime(
+        on = racy_burst_runtime(
             clock_transport=transport, cq_moderation=True
         ).run()
         assert off.race_count > 0
@@ -154,7 +123,7 @@ class TestCqModerationIsVerdictInvisible:
         )
 
     def test_every_completion_still_retires_under_moderation(self):
-        runtime = _racy_burst_runtime(cq_moderation=True)
+        runtime = racy_burst_runtime(cq_moderation=True)
         result = runtime.run()
         assert result.knobs["cq_moderation"] is True
         for context in runtime.verbs_contexts:
@@ -225,31 +194,11 @@ class TestCqModerationIsVerdictInvisible:
 
 
 class TestTraceStaysTheGroundTruth:
-    def test_replay_of_piggyback_delta_moderated_run_is_byte_identical(self):
-        runtime = _racy_burst_runtime(
-            clock_transport="piggyback", clock_wire="delta", cq_moderation=True
-        )
-        result = runtime.run()
-        assert result.race_count > 0
-        replay = TraceReplayer(3).replay(
-            runtime.recorder.accesses(), syncs=runtime.recorder.syncs()
-        )
-        online = _full_verdict(result)
-        offline = sorted(
-            (
-                r.address.rank, r.address.offset, r.current_rank,
-                r.current_kind.value, tuple(r.current_clock),
-                r.previous_rank, tuple(r.previous_clock), r.symbol, r.operation,
-            )
-            for r in replay.races
-        )
-        assert offline == online, "offline replay diverged from the online report"
-
     def test_trace_header_records_the_knobs(self):
         from repro.trace.serialization import trace_to_json
         import json
 
-        runtime = _racy_burst_runtime(
+        runtime = racy_burst_runtime(
             clock_transport="piggyback", clock_wire="delta", cq_moderation=True
         )
         runtime.run()
@@ -265,48 +214,3 @@ class TestTraceStaysTheGroundTruth:
         )
         header = json.loads(text)["run_info"]
         assert header["clock_wire"] == "delta"
-
-
-class TestCampaignKnobMatrix:
-    def test_expect_consistent_holds_for_every_knob_combination(self):
-        """The CI acceptance gate, in miniature: ``--expect-consistent``
-        passes for every clock_transport × clock_wire × cq_moderation cell."""
-        for transport in TRANSPORTS:
-            for wire in WIRE_FORMATS:
-                for moderation in ("off", "on"):
-                    argv = [
-                        "--patterns", "fig5a-concurrent-puts",
-                        "--strategy", "systematic",
-                        "--budget", "3",
-                        "--quantum", "4.0",
-                        "--clock-transport", transport,
-                        "--clock-wire", wire,
-                        "--cq-moderation", moderation,
-                        "--expect-consistent",
-                    ]
-                    assert campaign_main(argv) == 0, (
-                        f"--expect-consistent failed for "
-                        f"{transport}/{wire}/moderation={moderation}"
-                    )
-
-    def test_campaign_reports_agree_across_wire_formats(self):
-        reports = {
-            wire: run_campaign(
-                CampaignConfig(
-                    strategy="systematic", budget=3, quantum=4.0,
-                    clock_transport="piggyback", clock_wire=wire,
-                ),
-                patterns=["write-after-read-unsync"],
-            )
-            for wire in WIRE_FORMATS
-        }
-        baseline = reports["full"]
-        for wire in ("delta", "truncated"):
-            assert (
-                reports[wire].matrix_clock_consistency()
-                == baseline.matrix_clock_consistency()
-            )
-            for fresh, base in zip(
-                reports[wire].per_pattern, baseline.per_pattern
-            ):
-                assert fresh["flagged_in_any"] == base["flagged_in_any"]

@@ -119,6 +119,17 @@ class NegativeLatency(ConstantLatency):
         return -1.0
 
 
+class SettableLatency(ConstantLatency):
+    """Returns whatever :attr:`flight` holds, legal or not."""
+
+    def __init__(self, flight):
+        super().__init__()
+        self.flight = flight
+
+    def latency(self, message, hops=1):
+        return self.flight
+
+
 class TestStamping:
     """Stamping fills in the two times and carries every other field over."""
 
@@ -314,6 +325,18 @@ class TestValidationRim:
             sender(MessageKind.PUT_DATA, source, destination)
         assert sender(MessageKind.PUT_DATA, 1, 1)[1].message_id == 1
         assert fabric.stats.total_messages == 2
+
+    @pytest.mark.parametrize("send", ["send", "send_datagram"])
+    @pytest.mark.parametrize("flight, error", [(-1.0, ValueError), (True, TypeError)])
+    def test_a_rejected_flight_draws_no_message_id(self, send, flight, error):
+        model = SettableLatency(flight)
+        fabric = Fabric(Simulator(), Topology.complete(2), model)
+        sender = getattr(fabric, send)
+        with pytest.raises(error, match="latency"):
+            sender(MessageKind.PUT_DATA, 0, 1)
+        model.flight = 1.0
+        assert sender(MessageKind.PUT_DATA, 0, 1)[1].message_id == 0
+        assert fabric.stats.total_messages == 1
 
     @pytest.mark.parametrize(
         "flight, error, text",

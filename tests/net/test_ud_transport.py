@@ -286,6 +286,21 @@ class TestDropAndResync:
         assert runtime.clock_transport_stats().ud_resyncs >= 1
         assert verdict(result) == verdict(sparse_wire_factory(transport="rc").run())
 
+    def test_scripted_drops_reproduce_the_rc_verdict_exactly(self):
+        """Drops of data datagrams, resync requests and resync replies
+        mid-pattern reproduce the RC verdict record for record, clocks
+        included: the historical-frame rule, over several scripts."""
+        rc = verdict(sparse_wire_factory(transport="rc").run())
+        for fates in (
+            {"put_data": {0: 1}},
+            {"put_data": {1: 1, 2: 1}},
+            {"put_data": {0: 2, 3: 1}, "ud_resync_request": {0: 1}},
+            {"put_data": {2: 1}, "ud_resync_full": {0: 1}},
+        ):
+            runtime = controlled(sparse_wire_factory(), ForcedFates(fates=fates))
+            assert verdict(runtime.run()) == rc, fates
+            assert runtime.clock_transport_stats().ud_dropped >= 1
+
     def test_decision_log_records_drops_and_replays(self):
         from repro.explore.runner import run_schedule
         from repro.explore.controller import ReplayStrategy
