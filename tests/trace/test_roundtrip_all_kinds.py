@@ -8,6 +8,8 @@ a new ``AccessKind`` / operation / sync kind without serialization support
 fails here rather than silently corrupting archives.
 """
 
+import json
+
 import pytest
 
 from repro.memory.address import GlobalAddress
@@ -133,6 +135,64 @@ class TestSyncRoundTrip:
         data = sync_to_dict(SyncEvent(0, 0.0, (0, 1), kind="barrier"))
         del data["clock"]  # a version-1 trace written before the SEND era
         assert sync_from_dict(data).clock is None
+
+
+class TestNullReadsAsMissing:
+    """A JSON ``null`` in a field with a default loads as that default,
+    exactly as if the key were missing — never as the string ``"None"``."""
+
+    def _access_dict(self):
+        return access_to_dict(
+            MemoryAccess(0, 0, GlobalAddress(1, 0), AccessKind.WRITE, time=2.0, operation="put")
+        )
+
+    @pytest.mark.parametrize("field, default", [("operation", ""), ("time", 0.0)])
+    def test_an_access_field(self, field, default):
+        null, missing = self._access_dict(), self._access_dict()
+        null[field] = None
+        del missing[field]
+        assert getattr(access_from_dict(null), field) == default
+        assert access_from_dict(null) == access_from_dict(missing)
+
+    def test_a_sync_kind(self):
+        null = sync_to_dict(SyncEvent(0, 1.0, (0, 1), kind="barrier"))
+        missing = dict(null)
+        null["kind"] = None
+        del missing["kind"]
+        assert sync_from_dict(null).kind == "barrier"
+        assert sync_from_dict(null) == sync_from_dict(missing)
+
+    def test_a_null_kind_sync_replays_as_the_barrier_a_missing_kind_is(self):
+        """Two writes to one cell, ordered only by the sync between them."""
+        from repro.trace.replay import TraceReplayer
+
+        cell = GlobalAddress(1, 0)
+        accesses = [
+            MemoryAccess(0, 0, cell, AccessKind.WRITE, value=1, time=1.0, operation="put"),
+            MemoryAccess(1, 2, cell, AccessKind.WRITE, value=2, time=3.0, operation="put"),
+        ]
+        text = trace_to_json(3, accesses, syncs=[SyncEvent(0, 2.0, (0, 1, 2))])
+        races = []
+        for kind in ("barrier", None, ...):
+            payload = json.loads(text)
+            if kind is ...:
+                del payload["syncs"][0]["kind"]
+            else:
+                payload["syncs"][0]["kind"] = kind
+            world, loaded, _operations, syncs = trace_from_json(json.dumps(payload))
+            races.append(TraceReplayer(world).replay(loaded, syncs).race_count)
+        assert races == [0, 0, 0]
+
+    def test_through_a_whole_archive(self):
+        access = self._access_dict()
+        access["operation"] = None
+        text = trace_to_json(2, [], syncs=[SyncEvent(0, 0.0, (0, 1))])
+        payload = json.loads(text)
+        payload["accesses"] = [access]
+        payload["syncs"][0]["kind"] = None
+        _world, accesses, _operations, syncs = trace_from_json(json.dumps(payload))
+        assert accesses[0].operation == ""
+        assert syncs[0].kind == "barrier"
 
 
 class TestWholeTraceRoundTrip:

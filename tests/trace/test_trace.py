@@ -115,6 +115,91 @@ class TestSerialization:
             trace_from_json('{"format": "repro-dsm-trace", "version": 99}')
 
 
+def _archive(**members):
+    """A one-access archive as a payload dictionary, with *members* set
+    (``None`` values written as JSON ``null``) or, for ``...``, removed."""
+    access = MemoryAccess(0, 0, GlobalAddress(1, 0), AccessKind.WRITE, value=1)
+    payload = json.loads(trace_to_json(2, [access]))
+    for key, value in members.items():
+        if value is ...:
+            del payload[key]
+        else:
+            payload[key] = value
+    return payload
+
+
+class TestLoaderRefusesByName:
+    """Each header check fails with a ``ValueError`` naming its field, and a
+    document that is not a trace is refused as such, whatever it holds."""
+
+    @pytest.mark.parametrize("text", ["[]", "[1, 2]", "3", '"trace"', "null"])
+    def test_a_document_that_is_not_an_object_has_no_format(self, text):
+        with pytest.raises(ValueError, match="format"):
+            trace_from_json(text)
+
+    @pytest.mark.parametrize("version", [None, ..., "one", [1]])
+    def test_an_unreadable_version_is_refused_by_name(self, version):
+        with pytest.raises(ValueError, match="version"):
+            trace_from_json(json.dumps(_archive(version=version)))
+
+    @pytest.mark.parametrize("world_size", [..., None, "four"])
+    def test_an_unreadable_world_size_is_refused_by_name(self, world_size):
+        with pytest.raises(ValueError, match="world_size"):
+            trace_from_json(json.dumps(_archive(world_size=world_size)))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"accesses": [{"access_id": 1}]}',
+            '{"accesses": [{"access_id": "x", "rank": []}], "format": "other"}',
+            '{"run_info": {"access_id": 1}, "syncs": [{"sync_id": null}]}',
+            '{"data": [{"access_id": 1, "rank": 0}]}',
+        ],
+    )
+    def test_a_non_trace_document_is_refused_as_such(self, text):
+        with pytest.raises(ValueError, match="not a repro DSM trace"):
+            trace_from_json(text)
+
+    def test_a_header_after_the_records_is_still_read(self):
+        payload = _archive()
+        reordered = {key: payload[key] for key in reversed(list(payload))}
+        assert trace_from_json(json.dumps(reordered)) == trace_from_json(json.dumps(payload))
+
+    def test_a_section_that_is_not_a_list_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="'syncs'"):
+            trace_from_json(json.dumps(_archive(syncs={"sync_id": 0})))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps(_archive())[:-3],
+            json.dumps(_archive()) + " {}",
+            json.dumps(_archive()).replace('"accesses":', '"accesses"'),
+            json.dumps(_archive()).replace("]", "}", 1),
+        ],
+    )
+    def test_a_syntax_error_is_reported_as_the_json_parser_reports_it(self, text):
+        with pytest.raises(json.JSONDecodeError) as raised:
+            trace_from_json(text)
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(text)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
+    def test_bytes_load_as_json_loads_decodes_them(self, encoding):
+        text = trace_to_json(2, [MemoryAccess(0, 0, GlobalAddress(1, 0), AccessKind.READ, symbol="é")])
+        assert trace_from_json(text.encode(encoding)) == trace_from_json(text)
+
+    def test_a_value_that_is_an_object_is_never_read_as_a_record(self):
+        record = access_to_dict(MemoryAccess(3, 1, GlobalAddress(0, 2), AccessKind.READ))
+        payload = _archive(run_info={"access_id": 7, "sync_id": 8})
+        payload["accesses"][0]["value"] = record
+        payload["accesses"][0]["observed"] = {"rank": 0, "offset": 2}
+        _world, accesses, _operations, _syncs = trace_from_json(json.dumps(payload))
+        assert accesses[0].value == record
+        assert accesses[0].observed == {"rank": 0, "offset": 2}
+
+
 class TestReplay:
     def test_replay_flags_unordered_writes(self):
         recorder = TraceRecorder(3)
