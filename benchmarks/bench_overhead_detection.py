@@ -284,23 +284,3 @@ def _write_artifact(section: str, report: dict) -> None:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-
-def test_piggybacked_clocks_remove_message_overhead(benchmark):
-    """An optimized library can piggyback clocks on data messages (no extra messages)."""
-
-    def run():
-        workload = StencilWorkload(
-            world_size=4, cells_per_rank=6, iterations=2, use_barriers=True,
-            config=RuntimeConfig(charge_detection_messages=False),
-        )
-        return workload.run(seed=0).run
-
-    result = benchmark(run)
-    assert result.fabric_stats.detection_messages == 0
-    assert result.race_count == 0
-    record(
-        benchmark,
-        experiment="E11 piggybacked clocks",
-        detection_messages=result.fabric_stats.detection_messages,
-        data_bytes=result.fabric_stats.data_bytes,
-    )

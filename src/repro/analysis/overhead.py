@@ -24,10 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.net.clock_transport import BYTES_PER_ENTRY
 from repro.runtime.runtime import RunResult
-
-#: Bytes used to store one vector-clock entry.
-BYTES_PER_ENTRY = 8
 
 
 @dataclass(frozen=True)

@@ -160,10 +160,6 @@ class DetectorConfig:
         master-worker races.  Default off: the paper's happens-before
         discipline signals every unordered conflicting pair, atomic or not,
         leaving benignity to the signal policy.
-    control_messages_per_check:
-        Extra NIC messages charged per instrumented operation for fetching and
-        writing back clocks (Algorithm 5 uses a get_clock + put_clock pair; a
-        piggybacked implementation would use 0).  Used for overhead accounting.
     epochs:
         Enable the FastTrack-style epoch fast path: per-datum clocks whose
         content is known to equal a single rank's captured principal vector
@@ -184,7 +180,6 @@ class DetectorConfig:
     comparison: ComparisonMode = ComparisonMode.MATTERN
     write_effect_ticks_owner: bool = True
     treat_rmw_pairs_as_ordered: bool = False
-    control_messages_per_check: int = 2
     epochs: bool = True
 
     def compare(self, first: VectorClock, second: VectorClock) -> bool:
@@ -235,8 +230,6 @@ class AccessCheckResult:
     event_clock: Tuple[int, ...]
     datum_access_clock: Tuple[int, ...]
     datum_write_clock: Optional[Tuple[int, ...]]
-    extra_control_messages: int = 0
-    extra_clock_bytes: int = 0
     #: Epoch annotation of ``datum_access_clock`` at result time, when the
     #: fast path could establish one — lets downstream consumers (the queue
     #: pair's drain) chain O(1) domination probes across a burst.
@@ -314,9 +307,6 @@ class _DatumState:
 class DualClockRaceDetector:
     """Per-execution race detector implementing the paper's algorithm."""
 
-    #: Bytes per vector-clock entry, for message/storage overhead accounting.
-    BYTES_PER_ENTRY = 8
-
     def __init__(
         self,
         world_size: int,
@@ -335,8 +325,6 @@ class DualClockRaceDetector:
         # lazily and only consulted when ``treat_rmw_pairs_as_ordered`` is on.
         self._plain_clocks: Dict[GlobalAddress, VectorClock] = {}
         self._checks_performed = 0
-        self._control_messages = 0
-        self._clock_bytes_on_wire = 0
         # Per-check-type cost attribution; a private profiler until the
         # runtime binds the simulator-wide one (bind_observability).
         self._profiler = DetectionProfiler()
@@ -502,7 +490,6 @@ class DualClockRaceDetector:
         operation: str = "put",
         carried_clock: Optional[VectorClock] = None,
         owner_event: Optional[bool] = None,
-        wire_clock_bytes: Optional[int] = None,
     ) -> AccessCheckResult:
         """Algorithm 1: instrument a remote write (``put``) into *cell*.
 
@@ -535,9 +522,9 @@ class DualClockRaceDetector:
             return _UNINSTRUMENTED
         race = self._check(
             _WRITE_KIND, origin, address, cell, symbol, time, operation,
-            carried_clock, wire_clock_bytes, owner_event,
+            carried_clock, owner_event,
         )
-        return self._result(race, origin, cell, carried_clock, wire_clock_bytes)
+        return self._result(race, origin, cell, carried_clock)
 
     def on_read(
         self,
@@ -549,7 +536,6 @@ class DualClockRaceDetector:
         time: float = 0.0,
         operation: str = "get",
         carried_clock: Optional[VectorClock] = None,
-        wire_clock_bytes: Optional[int] = None,
     ) -> AccessCheckResult:
         """Algorithm 2: instrument a remote read (``get``) of *cell*.
 
@@ -574,9 +560,9 @@ class DualClockRaceDetector:
             return _UNINSTRUMENTED
         race = self._check(
             _READ_KIND, origin, address, cell, symbol, time, operation,
-            carried_clock, wire_clock_bytes,
+            carried_clock,
         )
-        return self._result(race, origin, cell, carried_clock, wire_clock_bytes)
+        return self._result(race, origin, cell, carried_clock)
 
     def on_rmw(
         self,
@@ -588,7 +574,6 @@ class DualClockRaceDetector:
         time: float = 0.0,
         operation: str = "fetch_add",
         carried_clock: Optional[VectorClock] = None,
-        wire_clock_bytes: Optional[int] = None,
     ) -> AccessCheckResult:
         """Instrument a one-sided atomic read-modify-write of *cell*.
 
@@ -613,9 +598,9 @@ class DualClockRaceDetector:
             return _UNINSTRUMENTED
         race = self._check(
             _RMW_KIND, origin, address, cell, symbol, time, operation,
-            carried_clock, wire_clock_bytes,
+            carried_clock,
         )
-        return self._result(race, origin, cell, carried_clock, wire_clock_bytes)
+        return self._result(race, origin, cell, carried_clock)
 
     # -- per-kind resolution: what each kind of access asks of the kernel ------------
 
@@ -629,7 +614,6 @@ class DualClockRaceDetector:
         time: float,
         operation: str,
         carried_clock: Optional[VectorClock],
-        wire_clock_bytes: Optional[int],
         owner_event: Optional[bool] = None,
     ) -> Optional[RaceRecord]:
         """Check one access of *kind*; returns the race, if any.
@@ -645,20 +629,20 @@ class DualClockRaceDetector:
         if kind is _WRITE_KIND:
             return self._instrument(
                 _WRITE_ACCESS, origin, address, cell, symbol, time, operation,
-                carried_clock, wire_clock_bytes,
+                carried_clock,
                 _ACCESS,
                 carried_clock is None if owner_event is None else owner_event,
             )
         if kind is _READ_KIND:
             return self._instrument(
                 _READ_ACCESS, origin, address, cell, symbol, time, operation,
-                carried_clock, wire_clock_bytes,
+                carried_clock,
                 _WRITE,
                 carried_clock is not None,
             )
         return self._instrument(
             _RMW_ACCESS, origin, address, cell, symbol, time, operation,
-            carried_clock, wire_clock_bytes,
+            carried_clock,
             _PLAIN if self.config.treat_rmw_pairs_as_ordered else _ACCESS,
             True,
         )
@@ -669,7 +653,6 @@ class DualClockRaceDetector:
         origin: int,
         cell: MemoryCell,
         carried_clock: Optional[VectorClock],
-        wire_clock_bytes: Optional[int],
     ) -> AccessCheckResult:
         """The record of the check just made, built from the state it left.
 
@@ -681,18 +664,11 @@ class DualClockRaceDetector:
             event = tuple(carried_clock._entries.tolist())
         else:
             event = tuple(self._process_clocks[origin]._entries.tolist())
-        messages = self.config.control_messages_per_check
         return AccessCheckResult._build(
             race,
             event,
             tuple(cell.access_clock._entries.tolist()),
             tuple(cell.write_clock._entries.tolist()),
-            messages,
-            messages * (
-                wire_clock_bytes
-                if wire_clock_bytes is not None
-                else self._world_size * self.BYTES_PER_ENTRY
-            ),
             cell.detector_state.access_epoch,
         )
 
@@ -706,7 +682,6 @@ class DualClockRaceDetector:
         time: float,
         operation: str,
         carried_clock: Optional[VectorClock],
-        wire_clock_bytes: Optional[int],
         reference_slot: str,
         owner_event: bool,
     ) -> Optional[RaceRecord]:
@@ -962,17 +937,8 @@ class DualClockRaceDetector:
         if is_plain:
             state.last_plain = last
 
-        # Profile the check and book its overhead.  One
-        # vector clock per booked control message (Algorithm 5's fetch +
-        # update each move one).  *wire_clock_bytes* is the clock's measured
-        # wire size under the active ``clock_wire`` format, passed in by the
-        # NIC when it actually charged the round trip; ``None`` books the
-        # uncompressed ``world_size × BYTES_PER_ENTRY`` figure.  A
-        # piggybacked deployment sets ``control_messages_per_check = 0`` and
-        # books nothing here — its clock bytes ride on data messages and are
-        # accounted by the clock-transport layer
-        # (``RunResult.clock_transport_stats``), so the two figures never
-        # contradict each other for the same run.
+        # Profile the check.  The clock traffic it costs is the fabric's to
+        # count, where the clock is sent (``ClockTransport``).
         self._checks_performed += 1
         bucket = profiler._buckets[live_bucket if live else carried_bucket]
         bucket.checks += 1
@@ -981,14 +947,6 @@ class DualClockRaceDetector:
         bucket.epoch_hits += epoch_hits
         if started is not None:
             bucket.wall_ns += _perf_counter_ns() - started
-        messages = config.control_messages_per_check
-        clock_bytes = messages * (
-            wire_clock_bytes
-            if wire_clock_bytes is not None
-            else self._world_size * self.BYTES_PER_ENTRY
-        )
-        self._control_messages += messages
-        self._clock_bytes_on_wire += clock_bytes
         return race
 
     def _signal(
@@ -1036,16 +994,6 @@ class DualClockRaceDetector:
     def checks_performed(self) -> int:
         """Number of instrumented remote accesses."""
         return self._checks_performed
-
-    @property
-    def control_messages(self) -> int:
-        """Extra NIC messages attributable to detection (clock fetch/update)."""
-        return self._control_messages
-
-    @property
-    def clock_bytes_on_wire(self) -> int:
-        """Extra bytes of clock payload attributable to detection."""
-        return self._clock_bytes_on_wire
 
     def clock_storage_entries(self) -> int:
         """Vector-clock entries the detector holds: ``n`` per process clock.

@@ -9,9 +9,7 @@ SEND/RECV alike — instead of a per-call-site accident:
 
 ``"roundtrip"`` (the paper's literal Algorithm 5, the default)
     Every instrumented remote access charges one CLOCK_FETCH + CLOCK_UPDATE
-    pair on the fabric (when the NIC is configured to charge detection
-    messages at all), and the detector books
-    ``control_messages_per_check`` control messages per check.
+    pair on the fabric; an access to the rank's own memory sends nothing.
 
 ``"piggyback"`` (the optimized implementation)
     No clock message ever crosses the fabric on its own.  Data messages grow
@@ -76,7 +74,6 @@ from dataclasses import dataclass
 from operator import add
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.core.detector import DualClockRaceDetector
 from repro.net.message import MessageKind
 from repro.obs.metrics import MetricsRegistry, family_keys
 from repro.obs.observability import Observability
@@ -91,10 +88,9 @@ CLOCK_TRANSPORT_MODES = ("roundtrip", "piggyback")
 #: Legal values of the ``clock_wire`` knob.
 CLOCK_WIRE_FORMATS = ("full", "delta", "truncated")
 
-#: Bytes per full vector-clock entry on the wire — the detector's storage
-#: figure is the single source of truth, so wire and storage accounting can
-#: never drift apart.
-BYTES_PER_ENTRY = DualClockRaceDetector.BYTES_PER_ENTRY
+#: Bytes per full vector-clock entry on the wire, and per entry of a clock
+#: held in storage (``repro.analysis.overhead``).
+BYTES_PER_ENTRY = 8
 #: One-byte frame tag discriminating sparse frames from full frames.  The
 #: plain ``"full"`` format is untagged (the legacy wire layout), so choosing
 #: ``clock_wire="full"`` is byte-identical to the pre-compression accounting.
@@ -507,7 +503,7 @@ class ClockTransport:
     # -- wire traffic --------------------------------------------------------------
 
     def ride_frame(
-        self, clock, destination: int, request: bool = False
+        self, clock, destination: int
     ) -> Tuple[Optional[tuple], int, Optional[str]]:
         """Stamp a clock rider onto one message bound for *destination*.
 
@@ -519,9 +515,8 @@ class ClockTransport:
         rider is encoded through the channel's wire-format codec — ``full``
         costs the whole vector, ``delta``/``truncated`` cost only the
         components that changed since the channel's last clock (or a full
-        frame when that would not pay).  Under roundtrip, *request* messages add nothing
-        and data messages add the legacy ``charge_detection_messages=False``
-        allowance.
+        frame when that would not pay).  Under roundtrip no clock rides:
+        :meth:`round_trip` sends it on its own.
 
         The shape is ``"full"`` (self-contained frame), ``"sparse"``
         (sequence-dependent patch) or ``None`` (no frame rode).  The UD
@@ -541,50 +536,39 @@ class ClockTransport:
         mode = nic.config.clock_transport
         if mode not in CLOCK_TRANSPORT_MODES:
             validate_clock_transport(mode)
-        if mode == "piggyback":
-            if clock is None:
-                return None, 0, None
-            # The one normalisation of this rider: the verification
-            # compares the decoded clock with the frozen tuple as is.
-            frozen = (
-                clock.frozen() if hasattr(clock, "frozen") else tuple(map(int, clock))
-            )
-            frame = self.encode_frame(frozen, destination)
-            row = self.stats._row
-            row[PIGGYBACKED_MESSAGES] += 1
-            row[PIGGYBACKED_BYTES] += frame.wire_bytes
-            return frozen, frame.wire_bytes, ("full" if frame.full else "sparse")
-        if request or nic.config.charge_detection_messages:
+        if mode != "piggyback" or clock is None:
             return None, 0, None
-        # The legacy accounting shortcut: clocks assumed piggybacked on data
-        # messages for free, at full size.
-        return None, nic._clock_bytes(), None
+        # The one normalisation of this rider: the verification
+        # compares the decoded clock with the frozen tuple as is.
+        frozen = (
+            clock.frozen() if hasattr(clock, "frozen") else tuple(map(int, clock))
+        )
+        frame = self.encode_frame(frozen, destination)
+        row = self.stats._row
+        row[PIGGYBACKED_MESSAGES] += 1
+        row[PIGGYBACKED_BYTES] += frame.wire_bytes
+        return frozen, frame.wire_bytes, ("full" if frame.full else "sparse")
 
     def round_trip(self, target_rank: int, tag: str) -> Generator:
         """Charge Algorithm 5's CLOCK_FETCH/CLOCK_UPDATE pair, when owed.
 
-        A generator driven by the simulation kernel; returns ``(messages,
-        update_clock_bytes)`` — the number of control messages charged (0 in
-        piggyback mode, where the clock already rode on the data message)
-        and the wire size of the clock the CLOCK_UPDATE carried (``None``
-        when no round trip was charged).  Under a compressed wire format the
-        update payload travels through the *target's* channel codec — the
-        update is the target's message — so Algorithm 5's dedicated clock
-        traffic also shrinks.
+        A generator driven by the simulation kernel; returns the number of
+        control messages sent: 2 for a remote access under roundtrip, 0 in
+        piggyback mode (the clock already rode on the data message) and for
+        an own-rank access.  Under a compressed wire format the update
+        payload travels through the *target's* channel codec — the update is
+        the target's message — so Algorithm 5's dedicated clock traffic also
+        shrinks.
         """
         nic = self._owner()  # once, and no property chain: see ride_frame
         config, detector = nic.config, nic.detector
         if detector is None or not detector.config.enabled:
-            return 0, None
+            return 0
         mode = config.clock_transport
         if mode not in CLOCK_TRANSPORT_MODES:
             validate_clock_transport(mode)
-        if (
-            mode == "piggyback"
-            or not config.charge_detection_messages
-            or target_rank == nic.rank
-        ):
-            return 0, None
+        if mode == "piggyback" or target_rank == nic.rank:
+            return 0
         sync_started = nic._sim._now
         fetch, _ = nic.fabric.send(
             MessageKind.CLOCK_FETCH, nic.rank, target_rank,
@@ -612,7 +596,7 @@ class ClockTransport:
                 nic._sim._now, target=f"P{target_rank}",
                 update_bytes=update_bytes,
             )
-        return 2, update_bytes
+        return 2
 
     # -- retirement joins and completion events ------------------------------------------
 

@@ -54,6 +54,7 @@ from repro.memory.consistency import AccessKind, MemoryAccess
 from repro.memory.locks import LockRequest, MemoryLockTable
 from repro.memory.public import PublicMemory
 from repro.net.clock_transport import (
+    BYTES_PER_ENTRY,
     UD_DATAGRAMS,
     UD_DROPPED,
     UD_DUPLICATES,
@@ -300,7 +301,7 @@ class NIC:
     def _clock_bytes(self) -> int:
         if self.detector is None:
             return 0
-        return self.detector.world_size * DualClockRaceDetector.BYTES_PER_ENTRY
+        return self.detector.world_size * BYTES_PER_ENTRY
 
     # -- lock protocol ----------------------------------------------------------------
 
@@ -378,7 +379,7 @@ class NIC:
     def _transmit_clocked(
         self, kind: MessageKind, destination: int, payload: Any,
         base_payload_bytes: int, tag: str, clock: Any,
-        origin_clock: bool = False, request: bool = False,
+        origin_clock: bool = False,
     ) -> Generator:
         """Transmit one clock-carrying data message on the configured transport.
 
@@ -406,8 +407,7 @@ class NIC:
         """
         if self.config.transport != "ud":
             carried, clock_wire_bytes, _ = self.clock_transport.ride_frame(
-                self._wire_clock(clock) if origin_clock else clock,
-                destination, request=request,
+                self._wire_clock(clock) if origin_clock else clock, destination
             )
             event, _ = self.fabric.send(
                 kind, self.rank, destination,
@@ -424,8 +424,7 @@ class NIC:
         attempts = 0
         while True:
             carried, clock_wire_bytes, frame = self.clock_transport.ride_frame(
-                self._wire_clock(clock) if origin_clock else clock,
-                destination, request=request,
+                self._wire_clock(clock) if origin_clock else clock, destination
             )
             seq = self.ud.assign_seq(destination, carried)
             transport_row[UD_DATAGRAMS] += 1
@@ -535,7 +534,6 @@ class NIC:
         address: GlobalAddress, operand: Any,
         apply: Optional[Callable[[Any, Any], Any]], symbol: Optional[str],
         carried_clock: Optional[VectorClock], owner_event: Optional[bool],
-        wire_clock_bytes: Optional[int],
     ) -> Tuple[Optional[AccessCheckResult], Any, Any]:
         """The step under the lock: check, memory effect, access record.
 
@@ -560,19 +558,17 @@ class NIC:
                 check = detector.on_write(
                     self.rank, address, cell, symbol=symbol, time=now,
                     operation=operation, carried_clock=carried_clock,
-                    owner_event=owner_event, wire_clock_bytes=wire_clock_bytes,
+                    owner_event=owner_event,
                 )
             elif kind is _READ:
                 check = detector.on_read(
                     self.rank, address, cell, symbol=symbol, time=now,
                     operation=operation, carried_clock=carried_clock,
-                    wire_clock_bytes=wire_clock_bytes,
                 )
             else:
                 check = detector.on_rmw(
                     self.rank, address, cell, symbol=symbol, time=now,
                     operation=operation, carried_clock=carried_clock,
-                    wire_clock_bytes=wire_clock_bytes,
                 )
         # The effect, with the counters ``PublicMemory.read`` / ``write`` keep.
         observed = new_value = None
@@ -664,7 +660,6 @@ class NIC:
         self._tallies[tally] += 1
         target_nic = self._peers[target.rank]() if remote else self
         data_messages = control_messages = 0
-        update_clock_bytes = None
 
         if remote:
             lock_request = yield from self._acquire_lock(target_nic, target, operation, tag)
@@ -675,13 +670,13 @@ class NIC:
             yield lock_request.event
         try:
             if remote:
-                control_messages, update_clock_bytes = (
-                    yield from self.clock_transport.round_trip(target.rank, tag)
+                control_messages = yield from self.clock_transport.round_trip(
+                    target.rank, tag
                 )
                 data_messages = yield from self._transmit_clocked(
                     request_kind, target.rank, operand,
                     request_cells * DEFAULT_CELL_BYTES, tag,
-                    clock_snapshot, True, reply_kind is not None,
+                    clock_snapshot, True,
                 )
                 target_nic._tallies[REMOTE_OPS_SERVICED] += 1
             if clock_snapshot is not None and self.recorder is not None:
@@ -691,7 +686,7 @@ class NIC:
                 )
             check, value, new_value = self._perform(
                 target_nic, kind, operation, target, operand, apply, symbol,
-                clock_snapshot, True, update_clock_bytes,
+                clock_snapshot, True,
             )
             if remote and reply_kind is not None:
                 data_messages += yield from target_nic._transmit_clocked(
@@ -955,9 +950,7 @@ class NIC:
                 recv_wr=recv_wr,
             )
 
-        control_messages, update_clock_bytes = (
-            yield from self.clock_transport.round_trip(destination, tag)
-        )
+        control_messages = yield from self.clock_transport.round_trip(destination, tag)
         # The delivery event is causally after BOTH posts: the SEND's
         # (snapshot carried by the message) and the matched RECV's (snapshot
         # taken when the buffer was posted — the permission point).  Their
@@ -991,7 +984,7 @@ class NIC:
             # No owner event: the receiver synchronizes at retirement.
             cell_check, _, _ = self._perform(
                 target_nic, _WRITE, "send", address, value, None,
-                symbol or recv_wr.symbol, effective_clock, None, update_clock_bytes,
+                symbol or recv_wr.symbol, effective_clock, None,
             )
             # The result's single check slot keeps the first flagged
             # scatter access (or the first cell's when none raced), so

@@ -61,10 +61,10 @@ class Knob:
     inherit:
         Where a knob left ``None`` gets its value.
     apply:
-        Pushes a value into what keeps its own state for it: the
-        ``DetectorConfig`` a standalone detector also reads.  Everything
-        else (the NICs, the verbs contexts) reads the runtime's ``config``
-        directly.
+        Pushes a value into state kept outside ``RuntimeConfig``: today only
+        ``DetectorConfig.epochs``, which a standalone detector also reads.
+        Everything else (the NICs, the verbs contexts) reads the runtime's
+        ``config`` directly.
     """
 
     name: str
@@ -115,24 +115,6 @@ def validate_detector_epochs(mode: Any) -> str:
 # -- hooks -----------------------------------------------------------------------------
 
 
-def _apply_clock_transport(runtime: "DSMRuntime", mode: str) -> None:
-    # Piggybacking zeroes the detector's per-check control-message
-    # accounting (the clocks ride on messages the application sends anyway,
-    # Algorithm 5's dedicated pair disappears); switching back restores the
-    # figure it replaced, so a custom one is preserved, not reset.
-    detector_config = runtime.config.detector
-    if mode == "piggyback":
-        if detector_config.control_messages_per_check != 0:
-            runtime._control_messages_before_piggyback = (
-                detector_config.control_messages_per_check
-            )
-        detector_config.control_messages_per_check = 0
-    elif detector_config.control_messages_per_check == 0:
-        detector_config.control_messages_per_check = (
-            runtime._control_messages_before_piggyback
-        )
-
-
 def _inherit_detector_epochs(config: "RuntimeConfig") -> str:
     # The CI slow-path leg sets the environment variable; otherwise keep
     # whatever the DetectorConfig already says.
@@ -160,7 +142,6 @@ KNOBS: Tuple[Knob, ...] = (
             "help": f"clock transport for every explored runtime {_PATTERN_DEFAULT}",
         },
         matrix_values=("roundtrip", "piggyback"),
-        apply=_apply_clock_transport,
     ),
     Knob(
         name="clock_wire",

@@ -67,16 +67,6 @@ class RuntimeConfig:
     detector:
         The race-detector configuration (set ``detector.enabled = False`` for
         an uninstrumented run).
-    charge_detection_messages:
-        When detection is enabled under the ``"roundtrip"`` clock transport,
-        charge one CLOCK_FETCH/CLOCK_UPDATE round trip per instrumented
-        remote access (Algorithm 5's clock traffic).  When false, clocks
-        are assumed piggybacked on the data messages for free (the legacy
-        accounting shortcut); the ``"piggyback"`` transport models that
-        piggybacking explicitly and ignores this field.  Lock traffic is
-        not configurable: every access takes the NIC lock on its target
-        cell (Section III-A) and a remote one pays its request / grant /
-        release messages.
     ud_max_retransmits:
         Retransmissions of one datagram (or resync re-requests of one
         sequence) under ``transport="ud"`` before the operation fails with
@@ -89,7 +79,10 @@ class RuntimeConfig:
         data messages themselves (no dedicated clock traffic, a vector
         clock of extra payload per data message) and batches origin-side
         clock joins per queue-pair drain.  Detector verdicts are identical
-        in both modes; only traffic and join counts differ.
+        in both modes; only traffic and join counts differ.  Lock traffic
+        is not configurable: every access takes the NIC lock on its target
+        cell (Section III-A) and a remote one pays its request / grant /
+        release messages.
     clock_wire:
         How each clock is encoded when it crosses the wire (see
         :mod:`repro.net.clock_transport`): ``"full"`` ships the whole
@@ -165,7 +158,6 @@ class RuntimeConfig:
     topology: Union[str, Topology] = "complete"
     latency: Union[str, LatencyModel] = "constant"
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    charge_detection_messages: bool = True
     ud_max_retransmits: int = 16
     # The consistency knobs, in repro.runtime.knobs.KNOBS order.
     clock_transport: str = "roundtrip"
@@ -193,7 +185,6 @@ def _validate_settings(config: RuntimeConfig) -> None:
     or queue pair) or, like a truthy string, not fail at all.
     """
     require_positive(config.world_size, "world_size")
-    require_type(config.charge_detection_messages, bool, "charge_detection_messages")
     require_non_negative(
         require_type(config.ud_max_retransmits, int, "ud_max_retransmits"),
         "ud_max_retransmits",
@@ -214,7 +205,8 @@ class RunResult:
     trace_summary: TraceSummary
     fabric_stats: FabricStats
     elapsed_sim_time: float
-    detection_control_messages: int
+    #: Algorithm 5's clock bytes, as the fabric counted them
+    #: (``fabric_stats.detection_bytes``).
     detection_clock_bytes: int
     clock_storage_entries: int
     final_shared_values: Dict[str, List[Any]]
@@ -335,10 +327,6 @@ class DSMRuntime:
         self._apis: Dict[int, ProcessAPI] = {}
         self._initial_values: Dict[GlobalAddress, Any] = {}
         self._ran = False
-        # What switching clock_transport back from piggyback restores.
-        self._control_messages_before_piggyback = (
-            self.config.detector.control_messages_per_check
-        )
         # Everything above reads the knobs lazily, through ``self.config`` or
         # a hook, so one loop resolves, validates and installs them all.
         for knob in KNOBS:
@@ -572,8 +560,7 @@ class DSMRuntime:
             trace_summary=self.recorder.summary(),
             fabric_stats=self.fabric.stats,
             elapsed_sim_time=elapsed,
-            detection_control_messages=self.detector.control_messages,
-            detection_clock_bytes=self.detector.clock_bytes_on_wire,
+            detection_clock_bytes=self.fabric.stats.detection_bytes,
             clock_storage_entries=clock_entries,
             final_shared_values=final_shared,
             per_rank_private=per_rank_private,

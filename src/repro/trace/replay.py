@@ -144,7 +144,7 @@ class TraceReplayer:
             # is an owner event, carried or live.
             check(
                 kind, origin, address, cell, access.symbol, access.time,
-                access.operation or _OPERATIONS[kind], carried, None,
+                access.operation or _OPERATIONS[kind], carried,
                 None if is_send else True,
             )
         return ReplayOutcome(

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from repro import DSMRuntime, RuntimeConfig
 from repro.core.detector import ComparisonMode, DetectorConfig, DualClockRaceDetector
 from repro.core.clocks import VectorClock
 from repro.core.races import RaceReport, SignalPolicy
@@ -289,7 +290,7 @@ class TestConfigurationVariants:
         assert not result.raced
         assert cell.access_clock is None
         assert detector.checks_performed == 0
-        assert detector.control_messages == 0
+        assert result.event_clock == ()
 
     def test_strict_comparison_reports_superset(self):
         """Algorithm 3 literal: equal clocks are unordered, so more reports."""
@@ -330,13 +331,23 @@ class TestConfigurationVariants:
 
 class TestOverheadAccounting:
     def test_control_messages_accumulate(self):
-        detector = make_detector()
-        cell = MemoryCell()
-        detector.on_write(0, addr(), cell)
-        detector.on_read(2, addr(), cell)
-        assert detector.checks_performed == 2
-        assert detector.control_messages == 2 * detector.config.control_messages_per_check
-        assert detector.clock_bytes_on_wire > 0
+        """Each remote check pays Algorithm 5's fetch + update on the fabric."""
+        runtime = DSMRuntime(RuntimeConfig(world_size=3))
+        runtime.declare_scalar("x", owner=1, initial=0)
+
+        def program(api):
+            if api.rank == 0:
+                yield from api.put("x", 1)
+            elif api.rank == 2:
+                yield from api.get("x")
+            else:
+                yield from api.compute(0.0)
+
+        runtime.set_spmd_program(program)
+        result = runtime.run()
+        assert runtime.detector.checks_performed == 2
+        assert result.fabric_stats.detection_messages == 2 * 2
+        assert result.detection_clock_bytes == result.fabric_stats.detection_bytes > 0
 
     def test_clock_storage_is_one_vector_per_process(self):
         detector = make_detector(world_size=4)

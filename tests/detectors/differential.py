@@ -175,13 +175,13 @@ class CheckStream:
 
         def record(
             access_kind, origin, address, cell, symbol, time, operation,
-            carried_clock, wire_clock_bytes, *resolved,
+            carried_clock, *resolved,
         ):
             race = kernel(
                 access_kind, origin, address, cell, symbol, time, operation,
-                carried_clock, wire_clock_bytes, *resolved,
+                carried_clock, *resolved,
             )
-            result = detector._result(race, origin, cell, carried_clock, wire_clock_bytes)
+            result = detector._result(race, origin, cell, carried_clock)
             self.accesses += 1
             self._cells[address] = cell
             epoch = result.datum_epoch
@@ -198,8 +198,6 @@ class CheckStream:
                         if result.datum_write_clock is None
                         else list(result.datum_write_clock)
                     ),
-                    "extra_control_messages": result.extra_control_messages,
-                    "extra_clock_bytes": result.extra_clock_bytes,
                     "datum_epoch": None if epoch is None else [epoch.rank, epoch.scalar],
                 }
             )
@@ -228,8 +226,6 @@ class CheckStream:
                 "profile": detector.profiler.snapshot(),
                 "report": [race_digest(r) for r in detector.report.records()],
                 "checks_performed": detector.checks_performed,
-                "control_messages": detector.control_messages,
-                "clock_bytes_on_wire": detector.clock_bytes_on_wire,
                 "plain_clock_entries": sum(clock.size for clock in plain.values()),
             }
         )

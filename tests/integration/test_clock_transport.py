@@ -13,6 +13,7 @@ from repro.explore.campaign import CampaignConfig, run_campaign
 from repro.net.message import MessageKind
 from repro.runtime.runtime import DSMRuntime, RuntimeConfig
 from repro.workloads import (
+    RandomAccessWorkload,
     RPCEchoWorkload,
     SendRecvStencilWorkload,
     VerbsStencilWorkload,
@@ -91,7 +92,46 @@ class TestPiggybackVsRoundtrip:
     def test_per_check_control_accounting_is_zero_under_piggyback(self):
         for mode, expected in (("roundtrip", True), ("piggyback", False)):
             result = WORKLOADS["stencil"](RuntimeConfig(clock_transport=mode)).run(0)
-            assert (result.run.detection_control_messages > 0) is expected
+            assert (result.run.fabric_stats.detection_messages > 0) is expected
+
+
+def _own_rank_only(config):
+    """Every rank puts, gets and adds to a cell of its own memory only."""
+    runtime = DSMRuntime(config.with_overrides(world_size=2))
+    for rank in range(2):
+        runtime.declare_scalar(f"x{rank}", owner=rank, initial=0)
+
+    def program(api):
+        name = f"x{api.rank}"
+        yield from api.put(name, 1)
+        yield from api.get(name)
+        yield from api.fetch_add(name, 1)
+
+    runtime.set_spmd_program(program)
+    return runtime.run()
+
+
+#: program -> (its run under a config, the clock messages the fabric sends
+#: under roundtrip, or ``None`` for "some").
+CLOCK_TRAFFIC = {
+    "own-rank": (_own_rank_only, 0),
+    "random-access": (
+        lambda config: RandomAccessWorkload(4, 50, config=config).run(0).run, None
+    ),
+}
+
+
+class TestClockTrafficIsCountedOnce:
+    @pytest.mark.parametrize("name", sorted(CLOCK_TRAFFIC))
+    def test_clock_bytes_are_what_the_fabric_sent(self, name):
+        run, messages = CLOCK_TRAFFIC[name]
+        result = run(RuntimeConfig(clock_transport="roundtrip"))
+        assert result.detection_clock_bytes == result.fabric_stats.detection_bytes
+        if messages is None:
+            assert result.fabric_stats.detection_messages > 0
+        else:
+            assert result.fabric_stats.detection_messages == messages
+            assert result.detection_clock_bytes == 0
 
 
 class TestExploredScheduleCampaigns:

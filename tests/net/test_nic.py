@@ -6,9 +6,10 @@ from repro.core.detector import DetectorConfig, DualClockRaceDetector
 from repro.memory.address import GlobalAddress
 from repro.memory.locks import MemoryLockTable
 from repro.memory.public import PublicMemory
+from repro.net.clock_transport import BYTES_PER_ENTRY
 from repro.net.fabric import Fabric
 from repro.net.latency import ConstantLatency
-from repro.net.message import MessageKind
+from repro.net.message import HEADER_BYTES, MessageKind
 from repro.net.nic import NIC
 from repro.net.topology import Topology
 from repro.obs.observability import Observability
@@ -95,11 +96,27 @@ class TestMessageDecomposition:
         assert without_detection.fabric.stats.detection_messages == 0
 
     def test_detection_messages_piggybacked_when_configured(self):
-        cluster = Cluster(config=RuntimeConfig(world_size=3, charge_detection_messages=False))
+        cluster = Cluster(config=RuntimeConfig(world_size=3, clock_transport="piggyback"))
         cluster.drive(cluster.nics[2].rdma_put("v", GlobalAddress(1, 0)))
         assert cluster.fabric.stats.detection_messages == 0
         # The data message grew by the piggybacked clock payload.
         assert cluster.fabric.stats.data_bytes > 32 + 8
+
+    @pytest.mark.parametrize("clock_wire", ["full", "delta"])
+    def test_the_clock_sync_span_records_the_update_bytes_the_fabric_sent(self, clock_wire):
+        """Algorithm 5's round trip: a payload-free fetch, then the update."""
+        cluster = Cluster(config=RuntimeConfig(world_size=3, clock_wire=clock_wire))
+        Observability.of(cluster.sim).configure(trace_spans=True)
+        tracer = Observability.of(cluster.sim).spans
+        cluster.drive(cluster.nics[2].rdma_put("v", GlobalAddress(1, 0)))
+        (span,) = [event for event in tracer.events() if event["name"] == "clock_sync"]
+        # Two headers on the wire; only the update carries a payload.
+        sent = cluster.fabric.stats.detection_bytes - 2 * HEADER_BYTES
+        assert span["args"] == {"target": "P1", "update_bytes": sent}
+        if clock_wire == "full":
+            assert sent == 3 * BYTES_PER_ENTRY
+        else:
+            assert 0 < sent
 
 
 #: operation -> (call, tally that moves, data messages when the target is

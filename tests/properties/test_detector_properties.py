@@ -72,9 +72,10 @@ class TestDetectorInvariants:
     @given(access_sequences)
     @settings(max_examples=60, deadline=None)
     def test_disabling_detection_reports_nothing(self, steps):
-        detector, _cells = drive_detector(steps, enabled=False)
+        detector, cells = drive_detector(steps, enabled=False)
         assert detector.race_count() == 0
-        assert detector.control_messages == 0
+        assert detector.checks_performed == 0
+        assert all(cell.access_clock is None for cell in cells.values())
 
     @given(access_sequences)
     @settings(max_examples=40, deadline=None)

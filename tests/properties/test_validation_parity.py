@@ -276,7 +276,7 @@ RECORDS = {
     AccessCheckResult: (
         st.tuples(
             st.one_of(st.none(), race_values.map(lambda values: RaceRecord(*values))),
-            vectors, vectors, clocks, small_ints, small_ints,
+            vectors, vectors, clocks,
             st.one_of(st.none(), st.builds(Epoch, small_ints, small_ints)),
         ),
         "race",

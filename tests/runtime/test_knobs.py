@@ -41,7 +41,6 @@ RUNTIME_OTHER_FIELDS = {
     "topology": "examples/quickstart.py",
     "latency": "src/repro/workloads/racy_patterns.py",
     "detector": "benchmarks/bench_overhead_detection.py",
-    "charge_detection_messages": "benchmarks/bench_overhead_detection.py",
     "ud_max_retransmits": "docs/verbs.md",
     "signal_policy": "examples/quickstart.py",
     "trace_spans": "src/repro/obs/__main__.py",
@@ -223,14 +222,17 @@ class TestConfigOwnership:
     def test_runtimes_built_from_one_config_do_not_leak_into_each_other(self):
         cfg = RuntimeConfig(world_size=2)
         pristine = dataclasses.asdict(cfg)
-        DSMRuntime(cfg, clock_transport="piggyback", clock_wire="delta", transport="ud")
+        DSMRuntime(
+            cfg, clock_transport="piggyback", clock_wire="delta", transport="ud",
+            detector_epochs="off",
+        )
         assert dataclasses.asdict(cfg) == pristine
 
         b = DSMRuntime(cfg)
         assert b.knobs()["clock_transport"] == "roundtrip"
         assert b.knobs()["clock_wire"] == "full"
         assert b.knobs()["transport"] == "rc"
-        assert b.config.detector.control_messages_per_check == 2
+        assert b.config.detector is not cfg.detector
         # ...and a third runtime may name a different wire format.
         assert DSMRuntime(cfg, clock_wire="truncated").knobs()["clock_wire"] == "truncated"
         assert dataclasses.asdict(cfg) == pristine
@@ -257,15 +259,12 @@ class TestConfigOwnership:
         assert runtime.nics[0].config.clock_transport == "piggyback"
         assert runtime.config.detector.epochs is False
 
-    def test_custom_control_message_figure_survives_a_piggyback_round_trip(self):
-        from repro.core.detector import DetectorConfig
-
-        runtime = DSMRuntime(
-            RuntimeConfig(
-                world_size=2, detector=DetectorConfig(control_messages_per_check=5)
-            )
-        )
-        runtime.set_knob("clock_transport", "piggyback")
-        assert runtime.config.detector.control_messages_per_check == 0
-        runtime.set_knob("clock_transport", "roundtrip")
-        assert runtime.config.detector.control_messages_per_check == 5
+    def test_switching_the_clock_transport_leaves_the_detector_config_alone(self):
+        runtime = DSMRuntime(RuntimeConfig(world_size=2))
+        detector_config = runtime.config.detector
+        before = dataclasses.asdict(detector_config)
+        for mode in ("piggyback", "roundtrip", "piggyback"):
+            runtime.set_knob("clock_transport", mode)
+            assert runtime.config.detector is detector_config
+            assert runtime.detector.config is detector_config
+            assert dataclasses.asdict(detector_config) == before

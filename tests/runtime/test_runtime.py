@@ -53,8 +53,6 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "name, value",
         [
-            ("charge_detection_messages", "no"),
-            ("charge_detection_messages", 0),
             ("ud_max_retransmits", -1),
             ("ud_max_retransmits", "x"),
             ("ud_max_retransmits", True),
@@ -154,7 +152,7 @@ class TestExecution:
         result = runtime.run()
         assert result.race_count == 0
         assert result.fabric_stats.detection_messages == 0
-        assert result.detection_control_messages == 0
+        assert result.detection_clock_bytes == 0
 
     def test_signal_policy_warn_prints(self, capsys):
         config = RuntimeConfig(world_size=3, signal_policy=SignalPolicy.WARN)
