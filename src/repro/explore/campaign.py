@@ -30,7 +30,7 @@ import argparse
 import json
 import multiprocessing
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.metrics import DetectorScore, score_against_labels
@@ -511,34 +511,49 @@ def minimize_campaign_artifacts(
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The campaign command line (one flag per registry knob)."""
+    """The campaign command line (one flag per registry knob).
+
+    A flag that sets a ``CampaignConfig`` field defaults to that field's own
+    default.
+    """
+    default = {spec.name: spec.default for spec in fields(CampaignConfig)}
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--corpus", default="default", help="default | rmw")
     parser.add_argument(
         "--patterns", nargs="*", default=None, help="pattern names (default: all)"
     )
-    parser.add_argument("--strategy", default="fuzz", choices=("fuzz", "systematic"))
-    parser.add_argument("--budget", type=int, default=6)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=0)
-    parser.add_argument("--branch-factor", type=int, default=2)
-    parser.add_argument("--max-branch-points", type=int, default=8)
-    parser.add_argument("--reorder-probability", type=float, default=0.35)
-    parser.add_argument("--reorder-aggressiveness", type=float, default=2.0)
-    parser.add_argument("--quantum", type=float, default=1.0)
+    parser.add_argument(
+        "--strategy", default=default["strategy"], choices=("fuzz", "systematic")
+    )
+    parser.add_argument("--budget", type=int, default=default["budget"])
+    parser.add_argument("--seed", type=int, default=default["seed"])
+    parser.add_argument("--workers", type=int, default=default["workers"])
+    parser.add_argument("--branch-factor", type=int, default=default["branch_factor"])
+    parser.add_argument(
+        "--max-branch-points", type=int, default=default["max_branch_points"]
+    )
+    parser.add_argument(
+        "--reorder-probability", type=float, default=default["reorder_probability"]
+    )
+    parser.add_argument(
+        "--reorder-aggressiveness",
+        type=float,
+        default=default["reorder_aggressiveness"],
+    )
+    parser.add_argument("--quantum", type=float, default=default["quantum"])
     for knob in KNOBS:
         parser.add_argument(knob.flag, default=None, **knob.cli)
     parser.add_argument(
         "--drop-rate",
         type=float,
-        default=0.0,
+        default=default["drop_probability"],
         help="per-datagram drop probability for fuzzed schedules (UD only; "
         "schedule 0 stays the drop-free baseline)",
     )
     parser.add_argument(
         "--duplicate-rate",
         type=float,
-        default=0.0,
+        default=default["duplicate_probability"],
         help="per-datagram duplication probability for fuzzed schedules "
         "(UD only)",
     )

@@ -397,24 +397,14 @@ class ClockTransportStats:
         return f"ClockTransportStats({nonzero})"
 
 
-def _live_clock_wire(config) -> str:
-    """*config*'s ``clock_wire``; a bare illegal assignment raises here."""
-    wire_format = config.clock_wire
-    if wire_format in CLOCK_WIRE_FORMATS:
-        return wire_format
-    return validate_clock_wire(wire_format)
-
-
 class ClockTransport:
     """One rank's clock-movement policy, consulted by NIC and verbs layers.
 
-    The mode is read from the owning NIC's config (the runtime's
-    ``RuntimeConfig``) on every decision — that is what lets
+    The mode and wire format are read from the owning NIC's config (the
+    runtime's frozen ``RuntimeConfig``) on every decision — that is what lets
     ``DSMRuntime.set_knob("clock_transport", mode)`` switch an already-built
-    runtime (the campaign runner's configure hook).  Always switch through
-    that method (or ``RuntimeConfig.clock_transport`` at construction): it
-    also keeps the detector's per-check control accounting in step, which a
-    bare ``runtime.config.clock_transport`` assignment would not.
+    runtime before it runs (the campaign runner's configure hook).  The
+    runtime validated them when it stored them, so they are read unchecked.
     """
 
     def __init__(self, nic: "NIC") -> None:
@@ -431,38 +421,20 @@ class ClockTransport:
         self._decoders: Dict[int, ClockWireDecoder] = {}
 
     @property
-    def _nic(self) -> "NIC":
-        return self._owner()
-
-    # -- mode ---------------------------------------------------------------------
-
-    @property
-    def mode(self) -> str:
-        """The active transport mode (``"roundtrip"`` or ``"piggyback"``)."""
-        mode = self._nic.config.clock_transport
-        if mode in CLOCK_TRANSPORT_MODES:
-            return mode
-        # A bare illegal ``runtime.config`` assignment: raise at first use.
-        return validate_clock_transport(mode)
-
-    @property
     def piggyback(self) -> bool:
         """True when clocks ride on the data messages."""
-        return self.mode == "piggyback"
-
-    @property
-    def wire_format(self) -> str:
-        """The active clock wire format (``full``/``delta``/``truncated``)."""
-        return _live_clock_wire(self._owner().config)
+        return self._owner().config.clock_transport == "piggyback"
 
     # -- wire format (per-destination codecs) ----------------------------------------
 
     def _codec(
         self, nic: "NIC", destination: int
     ) -> Tuple[ClockWireEncoder, ClockWireDecoder]:
-        wire_format = _live_clock_wire(nic.config)
+        # A channel's codec is built at its first clock, which is sent
+        # during the run, after the last ``set_knob``: the format is final.
         encoder = self._encoders.get(destination)
-        if encoder is None or encoder.wire_format != wire_format:
+        if encoder is None:
+            wire_format = nic.config.clock_wire
             encoder = ClockWireEncoder(nic.detector.world_size, wire_format)
             self._encoders[destination] = encoder
             self._decoders[destination] = ClockWireDecoder(
@@ -526,17 +498,12 @@ class ClockTransport:
         """
         # No property chain here: the owner is fetched once and its config
         # and detector read directly (``_active``, ``mode``, ``piggyback``
-        # were five frames per message).  The mode is still read per call —
-        # every knob stays live-switchable — and an illegal one, a bare bad
-        # ``runtime.config`` assignment, still raises at first use.
+        # were five frames per message).
         nic = self._owner()
         detector = nic.detector
         if detector is None or not detector.config.enabled:
             return None, 0, None
-        mode = nic.config.clock_transport
-        if mode not in CLOCK_TRANSPORT_MODES:
-            validate_clock_transport(mode)
-        if mode != "piggyback" or clock is None:
+        if nic.config.clock_transport != "piggyback" or clock is None:
             return None, 0, None
         # The one normalisation of this rider: the verification
         # compares the decoded clock with the frozen tuple as is.
@@ -564,10 +531,7 @@ class ClockTransport:
         config, detector = nic.config, nic.detector
         if detector is None or not detector.config.enabled:
             return 0
-        mode = config.clock_transport
-        if mode not in CLOCK_TRANSPORT_MODES:
-            validate_clock_transport(mode)
-        if mode == "piggyback" or target_rank == nic.rank:
+        if config.clock_transport == "piggyback" or target_rank == nic.rank:
             return 0
         sync_started = nic._sim._now
         fetch, _ = nic.fabric.send(
@@ -575,7 +539,7 @@ class ClockTransport:
             payload_bytes=0, operation_tag=tag,
         )
         yield fetch
-        if _live_clock_wire(config) == "full":
+        if config.clock_wire == "full":
             update_bytes = nic._clock_bytes()
         else:
             target_transport = nic.peer(target_rank).clock_transport
@@ -619,4 +583,5 @@ class ClockTransport:
             row[COMPLETION_CLOCK_BYTES] += self._owner()._clock_bytes()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ClockTransport P{self._nic.rank} mode={self.mode}>"
+        nic = self._owner()
+        return f"<ClockTransport P{nic.rank} mode={nic.config.clock_transport}>"

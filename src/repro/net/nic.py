@@ -252,8 +252,8 @@ class NIC:
         self.memory = memory
         self.locks = locks
         self.detector = detector
-        #: The runtime's own config (the object ``set_knob`` writes); the
-        #: NIC reads its knobs per operation, so each stays live-switchable.
+        #: The runtime's own frozen config (``set_knob`` is its one writer,
+        #: and validates); the NIC reads its knobs per operation, unchecked.
         self.config = config
         self.recorder = recorder
         #: Observability bundle shared by everything on this simulator; the
@@ -366,8 +366,7 @@ class NIC:
         detector = self.detector
         if detector is None or not detector.config.enabled:
             return None
-        # Read off the config, not through the transport's property chain:
-        # ``ride_frame`` gets what this returns and rejects an illegal mode.
+        # Read off the config, not through the transport's property chain.
         if self.config.clock_transport != "piggyback":
             return None
         if clock_snapshot is not None:
@@ -400,8 +399,9 @@ class NIC:
         unchanged clock costs only an empty sparse frame.  A flag, not a provider
         closure: one built per operation would turn the caller's locals
         into cell variables for every access, the local ones included.
-        Which service level is one branch here, on the live ``RuntimeConfig``
-        (every knob can be switched on a built runtime), not a strategy
+        Which service level is one branch here, on the runtime's
+        ``RuntimeConfig`` (every knob can be switched on a built runtime
+        before it runs), not a strategy
         object chosen at construction.  Returns the number of transmissions
         it took.
         """

@@ -45,9 +45,14 @@ from repro.verbs.context import VerbsContext
 from repro.verbs.receive_queue import SharedReceiveQueue
 
 
-@dataclass
+@dataclass(frozen=True)
 class RuntimeConfig:
     """Configuration of one simulated DSM machine.
+
+    Frozen: a field is set at construction (or in a copy,
+    :meth:`with_overrides`).  A :class:`DSMRuntime` validates its own copy
+    once, at build, and :meth:`DSMRuntime.set_knob` is the one writer of
+    that copy afterwards, so nothing that reads it checks it again.
 
     Attributes
     ----------
@@ -78,9 +83,11 @@ class RuntimeConfig:
         instrumented remote access; ``"piggyback"`` rides the clock on the
         data messages themselves (no dedicated clock traffic, a vector
         clock of extra payload per data message) and batches origin-side
-        clock joins per queue-pair drain.  Detector verdicts are identical
-        in both modes; only traffic and join counts differ.  Lock traffic
-        is not configurable: every access takes the NIC lock on its target
+        clock joins per queue-pair drain.  Each execution is judged the
+        same in both modes, but fewer messages mean different timing, so a
+        timing-dependent program may run a different execution (the knob
+        promise, :mod:`repro.runtime.knobs`).  Lock traffic is not
+        configurable: every access takes the NIC lock on its target
         cell (Section III-A) and a remote one pays its request / grant /
         release messages.
     clock_wire:
@@ -92,8 +99,8 @@ class RuntimeConfig:
         ships their absolute values; both sparse formats send a full frame
         on a channel's first message and whenever the sparse frame would not
         pay.  Every format decodes to the exact clock (verified on every
-        frame), so detector verdicts never depend on this knob — only bytes
-        do.
+        frame), so the race records of a run do not depend on this knob —
+        only bytes do (:mod:`repro.runtime.knobs`).
     transport:
         The service level clock-carrying data messages ride on (see
         :mod:`repro.net.ud_transport`): ``"rc"`` (reliable connected —
@@ -101,9 +108,11 @@ class RuntimeConfig:
         ``"ud"`` (unreliable datagrams — each data message becomes a
         sequence-numbered datagram the explored schedule may drop or
         duplicate, with receiver-driven clock resync repairing
-        sequence gaps so a stale clock is never stamped).  Detector
-        verdicts never depend on this knob — only traffic, latency and
-        resync accounting do.  Lock and roundtrip clock control traffic
+        sequence gaps so a stale clock is never stamped).  On a fabric
+        that drops nothing the race records do not depend on this knob —
+        only traffic, latency and resync accounting do; a lossy fabric
+        moves timing, and so may move which execution happens
+        (:mod:`repro.runtime.knobs`).  Lock and roundtrip clock control traffic
         stays RC under either mode, as on real fabrics where connection
         management rides a reliable QP.
     detector_epochs:
@@ -124,8 +133,9 @@ class RuntimeConfig:
         moderation), and the batched retirement clock the event
         carries is charged once per burst instead of once per completion.
         Consumer semantics (wait/wait_all/poll, backpressure, event
-        channels) are unchanged, so verdicts cannot depend on it; only the
-        completion-traffic accounting and CQ visibility timing do.
+        channels) are unchanged and each execution is judged the same, but
+        CQ visibility timing moves, so a timing-dependent program may run a
+        different execution (:mod:`repro.runtime.knobs`).
     signal_policy:
         What to do when a race is signalled (collect / warn / abort).
     trace_spans:
@@ -262,8 +272,9 @@ class DSMRuntime:
         # this copy (which the NICs and verbs contexts read, as the detector
         # reads its ``detector``), never through to the caller's objects.
         # Shallow copies: neither class has a ``__post_init__`` to re-run.
+        # Only ``_store_knob`` writes the frozen copy after this.
         self.config = copy.copy(base)
-        self.config.detector = copy.copy(base.detector)
+        object.__setattr__(self.config, "detector", copy.copy(base.detector))
         _validate_settings(self.config)
 
         self.logger = SimLogger()
@@ -339,7 +350,8 @@ class DSMRuntime:
 
         *name* is an entry of :data:`repro.runtime.knobs.KNOBS`; the value is
         validated, written to ``self.config`` (which the NICs and verbs
-        contexts read) and pushed to whatever keeps its own state for it.  A
+        contexts read, unchecked) and pushed to whatever keeps its own state
+        for it.  ``self.config`` is frozen: this is its one writer.  A
         knob changes traffic, bytes and timing, never the verdict of a given
         execution; a timing knob (``clock_transport``, ``cq_moderation``)
         changes which execution happens (:mod:`repro.runtime.knobs`).  The
@@ -355,7 +367,8 @@ class DSMRuntime:
         self._store_knob(knob, value)
 
     def _store_knob(self, knob: Knob, value: Any) -> None:
-        setattr(self.config, knob.name, value)
+        # *value* is validated: ``Knob.resolve`` at build, ``set_knob`` after.
+        object.__setattr__(self.config, knob.name, value)
         if knob.apply is not None:
             knob.apply(self, value)
 

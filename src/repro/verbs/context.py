@@ -545,7 +545,9 @@ class VerbsContext:
         dominated anyway) — but the burst counts as ONE completion event,
         and the batched retirement clock it carries is charged once, not
         once per completion.  That is the completion-traffic saving the
-        model books for moderation; verdicts cannot depend on it.
+        model books for moderation.  Each execution is judged the same, but
+        the CQ's visibility timing moves, so a timing-dependent program may
+        run a different execution (:mod:`repro.runtime.knobs`).
         """
         for completion in completions:
             if completion.sync_clock is not None:
@@ -567,7 +569,7 @@ class VerbsContext:
         one per access.  The ``"roundtrip"`` transport joins per completion,
         as Algorithm 5 would; the resulting clocks are identical (the
         batched clock of the newest completion dominates its siblings'), so
-        verdicts never depend on the mode.
+        the elision never moves a verdict.
         """
         detector = self.nic.detector
         transport = self.nic.clock_transport

@@ -399,9 +399,9 @@ class TestExhaustion:
                 clock_transport="piggyback",
                 clock_wire="delta",
                 transport="ud",
+                ud_max_retransmits=2,
             )
         )
-        runtime.config.ud_max_retransmits = 2
         runtime.declare_array("x", 2, owner=1, initial=0)
 
         def producer(api):
@@ -456,9 +456,9 @@ class TestExhaustion:
                 seed=0,
                 latency="constant",
                 transport="ud",
+                ud_max_retransmits=2,
             )
         )
-        runtime.config.ud_max_retransmits = 2
         runtime.declare_array("inbox", 1, owner=receiver, initial=0)
         if senders > 1:
             runtime.declare_srq(receiver)

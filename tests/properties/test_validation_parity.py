@@ -8,9 +8,11 @@ the range test is written ``not value >= 0`` (``> 0``), so a NaN is refused;
 the properties compare return value (identity included), exception type and
 exception text.
 
-``ClockTransport.mode`` / ``wire_format`` follow the same idiom over
-``validate_clock_transport`` / ``validate_clock_wire``, which are unchanged
-and so serve as their own reference.
+A knob is checked once, where it is written: ``DSMRuntime.set_knob`` must
+refuse exactly what the knob's validator refuses, with the validator's text,
+and store what it returns.  The validators are unchanged and so serve as
+their own reference; a built runtime's ``RuntimeConfig`` is frozen, so no
+other write reaches the NICs.
 
 The trace records, ``Decision`` and the detector's ``RaceRecord`` and
 ``AccessCheckResult`` have a second, unchecked constructor
@@ -38,12 +40,7 @@ from repro.memory.address import GlobalAddress
 from repro.memory.consistency import AccessKind, MemoryAccess
 from repro.memory.directory import PlacementPolicy, SymbolDirectory
 from repro.memory.public import PublicMemory
-from repro.net.clock_transport import (
-    CLOCK_TRANSPORT_MODES,
-    CLOCK_WIRE_FORMATS,
-    validate_clock_transport,
-    validate_clock_wire,
-)
+from repro.runtime.knobs import KNOBS
 from repro.trace.events import OperationRecord, SyncEvent
 from repro.util.records import trusted_build
 from repro.util.validation import (
@@ -176,11 +173,14 @@ class StrSubclass(str):
     """Equal to a legal value without being that exact object or type."""
 
 
-#: What a bare ``runtime.config`` assignment might leave behind.
+#: Every knob's legal spellings.
+SPELLINGS = sorted({text for knob in KNOBS for text in knob.matrix_values})
+
+#: What a caller might hand ``set_knob``.
 knob_values = st.one_of(
-    st.sampled_from(CLOCK_TRANSPORT_MODES + CLOCK_WIRE_FORMATS),
-    st.sampled_from(CLOCK_TRANSPORT_MODES + CLOCK_WIRE_FORMATS).map(StrSubclass),
-    st.sampled_from(["Roundtrip", "piggy", "FULL", "", "sparse"]),
+    st.sampled_from(SPELLINGS),
+    st.sampled_from(SPELLINGS).map(StrSubclass),
+    st.sampled_from(["Roundtrip", "piggy", "FULL", "", "sparse", "UD", "On"]),
     st.text(max_size=4),
     st.none(),
     st.booleans(),
@@ -191,35 +191,25 @@ knob_values = st.one_of(
 )
 
 
-class TestKnobReadParity:
-    """Every read of the transport's knobs checks them, legal or not."""
+class TestKnobWriteParity:
+    """``set_knob`` is the one writer of a built runtime's knobs, and checks them."""
 
     @pytest.fixture(scope="class")
     def runtime(self):
         return DSMRuntime(RuntimeConfig(world_size=2))
 
-    @given(knob_values)
-    @settings(max_examples=200, deadline=None)
-    def test_mode(self, runtime, value):
-        transport = runtime.nics[1].clock_transport
-        runtime.config.clock_transport = value  # bare: no set_knob, no check
-        assert_same_outcome(lambda _: transport.mode, validate_clock_transport, value)
-
-    @given(knob_values)
-    @settings(max_examples=200, deadline=None)
-    def test_wire_format(self, runtime, value):
-        transport = runtime.nics[1].clock_transport
-        runtime.config.clock_wire = value
-        assert_same_outcome(lambda _: transport.wire_format, validate_clock_wire, value)
-
-    def test_an_illegal_bare_assignment_raises_at_first_use_with_the_validators_text(self):
-        runtime = DSMRuntime(RuntimeConfig(world_size=2))
-        runtime.config.clock_transport = "carrier-pigeon"
-        with pytest.raises(ValueError, match="clock_transport must be one of .*'carrier-pigeon'"):
-            runtime.nics[0].clock_transport.piggyback
-        runtime.config.clock_wire = "morse"
-        with pytest.raises(ValueError, match="clock_wire must be one of .*'morse'"):
-            runtime.nics[0].clock_transport.wire_format
+    @given(st.sampled_from(KNOBS), knob_values)
+    @settings(deadline=None)  # the example count is the active profile's
+    def test_set_knob_raises_exactly_when_the_validator_does(self, runtime, knob, value):
+        before = runtime.knobs()
+        expected = outcome(knob.validate, value)
+        got = outcome(runtime.set_knob, knob.name, value)
+        if expected[0] == "raised":
+            assert got == expected
+            assert runtime.knobs() == before
+        else:
+            assert got == ("returned", None)
+            assert runtime.knobs()[knob.name] is expected[1]
 
 
 # -- trusted record constructors ------------------------------------------------------

@@ -313,7 +313,9 @@ class TestAFinishedRunFreesItself:
             assert runtime.consistency_check() == []
             assert len(runtime.recorder.accesses()) == result.trace_summary.accesses > 0
             assert runtime.nics[0].peer(1).peer(0) is runtime.nics[0]
-            assert runtime.nics[1].clock_transport.mode in ("roundtrip", "piggyback")
+            assert runtime.nics[1].clock_transport.piggyback is (
+                runtime.config.clock_transport == "piggyback"
+            )
             assert all(not process.is_alive for process in runtime.sim.processes)
             assert all(process.sim is runtime.sim for process in runtime.sim.processes)
             del runtime, result

@@ -12,6 +12,8 @@
   verbs contexts read the runtime's own config.
 * **Config ownership** — a runtime resolves knobs on its own copy of the
   configuration, never through to the caller's objects.
+* **One writer** — that copy is frozen: ``set_knob`` is the only way to
+  change it, so every value the NICs read has been validated.
 """
 
 import dataclasses
@@ -24,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core.races import SignalPolicy
 from repro.explore.campaign import CampaignConfig, build_parser
 from repro.runtime.knobs import KNOBS
 from repro.runtime.runtime import DSMRuntime, RuntimeConfig
@@ -268,3 +271,53 @@ class TestConfigOwnership:
             assert runtime.config.detector is detector_config
             assert runtime.detector.config is detector_config
             assert dataclasses.asdict(detector_config) == before
+
+
+#: One bare assignment per ``RuntimeConfig`` field, in field order.  While a
+#: built runtime's config was mutable, each was accepted without a check, and
+#: the four commented ones left the run wrong.
+BARE_ASSIGNMENTS = {
+    "world_size": 3,
+    "public_memory_cells": 8,
+    "seed": 1,
+    "topology": "ring",
+    "latency": "uniform",
+    "detector": None,
+    "ud_max_retransmits": 2,
+    "clock_transport": "piggyback",
+    "clock_wire": "delta",
+    # a truthy string: turned moderation ON
+    "cq_moderation": "off",
+    # left ``detector.config.epochs`` at True while ``knobs()`` said "off"
+    "detector_epochs": "off",
+    # ran RC while ``RunResult.knobs`` said "UD"
+    "transport": "UD",
+    "signal_policy": SignalPolicy.WARN,
+    "trace_spans": True,
+    "obs_wall_clock": True,
+    "verbs_cq_capacity": 4,
+    # accepted after the build's own check had run
+    "verbs_max_send_wr": 0,
+    "verbs_max_recv_wr": 1,
+}
+
+
+class TestOneWriter:
+    def test_the_table_names_every_field_once(self):
+        fields = [field.name for field in dataclasses.fields(RuntimeConfig)]
+        assert list(BARE_ASSIGNMENTS) == fields
+        assert len(fields) == 18
+
+    @pytest.mark.parametrize(
+        "name, value", list(BARE_ASSIGNMENTS.items()), ids=list(BARE_ASSIGNMENTS)
+    )
+    def test_a_built_runtime_refuses_bare_assignment(self, name, value):
+        runtime = tiny_runtime()
+        before, knobs = dataclasses.asdict(runtime.config), runtime.knobs()
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"field '{name}'"):
+            setattr(runtime.config, name, value)
+        assert dataclasses.asdict(runtime.config) == before
+        result = runtime.run()
+        assert result.knobs == knobs
+        assert runtime.detector.config.epochs is (knobs["detector_epochs"] == "on")
+        assert all(c.nic.config.cq_moderation is False for c in runtime.verbs_contexts)

@@ -21,23 +21,25 @@ Readings: *first* is the commit before the frame budget was set, *grant* the
 commit before an uncontended lock grant and its bounce each became one frame
 and a checked access one cell lookup, *hop* the commit before a channel
 stamped the message it owns in place and summed its bytes inline, *access*
-the commit before the budget was counted over the whole access:
+the commit before the budget was counted over the whole access, *config* the
+commit before a built runtime's config was frozen and the clock transport
+stopped re-checking its knobs on every round trip:
 
-========================================================  =============  =============  =============  =============  =============
-count                                                             first          grant            hop         access        ceiling
-========================================================  =============  =============  =============  =============  =============
-(a) frames entered inside ``Fabric.send`` (per message)    3 048 (16.84)   1 419 (7.84)   1 419 (7.84)   1 057 (5.84)     618 (3.41)
-(b) ``sim`` frames (per processed event)                   3 729 (8.79)    1 777 (4.19)   1 402 (3.31)   1 402 (3.31)   1 144 (2.70)
+========================================================  =============  =============  =============  =============  =============  =============
+count                                                             first          grant            hop         access         config        ceiling
+========================================================  =============  =============  =============  =============  =============  =============
+(a) frames entered inside ``Fabric.send`` (per message)    3 048 (16.84)   1 419 (7.84)   1 419 (7.84)   1 057 (5.84)     618 (3.41)     618 (3.41)
+(b) ``sim`` frames (per processed event)                   3 729 (8.79)    1 777 (4.19)   1 402 (3.31)   1 402 (3.31)   1 144 (2.70)   1 144 (2.70)
 (c) ``util.validation`` frames inside ``Fabric.send`` on
-    a pair whose channel already exists (per message)        342 (1.89)        0              0              0              0
-(d) ``memory`` frames (per checked access)                          —      1 064 (13.3)     665 (8.31)     665 (8.31)     665 (8.31)
+    a pair whose channel already exists (per message)        342 (1.89)        0              0              0              0              0
+(d) ``memory`` frames (per checked access)                          —      1 064 (13.3)     665 (8.31)     665 (8.31)     665 (8.31)     665 (8.31)
 (e) every frame under ``repro/`` or ``<string>``
-    (per checked access)                                            —              —              —      7 001 (87.5)   5 900 (73.8)
-========================================================  =============  =============  =============  =============  =============
+    (per checked access)                                            —              —              —      7 001 (87.5)   5 900 (73.8)   5 872 (73.4)
+========================================================  =============  =============  =============  =============  =============  =============
 
-(e) reads 7 049 → 5 948 under ``REPRO_DETECTOR_EPOCHS=off`` (CI's slow-path
-leg: the detector's check enters more ``core`` frames), which is its ceiling
-there; (a), (b) and (d) do not depend on it.  (e) was 5 905 (5 953) before
+(e) reads 7 049 → 5 948 → 5 920 under ``REPRO_DETECTOR_EPOCHS=off`` (CI's
+slow-path leg: the detector's check enters more ``core`` frames), which is
+its ceiling there; (a), (b) and (d) do not depend on it.  (e) was 5 905 (5 953) before
 the run's counter totals were summed over rows and its snapshot put in key
 order by a memoised layout, and 5 901 (5 949) before the run's clock bytes
 were read off the fabric instead of the detector's own two counters.  Every reading is a first run in
@@ -83,7 +85,7 @@ SIM_FRAMES_CEILING = 1144
 MEMORY_FRAMES_CEILING = 665
 #: (e), keyed by whether the detector's epoch fast path is on: CI's
 #: ``REPRO_DETECTOR_EPOCHS=off`` leg checks more in ``core``.
-RUN_FRAMES_CEILING = {True: 5900, False: 5948}
+RUN_FRAMES_CEILING = {True: 5872, False: 5920}
 
 
 class _FrameCounter:
