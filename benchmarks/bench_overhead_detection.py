@@ -35,7 +35,7 @@ def run_pair(world_size=6, iterations=3):
         workload = StencilWorkload(
             world_size=world_size, cells_per_rank=6, iterations=iterations,
             use_barriers=True,
-            config=RuntimeConfig(detector=DetectorConfig(enabled=enabled)),
+            config=RuntimeConfig(detector=DetectorConfig() if enabled else None),
         )
         return workload.run(seed=0).run
 

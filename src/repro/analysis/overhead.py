@@ -152,9 +152,9 @@ class OverheadComparison:
 def compare_runs(baseline: RunResult, instrumented: RunResult) -> OverheadComparison:
     """Build an :class:`OverheadComparison` from a detection-off and a detection-on run.
 
-    The two runs must be of the same program and configuration apart from
-    ``detector.enabled`` (the caller is responsible for that; the world sizes
-    are cross-checked here).
+    The two runs must be of the same program and configuration, except that
+    the baseline's runtime was built with ``detector=None`` (the caller is
+    responsible for that; the world sizes are cross-checked here).
     """
     if baseline.config.world_size != instrumented.config.world_size:
         raise ValueError(

@@ -130,16 +130,17 @@ class ComparisonMode(enum.Enum):
 _MATTERN = ComparisonMode.MATTERN
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectorConfig:
     """Tunable knobs of the detector.
 
+    Frozen: a detector's semantics are fixed when its config is built, and
+    one object may be shared (a runtime's ``config.detector`` *is* its
+    detector's ``config``).  Detection off is no detector at all
+    (``RuntimeConfig(detector=None)``), not a mode of this one.
+
     Attributes
     ----------
-    enabled:
-        When false, no checks are performed and no clocks or clock traffic are
-        maintained — modelling a production run with detection off (used by
-        the overhead benchmark E11 as the baseline).
     comparison:
         See :class:`ComparisonMode`.
     write_effect_ticks_owner:
@@ -172,11 +173,11 @@ class DetectorConfig:
         contents, and join counts are identical with the knob on or off;
         only ``compares`` drop (traded for ``epoch_hits`` in the
         detection profile).  Only active under the Mattern comparison —
-        the STRICT ablation always runs the full-vector path.  Default on;
-        runtime-level gate: ``RuntimeConfig.detector_epochs``.
+        the STRICT ablation always runs the full-vector path.  Default on.
+        In a runtime the ``detector_epochs`` knob alone decides it: the
+        runtime builds its detector's config with the knob's value.
     """
 
-    enabled: bool = True
     comparison: ComparisonMode = ComparisonMode.MATTERN
     write_effect_ticks_owner: bool = True
     treat_rmw_pairs_as_ordered: bool = False
@@ -240,9 +241,6 @@ class AccessCheckResult:
         """True when this access was flagged."""
         return self.race is not None
 
-
-#: Detection disabled: no clocks, no checks, no overhead.
-_UNINSTRUMENTED = AccessCheckResult(None, (), (), None)
 
 #: A race record's explanation, per comparison mode.
 _DETAIL = {
@@ -399,7 +397,7 @@ class DualClockRaceDetector:
         clock would manufacture exactly the happens-before this method
         exists to avoid.
         """
-        if not self.config.enabled or carried_clock is None:
+        if carried_clock is None:
             return None
         return self.process_clock(receiver).merge_in_place(carried_clock).copy()
 
@@ -422,7 +420,7 @@ class DualClockRaceDetector:
         pair, which is sound because RC completes requests in order: one
         merge per retirement batch covers the whole burst.
         """
-        if not self.config.enabled or carried_clock is None:
+        if carried_clock is None:
             return None
         return self.process_clock(origin).merge_in_place(carried_clock).copy()
 
@@ -518,8 +516,6 @@ class DualClockRaceDetector:
         event iff no carried clock", the pre-existing behaviour.
         """
         self._validate_access(origin, address, carried_clock)
-        if not self.config.enabled:
-            return _UNINSTRUMENTED
         race = self._check(
             _WRITE_KIND, origin, address, cell, symbol, time, operation,
             carried_clock, owner_event,
@@ -556,8 +552,6 @@ class DualClockRaceDetector:
         servicing it ticks nobody (Figure 5b).
         """
         self._validate_access(origin, address, carried_clock)
-        if not self.config.enabled:
-            return _UNINSTRUMENTED
         race = self._check(
             _READ_KIND, origin, address, cell, symbol, time, operation,
             carried_clock,
@@ -594,8 +588,6 @@ class DualClockRaceDetector:
         owner event (an RMW writes, exactly as a posted put does).
         """
         self._validate_access(origin, address, carried_clock)
-        if not self.config.enabled:
-            return _UNINSTRUMENTED
         race = self._check(
             _RMW_KIND, origin, address, cell, symbol, time, operation,
             carried_clock,
@@ -622,9 +614,9 @@ class DualClockRaceDetector:
         effect is an owner event — and runs the kernel.  The entry points
         come through here and then build their result record;
         ``TraceReplayer.replay`` comes through here and builds none.  The
-        caller has validated the access (:meth:`_validate_access`) and
-        checked that detection is enabled.  *owner_event* is
-        :meth:`on_write`'s and is ignored for the other kinds.
+        caller has validated the access (:meth:`_validate_access`).
+        *owner_event* is :meth:`on_write`'s and is ignored for the other
+        kinds.
         """
         if kind is _WRITE_KIND:
             return self._instrument(

@@ -25,19 +25,10 @@ class PostMortemDualClockDetector(BaselineDetector):
 
     name = "dual-clock-postmortem"
 
-    def __init__(
-        self,
-        config: Optional[DetectorConfig] = None,
-        epochs: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, config: Optional[DetectorConfig] = None) -> None:
         #: Detector configuration used during replay (defaults to the paper's
         #: dual-clock settings with the Mattern comparison).
         self.config = config if config is not None else DetectorConfig()
-        # Convenience override of the epoch fast path (``DetectorConfig.
-        # epochs``) so differential tests can flip just this knob; findings
-        # are identical either way by construction.
-        if epochs is not None:
-            self.config.epochs = epochs
 
     def detect(
         self, accesses: Sequence[MemoryAccess], world_size: int, syncs: Sequence = ()

@@ -30,7 +30,7 @@ import argparse
 import json
 import multiprocessing
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.metrics import DetectorScore, score_against_labels
@@ -164,7 +164,10 @@ def _knob_configure(config: CampaignConfig):
 
     def configure(runtime) -> None:
         if rmw_pairs_ordered is not None:
-            runtime.detector.config.treat_rmw_pairs_as_ordered = rmw_pairs_ordered
+            detector = runtime.config.detector
+            runtime.set_detector_config(
+                replace(detector, treat_rmw_pairs_as_ordered=rmw_pairs_ordered)
+            )
         for name, value in settings:
             runtime.set_knob(name, value)
 

@@ -501,7 +501,7 @@ class ClockTransport:
         # were five frames per message).
         nic = self._owner()
         detector = nic.detector
-        if detector is None or not detector.config.enabled:
+        if detector is None:
             return None, 0, None
         if nic.config.clock_transport != "piggyback" or clock is None:
             return None, 0, None
@@ -529,7 +529,7 @@ class ClockTransport:
         """
         nic = self._owner()  # once, and no property chain: see ride_frame
         config, detector = nic.config, nic.detector
-        if detector is None or not detector.config.enabled:
+        if detector is None:
             return 0
         if config.clock_transport == "piggyback" or target_rank == nic.rank:
             return 0

@@ -364,7 +364,7 @@ class NIC:
         the default roundtrip hot path allocates nothing.
         """
         detector = self.detector
-        if detector is None or not detector.config.enabled:
+        if detector is None:
             return None
         # Read off the config, not through the transport's property chain.
         if self.config.clock_transport != "piggyback":
@@ -553,7 +553,7 @@ class NIC:
         cell = target_nic.memory.cell(address)
         check: Optional[AccessCheckResult] = None
         detector = self.detector
-        if detector is not None and detector.config.enabled:
+        if detector is not None:
             if kind is _WRITE:
                 check = detector.on_write(
                     self.rank, address, cell, symbol=symbol, time=now,

@@ -12,8 +12,8 @@ halos and piggyback all four.  ``tests/detectors/test_knob_promise.py``
 states the promise as P1-P4 and checks it over the product of
 :attr:`Knob.matrix_values`.
 
-Everything else is a loop over :data:`KNOBS`: ``DSMRuntime`` resolves each
-knob at construction (:meth:`Knob.resolve`), changes it through ``set_knob``
+Everything else is a loop over :data:`KNOBS`: ``DSMRuntime`` validates each
+knob at construction, changes it through ``set_knob``
 and reports it on ``RunResult.knobs`` and in the trace's ``run_info``;
 :mod:`repro.explore.campaign` derives its override validation, command-line
 flags and configure hook.
@@ -26,7 +26,7 @@ Registry order is the order of the provenance keys.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Tuple
 
 from repro.net.clock_transport import (
@@ -38,7 +38,8 @@ from repro.net.clock_transport import (
 from repro.net.ud_transport import TRANSPORT_MODES, validate_transport
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.runtime import DSMRuntime, RuntimeConfig
+    from repro.core.detector import DetectorConfig
+    from repro.runtime.runtime import DSMRuntime
 
 
 @dataclass(frozen=True)
@@ -58,33 +59,24 @@ class Knob:
     matrix_values:
         The command-line spellings the knob promise draws from; the first
         is the reference value a twin run compares against.
-    inherit:
-        Where a knob left ``None`` gets its value.
     apply:
-        Pushes a value into state kept outside ``RuntimeConfig``: today only
-        ``DetectorConfig.epochs``, which a standalone detector also reads.
-        Everything else (the NICs, the verbs contexts) reads the runtime's
-        ``config`` directly.
+        Carries a value changed by ``set_knob`` into state kept outside
+        ``RuntimeConfig``: today only ``detector_epochs``, which replaces
+        the detector's frozen ``DetectorConfig`` with one of the new epoch
+        mode.  Everything else (the NICs, the verbs contexts) reads the
+        runtime's ``config`` directly.
     """
 
     name: str
     validate: Callable[[Any], Any]
     cli: Mapping[str, Any]
     matrix_values: Tuple[str, ...]
-    inherit: Optional[Callable[["RuntimeConfig"], Any]] = None
     apply: Optional[Callable[["DSMRuntime", Any], None]] = None
 
     @property
     def flag(self) -> str:
         """The campaign command-line flag (``--clock-wire``)."""
         return "--" + self.name.replace("_", "-")
-
-    def resolve(self, config: "RuntimeConfig") -> Any:
-        """The validated value a runtime built from *config* runs with."""
-        value = getattr(config, self.name)
-        if value is None and self.inherit is not None:
-            value = self.inherit(config)
-        return self.validate(value)
 
 
 # -- validators without a home module -----------------------------------------------
@@ -115,18 +107,24 @@ def validate_detector_epochs(mode: Any) -> str:
 # -- hooks -----------------------------------------------------------------------------
 
 
-def _inherit_detector_epochs(config: "RuntimeConfig") -> str:
-    # The CI slow-path leg sets the environment variable; otherwise keep
-    # whatever the DetectorConfig already says.
-    from_env = os.environ.get("REPRO_DETECTOR_EPOCHS")
-    if from_env is not None:
-        return from_env
-    return "on" if config.detector.epochs else "off"
+def default_detector_epochs() -> str:
+    """``RuntimeConfig.detector_epochs``'s default.
+
+    The ``REPRO_DETECTOR_EPOCHS`` environment variable (CI's slow-path leg
+    sets it to ``"off"``), else ``"on"``.
+    """
+    return os.environ.get("REPRO_DETECTOR_EPOCHS", "on")
+
+
+def with_epoch_mode(config: "DetectorConfig", mode: str) -> "DetectorConfig":
+    """*config* under the ``detector_epochs`` *mode*: itself when it agrees."""
+    epochs = mode == "on"
+    return config if config.epochs is epochs else replace(config, epochs=epochs)
 
 
 def _apply_detector_epochs(runtime: "DSMRuntime", mode: str) -> None:
-    # The detector shares this config object; no rebuild needed.
-    runtime.config.detector.epochs = mode == "on"
+    if runtime.detector is not None:
+        runtime.set_detector_config(with_epoch_mode(runtime.config.detector, mode))
 
 
 # -- the registry ----------------------------------------------------------------------
@@ -171,7 +169,6 @@ KNOBS: Tuple[Knob, ...] = (
             f"explored runtime {_PATTERN_DEFAULT}",
         },
         matrix_values=("on", "off"),
-        inherit=_inherit_detector_epochs,
         apply=_apply_detector_epochs,
     ),
     Knob(

@@ -30,7 +30,12 @@ from repro.net.nic import NIC
 from repro.net.topology import Topology
 from repro.runtime.api import ProcessAPI
 from repro.runtime.collectives import Barrier
-from repro.runtime.knobs import KNOBS, KNOBS_BY_NAME, Knob
+from repro.runtime.knobs import (
+    KNOBS,
+    KNOBS_BY_NAME,
+    default_detector_epochs,
+    with_epoch_mode,
+)
 from repro.runtime.program import ProcessProgram, ProgramFunction, replicate_program
 from repro.sim.engine import Simulator
 from repro.trace.events import TraceSummary
@@ -51,8 +56,9 @@ class RuntimeConfig:
 
     Frozen: a field is set at construction (or in a copy,
     :meth:`with_overrides`).  A :class:`DSMRuntime` validates its own copy
-    once, at build, and :meth:`DSMRuntime.set_knob` is the one writer of
-    that copy afterwards, so nothing that reads it checks it again.
+    once, at build.  Afterwards :meth:`DSMRuntime.set_knob` writes its knobs
+    and :meth:`DSMRuntime.set_detector_config` its ``detector``, each
+    checking what it writes, so nothing that reads the copy checks it again.
 
     Attributes
     ----------
@@ -70,8 +76,10 @@ class RuntimeConfig:
         ``"constant"``, ``"uniform"``, ``"loggp"`` (each with its default
         parameters) or a :class:`LatencyModel` built with others.
     detector:
-        The race-detector configuration (set ``detector.enabled = False`` for
-        an uninstrumented run).
+        The race-detector configuration, or ``None`` for an uninstrumented
+        run: no detector is built, so no clock is kept, checked or sent (the
+        baseline of the detection-overhead benchmark E11).  Its ``epochs``
+        is not read: the ``detector_epochs`` knob decides the epoch mode.
     ud_max_retransmits:
         Retransmissions of one datagram (or resync re-requests of one
         sequence) under ``transport="ud"`` before the operation fails with
@@ -123,9 +131,10 @@ class RuntimeConfig:
         full path on genuine read-share; ``"off"`` always runs the full
         vector compares.  Verdicts, clock contents, metrics, and join
         counts are identical in both modes — only ``compares`` vs
-        ``epoch_hits`` in the detection profile differ.  ``None`` (the
-        default) follows the ``REPRO_DETECTOR_EPOCHS`` environment
-        variable if set, else ``detector.epochs`` (on).
+        ``epoch_hits`` in the detection profile differ.  The runtime builds
+        its detector's config with this mode.  The default is the
+        ``REPRO_DETECTOR_EPOCHS`` environment variable if set, else
+        ``"on"``.
     cq_moderation:
         Completion coalescing (``True``/``False``, also spelled ``"on"``/
         ``"off"``): when on, each queue pair drain delivers its burst of
@@ -167,13 +176,13 @@ class RuntimeConfig:
     seed: int = 0
     topology: Union[str, Topology] = "complete"
     latency: Union[str, LatencyModel] = "constant"
-    detector: DetectorConfig = field(default_factory=DetectorConfig)
+    detector: Optional[DetectorConfig] = field(default_factory=DetectorConfig)
     ud_max_retransmits: int = 16
     # The consistency knobs, in repro.runtime.knobs.KNOBS order.
     clock_transport: str = "roundtrip"
     clock_wire: str = "full"
     cq_moderation: bool = False
-    detector_epochs: Optional[str] = None
+    detector_epochs: str = field(default_factory=default_detector_epochs)
     transport: str = "rc"
     signal_policy: SignalPolicy = SignalPolicy.COLLECT
     trace_spans: bool = False
@@ -268,14 +277,15 @@ class DSMRuntime:
         base = config or RuntimeConfig()
         if overrides:
             base = base.with_overrides(**overrides)
-        # The runtime owns its configuration: resolved knobs are written to
-        # this copy (which the NICs and verbs contexts read, as the detector
-        # reads its ``detector``), never through to the caller's objects.
-        # Shallow copies: neither class has a ``__post_init__`` to re-run.
-        # Only ``_store_knob`` writes the frozen copy after this.
-        self.config = copy.copy(base)
-        object.__setattr__(self.config, "detector", copy.copy(base.detector))
-        _validate_settings(self.config)
+        # The runtime owns its configuration: validated knobs are written to
+        # this copy (which the NICs and verbs contexts read), never through to
+        # the caller's object.  A shallow copy: there is no ``__post_init__``
+        # to re-run, and the frozen ``DetectorConfig`` is shared.  Only
+        # ``set_knob`` and ``set_detector_config`` write the copy after this.
+        config = self.config = copy.copy(base)
+        _validate_settings(config)
+        for knob in KNOBS:
+            object.__setattr__(config, knob.name, knob.validate(getattr(config, knob.name)))
 
         self.logger = SimLogger()
         self.sim = Simulator(seed=self.config.seed, logger=self.logger)
@@ -288,10 +298,16 @@ class DSMRuntime:
         self.fabric = Fabric(self.sim, self.topology, self.latency_model)
         self.recorder = TraceRecorder(self.config.world_size)
         self.report = RaceReport(self.config.signal_policy, logger=self.logger)
-        self.detector = DualClockRaceDetector(
-            self.config.world_size, config=self.config.detector, report=self.report
-        )
-        self.detector.bind_observability(self.sim.obs)
+        self.detector: Optional[DualClockRaceDetector] = None
+        if config.detector is not None:
+            # The knob decides the epoch mode, so the detector's config is
+            # built with it: shared when it agrees, replaced once otherwise.
+            detector_config = with_epoch_mode(config.detector, config.detector_epochs)
+            object.__setattr__(config, "detector", detector_config)
+            self.detector = DualClockRaceDetector(
+                config.world_size, config=detector_config, report=self.report
+            )
+            self.detector.bind_observability(self.sim.obs)
         self.public_memories: List[PublicMemory] = [
             PublicMemory(rank, self.config.public_memory_cells)
             for rank in range(self.config.world_size)
@@ -338,10 +354,6 @@ class DSMRuntime:
         self._apis: Dict[int, ProcessAPI] = {}
         self._initial_values: Dict[GlobalAddress, Any] = {}
         self._ran = False
-        # Everything above reads the knobs lazily, through ``self.config`` or
-        # a hook, so one loop resolves, validates and installs them all.
-        for knob in KNOBS:
-            self._store_knob(knob, knob.resolve(self.config))
 
     # -- knobs --------------------------------------------------------------------------
 
@@ -351,12 +363,12 @@ class DSMRuntime:
         *name* is an entry of :data:`repro.runtime.knobs.KNOBS`; the value is
         validated, written to ``self.config`` (which the NICs and verbs
         contexts read, unchecked) and pushed to whatever keeps its own state
-        for it.  ``self.config`` is frozen: this is its one writer.  A
-        knob changes traffic, bytes and timing, never the verdict of a given
-        execution; a timing knob (``clock_transport``, ``cq_moderation``)
-        changes which execution happens (:mod:`repro.runtime.knobs`).  The
-        campaign runner's configure hook uses this to set the knobs on
-        already-built runtimes.
+        for it.  ``self.config`` is frozen: this is the one writer of its
+        knobs.  A knob changes traffic, bytes and timing, never the verdict
+        of a given execution; a timing knob (``clock_transport``,
+        ``cq_moderation``) changes which execution happens
+        (:mod:`repro.runtime.knobs`).  The campaign runner's configure hook
+        uses this to set the knobs on already-built runtimes.
         """
         knob = KNOBS_BY_NAME.get(name)
         if knob is None:
@@ -364,13 +376,28 @@ class DSMRuntime:
         value = knob.validate(value)
         if self._ran:
             raise RuntimeError(f"set_knob({name!r}) must be called before run()")
-        self._store_knob(knob, value)
-
-    def _store_knob(self, knob: Knob, value: Any) -> None:
-        # *value* is validated: ``Knob.resolve`` at build, ``set_knob`` after.
-        object.__setattr__(self.config, knob.name, value)
+        object.__setattr__(self.config, name, value)
         if knob.apply is not None:
             knob.apply(self, value)
+
+    def set_detector_config(self, config: DetectorConfig) -> None:
+        """Replace the detector's configuration on a built runtime (before :meth:`run`).
+
+        A :class:`DetectorConfig` is frozen, so a change is a whole new one
+        (``dataclasses.replace(runtime.config.detector, ...)``); it becomes
+        both ``self.config.detector`` and ``self.detector.config``, one
+        object.  The epoch mode is the ``detector_epochs`` knob's
+        (:meth:`set_knob`), so *config*'s ``epochs`` must agree with it.
+        The campaign runner's ``treat_rmw_pairs_as_ordered`` override uses
+        this.
+        """
+        if self.detector is None or self._ran:
+            raise RuntimeError("set_detector_config() needs a detector, before run()")
+        require_type(config, DetectorConfig, "config")
+        if config.epochs is not (self.config.detector_epochs == "on"):
+            raise ValueError("config.epochs disagrees with detector_epochs; use set_knob")
+        object.__setattr__(self.config, "detector", config)
+        self.detector.config = config
 
     def knobs(self) -> Dict[str, Any]:
         """The consistency knobs this runtime runs with, in registry order."""
@@ -564,9 +591,9 @@ class DSMRuntime:
             rank: self.private_memories[rank].snapshot()
             for rank in range(self.config.world_size)
         }
-        clock_entries = self.detector.clock_storage_entries() + sum(
+        clock_entries = sum(
             memory.clock_storage_entries() for memory in self.public_memories
-        )
+        ) + (0 if self.detector is None else self.detector.clock_storage_entries())
         return RunResult(
             config=self.config,
             races=self.report,
@@ -596,5 +623,5 @@ class DSMRuntime:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<DSMRuntime n={self.config.world_size} topology={self.topology.name} "
-            f"detection={'on' if self.config.detector.enabled else 'off'}>"
+            f"detection={'off' if self.detector is None else 'on'}>"
         )

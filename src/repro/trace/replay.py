@@ -84,7 +84,6 @@ class TraceReplayer:
         the order in which the online detector handled the same events.
         """
         detector = DualClockRaceDetector(self._world_size, config=self._config)
-        enabled = detector.config.enabled
         validate = detector._validate_access
         check = detector._check
         # Stand-in cells, filed under ``(rank, offset)``: a tuple hashes and
@@ -137,8 +136,6 @@ class TraceReplayer:
             if cell is None:
                 cell = cells[key] = MemoryCell()
             validate(origin, address, carried)
-            if not enabled:
-                continue
             # A scatter write keeps the owner-tick exemption (None resolves
             # to it whenever a carried clock is present); every other write
             # is an owner event, carried or live.

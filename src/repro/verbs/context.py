@@ -267,7 +267,7 @@ class VerbsContext:
 
     def _on_recv_retired(self, completion: WorkCompletion) -> None:
         detector = self.nic.detector
-        if detector is not None and detector.config.enabled:
+        if detector is not None:
             detector.on_recv_complete(self.rank, completion.sync_clock)
         if self.nic.recorder is not None:
             self.nic.recorder.record_transfer(
@@ -357,7 +357,7 @@ class VerbsContext:
         unordered with the poster's later accesses.
         """
         detector = self.nic.detector
-        if detector is not None and detector.config.enabled:
+        if detector is not None:
             detector.local_event(self.rank)
             request.clock_snapshot = detector.current_clock(self.rank)
         if self.nic.recorder is not None:
@@ -573,7 +573,7 @@ class VerbsContext:
         """
         detector = self.nic.detector
         transport = self.nic.clock_transport
-        if detector is None or not detector.config.enabled:
+        if detector is None:
             return
         last = self._joined_seq.get(completion.peer, 0)
         if transport.piggyback and completion.sync_seq <= last:

@@ -94,7 +94,7 @@ class TestClockStorageModel:
 
 def _writer_runtime(enabled: bool, seed: int = 0) -> DSMRuntime:
     config = RuntimeConfig(
-        world_size=3, seed=seed, detector=DetectorConfig(enabled=enabled)
+        world_size=3, seed=seed, detector=DetectorConfig() if enabled else None
     )
     runtime = DSMRuntime(config)
     runtime.declare_scalar("x", owner=1, initial=0)

@@ -220,13 +220,6 @@ class TestProcessClock:
         assert detector.on_completion_retired(0, None) is None
         assert detector.current_clock(0).frozen() == (1, 0, 0)
 
-    def test_merges_are_skipped_when_detection_is_disabled(self):
-        detector = make_detector(enabled=False)
-        carried = VectorClock.from_entries([3, 3, 3])
-        assert detector.on_recv_complete(0, carried) is None
-        assert detector.on_completion_retired(0, carried) is None
-        assert detector.current_clock(0).total() == 0
-
     @pytest.mark.parametrize(
         "bad, error",
         [([-5, 0, 0], ValueError), ([1.9, 0, 0], TypeError), (["1", "0", "0"], TypeError)],
@@ -283,15 +276,6 @@ class TestProcessClock:
 
 
 class TestConfigurationVariants:
-    def test_disabled_detector_does_nothing(self):
-        detector = make_detector(enabled=False)
-        cell = MemoryCell()
-        result = detector.on_write(0, addr(), cell)
-        assert not result.raced
-        assert cell.access_clock is None
-        assert detector.checks_performed == 0
-        assert result.event_clock == ()
-
     def test_strict_comparison_reports_superset(self):
         """Algorithm 3 literal: equal clocks are unordered, so more reports."""
         mattern = make_detector(comparison=ComparisonMode.MATTERN)

@@ -23,6 +23,7 @@ verdict.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -242,8 +243,9 @@ def runtime_check_stream(
     """Build, pin the epoch mode and the ablation, run, digest."""
     runtime = build(seed)
     runtime.set_knob("detector_epochs", mode)
-    for name, value in ABLATIONS[ablation].items():
-        setattr(runtime.detector.config, name, value)
+    runtime.set_detector_config(
+        dataclasses.replace(runtime.config.detector, **ABLATIONS[ablation])
+    )
     stream = CheckStream(runtime.detector)
     runtime.run()
     return stream.digest()

@@ -13,11 +13,12 @@ a deliberate addition to a schedule's fixed cost should ever move it.
 Readings on ``unsynchronized-counter`` (62 events, 48 decisions in the
 second schedule: 39 ``latency``, 9 ``tie``).  "Before" is the commit before
 the row's ceiling was last set: (a) and (b) against a controller asked at
-every step and streams derived per runtime; (c) against a counter object per key
-of every counter family and a snapshot sorted per run (538 before that,
-against a fabric whose world size was read through the topology's property
-for every NIC built; 545 before that, against a sixth knob and the RNR
-retry settings checked at construction); (d) against decisions built as
+every step and streams derived per runtime; (c) against a knob hook run at
+build, a copied ``DetectorConfig`` and a knob resolver that fell back to it
+(538 before that, against a counter object per key of every counter family,
+a snapshot sorted per run and a fabric whose world size was read through the
+topology's property for every NIC built; 545 before that, against a sixth
+knob and the RNR retry settings checked at construction); (d) against decisions built as
 records at once, ties gathered off the heap whatever their size, and the
 offline detectors keyed by ``GlobalAddress``:
 
@@ -28,16 +29,19 @@ count (the second schedule unless said)                          before    ceili
     the same time                                               62 / 12   12 / 12
 (b) stream seed sequences derived, first / second schedule        5 / 5     5 / 0
 (c) Python calls ``run_schedule`` makes outside
-    ``Simulator.run``                                                538       507
+    ``Simulator.run``                                                507       497
 (d) Python calls into ``repro/explore/`` inside
     ``Simulator.run``                                                213       108
 ============================================================  ========  ==========
 
-(c) reads 506 by default and 507 under ``REPRO_DETECTOR_EPOCHS=off`` (CI's
-slow-path leg: one more ``os.environ`` frame decodes the variable's value);
-the ceiling is the larger reading; it was 509 (510) while the detector kept
-its own clock-traffic counters, a knob hook steered them and a settings check
-guarded the option that switched them.  It counts what a schedule's fixed part
+(c) reads 493 with ``REPRO_DETECTOR_EPOCHS`` unset, 494 with it ``on`` (one
+more ``os.environ`` frame decodes the variable's value) and 497 with it
+``off`` (CI's slow-path leg: ``with_epoch_mode`` also builds the detector's
+config, by ``dataclasses.replace``, in the knob's mode); the ceiling is the
+largest reading.  It was 506 / 507 while the runtime copied the caller's
+``DetectorConfig`` and ran a knob hook at build, and 509 (510) while the
+detector kept its own clock-traffic counters, a knob hook steered them and a
+settings check guarded the option that switched them.  It counts what a schedule's fixed part
 enters — building the runtime (a latency model asking its stream for the
 live block list, ``RandomStreams.uniform_block``, is one call of it),
 collecting its result, the offline detectors, the fingerprint — not its
@@ -64,7 +68,7 @@ from repro.workloads.racy_patterns import pattern_corpus
 PATTERN = "unsynchronized-counter"
 
 #: The finished change's readings of (c) and (d) (see the table above).
-CALLS_OUTSIDE_THE_RUN_CEILING = 507
+CALLS_OUTSIDE_THE_RUN_CEILING = 497
 EXPLORE_CALLS_IN_THE_RUN_CEILING = 108
 
 

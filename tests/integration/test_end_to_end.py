@@ -106,7 +106,7 @@ class TestDetectionDoesNotPerturbResults:
         def build(enabled):
             workload = StencilWorkload(
                 world_size=4, cells_per_rank=6, iterations=3, use_barriers=True,
-                config=RuntimeConfig(detector=DetectorConfig(enabled=enabled)),
+                config=RuntimeConfig(detector=DetectorConfig() if enabled else None),
             )
             runtime = workload.build(seed=seed)
             return runtime.run()
@@ -119,7 +119,7 @@ class TestDetectionDoesNotPerturbResults:
         def run(enabled):
             workload = OneSidedReductionWorkload(
                 world_size=4, synchronize=True,
-                config=RuntimeConfig(detector=DetectorConfig(enabled=enabled)),
+                config=RuntimeConfig(detector=DetectorConfig() if enabled else None),
             )
             return workload.run(seed=0).run
 

@@ -486,7 +486,7 @@ class TestExhaustion:
             runtime, ForcedFates(fates={"send_request": {0: 1, 1: 1, 2: 1}})
         )
 
-    def _assert_second_send_landed(self, runtime, second_sender):
+    def _assert_second_send_landed(self, runtime, result, second_sender):
         receiver = runtime.config.world_size - 1
         statuses = {
             **runtime.private_memories[0].snapshot(),
@@ -495,7 +495,7 @@ class TestExhaustion:
         assert statuses["status-111"] == CompletionStatus.UD_DELIVERY_EXCEEDED.value
         assert statuses["status-222"] == CompletionStatus.SUCCESS.value
         assert runtime.private_memories[receiver].snapshot()["received"] == (222,)
-        assert runtime.sim.all_finished()
+        assert result.blocked == ()
         context = runtime.verbs_contexts[receiver]
         gate = context.credit_gate(0)
         assert gate.available == context.receive_queue_from(0).depth == 0, "a claim leaked"
@@ -504,15 +504,15 @@ class TestExhaustion:
     def test_a_send_that_exhausts_its_budget_returns_its_credit(self):
         """The doomed SEND claimed the only buffer; the next SEND must get it."""
         runtime = self._doomed_send_runtime()
-        runtime.run()
-        self._assert_second_send_landed(runtime, second_sender=0)
+        result = runtime.run()
+        self._assert_second_send_landed(runtime, result, second_sender=0)
 
     def test_a_returned_credit_wakes_the_sender_parked_behind_it(self):
         """An SRQ gate is shared: rank 1 parks while rank 0's doomed SEND
         holds the one credit, and only the return of that credit can wake it
         (the server posts nothing more)."""
         runtime = self._doomed_send_runtime(senders=2)
-        runtime.run()
-        self._assert_second_send_landed(runtime, second_sender=1)
+        result = runtime.run()
+        self._assert_second_send_landed(runtime, result, second_sender=1)
         gate = runtime.verbs_contexts[2].credit_gate(0)
         assert gate.stalls == 1 and gate.grants == 1

@@ -70,14 +70,6 @@ class TestDetectorInvariants:
             assert cell.access_clock.dominates(cell.write_clock)
 
     @given(access_sequences)
-    @settings(max_examples=60, deadline=None)
-    def test_disabling_detection_reports_nothing(self, steps):
-        detector, cells = drive_detector(steps, enabled=False)
-        assert detector.race_count() == 0
-        assert detector.checks_performed == 0
-        assert all(cell.access_clock is None for cell in cells.values())
-
-    @given(access_sequences)
     @settings(max_examples=40, deadline=None)
     def test_checks_count_matches_accesses(self, steps):
         detector, _cells = drive_detector(steps)

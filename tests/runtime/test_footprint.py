@@ -309,7 +309,7 @@ class TestAFinishedRunFreesItself:
             runtime = FINISHED_RUNS[name](0)
             result = runtime.run()
             # Between run() and the drop everything is still there to ask.
-            assert runtime.sim.all_finished()
+            assert result.blocked == ()
             assert runtime.consistency_check() == []
             assert len(runtime.recorder.accesses()) == result.trace_summary.accesses > 0
             assert runtime.nics[0].peer(1).peer(0) is runtime.nics[0]
@@ -420,7 +420,7 @@ class TestAnAccessKeepsOnlyItsTrace:
         held_run(RETENTION_RUNS[name][0])  # imports, caches, interned keys
         added, finished = held_run(RETENTION_RUNS[name][1])
         runtime = finished.runtime
-        assert runtime.sim.all_finished()
+        assert finished.run.blocked == ()
         assert [table.outstanding() for table in runtime.lock_tables] == [0] * 4
         assert {kind: added.get(kind, 0) for kind in SCAFFOLDING} == dict.fromkeys(
             SCAFFOLDING, 0

@@ -13,7 +13,10 @@
 * **Config ownership** — a runtime resolves knobs on its own copy of the
   configuration, never through to the caller's objects.
 * **One writer** — that copy is frozen: ``set_knob`` is the only way to
-  change it, so every value the NICs read has been validated.
+  change a knob, so every value the NICs read has been validated.  The
+  detector's config is frozen too, shared by the runtime and its detector,
+  and replaced whole by ``set_detector_config``; the ``detector_epochs`` knob
+  alone decides its epoch mode.  ``detector=None`` builds no detector.
 """
 
 import dataclasses
@@ -26,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core.detector import ComparisonMode, DetectorConfig
 from repro.core.races import SignalPolicy
 from repro.explore.campaign import CampaignConfig, build_parser
 from repro.runtime.knobs import KNOBS
@@ -235,7 +239,8 @@ class TestConfigOwnership:
         assert b.knobs()["clock_transport"] == "roundtrip"
         assert b.knobs()["clock_wire"] == "full"
         assert b.knobs()["transport"] == "rc"
-        assert b.config.detector is not cfg.detector
+        # Frozen, so shared: a runtime copies no DetectorConfig of its own.
+        assert DSMRuntime(cfg, detector_epochs="on").config.detector is cfg.detector
         # ...and a third runtime may name a different wire format.
         assert DSMRuntime(cfg, clock_wire="truncated").knobs()["clock_wire"] == "truncated"
         assert dataclasses.asdict(cfg) == pristine
@@ -302,6 +307,17 @@ BARE_ASSIGNMENTS = {
 }
 
 
+#: One bare assignment per ``DetectorConfig`` field, in field order.  While
+#: it was mutable, each was accepted on a built runtime and none showed in
+#: ``RunResult.knobs``: ``epochs = False`` ran the full path under "on".
+DETECTOR_ASSIGNMENTS = {
+    "comparison": ComparisonMode.STRICT,
+    "write_effect_ticks_owner": False,
+    "treat_rmw_pairs_as_ordered": True,
+    "epochs": False,
+}
+
+
 class TestOneWriter:
     def test_the_table_names_every_field_once(self):
         fields = [field.name for field in dataclasses.fields(RuntimeConfig)]
@@ -321,3 +337,80 @@ class TestOneWriter:
         assert result.knobs == knobs
         assert runtime.detector.config.epochs is (knobs["detector_epochs"] == "on")
         assert all(c.nic.config.cq_moderation is False for c in runtime.verbs_contexts)
+
+    def test_the_detector_table_names_every_field_once(self):
+        fields = [field.name for field in dataclasses.fields(DetectorConfig)]
+        assert list(DETECTOR_ASSIGNMENTS) == fields
+        assert len(fields) == 4
+
+    @pytest.mark.parametrize(
+        "name, value", list(DETECTOR_ASSIGNMENTS.items()), ids=list(DETECTOR_ASSIGNMENTS)
+    )
+    def test_a_built_runtime_refuses_bare_detector_assignment(self, name, value):
+        runtime = tiny_runtime()
+        before = dataclasses.asdict(runtime.config.detector)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"field '{name}'"):
+            setattr(runtime.config.detector, name, value)
+        assert dataclasses.asdict(runtime.detector.config) == before
+        result = runtime.run()
+        assert runtime.detector.config.epochs is (result.knobs["detector_epochs"] == "on")
+
+    @pytest.mark.parametrize("mode", ["on", "off"])
+    def test_the_epoch_knob_alone_decides_the_epoch_mode(self, mode):
+        # The caller's config says the opposite; the knob wins, at build and
+        # through ``set_knob``, and the caller's object is left as it was.
+        other = "off" if mode == "on" else "on"
+        shared = DetectorConfig(epochs=other == "on")
+        built = tiny_runtime(detector=shared, detector_epochs=mode)
+        switched = tiny_runtime(detector=shared, detector_epochs=other)
+        switched.set_knob("detector_epochs", mode)
+        for runtime in (built, switched):
+            result = runtime.run()
+            assert result.knobs["detector_epochs"] == mode
+            assert runtime.config.detector.epochs is (mode == "on")
+            assert runtime.detector.config.epochs is (mode == "on")
+            assert runtime.detector.config is runtime.config.detector
+        assert shared.epochs is (other == "on")
+
+    def test_no_detector_keeps_no_clock(self):
+        runtime = DSMRuntime(RuntimeConfig(world_size=3, detector=None))
+        runtime.declare_scalar("x", owner=1, initial=0)
+
+        def program(api):
+            yield from api.put("x", api.rank)
+            yield from api.get("x")
+
+        runtime.set_spmd_program(program)
+        runtime.set_knob("detector_epochs", "off")
+        result = runtime.run()
+        assert runtime.detector is None
+        assert result.clock_storage_entries == 0
+        assert result.race_count == 0
+        assert result.fabric_stats.detection_messages == 0
+
+
+class TestDetectorConfigWriter:
+    def test_set_detector_config_replaces_the_config_whole(self):
+        runtime = tiny_runtime()
+        before = runtime.config.detector
+        ordered = dataclasses.replace(before, treat_rmw_pairs_as_ordered=True)
+        runtime.set_detector_config(ordered)
+        assert runtime.config.detector is ordered
+        assert runtime.detector.config is ordered
+        assert before.treat_rmw_pairs_as_ordered is False
+
+    def test_set_detector_config_refuses_another_epoch_mode(self):
+        runtime = tiny_runtime(detector_epochs="on")
+        with pytest.raises(ValueError, match="detector_epochs"):
+            runtime.set_detector_config(DetectorConfig(epochs=False))
+        assert runtime.detector.config is runtime.config.detector
+        assert runtime.config.detector.epochs is True
+
+    def test_set_detector_config_refused_after_run_and_without_a_detector(self):
+        runtime = tiny_runtime()
+        runtime.run()
+        with pytest.raises(RuntimeError, match="before run"):
+            runtime.set_detector_config(runtime.config.detector)
+        bare = DSMRuntime(RuntimeConfig(world_size=2, detector=None))
+        with pytest.raises(RuntimeError, match="needs a detector"):
+            bare.set_detector_config(DetectorConfig())

@@ -139,7 +139,7 @@ class TestExecution:
         assert result.final_shared_values["out"] == [0, 1, 20]
 
     def test_detection_can_be_disabled(self):
-        config = RuntimeConfig(world_size=3, detector=DetectorConfig(enabled=False))
+        config = RuntimeConfig(world_size=3, detector=None)
         runtime = DSMRuntime(config)
         runtime.declare_scalar("x", owner=1)
 

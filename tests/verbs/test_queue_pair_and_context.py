@@ -213,8 +213,8 @@ class TestErrors:
         runtime.set_program(0, program)
         runtime.set_program(1, idle)
         runtime.set_program(2, idle)
-        runtime.run()
-        assert runtime.sim.all_finished()
+        result = runtime.run()
+        assert result.blocked == ()
 
     def test_waiting_on_duplicate_handles_returns_the_completion_twice(self):
         runtime = build_runtime()
@@ -227,8 +227,8 @@ class TestErrors:
         runtime.set_program(0, program)
         runtime.set_program(1, idle)
         runtime.set_program(2, idle)
-        runtime.run()
-        assert runtime.sim.all_finished()
+        result = runtime.run()
+        assert result.blocked == ()
 
     def test_failed_sibling_does_not_lose_successful_results(self):
         runtime = build_runtime()
@@ -278,8 +278,8 @@ class TestErrors:
         runtime.set_program(0, program)
         runtime.set_program(1, idle)
         runtime.set_program(2, idle)
-        runtime.run()
-        assert runtime.sim.all_finished()
+        result = runtime.run()
+        assert result.blocked == ()
 
     def test_runtime_without_verbs_rejects_posting(self):
         from repro.runtime.api import ProcessAPI
